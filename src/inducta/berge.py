@@ -1,21 +1,25 @@
 """Combinatorial optimization through 2-joins, for Berge graphs free of
 balanced skew partitions and homogeneous pairs.
 
-The pipeline decomposes along extreme, marker-disjoint proper non-path
-2-joins (one complementation allowed at the root), keeps one
-parity-matched marker path per removed side, and answers maximum
-weighted stable set and clique by re-reading each marker as a weighted
-gadget: a path with clique weights for omega, a flat claw (even side)
-or flat vault (odd side) carrying the side's four stable-set numbers
-for alpha.  Leaves are bipartite or line-graph extensions solved by
-flow and matching, with the remaining basic kinds handled exactly at
-desk scale.  Every lifted witness is re-validated before returning.
+The pipeline runs in two passes.  ``decompose`` builds the weight-free
+tree once per graph: it splits along extreme, marker-disjoint proper
+non-path 2-joins (one complementation allowed at the root), keeps one
+parity-matched marker path per removed side, and classifies the leaves.
+``solve`` then answers maximum weighted stable set and clique for one
+weighting on that tree, with no search: it rebuilds each join's two
+blocks under the weights and re-reads each marker as a weighted gadget:
+a path with clique weights for omega, a flat claw (even side) or flat
+vault (odd side) carrying the side's four stable-set numbers for alpha.
+Weights enter only through those numbers, so one tree serves every
+weighting (the coloring loop solves all of its weightings on one tree).
+Leaves are bipartite or line-graph extensions solved by flow and
+matching, with the remaining basic kinds handled exactly at desk scale.
+Every lifted witness is re-validated before returning.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass, field, replace
 
 from .graphs import Graph, GraphError, TooLargeError, WeightedGraph, bit_count, bits, mask_of
 from .linegraph import line_root_with_map
@@ -33,7 +37,7 @@ class OutsideClassError(GraphError):
 
 # -- 2-join splits -----------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class TwoJoinSplit:
     x1: int
     x2: int
@@ -204,36 +208,17 @@ def all_proper_nonpath_two_joins(g: Graph) -> list[TwoJoinSplit]:
     return out
 
 
-def find_two_join(
-    g: Graph,
-    markers: list[list[int]] | None = None,
-    proper: bool = True,
-    non_path: bool = True,
-    minimally_sided: bool = True,
-) -> TwoJoinSplit | None:
+def find_two_join(g: Graph, markers: list[list[int]] | None = None) -> TwoJoinSplit | None:
     """A proper non-path 2-join, minimally sided (X1 is the minimal side),
-    shifted to be independent of the given marker paths."""
-    if not (proper and non_path):
-        raise GraphError("only proper non-path 2-joins are searched")
+    shifted to be independent of the given marker paths.
+
+    Among all sides of all such joins, the one with fewest vertices (ties
+    broken by its mask) is X1; no other side can lie strictly inside it."""
     joins = all_proper_nonpath_two_joins(g)
     if not joins:
         return None
-    sides = []
-    for s in joins:
-        sides.append((bit_count(s.x1), s.x1, s))
-        sides.append((bit_count(s.x2), s.x2, s.flip()))
-    sides.sort(key=lambda t: (t[0], t[1]))
-    all_side_masks = [m for _, m, _ in sides]
-    chosen = None
-    for cnt, m, s in sides:
-        if any(o != m and o & ~m == 0 for o in all_side_masks):
-            continue  # some other side sits strictly inside: not minimal
-        chosen = s
-        break
-    if chosen is None:
-        chosen = sides[0][2]
-    if not minimally_sided:
-        chosen = joins[0]
+    chosen = min((t for s in joins for t in (s, s.flip())),
+                 key=lambda t: (bit_count(t.x1), t.x1))
     if markers:
         chosen = _marker_shift(g, chosen, markers, joins)
     return chosen
@@ -366,13 +351,10 @@ def _path_block(wg: WeightedGraph, s: TwoJoinSplit, k: int):
 def clique_block(wg: WeightedGraph, s: TwoJoinSplit, k: int) -> WeightedGraph:
     """The block G2^k with the clique-tracking weights on its marker."""
     block, marker = _path_block(wg, s.flip(), k)
-    wa = _omega_of(wg, s.a1)
-    wx = _omega_of(wg, s.x1)
-    wb = _omega_of(wg, s.b1)
+    omega_w = (_omega_of(wg, s.a1), _omega_of(wg, s.b1), _omega_of(wg, s.x1))
     w = list(block.weights)
-    w[marker[0]] = wa
-    w[marker[1]] = wx - wa
-    w[marker[-1]] = wb
+    for v, mw in zip(marker, _marker_clique_weights(len(marker), omega_w)):
+        w[v] = mw
     return WeightedGraph(block.graph, w)
 
 
@@ -381,59 +363,39 @@ def _omega_of(wg: WeightedGraph, region: int) -> int:
     return max_weight_clique(WeightedGraph(sub, [wg.weights[o] for o in old]))[0]
 
 
+def _marker_clique_weights(path_len: int, omega_w: tuple[int, int, int]) -> list[int]:
+    """Weights on a marker path standing for a side whose A, B and X
+    cliques weigh omega_w: omega(A) on the A-end, omega(X) - omega(A) next
+    to it, omega(B) on the B-end and 0 elsewhere."""
+    wa, wb, wx = omega_w
+    w = [0] * path_len
+    w[0], w[1], w[-1] = wa, wx - wa, wb
+    return w
+
+
 def even_block(wg: WeightedGraph, s: TwoJoinSplit, abcd: ABCD) -> tuple[WeightedGraph, list[int]]:
     """Replace X1 by a flat claw; requires a+b <= c+d."""
     if abcd.a + abcd.b > abcd.c + abcd.d:
         raise GraphError("even block needs a+b <= c+d")
-    g = wg.graph
-    sub, old = g.induced_mask(s.x2)
-    pos = {o: i for i, o in enumerate(old)}
-    q = [sub.n + i for i in range(4)]
-    attach = [
-        [pos[v] for v in bits(s.a2)],          # q1 ~ A2
-        [],                                     # q2 wired below
-        [pos[v] for v in bits(s.b2)],          # q3 ~ B2
-        [],
-    ]
-    blk = sub.add_vertices(4, attach)
-    blk.add_edge_unchecked(q[0], q[1])
-    blk.add_edge_unchecked(q[1], q[2])
-    blk.add_edge_unchecked(q[1], q[3])
-    w = [wg.weights[o] for o in old] + [
-        abcd.d - abcd.b,
-        abcd.c,
-        abcd.d - abcd.a,
-        abcd.a + abcd.b - abcd.d,
-    ]
-    return WeightedGraph(blk, w), q
+    return _gadget_block(wg, s, "claw", abcd)
 
 
 def odd_block(wg: WeightedGraph, s: TwoJoinSplit, abcd: ABCD) -> tuple[WeightedGraph, list[int]]:
     """Replace X1 by a flat vault; requires c+d <= a+b."""
     if abcd.c + abcd.d > abcd.a + abcd.b:
         raise GraphError("odd block needs c+d <= a+b")
-    g = wg.graph
-    sub, old = g.induced_mask(s.x2)
-    pos = {o: i for i, o in enumerate(old)}
-    r = [sub.n + i for i in range(6)]
-    a2 = [pos[v] for v in bits(s.a2)]
-    b2 = [pos[v] for v in bits(s.b2)]
-    attach = [a2, b2, [], [], a2, b2]
-    blk = sub.add_vertices(6, attach)
-    for x, y in ((2, 3), (3, 4), (4, 5), (5, 2)):
-        blk.add_edge_unchecked(r[x], r[y])
-    w = [wg.weights[o] for o in old] + [
-        abcd.d - abcd.b,
-        abcd.d - abcd.a,
-        abcd.c,
-        abcd.c,
-        abcd.a + abcd.b - abcd.c - abcd.d,
-        abcd.a + abcd.b - abcd.c - abcd.d,
-    ]
-    return WeightedGraph(blk, w), r
+    return _gadget_block(wg, s, "vault", abcd)
 
 
-# -- mutable graph assembly helper ---------------------------------------------
+def _gadget_block(
+    wg: WeightedGraph, s: TwoJoinSplit, kind: str, abcd: ABCD
+) -> tuple[WeightedGraph, list[int]]:
+    """X2 with X1 replaced the way the solver replaces it: a marker path
+    for X1 (of the solver's length for that parity), re-read as its gadget."""
+    block, marker = _path_block(wg, s.flip(), 3 if kind == "vault" else 4)
+    out, gadget, _ = _replace_path_by_gadget(block, marker, kind, gadget_weights(kind, abcd))
+    return out, gadget
+
 
 def _replace_path_by_gadget(
     wg: WeightedGraph, path: list[int], kind: str, weights4: list[int]
@@ -502,7 +464,7 @@ def gadget_alpha_numbers(kind: str, weights4: list[int]) -> ABCD:
 
 # -- leaf classification --------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class LeafInfo:
     kind: str   # bipartite | line-of-bipartite | complement-bipartite |
     #             complement-line-of-bipartite | double-split |
@@ -860,28 +822,23 @@ def _root_path_end(root_edges, path, keep, which: int) -> int:
 
 @dataclass
 class MarkerInfo:
-    """Bookkeeping for one marker path: everything needed to re-read it as
-    a weighted gadget and to expand witnesses back to original vertices."""
+    """A marker path: everything needed to re-read it as a weighted
+    gadget and to expand witnesses back to original vertices.  The
+    decomposition tracks only path and kind; solving fills in the rest."""
 
-    path: list[int]                       # vertices in the current graph
-    kind: str                             # 'claw' (even side) or 'vault'
-    abcd: ABCD
-    alpha_wit: dict[str, list[int]]       # case -> original-vertex stable sets
-    omega_w: tuple[int, int, int]         # omega of A1, B1, X1
-    omega_wit: dict[str, list[int]]       # 'A' | 'B' | 'X' -> original cliques
-
-    def remap(self, omap: list[int]) -> "MarkerInfo | None":
-        newpath = []
-        for v in self.path:
-            if omap[v] < 0:
-                return None
-            newpath.append(omap[v])
-        return MarkerInfo(newpath, self.kind, self.abcd, self.alpha_wit,
-                          self.omega_w, self.omega_wit)
+    path: list[int]                                # vertices in the current graph
+    kind: str                                      # 'claw' (even side) or 'vault'
+    abcd: ABCD | None = None
+    alpha_wit: dict[str, list[int]] | None = None  # case -> original-vertex stable sets
+    omega_w: tuple[int, int, int] | None = None    # omega of A1, B1, X1
+    omega_wit: dict[str, list[int]] | None = None  # 'A' | 'B' | 'X' -> original cliques
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
+    """One node of the weight-free decomposition: a leaf, or a join whose
+    only child is the block of X2 plus a marker for X1."""
+
     kind: str                              # 'leaf' or 'join'
     leaf: LeafInfo | None = None
     n: int = 0
@@ -891,12 +848,8 @@ class TreeNode:
     graph: Graph | None = None             # this node's graph
     split: TwoJoinSplit | None = None      # the join taken at this node
     marker_len: int = 0                    # length of the child's marker
-
-    def leaves(self):
-        if self.kind == "leaf":
-            yield self
-        for c in self.children:
-            yield from c.leaves()
+    side_leaf: LeafInfo | None = None      # join only: the kind of the X1 block
+    complemented: bool = False             # root only: the tree is of the complement
 
 
 def replay_tree(node: TreeNode) -> bool:
@@ -913,7 +866,7 @@ def replay_tree(node: TreeNode) -> bool:
     return all(replay_tree(c) for c in node.children)
 
 
-@dataclass
+@dataclass(slots=True)
 class BergeAnswer:
     alpha: int
     alpha_set: list[int]
@@ -969,29 +922,23 @@ def _expand_alpha_witness(
 def _gadgetize(
     wg: WeightedGraph, ids: list, markers: list[MarkerInfo]
 ) -> tuple[WeightedGraph, list, list[tuple[MarkerInfo, list[int]]]]:
-    """Replace every marker path by its claw/vault with the abcd weights."""
-    cur = wg
-    cur_ids = list(ids)
-    cur_markers = [(m, list(m.path)) for m in markers]
-    gadget_map: list[tuple[MarkerInfo, list[int]]] = []
-    done: list[tuple[MarkerInfo, list[int]]] = []
-    for idx in range(len(cur_markers)):
-        info, path = cur_markers[idx]
+    """Replace every marker path by its claw/vault with the abcd weights;
+    returns the new graph, its vertex ids and each marker's gadget."""
+    cur, cur_ids = wg, list(ids)
+    paths = [m.path for m in markers]
+    placed: list[tuple[MarkerInfo, list[int]]] = []
+    for i, info in enumerate(markers):
         cur, gad, omap = _replace_path_by_gadget(
-            cur, path, info.kind, gadget_weights(info.kind, info.abcd)
+            cur, paths[i], info.kind, gadget_weights(info.kind, info.abcd)
         )
         new_ids = [None] * cur.graph.n
         for o, nn in enumerate(omap):
             if nn >= 0:
                 new_ids[nn] = cur_ids[o]
         cur_ids = new_ids
-        done = [(mi, [omap[v] for v in vs]) for mi, vs in done]
-        done.append((info, gad))
-        for j in range(idx + 1, len(cur_markers)):
-            mj, pj = cur_markers[j]
-            cur_markers[j] = (mj, [omap[v] for v in pj])
-        gadget_map = done
-    return cur, cur_ids, gadget_map
+        placed = [(mi, [omap[v] for v in vs]) for mi, vs in placed] + [(info, gad)]
+        paths[i + 1:] = [[omap[v] for v in p] for p in paths[i + 1:]]
+    return cur, cur_ids, placed
 
 
 def _leaf_alpha(
@@ -1114,12 +1061,8 @@ def _leaf_omega(
         keep_mask = g.full_mask()
     w = [wv if keep_mask >> v & 1 else 0 for v, wv in enumerate(wg.weights)]
     for m in markers:
-        wa, wb, wx = m.omega_w
-        w[m.path[0]] = wa if keep_mask >> m.path[0] & 1 else 0
-        w[m.path[1]] = (wx - wa) if keep_mask >> m.path[1] & 1 else 0
-        w[m.path[-1]] = wb if keep_mask >> m.path[-1] & 1 else 0
-        for v in m.path[2:-1]:
-            w[v] = 0
+        for v, mw in zip(m.path, _marker_clique_weights(len(m.path), m.omega_w)):
+            w[v] = mw if keep_mask >> v & 1 else 0
     if leaf.kind == "bipartite":
         best, mask = 0, 0
         for v in range(g.n):
@@ -1168,17 +1111,28 @@ def _expand_omega_witness(
     return sorted(out)
 
 
-def _solve(
-    wg: WeightedGraph, ids: list, markers: list[MarkerInfo], depth: int
-) -> tuple[int, list[int], int, list[int], TreeNode]:
-    g = wg.graph
+def decompose(g: Graph) -> TreeNode:
+    """The weight-free 2-join decomposition of g: every search the
+    pipeline makes, done once so that ``solve`` can answer any weighting.
+    When g neither classifies as a leaf nor decomposes, its complement is
+    tried once at the root."""
+    try:
+        return _decompose(g, [], 0)
+    except OutsideClassError:
+        comp = g.complement()
+        if classify_leaf(comp) is None and find_two_join(comp) is None:
+            raise
+    tree = _decompose(comp, [], 0)
+    tree.complemented = True
+    return tree
+
+
+def _decompose(g: Graph, markers: list[MarkerInfo], depth: int) -> TreeNode:
     if depth > g.n + 8:
         raise OutsideClassError("decomposition recursion exceeded its depth cap")
     leaf = classify_leaf(g)
     if leaf is not None:
-        a_val, a_wit = _leaf_alpha(wg, ids, markers, leaf)
-        o_val, o_wit = _leaf_omega(wg, ids, markers, leaf)
-        return a_val, a_wit, o_val, o_wit, TreeNode("leaf", leaf=leaf, n=g.n, graph=g)
+        return TreeNode("leaf", leaf=leaf, n=g.n, graph=g)
 
     split = find_two_join(g, markers=[m.path for m in markers])
     if split is None:
@@ -1188,27 +1142,95 @@ def _solve(
     p2 = side_parity(g, split, "x2")
     if "mixed" in (p1, p2):
         raise GraphError("parity-undefined 2-join side")
-    k2 = 3 if p1 == "odd" else 4   # marker standing for X1
-    k1 = 3 if p2 == "odd" else 4   # marker standing for X2 in the leaf block
-
-    # the extreme-side leaf block: X1 plus a zero-weight marker for X2
-    leaf_block, m2_path = _path_block(wg, split, k1)
-    old1 = sorted(bits(split.x1))
-    ids1 = [ids[o] for o in old1] + [None] * (k1 + 1)
-    pos1 = {o: i for i, o in enumerate(old1)}
-    markers1 = []
-    for m in markers:
-        if mask_of(m.path) & split.x1:
-            markers1.append(
-                MarkerInfo([pos1[v] for v in m.path], m.kind, m.abcd,
-                           m.alpha_wit, m.omega_w, m.omega_wit)
-            )
-    leaf1 = classify_leaf(leaf_block.graph)
-    if leaf1 is None:
+    side_leaf = classify_leaf(_side_block(WeightedGraph(g), split, p2).graph)
+    if side_leaf is None:
         raise OutsideClassError("extreme-side block is not leaf-classifiable")
 
-    def region_mask(mask_orig_side: int) -> int:
-        return mask_of(pos1[v] for v in bits(mask_orig_side))
+    k2 = 3 if p1 == "odd" else 4   # marker standing for X1
+    block2, m1_path = _path_block(WeightedGraph(g), split.flip(), k2)
+    markers2 = _markers_within(markers, split.x2)
+    markers2.append(MarkerInfo(m1_path, _gadget_kind(p1)))
+    child = _decompose(block2.graph, markers2, depth + 1)
+    return TreeNode(
+        "join",
+        n=g.n,
+        split_sizes=(bit_count(split.x1), bit_count(split.x2)),
+        parities=(p1, p2),
+        children=[child],
+        graph=g,
+        split=split,
+        marker_len=k2,
+        side_leaf=side_leaf,
+    )
+
+
+def _side_block(wg: WeightedGraph, split: TwoJoinSplit, p2: str) -> WeightedGraph:
+    """The extreme-side leaf block: X1 plus a zero-weight marker for X2
+    whose length matches the parity of X2."""
+    return _path_block(wg, split, 3 if p2 == "odd" else 4)[0]
+
+
+def _gadget_kind(parity: str) -> str:
+    return "vault" if parity == "odd" else "claw"
+
+
+def _markers_within(markers: list[MarkerInfo], side: int) -> list[MarkerInfo]:
+    """The markers inside ``side``, renumbered to a block that keeps
+    ``side`` as its first vertices (markers never straddle a join)."""
+    pos = {o: i for i, o in enumerate(bits(side))}
+    return [
+        replace(m, path=[pos[v] for v in m.path])
+        for m in markers
+        if mask_of(m.path) & side
+    ]
+
+
+def solve(tree: TreeNode, weights: list[int]) -> BergeAnswer:
+    """Maximum weighted stable set and clique of the decomposed graph
+    under ``weights``, with the lifted witnesses validated against it.
+    Walking down the tree, each join's removed side is solved on its leaf
+    block and travels on as the weighted marker of the next block."""
+    g = tree.graph.complement() if tree.complemented else tree.graph
+    wg = WeightedGraph(g, weights)
+    cur, ids, markers = WeightedGraph(tree.graph, wg.weights), list(range(g.n)), []
+    node = tree
+    while node.kind == "join":
+        split = node.split
+        numbers = _solve_side(cur, ids, markers, node)
+        cur, m1_path = _path_block(cur, split.flip(), node.marker_len)
+        ids = [ids[o] for o in bits(split.x2)] + [None] * (node.marker_len + 1)
+        markers = _markers_within(markers, split.x2)
+        markers.append(MarkerInfo(m1_path, _gadget_kind(node.parities[0]), *numbers))
+        node = node.children[0]
+    a, aw = _leaf_alpha(cur, ids, markers, node.leaf)
+    o, ow = _leaf_omega(cur, ids, markers, node.leaf)
+    if tree.complemented:
+        a, aw, o, ow = o, ow, a, aw
+    amask = mask_of(aw)
+    omask = mask_of(ow)
+    if not g.is_stable_mask(amask):
+        raise GraphError("lifted stable set fails validation")
+    if not g.is_clique_mask(omask):
+        raise GraphError("lifted clique fails validation")
+    if wg.weight_of(amask) != a or wg.weight_of(omask) != o:
+        raise GraphError("lifted witness weight mismatch")
+    return BergeAnswer(a, sorted(aw), o, sorted(ow), tree, tree.complemented)
+
+
+def _solve_side(
+    wg: WeightedGraph, ids: list, markers: list[MarkerInfo], node: TreeNode
+) -> tuple[ABCD, dict, tuple[int, int, int], dict]:
+    """The numbers a join's removed side X1 hands to its marker, solved
+    on the side's leaf block: the abcd numbers with their stable sets, and
+    the clique numbers of A1, B1 and X1 with their cliques."""
+    split, (p1, p2) = node.split, node.parities
+    block = _side_block(wg, split, p2)
+    ids1 = [ids[o] for o in bits(split.x1)]
+    ids1 += [None] * (block.graph.n - len(ids1))
+    markers1 = _markers_within(markers, split.x1)
+
+    def region_mask(region: int) -> int:
+        return mask_of(i for i, v in enumerate(bits(split.x1)) if region >> v & 1)
 
     abcd_vals = []
     abcd_wits = {}
@@ -1218,7 +1240,7 @@ def _solve(
         ("c", split.c1),
         ("d", split.x1),
     ):
-        val, wit = _leaf_alpha(leaf_block, ids1, markers1, leaf1,
+        val, wit = _leaf_alpha(block, ids1, markers1, node.side_leaf,
                                keep_mask=region_mask(region))
         abcd_vals.append(val)
         abcd_wits[case] = wit
@@ -1230,88 +1252,37 @@ def _solve(
     if p1 == "odd" and abcd.c + abcd.d > abcd.a + abcd.b:
         raise GraphError("X1-odd side violates c+d <= a+b")
 
-    omega_vals = {}
+    omega_vals = []
     omega_wits = {}
     for case, region in (("A", split.a1), ("B", split.b1), ("X", split.x1)):
-        val, wit = _leaf_omega(leaf_block, ids1, markers1, leaf1,
+        val, wit = _leaf_omega(block, ids1, markers1, node.side_leaf,
                                keep_mask=region_mask(region))
-        omega_vals[case] = val
+        omega_vals.append(val)
         omega_wits[case] = wit
-
-    # the recursive block: X2 plus a marker for X1 with its payload
-    block2, m1_path = _path_block(wg, split.flip(), k2)
-    old2 = sorted(bits(split.x2))
-    ids2 = [ids[o] for o in old2] + [None] * (k2 + 1)
-    pos2 = {o: i for i, o in enumerate(old2)}
-    markers2 = []
-    for m in markers:
-        if mask_of(m.path) & split.x2:
-            markers2.append(
-                MarkerInfo([pos2[v] for v in m.path], m.kind, m.abcd,
-                           m.alpha_wit, m.omega_w, m.omega_wit)
-            )
-    markers2.append(
-        MarkerInfo(
-            m1_path,
-            "vault" if p1 == "odd" else "claw",
-            abcd,
-            abcd_wits,
-            (omega_vals["A"], omega_vals["B"], omega_vals["X"]),
-            omega_wits,
-        )
-    )
-    a_val, a_wit, o_val, o_wit, subtree = _solve(
-        WeightedGraph(block2.graph, block2.weights), ids2, markers2, depth + 1
-    )
-    node = TreeNode(
-        "join",
-        n=g.n,
-        split_sizes=(bit_count(split.x1), bit_count(split.x2)),
-        parities=(p1, p2),
-        children=[subtree],
-        graph=g,
-        split=split,
-        marker_len=k2,
-    )
-    return a_val, a_wit, o_val, o_wit, node
+    return abcd, abcd_wits, tuple(omega_vals), omega_wits
 
 
 def berge_alpha_omega(wg: WeightedGraph) -> BergeAnswer:
     """Maximum weighted stable set and clique with validated witnesses,
     for members of the 2-join-decomposable Berge class."""
-    g = wg.graph
-    complemented = False
-    try:
-        a, aw, o, ow, tree = _solve(wg, list(range(g.n)), [], 0)
-    except OutsideClassError:
-        comp = g.complement()
-        if classify_leaf(comp) is None and find_two_join(comp) is None:
-            raise
-        complemented = True
-        o, ow, a, aw, tree = _solve(
-            WeightedGraph(comp, wg.weights), list(range(g.n)), [], 0
-        )
-    amask = mask_of(aw)
-    omask = mask_of(ow)
-    if not g.is_stable_mask(amask):
-        raise GraphError("lifted stable set fails validation")
-    if not g.is_clique_mask(omask):
-        raise GraphError("lifted clique fails validation")
-    if wg.weight_of(amask) != a or wg.weight_of(omask) != o:
-        raise GraphError("lifted witness weight mismatch")
-    return BergeAnswer(a, sorted(aw), o, sorted(ow), tree, complemented)
+    return solve(decompose(wg.graph), wg.weights)
 
 
 # -- hitting stable sets and coloring ------------------------------------------
 
 def stable_hitting_cliques(g: Graph, cliques: list[list[int]]) -> list[int]:
-    """A stable set meeting every given maximum clique: solve with the
-    cover-count weights and check the weight equals the clique count."""
-    y = [0] * g.n
+    """A stable set meeting every given maximum clique."""
+    return _hitting_stable_set(decompose(g), cliques)
+
+
+def _hitting_stable_set(tree: TreeNode, cliques: list[list[int]]) -> list[int]:
+    """Solve with the cover-count weights and check the weight equals the
+    clique count, so the stable set meets every clique."""
+    y = [0] * tree.graph.n
     for k in cliques:
         for v in k:
             y[v] += 1
-    ans = berge_alpha_omega(WeightedGraph(g, y))
+    ans = solve(tree, y)
     smask = mask_of(ans.alpha_set)
     if ans.alpha != len(cliques):
         raise GraphError(
@@ -1325,35 +1296,27 @@ def stable_hitting_cliques(g: Graph, cliques: list[list[int]]) -> list[int]:
 
 def color_berge(g: Graph) -> list[int]:
     """An omega-coloring: per color class, grow a list of maximum cliques
-    of the uncolored part until some stable set hits them all."""
+    of the uncolored part until some stable set hits them all.  Every
+    weighting is solved on one decomposition of g."""
+    tree = decompose(g)
     color = [-1] * g.n
     remaining = g.full_mask()
     colors_used = 0
     while remaining:
         live = [1 if remaining >> v & 1 else 0 for v in range(g.n)]
-        ans = berge_alpha_omega(WeightedGraph(g, live))
-        omega_now = ans.omega
+        omega_now = solve(tree, live).omega
         if omega_now == 0:
             break
         cliques: list[list[int]] = []
         s_mask = 0
         for _ in range(g.n + 1):
-            y = [0] * g.n
-            for k in cliques:
-                for v in k:
-                    y[v] += 1
-            sol = berge_alpha_omega(WeightedGraph(g, y)) if cliques else None
             if cliques:
-                if sol.alpha != len(cliques):
-                    raise GraphError("hitting iteration lost a clique")
-                s_mask = mask_of(sol.alpha_set) & remaining
-            else:
-                s_mask = 0
+                s_mask = mask_of(_hitting_stable_set(tree, cliques)) & remaining
             probe = [
                 1 if (remaining >> v & 1) and not (s_mask >> v & 1) else 0
                 for v in range(g.n)
             ]
-            rest = berge_alpha_omega(WeightedGraph(g, probe))
+            rest = solve(tree, probe)
             if rest.omega < omega_now:
                 break
             clique = [v for v in rest.omega_set if probe[v]]
@@ -1362,12 +1325,12 @@ def color_berge(g: Graph) -> list[int]:
             raise GraphError("hitting-set loop exceeded n iterations")
         if not s_mask:
             raise GraphError("empty color class")
-        # also absorb isolated leftovers that fit this class
         for v in bits(s_mask):
             color[v] = colors_used
         remaining &= ~s_mask
         colors_used += 1
-    assert all(color[u] != color[v] for u, v in g.edges() if color[u] >= 0)
+    if any(color[u] == color[v] for u, v in g.edges() if color[u] >= 0):
+        raise GraphError("berge coloring is not proper")
     return color
 
 

@@ -320,16 +320,7 @@ def validate_two_pair(g: Graph, a: int, b: int) -> bool:
     if a == b or g.has_edge(a, b):
         return False
     cut = g.adj[a] & g.adj[b]
-    allowed = g.full_mask() & ~cut
-    comp = 1 << a
-    frontier = comp
-    while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= g.adj[v] & allowed
-        frontier = nxt & ~comp
-        comp |= frontier
-    return not (comp >> b & 1)
+    return not (g.reach(1 << a, g.full_mask() & ~cut) >> b & 1)
 
 
 def _is_anticonnected(g: Graph, mask: int) -> bool:

@@ -64,7 +64,12 @@ def _oracle_bound(args) -> int:
     if args.oracle_bound is not None:
         return args.oracle_bound
     env = os.environ.get("INDUCTA_ORACLE_BOUND")
-    return int(env) if env else oracle.CHI_BOUND
+    if not env:
+        return oracle.CHI_BOUND
+    try:
+        return int(env)
+    except ValueError:
+        raise CliError(3, f"INDUCTA_ORACLE_BOUND={env}: expected an integer") from None
 
 
 def cmd_invariants(args) -> int:
@@ -117,7 +122,10 @@ def cmd_detect(args) -> int:
     if args.what == "k-in-a-tree":
         if not args.terminals:
             raise CliError(3, "k-in-a-tree needs --terminals=a,b,c,...")
-        terms = [int(t) for t in args.terminals.split(",")]
+        try:
+            terms = [int(t) for t in args.terminals.split(",")]
+        except ValueError:
+            raise CliError(3, f"--terminals={args.terminals}: expected integers a,b,c,...") from None
         try:
             res = kintree_mod.k_in_a_tree(g, terms)
         except GraphError as e:
@@ -391,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("berge", parents=[common], help="2-join optimization pipeline")
     sp.add_argument("action", choices=["alpha", "omega", "color"])
     add_graph_args(sp)
-    sp.add_argument("--weights", help="unused: weights ride in the graph file")
     sp.set_defaults(fn=cmd_berge)
 
     sp = sub.add_parser("gadget", parents=[common], help="hardness gadget generators")

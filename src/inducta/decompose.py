@@ -187,20 +187,8 @@ def _find_proper_2_cutset(g: Graph) -> CutsetWitness | None:
 
 def _side_has_ab_path(g: Graph, side: int, a: int, b: int) -> bool:
     return bool(g.adj[a] & side) and bool(
-        _component_within(g, g.adj[a] & side, side) & g.adj[b]
+        g.reach(g.adj[a] & side, side) & g.adj[b]
     )
-
-
-def _component_within(g: Graph, seeds: int, allowed: int) -> int:
-    comp = seeds & allowed
-    frontier = comp
-    while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= g.adj[v] & allowed
-        frontier = nxt & ~comp
-        comp |= frontier
-    return comp
 
 
 def _find_special_2_cutset(g: Graph) -> CutsetWitness | None:

@@ -36,17 +36,6 @@ def hole_through_two(g: Graph, x: int, y: int, max_len: int | None = None) -> li
     adj = g.adj
     full = g.full_mask()
 
-    def reach(src: int, free: int) -> int:
-        seen = 1 << src
-        frontier = adj[src] & free
-        while frontier:
-            seen |= frontier
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= adj[v]
-            frontier = nxt & free & ~seen
-        return seen & ~(1 << src)
-
     def dfs(path: list[int], used: int, banned: int) -> list[int] | None:
         v = path[-1]
         for w in bits(adj[v] & ~used & ~banned):
@@ -66,7 +55,7 @@ def hole_through_two(g: Graph, x: int, y: int, max_len: int | None = None) -> li
             if not have_x and nb >> x & 1:
                 continue
             free = full & ~nu & ~nb
-            r = reach(w, free)
+            r = g.reach(1 << w, free) & ~(1 << w)
             if not have_x and not (r >> x & 1):
                 continue
             if not (r & adj[y]):

@@ -28,7 +28,7 @@ def bits(mask: int) -> Iterator[int]:
 
 
 def bit_count(mask: int) -> int:
-    return bin(mask).count("1")
+    return mask.bit_count()
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -156,41 +156,29 @@ class Graph:
 
     # -- structure predicates -------------------------------------------
 
+    def reach(self, seeds: int, allowed: int) -> int:
+        """``seeds`` plus every vertex of ``allowed`` reachable from them by
+        paths whose vertices after the first lie in ``allowed``."""
+        comp = frontier = seeds
+        while frontier:
+            nxt = 0
+            for v in bits(frontier):
+                nxt |= self.adj[v]
+            frontier = nxt & allowed & ~comp
+            comp |= frontier
+        return comp
+
     def components(self) -> list[int]:
         """Connected components as vertex bitsets."""
-        seen = 0
-        out = []
-        for s in range(self.n):
-            if seen >> s & 1:
-                continue
-            comp = 1 << s
-            frontier = 1 << s
-            while frontier:
-                nxt = 0
-                for v in bits(frontier):
-                    nxt |= self.adj[v]
-                frontier = nxt & ~comp
-                comp |= frontier
-            seen |= comp
-            out.append(comp)
-        return out
+        return self.components_of(self.full_mask())
 
     def components_of(self, mask: int) -> list[int]:
         """Connected components of the subgraph induced by ``mask``."""
-        seen = 0
         out = []
-        for s in bits(mask):
-            if seen >> s & 1:
-                continue
-            comp = 1 << s
-            frontier = comp
-            while frontier:
-                nxt = 0
-                for v in bits(frontier):
-                    nxt |= self.adj[v] & mask
-                frontier = nxt & ~comp
-                comp |= frontier
-            seen |= comp
+        rest = mask
+        while rest:
+            comp = self.reach(rest & -rest, mask)
+            rest &= ~comp
             out.append(comp)
         return out
 

@@ -168,18 +168,6 @@ def validate_cubic_split(g: Graph, universe: int, terms: list[int], sp: CubicSpl
     return True
 
 
-def _component_of(g: Graph, v: int, allowed: int) -> int:
-    comp = 1 << v
-    frontier = comp
-    while frontier:
-        nxt = 0
-        for u in bits(frontier):
-            nxt |= g.adj[u] & allowed
-        frontier = nxt & ~comp
-        comp |= frontier
-    return comp
-
-
 def validate_kstruct(g: Graph, w: KStructWitness, check_decomposes: bool = True) -> bool:
     k = len(w.paths)
     if k < 4:
@@ -206,7 +194,7 @@ def validate_kstruct(g: Graph, w: KStructWitness, check_decomposes: bool = True)
         terms = w.terminals()
         others = mask_of(terms)
         for i, p in enumerate(w.paths):
-            comp = _component_of(g, terms[i], g.full_mask() & ~(1 << cyc[i]))
+            comp = g.reach(1 << terms[i], g.full_mask() & ~(1 << cyc[i]))
             if comp & others & ~(1 << terms[i]):
                 return False
     return True
@@ -252,11 +240,11 @@ def validate_k4(g: Graph, w: K4Witness, check_decomposes: bool = True) -> bool:
         others = mask_of(xs.values())
         for ij in K4Witness.PAIRS:
             cut1 = (1 << hubs[ij[0]]) | (1 << hubs[ij[1]])
-            comp = _component_of(g, xs[ij], g.full_mask() & ~cut1)
+            comp = g.reach(1 << xs[ij], g.full_mask() & ~cut1)
             if comp & others & ~(1 << xs[ij]):
                 return False
             cut2 = 1 << parts[ij][-1]
-            comp = _component_of(g, xs[ij], g.full_mask() & ~cut2)
+            comp = g.reach(1 << xs[ij], g.full_mask() & ~cut2)
             if comp & others & ~(1 << xs[ij]):
                 return False
     return True
@@ -378,7 +366,7 @@ def _link_tree(g: Graph, t_mask: int, q_path: list[int], k: int) -> _LinkOutcome
 
     hangs: list[list[int]] = []
     for s_i in spine:
-        piece = _component_of(g, s_i, (t_mask & ~spine_mask) | (1 << s_i))
+        piece = g.reach(1 << s_i, (t_mask & ~spine_mask) | (1 << s_i))
         leaves = [x for x in bits(piece) if deg_t(x) == 1]
         if len(leaves) != 1:
             raise KinTreeInternalError("hanging piece does not hold exactly one terminal")
@@ -668,7 +656,7 @@ def _kstruct_fail_index(g: Graph, paths: list[list[int]], region: int) -> int | 
     terms = [p[0] for p in paths]
     others = mask_of(terms)
     for i, p in enumerate(paths):
-        comp = _component_of(g, terms[i], region & ~(1 << p[-1]))
+        comp = g.reach(1 << terms[i], region & ~(1 << p[-1]))
         if comp & others & ~(1 << terms[i]):
             return i
     return None
@@ -684,8 +672,8 @@ def _handle_k_failure(g: Graph, paths: list[list[int]], h_region: int, v: int, k
     s = [p[-1] for p in paths]
     kprime = mask_of(u for p in paths[1:] for u in p)
 
-    y = _component_of(g, x1, h_region & ~(1 << s[0]))
-    z = _component_of(g, s[1], h_region & ~(1 << s[0]))
+    y = g.reach(1 << x1, h_region & ~(1 << s[0]))
+    z = g.reach(1 << s[1], h_region & ~(1 << s[0]))
     q = _bfs_to_attachment(g, x1, kprime, region=y | z | (1 << v))
     if q is None:
         raise KinTreeInternalError("failure vertex did not yield a linking path")

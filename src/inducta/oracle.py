@@ -343,8 +343,3 @@ def induced_embedding(pattern: Graph, host: Graph) -> list[int] | None:
         return False
 
     return mapping if rec(0) else None
-
-
-def find_induced(pattern: Graph, host: Graph) -> list[int] | None:
-    """Alias kept for readability at call sites."""
-    return induced_embedding(pattern, host)

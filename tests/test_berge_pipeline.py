@@ -3,12 +3,15 @@ import random
 import pytest
 
 from helpers import glue_two_sides, prism_side, random_berge_instance, theta_side
+from inducta import berge
 from inducta.berge import (
     OutsideClassError,
     replay_tree,
     berge_alpha_omega,
     color_berge,
+    decompose,
     find_two_join,
+    solve,
     solve_leaf,
     stable_hitting_cliques,
 )
@@ -166,3 +169,65 @@ def test_color_berge_on_glued_instances():
         rep = exact_invariants(g)
         assert max(col) + 1 == rep.omega == rep.chi
         assert all(col[u] != col[v] for u, v in g.edges())
+
+
+def _reuse_members():
+    """Criterion 9's members (seed 909, drawn exactly as there), the glued
+    ladder/prism member, and both members of the complement route."""
+    from helpers import hub_side_even, ladder_side_odd, line_side_even
+
+    rng = random.Random(909)
+    out = []
+    for _ in range(50):
+        g, _ = random_berge_instance(rng, max_n=20)
+        [rng.randint(0, 4) for _ in range(g.n)]  # criterion 9's weights
+        out.append(g)
+    out.append(glue_two_sides(ladder_side_odd(), prism_side())[0])
+    joined, _ = glue_two_sides(hub_side_even(), line_side_even())
+    out += [joined, joined.complement()]
+    return out
+
+
+def test_one_tree_serves_every_weighting():
+    rng = random.Random(62)
+    routes = set()
+    for g in _reuse_members():
+        tree = decompose(g)
+        routes.add((tree.kind, tree.complemented))
+        for _ in range(5):
+            wg = WeightedGraph(g, [rng.randint(0, 4) for _ in range(g.n)])
+            ans = solve(tree, wg.weights)
+            assert ans.alpha == max_weight_stable_set(wg)[0]
+            assert ans.omega == max_weight_clique(wg)[0]
+            assert g.is_stable_mask(mask_of(ans.alpha_set))
+            assert g.is_clique_mask(mask_of(ans.omega_set))
+            assert wg.weight_of(mask_of(ans.alpha_set)) == ans.alpha
+            assert wg.weight_of(mask_of(ans.omega_set)) == ans.omega
+            fresh = berge_alpha_omega(wg)
+            assert (ans.alpha, ans.alpha_set, ans.omega, ans.omega_set, ans.complemented) == (
+                fresh.alpha, fresh.alpha_set, fresh.omega, fresh.omega_set, fresh.complemented)
+        assert tree == decompose(g)  # solving left the tree as built
+    assert {("join", False), ("join", True)} <= routes
+
+
+def test_color_berge_searches_two_joins_once(monkeypatch):
+    from helpers import hub_side_even, line_side_even
+
+    real = berge.find_two_join
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(berge, "find_two_join", counted)
+    joined, _ = glue_two_sides(hub_side_even(), line_side_even())
+    for g, complemented in ((joined, False), (joined.complement(), True)):
+        calls.clear()
+        ans = berge_alpha_omega(WeightedGraph(g))
+        assert ans.complemented == complemented and ans.tree.kind == "join"
+        per_answer = len(calls)
+        calls.clear()
+        col = color_berge(g)
+        assert max(col) + 1 == ans.omega
+        assert 0 < len(calls) <= per_answer

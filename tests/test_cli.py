@@ -97,3 +97,22 @@ def test_graph_roundtrip_machine_output(capsys):
     assert code == 0
     rec = json.loads(out)
     assert 0 in rec["hole"] and 3 in rec["hole"]
+
+
+def test_bad_terminals_exit_3(capsys, tmp_path):
+    p = tmp_path / "sq.g"
+    p.write_text("8 8\n0 1\n1 2\n2 3\n0 3\n0 4\n1 5\n2 6\n3 7\n")
+    code = main(["detect", "k-in-a-tree", str(p), "--terminals=a,b"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_bad_oracle_bound_env_exit_3(capsys, monkeypatch):
+    monkeypatch.setenv("INDUCTA_ORACLE_BOUND", "x")
+    code = main(["invariants", "--named=petersen"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
