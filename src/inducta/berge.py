@@ -6,15 +6,19 @@ tree once per graph: it splits along extreme, marker-disjoint proper
 non-path 2-joins (one complementation allowed at the root), keeps one
 parity-matched marker path per removed side, and classifies the leaves.
 ``solve`` then answers maximum weighted stable set and clique for one
-weighting on that tree, with no search: it rebuilds each join's two
-blocks under the weights and re-reads each marker as a weighted gadget:
-a path with clique weights for omega, a flat claw (even side) or flat
-vault (odd side) carrying the side's four stable-set numbers for alpha.
-Weights enter only through those numbers, so one tree serves every
-weighting (the coloring loop solves all of its weightings on one tree).
-Leaves are bipartite or line-graph extensions solved by flow and
-matching, with the remaining basic kinds handled exactly at desk scale.
-Every lifted witness is re-validated before returning.
+weighting on that tree, with no search: it takes each join's child block
+from the tree, builds the removed side's leaf block under the weights,
+and re-reads each marker as a weighted gadget: a path with clique
+weights for omega, a flat claw (even side) or flat vault (odd side)
+carrying the side's four stable-set numbers for alpha.  Weights enter
+only through those numbers, so one tree serves every weighting.  The
+alpha and omega halves never read each other's numbers, so either can
+run alone: the coloring loop solves all of its weightings on one tree,
+and each only for the half it reads (omega to find maximum cliques,
+alpha for a stable set hitting them).  Leaves are bipartite or
+line-graph extensions solved by flow and matching, with the remaining
+basic kinds handled exactly at desk scale.  Every lifted witness is
+re-validated before returning.
 """
 
 from __future__ import annotations
@@ -1187,79 +1191,101 @@ def _markers_within(markers: list[MarkerInfo], side: int) -> list[MarkerInfo]:
 
 def solve(tree: TreeNode, weights: list[int]) -> BergeAnswer:
     """Maximum weighted stable set and clique of the decomposed graph
-    under ``weights``, with the lifted witnesses validated against it.
-    Walking down the tree, each join's removed side is solved on its leaf
-    block and travels on as the weighted marker of the next block."""
-    g = tree.graph.complement() if tree.complemented else tree.graph
-    wg = WeightedGraph(g, weights)
-    cur, ids, markers = WeightedGraph(tree.graph, wg.weights), list(range(g.n)), []
+    under ``weights``, with the lifted witnesses validated against it."""
+    (a, aw), (o, ow) = _solve_halves(tree, weights, alpha=True, omega=True)
+    return BergeAnswer(a, aw, o, ow, tree, tree.complemented)
+
+
+def _solve_halves(
+    tree: TreeNode, weights: list[int], alpha: bool, omega: bool
+) -> tuple[tuple[int, list[int]] | None, tuple[int, list[int]] | None]:
+    """The (alpha, omega) halves asked for, each a validated (weight,
+    witness) pair, from one walk down the tree; a half not asked for is
+    None and costs nothing.  The halves never read each other's marker
+    numbers.  Walking down, each join's removed side is solved on its leaf
+    block and travels on as the weighted marker of the child, which is
+    the child node's graph under the remapped weights.  On a complemented
+    root, a stable set of the decomposed graph is a clique of the tree's."""
+    stable, clique = (omega, alpha) if tree.complemented else (alpha, omega)
+    root = WeightedGraph(tree.graph, weights)
+    cur, ids, markers = root, list(range(tree.graph.n)), []
     node = tree
     while node.kind == "join":
-        split = node.split
-        numbers = _solve_side(cur, ids, markers, node)
-        cur, m1_path = _path_block(cur, split.flip(), node.marker_len)
-        ids = [ids[o] for o in bits(split.x2)] + [None] * (node.marker_len + 1)
-        markers = _markers_within(markers, split.x2)
-        markers.append(MarkerInfo(m1_path, _gadget_kind(node.parities[0]), *numbers))
+        marker = _side_marker(cur, ids, markers, node, stable, clique)
+        x2 = list(bits(node.split.x2))
+        markers = _markers_within(markers, node.split.x2)
+        markers.append(marker)
         node = node.children[0]
-    a, aw = _leaf_alpha(cur, ids, markers, node.leaf)
-    o, ow = _leaf_omega(cur, ids, markers, node.leaf)
+        pad = [None] * (node.n - len(x2))
+        cur = WeightedGraph(node.graph, [cur.weights[o] for o in x2] + [0] * len(pad))
+        ids = [ids[o] for o in x2] + pad
+    st = _leaf_alpha(cur, ids, markers, node.leaf) if stable else None
+    cl = _leaf_omega(cur, ids, markers, node.leaf) if clique else None
+    t = tree.graph
     if tree.complemented:
-        a, aw, o, ow = o, ow, a, aw
-    amask = mask_of(aw)
-    omask = mask_of(ow)
-    if not g.is_stable_mask(amask):
+        a, o, is_stable, is_clique = cl, st, t.is_clique_mask, t.is_stable_mask
+    else:
+        a, o, is_stable, is_clique = st, cl, t.is_stable_mask, t.is_clique_mask
+    if a is not None and not is_stable(mask_of(a[1])):
         raise GraphError("lifted stable set fails validation")
-    if not g.is_clique_mask(omask):
+    if o is not None and not is_clique(mask_of(o[1])):
         raise GraphError("lifted clique fails validation")
-    if wg.weight_of(amask) != a or wg.weight_of(omask) != o:
-        raise GraphError("lifted witness weight mismatch")
-    return BergeAnswer(a, sorted(aw), o, sorted(ow), tree, tree.complemented)
+    for half in (a, o):
+        if half is not None and root.weight_of(mask_of(half[1])) != half[0]:
+            raise GraphError("lifted witness weight mismatch")
+    return a, o
 
 
-def _solve_side(
-    wg: WeightedGraph, ids: list, markers: list[MarkerInfo], node: TreeNode
-) -> tuple[ABCD, dict, tuple[int, int, int], dict]:
-    """The numbers a join's removed side X1 hands to its marker, solved
-    on the side's leaf block: the abcd numbers with their stable sets, and
-    the clique numbers of A1, B1 and X1 with their cliques."""
+def _side_marker(
+    wg: WeightedGraph, ids: list, markers: list[MarkerInfo], node: TreeNode,
+    stable: bool, clique: bool,
+) -> MarkerInfo:
+    """The marker standing for a join's removed side X1 in the child,
+    carrying what X1 hands on, solved on the side's leaf block: for the
+    stable half the abcd numbers with their stable sets, for the clique
+    half the clique numbers of A1, B1 and X1 with their cliques."""
     split, (p1, p2) = node.split, node.parities
     block = _side_block(wg, split, p2)
     ids1 = [ids[o] for o in bits(split.x1)]
     ids1 += [None] * (block.graph.n - len(ids1))
     markers1 = _markers_within(markers, split.x1)
+    nx2 = bit_count(split.x2)
+    marker = MarkerInfo(list(range(nx2, nx2 + node.marker_len + 1)), _gadget_kind(p1))
 
     def region_mask(region: int) -> int:
         return mask_of(i for i, v in enumerate(bits(split.x1)) if region >> v & 1)
 
-    abcd_vals = []
-    abcd_wits = {}
-    for case, region in (
-        ("a", split.a1 | split.c1),
-        ("b", split.b1 | split.c1),
-        ("c", split.c1),
-        ("d", split.x1),
-    ):
-        val, wit = _leaf_alpha(block, ids1, markers1, node.side_leaf,
-                               keep_mask=region_mask(region))
-        abcd_vals.append(val)
-        abcd_wits[case] = wit
-    abcd = ABCD(*abcd_vals)
-    if not abcd.check_basic():
-        raise GraphError(f"abcd inequalities violated at a node: {abcd}")
-    if p1 == "even" and abcd.a + abcd.b > abcd.c + abcd.d:
-        raise GraphError("X1-even side violates a+b <= c+d")
-    if p1 == "odd" and abcd.c + abcd.d > abcd.a + abcd.b:
-        raise GraphError("X1-odd side violates c+d <= a+b")
+    if stable:
+        abcd_vals = []
+        marker.alpha_wit = {}
+        for case, region in (
+            ("a", split.a1 | split.c1),
+            ("b", split.b1 | split.c1),
+            ("c", split.c1),
+            ("d", split.x1),
+        ):
+            val, wit = _leaf_alpha(block, ids1, markers1, node.side_leaf,
+                                   keep_mask=region_mask(region))
+            abcd_vals.append(val)
+            marker.alpha_wit[case] = wit
+        abcd = marker.abcd = ABCD(*abcd_vals)
+        if not abcd.check_basic():
+            raise GraphError(f"abcd inequalities violated at a node: {abcd}")
+        if p1 == "even" and abcd.a + abcd.b > abcd.c + abcd.d:
+            raise GraphError("X1-even side violates a+b <= c+d")
+        if p1 == "odd" and abcd.c + abcd.d > abcd.a + abcd.b:
+            raise GraphError("X1-odd side violates c+d <= a+b")
 
-    omega_vals = []
-    omega_wits = {}
-    for case, region in (("A", split.a1), ("B", split.b1), ("X", split.x1)):
-        val, wit = _leaf_omega(block, ids1, markers1, node.side_leaf,
-                               keep_mask=region_mask(region))
-        omega_vals.append(val)
-        omega_wits[case] = wit
-    return abcd, abcd_wits, tuple(omega_vals), omega_wits
+    if clique:
+        omega_vals = []
+        marker.omega_wit = {}
+        for case, region in (("A", split.a1), ("B", split.b1), ("X", split.x1)):
+            val, wit = _leaf_omega(block, ids1, markers1, node.side_leaf,
+                                   keep_mask=region_mask(region))
+            omega_vals.append(val)
+            marker.omega_wit[case] = wit
+        marker.omega_w = tuple(omega_vals)
+    return marker
 
 
 def berge_alpha_omega(wg: WeightedGraph) -> BergeAnswer:
@@ -1282,29 +1308,35 @@ def _hitting_stable_set(tree: TreeNode, cliques: list[list[int]]) -> list[int]:
     for k in cliques:
         for v in k:
             y[v] += 1
-    ans = solve(tree, y)
-    smask = mask_of(ans.alpha_set)
-    if ans.alpha != len(cliques):
+    alpha, alpha_set = _solve_halves(tree, y, alpha=True, omega=False)[0]
+    smask = mask_of(alpha_set)
+    if alpha != len(cliques):
         raise GraphError(
-            f"hitting stable set has weight {ans.alpha}, expected {len(cliques)}"
+            f"hitting stable set has weight {alpha}, expected {len(cliques)}"
         )
     for k in cliques:
         if not (smask & mask_of(k)):
             raise GraphError("stable set missed a clique")
-    return ans.alpha_set
+    return alpha_set
 
 
 def color_berge(g: Graph) -> list[int]:
     """An omega-coloring: per color class, grow a list of maximum cliques
     of the uncolored part until some stable set hits them all.  Every
-    weighting is solved on one decomposition of g."""
+    weighting is solved on one decomposition of g, and only for the half
+    the loop reads: omega of the live and probe weightings, alpha of the
+    hitting weighting."""
     tree = decompose(g)
+
+    def omega_of(weights: list[int]) -> tuple[int, list[int]]:
+        return _solve_halves(tree, weights, alpha=False, omega=True)[1]
+
     color = [-1] * g.n
     remaining = g.full_mask()
     colors_used = 0
     while remaining:
         live = [1 if remaining >> v & 1 else 0 for v in range(g.n)]
-        omega_now = solve(tree, live).omega
+        omega_now = omega_of(live)[0]
         if omega_now == 0:
             break
         cliques: list[list[int]] = []
@@ -1316,10 +1348,10 @@ def color_berge(g: Graph) -> list[int]:
                 1 if (remaining >> v & 1) and not (s_mask >> v & 1) else 0
                 for v in range(g.n)
             ]
-            rest = solve(tree, probe)
-            if rest.omega < omega_now:
+            rest, rest_set = omega_of(probe)
+            if rest < omega_now:
                 break
-            clique = [v for v in rest.omega_set if probe[v]]
+            clique = [v for v in rest_set if probe[v]]
             cliques.append(clique)
         else:
             raise GraphError("hitting-set loop exceeded n iterations")

@@ -9,7 +9,7 @@ residual network yielding the witness.
 
 from __future__ import annotations
 
-from .graphs import Graph, TooLargeError, WeightedGraph, bits
+from .graphs import Graph, GraphError, TooLargeError, WeightedGraph, bits
 
 MATCHING_BOUND = 28
 
@@ -193,7 +193,9 @@ def bipartite_max_weight_stable_set(wg: WeightedGraph) -> tuple[int, int]:
     for v in bits(right):
         if v not in reach and wg.weights[v] > 0:
             stable |= 1 << v
-    assert g.is_stable_mask(stable)
+    if not g.is_stable_mask(stable):
+        raise GraphError("flow witness is not a stable set")
     weight = wg.weight_of(stable)
-    assert weight == sum(wg.weights) - cut
+    if weight != sum(wg.weights) - cut:
+        raise GraphError("flow witness weight differs from the cut bound")
     return weight, stable

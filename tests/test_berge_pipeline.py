@@ -197,17 +197,50 @@ def test_one_tree_serves_every_weighting():
         for _ in range(5):
             wg = WeightedGraph(g, [rng.randint(0, 4) for _ in range(g.n)])
             ans = solve(tree, wg.weights)
-            assert ans.alpha == max_weight_stable_set(wg)[0]
-            assert ans.omega == max_weight_clique(wg)[0]
-            assert g.is_stable_mask(mask_of(ans.alpha_set))
-            assert g.is_clique_mask(mask_of(ans.omega_set))
-            assert wg.weight_of(mask_of(ans.alpha_set)) == ans.alpha
-            assert wg.weight_of(mask_of(ans.omega_set)) == ans.omega
+            # each half alone, as the coloring loop asks for it
+            alpha_half, no_omega = berge._solve_halves(tree, wg.weights, alpha=True, omega=False)
+            no_alpha, omega_half = berge._solve_halves(tree, wg.weights, alpha=False, omega=True)
+            assert no_omega is None and no_alpha is None
+            alpha_true, omega_true = max_weight_stable_set(wg)[0], max_weight_clique(wg)[0]
+            for (a, aw), (o, ow) in (
+                ((ans.alpha, ans.alpha_set), (ans.omega, ans.omega_set)),
+                (alpha_half, omega_half),
+            ):
+                assert a == alpha_true and o == omega_true
+                assert g.is_stable_mask(mask_of(aw))
+                assert g.is_clique_mask(mask_of(ow))
+                assert wg.weight_of(mask_of(aw)) == a
+                assert wg.weight_of(mask_of(ow)) == o
             fresh = berge_alpha_omega(wg)
             assert (ans.alpha, ans.alpha_set, ans.omega, ans.omega_set, ans.complemented) == (
                 fresh.alpha, fresh.alpha_set, fresh.omega, fresh.omega_set, fresh.complemented)
         assert tree == decompose(g)  # solving left the tree as built
     assert {("join", False), ("join", True)} <= routes
+
+
+def test_each_half_runs_without_the_other(monkeypatch):
+    from helpers import hub_side_even, line_side_even
+
+    g, _ = glue_two_sides(hub_side_even(), line_side_even())
+    tree = decompose(g)
+    assert tree.kind == "join" and not tree.complemented
+    wg = WeightedGraph(g, [1 + v % 3 for v in range(g.n)])
+
+    def other_half(*args, **kwargs):
+        raise AssertionError("the half not asked for was solved")
+
+    for patched, alpha, omega in (("_leaf_alpha", False, True), ("_leaf_omega", True, False)):
+        with monkeypatch.context() as m:
+            m.setattr(berge, patched, other_half)
+            with pytest.raises(AssertionError):
+                solve(tree, wg.weights)
+            a, o = berge._solve_halves(tree, wg.weights, alpha=alpha, omega=omega)
+        if alpha:
+            assert o is None and a[0] == max_weight_stable_set(wg)[0]
+            assert g.is_stable_mask(mask_of(a[1])) and wg.weight_of(mask_of(a[1])) == a[0]
+        else:
+            assert a is None and o[0] == max_weight_clique(wg)[0]
+            assert g.is_clique_mask(mask_of(o[1])) and wg.weight_of(mask_of(o[1])) == o[0]
 
 
 def test_color_berge_searches_two_joins_once(monkeypatch):

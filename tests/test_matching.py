@@ -1,7 +1,10 @@
 import random
 
+import pytest
+
 from helpers import random_graph
-from inducta.graphs import Graph, WeightedGraph, bits
+from inducta import matching
+from inducta.graphs import Graph, GraphError, WeightedGraph, bits
 from inducta.matching import (
     bipartite_max_weight_stable_set,
     has_perfect_matching,
@@ -74,3 +77,18 @@ def test_konig_weighted_path():
 
 def test_k33_unit():
     assert bipartite_max_weight_stable_set(WeightedGraph(complete_bipartite(3, 3)))[0] == 3
+
+
+def test_flow_witness_checks_raise(monkeypatch):
+    """A wrong cut or a witness that is not stable raises GraphError,
+    which, unlike an assert, survives python -O."""
+    wg = WeightedGraph(path(3), [5, 1, 5])
+    real_flow = matching._Dinic.max_flow
+    monkeypatch.setattr(matching._Dinic, "max_flow", lambda self, s, t: real_flow(self, s, t) + 1)
+    with pytest.raises(GraphError, match="cut"):
+        bipartite_max_weight_stable_set(wg)
+    monkeypatch.undo()
+    left = set(bits(wg.graph.bipartition()[0]))
+    monkeypatch.setattr(matching._Dinic, "reachable", lambda self, s: {s} | left)
+    with pytest.raises(GraphError, match="stable"):
+        bipartite_max_weight_stable_set(wg)
