@@ -139,16 +139,9 @@ def is_substantial_join(g: Graph, s: TwoJoinSplit) -> bool:
 def path_side(g: Graph, s: TwoJoinSplit) -> str | None:
     """'x1' or 'x2' if that side induces a path from A to B, else None."""
     for name, x, a, b in (("x1", s.x1, s.a1, s.b1), ("x2", s.x2, s.a2, s.b2)):
-        if bit_count(a) != 1 or bit_count(b) != 1:
-            continue
-        sub, old = g.induced_mask(x)
-        degs = [sub.degree(i) for i in range(sub.n)]
-        if sub.edge_count() != sub.n - 1 or len(sub.components()) != 1:
-            continue
-        if any(d > 2 for d in degs):
-            continue
-        ends = {old[i] for i in range(sub.n) if degs[i] <= 1}
-        if ends == {next(bits(a)), next(bits(b))}:
+        if bit_count(a) == 1 and bit_count(b) == 1 and g.is_path_mask(
+            x, a.bit_length() - 1, b.bit_length() - 1
+        ):
             return name
     return None
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, InternalError
 
 
 @dataclass(frozen=True)
@@ -102,12 +102,6 @@ class GadgetGraph:
     b: int
     labels: dict[int, str]
 
-    def label_of(self, name: str) -> int:
-        for v, lab in self.labels.items():
-            if lab == name:
-                return v
-        raise KeyError(name)
-
 
 def gamma_gadget(f: Cnf3) -> GadgetGraph:
     """Build G_f: 8 vertices per variable, 5 per clause, plus a and b.
@@ -184,10 +178,14 @@ def gamma_gadget(f: Cnf3) -> GadgetGraph:
 
 def _validate_gadget(gg: GadgetGraph, f: Cnf3) -> None:
     g = gg.graph
-    assert g.n == 8 * f.num_vars + 5 * len(f.clauses) + 2
-    assert g.triangle() is None, "gadget must be triangle-free"
-    assert not g.has_edge(gg.a, gg.b)
-    assert g.degree(gg.a) == 2 and g.degree(gg.b) == 2
+    if not (
+        g.n == 8 * f.num_vars + 5 * len(f.clauses) + 2
+        and g.triangle() is None
+        and not g.has_edge(gg.a, gg.b)
+        and g.degree(gg.a) == 2
+        and g.degree(gg.b) == 2
+    ):
+        raise InternalError("gamma gadget breaks its size, triangle-free or a/b degree contract")
 
 
 def assignment_hole(gg: GadgetGraph, f: Cnf3, assignment: list[bool]) -> list[int]:
@@ -215,8 +213,8 @@ def assignment_hole(gg: GadgetGraph, f: Cnf3, assignment: list[bool]) -> list[in
             raise GraphError("assignment does not satisfy every clause")
     sel.append(gg.b)
     sub, old = gg.graph.induced(sel)
-    assert all(sub.degree(v) == 2 for v in range(sub.n)), "selection must be a cycle"
-    assert sub.connected()
+    if not (all(sub.degree(v) == 2 for v in range(sub.n)) and sub.connected()):
+        raise InternalError("assignment selection is not a hole")
     return sel
 
 
@@ -227,6 +225,8 @@ def prism_reduction(g: Graph, a: int, b: int) -> tuple[Graph, dict[int, str]]:
     The result has exactly two triangles and contains a prism iff g has
     a hole through a and b.
     """
+    if a == b or not (0 <= a < g.n and 0 <= b < g.n):
+        raise GraphError(f"a={a} and b={b} must be distinct vertices of the host (n={g.n})")
     if g.triangle() is not None:
         raise GraphError("host must be triangle-free")
     if g.has_edge(a, b):

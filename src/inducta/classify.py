@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .graphs import Graph, GraphError, bit_count, bits, mask_of
+from .graphs import Graph, GraphError, InternalError, bit_count, bits, mask_of
 from .linegraph import line_root_with_map
 from .oracle import enumerate_antiholes, enumerate_holes, induced_embedding
 
@@ -163,7 +163,7 @@ def _paw_witness_from_triangle(g: Graph, tri) -> SmallClassification:
                 return SmallClassification(
                     "not-in-class", witness=[v, v1b, v2, v2p], witness_name="paw"
                 )
-    raise AssertionError("triangle case: maximal multipartite had no attachment")
+    raise InternalError("triangle case: maximal multipartite had no attachment")
 
 
 def _paw_witness_from_square(g: Graph, sq) -> SmallClassification:
@@ -197,7 +197,7 @@ def _paw_witness_from_square(g: Graph, sq) -> SmallClassification:
             return SmallClassification(
                 "not-in-class", witness=[v, v1, v1p, o[0], o[1]], witness_name="paw-subdivision"
             )
-    raise AssertionError("square case: maximal bipartite had no attachment")
+    raise InternalError("square case: maximal bipartite had no attachment")
 
 
 def _paw_witness_from_cycle(g: Graph) -> SmallClassification:
@@ -222,7 +222,7 @@ def _paw_witness_from_cycle(g: Graph) -> SmallClassification:
         return SmallClassification(
             "not-in-class", witness=[v] + rot[: i + 2], witness_name="paw-subdivision"
         )
-    raise AssertionError("cycle case: no attachment found")
+    raise InternalError("cycle case: no attachment found")
 
 
 def classify_hh(g: Graph) -> SmallClassification:
@@ -235,7 +235,7 @@ def classify_hh(g: Graph) -> SmallClassification:
         return SmallClassification("not-in-class", witness=diamond, witness_name="diamond")
     got = line_root_with_map(g)
     if got is None:
-        raise AssertionError("claw- and diamond-free graph has no triangle-free root")
+        raise InternalError("claw- and diamond-free graph has no triangle-free root")
     root, _ = got
     return SmallClassification("line-of-triangle-free", root=root)
 
@@ -256,7 +256,7 @@ def classify_claw_coclaw(g: Graph) -> SmallClassification:
     comp = _claw_coclaw_positive(g.complement())
     if comp is not None:
         return SmallClassification("complement-of", complement_of=comp)
-    raise AssertionError("claw- and coclaw-free graph escaped the catalogue")
+    raise InternalError("claw- and coclaw-free graph escaped the catalogue")
 
 
 def _claw_coclaw_positive(g: Graph) -> SmallClassification | None:
@@ -426,5 +426,6 @@ def color_weakly_triangulated(g: Graph) -> list[int]:
     color = list(range(cur.n))
     for omap in reversed(maps):
         color = [color[omap[v]] for v in range(len(omap))]
-    assert all(color[u] != color[v] for u, v in g.edges()), "coloring must be proper"
+    if any(color[u] == color[v] for u, v in g.edges()):
+        raise InternalError("2-pair contraction coloring is not proper")
     return color

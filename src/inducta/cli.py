@@ -2,7 +2,8 @@
 witnesses.
 
 Exit codes: 0 = answer produced, 1 = negative answer with witness,
-2 = precondition or class breach, 3 = I/O or parse error.  Machine
+2 = precondition or class breach, 3 = I/O, parse or usage error,
+4 = internal error (a failed self-check; please report it).  Machine
 output (--format=json-lines) is deterministic: identical commands on
 identical inputs print byte-identical records.
 """
@@ -23,7 +24,7 @@ from . import gap as gap_mod
 from . import kintree as kintree_mod
 from . import oracle
 from .bienstock import Cnf3, gamma_gadget, parse_dimacs_cnf, prism_reduction
-from .graphs import Graph, GraphError, TooLargeError, WeightedGraph, format_graph, parse_graph
+from .graphs import Graph, GraphError, WeightedGraph, format_graph, parse_graph
 from .named import parse_named_spec
 from .sgraph import find_realization, prism_sgraph
 
@@ -126,10 +127,7 @@ def cmd_detect(args) -> int:
             terms = [int(t) for t in args.terminals.split(",")]
         except ValueError:
             raise CliError(3, f"--terminals={args.terminals}: expected integers a,b,c,...") from None
-        try:
-            res = kintree_mod.k_in_a_tree(g, terms)
-        except GraphError as e:
-            raise CliError(2, str(e))
+        res = kintree_mod.k_in_a_tree(g, terms)
         if res.has_tree:
             _emit(args, {"tree": res.tree}, f"tree: {res.tree}")
             return 0
@@ -205,10 +203,7 @@ def cmd_recognize(args) -> int:
 def cmd_classify(args) -> int:
     wg = _load_graph(args)
     theorem = args.theorem.replace("-", "_")
-    try:
-        res = classify_mod.classify_small(wg.graph, theorem)
-    except GraphError as e:
-        raise CliError(2, str(e))
+    res = classify_mod.classify_small(wg.graph, theorem)
     rec = {"verdict": res.verdict}
     if res.witness:
         rec["witness"] = res.witness
@@ -222,19 +217,16 @@ def cmd_classify(args) -> int:
 def cmd_color(args) -> int:
     wg = _load_graph(args)
     g = wg.graph
-    try:
-        if args.klass == "chordless":
-            col = decompose_mod.three_color_chordless(g)
-        elif args.klass == "wt":
-            col = classify_mod.color_weakly_triangulated(g)
-        elif args.klass == "unique-chord-free":
-            chi, col = decompose_mod.chi_unique_chord_free(g)
-        elif args.klass == "berge":
-            col = berge_mod.color_berge(g)
-        else:
-            raise CliError(3, f"unknown coloring class {args.klass}")
-    except (GraphError, berge_mod.OutsideClassError) as e:
-        raise CliError(2, str(e))
+    if args.klass == "chordless":
+        col = decompose_mod.three_color_chordless(g)
+    elif args.klass == "wt":
+        col = classify_mod.color_weakly_triangulated(g)
+    elif args.klass == "unique-chord-free":
+        chi, col = decompose_mod.chi_unique_chord_free(g)
+    elif args.klass == "berge":
+        col = berge_mod.color_berge(g)
+    else:
+        raise CliError(3, f"unknown coloring class {args.klass}")
     k = max(col) + 1 if col else 0
     _emit(args, {"colors": k, "coloring": col}, f"{k} colors: {col}")
     return 0
@@ -275,24 +267,19 @@ def cmd_gap(args) -> int:
 
 def cmd_berge(args) -> int:
     wg = _load_graph(args)
-    try:
-        if args.action in ("alpha", "omega"):
-            ans = berge_mod.berge_alpha_omega(wg)
-            if args.action == "alpha":
-                rec = {"alpha": ans.alpha, "stable_set": ans.alpha_set}
-                _emit(args, rec, f"alpha={ans.alpha} witness={ans.alpha_set}")
-            else:
-                rec = {"omega": ans.omega, "clique": ans.omega_set}
-                _emit(args, rec, f"omega={ans.omega} witness={ans.omega_set}")
-            return 0
-        col = berge_mod.color_berge(wg.graph)
-        k = max(col) + 1 if col else 0
-        _emit(args, {"colors": k, "coloring": col}, f"{k} colors: {col}")
+    if args.action in ("alpha", "omega"):
+        ans = berge_mod.berge_alpha_omega(wg)
+        if args.action == "alpha":
+            rec = {"alpha": ans.alpha, "stable_set": ans.alpha_set}
+            _emit(args, rec, f"alpha={ans.alpha} witness={ans.alpha_set}")
+        else:
+            rec = {"omega": ans.omega, "clique": ans.omega_set}
+            _emit(args, rec, f"omega={ans.omega} witness={ans.omega_set}")
         return 0
-    except berge_mod.OutsideClassError as e:
-        raise CliError(2, f"outside class: {e}")
-    except (GraphError, TooLargeError) as e:
-        raise CliError(2, str(e))
+    col = berge_mod.color_berge(wg.graph)
+    k = max(col) + 1 if col else 0
+    _emit(args, {"colors": k, "coloring": col}, f"{k} colors: {col}")
+    return 0
 
 
 def cmd_gadget(args) -> int:
@@ -327,10 +314,7 @@ def cmd_gadget(args) -> int:
         wg = _load_graph(args)
         if args.x is None or args.y is None:
             raise CliError(3, "prism reduction needs --x and --y")
-        try:
-            out, labels = prism_reduction(wg.graph, args.x, args.y)
-        except GraphError as e:
-            raise CliError(2, str(e))
+        out, labels = prism_reduction(wg.graph, args.x, args.y)
         if args.format == "json-lines":
             print(json.dumps({"n": out.n, "edges": out.edges()}, sort_keys=True))
         else:
@@ -348,13 +332,22 @@ def cmd_verify(args) -> int:
     raise CliError(3, f"unknown verification target {args.what}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit code 3, like every other bad
+    argument; its subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--format", choices=["human", "json-lines"], default="human")
     common.add_argument("--oracle-bound", type=int, default=None)
     common.add_argument("--each", metavar="DIR",
                         help="run once per graph file in DIR, with independent reports")
-    p = argparse.ArgumentParser(prog="inducta", description=__doc__, parents=[common])
+    p = _Parser(prog="inducta", description=__doc__, parents=[common])
     sub = p.add_subparsers(dest="cmd", required=True)
 
     def add_graph_args(sp):
@@ -417,14 +410,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_one(args) -> int:
+    """Run one command; the only place that turns exceptions into exit
+    codes.  Anything but a CliError or a GraphError (which covers
+    TooLargeError and OutsideClassError) is an internal failure: one
+    line on stderr, no traceback, exit 4."""
     try:
         return args.fn(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except TooLargeError as e:
+    except GraphError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
+        return 4
 
 
 def main(argv: list[str] | None = None) -> int:

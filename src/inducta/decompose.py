@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .graphs import Graph, GraphError, TooLargeError, bit_count, bits, mask_of
+from .graphs import Graph, GraphError, InternalError, TooLargeError, bit_count, bits, mask_of
 from .detect import hole_through_two
 from .matching import _Dinic
 from .named import heawood, petersen
@@ -138,21 +138,6 @@ def _find_double_star_cutset(g: Graph) -> CutsetWitness | None:
     return None
 
 
-def _is_ab_path(g: Graph, side: int, a: int, b: int) -> bool:
-    """Is g[side u {a,b}] a path with ends a and b?"""
-    verts = side | (1 << a) | (1 << b)
-    sub, old = g.induced_mask(verts)
-    pos = {v: i for i, v in enumerate(old)}
-    k = sub.n
-    if sub.edge_count() != k - 1 or len(sub.components()) != 1:
-        return False
-    degs = [sub.degree(i) for i in range(k)]
-    ends = [i for i in range(k) if degs[i] == 1]
-    if any(d > 2 for d in degs):
-        return False
-    return sorted(ends) == sorted([pos[a], pos[b]]) if k >= 2 else False
-
-
 def _two_cutset_splits(g: Graph, a: int, b: int):
     """All (X, Y) groupings of the components of g - {a, b}."""
     rest = g.full_mask() & ~(1 << a) & ~(1 << b)
@@ -178,8 +163,9 @@ def _find_proper_2_cutset(g: Graph) -> CutsetWitness | None:
         for b in range(a + 1, g.n):
             if g.has_edge(a, b):
                 continue
+            ends = (1 << a) | (1 << b)
             for x, y in _two_cutset_splits(g, a, b):
-                if _is_ab_path(g, x, a, b) or _is_ab_path(g, y, a, b):
+                if g.is_path_mask(x | ends, a, b) or g.is_path_mask(y | ends, a, b):
                     continue
                 return CutsetWitness("proper_2_cutset", (a, b), x, y)
     return None
@@ -503,7 +489,8 @@ def three_color_chordless(g: Graph) -> list[int]:
         used = {color[w] for w in bits(g.adj[v]) if color[w] >= 0}
         c = next(i for i in range(3) if i not in used)
         color[v] = c
-    assert all(color[u] != color[v] for u, v in g.edges())
+    if any(color[u] == color[v] for u, v in g.edges()):
+        raise InternalError("chordless 3-coloring is not proper")
     return color
 
 
@@ -705,13 +692,6 @@ def _third_color(g: Graph, include: int, exclude: int) -> int | None:
     return helper(include)
 
 
-def _nbhd(g: Graph, mask: int) -> int:
-    out = 0
-    for v in bits(mask):
-        out |= g.adj[v]
-    return out & ~mask
-
-
 def _two_color(g: Graph) -> list[int]:
     parts = g.bipartition()
     if parts is None:
@@ -739,17 +719,15 @@ def chi_unique_chord_free(g: Graph, _checked: bool = False) -> tuple[int, list[i
             for i, o in enumerate(old):
                 color[o] = c_col[i]
         return chi, color
-    parts = g.bipartition()
-    if parts is not None:
-        color = [0 if parts[0] >> v & 1 else 1 for v in range(g.n)]
-        chi = 1 if g.edge_count() == 0 else 2
-        return chi, color
+    if g.bipartition() is not None:
+        return (1 if g.edge_count() == 0 else 2), _two_color(g)
     tri = g.triangle()
     if tri is None:
         # triangle-free, not bipartite: chi = 3 via a third color
         v = _min_degree_vertex(g)
         pair = AdmissiblePair(r=1 << v, t=g.adj[v], vertex=v, shape=1)
-        assert pair.validate(g)
+        if not pair.validate(g):
+            raise InternalError("shape-1 admissible pair fails its own definition")
         s = _third_color(g, include=pair.t, exclude=pair.r)
         if s is None:
             s = _third_color(g, include=0, exclude=0)
@@ -760,7 +738,8 @@ def chi_unique_chord_free(g: Graph, _checked: bool = False) -> tuple[int, list[i
         color = [2] * g.n
         for i, o in enumerate(old):
             color[o] = two[i]
-        assert all(color[x] != color[y] for x, y in g.edges())
+        if any(color[x] == color[y] for x, y in g.edges()):
+            raise InternalError("third-color coloring is not proper")
         return 3, color
     if g.is_clique_mask(g.full_mask()):
         return g.n, list(range(g.n))
@@ -786,7 +765,8 @@ def chi_unique_chord_free(g: Graph, _checked: bool = False) -> tuple[int, list[i
             if o != v:
                 color[o] = c
     color[v] = 0
-    assert all(color[x] != color[y] for x, y in g.edges())
+    if any(color[x] == color[y] for x, y in g.edges()):
+        raise InternalError("1-cutset glued coloring is not proper")
     return chi, color
 
 

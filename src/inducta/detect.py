@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, bits, mask_of
+from .graphs import Graph, GraphError, InternalError, bits, mask_of
 
 
 # -- hole through two prescribed vertices --------------------------------
@@ -30,6 +30,8 @@ def hole_through_two(g: Graph, x: int, y: int, max_len: int | None = None) -> li
     """
     if x == y:
         raise GraphError("need two distinct vertices")
+    if not (0 <= x < g.n and 0 <= y < g.n):
+        raise GraphError(f"vertices {x}, {y} out of range for n={g.n}")
     if max_len is None:
         max_len = g.n
 
@@ -43,7 +45,8 @@ def hole_through_two(g: Graph, x: int, y: int, max_len: int | None = None) -> li
             np_len = len(path) + 1
             if closes and np_len >= 4 and (used >> x & 1 or w == x):
                 cyc = path + [w]
-                assert g.is_induced_cycle(cyc)
+                if not g.is_induced_cycle(cyc):
+                    raise InternalError(f"hole {cyc} through {x} and {y} has a chord")
                 return cyc
             if np_len >= max_len:
                 continue

@@ -19,6 +19,12 @@ class TooLargeError(GraphError):
     """Instance exceeds a configured exact-computation bound."""
 
 
+class InternalError(Exception):
+    """The program broke one of its own invariants: a witness failed its
+    check, or a case the supporting lemmas rule out occurred.  Not a
+    GraphError, since the input is not at fault."""
+
+
 def bits(mask: int) -> Iterator[int]:
     """Iterate the set bit positions of ``mask`` in increasing order."""
     while mask:
@@ -322,6 +328,13 @@ class Graph:
             return False
         return len(self.components_of(mask)) == 1
 
+    def is_path_mask(self, mask: int, a: int, b: int) -> bool:
+        """Does ``mask`` induce a path with ends ``a`` and ``b``?"""
+        for v in bits(mask):
+            if bit_count(self.adj[v] & mask) != (1 if v == a or v == b else 2):
+                return False
+        return self.reach(1 << a, mask) == mask
+
 
 class WeightedGraph:
     """A graph with non-negative integer vertex weights."""
@@ -342,19 +355,10 @@ class WeightedGraph:
     def weight_of(self, mask: int) -> int:
         return sum(self.weights[v] for v in bits(mask))
 
-    def reweight(self, weights: Sequence[int]) -> "WeightedGraph":
-        return WeightedGraph(self.graph, weights)
-
     def zero_outside(self, mask: int) -> "WeightedGraph":
         return WeightedGraph(
             self.graph,
             [w if mask >> v & 1 else 0 for v, w in enumerate(self.weights)],
-        )
-
-    def zero_inside(self, mask: int) -> "WeightedGraph":
-        return WeightedGraph(
-            self.graph,
-            [0 if mask >> v & 1 else w for v, w in enumerate(self.weights)],
         )
 
     def __repr__(self):

@@ -18,14 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import permutations
 
-from .graphs import Graph, GraphError, TooLargeError, bit_count, bits, mask_of
+from .graphs import Graph, GraphError, InternalError, TooLargeError, bit_count, bits, mask_of
 
 EXHAUSTIVE_TREE_BOUND = 22
 K3_FALLBACK_BOUND = 20
-
-
-class KinTreeInternalError(AssertionError):
-    """A case that the supporting lemmas rule out fired anyway."""
 
 
 # -- certificates ----------------------------------------------------------
@@ -272,24 +268,6 @@ def induced_tree_exists(g: Graph, terms: list[int], bound: int = EXHAUSTIVE_TREE
 
 # -- tree utilities ----------------------------------------------------------
 
-def _tree_path(g: Graph, tree_mask: int, u: int, v: int) -> list[int]:
-    prev = {u: -1}
-    frontier = [u]
-    while frontier and v not in prev:
-        nxt = []
-        for x in frontier:
-            for y in bits(g.adj[x] & tree_mask):
-                if y not in prev:
-                    prev[y] = x
-                    nxt.append(y)
-        frontier = nxt
-    path = [v]
-    while path[-1] != u:
-        path.append(prev[path[-1]])
-    path.reverse()
-    return path
-
-
 def _covers(mask: int, terms) -> bool:
     return all(mask >> t & 1 for t in terms)
 
@@ -333,7 +311,7 @@ def _link_tree(g: Graph, t_mask: int, q_path: list[int], k: int) -> _LinkOutcome
     basics = []
     for i, a in enumerate(wl):
         for b in wl[i + 1 :]:
-            p = _tree_path(g, t_mask, a, b)
+            p = g.shortest_path(a, b, t_mask)
             if not any(wset >> x & 1 for x in p[1:-1]):
                 basics.append(p if p[0] < p[-1] else p[::-1])
     basics.sort(key=lambda p: (p[0], p[-1]))
@@ -350,18 +328,16 @@ def _link_tree(g: Graph, t_mask: int, q_path: list[int], k: int) -> _LinkOutcome
             if all(s >> x & 1 for x in p):
                 deg2 = [x for x in p[1:-1] if deg_t(x) == 2]
                 if not deg2:
-                    raise KinTreeInternalError("case 1 basic path has no degree-2 interior")
+                    raise InternalError("case 1 basic path has no degree-2 interior")
                 s &= ~(1 << min(deg2))
         if not g.is_tree_mask(s):
-            raise KinTreeInternalError("case 1 deletion did not produce a tree")
+            raise InternalError("case 1 deletion did not produce a tree")
         return _LinkOutcome("tree", s)
 
     # Case 2: a basic path made of branch vertices is the spine
     spine = hard[0]
     if len(spine) != k - 1:
-        raise KinTreeInternalError(
-            f"all-branch basic path on {len(spine)} vertices, expected {k - 1}"
-        )
+        raise InternalError(f"all-branch basic path on {len(spine)} vertices, expected {k - 1}")
     spine_mask = mask_of(spine)
 
     hangs: list[list[int]] = []
@@ -369,10 +345,10 @@ def _link_tree(g: Graph, t_mask: int, q_path: list[int], k: int) -> _LinkOutcome
         piece = g.reach(1 << s_i, (t_mask & ~spine_mask) | (1 << s_i))
         leaves = [x for x in bits(piece) if deg_t(x) == 1]
         if len(leaves) != 1:
-            raise KinTreeInternalError("hanging piece does not hold exactly one terminal")
-        hang = _tree_path(g, t_mask, leaves[0], s_i)
+            raise InternalError("hanging piece does not hold exactly one terminal")
+        hang = g.shortest_path(leaves[0], s_i, t_mask)
         if mask_of(hang) != piece:
-            raise KinTreeInternalError("hanging piece is not a path")
+            raise InternalError("hanging piece is not a path")
         hangs.append(hang)
 
     # w_i: the neighbor of w inside each hanging path closest to its terminal
@@ -389,12 +365,12 @@ def _link_tree(g: Graph, t_mask: int, q_path: list[int], k: int) -> _LinkOutcome
         # w sits two steps from the spine: the girth forces k <= 4 and the
         # covering tree is the star of truncated hanging paths around Q
         if k > 4:
-            raise KinTreeInternalError("w at distance 2 from the spine with k > 4")
+            raise InternalError("w at distance 2 from the spine with k > 4")
         s = q_mask
         for i, hang in enumerate(hangs):
             s |= mask_of(hang[: hang.index(w_pick[i]) + 1])
         if not g.is_tree_mask(s):
-            raise KinTreeInternalError("k<=4 segment star is not a tree")
+            raise InternalError("k<=4 segment star is not a tree")
         return _LinkOutcome("tree", s)
 
     for j in range(km1):
@@ -405,7 +381,7 @@ def _link_tree(g: Graph, t_mask: int, q_path: list[int], k: int) -> _LinkOutcome
             s |= mask_of(hang[: hang.index(w_pick[i]) + 1])
         if g.is_tree_mask(s):
             return _LinkOutcome("tree", s)
-    raise KinTreeInternalError("no spine deletion yielded a tree")
+    raise InternalError("no spine deletion yielded a tree")
 
 
 # -- first step: grow a tree terminal by terminal ----------------------------
@@ -444,15 +420,15 @@ def _first_step(g: Graph, terms: list[int], k: int):
         x = terms[idx]
         q = _bfs_to_attachment(g, x, t_mask)
         if q is None:
-            raise KinTreeInternalError("terminal unreachable inside its component")
+            raise InternalError("terminal unreachable inside its component")
         out = _link_tree(g, t_mask, q, k)
         if out.kind == "tree":
             t_mask = _prune_tree(g, out.tree, terms[: idx + 1])
             if not _is_good_tree(g, t_mask, terms[: idx + 1]):
-                raise KinTreeInternalError("growth step lost a terminal")
+                raise InternalError("growth step lost a terminal")
             continue
         if idx != k - 1:
-            raise KinTreeInternalError("k-structure appeared before the last terminal")
+            raise InternalError("k-structure appeared before the last terminal")
         return "kstructure", out.paths
     return "tree", t_mask
 
@@ -546,7 +522,7 @@ def _grow_quad(g: Graph, universe: int, terms: list[int], sq: SquareSplit):
                 split = got
                 covered |= 1 << v
                 continue
-        raise KinTreeInternalError("square/cubic growth wedged: no placement, tree, or repartition")
+        raise InternalError("square/cubic growth wedged: no placement, tree, or repartition")
     return mode, split
 
 
@@ -666,7 +642,8 @@ def _handle_k_failure(g: Graph, paths: list[list[int]], h_region: int, v: int, k
     """The induction step when vertex v breaks the decomposition of the
     region: a tree, or (k = 6) a K4-structure."""
     fail = _kstruct_fail_index(g, paths, h_region | (1 << v))
-    assert fail is not None
+    if fail is None:
+        raise InternalError("failure vertex breaks no path of the decomposition")
     paths = paths[fail:] + paths[:fail]
     x1 = paths[0][0]
     s = [p[-1] for p in paths]
@@ -676,7 +653,7 @@ def _handle_k_failure(g: Graph, paths: list[list[int]], h_region: int, v: int, k
     z = g.reach(1 << s[1], h_region & ~(1 << s[0]))
     q = _bfs_to_attachment(g, x1, kprime, region=y | z | (1 << v))
     if q is None:
-        raise KinTreeInternalError("failure vertex did not yield a linking path")
+        raise InternalError("failure vertex did not yield a linking path")
 
     out = _link_tree(g, kprime, q, k)
     if out.kind == "tree":
@@ -687,14 +664,14 @@ def _handle_k_failure(g: Graph, paths: list[list[int]], h_region: int, v: int, k
     s2, sk = s[1], s[k - 1]
     sp3, spk1 = paths[2][-2], paths[k - 2][-2]
     if attach == {s2, sk}:
-        raise KinTreeInternalError("square through s_1 despite the girth bound")
+        raise InternalError("square through s_1 despite the girth bound")
     if attach == {sp3, sk}:
         return _case_end_and_inner(g, [paths[0]] + paths[1:][::-1], w, k)
     if attach == {s2, spk1}:
         return _case_end_and_inner(g, paths, w, k)
     if attach == {sp3, spk1}:
         return _case_both_inner(g, paths, w, k)
-    raise KinTreeInternalError(f"unexpected attachment {sorted(attach)} on the k-structure")
+    raise InternalError(f"unexpected attachment {sorted(attach)} on the k-structure")
 
 
 def _case_end_and_inner(g: Graph, paths: list[list[int]], w: int, k: int):
@@ -703,7 +680,7 @@ def _case_end_and_inner(g: Graph, paths: list[list[int]], w: int, k: int):
     s1, sk1 = p1[-1], paths[k - 2][-1]
     kprime = mask_of(u for p in paths[1:] for u in p)
     if g.has_edge(w, s1) or g.has_edge(w, p1[-2]):
-        raise KinTreeInternalError("w too close to s_1 for this attachment case")
+        raise InternalError("w too close to s_1 for this attachment case")
     nb = [u for u in p1[:-1] if g.has_edge(w, u)]
     if nb:
         seg = p1[: p1.index(nb[0]) + 1]  # from x_1 to the neighbor nearest x_1
@@ -713,7 +690,7 @@ def _case_end_and_inner(g: Graph, paths: list[list[int]], w: int, k: int):
     tree = pmask | (1 << s1) | (kprime & ~(1 << sk1))
     if g.is_tree_mask(tree):
         return "tree", tree
-    raise KinTreeInternalError("s_2/s'_{k-1} attachment produced no tree")
+    raise InternalError("s_2/s'_{k-1} attachment produced no tree")
 
 
 def _case_both_inner(g: Graph, paths: list[list[int]], w: int, k: int):
@@ -726,7 +703,7 @@ def _case_both_inner(g: Graph, paths: list[list[int]], w: int, k: int):
 
     def finish(tree: int):
         if not g.is_tree_mask(tree):
-            raise KinTreeInternalError("symmetric attachment produced no tree")
+            raise InternalError("symmetric attachment produced no tree")
         return "tree", tree
 
     if not nb_p1:
@@ -737,22 +714,22 @@ def _case_both_inner(g: Graph, paths: list[list[int]], w: int, k: int):
         pmask = mask_of(p1[: p1.index(u) + 1]) | (1 << w)
         if g.has_edge(w, s1):
             if k != 5:
-                raise KinTreeInternalError("w adjacent to s_1 forces k = 5")
+                raise InternalError("w adjacent to s_1 forces k = 5")
             drop = (1 << s3) | (1 << paths[3][-1])
         else:
             drop = 1 << s3
         return finish(pmask | (1 << s1) | (kmask & ~mask_of(p1) & ~drop))
     if nb_p1 == [s1]:
         if k != 5:
-            raise KinTreeInternalError("N(w) in P_1 = {s_1} forces k = 5")
+            raise InternalError("N(w) in P_1 = {s_1} forces k = 5")
         return finish((1 << w) | (kmask & ~(1 << s3) & ~(1 << paths[3][-1])))
     if nb_p1 == [sp1]:
         if k == 5:
             return finish((1 << w) | (kmask & ~(1 << s3) & ~(1 << paths[3][-1])))
         if k == 6:
             return "k4", _assemble_k4(g, paths, w)
-        raise KinTreeInternalError("N(w) in P_1 = {s'_1} with k not in (5, 6)")
-    raise KinTreeInternalError("unclassified P_1 attachment in the symmetric case")
+        raise InternalError("N(w) in P_1 = {s'_1} with k not in (5, 6)")
+    raise InternalError("unclassified P_1 attachment in the symmetric case")
 
 
 def _assemble_k4(g: Graph, paths: list[list[int]], w: int) -> K4Witness:
@@ -769,7 +746,7 @@ def _assemble_k4(g: Graph, paths: list[list[int]], w: int) -> K4Witness:
     }
     wit = K4Witness(hubs, k4paths)
     if not validate_k4(g, wit, check_decomposes=False):
-        raise KinTreeInternalError("k = 6 relabelling is not a K4-structure")
+        raise InternalError("k = 6 relabelling is not a K4-structure")
     return wit
 
 
@@ -803,7 +780,7 @@ def _solve_pendant(g: Graph, terms: list[int], k: int) -> TreeOrCertificate:
         order_terms = [p[0] for p in paths]
         struct_mask = mask_of(u for p in paths for u in p)
         if not validate_square_split(g, struct_mask, order_terms, sq):
-            raise KinTreeInternalError("4-structure is not a square split")
+            raise InternalError("4-structure is not a square split")
         got = _grow_quad(g, g.full_mask(), order_terms, sq)
         if got[0] == "tree":
             return TreeOrCertificate("tree", g, terms, tree=sorted(bits(got[1])))
@@ -820,7 +797,7 @@ def _solve_pendant(g: Graph, terms: list[int], k: int) -> TreeOrCertificate:
         got = _handle_k_failure(g, paths, region, v, k)
         if got[0] == "tree":
             if not _is_good_tree(g, got[1], terms):
-                raise KinTreeInternalError("k-failure tree lost a terminal")
+                raise InternalError("k-failure tree lost a terminal")
             return TreeOrCertificate("tree", g, terms, tree=sorted(bits(got[1])))
         wit = got[1]
         if validate_k4(g, wit, check_decomposes=True):
@@ -828,7 +805,7 @@ def _solve_pendant(g: Graph, terms: list[int], k: int) -> TreeOrCertificate:
         return TreeOrCertificate("tree-exists", g, terms)
     wit = KStructWitness(paths)
     if not validate_kstruct(g, wit, check_decomposes=True):
-        raise KinTreeInternalError("final k-structure fails validation")
+        raise InternalError("final k-structure fails validation")
     return TreeOrCertificate("kstructure", g, terms, kstruct=wit)
 
 
@@ -854,7 +831,7 @@ def _deletion_extract(g: Graph, terms: list[int], k: int) -> TreeOrCertificate:
                 changed = True
                 break
     if not _is_good_tree(cur, cur.full_mask(), cur_terms):
-        raise KinTreeInternalError("deletion fixpoint is not the covering tree")
+        raise InternalError("deletion fixpoint is not the covering tree")
     return TreeOrCertificate("tree", g, terms, tree=sorted(ids))
 
 
@@ -890,6 +867,6 @@ def k_in_a_tree(g: Graph, terminals: list[int]) -> TreeOrCertificate:
     if res.has_tree:
         tree_g = sorted(v for v in res.tree if v < g.n)
         if not _is_good_tree(g, mask_of(tree_g), terminals):
-            raise KinTreeInternalError("pendant stripping broke the tree")
+            raise InternalError("pendant stripping broke the tree")
         res.tree = tree_g
     return res

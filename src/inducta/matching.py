@@ -9,7 +9,7 @@ residual network yielding the witness.
 
 from __future__ import annotations
 
-from .graphs import Graph, GraphError, TooLargeError, WeightedGraph, bits
+from .graphs import Graph, GraphError, InternalError, TooLargeError, WeightedGraph, bits
 
 MATCHING_BOUND = 28
 
@@ -67,7 +67,7 @@ def max_weight_matching(
                 mask &= ~(1 << v) & ~(1 << u)
                 break
         else:  # pragma: no cover - would contradict the DP
-            raise AssertionError("matching reconstruction failed")
+            raise InternalError("matching reconstruction failed")
     return total, chosen
 
 

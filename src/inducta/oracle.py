@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .graphs import Graph, TooLargeError, WeightedGraph, bit_count, bits, mask_of
+from .graphs import Graph, InternalError, TooLargeError, WeightedGraph, bit_count, bits, mask_of
 
 ALPHA_BOUND = 30
 CHI_BOUND = 24
@@ -185,11 +185,13 @@ def exact_invariants(
     chi, coloring = chromatic_number(g, chi_bound)
     theta, cover = clique_cover(g, chi_bound)
     rep = InvariantReport(a, o, theta, chi, a_set, o_set, cover, coloring)
-    assert g.is_stable_mask(a_set), "alpha witness must be stable"
-    assert g.is_clique_mask(o_set), "omega witness must be a clique"
-    assert is_proper_coloring(g, coloring), "chi witness must be proper"
-    for c in set(cover):
-        assert g.is_clique_mask(mask_of(v for v in range(g.n) if cover[v] == c))
+    if not (
+        g.is_stable_mask(a_set)
+        and g.is_clique_mask(o_set)
+        and is_proper_coloring(g, coloring)
+        and all(g.is_clique_mask(mask_of(v for v in range(g.n) if cover[v] == c)) for c in set(cover))
+    ):
+        raise InternalError("an exact invariant's witness fails its check")
     return rep
 
 
@@ -238,7 +240,8 @@ def enumerate_holes(
                 new_path = path + [w]
                 k = len(new_path)
                 if closes and k >= 4 and new_path[1] < new_path[-1] and want(k):
-                    assert g.is_induced_cycle(new_path)
+                    if not g.is_induced_cycle(new_path):
+                        raise InternalError(f"enumerated hole {new_path} has a chord")
                     yield new_path
                 # a vertex adjacent to s may only end a cycle, never sit
                 # in the interior of a longer one

@@ -190,28 +190,6 @@ def find_realization(b: SGraph, g: Graph, max_len: int | None = None) -> Embeddi
         # grow interiors from src toward dst; an interior may touch the
         # used set only at its predecessor, except the closing vertex
         # which also touches dst
-        def reachable_dst(start: int) -> bool:
-            # necessary condition: dst reachable from start through vertices
-            # whose only used neighbor could be dst
-            blocked = used & ~(1 << dst) & ~(1 << start)
-            free = 0
-            for w in range(g.n):
-                if not (used >> w & 1) and not (g.adj[w] & blocked):
-                    free |= 1 << w
-            if g.adj[start] & free & g.adj[dst]:
-                return True
-            seen = 0
-            frontier = g.adj[start] & free
-            while frontier:
-                if frontier & g.adj[dst]:
-                    return True
-                seen |= frontier
-                nxt = 0
-                for v in bits(frontier):
-                    nxt |= g.adj[v]
-                frontier = nxt & free & ~seen
-            return False
-
         def grow(prev: int, trail: list[int]) -> Embedding | None:
             nonlocal used
             if len(trail) - 1 > max_len:
@@ -237,7 +215,7 @@ def find_realization(b: SGraph, g: Graph, max_len: int | None = None) -> Embeddi
                         if got:
                             return got
                         del paths[e]
-                    if not closes and reachable_dst(w):
+                    if not closes and _pair_linkable(w, dst):
                         got = grow(w, trail)
                         if got:
                             return got
@@ -245,7 +223,7 @@ def find_realization(b: SGraph, g: Graph, max_len: int | None = None) -> Embeddi
                 used &= ~(1 << w)
             return None
 
-        if not reachable_dst(src):
+        if not _pair_linkable(src, dst):
             return None
         return grow(src, [src])
 

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import inducta
+from inducta import oracle
 from inducta.cli import main
 from inducta.graphs import format_graph
 from inducta.named import petersen
@@ -116,3 +122,69 @@ def test_bad_oracle_bound_env_exit_3(capsys, monkeypatch):
     assert code == 3
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+def run_err(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["detect", "hole-through", "--named=c:6", "--x=0", "--y=0"],
+    ["detect", "hole-through", "--named=c:6", "--x=0", "--y=6"],
+    ["gadget", "prism", "--named=c:6", "--x=0", "--y=6"],
+    ["detect", "k-in-a-tree", "--named=petersen", "--terminals=0,1"],
+])
+def test_library_graph_error_exit_2(capsys, argv):
+    code, out, err = run_err(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+def test_usage_error_exit_3(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["recognize", "--named=c:5"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 3
+    assert captured.out == "" and "--class" in captured.err
+
+
+def test_unexpected_exception_exit_4(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise IndexError("boom")
+
+    monkeypatch.setattr(oracle, "exact_invariants", broken)
+    code, out, err = run_err(capsys, "invariants", "--named=petersen")
+    assert (code, out) == (4, "")
+    assert err == "error: internal: IndexError: boom\n"
+
+
+_PATCHED_MAIN = """
+import sys
+from inducta.graphs import Graph
+setattr(Graph, sys.argv[1], lambda self, *args: False)
+from inducta.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("validator,argv", [
+    ("is_induced_cycle", ["detect", "hole-through", "--named=c:6", "--x=0", "--y=3"]),
+    ("is_tree_mask", ["detect", "k-in-a-tree", "{sq}", "--terminals=4,5,6,7"]),
+])
+def test_witness_checks_survive_python_O(tmp_path, validator, argv):
+    """A validator that rejects every witness must stop the answer even
+    with asserts stripped: exit 4, one error line, nothing on stdout."""
+    sq = tmp_path / "sq.g"
+    sq.write_text("8 8\n0 1\n1 2\n2 3\n0 3\n0 4\n1 5\n2 6\n3 7\n")
+    src = str(Path(inducta.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _PATCHED_MAIN, validator] + [a.format(sq=sq) for a in argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: internal") and proc.stderr.count("\n") == 1

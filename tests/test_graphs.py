@@ -63,6 +63,26 @@ def test_tree_mask():
     assert not cycle(4).is_tree_mask(0b1111)
 
 
+def test_path_mask_matches_induced_definition():
+    """Every graph on 5 vertices, every vertex set and end pair, against
+    the induced subgraph: a connected tree of maximum degree 2 whose
+    degree-1 vertices are exactly a and b."""
+    n = 5
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for code in range(1 << len(pairs)):
+        g = Graph(n, [e for i, e in enumerate(pairs) if code >> i & 1])
+        for mask in range(1 << n):
+            sub, old = g.induced_mask(mask)
+            degs = [sub.degree(i) for i in range(sub.n)]
+            is_path = (sub.edge_count() == sub.n - 1 and len(sub.components()) == 1
+                       and max(degs, default=0) <= 2)
+            ends = {old[i] for i in range(sub.n) if degs[i] == 1}
+            for a in range(n):
+                for b in range(n):
+                    want = is_path and a != b and ends == {a, b}
+                    assert g.is_path_mask(mask, a, b) == want, (code, mask, a, b)
+
+
 def test_format_round_trip():
     wg = WeightedGraph(petersen(), [2] * 10)
     text = format_graph(wg)
