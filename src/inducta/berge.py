@@ -31,6 +31,7 @@ from .matching import bipartite_max_weight_stable_set, max_weight_matching
 from .oracle import max_weight_clique, max_weight_stable_set
 
 FULL_ENUM_BOUND = 16
+PARITY_BUDGET = 200000  # side_parity search steps before TooLargeError
 
 
 class OutsideClassError(GraphError):
@@ -146,7 +147,7 @@ def path_side(g: Graph, s: TwoJoinSplit) -> str | None:
     return None
 
 
-def side_parity(g: Graph, s: TwoJoinSplit, side: str, cap: int = 200000) -> str:
+def side_parity(g: Graph, s: TwoJoinSplit, side: str) -> str:
     """'even', 'odd' or 'mixed': parities of induced A-to-B paths with
     interior inside C, enumerated exhaustively per endpoint pair.
 
@@ -157,7 +158,7 @@ def side_parity(g: Graph, s: TwoJoinSplit, side: str, cap: int = 200000) -> str:
     x, a, b = (s.x1, s.a1, s.b1) if side == "x1" else (s.x2, s.a2, s.b2)
     c = x & ~a & ~b
     seen: set[int] = set()
-    budget = [cap]
+    budget = [PARITY_BUDGET]
 
     def dfs(v: int, length: int, used: int, banned: int, bv: int):
         if budget[0] <= 0 or len(seen) == 2:
@@ -838,8 +839,6 @@ class TreeNode:
 
     kind: str                              # 'leaf' or 'join'
     leaf: LeafInfo | None = None
-    n: int = 0
-    split_sizes: tuple[int, int] = (0, 0)
     parities: tuple[str, str] = ("", "")
     children: list["TreeNode"] = field(default_factory=list)
     graph: Graph | None = None             # this node's graph
@@ -1129,7 +1128,7 @@ def _decompose(g: Graph, markers: list[MarkerInfo], depth: int) -> TreeNode:
         raise OutsideClassError("decomposition recursion exceeded its depth cap")
     leaf = classify_leaf(g)
     if leaf is not None:
-        return TreeNode("leaf", leaf=leaf, n=g.n, graph=g)
+        return TreeNode("leaf", leaf=leaf, graph=g)
 
     split = find_two_join(g, markers=[m.path for m in markers])
     if split is None:
@@ -1150,8 +1149,6 @@ def _decompose(g: Graph, markers: list[MarkerInfo], depth: int) -> TreeNode:
     child = _decompose(block2.graph, markers2, depth + 1)
     return TreeNode(
         "join",
-        n=g.n,
-        split_sizes=(bit_count(split.x1), bit_count(split.x2)),
         parities=(p1, p2),
         children=[child],
         graph=g,
@@ -1209,7 +1206,7 @@ def _solve_halves(
         markers = _markers_within(markers, node.split.x2)
         markers.append(marker)
         node = node.children[0]
-        pad = [None] * (node.n - len(x2))
+        pad = [None] * (node.graph.n - len(x2))
         cur = WeightedGraph(node.graph, [cur.weights[o] for o in x2] + [0] * len(pad))
         ids = [ids[o] for o in x2] + pad
     st = _leaf_alpha(cur, ids, markers, node.leaf) if stable else None

@@ -290,7 +290,6 @@ def classify_small(g: Graph, theorem: str) -> SmallClassification:
         "paw": classify_paw,
         "hh": classify_hh,
         "claw_coclaw": classify_claw_coclaw,
-        "claw-coclaw": classify_claw_coclaw,
     }
     if theorem not in table:
         raise GraphError(f"unknown small theorem {theorem!r}")

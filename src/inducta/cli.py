@@ -23,10 +23,9 @@ from . import detect as detect_mod
 from . import gap as gap_mod
 from . import kintree as kintree_mod
 from . import oracle
-from .bienstock import Cnf3, gamma_gadget, parse_dimacs_cnf, prism_reduction
-from .graphs import Graph, GraphError, WeightedGraph, format_graph, parse_graph
+from .bienstock import gamma_gadget, parse_dimacs_cnf, prism_reduction
+from .graphs import GraphError, WeightedGraph, bits, format_graph, parse_graph
 from .named import parse_named_spec
-from .sgraph import find_realization, prism_sgraph
 
 
 class CliError(Exception):
@@ -90,8 +89,6 @@ def cmd_invariants(args) -> int:
 
 
 def sorted_bits(mask: int) -> list[int]:
-    from .graphs import bits
-
     return sorted(bits(mask))
 
 

@@ -4,11 +4,12 @@ whose cycles never have exactly one chord.
 The cutset searches are exhaustively correct at desk scale: the stated
 search space (vertices, vertex pairs, cliques, stars, partitions) is
 enumerated completely, and every returned witness re-validates its
-definition.  Recognition of the unique-chord-free class runs two
-independent routes - a direct search for a cycle with one chord, and
-the decomposition by 1-cutsets, special 2-cutsets and proper 1-joins
-down to clique / sparse / Petersen / Heawood leaves - and insists they
-agree.
+definition.  Recognition of the unique-chord-free class first searches
+directly for a cycle with one chord, which alone decides membership.
+Only when none exists is the member decomposed, by 1-cutsets, special
+2-cutsets and proper 1-joins down to clique / sparse / Petersen /
+Heawood leaves; a member that fits no case raises GraphError.  Nothing
+compares the two routes.
 """
 
 from __future__ import annotations
@@ -577,8 +578,9 @@ def _decompose_unique_chord(g: Graph, ids: list[int]) -> DecompositionNode:
 
 
 def recognize_unique_chord_free(g: Graph) -> UniqueChordResult:
-    """Membership with a replayable decomposition tree, or a cycle with
-    exactly one chord.  Both routes run; disagreement is an error."""
+    """A cycle with exactly one chord, or else membership with a
+    replayable decomposition tree.  The decomposition runs only when the
+    cycle search finds nothing."""
     wit = find_unique_chord_cycle(g)
     if wit is not None:
         return UniqueChordResult(False, witness_cycle=wit[0], witness_chord=wit[1])
@@ -624,47 +626,26 @@ class AdmissiblePair:
 
 
 def _shortest_odd_cycle(g: Graph) -> list[int] | None:
+    """A shortest odd cycle, or None for bipartite graphs.  From each
+    source, the first layer with an inner edge uw closes an odd cycle
+    through the two back-paths of u and w, cut where they meet; from a
+    source on a shortest odd cycle that cycle is a shortest one."""
+    full = g.full_mask()
     best: list[int] | None = None
     for s in range(g.n):
-        # BFS in the bipartite double cover
-        dist = {(s, 0): 0}
-        prev = {(s, 0): None}
-        frontier = [(s, 0)]
-        while frontier:
-            nxt = []
-            for v, p in frontier:
-                for w in bits(g.adj[v]):
-                    key = (w, 1 - p)
-                    if key not in dist:
-                        dist[key] = dist[(v, p)] + 1
-                        prev[key] = (v, p)
-                        nxt.append(key)
-            frontier = nxt
-        if (s, 1) in dist:
-            length = dist[(s, 1)]
-            if best is None or length < len(best):
-                walk = []
-                cur = (s, 1)
-                while cur is not None:
-                    walk.append(cur[0])
-                    cur = prev[cur]
-                # the closed walk contains an odd cycle; extract a simple one
-                cyc = _simple_odd_cycle_from_walk(g, walk)
-                if cyc is not None and (best is None or len(cyc) < len(best)):
-                    best = cyc
+        ls = g.layers(1 << s, full)
+        for i, layer in enumerate(ls):
+            if best is not None and 2 * i + 1 >= len(best):
+                break
+            u = next((u for u in bits(layer) if g.adj[u] & layer), None)
+            if u is None:
+                continue
+            w = next(bits(g.adj[u] & layer))
+            pu, pw = g.path_back(ls, u), g.path_back(ls, w)
+            k = next(k for k in range(i + 1) if pu[k] == pw[k])
+            best = pu[: k + 1] + pw[:k][::-1]
+            break
     return best
-
-
-def _simple_odd_cycle_from_walk(g: Graph, walk: list[int]) -> list[int] | None:
-    seen: dict[int, int] = {}
-    for i, v in enumerate(walk):
-        if v in seen:
-            cyc = walk[seen[v]:i]
-            if len(cyc) % 2 == 1 and len(cyc) >= 3 and len(set(cyc)) == len(cyc):
-                return cyc
-        else:
-            seen[v] = i
-    return None
 
 
 def _third_color(g: Graph, include: int, exclude: int) -> int | None:
@@ -695,7 +676,7 @@ def _third_color(g: Graph, include: int, exclude: int) -> int | None:
 def _two_color(g: Graph) -> list[int]:
     parts = g.bipartition()
     if parts is None:
-        raise GraphError("expected a bipartite remainder")
+        raise InternalError("expected a bipartite remainder")
     return [0 if parts[0] >> v & 1 else 1 for v in range(g.n)]
 
 

@@ -19,7 +19,7 @@ from .graphs import Graph, GraphError, InternalError, bits, mask_of
 
 # -- hole through two prescribed vertices --------------------------------
 
-def hole_through_two(g: Graph, x: int, y: int, max_len: int | None = None) -> list[int] | None:
+def hole_through_two(g: Graph, x: int, y: int) -> list[int] | None:
     """An induced cycle of length >= 4 containing x and y, or None.
 
     Exhaustive DFS over induced paths anchored at y.  The key prune:
@@ -32,8 +32,6 @@ def hole_through_two(g: Graph, x: int, y: int, max_len: int | None = None) -> li
         raise GraphError("need two distinct vertices")
     if not (0 <= x < g.n and 0 <= y < g.n):
         raise GraphError(f"vertices {x}, {y} out of range for n={g.n}")
-    if max_len is None:
-        max_len = g.n
 
     adj = g.adj
     full = g.full_mask()
@@ -48,8 +46,6 @@ def hole_through_two(g: Graph, x: int, y: int, max_len: int | None = None) -> li
                 if not g.is_induced_cycle(cyc):
                     raise InternalError(f"hole {cyc} through {x} and {y} has a chord")
                 return cyc
-            if np_len >= max_len:
-                continue
             if closes and np_len > 2:
                 continue  # a y-neighbor can only end the cycle
             nb = banned | (adj[v] if len(path) >= 2 else 0)

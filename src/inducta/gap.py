@@ -45,11 +45,7 @@ def gap_report(g: Graph) -> GapReport:
         h, _ = g.delete_vertices([v])
         drops.append(base - gap_value(h))
     critical = g.n > 0 and all(d > 0 for d in drops)
-    fc = []
-    for comp in g.components():
-        h, _ = g.induced_mask(comp)
-        fc.append(is_factor_critical(h))
-    return GapReport(rep.theta, rep.alpha, base, critical, drops, fc)
+    return GapReport(rep.theta, rep.alpha, base, critical, drops, factor_critical_components(g))
 
 
 def has_simplicial_vertex(g: Graph) -> int | None:

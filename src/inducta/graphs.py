@@ -174,6 +174,33 @@ class Graph:
             comp |= frontier
         return comp
 
+    def layers(self, seeds: int, allowed: int) -> list[int]:
+        """Breadth-first layers: element i is the bitset of vertices at
+        distance i from ``seeds`` (element 0 is ``seeds``), by paths whose
+        vertices after the first lie in ``allowed``."""
+        out = [seeds]
+        seen = frontier = seeds
+        while True:
+            nxt = 0
+            for v in bits(frontier):
+                nxt |= self.adj[v]
+            frontier = nxt & allowed & ~seen
+            if not frontier:
+                return out
+            seen |= frontier
+            out.append(frontier)
+
+    def path_back(self, layers: Sequence[int], v: int) -> list[int]:
+        """A shortest path from ``v`` (a vertex of ``layers``) back to the
+        seeds, one vertex per layer.  Ties break toward small labels: each
+        step goes to the lowest-index neighbor in the previous layer."""
+        i = next(i for i, layer in enumerate(layers) if layer >> v & 1)
+        path = [v]
+        for layer in reversed(layers[:i]):
+            back = self.adj[path[-1]] & layer
+            path.append((back & -back).bit_length() - 1)
+        return path
+
     def components(self) -> list[int]:
         """Connected components as vertex bitsets."""
         return self.components_of(self.full_mask())
@@ -224,76 +251,56 @@ class Graph:
         return None
 
     def bipartition(self) -> tuple[int, int] | None:
-        """(left, right) bitsets if bipartite, else None."""
-        color = {}
-        for comp in self.components():
-            s = next(bits(comp))
-            color[s] = 0
-            frontier = [s]
-            while frontier:
-                v = frontier.pop()
-                for w in bits(self.adj[v]):
-                    if w in color:
-                        if color[w] == color[v]:
-                            return None
-                    else:
-                        color[w] = 1 - color[v]
-                        frontier.append(w)
-        left = mask_of(v for v, c in color.items() if c == 0)
-        return left, self.full_mask() & ~left
+        """(left, right) bitsets if bipartite, else None.  Each component
+        is colored by layer parity from its lowest vertex, which lands on
+        ``left``; an edge inside a layer closes an odd cycle."""
+        full = self.full_mask()
+        left = 0
+        rest = full
+        while rest:
+            for i, layer in enumerate(self.layers(rest & -rest, full)):
+                for v in bits(layer):
+                    if self.adj[v] & layer:
+                        return None
+                if i % 2 == 0:
+                    left |= layer
+                rest &= ~layer
+        return left, full & ~left
 
     def girth(self) -> int | None:
-        """Length of a shortest cycle, or None for forests."""
+        """Length of a shortest cycle, or None for forests.  From each
+        source, a vertex of layer i with two neighbors in layer i-1 closes
+        a cycle of length 2i, and an edge inside layer i one of 2i+1."""
+        full = self.full_mask()
         best = None
         for s in range(self.n):
-            dist = {s: 0}
-            parent = {s: -1}
-            queue = [s]
-            qi = 0
-            while qi < len(queue):
-                v = queue[qi]
-                qi += 1
-                for w in bits(self.adj[v]):
-                    if w not in dist:
-                        dist[w] = dist[v] + 1
-                        parent[w] = v
-                        queue.append(w)
-                    elif w != parent[v]:
-                        c = dist[v] + dist[w] + 1
-                        if best is None or c < best:
-                            best = c
+            ls = self.layers(1 << s, full)
+            for i in range(1, len(ls)):
+                if best is not None and 2 * i >= best:
+                    break
+                if any(bit_count(self.adj[v] & ls[i - 1]) > 1 for v in bits(ls[i])):
+                    best = 2 * i
+                    break
+                if any(self.adj[v] & ls[i] for v in bits(ls[i])):
+                    best = 2 * i + 1
         return best
 
     def shortest_path(self, src: int, dst: int, allowed: int | None = None) -> list[int] | None:
-        """Shortest src->dst path inside the ``allowed`` bitset (lowest-index BFS).
+        """Shortest src->dst path inside the ``allowed`` bitset.
 
         Both endpoints must lie in ``allowed``.  Returns the vertex list or
-        None when disconnected.  Deterministic: BFS explores vertices in
-        increasing index order, so ties break toward small labels.
+        None when disconnected.  Deterministic: the path is ``path_back``
+        from dst, so each vertex's predecessor is its lowest-index
+        neighbor one layer closer to src.
         """
         if allowed is None:
             allowed = self.full_mask()
         if not (allowed >> src & 1 and allowed >> dst & 1):
             return None
-        prev = {src: -1}
-        frontier = [src]
-        while frontier:
-            if dst in prev:
-                break
-            nxt = []
-            for v in frontier:
-                for w in bits(self.adj[v] & allowed):
-                    if w not in prev:
-                        prev[w] = v
-                        nxt.append(w)
-            frontier = sorted(nxt)
-        if dst not in prev:
+        ls = self.layers(1 << src, allowed)
+        if not any(layer >> dst & 1 for layer in ls):
             return None
-        path = [dst]
-        while path[-1] != src:
-            path.append(prev[path[-1]])
-        path.reverse()
-        return path
+        return self.path_back(ls, dst)[::-1]
 
     def is_induced_path(self, seq: Sequence[int]) -> bool:
         """True if seq is an induced path visiting distinct vertices in order."""

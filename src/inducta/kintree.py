@@ -388,28 +388,21 @@ def _link_tree(g: Graph, t_mask: int, q_path: list[int], k: int) -> _LinkOutcome
 
 def _bfs_to_attachment(g: Graph, src: int, t_mask: int, region: int | None = None) -> list[int] | None:
     """Shortest path from src to the nearest vertex with a neighbor in
-    t_mask, staying outside t_mask (and inside region when given)."""
+    t_mask, staying outside t_mask (and inside region when given).  The
+    path ends at the lowest-index such vertex and follows ``path_back``."""
     if region is None:
         region = g.full_mask()
     region &= ~t_mask
     if not (region >> src & 1):
         return None
-    prev = {src: -1}
-    order = [src]
-    qi = 0
-    while qi < len(order):
-        v = order[qi]
-        qi += 1
-        if g.adj[v] & t_mask:
-            path = [v]
-            while path[-1] != src:
-                path.append(prev[path[-1]])
-            path.reverse()
-            return path
-        for ww in sorted(bits(g.adj[v] & region)):
-            if ww not in prev:
-                prev[ww] = v
-                order.append(ww)
+    near = 0
+    for t in bits(t_mask):
+        near |= g.adj[t]
+    ls = g.layers(1 << src, region)
+    for layer in ls:
+        hit = layer & near
+        if hit:
+            return g.path_back(ls, (hit & -hit).bit_length() - 1)[::-1]
     return None
 
 

@@ -15,15 +15,15 @@ MATCHING_BOUND = 28
 
 
 def max_weight_matching(
-    n: int, edges: list[tuple[int, int, int]], bound: int = MATCHING_BOUND
+    n: int, edges: list[tuple[int, int, int]]
 ) -> tuple[int, list[tuple[int, int]]]:
     """Exact maximum weight matching of a (multi)graph given as an edge list.
 
     Parallel edges are fine: only the heaviest copy between any pair can
     matter.  Returns (total weight, chosen edges as (u, v) pairs).
     """
-    if n > bound:
-        raise TooLargeError(f"matching bound {bound} exceeded (n={n})")
+    if n > MATCHING_BOUND:
+        raise TooLargeError(f"matching bound {MATCHING_BOUND} exceeded (n={n})")
     best: dict[tuple[int, int], int] = {}
     for u, v, w in edges:
         if u == v:

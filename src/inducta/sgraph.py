@@ -118,6 +118,7 @@ def find_realization(b: SGraph, g: Graph, max_len: int | None = None) -> Embeddi
     f_edges = sorted(b.sub_edges)
     branch: dict[int, int] = {}
     used = 0
+    full = g.full_mask()
 
     def images_ok(v: int, x: int) -> bool:
         # x as image of v against already-placed branch vertices
@@ -141,21 +142,10 @@ def find_realization(b: SGraph, g: Graph, max_len: int | None = None) -> Embeddi
         if g.has_edge(src, dst):
             return True
         blocked = used & ~(1 << dst) & ~(1 << src)
-        free = 0
-        for w in range(g.n):
-            if not (used >> w & 1) and not (g.adj[w] & blocked):
-                free |= 1 << w
-        seen = 0
-        frontier = g.adj[src] & free
-        while frontier:
-            if frontier & g.adj[dst]:
-                return True
-            seen |= frontier
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= g.adj[v]
-            frontier = nxt & free & ~seen
-        return False
+        free = full & ~used
+        for w in bits(blocked):
+            free &= ~g.adj[w]
+        return bool(g.reach(g.adj[src] & free, free) & g.adj[dst])
 
     def route(pending: tuple) -> Embedding | None:
         nonlocal used

@@ -295,3 +295,109 @@ def random_berge_instance(rng: random.Random, max_n: int = 20, mixed_bias: float
         if is_berge(g):
             return g, info
     raise AssertionError("could not build a Berge instance")
+
+
+# -- the dict-keyed searches that Graph.layers replaced, kept as oracles ----
+
+def oracle_bipartition(g: Graph) -> tuple[int, int] | None:
+    color = {}
+    for comp in g.components():
+        s = next(bits(comp))
+        color[s] = 0
+        frontier = [s]
+        while frontier:
+            v = frontier.pop()
+            for w in bits(g.adj[v]):
+                if w in color:
+                    if color[w] == color[v]:
+                        return None
+                else:
+                    color[w] = 1 - color[v]
+                    frontier.append(w)
+    left = mask_of(v for v, c in color.items() if c == 0)
+    return left, g.full_mask() & ~left
+
+
+def oracle_girth(g: Graph) -> int | None:
+    best = None
+    for s in range(g.n):
+        dist = {s: 0}
+        parent = {s: -1}
+        queue = [s]
+        qi = 0
+        while qi < len(queue):
+            v = queue[qi]
+            qi += 1
+            for w in bits(g.adj[v]):
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    parent[w] = v
+                    queue.append(w)
+                elif w != parent[v]:
+                    c = dist[v] + dist[w] + 1
+                    if best is None or c < best:
+                        best = c
+    return best
+
+
+def oracle_shortest_path(g: Graph, src: int, dst: int, allowed: int | None = None) -> list[int] | None:
+    if allowed is None:
+        allowed = g.full_mask()
+    if not (allowed >> src & 1 and allowed >> dst & 1):
+        return None
+    prev = {src: -1}
+    frontier = [src]
+    while frontier:
+        if dst in prev:
+            break
+        nxt = []
+        for v in frontier:
+            for w in bits(g.adj[v] & allowed):
+                if w not in prev:
+                    prev[w] = v
+                    nxt.append(w)
+        frontier = sorted(nxt)
+    if dst not in prev:
+        return None
+    path = [dst]
+    while path[-1] != src:
+        path.append(prev[path[-1]])
+    path.reverse()
+    return path
+
+
+def oracle_shortest_odd_cycle(g: Graph) -> list[int] | None:
+    """BFS from every vertex in the bipartite double cover; the closed
+    walk back to (s, 1) holds an odd cycle."""
+    best: list[int] | None = None
+    for s in range(g.n):
+        dist = {(s, 0): 0}
+        prev = {(s, 0): None}
+        frontier = [(s, 0)]
+        while frontier:
+            nxt = []
+            for v, p in frontier:
+                for w in bits(g.adj[v]):
+                    key = (w, 1 - p)
+                    if key not in dist:
+                        dist[key] = dist[(v, p)] + 1
+                        prev[key] = (v, p)
+                        nxt.append(key)
+            frontier = nxt
+        if (s, 1) in dist and (best is None or dist[(s, 1)] < len(best)):
+            walk = []
+            cur = (s, 1)
+            while cur is not None:
+                walk.append(cur[0])
+                cur = prev[cur]
+            seen: dict[int, int] = {}
+            for i, v in enumerate(walk):
+                if v in seen:
+                    cyc = walk[seen[v]:i]
+                    if len(cyc) % 2 == 1 and len(cyc) >= 3 and len(set(cyc)) == len(cyc):
+                        if best is None or len(cyc) < len(best):
+                            best = cyc
+                        break
+                else:
+                    seen[v] = i
+    return best

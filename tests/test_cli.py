@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import inducta
-from inducta import oracle
+from inducta import decompose, oracle
 from inducta.cli import main
 from inducta.graphs import format_graph
 from inducta.named import petersen
@@ -161,6 +161,28 @@ def test_unexpected_exception_exit_4(capsys, monkeypatch):
     assert err == "error: internal: IndexError: boom\n"
 
 
+def test_broken_third_color_exit_4(capsys, monkeypatch):
+    monkeypatch.setattr(decompose, "_third_color", lambda g, include, exclude: 0)
+    code, out, err = run_err(capsys, "color", "--class=unique-chord-free", "--named=c:7")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: internal") and "bipartite remainder" in err
+
+
+def _subprocess_env() -> dict:
+    src = str(Path(inducta.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_cli_import_skips_sgraph():
+    """The CLI has no s-graph command, so importing it must not load the
+    s-graph search."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, inducta.cli; print('inducta.sgraph' in sys.modules)"],
+        capture_output=True, text=True, env=_subprocess_env(), timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
 _PATCHED_MAIN = """
 import sys
 from inducta.graphs import Graph
@@ -179,11 +201,9 @@ def test_witness_checks_survive_python_O(tmp_path, validator, argv):
     with asserts stripped: exit 4, one error line, nothing on stdout."""
     sq = tmp_path / "sq.g"
     sq.write_text("8 8\n0 1\n1 2\n2 3\n0 3\n0 4\n1 5\n2 6\n3 7\n")
-    src = str(Path(inducta.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", _PATCHED_MAIN, validator] + [a.format(sq=sq) for a in argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_subprocess_env(), timeout=60,
     )
     assert proc.returncode == 4, proc.stderr
     assert proc.stdout == ""

@@ -16,7 +16,8 @@ from inducta.decompose import (
     recognize_unique_chord_free,
     three_color_chordless,
 )
-from inducta.graphs import Graph, GraphError, bit_count, bits, mask_of
+from inducta import decompose
+from inducta.graphs import Graph, GraphError, InternalError, bit_count, bits, mask_of
 from inducta.named import (
     complete,
     complete_bipartite,
@@ -234,6 +235,14 @@ def test_chi_matches_oracle_on_members():
 def test_chi_rejects_non_members():
     with pytest.raises(GraphError):
         chi_unique_chord_free(DIAMOND)
+
+
+def test_non_bipartite_remainder_is_internal(monkeypatch):
+    """A third color that leaves an odd cycle breaks _third_color's own
+    contract, so the failure is internal, not the input's fault."""
+    monkeypatch.setattr(decompose, "_third_color", lambda g, include, exclude: 0)
+    with pytest.raises(InternalError, match="bipartite remainder"):
+        chi_unique_chord_free(cycle(7))
 
 
 def test_admissible_pair_shapes():

@@ -1,5 +1,16 @@
+import itertools
+import random
+
 import pytest
 
+from helpers import (
+    oracle_bipartition,
+    oracle_girth,
+    oracle_shortest_odd_cycle,
+    oracle_shortest_path,
+    random_graph,
+)
+from inducta.decompose import _shortest_odd_cycle
 from inducta.graphs import Graph, GraphError, WeightedGraph, format_graph, parse_graph
 from inducta.named import cycle, petersen
 
@@ -55,6 +66,60 @@ def test_bipartition():
 def test_shortest_path_deterministic():
     g = cycle(6)
     assert g.shortest_path(0, 3) == [0, 1, 2, 3]
+
+
+def test_layers_and_path_back():
+    g = Graph(6, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
+    assert g.layers(1 << 0, g.full_mask()) == [0b1, 0b110, 0b1000, 0b10000, 0b100000]
+    assert g.layers(1 << 0, g.full_mask() & ~(1 << 3)) == [0b1, 0b110]
+    # 3 has two neighbors one layer up: the lower label wins
+    assert g.path_back(g.layers(1 << 0, g.full_mask()), 4) == [4, 3, 1, 0]
+
+
+def _differential_graphs():
+    """Every labelled graph on at most 5 vertices, then 300 seeded random
+    graphs with n <= 40, a third of them bipartite."""
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for sub in range(1 << len(pairs)):
+            yield Graph(n, [e for i, e in enumerate(pairs) if sub >> i & 1])
+    rng = random.Random(6)
+    for i in range(300):
+        n = rng.randint(1, 40)
+        g = random_graph(n, rng.choice([0.03, 0.06, 0.12, 0.3]), rng)
+        if i % 3 == 0:
+            side = rng.getrandbits(n)
+            for v in range(n):
+                g.adj[v] &= side if not side >> v & 1 else ~side
+        yield g
+
+
+def test_bfs_searches_match_dict_oracles():
+    """girth, bipartition and shortest_path agree exactly with the dict
+    BFS they replaced; the shortest odd cycle is simple, odd and as short
+    as the double-cover search finds."""
+    rng = random.Random(7)
+    for g in _differential_graphs():
+        assert g.girth() == oracle_girth(g)
+        assert g.bipartition() == oracle_bipartition(g)
+        full = g.full_mask()
+        if g.n <= 5:
+            queries = [(u, v, full) for u in range(g.n) for v in range(g.n)]
+        else:
+            queries = [
+                (rng.randrange(g.n), rng.randrange(g.n), rng.getrandbits(g.n) | rng.getrandbits(g.n))
+                for _ in range(10)
+            ]
+        for u, v, allowed in queries:
+            assert g.shortest_path(u, v, allowed) == oracle_shortest_path(g, u, v, allowed)
+        want = oracle_shortest_odd_cycle(g)
+        got = _shortest_odd_cycle(g)
+        if want is None:
+            assert got is None
+            continue
+        k = len(got)
+        assert k == len(want) and k % 2 == 1 and len(set(got)) == k
+        assert all(g.has_edge(got[i], got[(i + 1) % k]) for i in range(k))
 
 
 def test_tree_mask():
