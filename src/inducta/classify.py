@@ -1,10 +1,12 @@
 """Recognizers-with-structure for the small decomposition theorems, plus
-the weakly triangulated 2-pair machinery and omega-coloring.
+weakly triangulated recognition, the 2-pair machinery and omega-coloring.
 
 Each recognizer is total: it returns a positive classification with a
 validating witness, or the induced forbidden structure the theorem
-names.  The 2-pair finder follows the constructive proof: grow a
-maximal anticonnected set T whose common neighborhood C(T) holds two
+names.  Weakly triangulated recognition runs one reach per induced P3 of
+g and of its complement (polynomial; see ``is_weakly_triangulated``).
+The 2-pair finder follows the constructive proof: grow a maximal
+anticonnected set T whose common neighborhood C(T) holds two
 nonadjacent vertices, recurse inside C(T), and lift.
 """
 
@@ -15,7 +17,7 @@ from itertools import combinations
 
 from .graphs import Graph, GraphError, InternalError, bit_count, bits, mask_of
 from .linegraph import line_root_with_map
-from .oracle import enumerate_antiholes, enumerate_holes, induced_embedding
+from .oracle import enumerate_holes, induced_embedding
 
 
 @dataclass
@@ -298,12 +300,44 @@ def classify_small(g: Graph, theorem: str) -> SmallClassification:
 
 # -- weakly triangulated graphs ----------------------------------------------
 
+def _long_hole(g: Graph) -> list[int] | None:
+    """A hole of length >= 5 of g, validated, or None; see
+    ``is_weakly_triangulated`` for why one reach per induced P3 decides."""
+    full = g.full_mask()
+    for b in range(g.n):
+        outside = full & ~g.closed_nb(b)
+        for a in bits(g.adj[b]):
+            for c in bits(g.adj[b] & ~g.adj[a] & ~((2 << a) - 1)):
+                allowed = outside & ~(g.adj[a] & g.adj[c]) | 1 << c
+                if not g.reach(1 << a, allowed) >> c & 1:
+                    continue
+                hole = [b] + g.path_back(g.layers(1 << a, allowed), c)[::-1]
+                if len(hole) < 5 or not g.is_induced_cycle(hole):
+                    raise InternalError(f"P3 reach gave {hole}, not a long hole")
+                return hole
+    return None
+
+
 def is_weakly_triangulated(g: Graph) -> tuple[str, list[int]] | None:
-    """None iff no long hole and no long antihole; else the witness."""
-    for h in enumerate_holes(g, 5, g.n):
-        return ("hole", h)
-    for h in enumerate_antiholes(g, 5, g.n):
-        return ("antihole", h)
+    """None iff no long hole and no long antihole; else the witness
+    ("hole", cycle of g) or ("antihole", cycle of the complement).
+
+    Lemma: g has a hole of length >= 5 iff some induced P3 a-b-c has c
+    reachable from a through vertices outside N[b] and outside
+    N(a) & N(c).  A shortest such path is induced, has length >= 3 (its
+    middle would otherwise be a common neighbor), and avoids N(b), so
+    with b it closes a hole of length >= 5.  Conversely a long hole
+    through b, a, c keeps its other vertices outside N[b], and none of
+    them is adjacent to both a and c.  So recognition is one reach per
+    induced P3 of g and of its complement: fewer than n*m reaches each,
+    with m counted in that graph.
+    """
+    hole = _long_hole(g)
+    if hole is not None:
+        return ("hole", hole)
+    hole = _long_hole(g.complement())
+    if hole is not None:
+        return ("antihole", hole)
     return None
 
 
@@ -322,18 +356,11 @@ def validate_two_pair(g: Graph, a: int, b: int) -> bool:
     return not (g.reach(1 << a, g.full_mask() & ~cut) >> b & 1)
 
 
-def _is_anticonnected(g: Graph, mask: int) -> bool:
-    return len(g.complement().components_of(mask)) == 1
-
-
 def _complete_to(g: Graph, tmask: int) -> int:
-    out = 0
-    for v in range(g.n):
-        if tmask >> v & 1:
-            continue
-        if tmask & ~g.adj[v] == 0:
-            out |= 1 << v
-    return out
+    out = g.full_mask()
+    for v in bits(tmask):
+        out &= g.adj[v]
+    return out & ~tmask
 
 
 def find_two_pair(g: Graph, _budget: int | None = None) -> TwoPair | None:
@@ -356,17 +383,14 @@ def find_two_pair(g: Graph, _budget: int | None = None) -> TwoPair | None:
         a = next(bits(comps[0]))
         b = next(bits(comps[1]))
         return TwoPair(a, b)
-    p3 = _find_p3(g)
-    t = 1 << p3[1]
+    comp = g.complement()
+    t = 1 << cl.witness[1]
 
     def good(tmask: int) -> bool:
-        if not _is_anticonnected(g, tmask):
+        # G[T] anticonnected, and C(T) not a clique
+        if comp.reach(tmask & -tmask, tmask) != tmask:
             return False
-        c = _complete_to(g, tmask)
-        for u in bits(c):
-            if c & ~g.adj[u] & ~(1 << u):
-                return True
-        return False
+        return not g.is_clique_mask(_complete_to(g, tmask))
 
     growing = True
     while growing:

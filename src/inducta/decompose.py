@@ -8,8 +8,8 @@ definition.  Recognition of the unique-chord-free class first searches
 directly for a cycle with one chord, which alone decides membership.
 Only when none exists is the member decomposed, by 1-cutsets, special
 2-cutsets and proper 1-joins down to clique / sparse / Petersen /
-Heawood leaves; a member that fits no case raises GraphError.  Nothing
-compares the two routes.
+Heawood leaves; a member that fits no case is a broken invariant and
+raises InternalError.  Nothing compares the two routes.
 """
 
 from __future__ import annotations
@@ -363,7 +363,7 @@ def is_chordless(g: Graph) -> tuple[list[int], tuple[int, int]] | None:
     return None
 
 
-@dataclass
+@dataclass(slots=True)
 class DecompositionNode:
     kind: str  # 'sparse' | 'clique' | 'sub-petersen' | 'sub-heawood' |
     #            'one_cutset' | 'proper_2_cutset' | 'special_2_cutset' |
@@ -497,7 +497,7 @@ def three_color_chordless(g: Graph) -> list[int]:
 
 # -- cycles with a unique chord --------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class UniqueChordResult:
     member: bool
     witness_cycle: list[int] | None = None
@@ -574,7 +574,7 @@ def _decompose_unique_chord(g: Graph, ids: list[int]) -> DecompositionNode:
                 _decompose_unique_chord(blk, [ids[u] for u in old] + [-1])
             )
         return node
-    raise GraphError("graph in the class escaped every decomposition case")
+    raise InternalError("graph in the class escaped every decomposition case")
 
 
 def recognize_unique_chord_free(g: Graph) -> UniqueChordResult:
@@ -713,7 +713,7 @@ def chi_unique_chord_free(g: Graph, _checked: bool = False) -> tuple[int, list[i
         if s is None:
             s = _third_color(g, include=0, exclude=0)
         if s is None:
-            raise GraphError("no third color: graph is not in the class")
+            raise InternalError("no third color for a member of the class")
         rest, old = g.induced_mask(g.full_mask() & ~s)
         two = _two_color(rest)
         color = [2] * g.n
@@ -726,7 +726,7 @@ def chi_unique_chord_free(g: Graph, _checked: bool = False) -> tuple[int, list[i
         return g.n, list(range(g.n))
     cut = _find_one_cutset(g)
     if cut is None:
-        raise GraphError("member with a triangle must be a clique or have a 1-cutset")
+        raise InternalError("member with a triangle must be a clique or have a 1-cutset")
     v = cut.vertices[0]
     color = [0] * g.n
     chi = 0

@@ -69,7 +69,7 @@ def hole_through_two(g: Graph, x: int, y: int) -> list[int] | None:
 
 # -- prisms ---------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class PrismWitness:
     triangle_a: tuple[int, int, int]
     triangle_b: tuple[int, int, int]

@@ -26,14 +26,14 @@ K3_FALLBACK_BOUND = 20
 
 # -- certificates ----------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class SquareSplit:
     a: tuple[int, int, int, int]  # vertex bitsets A_1..A_4
     s: tuple[int, int, int, int]
     r: int
 
 
-@dataclass
+@dataclass(slots=True)
 class CubicSplit:
     a: tuple[int, int, int, int]
     b: tuple[int, int, int, int]
@@ -41,7 +41,7 @@ class CubicSplit:
     r: int
 
 
-@dataclass
+@dataclass(slots=True)
 class KStructWitness:
     paths: list[list[int]]  # paths[i] runs from terminal x_i to cycle vertex s_i
 
@@ -52,7 +52,7 @@ class KStructWitness:
         return [p[0] for p in self.paths]
 
 
-@dataclass
+@dataclass(slots=True)
 class K4Witness:
     hubs: dict[str, int]                 # 'a','b','c','d'
     paths: dict[str, list[int]]          # 'ab'.. : from x_ab to s_ab
@@ -60,7 +60,7 @@ class K4Witness:
     PAIRS = ("ab", "ac", "ad", "bc", "bd", "cd")
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeOrCertificate:
     kind: str  # tree | square | cubic | k4 | kstructure |
     #            disconnected-terminals | no-tree-exhaustive | tree-exists
@@ -833,8 +833,10 @@ def k_in_a_tree(g: Graph, terminals: list[int]) -> TreeOrCertificate:
 
     Preconditions: k = len(terminals) >= 3, terminals distinct, and
     girth(g) >= k.  Terminals of degree other than one get a pending
-    neighbor; certificates refer to the augmented graph carried in the
-    result, while a positive answer is returned as a tree of g itself.
+    neighbor.  Only certificates refer to that augmented graph: they
+    carry it with the remapped terminals and the pendant map (g itself
+    and an empty map when every terminal is a leaf already).  A positive
+    answer carries g, the given terminals and a tree of g.
     """
     k = len(terminals)
     if k < 3:
@@ -849,17 +851,17 @@ def k_in_a_tree(g: Graph, terminals: list[int]) -> TreeOrCertificate:
         raise GraphError(f"girth {girth} below k={k}")
 
     need = [t for t in terminals if g.degree(t) != 1]
-    h = g.add_vertices(len(need), [[t] for t in need])
-    pend = {g.n + i: t for i, t in enumerate(need)}
+    h = g.add_vertices(len(need), [[t] for t in need]) if need else g
     hterms = [g.n + need.index(t) if t in need else t for t in terminals]
 
     res = _solve_pendant(h, hterms, k)
     if res.kind == "tree-exists":
         res = _deletion_extract(h, hterms, k)
-    res.pendants = pend
-    if res.has_tree:
-        tree_g = sorted(v for v in res.tree if v < g.n)
-        if not _is_good_tree(g, mask_of(tree_g), terminals):
-            raise InternalError("pendant stripping broke the tree")
-        res.tree = tree_g
-    return res
+    if not res.has_tree:
+        if need:
+            res.pendants = {g.n + i: t for i, t in enumerate(need)}
+        return res
+    tree = sorted(v for v in res.tree if v < g.n)
+    if not _is_good_tree(g, mask_of(tree), terminals):
+        raise InternalError("pendant stripping broke the tree")
+    return TreeOrCertificate("tree", g, terminals, tree=tree)

@@ -57,7 +57,7 @@ def theta_sgraph() -> SGraph:
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class Embedding:
     """A realization witness: branch images plus the routed paths."""
 

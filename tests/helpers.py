@@ -19,6 +19,7 @@ from inducta.named import (
     r35,
     wagner,
 )
+from inducta.oracle import enumerate_antiholes, enumerate_holes
 
 
 def named_zoo() -> dict[str, Graph]:
@@ -401,3 +402,13 @@ def oracle_shortest_odd_cycle(g: Graph) -> list[int] | None:
                 else:
                     seen[v] = i
     return best
+
+
+# -- the hole/antihole enumeration that the P3 reach test replaced ----------
+
+def oracle_is_weakly_triangulated(g: Graph) -> tuple[str, list[int]] | None:
+    for h in enumerate_holes(g, 5, g.n):
+        return ("hole", h)
+    for h in enumerate_antiholes(g, 5, g.n):
+        return ("antihole", h)
+    return None

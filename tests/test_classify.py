@@ -3,7 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from helpers import random_chordal, random_graph
+from helpers import oracle_is_weakly_triangulated, random_chordal, random_graph
+from inducta import classify, oracle
 from inducta.classify import (
     classify_small,
     color_weakly_triangulated,
@@ -121,6 +122,58 @@ def test_wt_detection():
     kind, wit = is_weakly_triangulated(cycle(6).complement())
     assert kind == "antihole" and len(wit) == 6
     assert is_weakly_triangulated(random_chordal(12, random.Random(1))) is None
+
+
+def _all_labelled_graphs(max_n: int):
+    for n in range(max_n + 1):
+        pairs = list(combinations(range(n), 2))
+        for chosen in range(1 << len(pairs)):
+            yield Graph(n, [e for i, e in enumerate(pairs) if chosen >> i & 1])
+
+
+def test_wt_recognition_matches_enumeration():
+    """The P3 reach test against hole/antihole enumeration: same verdict,
+    same kind, and a witness that is a long hole of g or of its
+    complement.  Complements of bipartite graphs carry the antiholes: a
+    bipartite graph has no long antihole and no C5, so any long hole it
+    has is a long antihole, and nothing else, of its complement."""
+    rng = random.Random(71)
+    graphs = list(_all_labelled_graphs(6))
+    graphs += [random_graph(rng.randint(5, 12), rng.uniform(0.2, 0.8), rng) for _ in range(300)]
+    graphs += [random_chordal(rng.randint(4, 14), rng).complement() for _ in range(100)]
+    for _ in range(300):
+        n, p = rng.randint(10, 12), rng.uniform(0.3, 0.5)
+        graphs.append(Graph(n, [
+            (u, v) for u, v in combinations(range(n), 2) if (u + v) % 2 and rng.random() < p
+        ]).complement())
+    kinds = {None: 0, "hole": 0, "antihole": 0}
+    for g in graphs:
+        want = oracle_is_weakly_triangulated(g)
+        got = is_weakly_triangulated(g)
+        assert (got is None) == (want is None), g.edges()
+        if got is None:
+            kinds[None] += 1
+            continue
+        kind, wit = got
+        assert kind == want[0], g.edges()
+        host = g if kind == "hole" else g.complement()
+        assert len(wit) >= 5 and host.is_induced_cycle(wit), (g.edges(), got)
+        kinds[kind] += 1
+    assert min(kinds.values()) >= 150, kinds
+
+
+def test_wt_paths_never_enumerate_holes(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("hole enumeration reached")
+
+    for name in ("enumerate_holes", "enumerate_antiholes"):
+        monkeypatch.setattr(oracle, name, refuse)
+    monkeypatch.setattr(classify, "enumerate_holes", refuse)
+    assert is_weakly_triangulated(cycle(7).complement())[0] == "antihole"
+    g = random_chordal(20, random.Random(5)).complement()
+    assert is_weakly_triangulated(g) is None
+    col = color_weakly_triangulated(g)
+    assert all(col[u] != col[v] for u, v in g.edges())
 
 
 def test_two_pair_examples():

@@ -10,7 +10,7 @@ import inducta
 from inducta import decompose, oracle
 from inducta.cli import main
 from inducta.graphs import format_graph
-from inducta.named import petersen
+from inducta.named import cycle, petersen
 
 
 def run(capsys, *argv):
@@ -29,6 +29,22 @@ def test_recognize_non_member(capsys, tmp_path):
     p.write_text("4 5\n0 1\n0 2\n0 3\n1 2\n1 3\n")
     code, out = run(capsys, "recognize", "--class=unique-chord-free", str(p))
     assert code == 1 and "unique chord" in out
+
+
+def test_recognize_weakly_triangulated(capsys, tmp_path):
+    anti = tmp_path / "anti7.g"
+    anti.write_text(format_graph(cycle(7).complement()))
+    code, out = run(capsys, "recognize", "--class=weakly-triangulated", str(anti), "--format=json-lines")
+    rec = json.loads(out)
+    assert code == 1 and rec["witness_kind"] == "antihole"
+    assert len(rec["witness"]) == 7 and cycle(7).is_induced_cycle(rec["witness"])
+    code, out = run(capsys, "recognize", "--class=weakly-triangulated", "--named=c:5", "--format=json-lines")
+    assert code == 1 and json.loads(out) == {
+        "weakly_triangulated": False, "witness_kind": "hole", "witness": [0, 1, 2, 3, 4]}
+    chordal = tmp_path / "chordal.g"
+    chordal.write_text("5 6\n0 1\n0 2\n1 2\n1 3\n2 3\n3 4\n")
+    code, out = run(capsys, "recognize", "--class=weakly-triangulated", str(chordal))
+    assert code == 0 and out == "weakly triangulated\n"
 
 
 def test_color_chordless(capsys):
@@ -166,6 +182,13 @@ def test_broken_third_color_exit_4(capsys, monkeypatch):
     code, out, err = run_err(capsys, "color", "--class=unique-chord-free", "--named=c:7")
     assert (code, out) == (4, "")
     assert err.startswith("error: internal") and "bipartite remainder" in err
+
+
+def test_missing_third_color_exit_4(capsys, monkeypatch):
+    monkeypatch.setattr(decompose, "_third_color", lambda g, include, exclude: None)
+    code, out, err = run_err(capsys, "color", "--class=unique-chord-free", "--named=c:7")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: internal: ") and err.count("\n") == 1
 
 
 def _subprocess_env() -> dict:

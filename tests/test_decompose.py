@@ -245,6 +245,36 @@ def test_non_bipartite_remainder_is_internal(monkeypatch):
         chi_unique_chord_free(cycle(7))
 
 
+BOWTIE = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+
+
+def test_missing_third_color_is_internal(monkeypatch):
+    """C7 is a member, so a third color must exist."""
+    monkeypatch.setattr(decompose, "_third_color", lambda g, include, exclude: None)
+    with pytest.raises(InternalError, match="no third color"):
+        chi_unique_chord_free(cycle(7))
+
+
+def test_missing_one_cutset_is_internal(monkeypatch):
+    """The bowtie is a sparse member with a triangle and a 1-cutset, so
+    only a broken finder can leave it without one."""
+    assert recognize_unique_chord_free(BOWTIE).member
+    monkeypatch.setattr(decompose, "_find_one_cutset", lambda g: None)
+    with pytest.raises(InternalError, match="1-cutset"):
+        chi_unique_chord_free(BOWTIE)
+
+
+def test_escaped_decomposition_is_internal(monkeypatch):
+    """Two K4s sharing a vertex: a member that is no leaf, so with every
+    finder silenced the decomposition falls through."""
+    g = Graph(7, [(u, v) for blk in ((0, 1, 2, 3), (3, 4, 5, 6)) for u in blk for v in blk if u < v])
+    assert recognize_unique_chord_free(g).member
+    for finder in ("_find_one_cutset", "_find_special_2_cutset", "_find_proper_1_join"):
+        monkeypatch.setattr(decompose, finder, lambda g: None)
+    with pytest.raises(InternalError, match="escaped every decomposition case"):
+        recognize_unique_chord_free(g)
+
+
 def test_admissible_pair_shapes():
     g = cycle(6)
     assert AdmissiblePair(r=1, t=g.adj[0], vertex=0, shape=1).validate(g)

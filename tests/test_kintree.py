@@ -1,9 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 
 from helpers import random_connected_girth, random_graph_girth
 from inducta.graphs import Graph, GraphError, bits, mask_of
+from inducta import decompose, detect, kintree, sgraph
 from inducta.kintree import (
     induced_tree_exists,
     k_in_a_tree,
@@ -61,9 +63,15 @@ def test_girth_error():
 
 
 def test_square_structure_figure():
+    """All-leaf terminals leave g as it is; otherwise the certificate
+    refers to g with a pendant on each terminal."""
     g = smallest_square_structure()
     res = k_in_a_tree(g, [4, 5, 6, 7])
-    assert res.kind == "square"
+    assert res.kind == "square" and res.graph is g and res.pendants == {}
+    assert validate_square_split(res.graph, res.graph.full_mask(), res.terminals, res.square)
+    res = k_in_a_tree(g, [0, 1, 2, 3])
+    assert res.kind == "square" and res.graph.n == g.n + 4
+    assert res.pendants == {8: 0, 9: 1, 10: 2, 11: 3} and res.terminals == [8, 9, 10, 11]
     assert validate_square_split(res.graph, res.graph.full_mask(), res.terminals, res.square)
 
 
@@ -90,11 +98,24 @@ def test_seven_structure_figure():
 
 
 def test_trees_have_no_obstructions():
+    """A tree answer carries g and the given terminals, also when a
+    terminal of degree 3 gets a pendant inside the search."""
     t = Graph(9, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (2, 6), (0, 7), (7, 8)])
-    leaves = [3, 5, 6, 8]
-    res = k_in_a_tree(t, leaves)
-    assert res.has_tree
-    assert set(res.tree) >= set(leaves)
+    for terms in ([3, 5, 6, 8], [1, 3, 5, 8]):
+        res = k_in_a_tree(t, terms)
+        assert res.has_tree and res.graph is t
+        assert res.terminals == terms and res.pendants == {}
+        assert set(res.tree) >= set(terms) and t.is_tree_mask(mask_of(res.tree))
+
+
+@pytest.mark.parametrize("cls", [
+    kintree.TreeOrCertificate, kintree.SquareSplit, kintree.CubicSplit,
+    kintree.KStructWitness, kintree.K4Witness, decompose.DecompositionNode,
+    decompose.UniqueChordResult, detect.PrismWitness, sgraph.Embedding,
+], ids=lambda cls: cls.__name__)
+def test_answer_classes_have_no_instance_dict(cls):
+    obj = cls(*[None] * len(dataclasses.fields(cls)))
+    assert not hasattr(obj, "__dict__")
 
 
 def test_five_structure_decomposes():
