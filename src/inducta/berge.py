@@ -6,16 +6,23 @@ tree once per graph: it splits along extreme, marker-disjoint proper
 non-path 2-joins (one complementation allowed at the root), keeps one
 parity-matched marker path per removed side, and classifies the leaves.
 ``solve`` then answers maximum weighted stable set and clique for one
-weighting on that tree, with no search: it takes each join's child block
-from the tree, builds the removed side's leaf block under the weights,
-and re-reads each marker as a weighted gadget: a path with clique
-weights for omega, a flat claw (even side) or flat vault (odd side)
-carrying the side's four stable-set numbers for alpha.  Weights enter
-only through those numbers, so one tree serves every weighting.  The
-alpha and omega halves never read each other's numbers, so either can
-run alone: the coloring loop solves all of its weightings on one tree,
-and each only for the half it reads (omega to find maximum cliques,
-alpha for a stable set hitting them).  Leaves are bipartite or
+weighting on that tree, with no search.  Solving goes through a plan
+that walks the tree once and builds everything that does not depend on
+the weights: each join's X1 side block with its vertex ids, markers and
+the regions of its seven cases, and for each block and the leaf the
+graph with every marker path swapped for its gadget, the flow network
+of a flow leaf and the line-extension skeleton of a matching leaf.  A
+weighting then only fills in weights.  Walking down, each join's
+removed side is solved on its block and re-read in the child as a
+weighted gadget: a path with clique weights for omega, a flat claw
+(even side) or flat vault (odd side) carrying the side's four
+stable-set numbers for alpha.  Weights enter only through those
+numbers, so one tree and one plan serve every weighting.  The alpha and
+omega halves never read each other's numbers, so either can run alone:
+the coloring loop solves all of its weightings with one plan, and each
+only for the half it reads (omega to find maximum cliques, alpha for a
+stable set hitting them).  A plan is built per call and dropped with
+it; no tree, answer or module keeps one.  Leaves are bipartite or
 line-graph extensions solved by flow and matching, with the remaining
 basic kinds handled exactly at desk scale.  Every lifted witness is
 re-validated before returning.
@@ -23,11 +30,11 @@ re-validated before returning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .graphs import Graph, GraphError, TooLargeError, WeightedGraph, bit_count, bits, mask_of
 from .linegraph import line_root_with_map
-from .matching import bipartite_max_weight_stable_set, max_weight_matching
+from .matching import StableSetFlow, max_weight_matching
 from .oracle import max_weight_clique, max_weight_stable_set
 
 FULL_ENUM_BOUND = 16
@@ -398,9 +405,22 @@ def _gadget_block(
 def _replace_path_by_gadget(
     wg: WeightedGraph, path: list[int], kind: str, weights4: list[int]
 ) -> tuple[WeightedGraph, list[int], list[int]]:
-    """Swap a flat path for its claw or vault; returns the new weighted
-    graph, the gadget vertex list, and old->new map (path vertices -> -1)."""
-    g = wg.graph
+    """Swap a flat path for its claw or vault carrying ``weights4``;
+    returns the new weighted graph, the gadget vertex list, and old->new
+    map (path vertices -> -1)."""
+    blk, gadget, omap = _swap_in_gadget(wg.graph, path, kind)
+    w = [0] * blk.n
+    for o, i in enumerate(omap):
+        if i >= 0:
+            w[i] = wg.weights[o]
+    for v, x in zip(gadget, weights4):
+        w[v] = x
+    return WeightedGraph(blk, w), gadget, omap
+
+
+def _swap_in_gadget(g: Graph, path: list[int], kind: str) -> tuple[Graph, list[int], list[int]]:
+    """The weight-free half of ``_replace_path_by_gadget``: the new graph,
+    the gadget vertex list, and old->new map (path vertices -> -1)."""
     p1, pk = path[0], path[-1]
     a_att = [v for v in bits(g.adj[p1]) if v != path[1]]
     b_att = [v for v in bits(g.adj[pk]) if v != path[-2]]
@@ -422,11 +442,10 @@ def _replace_path_by_gadget(
         for x, y in ((2, 3), (3, 4), (4, 5), (5, 2)):
             blk.add_edge_unchecked(rr[x], rr[y])
         gadget = rr
-    w = [wg.weights[o] for o in old] + list(weights4)
     omap = [-1] * g.n
     for o, i in pos.items():
         omap[o] = i
-    return WeightedGraph(blk, w), gadget, omap
+    return blk, gadget, omap
 
 
 def gadget_weights(kind: str, abcd: ABCD) -> list[int]:
@@ -694,6 +713,45 @@ class ExtensionSpec:
     kinds: list[str]                  # 'claw' | 'vault' per path
 
 
+class _LineSkeleton:
+    """The weight-free part of ``line_extension_transform``: which base
+    vertices G'' keeps (G'' vertex i < len(keep) is base vertex keep[i]),
+    per path the G'' vertex of each gadget role ('p', 'pp', 'x', 'y'),
+    and the root multigraph on ``nodes`` vertices as edges (u, v, the G''
+    vertex whose weight the edge takes)."""
+
+    __slots__ = ("keep", "roles", "medges", "nodes")
+
+    def __init__(self, spec: ExtensionSpec):
+        g, root_edges = spec.base, spec.root_edges
+        path_mask = 0
+        for p in spec.paths:
+            path_mask |= mask_of(p)
+        keep = self.keep = [v for v in range(g.n) if not (path_mask >> v & 1)]
+        self.roles = [{"p": len(keep) + 4 * i, "pp": len(keep) + 4 * i + 1,
+                       "x": len(keep) + 4 * i + 2, "y": len(keep) + 4 * i + 3}
+                      for i in range(len(spec.paths))]
+        # the interiors of the root paths simply stop carrying edges; per
+        # path we add u^i, v^i, the chord between the root path's ends,
+        # and the three pendant-gadget edges
+        self.medges = [(*root_edges[u], i) for i, u in enumerate(keep)]
+        for i, (p, r) in enumerate(zip(spec.paths, self.roles)):
+            uu = spec.root.n + 2 * i
+            r1 = _root_path_end(root_edges, p, 0)
+            rl = _root_path_end(root_edges, p, 1)
+            self.medges += [(r1, rl, r["x"]), (uu, r1, r["p"]), (uu, rl, r["pp"]), (uu, uu + 1, r["y"])]
+        self.nodes = spec.root.n + 2 * len(spec.paths)
+
+
+def _line_weights(skel: _LineSkeleton, base_weights: list[int], numbers: list[ABCD]) -> list[int]:
+    """G'' weights: the base weights on kept vertices, each path's four
+    stable-set numbers on its gadget roles."""
+    w2 = [base_weights[o] for o in skel.keep] + [0] * (4 * len(numbers))
+    for s, nums in zip(skel.roles, numbers):
+        w2[s["p"]], w2[s["pp"]], w2[s["y"]], w2[s["x"]] = nums.a, nums.b, nums.c, nums.d - nums.c
+    return w2
+
+
 def line_extension_transform(
     base_weights: list[int],
     spec: ExtensionSpec,
@@ -707,34 +765,24 @@ def line_extension_transform(
     stable-set numbers of path i's gadget.  Returns the transformed
     weighted graph G'' (for validation), the root multigraph as weighted
     edges (u, v, weight, g2_vertex), and per-path role records."""
-    g, root, root_edges = spec.base, spec.root, spec.root_edges
-    k = len(spec.paths)
-    path_mask = 0
-    for p in spec.paths:
-        path_mask |= mask_of(p)
-
-    keep = [v for v in range(g.n) if not (path_mask >> v & 1)]
+    g = spec.base
+    skel = _LineSkeleton(spec)
+    keep, sv = skel.keep, skel.roles
     pos = {o: i for i, o in enumerate(keep)}
-    n2 = len(keep) + 4 * k
-    g2 = Graph(n2)
+    g2 = Graph(len(keep) + 4 * len(sv))
     for i, u in enumerate(keep):
         for v in bits(g.adj[u]):
             if v in pos and pos[v] > i:
                 g2.add_edge_unchecked(i, pos[v])
-    sv = [{"p": len(keep) + 4 * i, "pp": len(keep) + 4 * i + 1,
-           "x": len(keep) + 4 * i + 2, "y": len(keep) + 4 * i + 3}
-          for i in range(k)]
     ends = []
-    for i, p in enumerate(spec.paths):
+    for p in spec.paths:
         a2 = [v for v in bits(g.adj[p[0]]) if v != p[1]]
         b2 = [v for v in bits(g.adj[p[-1]]) if v != p[-2]]
         ends.append((p[0], p[-1], a2, b2))
-    for i in range(k):
-        s = sv[i]
+    for s, (_, _, a2, b2) in zip(sv, ends):
         for e in ((s["p"], s["pp"]), (s["x"], s["p"]), (s["p"], s["y"]),
                   (s["y"], s["pp"]), (s["pp"], s["x"])):
             g2.add_edge_unchecked(*e)
-        _, _, a2, b2 = ends[i]
         for u in a2:
             if u in pos:
                 g2.add_edge_unchecked(s["p"], pos[u])
@@ -743,6 +791,7 @@ def line_extension_transform(
             if u in pos:
                 g2.add_edge_unchecked(s["pp"], pos[u])
                 g2.add_edge_unchecked(s["x"], pos[u])
+    k = len(sv)
     for i in range(k):
         for j in range(i + 1, k):
             pi1, pil, _, _ = ends[i]
@@ -769,34 +818,8 @@ def line_extension_transform(
                 g2.add_edge_unchecked(sv[j]["x"], sv[i]["pp"])
             if e11 or e1l or el1 or ell:
                 g2.add_edge_unchecked(sv[i]["x"], sv[j]["x"])
-
-    w2 = [0] * n2
-    for o, i in pos.items():
-        w2[i] = base_weights[o]
-    for i in range(k):
-        nums = numbers[i]
-        w2[sv[i]["p"]] = nums.a
-        w2[sv[i]["pp"]] = nums.b
-        w2[sv[i]["y"]] = nums.c
-        w2[sv[i]["x"]] = nums.d - nums.c
-
-    # the root multigraph: the interiors of the root paths simply stop
-    # carrying edges; per path we add u^i, v^i, the chord between the root
-    # path's ends, and the three pendant-gadget edges
-    medges: list[tuple[int, int, int, int]] = []  # (ru, rv, weight, g2 vertex)
-    for i, u in enumerate(keep):
-        ru, rv = root_edges[u]
-        medges.append((ru, rv, w2[pos[u]], pos[u]))
-    for i, p in enumerate(spec.paths):
-        uu = root.n + 2 * i
-        vv = root.n + 2 * i + 1
-        r1 = _root_path_end(root_edges, spec.paths[i], keep, 0)
-        rl = _root_path_end(root_edges, spec.paths[i], keep, 1)
-        s = sv[i]
-        medges.append((r1, rl, w2[s["x"]], s["x"]))
-        medges.append((uu, r1, w2[s["p"]], s["p"]))
-        medges.append((uu, rl, w2[s["pp"]], s["pp"]))
-        medges.append((uu, vv, w2[s["y"]], s["y"]))
+    w2 = _line_weights(skel, base_weights, numbers)
+    medges = [(u, v, w2[x], x) for u, v, x in skel.medges]
     records = [
         {"path": spec.paths[i], "kind": spec.kinds[i], "roles": sv[i], "numbers": numbers[i]}
         for i in range(k)
@@ -804,7 +827,7 @@ def line_extension_transform(
     return WeightedGraph(g2, w2), medges, records
 
 
-def _root_path_end(root_edges, path, keep, which: int) -> int:
+def _root_path_end(root_edges, path, which: int) -> int:
     """The root vertex where the root path of ``path`` meets the rest."""
     end_vertex = path[0] if which == 0 else path[-1]
     inner_vertex = path[1] if which == 0 else path[-2]
@@ -818,18 +841,16 @@ def _root_path_end(root_edges, path, keep, which: int) -> int:
 
 # -- the solver --------------------------------------------------------------
 
-@dataclass
 class MarkerInfo:
-    """A marker path: everything needed to re-read it as a weighted
-    gadget and to expand witnesses back to original vertices.  The
-    decomposition tracks only path and kind; solving fills in the rest."""
+    """A marker path in a node's graph (``path``, in that graph's
+    vertices) standing for the X1 side of the join numbered ``side``
+    along the tree's chain of joins, root first; ``kind`` is 'claw' for
+    an even side and 'vault' for an odd one."""
 
-    path: list[int]                                # vertices in the current graph
-    kind: str                                      # 'claw' (even side) or 'vault'
-    abcd: ABCD | None = None
-    alpha_wit: dict[str, list[int]] | None = None  # case -> original-vertex stable sets
-    omega_w: tuple[int, int, int] | None = None    # omega of A1, B1, X1
-    omega_wit: dict[str, list[int]] | None = None  # 'A' | 'B' | 'X' -> original cliques
+    __slots__ = ("path", "kind", "side")
+
+    def __init__(self, path: list[int], kind: str, side: int):
+        self.path, self.kind, self.side = path, kind, side
 
 
 @dataclass(slots=True)
@@ -883,24 +904,19 @@ def _clamp_case(case: str, forced_a: bool, forced_b: bool) -> str:
     return case
 
 
-def _expand_alpha_witness(
-    g2: Graph, wit_mask: int, ids: list,
-    gadget_map: list[tuple[MarkerInfo, list[int], bool, bool]],
-) -> list[int]:
-    """Original-vertex stable set from a gadgetized-leaf witness."""
+def _expand_alpha_witness(blk: _Block, wit_mask: int, gadget_map: list) -> list[int]:
+    """Root-vertex stable set from a gadgetized-block witness."""
+    g2 = blk.gadgetized
     out = set()
     gadget_vs = 0
-    for _, gad, _, _ in gadget_map:
+    for _, _, gad, _, _ in gadget_map:
         gadget_vs |= mask_of(gad)
     for v in bits(wit_mask & ~gadget_vs):
-        orig = ids[v]
+        orig = blk.ids[blk.back[v]]
         if orig is not None:
             out.add(orig)
-    for info, gad, forced_a, forced_b in gadget_map:
-        if info.kind == "claw":
-            a_anchor, b_anchor = gad[0], gad[2]
-        else:
-            a_anchor, b_anchor = gad[0], gad[1]
+    for nums, kind, gad, forced_a, forced_b in gadget_map:
+        (a_anchor, *_), (b_anchor, *_) = _anchor_groups(kind, gad)
         contact_a = bool(wit_mask & g2.adj[a_anchor] & ~mask_of(gad))
         contact_b = bool(wit_mask & g2.adj[b_anchor] & ~mask_of(gad))
         if contact_a and contact_b:
@@ -911,65 +927,51 @@ def _expand_alpha_witness(
             case = "a"
         else:
             case = "d"
-        out.update(info.alpha_wit[_clamp_case(case, forced_a, forced_b)])
+        out.update(nums.alpha_wit[_clamp_case(case, forced_a, forced_b)])
     return sorted(out)
 
 
-def _gadgetize(
-    wg: WeightedGraph, ids: list, markers: list[MarkerInfo]
-) -> tuple[WeightedGraph, list, list[tuple[MarkerInfo, list[int]]]]:
-    """Replace every marker path by its claw/vault with the abcd weights;
-    returns the new graph, its vertex ids and each marker's gadget."""
-    cur, cur_ids = wg, list(ids)
+def _gadgetize(g: Graph, markers: list[MarkerInfo]) -> tuple[Graph, list, list[list[int]]]:
+    """Swap every marker path for its claw or vault, in marker order;
+    returns the new graph, its map back to g (None on gadgets), and each
+    marker's gadget."""
+    back: list = list(range(g.n))
     paths = [m.path for m in markers]
-    placed: list[tuple[MarkerInfo, list[int]]] = []
-    for i, info in enumerate(markers):
-        cur, gad, omap = _replace_path_by_gadget(
-            cur, paths[i], info.kind, gadget_weights(info.kind, info.abcd)
-        )
-        new_ids = [None] * cur.graph.n
+    gadgets: list[list[int]] = []
+    for i, m in enumerate(markers):
+        g, gad, omap = _swap_in_gadget(g, paths[i], m.kind)
+        new_back = [None] * g.n
         for o, nn in enumerate(omap):
             if nn >= 0:
-                new_ids[nn] = cur_ids[o]
-        cur_ids = new_ids
-        placed = [(mi, [omap[v] for v in vs]) for mi, vs in placed] + [(info, gad)]
+                new_back[nn] = back[o]
+        back = new_back
+        gadgets = [[omap[v] for v in vs] for vs in gadgets] + [gad]
         paths[i + 1:] = [[omap[v] for v in p] for p in paths[i + 1:]]
-    return cur, cur_ids, placed
+    return g, back, gadgets
 
 
 def _leaf_alpha(
-    wg: WeightedGraph, ids: list, markers: list[MarkerInfo], leaf: LeafInfo,
-    keep_mask: int | None = None,
+    blk: _Block, weights: list[int], sides: list[_SideNumbers], keep: int,
 ) -> tuple[int, list[int]]:
-    """Maximum weighted stable set of a gadgetized leaf, witness in
-    original vertices.  ``keep_mask`` zeroes everything outside it, the
-    gadget anchors inheriting the fate of their path ends."""
-    use = wg if keep_mask is None else wg.zero_outside(keep_mask)
-    if leaf.solver == "matching":
-        return _alpha_line_leaf(use, ids, markers, leaf, keep_mask)
-    g2w, g2ids, raw_map = _gadgetize(use, ids, markers)
+    """Maximum weighted stable set of a block with its markers read as
+    gadgets, witness in root vertices.  Everything outside ``keep`` is
+    zeroed, the gadget anchors inheriting the fate of their path ends."""
+    if blk.line is not None:
+        return _alpha_line_leaf(blk, weights, sides, keep)
+    wb = _block_weights(blk, weights, keep)
+    w2 = [0 if v is None else wb[v] for v in blk.back]
     gadget_map = []
-    w = list(g2w.weights)
-    for info, gad in raw_map:
-        forced_a = keep_mask is not None and not (keep_mask >> info.path[0] & 1)
-        forced_b = keep_mask is not None and not (keep_mask >> info.path[-1] & 1)
-        ends = _anchor_groups(info.kind, gad)
-        if forced_a:
-            for v in ends[0]:
-                w[v] = 0
-        if forced_b:
-            for v in ends[1]:
-                w[v] = 0
-        gadget_map.append((info, gad, forced_a, forced_b))
-    if keep_mask is not None:
-        g2w = WeightedGraph(g2w.graph, w)
-    g2 = g2w.graph
-    if leaf.solver == "flow":
-        val, mask = bipartite_max_weight_stable_set(g2w)
+    for m, gad in zip(blk.markers, blk.gadgets):
+        nums = sides[m.side]
+        w4, forced_a, forced_b = _kept_gadget_weights(m, nums.abcd, keep)
+        for v, x in zip(gad, w4):
+            w2[v] = x
+        gadget_map.append((nums, m.kind, gad, forced_a, forced_b))
+    if blk.flow is not None:
+        val, mask = blk.flow.solve(w2)
     else:
-        val, mask = max_weight_stable_set(g2w)
-    wit = _expand_alpha_witness(g2, mask, g2ids, gadget_map)
-    return val, wit
+        val, mask = max_weight_stable_set(WeightedGraph(blk.gadgetized, w2))
+    return val, _expand_alpha_witness(blk, mask, gadget_map)
 
 
 def _anchor_groups(kind: str, gad: list[int]) -> tuple[list[int], list[int]]:
@@ -979,56 +981,39 @@ def _anchor_groups(kind: str, gad: list[int]) -> tuple[list[int], list[int]]:
     return [gad[0], gad[4]], [gad[1], gad[5]]
 
 
+def _kept_gadget_weights(m: MarkerInfo, abcd: ABCD, keep: int) -> tuple[list[int], bool, bool]:
+    """Marker m's gadget weights, with the anchors of a path end outside
+    ``keep`` zeroed; also whether each end was."""
+    w4 = gadget_weights(m.kind, abcd)
+    forced_a = not keep >> m.path[0] & 1
+    forced_b = not keep >> m.path[-1] & 1
+    a_end, b_end = _anchor_groups(m.kind, list(range(len(w4))))
+    for i in (a_end if forced_a else []) + (b_end if forced_b else []):
+        w4[i] = 0
+    return w4, forced_a, forced_b
+
+
 def _alpha_line_leaf(
-    wg: WeightedGraph, ids: list, markers: list[MarkerInfo], leaf: LeafInfo,
-    keep_mask: int | None = None,
+    blk: _Block, weights: list[int], sides: list[_SideNumbers], keep: int,
 ) -> tuple[int, list[int]]:
-    """Line-graph leaf: transform, solve by matching on the root
+    """Line-graph block: transform, solve by matching on the root
     multigraph, then expand marker gadgets by their contact pattern."""
-    spec = ExtensionSpec(
-        base=wg.graph,
-        root=leaf.root,
-        root_edges=leaf.root_edges,
-        paths=[m.path for m in markers],
-        kinds=[m.kind for m in markers],
-    )
-    numbers = []
-    for m in markers:
-        w4 = gadget_weights(m.kind, m.abcd)
-        if keep_mask is not None:
-            gadlen = 4 if m.kind == "claw" else 6
-            ends = _anchor_groups(m.kind, list(range(gadlen)))
-            if not (keep_mask >> m.path[0] & 1):
-                for i in ends[0]:
-                    w4[i] = 0
-            if not (keep_mask >> m.path[-1] & 1):
-                for i in ends[1]:
-                    w4[i] = 0
+    skel = blk.line
+    numbers, forced = [], []
+    for m in blk.markers:
+        w4, forced_a, forced_b = _kept_gadget_weights(m, sides[m.side].abcd, keep)
         numbers.append(gadget_alpha_numbers(m.kind, w4))
-    gpp, medges, records = line_extension_transform(wg.weights, spec, numbers)
-    total_nodes = leaf.root.n + 2 * len(markers)
-    val, chosen = max_weight_matching(
-        total_nodes, [(u, v, w) for (u, v, w, _) in medges]
-    )
+        forced.append((forced_a, forced_b))
+    w2 = _line_weights(skel, _block_weights(blk, weights, keep), numbers)
+    val, chosen = max_weight_matching(skel.nodes, [(u, v, w2[x]) for u, v, x in skel.medges])
     # matching edges -> G'' vertices
     by_pair: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for (u, v, w, g2v) in medges:
-        by_pair.setdefault((min(u, v), max(u, v)), []).append((w, g2v))
-    sel: set[int] = set()
-    for (u, v) in chosen:
-        w, g2v = max(by_pair[(u, v)])
-        sel.add(g2v)
-    # expand: real G'' vertices map to leaf vertices; gadget roles by case
-    out = set()
-    path_mask = 0
-    for m in markers:
-        path_mask |= mask_of(m.path)
-    keep = [v for v in range(wg.graph.n) if not (path_mask >> v & 1)]
-    for i, v in enumerate(keep):
-        if i in sel and ids[v] is not None:
-            out.add(ids[v])
-    for i, m in enumerate(markers):
-        roles = records[i]["roles"]
+    for u, v, x in skel.medges:
+        by_pair.setdefault((min(u, v), max(u, v)), []).append((w2[x], x))
+    sel = {max(by_pair[pair])[1] for pair in chosen}
+    # expand: real G'' vertices map to block vertices; gadget roles by case
+    out = {blk.ids[v] for i, v in enumerate(skel.keep) if i in sel and blk.ids[v] is not None}
+    for m, roles, (forced_a, forced_b) in zip(blk.markers, skel.roles, forced):
         got = {name for name, vid in roles.items() if vid in sel}
         if got in ({"x", "y"}, {"x"}):
             case = "d"
@@ -1040,37 +1025,32 @@ def _alpha_line_leaf(
             case = "b"
         else:
             raise GraphError(f"unexpected matching pattern {got} on a gadget")
-        forced_a = keep_mask is not None and not (keep_mask >> m.path[0] & 1)
-        forced_b = keep_mask is not None and not (keep_mask >> m.path[-1] & 1)
-        out.update(m.alpha_wit[_clamp_case(case, forced_a, forced_b)])
+        out.update(sides[m.side].alpha_wit[_clamp_case(case, forced_a, forced_b)])
     return val, sorted(out)
 
 
 def _leaf_omega(
-    wg: WeightedGraph, ids: list, markers: list[MarkerInfo], leaf: LeafInfo,
-    keep_mask: int | None = None,
+    blk: _Block, weights: list[int], sides: list[_SideNumbers], keep: int,
 ) -> tuple[int, list[int]]:
-    """Maximum weighted clique of a path-form leaf whose markers carry
-    their clique weights; witness in original vertices."""
-    g = wg.graph
-    if keep_mask is None:
-        keep_mask = g.full_mask()
-    w = [wv if keep_mask >> v & 1 else 0 for v, wv in enumerate(wg.weights)]
-    for m in markers:
-        for v, mw in zip(m.path, _marker_clique_weights(len(m.path), m.omega_w)):
-            w[v] = mw if keep_mask >> v & 1 else 0
-    if leaf.kind == "bipartite":
+    """Maximum weighted clique of a path-form block whose markers carry
+    their clique weights, zero outside ``keep``; witness in root vertices."""
+    g = blk.graph
+    w = _block_weights(blk, weights, keep)
+    for m in blk.markers:
+        for v, mw in zip(m.path, _marker_clique_weights(len(m.path), sides[m.side].omega_w)):
+            w[v] = mw if keep >> v & 1 else 0
+    if blk.edges is not None:
         best, mask = 0, 0
         for v in range(g.n):
             if w[v] > best:
                 best, mask = w[v], 1 << v
-        for u, v in g.edges():
+        for u, v in blk.edges:
             if w[u] + w[v] > best:
                 best, mask = w[u] + w[v], (1 << u) | (1 << v)
-    elif leaf.kind in ("line-of-bipartite", "line-graph"):
+    elif blk.stars is not None:
         best, mask = 0, 0
-        for rv in range(leaf.root.n):
-            star = [i for i, e in enumerate(leaf.root_edges) if rv in e and w[i] > 0]
+        for star in blk.stars:
+            star = [i for i in star if w[i] > 0]
             tot = sum(w[i] for i in star)
             if tot > best:
                 best, mask = tot, mask_of(star)
@@ -1079,30 +1059,26 @@ def _leaf_omega(
                 best, mask = w[v], 1 << v
     else:
         best, mask = max_weight_clique(WeightedGraph(g, w))
-    return best, _expand_omega_witness(g, mask, ids, markers, w)
+    return best, _expand_omega_witness(blk, mask, sides)
 
 
-def _expand_omega_witness(
-    g: Graph, mask: int, ids: list, markers: list[MarkerInfo], w: list[int]
-) -> list[int]:
+def _expand_omega_witness(blk: _Block, mask: int, sides: list[_SideNumbers]) -> list[int]:
     out = set()
-    marker_vs = 0
-    for m in markers:
-        marker_vs |= mask_of(m.path)
-    for v in bits(mask & ~marker_vs):
-        if ids[v] is not None:
-            out.add(ids[v])
-    for m in markers:
+    for v in bits(mask & ~blk.marker_vs):
+        if blk.ids[v] is not None:
+            out.add(blk.ids[v])
+    for m in blk.markers:
         got = mask & mask_of(m.path)
         if not got:
             continue
         a1, x1, b1 = m.path[0], m.path[1], m.path[-1]
+        wit = sides[m.side].omega_wit
         if got >> x1 & 1:
-            out.update(m.omega_wit["X"])
+            out.update(wit["X"])
         elif got >> a1 & 1:
-            out.update(m.omega_wit["A"])
+            out.update(wit["A"])
         elif got >> b1 & 1:
-            out.update(m.omega_wit["B"])
+            out.update(wit["B"])
         # interior-only selections carry weight zero: drop them
     return sorted(out)
 
@@ -1111,41 +1087,60 @@ def decompose(g: Graph) -> TreeNode:
     """The weight-free 2-join decomposition of g: every search the
     pipeline makes, done once so that ``solve`` can answer any weighting.
     When g neither classifies as a leaf nor decomposes, its complement is
-    tried once at the root."""
+    tried once at the root; if the complement's root has neither a leaf
+    kind nor a 2-join either, g's own failure is reported."""
     try:
         return _decompose(g, [], 0)
-    except OutsideClassError:
-        comp = g.complement()
-        if classify_leaf(comp) is None and find_two_join(comp) is None:
-            raise
-    tree = _decompose(comp, [], 0)
+    except OutsideClassError as err:
+        outside = err
+    comp = g.complement()
+    found = _leaf_or_join(comp, [])
+    if found is None:
+        raise outside
+    tree = _decompose(comp, [], 0, found)
     tree.complemented = True
     return tree
 
 
-def _decompose(g: Graph, markers: list[MarkerInfo], depth: int) -> TreeNode:
-    if depth > g.n + 8:
-        raise OutsideClassError("decomposition recursion exceeded its depth cap")
+def _leaf_or_join(
+    g: Graph, markers: list[MarkerInfo]
+) -> tuple[LeafInfo | None, TwoJoinSplit | None] | None:
+    """The node's leaf kind, else its 2-join; None when it has neither."""
     leaf = classify_leaf(g)
     if leaf is not None:
-        return TreeNode("leaf", leaf=leaf, graph=g)
-
+        return leaf, None
     split = find_two_join(g, markers=[m.path for m in markers])
-    if split is None:
-        raise OutsideClassError("node neither classifies as a leaf nor has a 2-join")
+    return None if split is None else (None, split)
+
+
+def _decompose(
+    g: Graph, markers: list[MarkerInfo], depth: int,
+    found: tuple[LeafInfo | None, TwoJoinSplit | None] | None = None,
+) -> TreeNode:
+    """The tree below a node; ``found`` is the node's own search when the
+    caller has already made it."""
+    if depth > g.n + 8:
+        raise OutsideClassError("decomposition recursion exceeded its depth cap")
+    if found is None:
+        found = _leaf_or_join(g, markers)
+        if found is None:
+            raise OutsideClassError("node neither classifies as a leaf nor has a 2-join")
+    leaf, split = found
+    if leaf is not None:
+        return TreeNode("leaf", leaf=leaf, graph=g)
 
     p1 = side_parity(g, split, "x1")
     p2 = side_parity(g, split, "x2")
     if "mixed" in (p1, p2):
         raise GraphError("parity-undefined 2-join side")
-    side_leaf = classify_leaf(_side_block(WeightedGraph(g), split, p2).graph)
+    side_leaf = classify_leaf(_side_block(g, split, p2))
     if side_leaf is None:
         raise OutsideClassError("extreme-side block is not leaf-classifiable")
 
     k2 = 3 if p1 == "odd" else 4   # marker standing for X1
     block2, m1_path = _path_block(WeightedGraph(g), split.flip(), k2)
     markers2 = _markers_within(markers, split.x2)
-    markers2.append(MarkerInfo(m1_path, _gadget_kind(p1)))
+    markers2.append(MarkerInfo(m1_path, _gadget_kind(p1), depth))
     child = _decompose(block2.graph, markers2, depth + 1)
     return TreeNode(
         "join",
@@ -1158,10 +1153,10 @@ def _decompose(g: Graph, markers: list[MarkerInfo], depth: int) -> TreeNode:
     )
 
 
-def _side_block(wg: WeightedGraph, split: TwoJoinSplit, p2: str) -> WeightedGraph:
-    """The extreme-side leaf block: X1 plus a zero-weight marker for X2
-    whose length matches the parity of X2."""
-    return _path_block(wg, split, 3 if p2 == "odd" else 4)[0]
+def _side_block(g: Graph, split: TwoJoinSplit, p2: str) -> Graph:
+    """The extreme-side leaf block: X1 plus a marker for X2 whose length
+    matches the parity of X2."""
+    return _path_block(WeightedGraph(g), split, 3 if p2 == "odd" else 4)[0].graph
 
 
 def _gadget_kind(parity: str) -> str:
@@ -1173,44 +1168,124 @@ def _markers_within(markers: list[MarkerInfo], side: int) -> list[MarkerInfo]:
     ``side`` as its first vertices (markers never straddle a join)."""
     pos = {o: i for i, o in enumerate(bits(side))}
     return [
-        replace(m, path=[pos[v] for v in m.path])
+        MarkerInfo([pos[v] for v in m.path], m.kind, m.side)
         for m in markers
         if mask_of(m.path) & side
     ]
 
 
+# -- solve plans -----------------------------------------------------------------
+
+class _Block:
+    """A graph the solver solves on, a join's X1 side block or the tree's
+    leaf, with everything its solves share across weightings: ``ids``
+    maps each vertex to the root vertex it stands for (None on marker
+    paths), and ``marker_vs`` holds the marker paths' vertices.  For the
+    stable half, flow and exact leaves solve ``gadgetized``, the graph
+    with every marker path swapped for its claw or vault (``back`` maps
+    its vertices to the block's, None on ``gadgets``), through ``flow``
+    on a flow leaf; matching leaves use the ``line`` skeleton.  For the
+    clique half, a bipartite leaf keeps its ``edges`` and a matching leaf
+    its ``stars``, per root vertex the block vertices of its edges."""
+
+    __slots__ = ("graph", "ids", "markers", "marker_vs", "gadgetized", "back", "gadgets",
+                 "flow", "line", "edges", "stars")
+
+    def __init__(self, graph: Graph, leaf: LeafInfo, ids: list, markers: list[MarkerInfo]):
+        self.graph, self.ids, self.markers = graph, ids, markers
+        self.marker_vs = mask_of(v for m in markers for v in m.path)
+        self.gadgetized = self.back = self.gadgets = self.flow = self.line = None
+        self.edges = self.stars = None
+        if leaf.solver == "matching":
+            paths, kinds = [m.path for m in markers], [m.kind for m in markers]
+            self.line = _LineSkeleton(ExtensionSpec(graph, leaf.root, leaf.root_edges, paths, kinds))
+            self.stars = [[i for i, e in enumerate(leaf.root_edges) if rv in e]
+                          for rv in range(leaf.root.n)]
+            return
+        self.gadgetized, self.back, self.gadgets = _gadgetize(graph, markers)
+        if leaf.solver == "flow":
+            self.flow = StableSetFlow(self.gadgetized)
+        if leaf.kind == "bipartite":
+            self.edges = graph.edges()
+
+
+class _SolvePlan:
+    """What every weighting of one tree shares, walked once: per join its
+    X1 parity, its side block and the seven regions its marker numbers
+    are solved on (the abcd cases a, b, c, d, then the cliques of A1, B1
+    and X1, as masks of the block), and the leaf's block.  Built per call
+    and dropped with it: nothing here is stored on a tree or an answer.
+
+    Walking down, each join's removed side X1 becomes a marker path in
+    the child node's graph.  Every block vertex keeps the root vertex it
+    stands for, so a block's weights are read off the root's."""
+
+    __slots__ = ("tree", "joins", "leaf")
+
+    def __init__(self, tree: TreeNode):
+        self.tree = tree
+        self.joins: list[tuple[str, _Block, tuple[int, ...]]] = []
+        ids, markers = list(range(tree.graph.n)), []
+        node = tree
+        while node.kind == "join":
+            split, (p1, p2) = node.split, node.parities
+            side = _side_block(node.graph, split, p2)
+            x1 = list(bits(split.x1))
+            ids1 = [ids[o] for o in x1] + [None] * (side.n - len(x1))
+            blk = _Block(side, node.side_leaf, ids1, _markers_within(markers, split.x1))
+            regions = tuple(
+                mask_of(i for i, v in enumerate(x1) if region >> v & 1)
+                for region in (split.a1 | split.c1, split.b1 | split.c1, split.c1, split.x1,
+                               split.a1, split.b1, split.x1)
+            )
+            self.joins.append((p1, blk, regions))
+            x2 = list(bits(split.x2))
+            markers = _markers_within(markers, split.x2)
+            markers.append(MarkerInfo(list(range(len(x2), len(x2) + node.marker_len + 1)),
+                                      _gadget_kind(p1), len(self.joins) - 1))
+            node = node.children[0]
+            ids = [ids[o] for o in x2] + [None] * (node.graph.n - len(x2))
+        self.leaf = _Block(node.graph, node.leaf, ids, markers)
+
+
+class _SideNumbers:
+    """What a join's removed side X1 hands on under one weighting: for
+    the stable half the abcd numbers with a stable set per case, for the
+    clique half the clique weights of A1, B1 and X1 with their cliques;
+    witnesses are root vertices, and a half not asked for is None."""
+
+    __slots__ = ("abcd", "alpha_wit", "omega_w", "omega_wit")
+
+    def __init__(self, abcd: ABCD | None, alpha_wit: dict[str, list[int]] | None,
+                 omega_w: tuple[int, int, int] | None, omega_wit: dict[str, list[int]] | None):
+        self.abcd, self.alpha_wit, self.omega_w, self.omega_wit = abcd, alpha_wit, omega_w, omega_wit
+
+
 def solve(tree: TreeNode, weights: list[int]) -> BergeAnswer:
     """Maximum weighted stable set and clique of the decomposed graph
     under ``weights``, with the lifted witnesses validated against it."""
-    (a, aw), (o, ow) = _solve_halves(tree, weights, alpha=True, omega=True)
+    (a, aw), (o, ow) = _solve_halves(_SolvePlan(tree), weights, alpha=True, omega=True)
     return BergeAnswer(a, aw, o, ow, tree, tree.complemented)
 
 
 def _solve_halves(
-    tree: TreeNode, weights: list[int], alpha: bool, omega: bool
+    plan: _SolvePlan, weights: list[int], alpha: bool, omega: bool
 ) -> tuple[tuple[int, list[int]] | None, tuple[int, list[int]] | None]:
     """The (alpha, omega) halves asked for, each a validated (weight,
-    witness) pair, from one walk down the tree; a half not asked for is
-    None and costs nothing.  The halves never read each other's marker
-    numbers.  Walking down, each join's removed side is solved on its leaf
-    block and travels on as the weighted marker of the child, which is
-    the child node's graph under the remapped weights.  On a complemented
-    root, a stable set of the decomposed graph is a clique of the tree's."""
+    witness) pair; a half not asked for is None and costs nothing.  The
+    halves never read each other's marker numbers.  Each join's side is
+    solved on its block before the blocks below read its numbers.  On a
+    complemented root, a stable set of the decomposed graph is a clique
+    of the tree's."""
+    tree = plan.tree
     stable, clique = (omega, alpha) if tree.complemented else (alpha, omega)
     root = WeightedGraph(tree.graph, weights)
-    cur, ids, markers = root, list(range(tree.graph.n)), []
-    node = tree
-    while node.kind == "join":
-        marker = _side_marker(cur, ids, markers, node, stable, clique)
-        x2 = list(bits(node.split.x2))
-        markers = _markers_within(markers, node.split.x2)
-        markers.append(marker)
-        node = node.children[0]
-        pad = [None] * (node.graph.n - len(x2))
-        cur = WeightedGraph(node.graph, [cur.weights[o] for o in x2] + [0] * len(pad))
-        ids = [ids[o] for o in x2] + pad
-    st = _leaf_alpha(cur, ids, markers, node.leaf) if stable else None
-    cl = _leaf_omega(cur, ids, markers, node.leaf) if clique else None
+    sides: list[_SideNumbers] = []
+    for parity, blk, regions in plan.joins:
+        sides.append(_side_numbers(blk, regions, parity, weights, sides, stable, clique))
+    full = plan.leaf.graph.full_mask()
+    st = _leaf_alpha(plan.leaf, weights, sides, full) if stable else None
+    cl = _leaf_omega(plan.leaf, weights, sides, full) if clique else None
     t = tree.graph
     if tree.complemented:
         a, o, is_stable, is_clique = cl, st, t.is_clique_mask, t.is_stable_mask
@@ -1226,56 +1301,39 @@ def _solve_halves(
     return a, o
 
 
-def _side_marker(
-    wg: WeightedGraph, ids: list, markers: list[MarkerInfo], node: TreeNode,
-    stable: bool, clique: bool,
-) -> MarkerInfo:
-    """The marker standing for a join's removed side X1 in the child,
-    carrying what X1 hands on, solved on the side's leaf block: for the
-    stable half the abcd numbers with their stable sets, for the clique
-    half the clique numbers of A1, B1 and X1 with their cliques."""
-    split, (p1, p2) = node.split, node.parities
-    block = _side_block(wg, split, p2)
-    ids1 = [ids[o] for o in bits(split.x1)]
-    ids1 += [None] * (block.graph.n - len(ids1))
-    markers1 = _markers_within(markers, split.x1)
-    nx2 = bit_count(split.x2)
-    marker = MarkerInfo(list(range(nx2, nx2 + node.marker_len + 1)), _gadget_kind(p1))
-
-    def region_mask(region: int) -> int:
-        return mask_of(i for i, v in enumerate(bits(split.x1)) if region >> v & 1)
-
+def _side_numbers(
+    blk: _Block, regions: tuple[int, ...], parity: str, weights: list[int],
+    sides: list[_SideNumbers], stable: bool, clique: bool,
+) -> _SideNumbers:
+    """What a join's removed side X1 hands on, solved on its side block:
+    for the stable half the abcd numbers, for the clique half the clique
+    numbers of A1, B1 and X1, each with its witness."""
+    abcd = alpha_wit = omega_w = omega_wit = None
     if stable:
-        abcd_vals = []
-        marker.alpha_wit = {}
-        for case, region in (
-            ("a", split.a1 | split.c1),
-            ("b", split.b1 | split.c1),
-            ("c", split.c1),
-            ("d", split.x1),
-        ):
-            val, wit = _leaf_alpha(block, ids1, markers1, node.side_leaf,
-                                   keep_mask=region_mask(region))
-            abcd_vals.append(val)
-            marker.alpha_wit[case] = wit
-        abcd = marker.abcd = ABCD(*abcd_vals)
+        vals, alpha_wit = [], {}
+        for case, keep in zip("abcd", regions[:4]):
+            val, alpha_wit[case] = _leaf_alpha(blk, weights, sides, keep)
+            vals.append(val)
+        abcd = ABCD(*vals)
         if not abcd.check_basic():
             raise GraphError(f"abcd inequalities violated at a node: {abcd}")
-        if p1 == "even" and abcd.a + abcd.b > abcd.c + abcd.d:
+        if parity == "even" and abcd.a + abcd.b > abcd.c + abcd.d:
             raise GraphError("X1-even side violates a+b <= c+d")
-        if p1 == "odd" and abcd.c + abcd.d > abcd.a + abcd.b:
+        if parity == "odd" and abcd.c + abcd.d > abcd.a + abcd.b:
             raise GraphError("X1-odd side violates c+d <= a+b")
-
     if clique:
-        omega_vals = []
-        marker.omega_wit = {}
-        for case, region in (("A", split.a1), ("B", split.b1), ("X", split.x1)):
-            val, wit = _leaf_omega(block, ids1, markers1, node.side_leaf,
-                                   keep_mask=region_mask(region))
-            omega_vals.append(val)
-            marker.omega_wit[case] = wit
-        marker.omega_w = tuple(omega_vals)
-    return marker
+        vals, omega_wit = [], {}
+        for case, keep in zip("ABX", regions[4:]):
+            val, omega_wit[case] = _leaf_omega(blk, weights, sides, keep)
+            vals.append(val)
+        omega_w = tuple(vals)
+    return _SideNumbers(abcd, alpha_wit, omega_w, omega_wit)
+
+
+def _block_weights(blk: _Block, weights: list[int], keep: int) -> list[int]:
+    """The block's weights: the root's through its ids, zero on markers
+    and outside ``keep``."""
+    return [weights[i] if i is not None and keep >> v & 1 else 0 for v, i in enumerate(blk.ids)]
 
 
 def berge_alpha_omega(wg: WeightedGraph) -> BergeAnswer:
@@ -1288,17 +1346,17 @@ def berge_alpha_omega(wg: WeightedGraph) -> BergeAnswer:
 
 def stable_hitting_cliques(g: Graph, cliques: list[list[int]]) -> list[int]:
     """A stable set meeting every given maximum clique."""
-    return _hitting_stable_set(decompose(g), cliques)
+    return _hitting_stable_set(_SolvePlan(decompose(g)), cliques)
 
 
-def _hitting_stable_set(tree: TreeNode, cliques: list[list[int]]) -> list[int]:
+def _hitting_stable_set(plan: _SolvePlan, cliques: list[list[int]]) -> list[int]:
     """Solve with the cover-count weights and check the weight equals the
     clique count, so the stable set meets every clique."""
-    y = [0] * tree.graph.n
+    y = [0] * plan.tree.graph.n
     for k in cliques:
         for v in k:
             y[v] += 1
-    alpha, alpha_set = _solve_halves(tree, y, alpha=True, omega=False)[0]
+    alpha, alpha_set = _solve_halves(plan, y, alpha=True, omega=False)[0]
     smask = mask_of(alpha_set)
     if alpha != len(cliques):
         raise GraphError(
@@ -1313,36 +1371,34 @@ def _hitting_stable_set(tree: TreeNode, cliques: list[list[int]]) -> list[int]:
 def color_berge(g: Graph) -> list[int]:
     """An omega-coloring: per color class, grow a list of maximum cliques
     of the uncolored part until some stable set hits them all.  Every
-    weighting is solved on one decomposition of g, and only for the half
-    the loop reads: omega of the live and probe weightings, alpha of the
-    hitting weighting."""
-    tree = decompose(g)
+    weighting is solved with one plan of one decomposition of g, and only
+    for the half the loop reads: omega of the probe weightings, alpha of
+    the hitting weighting.  No weighting is solved twice: a class's first
+    probe hits no clique yet, so it weighs the live vertices, which the
+    probe that ended the previous class weighed already."""
+    plan = _SolvePlan(decompose(g))
 
     def omega_of(weights: list[int]) -> tuple[int, list[int]]:
-        return _solve_halves(tree, weights, alpha=False, omega=True)[1]
+        return _solve_halves(plan, weights, alpha=False, omega=True)[1]
 
     color = [-1] * g.n
     remaining = g.full_mask()
     colors_used = 0
+    rest, rest_set = omega_of([1] * g.n)
     while remaining:
-        live = [1 if remaining >> v & 1 else 0 for v in range(g.n)]
-        omega_now = omega_of(live)[0]
+        omega_now = rest
         if omega_now == 0:
             break
         cliques: list[list[int]] = []
         s_mask = 0
         for _ in range(g.n + 1):
             if cliques:
-                s_mask = mask_of(_hitting_stable_set(tree, cliques)) & remaining
-            probe = [
-                1 if (remaining >> v & 1) and not (s_mask >> v & 1) else 0
-                for v in range(g.n)
-            ]
-            rest, rest_set = omega_of(probe)
+                s_mask = mask_of(_hitting_stable_set(plan, cliques)) & remaining
+                probe = remaining & ~s_mask
+                rest, rest_set = omega_of([probe >> v & 1 for v in range(g.n)])
             if rest < omega_now:
                 break
-            clique = [v for v in rest_set if probe[v]]
-            cliques.append(clique)
+            cliques.append([v for v in rest_set if (remaining & ~s_mask) >> v & 1])
         else:
             raise GraphError("hitting-set loop exceeded n iterations")
         if not s_mask:
@@ -1376,7 +1432,7 @@ def solve_leaf(wg: WeightedGraph, kind: str | None = None) -> tuple[int, list[in
         leaf = LeafInfo("bipartite", "flow")
     else:
         leaf = LeafInfo(kind, "exact")
-    ids = list(range(g.n))
-    a_val, a_wit = _leaf_alpha(wg, ids, [], leaf)
-    o_val, o_wit = _leaf_omega(wg, ids, [], leaf)
+    blk = _Block(g, leaf, list(range(g.n)), [])
+    a_val, a_wit = _leaf_alpha(blk, wg.weights, [], g.full_mask())
+    o_val, o_wit = _leaf_omega(blk, wg.weights, [], g.full_mask())
     return a_val, a_wit, o_val, o_wit

@@ -416,16 +416,20 @@ def contract_pair(g: Graph, a: int, b: int) -> tuple[Graph, list[int]]:
     """Contract nonadjacent a, b into one vertex adjacent to N(a) u N(b).
 
     Returns the new graph and a map old-vertex -> new-vertex (a and b
-    share an image)."""
-    keep = [v for v in range(g.n) if v != b]
-    pos = {v: i for i, v in enumerate(keep)}
+    share an image).  On bitsets: N(b) joins N(a) and every neighbor of b
+    gains a; then bit b is dropped and the vertices above it shift down."""
+    adj = list(g.adj)
+    adj[a] |= adj[b]
+    for v in bits(g.adj[b]):
+        adj[v] |= 1 << a
+    adj[a] &= ~(1 << a)  # no loop, should a and b be adjacent after all
+    low = (1 << b) - 1
     h = Graph(g.n - 1)
-    for u, v in g.edges():
-        uu = pos[a] if u == b else pos[u]
-        vv = pos[a] if v == b else pos[v]
-        if uu != vv and not h.has_edge(uu, vv):
-            h.add_edge_unchecked(uu, vv)
-    omap = [pos[a] if v == b else pos[v] for v in range(g.n)]
+    for v, nb in enumerate(adj):
+        if v != b:
+            h.adj[v - (v > b)] = (nb & low) | (nb >> (b + 1) << b)
+    omap = [v - (v > b) for v in range(g.n)]
+    omap[b] = omap[a]
     return h, omap
 
 

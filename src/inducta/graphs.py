@@ -362,12 +362,6 @@ class WeightedGraph:
     def weight_of(self, mask: int) -> int:
         return sum(self.weights[v] for v in bits(mask))
 
-    def zero_outside(self, mask: int) -> "WeightedGraph":
-        return WeightedGraph(
-            self.graph,
-            [w if mask >> v & 1 else 0 for v, w in enumerate(self.weights)],
-        )
-
     def __repr__(self):
         return f"WeightedGraph({self.graph!r}, total={sum(self.weights)})"
 

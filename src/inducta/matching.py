@@ -4,7 +4,8 @@ Desk scale only: maximum weight matching is a memoized bitmask DP that
 always decides the lowest-index remaining vertex, so states stay sparse
 on the small graphs we feed it.  The bipartite stable-set solver goes
 through a min vertex cover computed by max flow, reachability on the
-residual network yielding the witness.
+residual network yielding the witness; its network is built once per
+graph (``StableSetFlow``) and re-weighted for each weighting.
 """
 
 from __future__ import annotations
@@ -162,40 +163,66 @@ class _Dinic:
         return seen
 
 
+class StableSetFlow:
+    """The König flow network of one bipartite graph, built once: source
+    arcs into the left side, sink arcs out of the right, one arc per edge.
+    Each ``solve`` only sets the capacities from a weighting, so a graph
+    solved under many weightings pays for its bipartition and network
+    once."""
+
+    __slots__ = ("graph", "left", "right", "net", "carries")
+
+    def __init__(self, g: Graph):
+        parts = g.bipartition()
+        if parts is None:
+            raise ValueError("graph is not bipartite")
+        self.graph = g
+        self.left, self.right = parts
+        s, t = g.n, g.n + 1
+        self.net = _Dinic(g.n + 2)
+        self.carries: list[int] = []  # per arc, the vertex whose weight it carries; -1 on edges
+        for v in bits(self.left):
+            self.net.add(s, v, 0)
+            self.carries.append(v)
+        for v in bits(self.right):
+            self.net.add(v, t, 0)
+            self.carries.append(v)
+        for u, v in g.edges():
+            if self.left >> u & 1:
+                self.net.add(u, v, 0)
+            else:
+                self.net.add(v, u, 0)
+            self.carries.append(-1)
+
+    def solve(self, weights: list[int]) -> tuple[int, int]:
+        """(weight, witness bitset) under non-negative ``weights``; the
+        witness is canonical in that zero-weight vertices are dropped."""
+        g, net = self.graph, self.net
+        big = sum(weights) + 1
+        cap = net.cap
+        for i, v in enumerate(self.carries):
+            cap[2 * i] = weights[v] if v >= 0 else big
+            cap[2 * i + 1] = 0
+        cut = net.max_flow(g.n, g.n + 1)
+        reach = net.reachable(g.n)
+        stable = 0
+        for v in bits(self.left):
+            if v in reach and weights[v] > 0:
+                stable |= 1 << v
+        for v in bits(self.right):
+            if v not in reach and weights[v] > 0:
+                stable |= 1 << v
+        if not g.is_stable_mask(stable):
+            raise GraphError("flow witness is not a stable set")
+        weight = sum(weights[v] for v in bits(stable))
+        if weight != sum(weights) - cut:
+            raise GraphError("flow witness weight differs from the cut bound")
+        return weight, stable
+
+
 def bipartite_max_weight_stable_set(wg: WeightedGraph) -> tuple[int, int]:
     """(weight, witness bitset) for bipartite graphs; König through max flow.
 
     The witness is canonical in that zero-weight vertices are dropped.
     """
-    g = wg.graph
-    parts = g.bipartition()
-    if parts is None:
-        raise ValueError("graph is not bipartite")
-    left, right = parts
-    s, t = g.n, g.n + 1
-    net = _Dinic(g.n + 2)
-    for v in bits(left):
-        net.add(s, v, wg.weights[v])
-    for v in bits(right):
-        net.add(v, t, wg.weights[v])
-    big = sum(wg.weights) + 1
-    for u, v in g.edges():
-        if left >> u & 1:
-            net.add(u, v, big)
-        else:
-            net.add(v, u, big)
-    cut = net.max_flow(s, t)
-    reach = net.reachable(s)
-    stable = 0
-    for v in bits(left):
-        if v in reach and wg.weights[v] > 0:
-            stable |= 1 << v
-    for v in bits(right):
-        if v not in reach and wg.weights[v] > 0:
-            stable |= 1 << v
-    if not g.is_stable_mask(stable):
-        raise GraphError("flow witness is not a stable set")
-    weight = wg.weight_of(stable)
-    if weight != sum(wg.weights) - cut:
-        raise GraphError("flow witness weight differs from the cut bound")
-    return weight, stable
+    return StableSetFlow(wg.graph).solve(wg.weights)

@@ -412,3 +412,18 @@ def oracle_is_weakly_triangulated(g: Graph) -> tuple[str, list[int]] | None:
     for h in enumerate_antiholes(g, 5, g.n):
         return ("antihole", h)
     return None
+
+
+# -- the edge-by-edge contraction that the bitset contract_pair replaced -------
+
+def oracle_contract_pair(g: Graph, a: int, b: int) -> tuple[Graph, list[int]]:
+    keep = [v for v in range(g.n) if v != b]
+    pos = {v: i for i, v in enumerate(keep)}
+    h = Graph(g.n - 1)
+    for u, v in g.edges():
+        uu = pos[a] if u == b else pos[u]
+        vv = pos[a] if v == b else pos[v]
+        if uu != vv and not h.has_edge(uu, vv):
+            h.add_edge_unchecked(uu, vv)
+    omap = [pos[a] if v == b else pos[v] for v in range(g.n)]
+    return h, omap

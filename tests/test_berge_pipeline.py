@@ -194,13 +194,14 @@ def test_one_tree_serves_every_weighting():
     routes = set()
     for g in _reuse_members():
         tree = decompose(g)
+        plan = berge._SolvePlan(tree)
         routes.add((tree.kind, tree.complemented))
         for _ in range(5):
             wg = WeightedGraph(g, [rng.randint(0, 4) for _ in range(g.n)])
             ans = solve(tree, wg.weights)
             # each half alone, as the coloring loop asks for it
-            alpha_half, no_omega = berge._solve_halves(tree, wg.weights, alpha=True, omega=False)
-            no_alpha, omega_half = berge._solve_halves(tree, wg.weights, alpha=False, omega=True)
+            alpha_half, no_omega = berge._solve_halves(plan, wg.weights, alpha=True, omega=False)
+            no_alpha, omega_half = berge._solve_halves(plan, wg.weights, alpha=False, omega=True)
             assert no_omega is None and no_alpha is None
             alpha_true, omega_true = max_weight_stable_set(wg)[0], max_weight_clique(wg)[0]
             for (a, aw), (o, ow) in (
@@ -235,7 +236,7 @@ def test_each_half_runs_without_the_other(monkeypatch):
             m.setattr(berge, patched, other_half)
             with pytest.raises(AssertionError):
                 solve(tree, wg.weights)
-            a, o = berge._solve_halves(tree, wg.weights, alpha=alpha, omega=omega)
+            a, o = berge._solve_halves(berge._SolvePlan(tree), wg.weights, alpha=alpha, omega=omega)
         if alpha:
             assert o is None and a[0] == max_weight_stable_set(wg)[0]
             assert g.is_stable_mask(mask_of(a[1])) and wg.weight_of(mask_of(a[1])) == a[0]
@@ -261,7 +262,36 @@ def test_color_berge_searches_two_joins_once(monkeypatch):
         ans = berge_alpha_omega(WeightedGraph(g))
         assert ans.complemented == complemented and ans.tree.kind == "join"
         per_answer = len(calls)
+        # one search per join of the tree, plus, on the complement route,
+        # the failed search of g itself: the complement's root is searched
+        # once, not once to see that it decomposes and again to decompose it
+        joins, node = 0, ans.tree
+        while node.kind == "join":
+            joins, node = joins + 1, node.children[0]
+        assert per_answer == joins + complemented
         calls.clear()
         col = color_berge(g)
         assert max(col) + 1 == ans.omega
         assert 0 < len(calls) <= per_answer
+
+
+def test_one_plan_serves_every_weighting():
+    """A plan reused across 20 weightings, each solved by halves and whole
+    as the coloring loop interleaves them, answers exactly as a fresh
+    plan per weighting, witnesses included."""
+    rng = random.Random(63)
+    line_blocks_with_markers = 0
+    for g in _reuse_members():
+        tree = decompose(g)
+        plan = berge._SolvePlan(tree)
+        blocks = [blk for _, blk, _ in plan.joins] + [plan.leaf]
+        line_blocks_with_markers += sum(1 for b in blocks if b.line is not None and b.markers)
+        for _ in range(20):
+            w = [rng.randint(0, 4) for _ in range(g.n)]
+            fresh = berge._solve_halves(berge._SolvePlan(tree), w, alpha=True, omega=True)
+            alpha_half = berge._solve_halves(plan, w, alpha=True, omega=False)[0]
+            omega_half = berge._solve_halves(plan, w, alpha=False, omega=True)[1]
+            assert (alpha_half, omega_half) == fresh
+            assert berge._solve_halves(plan, w, alpha=True, omega=True) == fresh
+            assert solve(tree, w).alpha_set == fresh[0][1]
+    assert line_blocks_with_markers > 0

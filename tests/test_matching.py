@@ -6,6 +6,7 @@ from helpers import random_graph
 from inducta import matching
 from inducta.graphs import Graph, GraphError, WeightedGraph, bits
 from inducta.matching import (
+    StableSetFlow,
     bipartite_max_weight_stable_set,
     has_perfect_matching,
     is_factor_critical,
@@ -92,3 +93,34 @@ def test_flow_witness_checks_raise(monkeypatch):
     monkeypatch.setattr(matching._Dinic, "reachable", lambda self, s: {s} | left)
     with pytest.raises(GraphError, match="stable"):
         bipartite_max_weight_stable_set(wg)
+
+
+def test_flow_network_serves_every_weighting(monkeypatch):
+    """One network reused across 500 weightings answers as a fresh one on
+    each, with the optimum of the oracle; both witness checks still fire,
+    and a solve that raised leaves the network usable."""
+    rng = random.Random(58)
+    g = Graph(14)
+    for u in range(7):
+        for v in range(7, 14):
+            if rng.random() < 0.3:
+                g.add_edge_unchecked(u, v)
+    flow = StableSetFlow(g)
+    for i in range(500):
+        w = [rng.choice([0, 0, 1, 2, 3, 7]) for _ in range(g.n)]
+        got = flow.solve(w)
+        assert got == bipartite_max_weight_stable_set(WeightedGraph(g, w))
+        if i % 10 == 0:
+            assert got[0] == max_weight_stable_set(WeightedGraph(g, w))[0]
+    w = [1 + v % 4 for v in range(g.n)]
+    want = flow.solve(w)
+    real_flow = matching._Dinic.max_flow
+    monkeypatch.setattr(matching._Dinic, "max_flow", lambda self, s, t: real_flow(self, s, t) + 1)
+    with pytest.raises(GraphError, match="cut"):
+        flow.solve(w)
+    monkeypatch.undo()
+    monkeypatch.setattr(matching._Dinic, "reachable", lambda self, s: {s} | set(bits(flow.left)))
+    with pytest.raises(GraphError, match="stable"):
+        flow.solve(w)
+    monkeypatch.undo()
+    assert flow.solve(w) == want
