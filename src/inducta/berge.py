@@ -463,20 +463,16 @@ def gadget_weights(kind: str, abcd: ABCD) -> list[int]:
 
 def gadget_alpha_numbers(kind: str, weights4: list[int]) -> ABCD:
     """Recompute (a, b, c, d) as the stable-set numbers of the gadget's
-    defining vertex subsets; cross-checks the stored values."""
+    defining vertex subsets; cross-checks the stored values.  The claw is
+    the star 1-{0, 2, 3}, the vault the square 2-3-4-5 with 0 and 1
+    isolated, so each number is a closed form; a nonpositive weight
+    counts as 0, as in the stable-set oracle."""
+    w = [max(x, 0) for x in weights4]
     if kind == "claw":
-        gg = Graph(4, [(0, 1), (1, 2), (1, 3)])
-        subsets = [(0, 1, 3), (1, 2, 3), (1, 3), (0, 1, 2, 3)]
-    else:
-        gg = Graph(6, [(2, 3), (3, 4), (4, 5), (5, 2)])
-        subsets = [(0, 2, 3, 4), (1, 2, 3, 5), (2, 3), (0, 1, 2, 3, 4, 5)]
-    vals = []
-    for sub_vs in subsets:
-        sub, old = gg.induced(sub_vs)
-        vals.append(
-            max_weight_stable_set(WeightedGraph(sub, [weights4[o] for o in old]))[0]
-        )
-    return ABCD(*vals)
+        return ABCD(max(w[0] + w[3], w[1]), max(w[2] + w[3], w[1]), max(w[1], w[3]),
+                    max(w[0] + w[2] + w[3], w[1]))
+    return ABCD(w[0] + max(w[2] + w[4], w[3]), w[1] + max(w[3] + w[5], w[2]), max(w[2], w[3]),
+                w[0] + w[1] + max(w[2] + w[4], w[3] + w[5]))
 
 
 # -- leaf classification --------------------------------------------------------
@@ -1132,7 +1128,7 @@ def _decompose(
     p1 = side_parity(g, split, "x1")
     p2 = side_parity(g, split, "x2")
     if "mixed" in (p1, p2):
-        raise GraphError("parity-undefined 2-join side")
+        raise OutsideClassError("parity-undefined 2-join side")
     side_leaf = classify_leaf(_side_block(g, split, p2))
     if side_leaf is None:
         raise OutsideClassError("extreme-side block is not leaf-classifiable")

@@ -363,17 +363,13 @@ def _complete_to(g: Graph, tmask: int) -> int:
     return out & ~tmask
 
 
-def find_two_pair(g: Graph, _budget: int | None = None) -> TwoPair | None:
+def find_two_pair(g: Graph) -> TwoPair | None:
     """A validated 2-pair of a weakly triangulated graph; None on cliques.
 
     Follows the constructive proof: seed T with the middle of a P3, grow
     it maximal keeping G[T] anticonnected with two nonadjacent
     T-complete vertices, and recurse into the common neighborhood.
     """
-    if _budget is None:
-        _budget = g.n + 1
-    if _budget < 0:
-        raise GraphError("recursion exceeded |V|: input not weakly triangulated?")
     if g.is_clique_mask(g.full_mask()):
         return None
     cl = classify_p3(g)
@@ -403,7 +399,7 @@ def find_two_pair(g: Graph, _budget: int | None = None) -> TwoPair | None:
                 growing = True
     c = _complete_to(g, t)
     sub, old = g.induced_mask(c)
-    inner = find_two_pair(sub, _budget - 1)
+    inner = find_two_pair(sub)  # C(T) misses T: the recursion is at most |V| deep
     if inner is None:
         raise GraphError("C(T) became a clique: input not weakly triangulated?")
     pair = TwoPair(old[inner.a], old[inner.b])

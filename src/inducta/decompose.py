@@ -3,13 +3,25 @@ whose cycles never have exactly one chord.
 
 The cutset searches are exhaustively correct at desk scale: the stated
 search space (vertices, vertex pairs, cliques, stars, partitions) is
-enumerated completely, and every returned witness re-validates its
-definition.  Recognition of the unique-chord-free class first searches
-directly for a cycle with one chord, which alone decides membership.
-Only when none exists is the member decomposed, by 1-cutsets, special
-2-cutsets and proper 1-joins down to clique / sparse / Petersen /
-Heawood leaves; a member that fits no case is a broken invariant and
-raises InternalError.  Nothing compares the two routes.
+enumerated completely.
+
+Both decomposition theorems run on one driver.  Each class has a step
+table: its leaf tests, then its cut finders, in the order they are
+tried.  At each node the first step that applies either ends the node
+as a leaf or splits it into blocks, one per side of the cut; where a
+2-cutset or proper 1-join removed the other side, a marker vertex (-1 in
+the tree) stands for it:
+
+- chordless graphs: sparse leaves; components, 1-cutsets, proper
+  2-cutsets;
+- unique-chord-free graphs: components; clique, sparse, sub-Petersen and
+  sub-Heawood leaves; 1-cutsets, special 2-cutsets, proper 1-joins.
+
+A member that fits no step is a broken invariant and raises
+InternalError.  Membership itself is decided by the input checks alone:
+a chorded cycle for chordless graphs, a cycle with exactly one chord for
+the other class.  The coloring of unique-chord-free members needs only
+that check, never the tree.
 """
 
 from __future__ import annotations
@@ -84,9 +96,30 @@ def _find_clique_cutset(g: Graph) -> CutsetWitness | None:
     return None
 
 
+def _survivor_cut(g: Graph, closed: int, center: int) -> tuple[int, int, int] | None:
+    """The separator trick shared by star and double star cutsets: the
+    first S = closed - {x, y}, over survivors x < y outside ``center``,
+    that leaves x and y in different components of g - S, as (S, the
+    component of x, the rest of g - S); trying every pair is complete."""
+    for x in range(g.n):
+        if center >> x & 1:
+            continue
+        for y in range(x + 1, g.n):
+            if center >> y & 1:
+                continue
+            s = closed & ~(1 << x) & ~(1 << y)
+            rest = g.full_mask() & ~s
+            comps = g.components_of(rest)
+            if len(comps) >= 2 and not any(
+                comp >> x & 1 and comp >> y & 1 for comp in comps
+            ):
+                cx = next(co for co in comps if co >> x & 1)
+                return s, cx, rest & ~cx
+    return None
+
+
 def _find_star_cutset(g: Graph) -> CutsetWitness | None:
-    """Star cutsets via the separator trick: S = N[c] minus two chosen
-    survivors is a star around c; trying all (c, x, y) is complete."""
+    """Star cutsets: S = N[c] minus two survivors is a star around c."""
     if not g.connected():
         return None
     for c in range(g.n):
@@ -96,22 +129,10 @@ def _find_star_cutset(g: Graph) -> CutsetWitness | None:
         if len(comps) >= 2:
             return CutsetWitness("star_cutset", (c,), comps[0], outside & ~comps[0],
                                  a_side=closed)
-        for x in range(g.n):
-            if x == c:
-                continue
-            for y in range(x + 1, g.n):
-                if y == c:
-                    continue
-                s = closed & ~(1 << x) & ~(1 << y)
-                if not (s >> c & 1):
-                    continue
-                rest = g.full_mask() & ~s
-                comps = g.components_of(rest)
-                if len(comps) >= 2 and not any(
-                    comp >> x & 1 and comp >> y & 1 for comp in comps
-                ):
-                    cx = next(co for co in comps if co >> x & 1)
-                    return CutsetWitness("star_cutset", (c,), cx, rest & ~cx, a_side=s)
+        got = _survivor_cut(g, closed, 1 << c)
+        if got is not None:
+            s, cx, other = got
+            return CutsetWitness("star_cutset", (c,), cx, other, a_side=s)
     return None
 
 
@@ -119,23 +140,10 @@ def _find_double_star_cutset(g: Graph) -> CutsetWitness | None:
     if not g.connected():
         return None
     for a, b in g.edges():
-        closed = g.closed_nb(a) | g.closed_nb(b)
-        for x in range(g.n):
-            if x in (a, b):
-                continue
-            for y in range(x + 1, g.n):
-                if y in (a, b):
-                    continue
-                s = closed & ~(1 << x) & ~(1 << y)
-                rest = g.full_mask() & ~s
-                comps = g.components_of(rest)
-                if len(comps) >= 2 and not any(
-                    comp >> x & 1 and comp >> y & 1 for comp in comps
-                ):
-                    cx = next(co for co in comps if co >> x & 1)
-                    return CutsetWitness(
-                        "double_star_cutset", (a, b), cx, rest & ~cx, a_side=s
-                    )
+        got = _survivor_cut(g, g.closed_nb(a) | g.closed_nb(b), (1 << a) | (1 << b))
+        if got is not None:
+            s, cx, other = got
+            return CutsetWitness("double_star_cutset", (a, b), cx, other, a_side=s)
     return None
 
 
@@ -428,6 +436,82 @@ def is_sparse(g: Graph) -> bool:
     )
 
 
+# -- the decomposition driver -------------------------------------------------
+#
+# A step is a leaf test, (leaf kind, predicate), or a cut finder named by
+# its module-level name: the driver looks it up when it runs it, so a
+# replaced finder is the one that runs.
+
+_CHORDLESS_STEPS = (
+    ("sparse", is_sparse),
+    "_find_components",
+    "_find_one_cutset",
+    "_find_proper_2_cutset",
+)
+
+_UNIQUE_CHORD_STEPS = (
+    "_find_components",
+    ("clique", lambda g: g.is_clique_mask(g.full_mask())),
+    ("sparse", is_sparse),
+    ("sub-petersen", lambda g: _is_sub_named(g, petersen())),
+    ("sub-heawood", lambda g: _is_sub_named(g, heawood())),
+    "_find_one_cutset",
+    "_find_special_2_cutset",
+    "_find_proper_1_join",
+)
+
+
+def _find_components(g: Graph) -> CutsetWitness | None:
+    """A disconnected graph as a cut by the empty set."""
+    comps = g.components()
+    if len(comps) < 2:
+        return None
+    return CutsetWitness("components", (), comps[0], g.full_mask() & ~comps[0])
+
+
+def _blocks(g: Graph, cut: CutsetWitness) -> list[tuple[Graph, list[int]]]:
+    """The blocks a cut splits g into, as (block, old ids): one per
+    component, else each side with the cut vertices.  Beyond a 1-cutset a
+    block ends in a marker standing for the other side, adjacent to the
+    cut vertices and the side's own special set: {a, b} for a 2-cutset,
+    A or B for a proper 1-join."""
+    if cut.kind == "components":
+        return [g.induced_mask(comp) for comp in g.components()]
+    cut_mask = mask_of(cut.vertices)
+    blocks = []
+    for side, special in ((cut.x, cut.a_side), (cut.y, cut.b_side)):
+        sub, old = g.induced_mask(side | cut_mask)
+        if cut.kind != "one_cutset":
+            pos = {o: i for i, o in enumerate(old)}
+            sub = sub.add_vertices(1, [[pos[v] for v in bits(cut_mask | special)]])
+        blocks.append((sub, old))
+    return blocks
+
+
+def _decompose(g: Graph, ids: list[int], steps: tuple) -> DecompositionNode:
+    """The tree of g by the first step of ``steps`` that applies; ``ids``
+    gives g's vertices in the input graph, -1 for markers."""
+    for step in steps:
+        if isinstance(step, tuple):
+            kind, is_leaf = step
+            if is_leaf(g):
+                return DecompositionNode(kind, vertices=list(ids))
+            continue
+        cut = globals()[step](g)
+        if cut is not None:
+            return DecompositionNode(
+                cut.kind,
+                cut=tuple(ids[v] for v in cut.vertices),
+                children=[
+                    _decompose(blk, [ids[v] for v in old] + [-1] * (blk.n - len(old)), steps)
+                    for blk, old in _blocks(g, cut)
+                ],
+                join_a=[ids[v] for v in bits(cut.a_side)],
+                join_b=[ids[v] for v in bits(cut.b_side)],
+            )
+    raise InternalError("graph in the class escaped every decomposition case")
+
+
 def decompose_chordless(g: Graph) -> DecompositionNode:
     """Decomposition tree down to sparse leaves via 1-cutsets and proper
     2-cutsets; blocks of a 2-cutset carry a fresh marker vertex adjacent
@@ -435,40 +519,7 @@ def decompose_chordless(g: Graph) -> DecompositionNode:
     bad = is_chordless(g)
     if bad is not None:
         raise GraphError(f"graph has a chorded cycle {bad[0]} with chord {bad[1]}")
-    return _decompose_chordless(g, list(range(g.n)))
-
-
-def _decompose_chordless(g: Graph, ids: list[int]) -> DecompositionNode:
-    if is_sparse(g):
-        return DecompositionNode("sparse", vertices=[ids[v] for v in range(g.n)])
-    comps = g.components()
-    if len(comps) > 1:
-        node = DecompositionNode("components")
-        for comp in comps:
-            sub, old = g.induced_mask(comp)
-            node.children.append(_decompose_chordless(sub, [ids[v] for v in old]))
-        return node
-    cut = _find_one_cutset(g)
-    if cut is not None:
-        v = cut.vertices[0]
-        node = DecompositionNode("one_cutset", cut=(ids[v],))
-        for side in (cut.x, cut.y):
-            sub, old = g.induced_mask(side | (1 << v))
-            node.children.append(_decompose_chordless(sub, [ids[u] for u in old]))
-        return node
-    cut = _find_proper_2_cutset(g)
-    if cut is None:
-        raise GraphError("chordless graph is neither sparse nor decomposable")
-    a, b = cut.vertices
-    node = DecompositionNode("proper_2_cutset", cut=(ids[a], ids[b]))
-    for side in (cut.x, cut.y):
-        sub, old = g.induced_mask(side | (1 << a) | (1 << b))
-        pos = {o: i for i, o in enumerate(old)}
-        blk = sub.add_vertices(1, [[pos[a], pos[b]]])
-        node.children.append(
-            _decompose_chordless(blk, [ids[u] for u in old] + [-1])
-        )
-    return node
+    return _decompose(g, list(range(g.n)), _CHORDLESS_STEPS)
 
 
 def three_color_chordless(g: Graph) -> list[int]:
@@ -520,63 +571,6 @@ def _is_sub_named(g: Graph, which: Graph) -> bool:
     return g.n <= which.n and induced_embedding(g, which) is not None
 
 
-def _decompose_unique_chord(g: Graph, ids: list[int]) -> DecompositionNode:
-    comps = g.components()
-    if len(comps) > 1:
-        node = DecompositionNode("components")
-        for comp in comps:
-            sub, old = g.induced_mask(comp)
-            node.children.append(_decompose_unique_chord(sub, [ids[v] for v in old]))
-        return node
-    if g.is_clique_mask(g.full_mask()):
-        return DecompositionNode("clique", vertices=[ids[v] for v in range(g.n)])
-    if is_sparse(g):
-        return DecompositionNode("sparse", vertices=[ids[v] for v in range(g.n)])
-    if _is_sub_named(g, petersen()):
-        return DecompositionNode("sub-petersen", vertices=[ids[v] for v in range(g.n)])
-    if _is_sub_named(g, heawood()):
-        return DecompositionNode("sub-heawood", vertices=[ids[v] for v in range(g.n)])
-    cut = _find_one_cutset(g)
-    if cut is not None:
-        v = cut.vertices[0]
-        node = DecompositionNode("one_cutset", cut=(ids[v],))
-        for side in (cut.x, cut.y):
-            sub, old = g.induced_mask(side | (1 << v))
-            node.children.append(_decompose_unique_chord(sub, [ids[u] for u in old]))
-        return node
-    cut = _find_special_2_cutset(g)
-    if cut is not None:
-        a, b = cut.vertices
-        node = DecompositionNode("special_2_cutset", cut=(ids[a], ids[b]))
-        for side in (cut.x, cut.y):
-            sub, old = g.induced_mask(side | (1 << a) | (1 << b))
-            pos = {o: i for i, o in enumerate(old)}
-            blk = sub.add_vertices(1, [[pos[a], pos[b]]])
-            node.children.append(
-                _decompose_unique_chord(blk, [ids[u] for u in old] + [-1])
-            )
-        return node
-    cut = _find_proper_1_join(g)
-    if cut is not None:
-        node = DecompositionNode(
-            "proper_1_join",
-            cut=(),
-            join_a=[ids[v] for v in bits(cut.a_side)],
-            join_b=[ids[v] for v in bits(cut.b_side)],
-        )
-        # each block keeps one side plus a marker standing for the other,
-        # adjacent to exactly the special set of the kept side
-        for side, own_special in ((cut.x, cut.a_side), (cut.y, cut.b_side)):
-            sub, old = g.induced_mask(side)
-            pos = {o: i for i, o in enumerate(old)}
-            blk = sub.add_vertices(1, [[pos[v] for v in bits(own_special)]])
-            node.children.append(
-                _decompose_unique_chord(blk, [ids[u] for u in old] + [-1])
-            )
-        return node
-    raise InternalError("graph in the class escaped every decomposition case")
-
-
 def recognize_unique_chord_free(g: Graph) -> UniqueChordResult:
     """A cycle with exactly one chord, or else membership with a
     replayable decomposition tree.  The decomposition runs only when the
@@ -584,8 +578,7 @@ def recognize_unique_chord_free(g: Graph) -> UniqueChordResult:
     wit = find_unique_chord_cycle(g)
     if wit is not None:
         return UniqueChordResult(False, witness_cycle=wit[0], witness_chord=wit[1])
-    tree = _decompose_unique_chord(g, list(range(g.n)))
-    return UniqueChordResult(True, tree=tree)
+    return UniqueChordResult(True, tree=_decompose(g, list(range(g.n)), _UNIQUE_CHORD_STEPS))
 
 
 # -- coloring the unique-chord-free class ------------------------------------
@@ -680,13 +673,15 @@ def _two_color(g: Graph) -> list[int]:
     return [0 if parts[0] >> v & 1 else 1 for v in range(g.n)]
 
 
-def chi_unique_chord_free(g: Graph, _checked: bool = False) -> tuple[int, list[int]]:
+def chi_unique_chord_free(g: Graph) -> tuple[int, list[int]]:
     """(chi, proper coloring) for members: chi is 3 for triangle-free
     non-bipartite members and omega otherwise."""
-    if not _checked:
-        got = recognize_unique_chord_free(g)
-        if not got.member:
-            raise GraphError("graph has a cycle with a unique chord: not in the class")
+    if find_unique_chord_cycle(g) is not None:
+        raise GraphError("graph has a cycle with a unique chord: not in the class")
+    return _chi_member(g)
+
+
+def _chi_member(g: Graph) -> tuple[int, list[int]]:
     if g.n == 0:
         return 0, []
     comps = g.components()
@@ -695,7 +690,7 @@ def chi_unique_chord_free(g: Graph, _checked: bool = False) -> tuple[int, list[i
         chi = 0
         for comp in comps:
             sub, old = g.induced_mask(comp)
-            c_chi, c_col = chi_unique_chord_free(sub, _checked=True)
+            c_chi, c_col = _chi_member(sub)
             chi = max(chi, c_chi)
             for i, o in enumerate(old):
                 color[o] = c_col[i]
@@ -733,7 +728,7 @@ def chi_unique_chord_free(g: Graph, _checked: bool = False) -> tuple[int, list[i
     for side in (cut.x, cut.y):
         sub, old = g.induced_mask(side | (1 << v))
         pos = {o: i for i, o in enumerate(old)}
-        c_chi, c_col = chi_unique_chord_free(sub, _checked=True)
+        c_chi, c_col = _chi_member(sub)
         chi = max(chi, c_chi)
         # align the cut vertex on color 0
         pivot = c_col[pos[v]]

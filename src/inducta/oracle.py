@@ -4,9 +4,10 @@ Everything here is deliberately brute force but exact: weighted maximum
 stable sets by branch and bound over bitsets, chromatic number by branch
 and bound over color classes with a clique lower bound, clique cover as
 coloring of the complement, hole enumeration by canonical DFS, and
-isomorphism by degree-filtered backtracking.  Bounds are configuration,
-not constants; exceeding them raises TooLargeError rather than silently
-approximating.
+induced embedding (isomorphism too) by degree-filtered backtracking.
+The size bounds are module constants that the bounded searches take as
+default arguments; exceeding one raises TooLargeError rather than
+silently approximating.
 """
 
 from __future__ import annotations
@@ -269,46 +270,17 @@ def is_berge(g: Graph) -> bool:
 def isomorphic(g1: Graph, g2: Graph, bound: int = ISO_BOUND) -> list[int] | None:
     """An adjacency-preserving bijection g1 -> g2, or None.
 
-    Degree-sequence prefilter, then backtracking ordered by candidate
-    scarcity (enough for the small named graphs this is used on).
+    Vertex count, edge count and degree-sequence prefilter, then the
+    induced embedding search: between graphs of one order an induced
+    injection is an isomorphism.
     """
     if g1.n > bound or g2.n > bound:
         raise TooLargeError(f"isomorphism bound {bound} exceeded")
     if g1.n != g2.n or g1.edge_count() != g2.edge_count():
         return None
-    deg1 = [g1.degree(v) for v in range(g1.n)]
-    deg2 = [g2.degree(v) for v in range(g2.n)]
-    if sorted(deg1) != sorted(deg2):
+    if sorted(map(g1.degree, range(g1.n))) != sorted(map(g2.degree, range(g2.n))):
         return None
-    n = g1.n
-    cands = [[u for u in range(n) if deg2[u] == deg1[v]] for v in range(n)]
-    order = sorted(range(n), key=lambda v: len(cands[v]))
-    mapping = [-1] * n
-    used = [False] * n
-
-    def rec(i: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        for u in cands[v]:
-            if used[u]:
-                continue
-            ok = True
-            for w in range(n):
-                mw = mapping[w]
-                if mw >= 0 and g1.has_edge(v, w) != g2.has_edge(u, mw):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = u
-                used[u] = True
-                if rec(i + 1):
-                    return True
-                mapping[v] = -1
-                used[u] = False
-        return False
-
-    return mapping if rec(0) else None
+    return induced_embedding(g1, g2)
 
 
 def induced_embedding(pattern: Graph, host: Graph) -> list[int] | None:

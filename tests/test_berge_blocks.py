@@ -166,6 +166,25 @@ def test_gadget_alpha_numbers_recover_abcd():
             assert (got.a, got.b, got.c, got.d) == (a, b, c, d)
 
 
+def test_gadget_alpha_numbers_match_the_oracle():
+    """The closed forms equal the exhaustive stable-set numbers of the
+    gadget's four defining subsets on every weighting in 0..3."""
+    from itertools import product
+
+    for kind, gg, subsets in (
+        ("claw", Graph(4, [(0, 1), (1, 2), (1, 3)]), [(0, 1, 3), (1, 2, 3), (1, 3), (0, 1, 2, 3)]),
+        ("vault", Graph(6, [(2, 3), (3, 4), (4, 5), (5, 2)]),
+         [(0, 2, 3, 4), (1, 2, 3, 5), (2, 3), (0, 1, 2, 3, 4, 5)]),
+    ):
+        for w in product(range(4), repeat=gg.n):
+            want = []
+            for vs in subsets:
+                sub, old = gg.induced(vs)
+                want.append(max_weight_stable_set(WeightedGraph(sub, [w[o] for o in old]))[0])
+            got = gadget_alpha_numbers(kind, list(w))
+            assert [got.a, got.b, got.c, got.d] == want, (kind, w)
+
+
 def test_line_extension_transform_trivial():
     # no extended paths: G'' is the line graph itself
     lg = line_graph(cycle(6))

@@ -50,6 +50,26 @@ def test_outside_class_is_reported():
         berge_alpha_omega(WeightedGraph(cycle(5)))
 
 
+def test_mixed_parity_join_tries_the_complement(monkeypatch):
+    """A non-Berge graph whose 2-join has a side of both parities is
+    outside the class, so its complement, which has a 2-join too, is
+    searched once at its root before the input's failure is reported."""
+    g = Graph(7, [(0, 1), (0, 4), (1, 2), (1, 3), (2, 5), (3, 4), (4, 5), (4, 6), (5, 6)])
+    comp = g.complement()
+    assert find_two_join(g) is not None and find_two_join(comp) is not None
+    real = berge.find_two_join
+    searched = []
+
+    def counted(h, *args, **kwargs):
+        searched.append(h.adj == comp.adj)
+        return real(h, *args, **kwargs)
+
+    monkeypatch.setattr(berge, "find_two_join", counted)
+    with pytest.raises(OutsideClassError, match="parity-undefined"):
+        decompose(g)
+    assert searched.count(True) == 1
+
+
 def test_glued_instance_exercises_join():
     from helpers import ladder_side_odd
 

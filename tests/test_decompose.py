@@ -161,6 +161,86 @@ def test_decompose_chordless_blocks():
     assert kinds == {"sparse"}
 
 
+def _leaf(kind, *vertices):
+    return DecompositionNode(kind, vertices=list(vertices))
+
+
+def _split(kind, cut, *children, join_a=(), join_b=()):
+    return DecompositionNode(kind, cut=cut, children=list(children),
+                             join_a=list(join_a), join_b=list(join_b))
+
+
+def test_decompose_chordless_exact_tree():
+    """A 1-cutset found before the proper 2-cutset the root also has, and
+    a disconnected sparse graph kept whole: the chordless step order."""
+    g = Graph(8, [(0, 2), (0, 3), (0, 5), (1, 2), (1, 5), (1, 6), (1, 7), (2, 4), (3, 6), (3, 7)])
+    assert find_cutset(g, "proper_2_cutset") is not None
+    assert decompose_chordless(g) == _split(
+        "one_cutset", (2,),
+        _split("proper_2_cutset", (0, 1), _leaf("sparse", 0, 1, 2, 5, -1),
+               _leaf("sparse", 0, 1, 3, 6, 7, -1)),
+        _leaf("sparse", 2, 4),
+    )
+    two_squares = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)])
+    assert decompose_chordless(two_squares) == _leaf("sparse", *range(8))
+
+
+def test_unique_chord_proper_1_join_exact_tree():
+    """K22 between {1, 2} and {3, 4} with a common neighbor on each side:
+    no 1-cutset, no special 2-cutset, so the root is the 1-join, and each
+    block is a square that a 1-join would split again were it not sparse."""
+    g = Graph(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
+    assert recognize_unique_chord_free(g).tree == _split(
+        "proper_1_join", (),
+        _leaf("sparse", 0, 1, 2, -1), _leaf("sparse", 3, 4, 5, -1),
+        join_a=(1, 2), join_b=(3, 4),
+    )
+
+
+def test_unique_chord_special_2_cutset_exact_tree():
+    """A 1-cutset first though the root has a special 2-cutset, which in
+    turn comes before the 1-join its block has; K2 is a clique leaf
+    before it is a sparse one."""
+    g = Graph(10, [(0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 5), (2, 7), (2, 8), (3, 6),
+                   (4, 5), (4, 8), (5, 6), (6, 7), (6, 8), (1, 9)])
+    assert find_cutset(g, "special_2_cutset") is not None
+    block, _ = g.induced(range(9))
+    assert find_cutset(block, "proper_1_join") is not None
+    assert recognize_unique_chord_free(g).tree == _split(
+        "one_cutset", (1,),
+        _split("special_2_cutset", (3, 4),
+               _leaf("sparse", 0, 1, 3, 4, -1),
+               _split("proper_1_join", (),
+                      _leaf("sparse", 2, 6, -1), _leaf("sparse", 3, 4, 5, 7, 8, -1, -1),
+                      join_a=(2, 6), join_b=(3, 5, 7, 8))),
+        _leaf("clique", 1, 9),
+    )
+
+
+def test_unique_chord_leaf_order():
+    """Components before leaves, sparse before sub-Petersen, sub-Petersen
+    before sub-Heawood, and every leaf before a cut."""
+    two_squares = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)])
+    assert recognize_unique_chord_free(two_squares).tree.kind == "components"
+    assert recognize_unique_chord_free(cycle(5)).tree == _leaf("sparse", *range(5))
+    double_star = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
+    assert recognize_unique_chord_free(double_star).tree == _leaf("sub-petersen", *range(6))
+    # one leg longer, and Petersen no longer holds it
+    longer = Graph(7, [(0, 1), (1, 2), (1, 5), (2, 3), (4, 5), (5, 6)])
+    assert recognize_unique_chord_free(longer).tree == _leaf("sub-heawood", *range(7))
+
+
+def test_chordless_fall_through_is_internal(monkeypatch):
+    """A chordless graph that is not sparse is split by a 1-cutset or a
+    proper 2-cutset; without their finders nothing applies, which is a
+    broken invariant, not a bad input."""
+    g = Graph(8, [(0, 2), (0, 3), (0, 5), (1, 2), (1, 5), (1, 6), (1, 7), (2, 4), (3, 6), (3, 7)])
+    for finder in ("_find_one_cutset", "_find_proper_2_cutset"):
+        monkeypatch.setattr(decompose, finder, lambda g: None)
+    with pytest.raises(InternalError, match="escaped every decomposition case"):
+        decompose_chordless(g)
+
+
 def test_three_color_chordless():
     for g in (cycle(7), two_subdivision(petersen()), two_subdivision(complete(4))):
         col = three_color_chordless(g)
@@ -230,6 +310,21 @@ def test_chi_matches_oracle_on_members():
         assert all(col[u] != col[v] for u, v in g.edges())
         assert max(col) + 1 == chi
     assert done >= 80
+
+
+def test_chi_needs_no_decomposition(monkeypatch):
+    """Membership is the unique-chord cycle search alone: chi answers
+    with the decomposition driver broken."""
+
+    def broken(*args):
+        raise AssertionError("chi must not decompose")
+
+    monkeypatch.setattr(decompose, "_decompose", broken)
+    assert chi_unique_chord_free(petersen())[0] == 3
+    g = Graph(7, [(u, v) for blk in ((0, 1, 2, 3), (3, 4, 5, 6)) for u in blk for v in blk if u < v])
+    assert chi_unique_chord_free(g)[0] == 4
+    with pytest.raises(GraphError):
+        chi_unique_chord_free(DIAMOND)
 
 
 def test_chi_rejects_non_members():

@@ -126,6 +126,34 @@ def test_isomorphic_relabel():
     assert isomorphic(petersen(), cycle(10)) is None
 
 
+def test_isomorphic_matches_permutation_search():
+    """On every graph with at most 5 vertices against one graph of each
+    isomorphism class of its order, found by trying every permutation:
+    isomorphic answers exactly when a permutation maps one edge set onto
+    the other, and its bijection does."""
+    from itertools import combinations, permutations
+
+    for n in range(6):
+        pairs = list(combinations(range(n), 2))
+        graphs = [Graph(n, [p for i, p in enumerate(pairs) if m >> i & 1])
+                  for m in range(1 << len(pairs))]
+        perms = list(permutations(range(n)))
+
+        def canon(g):
+            return min(tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in g.edges()))
+                       for p in perms)
+
+        forms = [canon(g) for g in graphs]
+        reps = {f: g for f, g in zip(forms, graphs)}
+        for g, form in zip(graphs, forms):
+            for rep_form, rep in reps.items():
+                got = isomorphic(g, rep)
+                assert (got is not None) == (form == rep_form)
+                if got is not None:
+                    assert sorted(got) == list(range(n))
+                    assert sorted(tuple(sorted((got[u], got[v]))) for u, v in g.edges()) == rep.edges()
+
+
 def test_isomorphism_bound():
     with pytest.raises(TooLargeError):
         isomorphic(Graph(70), Graph(70))
