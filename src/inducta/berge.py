@@ -5,6 +5,12 @@ The pipeline runs in two passes.  ``decompose`` builds the weight-free
 tree once per graph: it splits along extreme, marker-disjoint proper
 non-path 2-joins (one complementation allowed at the root), keeps one
 parity-matched marker path per removed side, and classifies the leaves.
+The 2-joins of a node are all found, then the minimally sided one is
+taken.  The search places vertices one by one and drops a placement as
+soon as its cross edges stop being at most two complete bipartite
+pieces, each vertex seeing all of its piece's other side.  That is
+exact: a 2-join's cross edges are two such pieces (A1-A2 and B1-B2),
+and every restriction of them to the placed vertices still is.
 ``solve`` then answers maximum weighted stable set and clique for one
 weighting on that tree, with no search.  Solving goes through a plan
 that walks the tree once and builds everything that does not depend on
@@ -23,9 +29,11 @@ the coloring loop solves all of its weightings with one plan, and each
 only for the half it reads (omega to find maximum cliques, alpha for a
 stable set hitting them).  A plan is built per call and dropped with
 it; no tree, answer or module keeps one.  Leaves are bipartite or
-line-graph extensions solved by flow and matching, with the remaining
-basic kinds handled exactly at desk scale.  Every lifted witness is
-re-validated before returning.
+line-graph extensions solved by flow and matching; a root leaf that is
+the complement of one is solved on its complement, with alpha and omega
+swapped.  The remaining basic kinds are handled exactly at desk scale.
+Every lifted witness is re-validated before returning.  An answer keeps
+its graph and witnesses; its ``tree`` is decomposed again when read.
 """
 
 from __future__ import annotations
@@ -192,25 +200,70 @@ def side_parity(g: Graph, s: TwoJoinSplit, side: str) -> str:
 
 
 def all_proper_nonpath_two_joins(g: Graph) -> list[TwoJoinSplit]:
-    """Complete enumeration over partitions; desk scale only."""
+    """Every proper non-path 2-join of g, as splits with vertex 0 in X1,
+    in ascending order of X1; desk scale only.
+
+    The search places the vertices one at a time in breadth-first order,
+    vertex 0 on side X1, and drops a partial placement as soon as its
+    cross edges stop being an induced subgraph of two vertex-disjoint
+    complete bipartite graphs: they may form at most two nontrivial
+    pieces, and a vertex with cross neighbours either starts a piece on
+    placed vertices that have none, or joins a piece and sees every
+    placed vertex on the piece's other side.  A 2-join's cross edges are
+    exactly the pieces A1-A2 and B1-B2, and any restriction of them keeps
+    that shape, so no 2-join is dropped.  Each complete placement with two
+    pieces then meets the same ``derive_split``, connectivity,
+    substantiality and path-side tests as an enumeration of all 2^(n-1)
+    bipartitions would, and the result is that enumeration's list."""
     if g.n > FULL_ENUM_BOUND:
         raise TooLargeError(f"2-join enumeration bound {FULL_ENUM_BOUND} exceeded")
+    n, adj = g.n, g.adj
+    order = [v for comp in g.components() for layer in g.layers(comp & -comp, comp)
+             for v in bits(layer)]
     out = []
-    full = g.full_mask()
-    for sub in range(1, 1 << (g.n - 1)):
-        x1 = (sub << 1) | 1  # vertex 0 stays in x1
-        x2 = full & ~x1
-        if bit_count(x1) < 3 or bit_count(x2) < 3:
-            continue
-        s = derive_split(g, x1, x2)
-        if s is None:
-            continue
-        if not is_connected_join(g, s) or not is_substantial_join(g, s):
-            continue
-        if path_side(g, s) is not None:
-            continue
-        out.append(s)
+
+    def place(i: int, x1: int, x2: int, c1: int, c2: int, pieces: tuple) -> None:
+        if c1 + n - i < 3 or c2 + n - i < 3:
+            return
+        if i == n:
+            if len(pieces) < 2:
+                return
+            s = derive_split(g, x1, x2)
+            if (s is not None and is_connected_join(g, s) and is_substantial_join(g, s)
+                    and path_side(g, s) is None):
+                out.append(s)
+            return
+        v = order[i]
+        bit = 1 << v
+        grown = _grow_pieces(pieces, 0, bit, adj[v] & x2)
+        if grown is not None:
+            place(i + 1, x1 | bit, x2, c1 + 1, c2, grown)
+        if i:
+            grown = _grow_pieces(pieces, 1, bit, adj[v] & x1)
+            if grown is not None:
+                place(i + 1, x1, x2 | bit, c1, c2 + 1, grown)
+
+    place(0, 0, 0, 0, 0, ())
+    out.sort(key=lambda s: s.x1)
     return out
+
+
+def _grow_pieces(pieces: tuple, side: int, bit: int, nb: int) -> tuple | None:
+    """The cross-edge pieces, each a (side X1, side X2) pair of masks,
+    after placing ``bit`` on ``side`` (0 for X1) with placed cross
+    neighbours ``nb``; None when they stop being at most two complete
+    bipartite graphs."""
+    if not nb:
+        return pieces
+    for k, piece in enumerate(pieces):
+        if piece[1 - side] & nb:
+            if piece[1 - side] != nb:
+                return None
+            grown = (piece[0] | bit, piece[1]) if side == 0 else (piece[0], piece[1] | bit)
+            return pieces[:k] + (grown,) + pieces[k + 1:]
+    if len(pieces) == 2:
+        return None
+    return pieces + (((bit, nb) if side == 0 else (nb, bit)),)
 
 
 def find_two_join(g: Graph, markers: list[list[int]] | None = None) -> TwoJoinSplit | None:
@@ -484,7 +537,7 @@ class LeafInfo:
     #             path-cobipartite | complement-path-cobipartite |
     #             path-double-split | complement-path-double-split
     solver: str  # 'flow' | 'matching' | 'exact'
-    root: Graph | None = None
+    root: Graph | None = None  # line leaves: the root of g, or of g's complement
     root_edges: list[tuple[int, int]] | None = None
 
 
@@ -681,7 +734,7 @@ def classify_leaf(g: Graph, strict: bool = True) -> LeafInfo | None:
         return LeafInfo("complement-bipartite", "exact")
     gotc = line_root_with_map(comp)
     if gotc is not None and gotc[0].bipartition() is not None:
-        return LeafInfo("complement-line-of-bipartite", "exact")
+        return LeafInfo("complement-line-of-bipartite", "exact", root=gotc[0], root_edges=gotc[1])
     if is_double_split(g):
         return LeafInfo("double-split", "exact")
     if is_path_cobipartite(g):
@@ -881,12 +934,22 @@ def replay_tree(node: TreeNode) -> bool:
 
 @dataclass(slots=True)
 class BergeAnswer:
+    """Validated weights and witnesses for ``graph`` (from
+    ``berge_alpha_omega``, the caller's own object).  The decomposition
+    is not kept: ``tree`` rebuilds it on each read, and since
+    ``decompose`` is deterministic that is the tree the answer was
+    solved on."""
+
     alpha: int
     alpha_set: list[int]
     omega: int
     omega_set: list[int]
-    tree: TreeNode
+    graph: Graph
     complemented: bool = False
+
+    @property
+    def tree(self) -> TreeNode:
+        return decompose(self.graph)
 
 
 def _clamp_case(case: str, forced_a: bool, forced_b: bool) -> str:
@@ -952,6 +1015,8 @@ def _leaf_alpha(
     """Maximum weighted stable set of a block with its markers read as
     gadgets, witness in root vertices.  Everything outside ``keep`` is
     zeroed, the gadget anchors inheriting the fate of their path ends."""
+    if blk.co is not None:
+        return _leaf_omega(blk.co, weights, sides, keep)
     if blk.line is not None:
         return _alpha_line_leaf(blk, weights, sides, keep)
     wb = _block_weights(blk, weights, keep)
@@ -1030,6 +1095,8 @@ def _leaf_omega(
 ) -> tuple[int, list[int]]:
     """Maximum weighted clique of a path-form block whose markers carry
     their clique weights, zero outside ``keep``; witness in root vertices."""
+    if blk.co is not None:
+        return _leaf_alpha(blk.co, weights, sides, keep)
     g = blk.graph
     w = _block_weights(blk, weights, keep)
     for m in blk.markers:
@@ -1182,16 +1249,30 @@ class _Block:
     its vertices to the block's, None on ``gadgets``), through ``flow``
     on a flow leaf; matching leaves use the ``line`` skeleton.  For the
     clique half, a bipartite leaf keeps its ``edges`` and a matching leaf
-    its ``stars``, per root vertex the block vertices of its edges."""
+    its ``stars``, per root vertex the block vertices of its edges.
+
+    A marker-free complement-bipartite or complement-line-of-bipartite
+    leaf keeps only ``co``, the block of its complement: its stable sets
+    are the complement's cliques (a vertex or edge of a bipartite graph,
+    a star of a bipartite root) and its cliques the complement's stable
+    sets (by flow, or by a matching of the root).  Such a leaf with
+    markers stays exact, as the gadgets do not survive complementing."""
 
     __slots__ = ("graph", "ids", "markers", "marker_vs", "gadgetized", "back", "gadgets",
-                 "flow", "line", "edges", "stars")
+                 "flow", "line", "edges", "stars", "co")
 
     def __init__(self, graph: Graph, leaf: LeafInfo, ids: list, markers: list[MarkerInfo]):
         self.graph, self.ids, self.markers = graph, ids, markers
         self.marker_vs = mask_of(v for m in markers for v in m.path)
         self.gadgetized = self.back = self.gadgets = self.flow = self.line = None
-        self.edges = self.stars = None
+        self.edges = self.stars = self.co = None
+        if not markers and leaf.kind == "complement-bipartite":
+            self.co = _Block(graph.complement(), LeafInfo("bipartite", "flow"), ids, [])
+            return
+        if not markers and leaf.kind == "complement-line-of-bipartite":
+            self.co = _Block(graph.complement(), LeafInfo("line-of-bipartite", "matching",
+                                                          leaf.root, leaf.root_edges), ids, [])
+            return
         if leaf.solver == "matching":
             paths, kinds = [m.path for m in markers], [m.kind for m in markers]
             self.line = _LineSkeleton(ExtensionSpec(graph, leaf.root, leaf.root_edges, paths, kinds))
@@ -1260,8 +1341,14 @@ class _SideNumbers:
 def solve(tree: TreeNode, weights: list[int]) -> BergeAnswer:
     """Maximum weighted stable set and clique of the decomposed graph
     under ``weights``, with the lifted witnesses validated against it."""
+    graph = tree.graph.complement() if tree.complemented else tree.graph
+    return _answer(tree, graph, weights)
+
+
+def _answer(tree: TreeNode, graph: Graph, weights: list[int]) -> BergeAnswer:
+    """Solve ``tree``, the decomposition of ``graph``, for one weighting."""
     (a, aw), (o, ow) = _solve_halves(_SolvePlan(tree), weights, alpha=True, omega=True)
-    return BergeAnswer(a, aw, o, ow, tree, tree.complemented)
+    return BergeAnswer(a, aw, o, ow, graph, tree.complemented)
 
 
 def _solve_halves(
@@ -1335,7 +1422,7 @@ def _block_weights(blk: _Block, weights: list[int], keep: int) -> list[int]:
 def berge_alpha_omega(wg: WeightedGraph) -> BergeAnswer:
     """Maximum weighted stable set and clique with validated witnesses,
     for members of the 2-join-decomposable Berge class."""
-    return solve(decompose(wg.graph), wg.weights)
+    return _answer(decompose(wg.graph), wg.graph, wg.weights)
 
 
 # -- hitting stable sets and coloring ------------------------------------------
@@ -1419,11 +1506,12 @@ def solve_leaf(wg: WeightedGraph, kind: str | None = None) -> tuple[int, list[in
         leaf = classify_leaf(g, strict=False)
         if leaf is None:
             raise GraphError("leaf is not classifiable")
-    elif kind in ("line-of-bipartite", "line-graph"):
-        got = line_root_with_map(g)
+    elif kind in ("line-of-bipartite", "line-graph", "complement-line-of-bipartite"):
+        got = line_root_with_map(g.complement() if kind.startswith("complement") else g)
         if got is None:
             raise GraphError("not a line graph of a triangle-free root")
-        leaf = LeafInfo(kind, "matching", root=got[0], root_edges=got[1])
+        solver = "exact" if kind.startswith("complement") else "matching"
+        leaf = LeafInfo(kind, solver, root=got[0], root_edges=got[1])
     elif kind == "bipartite":
         leaf = LeafInfo("bipartite", "flow")
     else:

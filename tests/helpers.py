@@ -5,7 +5,14 @@ from __future__ import annotations
 import itertools
 import random
 
-from inducta.graphs import Graph, WeightedGraph, bit_count, bits, mask_of
+from inducta.berge import (
+    FULL_ENUM_BOUND,
+    derive_split,
+    is_connected_join,
+    is_substantial_join,
+    path_side,
+)
+from inducta.graphs import Graph, TooLargeError, WeightedGraph, bit_count, bits, mask_of
 from inducta.named import (
     a6,
     complete,
@@ -427,3 +434,28 @@ def oracle_contract_pair(g: Graph, a: int, b: int) -> tuple[Graph, list[int]]:
             h.add_edge_unchecked(uu, vv)
     omap = [pos[a] if v == b else pos[v] for v in range(g.n)]
     return h, omap
+
+
+# -- the enumeration over all bipartitions that the pruned 2-join search replaced
+
+def oracle_all_proper_nonpath_two_joins(g: Graph) -> list:
+    """Every proper non-path 2-join, by trying all 2^(n-1) bipartitions
+    with vertex 0 in X1, in ascending order of X1."""
+    if g.n > FULL_ENUM_BOUND:
+        raise TooLargeError(f"2-join enumeration bound {FULL_ENUM_BOUND} exceeded")
+    out = []
+    full = g.full_mask()
+    for sub in range(1, 1 << (g.n - 1)):
+        x1 = (sub << 1) | 1  # vertex 0 stays in x1
+        x2 = full & ~x1
+        if bit_count(x1) < 3 or bit_count(x2) < 3:
+            continue
+        s = derive_split(g, x1, x2)
+        if s is None:
+            continue
+        if not is_connected_join(g, s) or not is_substantial_join(g, s):
+            continue
+        if path_side(g, s) is not None:
+            continue
+        out.append(s)
+    return out

@@ -18,7 +18,7 @@ from inducta.berge import (
 from inducta.graphs import Graph, WeightedGraph, bit_count, bits, mask_of
 from inducta.linegraph import line_graph
 from inducta.named import complete, complete_bipartite, cycle, petersen
-from inducta.oracle import exact_invariants, max_weight_clique, max_weight_stable_set
+from inducta.oracle import ALPHA_BOUND, exact_invariants, max_weight_clique, max_weight_stable_set
 
 
 def test_bipartite_direct_leaf():
@@ -280,8 +280,8 @@ def test_color_berge_searches_two_joins_once(monkeypatch):
     for g, complemented in ((joined, False), (joined.complement(), True)):
         calls.clear()
         ans = berge_alpha_omega(WeightedGraph(g))
+        per_answer = len(calls)  # reading ans.tree decomposes again
         assert ans.complemented == complemented and ans.tree.kind == "join"
-        per_answer = len(calls)
         # one search per join of the tree, plus, on the complement route,
         # the failed search of g itself: the complement's root is searched
         # once, not once to see that it decomposes and again to decompose it
@@ -315,3 +315,70 @@ def test_one_plan_serves_every_weighting():
             assert berge._solve_halves(plan, w, alpha=True, omega=True) == fresh
             assert solve(tree, w).alpha_set == fresh[0][1]
     assert line_blocks_with_markers > 0
+
+
+def test_answer_keeps_its_graph_and_rebuilds_its_tree():
+    """An answer holds the caller's graph and its witnesses, no tree;
+    reading ``tree`` decomposes that graph again, which gives the tree
+    the answer was solved on."""
+    from helpers import hub_side_even, ladder_side_odd, line_side_even
+
+    joined, _ = glue_two_sides(hub_side_even(), line_side_even())
+    members = [(glue_two_sides(ladder_side_odd(), prism_side())[0], False),
+               (joined, False), (joined.complement(), True)]
+    rng = random.Random(64)
+    for g, complemented in members:
+        wg = WeightedGraph(g, [rng.randint(0, 4) for _ in range(g.n)])
+        ans = berge_alpha_omega(wg)
+        assert ans.graph is g and ans.complemented == complemented
+        assert not any(isinstance(getattr(ans, slot), berge.TreeNode)
+                       for slot in berge.BergeAnswer.__slots__)
+        tree = decompose(g)
+        assert ans.tree == tree and ans.tree.kind == "join" and replay_tree(ans.tree)
+        again = solve(tree, wg.weights)
+        assert again.graph == g
+        assert (again.alpha, again.alpha_set, again.omega, again.omega_set, again.complemented) == (
+            ans.alpha, ans.alpha_set, ans.omega, ans.omega_set, ans.complemented)
+
+
+def _complement_leaves(rng: random.Random) -> list[Graph]:
+    """Complements of bipartite graphs and of line graphs of bipartite
+    roots: the benchmark's leaf families (sparse bipartite graphs with
+    n = 16-34, line graphs of 16-34 edges on a 7 + 7 root), then seeded
+    roots of other sizes and densities."""
+    out = []
+    for n in (16, 22, 28, 31, 34):
+        left = n // 2
+        out.append(Graph(n, [(u, v) for u in range(left) for v in range(left, n)
+                             if rng.random() < 3.0 / left]).complement())
+        pairs = [(u, v) for u in range(7) for v in range(7, 14)]
+        out.append(line_graph(Graph(14, rng.sample(pairs, n))).complement())
+    for _ in range(15):
+        left, right = rng.randint(2, 8), rng.randint(2, 8)
+        pairs = [(u, v) for u in range(left) for v in range(left, left + right)]
+        root = Graph(left + right, [e for e in pairs if rng.random() < rng.choice([0.3, 0.6, 0.9])])
+        out += [root.complement(), line_graph(root).complement()]
+    return out
+
+
+def test_marker_free_complement_leaves_match_the_oracles():
+    """A complement leaf at the root is solved on its complement: alpha
+    as a heaviest vertex, edge or root star, omega by flow or matching.
+    Sizes past the exact oracle's default bound are answered too."""
+    rng = random.Random(65)
+    kinds = []
+    for g in _complement_leaves(rng):
+        wg = WeightedGraph(g, [rng.randint(0, 4) for _ in range(g.n)])
+        tree = decompose(g)
+        if tree.kind != "leaf" or not tree.leaf.kind.startswith("complement-"):
+            continue  # a small or sparse root can make a basic graph of its own
+        kinds.append((tree.leaf.kind, g.n))
+        ans = berge_alpha_omega(wg)
+        assert ans.alpha == max_weight_stable_set(wg, bound=g.n)[0]
+        assert ans.omega == max_weight_clique(wg, bound=g.n)[0]
+        assert g.is_stable_mask(mask_of(ans.alpha_set)) and g.is_clique_mask(mask_of(ans.omega_set))
+        assert wg.weight_of(mask_of(ans.alpha_set)) == ans.alpha
+        assert wg.weight_of(mask_of(ans.omega_set)) == ans.omega
+    for kind in ("complement-bipartite", "complement-line-of-bipartite"):
+        sizes = [n for k, n in kinds if k == kind]
+        assert len(sizes) >= 10 and max(sizes) > ALPHA_BOUND
