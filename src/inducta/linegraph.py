@@ -4,7 +4,12 @@ A graph is the line graph of a triangle-free graph iff it has no claw
 and no diamond, and the root is then unique (Whitney), which makes the
 reconstruction below canonical: maximal cliques of L(R) are the edge
 stars of R, every vertex lies in at most two of them, and two of them
-share at most one vertex.
+share at most one vertex.  So each edge uv of L(R) lies in exactly one
+maximal clique, {u, v} with the common neighbours of u and v, and the
+root finder builds the cliques edge by edge from that rule (the
+triangle-free case of Roussopoulos, IPL 1973, and Lehot, JACM 1974).
+``maximal_cliques`` enumerates cliques in general graphs; it serves
+only ``gap`` and the clique cutsets of ``decompose``.
 """
 
 from __future__ import annotations
@@ -51,49 +56,53 @@ def line_root_with_map(g: Graph) -> tuple[Graph, list[tuple[int, int]]] | None:
     """The unique triangle-free R with L(R) isomorphic to g, or None.
 
     Also returns, for each vertex v of g, the root edge (as a vertex
-    pair of R) that v corresponds to.
+    pair of R) that v corresponds to.  Root vertices 0, 1, ... are the
+    cliques in the order their first edge is met (edges by lower end,
+    then higher end); the pendant ends follow in vertex order.
+
+    Each edge uv lies in one clique, {u, v} with N(u) & N(v); an edge
+    whose ends already share a clique is skipped.  A candidate that is
+    not a clique holds a diamond, and a vertex in a third clique a claw
+    or a diamond: both end the search.  The map is then checked: no two
+    vertices may take the same root edge, and every vertex's closed
+    neighbourhood must be the union of its two root stars.
     """
-    if g.n == 0:
-        return Graph(0), []
-    cliques = maximal_cliques(g)
-    membership: list[list[int]] = [[] for _ in range(g.n)]
-    for ci, c in enumerate(cliques):
-        for v in bits(c):
-            membership[v].append(ci)
-    for v in range(g.n):
-        if len(membership[v]) > 2:
-            return None  # a diamond or claw is hiding here
-    for i in range(len(cliques)):
-        for j in range(i + 1, len(cliques)):
-            if bit_count(cliques[i] & cliques[j]) > 1:
-                return None  # shared edge between cliques: diamond
-    # root vertices: one per maximal clique, plus a pendant end for each
-    # g-vertex covered by a single clique
-    nr = len(cliques)
+    adj = g.adj
+    star: list[int] = []  # per root vertex, the g-vertices whose root edge ends there
+    member: list[list[int]] = [[] for _ in range(g.n)]
+    together = [1 << v for v in range(g.n)]  # vertices sharing a clique with v
+    for u in range(g.n):
+        if not adj[u]:
+            member[u].append(len(star))
+            star.append(1 << u)
+        for v in bits(adj[u] & ~together[u]):
+            if together[u] >> v & 1:
+                continue  # an earlier clique of this loop holds uv
+            c = adj[u] & adj[v] | 1 << u | 1 << v
+            for w in bits(c):
+                if c & ~adj[w] != 1 << w:
+                    return None  # two non-adjacent common neighbours: a diamond
+            ci = len(star)
+            star.append(c)
+            for w in bits(c):
+                if len(member[w]) == 2:
+                    return None  # w would lie in a third clique
+                member[w].append(ci)
+                together[w] |= c
+    # after the cliques, a pendant root vertex for each g-vertex covered
+    # by a single clique
     ends: list[tuple[int, int]] = []
-    for v in range(g.n):
-        ms = membership[v]
+    for v, ms in enumerate(member):
         if len(ms) == 2:
             ends.append((ms[0], ms[1]))
         else:
-            ends.append((ms[0], nr))
-            nr += 1
-    root = Graph(nr)
-    for a, b in ends:
-        if a == b or root.has_edge(a, b):
-            return None
+            ends.append((ms[0], len(star)))
+            star.append(1 << v)
+    root = Graph(len(star))
+    for v, (a, b) in enumerate(ends):
+        if root.has_edge(a, b) or star[a] | star[b] != adj[v] | 1 << v:
+            return None  # a parallel root edge, or g is not L(root)
         root.add_edge_unchecked(a, b)
     if root.triangle() is not None:
         return None
-    # validate: adjacency of g must equal edge-incidence of root
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            share = len(set(ends[u]) & set(ends[v])) > 0
-            if share != g.has_edge(u, v):
-                return None
     return root, ends
-
-
-def line_root(g: Graph) -> Graph | None:
-    got = line_root_with_map(g)
-    return got[0] if got else None

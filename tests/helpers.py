@@ -11,8 +11,10 @@ from inducta.berge import (
     is_connected_join,
     is_substantial_join,
     path_side,
+    validate_split,
 )
 from inducta.graphs import Graph, TooLargeError, WeightedGraph, bit_count, bits, mask_of
+from inducta.linegraph import line_graph, maximal_cliques
 from inducta.named import (
     a6,
     complete,
@@ -239,8 +241,6 @@ def line_side_even(rng: random.Random | None = None):
         star_v.append(len(edges) - 1)
     for e in edges:
         root.add_edge_unchecked(*e)
-    from inducta.linegraph import line_graph
-
     lg = Graph(len(edges))
     for i, (a, b) in enumerate(edges):
         for j in range(i + 1, len(edges)):
@@ -303,6 +303,54 @@ def random_berge_instance(rng: random.Random, max_n: int = 20, mixed_bias: float
         if is_berge(g):
             return g, info
     raise AssertionError("could not build a Berge instance")
+
+
+def berge_family_graphs() -> list[Graph]:
+    """The graphs of the test_berge_* families and acceptance criteria 8
+    and 9, with their complements."""
+    out = [cycle(8), complete(4),
+           Graph(7, [(0, 1), (0, 4), (1, 2), (1, 3), (2, 5), (3, 4), (4, 5), (4, 6), (5, 6)])]
+    for sides in ((ladder_side_odd(), prism_side()), (hub_side_even(), line_side_even()),
+                  (prism_side(), prism_side())):
+        out.append(glue_two_sides(*sides)[0])
+    for seed, count, max_n in ((60, 30, 16), (61, 8, 14), (909, 50, 20)):
+        rng = random.Random(seed)
+        for _ in range(count):
+            out.append(random_berge_instance(rng, max_n=max_n)[0])
+            if seed != 61:
+                [rng.randint(0, 4) for _ in range(out[-1].n)]  # the weights drawn there
+    # criterion 8 draws exactly like this
+    rng = random.Random(808)
+    done = 0
+    while done < 100:
+        g, info = random_berge_instance(rng, max_n=20)
+        s = derive_split(g, info["x1"], info["x2"])
+        if s is None or not validate_split(g, s) or bit_count(s.x1) > 14 or bit_count(s.x2) > 14:
+            continue
+        [rng.randint(0, 4) for _ in range(g.n)]
+        out.append(g)
+        done += 1
+    return out + [g.complement() for g in out]
+
+
+def complement_leaf_graphs(rng: random.Random) -> list[Graph]:
+    """Complements of bipartite graphs and of line graphs of bipartite
+    roots: the benchmark's leaf families (sparse bipartite graphs with
+    n = 16-34, line graphs of 16-34 edges on a 7 + 7 root), then seeded
+    roots of other sizes and densities."""
+    out = []
+    for n in (16, 22, 28, 31, 34):
+        left = n // 2
+        out.append(Graph(n, [(u, v) for u in range(left) for v in range(left, n)
+                             if rng.random() < 3.0 / left]).complement())
+        pairs = [(u, v) for u in range(7) for v in range(7, 14)]
+        out.append(line_graph(Graph(14, rng.sample(pairs, n))).complement())
+    for _ in range(15):
+        left, right = rng.randint(2, 8), rng.randint(2, 8)
+        pairs = [(u, v) for u in range(left) for v in range(left, left + right)]
+        root = Graph(left + right, [e for e in pairs if rng.random() < rng.choice([0.3, 0.6, 0.9])])
+        out += [root.complement(), line_graph(root).complement()]
+    return out
 
 
 # -- the dict-keyed searches that Graph.layers replaced, kept as oracles ----
@@ -459,3 +507,61 @@ def oracle_all_proper_nonpath_two_joins(g: Graph) -> list:
             continue
         out.append(s)
     return out
+
+
+# -- the Bron-Kerbosch root finder that the per-edge cliques replaced ----------
+
+def oracle_line_root_with_map(g: Graph) -> tuple[Graph, list[tuple[int, int]]] | None:
+    """The triangle-free root of g from all its maximal cliques, or None:
+    no vertex may lie in three cliques and no two cliques may share an
+    edge, then every vertex pair is checked against the root."""
+    if g.n == 0:
+        return Graph(0), []
+    cliques = maximal_cliques(g)
+    membership: list[list[int]] = [[] for _ in range(g.n)]
+    for ci, c in enumerate(cliques):
+        for v in bits(c):
+            membership[v].append(ci)
+    if any(len(ms) > 2 for ms in membership):
+        return None
+    for c, d in itertools.combinations(cliques, 2):
+        if bit_count(c & d) > 1:
+            return None
+    nr = len(cliques)
+    ends: list[tuple[int, int]] = []
+    for ms in membership:
+        if len(ms) == 2:
+            ends.append((ms[0], ms[1]))
+        else:
+            ends.append((ms[0], nr))
+            nr += 1
+    root = Graph(nr)
+    for a, b in ends:
+        if a == b or root.has_edge(a, b):
+            return None
+        root.add_edge_unchecked(a, b)
+    if root.triangle() is not None:
+        return None
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if bool(set(ends[u]) & set(ends[v])) != g.has_edge(u, v):
+                return None
+    return root, ends
+
+
+# -- the full girth that k_in_a_tree's bounded check replaced --------------------
+
+def check_girth_below_against_girth(monkeypatch) -> None:
+    """Make every bounded girth check in k_in_a_tree also compare its
+    result with ``Graph.girth``."""
+    from inducta import kintree
+
+    real = kintree._girth_below
+
+    def checked(g: Graph, k: int) -> int | None:
+        got = real(g, k)
+        girth = g.girth()
+        assert got == (girth if girth is not None and girth < k else None), (g.adj, k)
+        return got
+
+    monkeypatch.setattr(kintree, "_girth_below", checked)

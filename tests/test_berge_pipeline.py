@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import glue_two_sides, prism_side, random_berge_instance, theta_side
+from helpers import complement_leaf_graphs, glue_two_sides, prism_side, random_berge_instance, theta_side
 from inducta import berge
 from inducta.berge import (
     OutsideClassError,
@@ -341,33 +341,13 @@ def test_answer_keeps_its_graph_and_rebuilds_its_tree():
             ans.alpha, ans.alpha_set, ans.omega, ans.omega_set, ans.complemented)
 
 
-def _complement_leaves(rng: random.Random) -> list[Graph]:
-    """Complements of bipartite graphs and of line graphs of bipartite
-    roots: the benchmark's leaf families (sparse bipartite graphs with
-    n = 16-34, line graphs of 16-34 edges on a 7 + 7 root), then seeded
-    roots of other sizes and densities."""
-    out = []
-    for n in (16, 22, 28, 31, 34):
-        left = n // 2
-        out.append(Graph(n, [(u, v) for u in range(left) for v in range(left, n)
-                             if rng.random() < 3.0 / left]).complement())
-        pairs = [(u, v) for u in range(7) for v in range(7, 14)]
-        out.append(line_graph(Graph(14, rng.sample(pairs, n))).complement())
-    for _ in range(15):
-        left, right = rng.randint(2, 8), rng.randint(2, 8)
-        pairs = [(u, v) for u in range(left) for v in range(left, left + right)]
-        root = Graph(left + right, [e for e in pairs if rng.random() < rng.choice([0.3, 0.6, 0.9])])
-        out += [root.complement(), line_graph(root).complement()]
-    return out
-
-
 def test_marker_free_complement_leaves_match_the_oracles():
     """A complement leaf at the root is solved on its complement: alpha
     as a heaviest vertex, edge or root star, omega by flow or matching.
     Sizes past the exact oracle's default bound are answered too."""
     rng = random.Random(65)
     kinds = []
-    for g in _complement_leaves(rng):
+    for g in complement_leaf_graphs(rng):
         wg = WeightedGraph(g, [rng.randint(0, 4) for _ in range(g.n)])
         tree = decompose(g)
         if tree.kind != "leaf" or not tree.leaf.kind.startswith("complement-"):

@@ -7,19 +7,16 @@ import random
 import pytest
 
 from helpers import (
+    berge_family_graphs,
     glue_two_sides,
-    hub_side_even,
-    ladder_side_odd,
-    line_side_even,
     oracle_all_proper_nonpath_two_joins,
     prism_side,
-    random_berge_instance,
     random_graph,
 )
 from inducta import berge
-from inducta.berge import all_proper_nonpath_two_joins, derive_split, validate_split
-from inducta.graphs import Graph, GraphError, TooLargeError, bit_count
-from inducta.named import complete, complete_bipartite, cycle
+from inducta.berge import all_proper_nonpath_two_joins
+from inducta.graphs import Graph, GraphError, TooLargeError
+from inducta.named import complete, complete_bipartite
 
 
 def _same_joins(g: Graph) -> bool:
@@ -57,34 +54,6 @@ def test_seeded_random_graphs_and_complements():
     assert found >= 20
 
 
-def _family_graphs():
-    """The graphs of the test_berge_* families and acceptance criteria 8
-    and 9, with their complements."""
-    out = [cycle(8), complete(4),
-           Graph(7, [(0, 1), (0, 4), (1, 2), (1, 3), (2, 5), (3, 4), (4, 5), (4, 6), (5, 6)])]
-    for sides in ((ladder_side_odd(), prism_side()), (hub_side_even(), line_side_even()),
-                  (prism_side(), prism_side())):
-        out.append(glue_two_sides(*sides)[0])
-    for seed, count, max_n in ((60, 30, 16), (61, 8, 14), (909, 50, 20)):
-        rng = random.Random(seed)
-        for _ in range(count):
-            out.append(random_berge_instance(rng, max_n=max_n)[0])
-            if seed != 61:
-                [rng.randint(0, 4) for _ in range(out[-1].n)]  # the weights drawn there
-    # criterion 8 draws exactly like this
-    rng = random.Random(808)
-    done = 0
-    while done < 100:
-        g, info = random_berge_instance(rng, max_n=20)
-        s = derive_split(g, info["x1"], info["x2"])
-        if s is None or not validate_split(g, s) or bit_count(s.x1) > 14 or bit_count(s.x2) > 14:
-            continue
-        [rng.randint(0, 4) for _ in range(g.n)]
-        out.append(g)
-        done += 1
-    return out + [g.complement() for g in out]
-
-
 def test_every_graph_the_families_search(monkeypatch):
     """Each family graph, and every node graph its decomposition passes
     to the 2-join search, has the same list of joins both ways."""
@@ -96,7 +65,7 @@ def test_every_graph_the_families_search(monkeypatch):
         return real(g)
 
     monkeypatch.setattr(berge, "all_proper_nonpath_two_joins", recorded)
-    graphs = _family_graphs()
+    graphs = berge_family_graphs()
     for g in graphs:
         searched.setdefault(tuple(g.adj), g)
         try:
