@@ -267,23 +267,39 @@ class Graph:
                 rest &= ~layer
         return left, full & ~left
 
-    def girth(self) -> int | None:
-        """Length of a shortest cycle, or None for forests.  From each
-        source, a vertex of layer i with two neighbors in layer i-1 closes
-        a cycle of length 2i, and an edge inside layer i one of 2i+1."""
-        full = self.full_mask()
-        best = None
+    def girth(self, below: int | None = None) -> int | None:
+        """Length of a shortest cycle, or None for forests.  With
+        ``below``, the girth if it is less than ``below``, else None.
+
+        A BFS from each vertex of degree two or more, one layer at a
+        time: an edge inside layer i closes a (2i+1)-cycle, and a vertex
+        of layer i+1 with two parents a (2i+2)-cycle.  No BFS goes on
+        once those lengths reach the shortest cycle found (or ``below``),
+        since a shorter cycle shows within half its length from each of
+        its vertices."""
+        adj = self.adj
+        bound = self.n + 1 if below is None else below
+        best = bound
         for s in range(self.n):
-            ls = self.layers(1 << s, full)
-            for i in range(1, len(ls)):
-                if best is not None and 2 * i >= best:
-                    break
-                if any(bit_count(self.adj[v] & ls[i - 1]) > 1 for v in bits(ls[i])):
-                    best = 2 * i
-                    break
-                if any(self.adj[v] & ls[i] for v in bits(ls[i])):
-                    best = 2 * i + 1
-        return best
+            if bit_count(adj[s]) < 2:
+                continue
+            layer = seen = 1 << s
+            depth = 0
+            while layer and 2 * depth + 1 < best:
+                nxt = twice = 0
+                for v in bits(layer):
+                    if adj[v] & layer:
+                        best = 2 * depth + 1
+                        break
+                    twice |= nxt & adj[v]
+                    nxt |= adj[v]
+                else:
+                    layer = nxt & ~seen
+                    seen |= layer
+                    if twice & layer:
+                        best = 2 * depth + 2
+                    depth += 1
+        return best if best < bound else None
 
     def shortest_path(self, src: int, dst: int, allowed: int | None = None) -> list[int] | None:
         """Shortest src->dst path inside the ``allowed`` bitset.

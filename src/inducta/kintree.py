@@ -828,36 +828,6 @@ def _deletion_extract(g: Graph, terms: list[int], k: int) -> TreeOrCertificate:
     return TreeOrCertificate("tree", g, terms, tree=sorted(ids))
 
 
-def _girth_below(g: Graph, k: int) -> int | None:
-    """The girth of g if it is below k, else None.  A BFS from each
-    vertex of degree two or more: an edge inside layer i closes a
-    (2i+1)-cycle, and a vertex of layer i+1 with two parents a
-    (2i+2)-cycle.  No BFS goes deeper than k/2, since a cycle shorter
-    than k shows within that depth from each of its vertices."""
-    adj = g.adj
-    best = k
-    for s in range(g.n):
-        if bit_count(adj[s]) < 2:
-            continue
-        layer = seen = 1 << s
-        depth = 0
-        while layer and 2 * depth + 1 < best:
-            nxt = twice = 0
-            for v in bits(layer):
-                if adj[v] & layer:
-                    best = 2 * depth + 1
-                    break
-                twice |= nxt & adj[v]
-                nxt |= adj[v]
-            else:
-                layer = nxt & ~seen
-                seen |= layer
-                if twice & layer:
-                    best = 2 * depth + 2
-                depth += 1
-    return best if best < k else None
-
-
 def k_in_a_tree(g: Graph, terminals: list[int]) -> TreeOrCertificate:
     """Decide whether an induced tree of g covers the given terminals.
 
@@ -876,7 +846,7 @@ def k_in_a_tree(g: Graph, terminals: list[int]) -> TreeOrCertificate:
     for t in terminals:
         if not 0 <= t < g.n:
             raise GraphError(f"terminal {t} out of range")
-    girth = _girth_below(g, k)
+    girth = g.girth(below=k)
     if girth is not None:
         raise GraphError(f"girth {girth} below k={k}")
 

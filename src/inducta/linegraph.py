@@ -63,18 +63,22 @@ def line_root_with_map(g: Graph) -> tuple[Graph, list[tuple[int, int]]] | None:
     Each edge uv lies in one clique, {u, v} with N(u) & N(v); an edge
     whose ends already share a clique is skipped.  A candidate that is
     not a clique holds a diamond, and a vertex in a third clique a claw
-    or a diamond: both end the search.  The map is then checked: no two
-    vertices may take the same root edge, and every vertex's closed
-    neighbourhood must be the union of its two root stars.
+    or a diamond: both end the search.  Past these two exits the map
+    needs no pairwise check: every edge lies in a found clique, every
+    found clique is a clique, and each vertex keeps all of its (at most
+    two) cliques as the ends of its root edge, so u ~ v exactly when
+    their root edges share an end.  What is left to reject is two
+    vertices on one root edge (the middle edge of a diamond) and a
+    triangle in the root.
     """
     adj = g.adj
-    star: list[int] = []  # per root vertex, the g-vertices whose root edge ends there
+    nr = 0  # root vertices so far
     member: list[list[int]] = [[] for _ in range(g.n)]
     together = [1 << v for v in range(g.n)]  # vertices sharing a clique with v
     for u in range(g.n):
         if not adj[u]:
-            member[u].append(len(star))
-            star.append(1 << u)
+            member[u].append(nr)
+            nr += 1
         for v in bits(adj[u] & ~together[u]):
             if together[u] >> v & 1:
                 continue  # an earlier clique of this loop holds uv
@@ -82,26 +86,25 @@ def line_root_with_map(g: Graph) -> tuple[Graph, list[tuple[int, int]]] | None:
             for w in bits(c):
                 if c & ~adj[w] != 1 << w:
                     return None  # two non-adjacent common neighbours: a diamond
-            ci = len(star)
-            star.append(c)
             for w in bits(c):
                 if len(member[w]) == 2:
                     return None  # w would lie in a third clique
-                member[w].append(ci)
+                member[w].append(nr)
                 together[w] |= c
+            nr += 1
     # after the cliques, a pendant root vertex for each g-vertex covered
     # by a single clique
     ends: list[tuple[int, int]] = []
-    for v, ms in enumerate(member):
+    for ms in member:
         if len(ms) == 2:
             ends.append((ms[0], ms[1]))
         else:
-            ends.append((ms[0], len(star)))
-            star.append(1 << v)
-    root = Graph(len(star))
-    for v, (a, b) in enumerate(ends):
-        if root.has_edge(a, b) or star[a] | star[b] != adj[v] | 1 << v:
-            return None  # a parallel root edge, or g is not L(root)
+            ends.append((ms[0], nr))
+            nr += 1
+    root = Graph(nr)
+    for a, b in ends:
+        if root.has_edge(a, b):
+            return None  # a parallel root edge
         root.add_edge_unchecked(a, b)
     if root.triangle() is not None:
         return None

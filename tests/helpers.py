@@ -547,21 +547,3 @@ def oracle_line_root_with_map(g: Graph) -> tuple[Graph, list[tuple[int, int]]] |
             if bool(set(ends[u]) & set(ends[v])) != g.has_edge(u, v):
                 return None
     return root, ends
-
-
-# -- the full girth that k_in_a_tree's bounded check replaced --------------------
-
-def check_girth_below_against_girth(monkeypatch) -> None:
-    """Make every bounded girth check in k_in_a_tree also compare its
-    result with ``Graph.girth``."""
-    from inducta import kintree
-
-    real = kintree._girth_below
-
-    def checked(g: Graph, k: int) -> int | None:
-        got = real(g, k)
-        girth = g.girth()
-        assert got == (girth if girth is not None and girth < k else None), (g.adj, k)
-        return got
-
-    monkeypatch.setattr(kintree, "_girth_below", checked)

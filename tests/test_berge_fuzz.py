@@ -10,7 +10,7 @@ import random
 from helpers import berge_family_graphs, complement_leaf_graphs, oracle_line_root_with_map, random_graph
 from inducta import berge
 from inducta.berge import OutsideClassError, TreeNode, berge_alpha_omega, color_berge
-from inducta.graphs import GraphError, WeightedGraph, mask_of
+from inducta.graphs import TooLargeError, WeightedGraph, mask_of
 from inducta.oracle import max_weight_clique, max_weight_stable_set
 
 
@@ -70,7 +70,9 @@ def _leaf_kinds(node: TreeNode) -> list:
 
 def test_answers_match_the_bron_kerbosch_root_finder(monkeypatch):
     """Root labels follow edge order now, so matching may pick other
-    optimal witnesses; trees, weights and refusals must not change."""
+    optimal witnesses; trees, weights and refusals must not change.  A
+    refusal is a graph outside the class or over an enumeration bound;
+    any other error fails the test and names the input."""
     real = berge.decompose
     trees = []
 
@@ -80,12 +82,14 @@ def test_answers_match_the_bron_kerbosch_root_finder(monkeypatch):
 
     monkeypatch.setattr(berge, "decompose", recorded)
 
-    def answer(wg: WeightedGraph):
+    def answer(i: int, wg: WeightedGraph):
         g = wg.graph
         try:
             ans = berge_alpha_omega(wg)
-        except GraphError as err:
+        except (OutsideClassError, TooLargeError) as err:
             return type(err), str(err)
+        except Exception as err:
+            raise AssertionError(f"input {i} (n = {g.n}, adj {g.adj}): {err!r}") from err
         assert g.is_stable_mask(mask_of(ans.alpha_set)) and g.is_clique_mask(mask_of(ans.omega_set))
         assert wg.weight_of(mask_of(ans.alpha_set)) == ans.alpha
         assert wg.weight_of(mask_of(ans.omega_set)) == ans.omega
@@ -95,9 +99,9 @@ def test_answers_match_the_bron_kerbosch_root_finder(monkeypatch):
     inputs = [_fuzz_input(seed) for seed in range(300)]
     graphs = berge_family_graphs() + complement_leaf_graphs(rng)
     inputs += [WeightedGraph(g, [rng.randint(0, 4) for _ in range(g.n)]) for g in graphs]
-    new = [answer(wg) for wg in inputs]
+    new = [answer(i, wg) for i, wg in enumerate(inputs)]
     monkeypatch.setattr(berge, "line_root_with_map", oracle_line_root_with_map)
-    old = [answer(wg) for wg in inputs]
+    old = [answer(i, wg) for i, wg in enumerate(inputs)]
     for i, (got, want) in enumerate(zip(new, old)):
         assert got == want, f"input {i}: {got} != {want}"
     assert sum(isinstance(a[0], list) for a in new) >= 500

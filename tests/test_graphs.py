@@ -55,6 +55,21 @@ def test_girth():
     assert cycle(5).girth() == 5
     assert petersen().girth() == 5
     assert Graph(4, [(0, 1), (1, 2)]).girth() is None
+    assert petersen().girth(below=5) is None and petersen().girth(below=6) == 5
+
+
+def test_girth_on_every_labelled_graph_on_six_vertices():
+    """The girth, and with ``below`` = 3..7 the girth exactly when it is
+    below that bound, as the dict BFS finds it."""
+    for n in range(7):
+        pairs = list(itertools.combinations(range(n), 2))
+        for chosen in range(1 << len(pairs)):
+            g = Graph(n, [e for i, e in enumerate(pairs) if chosen >> i & 1])
+            girth = oracle_girth(g)
+            assert g.girth() == girth, g.adj
+            for k in range(3, 8):
+                want = girth if girth is not None and girth < k else None
+                assert g.girth(below=k) == want, (g.adj, k)
 
 
 def test_bipartition():

@@ -1,14 +1,12 @@
 import dataclasses
-import itertools
 import random
 
 import pytest
 
-from helpers import check_girth_below_against_girth, random_connected_girth, random_graph_girth
+from helpers import random_connected_girth, random_graph_girth
 from inducta.graphs import Graph, GraphError, bits, mask_of
 from inducta import decompose, detect, kintree, sgraph
 from inducta.kintree import (
-    _girth_below,
     induced_tree_exists,
     k_in_a_tree,
     validate_cubic_split,
@@ -17,11 +15,6 @@ from inducta.kintree import (
     validate_square_split,
 )
 from inducta.named import cycle, path
-
-
-@pytest.fixture(autouse=True)
-def _girth_check_against_girth(monkeypatch):
-    check_girth_below_against_girth(monkeypatch)
 
 
 def cube_graph() -> Graph:
@@ -67,18 +60,6 @@ def test_girth_error():
     g = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 0), (4, 1), (5, 2)])  # triangle, girth 3
     with pytest.raises(GraphError, match="girth"):
         k_in_a_tree(g, [3, 4, 5, 0])
-
-
-def test_girth_check_on_every_labelled_graph_on_six_vertices():
-    """The bounded check reports the girth exactly when it is below k."""
-    for n in range(7):
-        pairs = list(itertools.combinations(range(n), 2))
-        for chosen in range(1 << len(pairs)):
-            g = Graph(n, [e for i, e in enumerate(pairs) if chosen >> i & 1])
-            girth = g.girth()
-            for k in range(3, 8):
-                want = girth if girth is not None and girth < k else None
-                assert _girth_below(g, k) == want, (g.adj, k)
 
 
 def test_square_structure_figure():

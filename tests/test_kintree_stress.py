@@ -5,9 +5,6 @@ tree), and the k = 6 transition to a K4-structure."""
 
 import random
 
-import pytest
-
-from helpers import check_girth_below_against_girth
 from inducta.graphs import Graph, bits, mask_of
 from inducta.kintree import (
     induced_tree_exists,
@@ -15,11 +12,6 @@ from inducta.kintree import (
     validate_k4,
     validate_kstruct,
 )
-
-
-@pytest.fixture(autouse=True)
-def _girth_check_against_girth(monkeypatch):
-    check_girth_below_against_girth(monkeypatch)
 
 
 def k_structure(k: int, plen: int = 2) -> Graph:
