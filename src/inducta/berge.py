@@ -636,8 +636,9 @@ def is_path_cobipartite(g: Graph) -> bool:
     Berge by construction of the class, checked exhaustively here."""
     from .oracle import is_berge
 
+    paths = _flat_paths_of(g)
     p = 0
-    for path in _flat_paths_of(g):
+    for path in paths:
         p |= mask_of(path[1:-1])
     rest = g.full_mask() & ~p
     if rest == 0:
@@ -648,26 +649,27 @@ def is_path_cobipartite(g: Graph) -> bool:
     parts = comp.bipartition()
     if parts is None:
         return False
-    for flip in range(1 << len(comp.components())):
+    comps = comp.components()
+    for flip in range(1 << len(comps)):
         a = 0
-        for i, cm in enumerate(comp.components()):
+        for i, cm in enumerate(comps):
             side = parts[0] & cm if not flip >> i & 1 else parts[1] & cm
             a |= side
         b = sub.full_mask() & ~a
         amask = mask_of(old[i] for i in bits(a))
         bmask = mask_of(old[i] for i in bits(b))
-        if _check_path_cobip(g, amask, bmask, p):
+        if _check_path_cobip(g, paths, amask, bmask, p):
             return is_berge(g)
     return False
 
 
-def _check_path_cobip(g: Graph, a: int, b: int, p: int) -> bool:
+def _check_path_cobip(g: Graph, paths: list[list[int]], a: int, b: int, p: int) -> bool:
     if not a or not b:
         return False
     if not g.is_clique_mask(a) or not g.is_clique_mask(b):
         return False
     used = 0
-    for path in _flat_paths_of(g):
+    for path in paths:
         inner = mask_of(path[1:-1])
         if not inner & p:
             continue

@@ -6,6 +6,11 @@ Exit codes: 0 = answer produced, 1 = negative answer with witness,
 4 = internal error (a failed self-check; please report it).  Machine
 output (--format=json-lines) is deterministic: identical commands on
 identical inputs print byte-identical records.
+
+Each command imports its solver module when it runs, after the checks
+that can exit 3, so `import inducta.cli` loads only `graphs` and
+`named`.  Commands look solvers up through the module object, so a
+patched module attribute still reaches them.
 """
 
 from __future__ import annotations
@@ -16,14 +21,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import berge as berge_mod
-from . import classify as classify_mod
-from . import decompose as decompose_mod
-from . import detect as detect_mod
-from . import gap as gap_mod
-from . import kintree as kintree_mod
-from . import oracle
-from .bienstock import gamma_gadget, parse_dimacs_cnf, prism_reduction
 from .graphs import GraphError, WeightedGraph, bits, format_graph, parse_graph
 from .named import parse_named_spec
 
@@ -65,6 +62,8 @@ def _oracle_bound(args) -> int:
         return args.oracle_bound
     env = os.environ.get("INDUCTA_ORACLE_BOUND")
     if not env:
+        from . import oracle
+
         return oracle.CHI_BOUND
     try:
         return int(env)
@@ -75,6 +74,8 @@ def _oracle_bound(args) -> int:
 def cmd_invariants(args) -> int:
     wg = _load_graph(args)
     bound = _oracle_bound(args)
+    from . import oracle
+
     rep = oracle.exact_invariants(wg, alpha_bound=max(bound, 30), chi_bound=bound)
     rec = {
         "alpha": rep.alpha,
@@ -96,7 +97,9 @@ def cmd_detect(args) -> int:
     wg = _load_graph(args)
     g = wg.graph
     if args.what == "prism":
-        w = detect_mod.detect_prism_pyramid_free(g)
+        from . import detect
+
+        w = detect.detect_prism_pyramid_free(g)
         if w is None:
             _emit(args, {"prism": None}, "no prism (assuming pyramid-free input)")
             return 1
@@ -111,7 +114,9 @@ def cmd_detect(args) -> int:
     if args.what == "hole-through":
         if args.x is None or args.y is None:
             raise CliError(3, "hole-through needs --x and --y")
-        hole = detect_mod.hole_through_two(g, args.x, args.y)
+        from . import detect
+
+        hole = detect.hole_through_two(g, args.x, args.y)
         if hole is None:
             _emit(args, {"hole": None}, "no hole through the two vertices")
             return 1
@@ -124,7 +129,9 @@ def cmd_detect(args) -> int:
             terms = [int(t) for t in args.terminals.split(",")]
         except ValueError:
             raise CliError(3, f"--terminals={args.terminals}: expected integers a,b,c,...") from None
-        res = kintree_mod.k_in_a_tree(g, terms)
+        from . import kintree
+
+        res = kintree.k_in_a_tree(g, terms)
         if res.has_tree:
             _emit(args, {"tree": res.tree}, f"tree: {res.tree}")
             return 0
@@ -155,7 +162,9 @@ def cmd_recognize(args) -> int:
     wg = _load_graph(args)
     g = wg.graph
     if args.klass == "chordless":
-        got = decompose_mod.is_chordless(g)
+        from . import decompose
+
+        got = decompose.is_chordless(g)
         if got is None:
             _emit(args, {"chordless": True}, "chordless")
             return 0
@@ -167,7 +176,9 @@ def cmd_recognize(args) -> int:
         )
         return 1
     if args.klass == "unique-chord-free":
-        res = decompose_mod.recognize_unique_chord_free(g)
+        from . import decompose
+
+        res = decompose.recognize_unique_chord_free(g)
         if res.member:
             leaves = [l.kind for l in res.tree.leaves()]
             _emit(args, {"member": True, "leaves": leaves}, f"member; leaves: {leaves}")
@@ -183,7 +194,9 @@ def cmd_recognize(args) -> int:
         )
         return 1
     if args.klass == "weakly-triangulated":
-        got = classify_mod.is_weakly_triangulated(g)
+        from . import classify
+
+        got = classify.is_weakly_triangulated(g)
         if got is None:
             _emit(args, {"weakly_triangulated": True}, "weakly triangulated")
             return 0
@@ -200,7 +213,9 @@ def cmd_recognize(args) -> int:
 def cmd_classify(args) -> int:
     wg = _load_graph(args)
     theorem = args.theorem.replace("-", "_")
-    res = classify_mod.classify_small(wg.graph, theorem)
+    from . import classify
+
+    res = classify.classify_small(wg.graph, theorem)
     rec = {"verdict": res.verdict}
     if res.witness:
         rec["witness"] = res.witness
@@ -215,13 +230,21 @@ def cmd_color(args) -> int:
     wg = _load_graph(args)
     g = wg.graph
     if args.klass == "chordless":
-        col = decompose_mod.three_color_chordless(g)
+        from . import decompose
+
+        col = decompose.three_color_chordless(g)
     elif args.klass == "wt":
-        col = classify_mod.color_weakly_triangulated(g)
+        from . import classify
+
+        col = classify.color_weakly_triangulated(g)
     elif args.klass == "unique-chord-free":
-        chi, col = decompose_mod.chi_unique_chord_free(g)
+        from . import decompose
+
+        chi, col = decompose.chi_unique_chord_free(g)
     elif args.klass == "berge":
-        col = berge_mod.color_berge(g)
+        from . import berge
+
+        col = berge.color_berge(g)
     else:
         raise CliError(3, f"unknown coloring class {args.klass}")
     k = max(col) + 1 if col else 0
@@ -231,7 +254,9 @@ def cmd_color(args) -> int:
 
 def cmd_gap(args) -> int:
     if args.action == "verify":
-        rep = gap_mod.verify_gap_chapter()
+        from . import gap
+
+        rep = gap.verify_gap_chapter()
         rows = [{"check": c.name, "passed": c.passed, "detail": c.detail} for c in rep.checks]
         if args.format == "json-lines":
             for r in rows:
@@ -245,7 +270,9 @@ def cmd_gap(args) -> int:
                 print(f"note: {note}")
         return 0 if rep.ok() else 1
     wg = _load_graph(args)
-    rep = gap_mod.gap_report(wg.graph)
+    from . import gap
+
+    rep = gap.gap_report(wg.graph)
     rec = {
         "theta": rep.theta,
         "alpha": rep.alpha,
@@ -264,8 +291,10 @@ def cmd_gap(args) -> int:
 
 def cmd_berge(args) -> int:
     wg = _load_graph(args)
+    from . import berge
+
     if args.action in ("alpha", "omega"):
-        ans = berge_mod.berge_alpha_omega(wg)
+        ans = berge.berge_alpha_omega(wg)
         if args.action == "alpha":
             rec = {"alpha": ans.alpha, "stable_set": ans.alpha_set}
             _emit(args, rec, f"alpha={ans.alpha} witness={ans.alpha_set}")
@@ -273,7 +302,7 @@ def cmd_berge(args) -> int:
             rec = {"omega": ans.omega, "clique": ans.omega_set}
             _emit(args, rec, f"omega={ans.omega} witness={ans.omega_set}")
         return 0
-    col = berge_mod.color_berge(wg.graph)
+    col = berge.color_berge(wg.graph)
     k = max(col) + 1 if col else 0
     _emit(args, {"colors": k, "coloring": col}, f"{k} colors: {col}")
     return 0
@@ -287,9 +316,11 @@ def cmd_gadget(args) -> int:
             text = sys.stdin.read() if args.cnf == "-" else Path(args.cnf).read_text()
         except OSError as e:
             raise CliError(3, f"cannot read {args.cnf}: {e}")
+        from . import bienstock
+
         try:
-            f = parse_dimacs_cnf(text)
-            gg = gamma_gadget(f)
+            f = bienstock.parse_dimacs_cnf(text)
+            gg = bienstock.gamma_gadget(f)
         except GraphError as e:
             raise CliError(3, str(e))
         if args.format == "json-lines":
@@ -311,7 +342,9 @@ def cmd_gadget(args) -> int:
         wg = _load_graph(args)
         if args.x is None or args.y is None:
             raise CliError(3, "prism reduction needs --x and --y")
-        out, labels = prism_reduction(wg.graph, args.x, args.y)
+        from . import bienstock
+
+        out, labels = bienstock.prism_reduction(wg.graph, args.x, args.y)
         if args.format == "json-lines":
             print(json.dumps({"n": out.n, "edges": out.edges()}, sort_keys=True))
         else:

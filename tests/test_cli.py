@@ -206,6 +206,36 @@ def test_cli_import_skips_sgraph():
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
+_LOADED_BY_MAIN = """
+import json, sys
+from inducta.cli import main
+code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("inducta"))), file=sys.stderr)
+sys.exit(code)
+"""
+
+_CLI_BASE = {"inducta", "inducta.cli", "inducta.graphs", "inducta.named"}
+
+
+@pytest.mark.parametrize("argv,code,extra", [
+    ([], 0, set()),
+    (["invariants", "--named=petersen"], 0, {"inducta.oracle"}),
+    (["invariants", "/nonexistent/file.g"], 3, set()),
+    (["detect", "k-in-a-tree", "{sq}", "--terminals=a,b"], 3, set()),
+])
+def test_cli_loads_only_the_solver_it_runs(tmp_path, argv, code, extra):
+    """Importing the CLI loads no solver module; a command loads its own
+    solver and nothing else, and only once the checks that exit 3 pass."""
+    sq = tmp_path / "sq.g"
+    sq.write_text("8 8\n0 1\n1 2\n2 3\n0 3\n0 4\n1 5\n2 6\n3 7\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_BY_MAIN] + [a.format(sq=sq) for a in argv],
+        capture_output=True, text=True, env=_subprocess_env(), timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert set(json.loads(proc.stderr.splitlines()[-1])) == _CLI_BASE | extra
+
+
 _PATCHED_MAIN = """
 import sys
 from inducta.graphs import Graph
