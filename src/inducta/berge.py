@@ -32,6 +32,10 @@ it; no tree, answer or module keeps one.  Leaves are bipartite or
 line-graph extensions solved by flow and matching; a root leaf that is
 the complement of one is solved on its complement, with alpha and omega
 swapped.  The remaining basic kinds are handled exactly at desk scale.
+A leaf's solver follows from its kind alone (``LeafInfo.solver``).  A
+matching leaf is solved on its line-extension skeleton's root
+multigraph, and its transformed graph G'' is that multigraph's line
+graph, so a maximum weight matching is a maximum weight stable set.
 Every lifted witness is re-validated before returning.  An answer keeps
 its graph and witnesses; its ``tree`` is decomposed again when read.
 """
@@ -228,9 +232,8 @@ def all_proper_nonpath_two_joins(g: Graph) -> list[TwoJoinSplit]:
         if i == n:
             if len(pieces) < 2:
                 return
-            s = derive_split(g, x1, x2)
-            if (s is not None and is_connected_join(g, s) and is_substantial_join(g, s)
-                    and path_side(g, s) is None):
+            s = _proper_nonpath_split(g, x1, x2)
+            if s is not None:
                 out.append(s)
             return
         v = order[i]
@@ -246,6 +249,16 @@ def all_proper_nonpath_two_joins(g: Graph) -> list[TwoJoinSplit]:
     place(0, 0, 0, 0, 0, ())
     out.sort(key=lambda s: s.x1)
     return out
+
+
+def _proper_nonpath_split(g: Graph, x1: int, x2: int) -> TwoJoinSplit | None:
+    """The split of (x1, x2) if it is a proper (connected and
+    substantial) 2-join with no path side, else None."""
+    s = derive_split(g, x1, x2)
+    if (s is not None and is_connected_join(g, s) and is_substantial_join(g, s)
+            and path_side(g, s) is None):
+        return s
+    return None
 
 
 def _grow_pieces(pieces: tuple, side: int, bit: int, nb: int) -> tuple | None:
@@ -292,16 +305,8 @@ def _marker_shift(
     a_shift = any(crosses(mask_of(p), s.a1, s.a2) for p in markers)
     b_shift = any(crosses(mask_of(p), s.b1, s.b2) for p in markers)
     x1 = s.x1 | (s.a2 if a_shift else 0) | (s.b2 if b_shift else 0)
-    x2 = g.full_mask() & ~x1
-    shifted = derive_split(g, x1, x2)
-    ok = (
-        shifted is not None
-        and is_connected_join(g, shifted)
-        and is_substantial_join(g, shifted)
-        and path_side(g, shifted) is None
-        and _marker_independent(shifted, markers)
-    )
-    if ok:
+    shifted = _proper_nonpath_split(g, x1, g.full_mask() & ~x1)
+    if shifted is not None and _marker_independent(shifted, markers):
         return shifted
     # fall back: any marker-independent proper non-path join, smallest side
     cands = []
@@ -530,15 +535,23 @@ def gadget_alpha_numbers(kind: str, weights4: list[int]) -> ABCD:
 
 # -- leaf classification --------------------------------------------------------
 
+# the solver of each leaf kind; every kind not listed is solved exactly
+_LEAF_SOLVERS = {"bipartite": "flow", "line-of-bipartite": "matching", "line-graph": "matching"}
+
+
 @dataclass(slots=True)
 class LeafInfo:
-    kind: str   # bipartite | line-of-bipartite | complement-bipartite |
+    kind: str   # bipartite | line-of-bipartite | line-graph | complement-bipartite |
     #             complement-line-of-bipartite | double-split |
     #             path-cobipartite | complement-path-cobipartite |
     #             path-double-split | complement-path-double-split
-    solver: str  # 'flow' | 'matching' | 'exact'
     root: Graph | None = None  # line leaves: the root of g, or of g's complement
     root_edges: list[tuple[int, int]] | None = None
+
+    @property
+    def solver(self) -> str:
+        """'flow', 'matching' or 'exact', as the kind dictates."""
+        return _LEAF_SOLVERS.get(self.kind, "exact")
 
 
 def is_double_split(g: Graph) -> bool:
@@ -725,28 +738,28 @@ def classify_leaf(g: Graph, strict: bool = True) -> LeafInfo | None:
     of the decomposition class qualify; otherwise any line graph of a
     triangle-free root is accepted for the matching solver."""
     if g.bipartition() is not None:
-        return LeafInfo("bipartite", "flow")
+        return LeafInfo("bipartite")
     got = line_root_with_map(g)
     if got is not None and got[0].bipartition() is not None:
-        return LeafInfo("line-of-bipartite", "matching", root=got[0], root_edges=got[1])
+        return LeafInfo("line-of-bipartite", root=got[0], root_edges=got[1])
     if got is not None and not strict:
-        return LeafInfo("line-graph", "matching", root=got[0], root_edges=got[1])
+        return LeafInfo("line-graph", root=got[0], root_edges=got[1])
     comp = g.complement()
     if comp.bipartition() is not None:
-        return LeafInfo("complement-bipartite", "exact")
+        return LeafInfo("complement-bipartite")
     gotc = line_root_with_map(comp)
     if gotc is not None and gotc[0].bipartition() is not None:
-        return LeafInfo("complement-line-of-bipartite", "exact", root=gotc[0], root_edges=gotc[1])
+        return LeafInfo("complement-line-of-bipartite", root=gotc[0], root_edges=gotc[1])
     if is_double_split(g):
-        return LeafInfo("double-split", "exact")
+        return LeafInfo("double-split")
     if is_path_cobipartite(g):
-        return LeafInfo("path-cobipartite", "exact")
+        return LeafInfo("path-cobipartite")
     if is_path_cobipartite(comp):
-        return LeafInfo("complement-path-cobipartite", "exact")
+        return LeafInfo("complement-path-cobipartite")
     if is_path_double_split(g):
-        return LeafInfo("path-double-split", "exact")
+        return LeafInfo("path-double-split")
     if is_path_double_split(comp):
-        return LeafInfo("complement-path-double-split", "exact")
+        return LeafInfo("complement-path-double-split")
     return None
 
 
@@ -815,65 +828,22 @@ def line_extension_transform(
     the extended paths are ignored); ``numbers[i]`` holds the four
     stable-set numbers of path i's gadget.  Returns the transformed
     weighted graph G'' (for validation), the root multigraph as weighted
-    edges (u, v, weight, g2_vertex), and per-path role records."""
-    g = spec.base
+    edges (u, v, weight, g2_vertex), and per-path role records.  G'' is
+    the line graph of that multigraph: its vertex x is the edge labelled
+    x, and two vertices are adjacent when their edges share an end."""
     skel = _LineSkeleton(spec)
-    keep, sv = skel.keep, skel.roles
-    pos = {o: i for i, o in enumerate(keep)}
-    g2 = Graph(len(keep) + 4 * len(sv))
-    for i, u in enumerate(keep):
-        for v in bits(g.adj[u]):
-            if v in pos and pos[v] > i:
-                g2.add_edge_unchecked(i, pos[v])
-    ends = []
-    for p in spec.paths:
-        a2 = [v for v in bits(g.adj[p[0]]) if v != p[1]]
-        b2 = [v for v in bits(g.adj[p[-1]]) if v != p[-2]]
-        ends.append((p[0], p[-1], a2, b2))
-    for s, (_, _, a2, b2) in zip(sv, ends):
-        for e in ((s["p"], s["pp"]), (s["x"], s["p"]), (s["p"], s["y"]),
-                  (s["y"], s["pp"]), (s["pp"], s["x"])):
-            g2.add_edge_unchecked(*e)
-        for u in a2:
-            if u in pos:
-                g2.add_edge_unchecked(s["p"], pos[u])
-                g2.add_edge_unchecked(s["x"], pos[u])
-        for u in b2:
-            if u in pos:
-                g2.add_edge_unchecked(s["pp"], pos[u])
-                g2.add_edge_unchecked(s["x"], pos[u])
-    k = len(sv)
-    for i in range(k):
-        for j in range(i + 1, k):
-            pi1, pil, _, _ = ends[i]
-            pj1, pjl, _, _ = ends[j]
-            e11 = g.has_edge(pi1, pj1)
-            e1l = g.has_edge(pi1, pjl)
-            el1 = g.has_edge(pil, pj1)
-            ell = g.has_edge(pil, pjl)
-            if e11:
-                g2.add_edge_unchecked(sv[i]["p"], sv[j]["p"])
-            if el1:
-                g2.add_edge_unchecked(sv[i]["pp"], sv[j]["p"])
-            if e1l:
-                g2.add_edge_unchecked(sv[j]["pp"], sv[i]["p"])
-            if ell:
-                g2.add_edge_unchecked(sv[i]["pp"], sv[j]["pp"])
-            if e11 or el1:
-                g2.add_edge_unchecked(sv[i]["x"], sv[j]["p"])
-            if e1l or ell:
-                g2.add_edge_unchecked(sv[i]["x"], sv[j]["pp"])
-            if e11 or e1l:
-                g2.add_edge_unchecked(sv[j]["x"], sv[i]["p"])
-            if el1 or ell:
-                g2.add_edge_unchecked(sv[j]["x"], sv[i]["pp"])
-            if e11 or e1l or el1 or ell:
-                g2.add_edge_unchecked(sv[i]["x"], sv[j]["x"])
     w2 = _line_weights(skel, base_weights, numbers)
+    at = [0] * skel.nodes  # per root vertex, the G'' vertices of its edges
+    for u, v, x in skel.medges:
+        at[u] |= 1 << x
+        at[v] |= 1 << x
+    g2 = Graph(len(w2))
+    for u, v, x in skel.medges:
+        g2.adj[x] = (at[u] | at[v]) & ~(1 << x)
     medges = [(u, v, w2[x], x) for u, v, x in skel.medges]
     records = [
-        {"path": spec.paths[i], "kind": spec.kinds[i], "roles": sv[i], "numbers": numbers[i]}
-        for i in range(k)
+        {"path": p, "kind": kind, "roles": roles, "numbers": nums}
+        for p, kind, roles, nums in zip(spec.paths, spec.kinds, skel.roles, numbers)
     ]
     return WeightedGraph(g2, w2), medges, records
 
@@ -1268,12 +1238,9 @@ class _Block:
         self.marker_vs = mask_of(v for m in markers for v in m.path)
         self.gadgetized = self.back = self.gadgets = self.flow = self.line = None
         self.edges = self.stars = self.co = None
-        if not markers and leaf.kind == "complement-bipartite":
-            self.co = _Block(graph.complement(), LeafInfo("bipartite", "flow"), ids, [])
-            return
-        if not markers and leaf.kind == "complement-line-of-bipartite":
-            self.co = _Block(graph.complement(), LeafInfo("line-of-bipartite", "matching",
-                                                          leaf.root, leaf.root_edges), ids, [])
+        if not markers and leaf.kind in ("complement-bipartite", "complement-line-of-bipartite"):
+            co_leaf = LeafInfo(leaf.kind.removeprefix("complement-"), leaf.root, leaf.root_edges)
+            self.co = _Block(graph.complement(), co_leaf, ids, [])
             return
         if leaf.solver == "matching":
             paths, kinds = [m.path for m in markers], [m.kind for m in markers]
@@ -1497,27 +1464,14 @@ def color_berge(g: Graph) -> list[int]:
     return color
 
 
-def solve_leaf(wg: WeightedGraph, kind: str | None = None) -> tuple[int, list[int], int, list[int]]:
-    """Maximum weighted stable set and clique of a basic leaf.
-
-    ``kind`` overrides classification ('bipartite', 'line-of-bipartite',
-    'line-graph', or any exact-solved kind); witnesses are vertex lists.
-    """
+def solve_leaf(wg: WeightedGraph) -> tuple[int, list[int], int, list[int]]:
+    """Maximum weighted stable set and clique of a basic leaf, solved by
+    the solver of its kind (any line graph of a triangle-free root counts
+    as a matching leaf); witnesses are vertex lists."""
     g = wg.graph
-    if kind is None:
-        leaf = classify_leaf(g, strict=False)
-        if leaf is None:
-            raise GraphError("leaf is not classifiable")
-    elif kind in ("line-of-bipartite", "line-graph", "complement-line-of-bipartite"):
-        got = line_root_with_map(g.complement() if kind.startswith("complement") else g)
-        if got is None:
-            raise GraphError("not a line graph of a triangle-free root")
-        solver = "exact" if kind.startswith("complement") else "matching"
-        leaf = LeafInfo(kind, solver, root=got[0], root_edges=got[1])
-    elif kind == "bipartite":
-        leaf = LeafInfo("bipartite", "flow")
-    else:
-        leaf = LeafInfo(kind, "exact")
+    leaf = classify_leaf(g, strict=False)
+    if leaf is None:
+        raise GraphError("leaf is not classifiable")
     blk = _Block(g, leaf, list(range(g.n)), [])
     a_val, a_wit = _leaf_alpha(blk, wg.weights, [], g.full_mask())
     o_val, o_wit = _leaf_omega(blk, wg.weights, [], g.full_mask())

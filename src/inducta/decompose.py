@@ -27,7 +27,6 @@ that check, never the tree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .graphs import Graph, GraphError, InternalError, TooLargeError, bit_count, bits, mask_of
 from .detect import hole_through_two
@@ -72,22 +71,12 @@ def _find_one_cutset(g: Graph) -> CutsetWitness | None:
     return None
 
 
-def _all_cliques(g: Graph):
-    from .linegraph import maximal_cliques
-
-    seen = set()
-    for m in maximal_cliques(g):
-        vs = list(bits(m))
-        for size in range(1, len(vs) + 1):
-            for sub in combinations(vs, size):
-                seen.add(mask_of(sub))
-    return sorted(seen, key=bit_count)
-
-
 def _find_clique_cutset(g: Graph) -> CutsetWitness | None:
+    from .linegraph import all_cliques
+
     if not g.connected():
         return None
-    for k in _all_cliques(g):
+    for k in all_cliques(g):
         rest = g.full_mask() & ~k
         comps = g.components_of(rest)
         if len(comps) >= 2:

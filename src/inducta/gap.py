@@ -117,6 +117,8 @@ def _all_graphs(n: int):
 
 
 def verify_gap_chapter() -> GapVerification:
+    from .linegraph import all_cliques
+
     out = GapVerification()
 
     # (i) all graphs on <= 4 vertices have gap 0, so s(1) = 5 with C5
@@ -164,7 +166,7 @@ def verify_gap_chapter() -> GapVerification:
     removal_ok = True
     for name, g in named.items():
         rep = exact_invariants(g)
-        for k in _nonempty_cliques(g):
+        for k in all_cliques(g):
             h, _ = g.delete_vertices(list(bits(k)))
             rep_h = exact_invariants(h)
             if rep_h.theta != rep.theta - 1 or rep_h.alpha != rep.alpha:
@@ -220,16 +222,3 @@ def verify_gap_chapter() -> GapVerification:
     )
     out.notes.append("s(5)=21 is conjectured only; recorded, not checked")
     return out
-
-
-def _nonempty_cliques(g: Graph):
-    """All non-empty cliques, as bitsets (desk scale)."""
-    from .linegraph import maximal_cliques
-
-    seen = set()
-    for m in maximal_cliques(g):
-        vs = list(bits(m))
-        for size in range(1, len(vs) + 1):
-            for sub in combinations(vs, size):
-                seen.add(mask_of(sub))
-    return sorted(seen)

@@ -8,13 +8,16 @@ share at most one vertex.  So each edge uv of L(R) lies in exactly one
 maximal clique, {u, v} with the common neighbours of u and v, and the
 root finder builds the cliques edge by edge from that rule (the
 triangle-free case of Roussopoulos, IPL 1973, and Lehot, JACM 1974).
-``maximal_cliques`` enumerates cliques in general graphs; it serves
-only ``gap`` and the clique cutsets of ``decompose``.
+``maximal_cliques`` enumerates cliques in general graphs, and
+``all_cliques`` every clique from them; they serve only ``gap`` and the
+clique cutsets of ``decompose``.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph, bit_count, bits
+from itertools import combinations
+
+from .graphs import Graph, bit_count, bits, mask_of
 
 
 def line_graph(g: Graph) -> Graph:
@@ -50,6 +53,18 @@ def maximal_cliques(g: Graph) -> list[int]:
     if g.n:
         bk(0, g.full_mask(), 0)
     return out
+
+
+def all_cliques(g: Graph) -> list[int]:
+    """All non-empty cliques as bitsets, by size and then by mask (desk
+    scale: every subset of every maximal clique)."""
+    seen = set()
+    for m in maximal_cliques(g):
+        vs = list(bits(m))
+        for size in range(1, len(vs) + 1):
+            for sub in combinations(vs, size):
+                seen.add(mask_of(sub))
+    return sorted(seen, key=lambda k: (bit_count(k), k))
 
 
 def line_root_with_map(g: Graph) -> tuple[Graph, list[tuple[int, int]]] | None:

@@ -232,3 +232,76 @@ def _manual_extension(base, pth, kind, w4, base_w):
     wg = WeightedGraph(base, base_w)
     out, gadget, omap = _replace_path_by_gadget(wg, pth, kind, w4)
     return out, gadget, omap
+
+
+def _subdivided_root_spec(rng):
+    """A line graph of a triangle-free root in which two to four root
+    edges are subdivided into root paths of 4 or 5 edges; returns the
+    line graph and its flat paths, one per subdivided edge."""
+    while True:
+        n0 = rng.randint(3, 7)
+        r0 = Graph(n0, [(u, v) for u in range(n0) for v in range(u + 1, n0) if rng.random() < 0.5])
+        if r0.triangle() is None and r0.edge_count() >= 2:
+            break
+    chosen = rng.sample(r0.edges(), rng.randint(2, min(4, r0.edge_count())))
+    redges, nv, chains = [e for e in r0.edges() if e not in chosen], n0, []
+    for a, b in chosen:
+        length = rng.choice([4, 5])
+        walk = [a] + list(range(nv, nv + length - 1)) + [b]
+        nv += length - 1
+        chains.append([(min(e), max(e)) for e in zip(walk, walk[1:])])
+        redges += chains[-1]
+    r = Graph(nv, redges)
+    index = {e: i for i, e in enumerate(r.edges())}
+    return line_graph(r), [[index[e] for e in chain] for chain in chains]
+
+
+def test_line_extension_transform_multi_path():
+    """G'' is the line graph of the returned root multigraph, and with two
+    or more extended paths the matching still gives alpha of G'' and of
+    the extension itself (the base with every path swapped for its
+    gadget)."""
+    from inducta.berge import _replace_path_by_gadget
+    from inducta.matching import MATCHING_BOUND
+
+    rng = random.Random(1313)
+    checked = touching = 0
+    while checked < 600:
+        base, paths = _subdivided_root_spec(rng)
+        root, root_edges = line_root_with_map(base)
+        nodes = root.n + 2 * len(paths)
+        if nodes > MATCHING_BOUND:
+            continue
+        kinds = [rng.choice(["claw", "vault"]) for _ in paths]
+        w4s = []
+        for kind in kinds:
+            w4 = [rng.randint(0, 5) for _ in range(4 if kind == "claw" else 6)]
+            if kind == "vault":
+                w4[3], w4[5] = w4[2], w4[4]
+            w4s.append(w4)
+        base_w = [rng.randint(0, 5) for _ in range(base.n)]
+        spec = ExtensionSpec(base, root, root_edges, paths, kinds)
+        numbers = [gadget_alpha_numbers(k, w) for k, w in zip(kinds, w4s)]
+        gpp, medges, rec = line_extension_transform(base_w, spec, numbers)
+
+        want = Graph(gpp.graph.n)
+        for i, (u, v, _, x) in enumerate(medges):
+            for u2, v2, _, y in medges[i + 1:]:
+                if {u, v} & {u2, v2}:
+                    want.add_edge_unchecked(x, y)
+        assert gpp.graph == want
+        assert sorted(x for *_, x in medges) == list(range(gpp.graph.n))
+
+        ext = WeightedGraph(base, base_w)
+        left = [list(p) for p in paths]
+        for i, (kind, w4) in enumerate(zip(kinds, w4s)):
+            ext, _, omap = _replace_path_by_gadget(ext, left[i], kind, w4)
+            left[i + 1:] = [[omap[v] for v in p] for p in left[i + 1:]]
+        val, _ = max_weight_matching(nodes, [(u, v, w) for u, v, w, _ in medges])
+        assert val == max_weight_stable_set(gpp)[0] == max_weight_stable_set(ext)[0]
+        assert [r["path"] for r in rec] == paths and [r["kind"] for r in rec] == kinds
+        ends = [mask_of((p[0], p[-1])) for p in paths]
+        touching += any(base.adj[e] & ends[j] for i, m in enumerate(ends)
+                        for j in range(i + 1, len(ends)) for e in bits(m))
+        checked += 1
+    assert touching >= 400  # ends of two paths adjacent: the inter-path case

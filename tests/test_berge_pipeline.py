@@ -41,7 +41,7 @@ def test_solve_leaf_examples():
     assert a == 5  # the matching number of petersen
     from inducta.named import path
 
-    a, aw, o, ow = solve_leaf(WeightedGraph(path(3), [5, 1, 5]), kind="bipartite")
+    a, aw, o, ow = solve_leaf(WeightedGraph(path(3), [5, 1, 5]))
     assert a == 10
 
 
@@ -362,3 +362,70 @@ def test_marker_free_complement_leaves_match_the_oracles():
     for kind in ("complement-bipartite", "complement-line-of-bipartite"):
         sizes = [n for k, n in kinds if k == kind]
         assert len(sizes) >= 10 and max(sizes) > ALPHA_BOUND
+
+
+def _double_split(m, n, rng, odd_lengths=None):
+    """A double split graph: a matching a_i b_i (i < m), the complement
+    of a matching c_j d_j (j < n) on C u D, and for each i, j a_i seeing
+    one of c_j, d_j and b_i the other.  With ``odd_lengths``, each
+    matching edge a_i b_i becomes a path of a length drawn from it."""
+    a, b = range(m), range(m, 2 * m)
+    cd = list(range(2 * m, 2 * m + 2 * n))  # c_j = cd[j], d_j = cd[n + j]
+    edges = [(cd[x], cd[y]) for x in range(2 * n) for y in range(x + 1, 2 * n) if y - x != n]
+    for i in range(m):
+        for j in range(n):
+            c, d = (cd[j], cd[n + j]) if rng.random() < 0.5 else (cd[n + j], cd[j])
+            edges += [(a[i], c), (b[i], d)]
+    nv = 2 * m + 2 * n
+    for i in range(m):
+        length = rng.choice(odd_lengths) if odd_lengths else 1
+        walk = [a[i]] + list(range(nv, nv + length - 1)) + [b[i]]
+        nv += length - 1
+        edges += list(zip(walk, walk[1:]))
+    return Graph(nv, edges)
+
+
+def test_double_split_leaf_kinds():
+    """Double split graphs and their odd subdivisions classify as their
+    exact leaf kinds, unless they are line graphs of bipartite graphs
+    (which ``classify_leaf`` tries first), and the pipeline's answers
+    match the oracle on them."""
+    from inducta.linegraph import line_root_with_map
+
+    def line_of_bipartite(g):
+        got = line_root_with_map(g)
+        return got is not None and got[0].bipartition() is not None
+
+    rng = random.Random(1414)
+    exact_kinds = set()
+    for m in (2, 3):
+        for n in (2, 3):
+            for _ in range(4):
+                g = _double_split(m, n, rng)
+                h = _double_split(m, n, rng, odd_lengths=(3, 5))
+                hc = h.complement()
+                assert berge.is_double_split(g)
+                assert berge.is_path_double_split(h)
+                for x, kind, line_kind, line_of in (
+                    (g, "double-split", "line-of-bipartite", g),
+                    (h, "path-double-split", "line-of-bipartite", h),
+                    (hc, "complement-path-double-split", "complement-line-of-bipartite", h),
+                ):
+                    got = berge.classify_leaf(x).kind
+                    assert got == (line_kind if line_of_bipartite(line_of) else kind)
+                    exact_kinds.add(got)
+                    wg = WeightedGraph(x, [rng.randint(0, 4) for _ in range(x.n)])
+                    ans = berge_alpha_omega(wg)
+                    assert ans.alpha == max_weight_stable_set(wg)[0]
+                    assert ans.omega == max_weight_clique(wg)[0]
+    assert {"double-split", "path-double-split", "complement-path-double-split"} <= exact_kinds
+
+
+def test_path_cobipartite_recognizer():
+    """Two triangles joined by two flat paths of three edges.  The graph
+    is also a line graph of a bipartite graph, which ``classify_leaf``
+    reports first, so the recognizer is called directly."""
+    g = Graph(10, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                   (0, 6), (6, 7), (7, 3), (1, 8), (8, 9), (9, 4)])
+    assert berge.is_path_cobipartite(g)
+    assert berge.classify_leaf(g).kind == "line-of-bipartite"

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -85,6 +86,29 @@ def test_gadget_round_trip(capsys, tmp_path):
     assert code == 0
     rec = json.loads(out)
     assert rec["n"] == 31
+
+
+def test_each_runs_every_file(capsys, tmp_path):
+    """--each runs the command once per file, in name order, under a
+    header per file, and exits with the worst code."""
+    d = tmp_path / "graphs"
+    d.mkdir()
+    (d / "a.g").write_text(format_graph(cycle(6)))
+    (d / "b.g").write_text("4 5\n0 1\n0 2\n0 3\n1 2\n1 3\n")  # a diamond
+    code, out = run(capsys, "recognize", "--class=chordless", f"--each={d}", "--format=json-lines")
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 4
+    assert lines[0] == "== a.g" and json.loads(lines[1]) == {"chordless": True}
+    assert lines[2] == "== b.g" and json.loads(lines[3])["chordless"] is False
+
+
+def test_each_needs_a_directory(capsys, tmp_path):
+    f = tmp_path / "a.g"
+    f.write_text(format_graph(cycle(6)))
+    code = main(["recognize", "--class=chordless", f"--each={f}", "--format=json-lines"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 def test_parse_error_exit_3(capsys, tmp_path):
@@ -261,3 +285,14 @@ def test_witness_checks_survive_python_O(tmp_path, validator, argv):
     assert proc.returncode == 4, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: internal") and proc.stderr.count("\n") == 1
+
+
+def test_no_assert_in_the_library():
+    """Checks in src/ raise, so ``python -O`` cannot strip them: no module
+    may hold an ``assert`` statement."""
+    found = []
+    for path in sorted(Path(inducta.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -6,9 +6,9 @@ from inducta.gap import (
     has_simplicial_vertex,
     second_stable_set_property,
     verify_gap_chapter,
-    _nonempty_cliques,
 )
 from inducta.graphs import bits
+from inducta.linegraph import all_cliques
 from inducta.named import cycle, disjoint_copies, petersen, r35, wagner
 from inducta.oracle import exact_invariants
 
@@ -33,7 +33,7 @@ def test_disjoint_union_additivity():
 def test_clique_removal_on_critical_graphs():
     for g in (cycle(5), cycle(7), r35()):
         rep = exact_invariants(g)
-        for k in _nonempty_cliques(g):
+        for k in all_cliques(g):
             h, _ = g.delete_vertices(list(bits(k)))
             rep_h = exact_invariants(h)
             assert rep_h.theta == rep.theta - 1

@@ -1,10 +1,11 @@
 import dataclasses
 import random
+from itertools import combinations
 
 import pytest
 
 from helpers import random_connected_girth, random_graph_girth
-from inducta.graphs import Graph, GraphError, bits, mask_of
+from inducta.graphs import Graph, GraphError, TooLargeError, bits, mask_of
 from inducta import decompose, detect, kintree, sgraph
 from inducta.kintree import (
     induced_tree_exists,
@@ -200,3 +201,32 @@ def test_disconnected_terminals():
     g = Graph(9, [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8)])
     res = k_in_a_tree(g, [0, 3, 6])
     assert res.kind == "disconnected-terminals"
+
+
+def test_three_terminals_every_small_graph():
+    """k = 3 answers from the bounded exhaustive search: on every graph
+    with 3-5 vertices and every terminal triple, a tree is returned
+    exactly when the oracle finds one, and is valid; every other answer
+    on terminals in one component is ``no-tree-exhaustive``."""
+    calls = 0
+    for n in range(3, 6):
+        pairs = list(combinations(range(n), 2))
+        for code in range(1 << len(pairs)):
+            g = Graph(n, [e for i, e in enumerate(pairs) if code >> i & 1])
+            for terms in combinations(range(n), 3):
+                res = k_in_a_tree(g, list(terms))
+                calls += 1
+                assert res.has_tree == (induced_tree_exists(g, list(terms)) is not None)
+                if res.has_tree:
+                    tree = mask_of(res.tree)
+                    assert g.is_tree_mask(tree) and all(tree >> t & 1 for t in terms)
+                elif any(all(c >> t & 1 for t in terms) for c in g.components()):
+                    assert res.kind == "no-tree-exhaustive"
+                else:
+                    assert res.kind == "disconnected-terminals"
+    assert calls == 10504
+
+
+def test_three_terminals_past_bound_too_large():
+    with pytest.raises(TooLargeError):
+        k_in_a_tree(path(24), [0, 11, 23])
