@@ -3,8 +3,9 @@ weakly triangulated recognition, the 2-pair machinery and omega-coloring.
 
 Each recognizer is total: it returns a positive classification with a
 validating witness, or the induced forbidden structure the theorem
-names.  Weakly triangulated recognition runs one reach per induced P3 of
-g and of its complement (polynomial; see ``is_weakly_triangulated``).
+names.  Weakly triangulated recognition runs at most one reach per
+induced P3 of g and of its complement (polynomial; see
+``is_weakly_triangulated``).
 The 2-pair finder follows the constructive proof: grow a maximal
 anticonnected set T whose common neighborhood C(T) holds two
 nonadjacent vertices, recurse inside C(T), and lift.
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .graphs import Graph, GraphError, InternalError, bit_count, bits, mask_of
+from .graphs import Graph, GraphError, InternalError, bits, mask_of
 from .linegraph import line_root_with_map
 from .oracle import enumerate_holes, induced_embedding
 
@@ -302,13 +303,20 @@ def classify_small(g: Graph, theorem: str) -> SmallClassification:
 
 def _long_hole(g: Graph) -> list[int] | None:
     """A hole of length >= 5 of g, validated, or None; see
-    ``is_weakly_triangulated`` for why one reach per induced P3 decides."""
+    ``is_weakly_triangulated`` for the lemma and the precheck."""
+    adj = g.adj
     full = g.full_mask()
     for b in range(g.n):
         outside = full & ~g.closed_nb(b)
-        for a in bits(g.adj[b]):
-            for c in bits(g.adj[b] & ~g.adj[a] & ~((2 << a) - 1)):
-                allowed = outside & ~(g.adj[a] & g.adj[c]) | 1 << c
+        for a in bits(adj[b]):
+            na = adj[a] & outside
+            if not na:
+                continue
+            for c in bits(adj[b] & ~adj[a] & ~((2 << a) - 1)):
+                nc = adj[c] & outside
+                if not (na & ~nc and nc & ~na):
+                    continue
+                allowed = outside & ~(adj[a] & adj[c]) | 1 << c
                 if not g.reach(1 << a, allowed) >> c & 1:
                     continue
                 hole = [b] + g.path_back(g.layers(1 << a, allowed), c)[::-1]
@@ -328,9 +336,14 @@ def is_weakly_triangulated(g: Graph) -> tuple[str, list[int]] | None:
     middle would otherwise be a common neighbor), and avoids N(b), so
     with b it closes a hole of length >= 5.  Conversely a long hole
     through b, a, c keeps its other vertices outside N[b], and none of
-    them is adjacent to both a and c.  So recognition is one reach per
-    induced P3 of g and of its complement: fewer than n*m reaches each,
-    with m counted in that graph.
+    them is adjacent to both a and c.  So recognition is at most one
+    reach per induced P3 of g and of its complement: fewer than n*m
+    reaches each, with m counted in that graph.
+
+    Precheck: such a path leaves a through a vertex of
+    (N(a) - N(c)) - N[b] and enters c from a vertex of
+    (N(c) - N(a)) - N[b].  When either set is empty the reach cannot
+    succeed and is skipped, and when N(a) - N[b] is empty no c is tried.
     """
     hole = _long_hole(g)
     if hole is not None:
@@ -356,56 +369,44 @@ def validate_two_pair(g: Graph, a: int, b: int) -> bool:
     return not (g.reach(1 << a, g.full_mask() & ~cut) >> b & 1)
 
 
-def _complete_to(g: Graph, tmask: int) -> int:
-    out = g.full_mask()
-    for v in bits(tmask):
-        out &= g.adj[v]
-    return out & ~tmask
-
-
 def find_two_pair(g: Graph) -> TwoPair | None:
     """A validated 2-pair of a weakly triangulated graph; None on cliques.
 
     Follows the constructive proof: seed T with the middle of a P3, grow
     it maximal keeping G[T] anticonnected with two nonadjacent
-    T-complete vertices, and recurse into the common neighborhood.
+    T-complete vertices, and recurse into the common neighborhood C(T).
+    T stays anticonnected as it grows, so v may join it exactly when v
+    misses some vertex of T, and C(T) then shrinks to C(T) & N(v).  The
+    recursion runs on vertex masks of g (``_two_pair_in``).
     """
     if g.is_clique_mask(g.full_mask()):
         return None
-    cl = classify_p3(g)
-    if cl.in_class:
-        # disjoint cliques, at least two: any cross-component pair works
-        comps = cl.parts
-        a = next(bits(comps[0]))
-        b = next(bits(comps[1]))
-        return TwoPair(a, b)
-    comp = g.complement()
-    t = 1 << cl.witness[1]
+    return TwoPair(*_two_pair_in(g, g.full_mask()))
 
-    def good(tmask: int) -> bool:
-        # G[T] anticonnected, and C(T) not a clique
-        if comp.reach(tmask & -tmask, tmask) != tmask:
-            return False
-        return not g.is_clique_mask(_complete_to(g, tmask))
 
-    growing = True
-    while growing:
-        growing = False
-        for v in range(g.n):
-            if t >> v & 1:
-                continue
-            if good(t | (1 << v)):
-                t |= 1 << v
-                growing = True
-    c = _complete_to(g, t)
-    sub, old = g.induced_mask(c)
-    inner = find_two_pair(sub)  # C(T) misses T: the recursion is at most |V| deep
-    if inner is None:
-        raise GraphError("C(T) became a clique: input not weakly triangulated?")
-    pair = TwoPair(old[inner.a], old[inner.b])
-    if not validate_two_pair(g, pair.a, pair.b):
+def _two_pair_in(g: Graph, u: int) -> tuple[int, int]:
+    """A 2-pair of G[u], which is not a clique, validated in G[u]; the
+    P3 middle is the first vertex whose neighborhood in u is not a clique."""
+    adj = g.adj
+    for v in bits(u):
+        if not g.is_clique_mask(adj[v] & u):
+            break
+    else:  # disjoint cliques: the lowest vertex, and the lowest outside its component
+        low = u & -u
+        rest = u & ~g.reach(low, u)
+        return low.bit_length() - 1, (rest & -rest).bit_length() - 1
+    t, c = 1 << v, adj[v] & u
+    grown = True
+    while grown:
+        grown = False
+        for w in bits(u & ~t):
+            cw = c & adj[w]
+            if t & ~adj[w] and not g.is_clique_mask(cw):
+                t, c, grown = t | 1 << w, cw, True
+    a, b = _two_pair_in(g, c)  # C(T) misses T: the recursion is at most |V| deep
+    if adj[a] >> b & 1 or g.reach(1 << a, u & ~(adj[a] & adj[b])) >> b & 1:
         raise GraphError("2-pair failed validation: input not weakly triangulated")
-    return pair
+    return a, b
 
 
 def contract_pair(g: Graph, a: int, b: int) -> tuple[Graph, list[int]]:

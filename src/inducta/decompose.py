@@ -557,7 +557,13 @@ def find_unique_chord_cycle(g: Graph) -> tuple[list[int], tuple[int, int]] | Non
 
 
 def _is_sub_named(g: Graph, which: Graph) -> bool:
-    return g.n <= which.n and induced_embedding(g, which) is not None
+    """g is an induced subgraph of the cubic graph ``which`` (Petersen or
+    Heawood).  Such a subgraph has maximum degree at most 3 and no cycle
+    shorter than the girth of ``which``, so those two tests run first and
+    the backtracking search only on graphs that pass them."""
+    if g.n > which.n or any(bit_count(nb) > 3 for nb in g.adj):
+        return False
+    return g.girth(below=which.girth()) is None and induced_embedding(g, which) is not None
 
 
 def recognize_unique_chord_free(g: Graph) -> UniqueChordResult:

@@ -10,7 +10,7 @@ graph (``StableSetFlow``) and re-weighted for each weighting.
 
 from __future__ import annotations
 
-from .graphs import Graph, GraphError, InternalError, TooLargeError, WeightedGraph, bits
+from .graphs import Graph, GraphError, InternalError, TooLargeError, WeightedGraph, bit_count, bits
 
 MATCHING_BOUND = 28
 
@@ -21,17 +21,23 @@ def max_weight_matching(
     """Exact maximum weight matching of a (multi)graph given as an edge list.
 
     Parallel edges are fine: only the heaviest copy between any pair can
-    matter.  Returns (total weight, chosen edges as (u, v) pairs).
+    matter.  Returns (total weight, chosen edges as (u, v) pairs).  The
+    DP runs over the vertices that carry an edge, since an isolated
+    vertex is never matched, and ``MATCHING_BOUND`` counts only those.
     """
-    if n > MATCHING_BOUND:
-        raise TooLargeError(f"matching bound {MATCHING_BOUND} exceeded (n={n})")
     best: dict[tuple[int, int], int] = {}
+    touched = 0
     for u, v, w in edges:
         if u == v:
             raise ValueError("loops not allowed in matchings")
         key = (min(u, v), max(u, v))
         if w > best.get(key, -1):
             best[key] = w
+        touched |= 1 << u | 1 << v
+    if bit_count(touched) > MATCHING_BOUND:
+        raise TooLargeError(
+            f"matching bound {MATCHING_BOUND} exceeded ({bit_count(touched)} vertices with edges)"
+        )
     nbr: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for (u, v), w in best.items():
         nbr[u].append((v, w))
@@ -53,10 +59,9 @@ def max_weight_matching(
         memo[mask] = res
         return res
 
-    full = (1 << n) - 1
-    total = rec(full)
+    total = rec(touched)
     chosen = []
-    mask = full
+    mask = touched
     while mask:
         v = (mask & -mask).bit_length() - 1
         if rec(mask) == rec(mask & ~(1 << v)):

@@ -13,7 +13,8 @@ from inducta.berge import (
     path_side,
     validate_split,
 )
-from inducta.graphs import Graph, TooLargeError, WeightedGraph, bit_count, bits, mask_of
+from inducta.classify import TwoPair, classify_p3, validate_two_pair
+from inducta.graphs import Graph, GraphError, TooLargeError, WeightedGraph, bit_count, bits, mask_of
 from inducta.linegraph import line_graph, maximal_cliques
 from inducta.named import (
     a6,
@@ -482,6 +483,61 @@ def oracle_contract_pair(g: Graph, a: int, b: int) -> tuple[Graph, list[int]]:
             h.add_edge_unchecked(uu, vv)
     omap = [pos[a] if v == b else pos[v] for v in range(g.n)]
     return h, omap
+
+
+# -- the unpruned P3 reach test and the copying 2-pair finder they replaced ----
+
+def oracle_long_hole(g: Graph) -> list[int] | None:
+    """One reach per induced P3 a-b-c (a < c), with no precheck."""
+    full = g.full_mask()
+    for b in range(g.n):
+        outside = full & ~g.closed_nb(b)
+        for a in bits(g.adj[b]):
+            for c in bits(g.adj[b] & ~g.adj[a] & ~((2 << a) - 1)):
+                allowed = outside & ~(g.adj[a] & g.adj[c]) | 1 << c
+                if not g.reach(1 << a, allowed) >> c & 1:
+                    continue
+                return [b] + g.path_back(g.layers(1 << a, allowed), c)[::-1]
+    return None
+
+
+def _complete_to(g: Graph, tmask: int) -> int:
+    out = g.full_mask()
+    for v in bits(tmask):
+        out &= g.adj[v]
+    return out & ~tmask
+
+
+def oracle_find_two_pair(g: Graph) -> TwoPair | None:
+    """The 2-pair finder on subgraph copies: T grows by testing
+    anticonnectivity in the complement, and the recursion runs on the
+    induced subgraph of C(T) with its indices mapped back."""
+    if g.is_clique_mask(g.full_mask()):
+        return None
+    cl = classify_p3(g)
+    if cl.in_class:
+        return TwoPair(next(bits(cl.parts[0])), next(bits(cl.parts[1])))
+    comp = g.complement()
+    t = 1 << cl.witness[1]
+
+    def good(tmask: int) -> bool:
+        if comp.reach(tmask & -tmask, tmask) != tmask:
+            return False
+        return not g.is_clique_mask(_complete_to(g, tmask))
+
+    growing = True
+    while growing:
+        growing = False
+        for v in range(g.n):
+            if not t >> v & 1 and good(t | (1 << v)):
+                t |= 1 << v
+                growing = True
+    sub, old = g.induced_mask(_complete_to(g, t))
+    inner = oracle_find_two_pair(sub)
+    pair = TwoPair(old[inner.a], old[inner.b])
+    if not validate_two_pair(g, pair.a, pair.b):
+        raise GraphError("2-pair failed validation: input not weakly triangulated")
+    return pair
 
 
 # -- the enumeration over all bipartitions that the pruned 2-join search replaced

@@ -305,3 +305,39 @@ def test_line_extension_transform_multi_path():
                         for j in range(i + 1, len(ends)) for e in bits(m))
         checked += 1
     assert touching >= 400  # ends of two paths adjacent: the inter-path case
+
+
+def test_line_extension_past_the_node_bound():
+    """A spec whose root multigraph has root.n + 2k of 29 or 30 nodes,
+    more than MATCHING_BOUND, of which the interiors of the extended root
+    paths carry no edge: the matching still answers, with alpha of G''
+    and of the extension graph."""
+    from inducta.berge import _replace_path_by_gadget
+    from inducta.matching import MATCHING_BOUND
+
+    rng = random.Random(2)
+    while True:
+        base, paths = _subdivided_root_spec(rng)
+        root, root_edges = line_root_with_map(base)
+        nodes = root.n + 2 * len(paths)
+        if nodes in (29, 30):
+            break
+    assert nodes > MATCHING_BOUND
+    kinds = [("claw", "vault")[i % 2] for i in range(len(paths))]
+    w4s = []
+    for kind in kinds:
+        w4 = [rng.randint(0, 5) for _ in range(4 if kind == "claw" else 6)]
+        if kind == "vault":
+            w4[3], w4[5] = w4[2], w4[4]
+        w4s.append(w4)
+    base_w = [rng.randint(0, 5) for _ in range(base.n)]
+    spec = ExtensionSpec(base, root, root_edges, paths, kinds)
+    numbers = [gadget_alpha_numbers(k, w) for k, w in zip(kinds, w4s)]
+    gpp, medges, _ = line_extension_transform(base_w, spec, numbers)
+    ext = WeightedGraph(base, base_w)
+    left = [list(p) for p in paths]
+    for i, (kind, w4) in enumerate(zip(kinds, w4s)):
+        ext, _, omap = _replace_path_by_gadget(ext, left[i], kind, w4)
+        left[i + 1:] = [[omap[v] for v in p] for p in left[i + 1:]]
+    val, _ = max_weight_matching(nodes, [(u, v, w) for u, v, w, _ in medges])
+    assert val == max_weight_stable_set(gpp)[0] == max_weight_stable_set(ext)[0]

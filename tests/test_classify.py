@@ -5,7 +5,9 @@ import pytest
 
 from helpers import (
     oracle_contract_pair,
+    oracle_find_two_pair,
     oracle_is_weakly_triangulated,
+    oracle_long_hole,
     random_chordal,
     random_graph,
 )
@@ -165,6 +167,48 @@ def test_wt_recognition_matches_enumeration():
         assert len(wit) >= 5 and host.is_induced_cycle(wit), (g.edges(), got)
         kinds[kind] += 1
     assert min(kinds.values()) >= 150, kinds
+
+
+@pytest.fixture(scope="module")
+def unpruned_holes():
+    """Every labelled graph on at most 6 vertices and 400 seeded random
+    graphs with 7 to 16 vertices, each with the unpruned reach test's
+    hole (or None) in g and in its complement."""
+    rng = random.Random(72)
+    graphs = list(_all_labelled_graphs(6))
+    graphs += [random_graph(rng.randint(7, 16), rng.uniform(0.1, 0.8), rng) for _ in range(400)]
+    return [(g, oracle_long_hole(g), oracle_long_hole(g.complement())) for g in graphs]
+
+
+def test_long_hole_matches_unpruned_reaches(unpruned_holes):
+    """The P3 precheck skips only reaches that fail: the same hole, or
+    None, as one reach per induced P3, on g and on its complement."""
+    found = 0
+    for g, hole, antihole in unpruned_holes:
+        assert classify._long_hole(g) == hole, g.edges()
+        assert classify._long_hole(g.complement()) == antihole, g.edges()
+        found += (hole is not None) + (antihole is not None)
+    assert found >= 4000
+
+
+def test_find_two_pair_matches_copying_finder(unpruned_holes):
+    """The mask recursion against the finder on complements and induced
+    copies: the same pair on every weakly triangulated graph above, and
+    on every graph of the contraction sequence of seeded chordal graphs
+    with up to 40 vertices."""
+    checked = 0
+    for g, hole, antihole in unpruned_holes:
+        if hole is None and antihole is None:
+            assert find_two_pair(g) == oracle_find_two_pair(g), g.edges()
+            checked += 1
+    rng = random.Random(73)
+    for _ in range(60):
+        cur = random_chordal(rng.randint(2, 40), rng)
+        while (pair := find_two_pair(cur)) is not None:
+            assert pair == oracle_find_two_pair(cur), cur.edges()
+            cur, _ = contract_pair(cur, pair.a, pair.b)
+            checked += 1
+    assert checked >= 30000
 
 
 def test_wt_paths_never_enumerate_holes(monkeypatch):

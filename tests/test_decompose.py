@@ -26,7 +26,7 @@ from inducta.named import (
     petersen,
     two_subdivision,
 )
-from inducta.oracle import exact_invariants
+from inducta.oracle import exact_invariants, induced_embedding
 
 DIAMOND = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 
@@ -283,6 +283,31 @@ def test_recognition_oracle_agreement():
             # the cycle plus the chord has exactly one chord
             assert sub.edge_count() == len(cyc) + 1
     assert members >= 60
+
+
+def test_sub_named_prechecks_match_embedding():
+    """The degree and girth prechecks change no answer of the backtracking
+    search: random induced subgraphs of Petersen and Heawood (members),
+    each with one edge added and one removed, and seeded random graphs."""
+    rng = random.Random(43)
+    graphs, members = [], []
+    for host in (petersen(), heawood()):
+        for _ in range(12):
+            sub, _ = host.induced(rng.sample(range(host.n), rng.randint(1, host.n)))
+            members.append((sub, host))
+            edges = sub.edges()
+            non = [(u, v) for u in range(sub.n) for v in range(u + 1, sub.n) if not sub.has_edge(u, v)]
+            if non:
+                graphs.append(Graph(sub.n, edges + [rng.choice(non)]))
+            if edges:
+                drop = rng.choice(edges)
+                graphs.append(Graph(sub.n, [e for e in edges if e != drop]))
+    graphs += [random_graph(rng.randint(4, 14), rng.uniform(0.2, 0.5), rng) for _ in range(60)]
+    for g, host in members:
+        assert decompose._is_sub_named(g, host)
+    for g in graphs + [g for g, _ in members]:
+        for host in (petersen(), heawood()):
+            assert decompose._is_sub_named(g, host) == (induced_embedding(g, host) is not None), g.edges()
 
 
 def test_chi_unique_chord_free_named():

@@ -4,7 +4,7 @@ import pytest
 
 from helpers import random_graph
 from inducta import matching
-from inducta.graphs import Graph, GraphError, WeightedGraph, bits
+from inducta.graphs import Graph, GraphError, TooLargeError, WeightedGraph, bits
 from inducta.matching import (
     StableSetFlow,
     bipartite_max_weight_stable_set,
@@ -39,6 +39,22 @@ def test_matching_is_a_matching():
         assert val == sum(
             max(w for a, b, w in edges if (a, b) == (u, v)) for u, v in chosen
         )
+
+
+def test_matching_bound_counts_vertices_with_edges():
+    """Isolated vertices neither count against MATCHING_BOUND nor change
+    the answer: a 30-node edge list on at most 20 touched vertices answers
+    like the same list relabelled onto 20 nodes, in order."""
+    rng = random.Random(8)
+    for _ in range(5):
+        g = random_graph(20, rng.uniform(0.1, 0.4), rng)
+        edges = [(u, v, rng.randint(0, 9)) for u, v in g.edges()]
+        spots = sorted(rng.sample(range(30), 20))
+        val, chosen = max_weight_matching(20, edges)
+        got = max_weight_matching(30, [(spots[u], spots[v], w) for u, v, w in edges])
+        assert got == (val, [(spots[u], spots[v]) for u, v in chosen])
+    with pytest.raises(TooLargeError):
+        max_weight_matching(30, [(2 * i, 2 * i + 1, 1) for i in range(15)])
 
 
 def test_factor_critical():
