@@ -12,23 +12,23 @@ pieces, each vertex seeing all of its piece's other side.  That is
 exact: a 2-join's cross edges are two such pieces (A1-A2 and B1-B2),
 and every restriction of them to the placed vertices still is.
 ``solve`` then answers maximum weighted stable set and clique for one
-weighting on that tree, with no search.  Solving goes through a plan
-that walks the tree once and builds everything that does not depend on
-the weights: each join's X1 side block with its vertex ids, markers and
-the regions of its seven cases, and for each block and the leaf the
-graph with every marker path swapped for its gadget, the flow network
-of a flow leaf and the line-extension skeleton of a matching leaf.  A
-weighting then only fills in weights.  Walking down, each join's
-removed side is solved on its block and re-read in the child as a
-weighted gadget: a path with clique weights for omega, a flat claw
-(even side) or flat vault (odd side) carrying the side's four
-stable-set numbers for alpha.  Weights enter only through those
-numbers, so one tree and one plan serve every weighting.  The alpha and
-omega halves never read each other's numbers, so either can run alone:
-the coloring loop solves all of its weightings with one plan, and each
-only for the half it reads (omega to find maximum cliques, alpha for a
-stable set hitting them).  A plan is built per call and dropped with
-it; no tree, answer or module keeps one.  Leaves are bipartite or
+weighting on that tree, with no search.  The tree also carries
+everything that does not depend on the weights, built once by
+``decompose``: each join's X1 side block with its vertex ids, markers
+and the regions of its seven cases, the leaf's block, and for each
+block the graph with every marker path swapped for its gadget, the flow
+network of a flow leaf and the line-extension skeleton of a matching
+leaf.  A weighting then only fills in weights, and no solve changes the
+tree, so one tree can be solved many times and from many threads.
+Walking down, each join's removed side is solved on its block and
+re-read in the child as a weighted gadget: a path with clique weights
+for omega, a flat claw (even side) or flat vault (odd side) carrying
+the side's four stable-set numbers for alpha.  Weights enter only
+through those numbers, so one tree serves every weighting.  The alpha
+and omega halves never read each other's numbers, so either can run
+alone: the coloring loop solves all of its weightings on one tree, and
+each only for the half it reads (omega to find maximum cliques, alpha
+for a stable set hitting them).  Leaves are bipartite or
 line-graph extensions solved by flow and matching; a root leaf that is
 the complement of one is solved on its complement, with alpha and omega
 swapped.  The remaining basic kinds are handled exactly at desk scale.
@@ -44,7 +44,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import Graph, GraphError, TooLargeError, WeightedGraph, bit_count, bits, mask_of
+from .graphs import (Graph, GraphError, InternalError, TooLargeError, WeightedGraph, bit_count,
+                     bits, mask_of)
 from .linegraph import line_root_with_map
 from .matching import StableSetFlow, max_weight_matching
 from .oracle import max_weight_clique, max_weight_stable_set
@@ -877,7 +878,10 @@ class MarkerInfo:
 @dataclass(slots=True)
 class TreeNode:
     """One node of the weight-free decomposition: a leaf, or a join whose
-    only child is the block of X2 plus a marker for X1."""
+    only child is the block of X2 plus a marker for X1.  Each node also
+    carries the block its solves run on (the leaf's graph, or the join's
+    X1 side block), which no solve changes; ``block`` takes no part in
+    equality, so two decompositions of one graph compare equal."""
 
     kind: str                              # 'leaf' or 'join'
     leaf: LeafInfo | None = None
@@ -888,6 +892,8 @@ class TreeNode:
     marker_len: int = 0                    # length of the child's marker
     side_leaf: LeafInfo | None = None      # join only: the kind of the X1 block
     complemented: bool = False             # root only: the tree is of the complement
+    block: _Block | None = field(default=None, compare=False, repr=False)
+    regions: tuple[int, ...] = ()          # join only: the block masks of the seven cases
 
 
 def replay_tree(node: TreeNode) -> bool:
@@ -936,8 +942,12 @@ def _clamp_case(case: str, forced_a: bool, forced_b: bool) -> str:
 
 
 def _expand_alpha_witness(blk: _Block, wit_mask: int, gadget_map: list) -> list[int]:
-    """Root-vertex stable set from a gadgetized-block witness."""
-    g2 = blk.gadgetized
+    """Root-vertex stable set from a gadgetized-block witness.  Each
+    gadget expands by the case its own anchors chose (an A-end anchor
+    for a, a B-end one for b, both for d, neither for c), as a matching
+    leaf reads its gadget roles.  Reading the case from the witness next
+    to the anchors instead would let two gadgets whose anchors are
+    adjacent both widen to a border the other then meets."""
     out = set()
     gadget_vs = 0
     for _, _, gad, _, _ in gadget_map:
@@ -947,17 +957,9 @@ def _expand_alpha_witness(blk: _Block, wit_mask: int, gadget_map: list) -> list[
         if orig is not None:
             out.add(orig)
     for nums, kind, gad, forced_a, forced_b in gadget_map:
-        (a_anchor, *_), (b_anchor, *_) = _anchor_groups(kind, gad)
-        contact_a = bool(wit_mask & g2.adj[a_anchor] & ~mask_of(gad))
-        contact_b = bool(wit_mask & g2.adj[b_anchor] & ~mask_of(gad))
-        if contact_a and contact_b:
-            case = "c"
-        elif contact_a:
-            case = "b"
-        elif contact_b:
-            case = "a"
-        else:
-            case = "d"
+        a_end, b_end = _anchor_groups(kind, gad)
+        at_a, at_b = wit_mask & mask_of(a_end), wit_mask & mask_of(b_end)
+        case = "d" if at_a and at_b else "a" if at_a else "b" if at_b else "c"
         out.update(nums.alpha_wit[_clamp_case(case, forced_a, forced_b)])
     return sorted(out)
 
@@ -1121,18 +1123,21 @@ def _expand_omega_witness(blk: _Block, mask: int, sides: list[_SideNumbers]) -> 
 def decompose(g: Graph) -> TreeNode:
     """The weight-free 2-join decomposition of g: every search the
     pipeline makes, done once so that ``solve`` can answer any weighting.
-    When g neither classifies as a leaf nor decomposes, its complement is
-    tried once at the root; if the complement's root has neither a leaf
-    kind nor a 2-join either, g's own failure is reported."""
+    Each node carries the block its solves run on, built once its own
+    subtree has decomposed, so a graph refused deep in the chain builds
+    none.  When g neither classifies as a leaf nor decomposes, its
+    complement is tried once at the root; if the complement's root has
+    neither a leaf kind nor a 2-join either, g's own failure is
+    reported."""
     try:
-        return _decompose(g, [], 0)
+        return _decompose(g, list(range(g.n)), [], 0)
     except OutsideClassError as err:
         outside = err
     comp = g.complement()
     found = _leaf_or_join(comp, [])
     if found is None:
         raise outside
-    tree = _decompose(comp, [], 0, found)
+    tree = _decompose(comp, list(range(g.n)), [], 0, found)
     tree.complemented = True
     return tree
 
@@ -1149,11 +1154,13 @@ def _leaf_or_join(
 
 
 def _decompose(
-    g: Graph, markers: list[MarkerInfo], depth: int,
+    g: Graph, ids: list, markers: list[MarkerInfo], depth: int,
     found: tuple[LeafInfo | None, TwoJoinSplit | None] | None = None,
 ) -> TreeNode:
-    """The tree below a node; ``found`` is the node's own search when the
-    caller has already made it."""
+    """The tree below a node whose vertices stand for the root vertices
+    ``ids`` (None on marker paths); ``found`` is the node's own search
+    when the caller has already made it.  Walking down, each join's
+    removed side X1 becomes a marker path in the child's graph."""
     if depth > g.n + 8:
         raise OutsideClassError("decomposition recursion exceeded its depth cap")
     if found is None:
@@ -1162,21 +1169,31 @@ def _decompose(
             raise OutsideClassError("node neither classifies as a leaf nor has a 2-join")
     leaf, split = found
     if leaf is not None:
-        return TreeNode("leaf", leaf=leaf, graph=g)
+        return TreeNode("leaf", leaf=leaf, graph=g, block=_Block(g, leaf, ids, markers))
 
     p1 = side_parity(g, split, "x1")
     p2 = side_parity(g, split, "x2")
     if "mixed" in (p1, p2):
         raise OutsideClassError("parity-undefined 2-join side")
-    side_leaf = classify_leaf(_side_block(g, split, p2))
+    side = _path_block(WeightedGraph(g), split, 3 if p2 == "odd" else 4)[0].graph
+    side_leaf = classify_leaf(side)
     if side_leaf is None:
         raise OutsideClassError("extreme-side block is not leaf-classifiable")
 
     k2 = 3 if p1 == "odd" else 4   # marker standing for X1
     block2, m1_path = _path_block(WeightedGraph(g), split.flip(), k2)
+    x1, x2 = list(bits(split.x1)), list(bits(split.x2))
     markers2 = _markers_within(markers, split.x2)
     markers2.append(MarkerInfo(m1_path, _gadget_kind(p1), depth))
-    child = _decompose(block2.graph, markers2, depth + 1)
+    child = _decompose(block2.graph, [ids[o] for o in x2] + [None] * (k2 + 1), markers2, depth + 1)
+    block = _Block(side, side_leaf, [ids[o] for o in x1] + [None] * (side.n - len(x1)),
+                   _markers_within(markers, split.x1))
+    # the side's abcd cases a, b, c, d, then the cliques of A1, B1 and X1
+    regions = tuple(
+        mask_of(i for i, v in enumerate(x1) if region >> v & 1)
+        for region in (split.a1 | split.c1, split.b1 | split.c1, split.c1, split.x1,
+                       split.a1, split.b1, split.x1)
+    )
     return TreeNode(
         "join",
         parities=(p1, p2),
@@ -1185,13 +1202,9 @@ def _decompose(
         split=split,
         marker_len=k2,
         side_leaf=side_leaf,
+        block=block,
+        regions=regions,
     )
-
-
-def _side_block(g: Graph, split: TwoJoinSplit, p2: str) -> Graph:
-    """The extreme-side leaf block: X1 plus a marker for X2 whose length
-    matches the parity of X2."""
-    return _path_block(WeightedGraph(g), split, 3 if p2 == "odd" else 4)[0].graph
 
 
 def _gadget_kind(parity: str) -> str:
@@ -1209,7 +1222,7 @@ def _markers_within(markers: list[MarkerInfo], side: int) -> list[MarkerInfo]:
     ]
 
 
-# -- solve plans -----------------------------------------------------------------
+# -- blocks and solving ---------------------------------------------------------
 
 class _Block:
     """A graph the solver solves on, a join's X1 side block or the tree's
@@ -1255,45 +1268,6 @@ class _Block:
             self.edges = graph.edges()
 
 
-class _SolvePlan:
-    """What every weighting of one tree shares, walked once: per join its
-    X1 parity, its side block and the seven regions its marker numbers
-    are solved on (the abcd cases a, b, c, d, then the cliques of A1, B1
-    and X1, as masks of the block), and the leaf's block.  Built per call
-    and dropped with it: nothing here is stored on a tree or an answer.
-
-    Walking down, each join's removed side X1 becomes a marker path in
-    the child node's graph.  Every block vertex keeps the root vertex it
-    stands for, so a block's weights are read off the root's."""
-
-    __slots__ = ("tree", "joins", "leaf")
-
-    def __init__(self, tree: TreeNode):
-        self.tree = tree
-        self.joins: list[tuple[str, _Block, tuple[int, ...]]] = []
-        ids, markers = list(range(tree.graph.n)), []
-        node = tree
-        while node.kind == "join":
-            split, (p1, p2) = node.split, node.parities
-            side = _side_block(node.graph, split, p2)
-            x1 = list(bits(split.x1))
-            ids1 = [ids[o] for o in x1] + [None] * (side.n - len(x1))
-            blk = _Block(side, node.side_leaf, ids1, _markers_within(markers, split.x1))
-            regions = tuple(
-                mask_of(i for i, v in enumerate(x1) if region >> v & 1)
-                for region in (split.a1 | split.c1, split.b1 | split.c1, split.c1, split.x1,
-                               split.a1, split.b1, split.x1)
-            )
-            self.joins.append((p1, blk, regions))
-            x2 = list(bits(split.x2))
-            markers = _markers_within(markers, split.x2)
-            markers.append(MarkerInfo(list(range(len(x2), len(x2) + node.marker_len + 1)),
-                                      _gadget_kind(p1), len(self.joins) - 1))
-            node = node.children[0]
-            ids = [ids[o] for o in x2] + [None] * (node.graph.n - len(x2))
-        self.leaf = _Block(node.graph, node.leaf, ids, markers)
-
-
 class _SideNumbers:
     """What a join's removed side X1 hands on under one weighting: for
     the stable half the abcd numbers with a stable set per case, for the
@@ -1316,12 +1290,12 @@ def solve(tree: TreeNode, weights: list[int]) -> BergeAnswer:
 
 def _answer(tree: TreeNode, graph: Graph, weights: list[int]) -> BergeAnswer:
     """Solve ``tree``, the decomposition of ``graph``, for one weighting."""
-    (a, aw), (o, ow) = _solve_halves(_SolvePlan(tree), weights, alpha=True, omega=True)
+    (a, aw), (o, ow) = _solve_halves(tree, weights, alpha=True, omega=True)
     return BergeAnswer(a, aw, o, ow, graph, tree.complemented)
 
 
 def _solve_halves(
-    plan: _SolvePlan, weights: list[int], alpha: bool, omega: bool
+    tree: TreeNode, weights: list[int], alpha: bool, omega: bool
 ) -> tuple[tuple[int, list[int]] | None, tuple[int, list[int]] | None]:
     """The (alpha, omega) halves asked for, each a validated (weight,
     witness) pair; a half not asked for is None and costs nothing.  The
@@ -1329,37 +1303,38 @@ def _solve_halves(
     solved on its block before the blocks below read its numbers.  On a
     complemented root, a stable set of the decomposed graph is a clique
     of the tree's."""
-    tree = plan.tree
     stable, clique = (omega, alpha) if tree.complemented else (alpha, omega)
     root = WeightedGraph(tree.graph, weights)
     sides: list[_SideNumbers] = []
-    for parity, blk, regions in plan.joins:
-        sides.append(_side_numbers(blk, regions, parity, weights, sides, stable, clique))
-    full = plan.leaf.graph.full_mask()
-    st = _leaf_alpha(plan.leaf, weights, sides, full) if stable else None
-    cl = _leaf_omega(plan.leaf, weights, sides, full) if clique else None
+    node = tree
+    while node.kind == "join":
+        sides.append(_side_numbers(node, weights, sides, stable, clique))
+        node = node.children[0]
+    full = node.graph.full_mask()
+    st = _leaf_alpha(node.block, weights, sides, full) if stable else None
+    cl = _leaf_omega(node.block, weights, sides, full) if clique else None
     t = tree.graph
     if tree.complemented:
         a, o, is_stable, is_clique = cl, st, t.is_clique_mask, t.is_stable_mask
     else:
         a, o, is_stable, is_clique = st, cl, t.is_stable_mask, t.is_clique_mask
     if a is not None and not is_stable(mask_of(a[1])):
-        raise GraphError("lifted stable set fails validation")
+        raise InternalError("lifted stable set fails validation")
     if o is not None and not is_clique(mask_of(o[1])):
-        raise GraphError("lifted clique fails validation")
+        raise InternalError("lifted clique fails validation")
     for half in (a, o):
         if half is not None and root.weight_of(mask_of(half[1])) != half[0]:
-            raise GraphError("lifted witness weight mismatch")
+            raise InternalError("lifted witness weight mismatch")
     return a, o
 
 
 def _side_numbers(
-    blk: _Block, regions: tuple[int, ...], parity: str, weights: list[int],
-    sides: list[_SideNumbers], stable: bool, clique: bool,
+    node: TreeNode, weights: list[int], sides: list[_SideNumbers], stable: bool, clique: bool,
 ) -> _SideNumbers:
     """What a join's removed side X1 hands on, solved on its side block:
     for the stable half the abcd numbers, for the clique half the clique
     numbers of A1, B1 and X1, each with its witness."""
+    blk, regions, parity = node.block, node.regions, node.parities[0]
     abcd = alpha_wit = omega_w = omega_wit = None
     if stable:
         vals, alpha_wit = [], {}
@@ -1398,17 +1373,17 @@ def berge_alpha_omega(wg: WeightedGraph) -> BergeAnswer:
 
 def stable_hitting_cliques(g: Graph, cliques: list[list[int]]) -> list[int]:
     """A stable set meeting every given maximum clique."""
-    return _hitting_stable_set(_SolvePlan(decompose(g)), cliques)
+    return _hitting_stable_set(decompose(g), cliques)
 
 
-def _hitting_stable_set(plan: _SolvePlan, cliques: list[list[int]]) -> list[int]:
+def _hitting_stable_set(tree: TreeNode, cliques: list[list[int]]) -> list[int]:
     """Solve with the cover-count weights and check the weight equals the
     clique count, so the stable set meets every clique."""
-    y = [0] * plan.tree.graph.n
+    y = [0] * tree.graph.n
     for k in cliques:
         for v in k:
             y[v] += 1
-    alpha, alpha_set = _solve_halves(plan, y, alpha=True, omega=False)[0]
+    alpha, alpha_set = _solve_halves(tree, y, alpha=True, omega=False)[0]
     smask = mask_of(alpha_set)
     if alpha != len(cliques):
         raise GraphError(
@@ -1423,15 +1398,15 @@ def _hitting_stable_set(plan: _SolvePlan, cliques: list[list[int]]) -> list[int]
 def color_berge(g: Graph) -> list[int]:
     """An omega-coloring: per color class, grow a list of maximum cliques
     of the uncolored part until some stable set hits them all.  Every
-    weighting is solved with one plan of one decomposition of g, and only
+    weighting is solved on one decomposition of g and its blocks, and only
     for the half the loop reads: omega of the probe weightings, alpha of
     the hitting weighting.  No weighting is solved twice: a class's first
     probe hits no clique yet, so it weighs the live vertices, which the
     probe that ended the previous class weighed already."""
-    plan = _SolvePlan(decompose(g))
+    tree = decompose(g)
 
     def omega_of(weights: list[int]) -> tuple[int, list[int]]:
-        return _solve_halves(plan, weights, alpha=False, omega=True)[1]
+        return _solve_halves(tree, weights, alpha=False, omega=True)[1]
 
     color = [-1] * g.n
     remaining = g.full_mask()
@@ -1445,7 +1420,7 @@ def color_berge(g: Graph) -> list[int]:
         s_mask = 0
         for _ in range(g.n + 1):
             if cliques:
-                s_mask = mask_of(_hitting_stable_set(plan, cliques)) & remaining
+                s_mask = mask_of(_hitting_stable_set(tree, cliques)) & remaining
                 probe = remaining & ~s_mask
                 rest, rest_set = omega_of([probe >> v & 1 for v in range(g.n)])
             if rest < omega_now:
@@ -1460,7 +1435,7 @@ def color_berge(g: Graph) -> list[int]:
         remaining &= ~s_mask
         colors_used += 1
     if any(color[u] == color[v] for u, v in g.edges() if color[u] >= 0):
-        raise GraphError("berge coloring is not proper")
+        raise InternalError("berge coloring is not proper")
     return color
 
 

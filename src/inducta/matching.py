@@ -5,7 +5,8 @@ always decides the lowest-index remaining vertex, so states stay sparse
 on the small graphs we feed it.  The bipartite stable-set solver goes
 through a min vertex cover computed by max flow, reachability on the
 residual network yielding the witness; its network is built once per
-graph (``StableSetFlow``) and re-weighted for each weighting.
+graph (``StableSetFlow``) and each weighting flows on a capacity list
+of its own.
 """
 
 from __future__ import annotations
@@ -101,6 +102,8 @@ def is_factor_critical(g: Graph) -> bool:
 # -- bipartite max weight stable set via max flow ------------------------
 
 class _Dinic:
+    __slots__ = ("n", "to", "cap", "head")
+
     def __init__(self, n: int):
         self.n = n
         self.to: list[int] = []
@@ -114,6 +117,14 @@ class _Dinic:
         self.head[v].append(len(self.to))
         self.to.append(u)
         self.cap.append(0)
+
+    def with_capacities(self, cap: list[int]) -> "_Dinic":
+        """These arcs under the capacities ``cap``, one per arc; the arc
+        lists are shared, so a flow on the result leaves this one as it
+        was."""
+        net = object.__new__(_Dinic)
+        net.n, net.to, net.head, net.cap = self.n, self.to, self.head, cap
+        return net
 
     def max_flow(self, s: int, t: int) -> int:
         flow = 0
@@ -171,9 +182,10 @@ class _Dinic:
 class StableSetFlow:
     """The König flow network of one bipartite graph, built once: source
     arcs into the left side, sink arcs out of the right, one arc per edge.
-    Each ``solve`` only sets the capacities from a weighting, so a graph
+    Each ``solve`` only fills in capacities from a weighting, so a graph
     solved under many weightings pays for its bipartition and network
-    once."""
+    once.  The capacities are the solve's own and the stored network is
+    never changed, so threads may share one flow."""
 
     __slots__ = ("graph", "left", "right", "net", "carries")
 
@@ -202,12 +214,11 @@ class StableSetFlow:
     def solve(self, weights: list[int]) -> tuple[int, int]:
         """(weight, witness bitset) under non-negative ``weights``; the
         witness is canonical in that zero-weight vertices are dropped."""
-        g, net = self.graph, self.net
+        g = self.graph
         big = sum(weights) + 1
-        cap = net.cap
-        for i, v in enumerate(self.carries):
-            cap[2 * i] = weights[v] if v >= 0 else big
-            cap[2 * i + 1] = 0
+        cap = [0] * len(self.net.cap)
+        cap[::2] = [weights[v] if v >= 0 else big for v in self.carries]
+        net = self.net.with_capacities(cap)
         cut = net.max_flow(g.n, g.n + 1)
         reach = net.reachable(g.n)
         stable = 0

@@ -1,4 +1,7 @@
+import itertools
 import random
+import sys
+import threading
 
 import pytest
 
@@ -18,7 +21,8 @@ from inducta.berge import (
 from inducta.graphs import Graph, WeightedGraph, bit_count, bits, mask_of
 from inducta.linegraph import line_graph
 from inducta.named import complete, complete_bipartite, cycle, petersen
-from inducta.oracle import ALPHA_BOUND, exact_invariants, max_weight_clique, max_weight_stable_set
+from inducta.oracle import (ALPHA_BOUND, exact_invariants, is_berge, max_weight_clique,
+                            max_weight_stable_set)
 
 
 def test_bipartite_direct_leaf():
@@ -214,14 +218,13 @@ def test_one_tree_serves_every_weighting():
     routes = set()
     for g in _reuse_members():
         tree = decompose(g)
-        plan = berge._SolvePlan(tree)
         routes.add((tree.kind, tree.complemented))
         for _ in range(5):
             wg = WeightedGraph(g, [rng.randint(0, 4) for _ in range(g.n)])
             ans = solve(tree, wg.weights)
             # each half alone, as the coloring loop asks for it
-            alpha_half, no_omega = berge._solve_halves(plan, wg.weights, alpha=True, omega=False)
-            no_alpha, omega_half = berge._solve_halves(plan, wg.weights, alpha=False, omega=True)
+            alpha_half, no_omega = berge._solve_halves(tree, wg.weights, alpha=True, omega=False)
+            no_alpha, omega_half = berge._solve_halves(tree, wg.weights, alpha=False, omega=True)
             assert no_omega is None and no_alpha is None
             alpha_true, omega_true = max_weight_stable_set(wg)[0], max_weight_clique(wg)[0]
             for (a, aw), (o, ow) in (
@@ -256,7 +259,7 @@ def test_each_half_runs_without_the_other(monkeypatch):
             m.setattr(berge, patched, other_half)
             with pytest.raises(AssertionError):
                 solve(tree, wg.weights)
-            a, o = berge._solve_halves(berge._SolvePlan(tree), wg.weights, alpha=alpha, omega=omega)
+            a, o = berge._solve_halves(tree, wg.weights, alpha=alpha, omega=omega)
         if alpha:
             assert o is None and a[0] == max_weight_stable_set(wg)[0]
             assert g.is_stable_mask(mask_of(a[1])) and wg.weight_of(mask_of(a[1])) == a[0]
@@ -295,26 +298,68 @@ def test_color_berge_searches_two_joins_once(monkeypatch):
         assert 0 < len(calls) <= per_answer
 
 
+def _blocks(tree):
+    """The blocks a tree carries, root first and the leaf's last."""
+    out, node = [tree.block], tree
+    while node.kind == "join":
+        node = node.children[0]
+        out.append(node.block)
+    return out
+
+
 def test_one_plan_serves_every_weighting():
-    """A plan reused across 20 weightings, each solved by halves and whole
-    as the coloring loop interleaves them, answers exactly as a fresh
-    plan per weighting, witnesses included."""
+    """A tree's blocks reused across 20 weightings, each solved by halves
+    and whole as the coloring loop interleaves them, answer exactly as a
+    fresh decomposition per weighting, witnesses included; no solve
+    changes the flow networks stored on the tree."""
     rng = random.Random(63)
     line_blocks_with_markers = 0
+    flows = []
     for g in _reuse_members():
         tree = decompose(g)
-        plan = berge._SolvePlan(tree)
-        blocks = [blk for _, blk, _ in plan.joins] + [plan.leaf]
+        blocks = _blocks(tree)
         line_blocks_with_markers += sum(1 for b in blocks if b.line is not None and b.markers)
+        flows += [(f, list(f.net.cap)) for b in blocks for f in (b.flow, b.co and b.co.flow) if f]
         for _ in range(20):
             w = [rng.randint(0, 4) for _ in range(g.n)]
-            fresh = berge._solve_halves(berge._SolvePlan(tree), w, alpha=True, omega=True)
-            alpha_half = berge._solve_halves(plan, w, alpha=True, omega=False)[0]
-            omega_half = berge._solve_halves(plan, w, alpha=False, omega=True)[1]
+            fresh = berge._solve_halves(decompose(g), w, alpha=True, omega=True)
+            alpha_half = berge._solve_halves(tree, w, alpha=True, omega=False)[0]
+            omega_half = berge._solve_halves(tree, w, alpha=False, omega=True)[1]
             assert (alpha_half, omega_half) == fresh
-            assert berge._solve_halves(plan, w, alpha=True, omega=True) == fresh
+            assert berge._solve_halves(tree, w, alpha=True, omega=True) == fresh
             assert solve(tree, w).alpha_set == fresh[0][1]
-    assert line_blocks_with_markers > 0
+    assert line_blocks_with_markers > 0 and flows
+    assert all(f.net.cap == cap for f, cap in flows)
+
+
+def test_threads_share_one_tree():
+    """Eight threads solving one tree, the one with the largest flow
+    network among the reuse members, switched as often as the interpreter
+    allows so that they interleave inside its flow solves, answer exactly
+    as solves one at a time do."""
+    tree = max((decompose(g) for g in _reuse_members()),
+               key=lambda t: max((b.flow.graph.n for b in _blocks(t) if b.flow), default=0))
+    rng = random.Random(65)
+    weightings = [[rng.randint(0, 4) for _ in range(tree.graph.n)] for _ in range(160)]
+    want = [solve(tree, w) for w in weightings]
+    got = [None] * len(weightings)
+
+    def work(k):
+        for i in range(k, len(weightings), 8):
+            got[i] = solve(tree, weightings[i])
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
 
 
 def test_answer_keeps_its_graph_and_rebuilds_its_tree():
@@ -429,3 +474,36 @@ def test_path_cobipartite_recognizer():
                    (0, 6), (6, 7), (7, 3), (1, 8), (8, 9), (9, 4)])
     assert berge.is_path_cobipartite(g)
     assert berge.classify_leaf(g).kind == "line-of-bipartite"
+
+
+def _edge_graph(n, text):
+    return Graph(n, [tuple(map(int, e.split("-"))) for e in text.split()])
+
+
+def test_adjacent_vaults_expand_by_their_own_anchors():
+    """Two Berge graphs whose complements decompose by two odd/odd joins
+    into a bipartite leaf with two vault markers joined end to end, so
+    each vault's anchors see the other's.  Every 0/1 weighting of both,
+    and three positive weightings of the second, match the oracle with
+    valid witnesses, and both are coloured with omega colours."""
+    g7 = _edge_graph(7, "0-1 0-2 0-3 0-5 1-3 1-5 2-3 2-4 2-5 3-5 4-6 5-6")
+    g8 = _edge_graph(8, "0-3 0-6 0-7 1-2 1-3 1-5 1-7 2-3 2-5 2-7 3-5 3-7 4-5 4-6 4-7 5-6 5-7")
+    positive = [[3, 1, 1, 1, 3, 1, 1, 1], [3, 1, 1, 1, 3, 1, 2, 2], [3, 1, 1, 1, 3, 1, 3, 3]]
+    for g, extra in ((g7, []), (g8, positive)):
+        assert is_berge(g)
+        leaf = decompose(g).children[0].children[0]
+        assert leaf.leaf.kind == "bipartite"
+        assert [m.kind for m in leaf.block.markers] == ["vault", "vault"]
+        for w in [list(w) for w in itertools.product((0, 1), repeat=g.n)] + extra:
+            wg = WeightedGraph(g, w)
+            ans = berge_alpha_omega(wg)
+            assert ans.complemented
+            assert ans.alpha == max_weight_stable_set(wg)[0]
+            assert ans.omega == max_weight_clique(wg)[0]
+            assert g.is_stable_mask(mask_of(ans.alpha_set))
+            assert g.is_clique_mask(mask_of(ans.omega_set))
+            assert wg.weight_of(mask_of(ans.alpha_set)) == ans.alpha
+            assert wg.weight_of(mask_of(ans.omega_set)) == ans.omega
+        col = color_berge(g)
+        assert max(col) + 1 == max_weight_clique(WeightedGraph(g))[0]
+        assert all(col[u] != col[v] for u, v in g.edges())

@@ -215,6 +215,20 @@ def test_missing_third_color_exit_4(capsys, monkeypatch):
     assert err.startswith("error: internal: ") and err.count("\n") == 1
 
 
+def test_failed_berge_lift_exit_4(capsys, monkeypatch):
+    """A lifted witness that fails its check is a broken invariant, not a
+    graph outside the class: exit 4, one error line."""
+    from inducta import berge
+    from inducta.graphs import InternalError, WeightedGraph
+
+    monkeypatch.setattr(berge, "_expand_alpha_witness", lambda blk, mask, gadget_map: [0, 1])
+    with pytest.raises(InternalError, match="stable set fails"):
+        berge.berge_alpha_omega(WeightedGraph(cycle(6)))
+    code, out, err = run_err(capsys, "berge", "alpha", "--named=c:6")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: internal: ") and err.count("\n") == 1
+
+
 def _subprocess_env() -> dict:
     src = str(Path(inducta.__file__).parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

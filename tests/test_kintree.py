@@ -230,3 +230,30 @@ def test_three_terminals_every_small_graph():
 def test_three_terminals_past_bound_too_large():
     with pytest.raises(TooLargeError):
         k_in_a_tree(path(24), [0, 11, 23])
+
+
+def test_deletion_extract_route(monkeypatch):
+    """A girth-6 graph whose six pendant terminals 21-26 take the
+    ``tree-exists`` route: the tree is found by deleting vertices while a
+    tree still exists, it is an induced tree covering the terminals, and
+    the exhaustive oracle agrees on the graph under the pendants."""
+    edges = [(0, 4), (0, 6), (0, 7), (0, 15), (0, 18), (1, 5), (2, 9), (2, 14), (2, 15),
+             (3, 9), (3, 16), (3, 18), (3, 20), (5, 7), (5, 14), (5, 20), (7, 8), (7, 26),
+             (9, 22), (10, 15), (10, 20), (11, 12), (11, 16), (13, 14), (14, 19), (15, 25),
+             (16, 19), (17, 19), (18, 23), (19, 21), (20, 24)]
+    g = Graph(27, edges)
+    core, _ = g.induced(range(21))
+    calls = []
+    real = kintree._deletion_extract
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kintree, "_deletion_extract", spy)
+    for h, terms in ((g, list(range(21, 27))), (core, [19, 9, 18, 20, 15, 7])):
+        calls.clear()
+        res = k_in_a_tree(h, terms)
+        assert len(calls) == 1 and res.kind == "tree"
+        assert set(terms) <= set(res.tree) and h.is_tree_mask(mask_of(res.tree))
+    assert induced_tree_exists(core, [19, 9, 18, 20, 15, 7]) is not None

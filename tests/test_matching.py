@@ -113,8 +113,9 @@ def test_flow_witness_checks_raise(monkeypatch):
 
 def test_flow_network_serves_every_weighting(monkeypatch):
     """One network reused across 500 weightings answers as a fresh one on
-    each, with the optimum of the oracle; both witness checks still fire,
-    and a solve that raised leaves the network usable."""
+    each, with the optimum of the oracle, and no solve changes the stored
+    capacities; both witness checks still fire, and a solve that raised
+    leaves the network usable."""
     rng = random.Random(58)
     g = Graph(14)
     for u in range(7):
@@ -122,6 +123,7 @@ def test_flow_network_serves_every_weighting(monkeypatch):
             if rng.random() < 0.3:
                 g.add_edge_unchecked(u, v)
     flow = StableSetFlow(g)
+    built = list(flow.net.cap)
     for i in range(500):
         w = [rng.choice([0, 0, 1, 2, 3, 7]) for _ in range(g.n)]
         got = flow.solve(w)
@@ -140,3 +142,4 @@ def test_flow_network_serves_every_weighting(monkeypatch):
         flow.solve(w)
     monkeypatch.undo()
     assert flow.solve(w) == want
+    assert flow.net.cap == built
