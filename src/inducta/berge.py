@@ -1427,9 +1427,9 @@ def color_berge(g: Graph) -> list[int]:
                 break
             cliques.append([v for v in rest_set if (remaining & ~s_mask) >> v & 1])
         else:
-            raise GraphError("hitting-set loop exceeded n iterations")
+            raise InternalError("hitting-set loop exceeded n iterations")
         if not s_mask:
-            raise GraphError("empty color class")
+            raise InternalError("empty color class")
         for v in bits(s_mask):
             color[v] = colors_used
         remaining &= ~s_mask

@@ -5,10 +5,13 @@ Each recognizer is total: it returns a positive classification with a
 validating witness, or the induced forbidden structure the theorem
 names.  Weakly triangulated recognition runs at most one reach per
 induced P3 of g and of its complement (polynomial; see
-``is_weakly_triangulated``).
+``is_weakly_triangulated``), and enumerates the complement's P3s from
+g's side, where they are few.
 The 2-pair finder follows the constructive proof: grow a maximal
 anticonnected set T whose common neighborhood C(T) holds two
-nonadjacent vertices, recurse inside C(T), and lift.
+nonadjacent vertices, recurse inside C(T), and lift.  Coloring
+contracts 2-pairs, seeking each next one first at the vertex the last
+contraction made.
 """
 
 from __future__ import annotations
@@ -326,6 +329,35 @@ def _long_hole(g: Graph) -> list[int] | None:
     return None
 
 
+def _long_antihole(g: Graph) -> list[int] | None:
+    """``_long_hole(g.complement())``, enumerated from g's sparse side; see
+    ``is_weakly_triangulated`` for why only distance-2 pairs are tried."""
+    adj = g.adj
+    comp = None
+    for b in range(g.n):
+        nb = adj[b]
+        two = 0
+        for v in bits(nb):
+            two |= adj[v]
+        two &= ~nb & ~(1 << b)
+        for a in bits(two):
+            na, ma = nb & ~adj[a], nb & adj[a]
+            if not na:
+                continue
+            for c in bits(two & adj[a] & ~((2 << a) - 1)):
+                if not (na & adj[c] and ma & ~adj[c]):
+                    continue
+                comp = comp or g.complement()
+                allowed = nb & (adj[a] | adj[c]) | 1 << c
+                if not comp.reach(1 << a, allowed) >> c & 1:
+                    continue
+                hole = [b] + comp.path_back(comp.layers(1 << a, allowed), c)[::-1]
+                if len(hole) < 5 or not comp.is_induced_cycle(hole):
+                    raise InternalError(f"P3 reach gave {hole}, not a long antihole")
+                return hole
+    return None
+
+
 def is_weakly_triangulated(g: Graph) -> tuple[str, list[int]] | None:
     """None iff no long hole and no long antihole; else the witness
     ("hole", cycle of g) or ("antihole", cycle of the complement).
@@ -344,11 +376,23 @@ def is_weakly_triangulated(g: Graph) -> tuple[str, list[int]] | None:
     (N(a) - N(c)) - N[b] and enters c from a vertex of
     (N(c) - N(a)) - N[b].  When either set is empty the reach cannot
     succeed and is skipped, and when N(a) - N[b] is empty no c is tried.
+
+    Complement side (``_long_antihole``): a P3 a-b-c of the complement
+    has a and c outside N[b] and ac an edge of g.  In g's terms its
+    precheck sets are N(b) & N(c) - N(a) and N(b) & N(a) - N(c), so it
+    can pass only when a and c are both at distance exactly 2 from b in
+    g.  The search therefore runs b upward, a over b's distance-2 set
+    and c over that set & N(a) above a, which is the complement's own
+    order with only precheck-rejected triples left out: the same first
+    antihole, and still at most one reach per induced P3 of the
+    complement.  The reach's allowed set is N(b) & (N(a) | N(c)), plus
+    c, and runs in the complement, built once and only if a reach is
+    needed.
     """
     hole = _long_hole(g)
     if hole is not None:
         return ("hole", hole)
-    hole = _long_hole(g.complement())
+    hole = _long_antihole(g)
     if hole is not None:
         return ("antihole", hole)
     return None
@@ -430,21 +474,46 @@ def contract_pair(g: Graph, a: int, b: int) -> tuple[Graph, list[int]]:
     return h, omap
 
 
+def _two_pair_at(g: Graph, z: int) -> TwoPair | None:
+    """The 2-pair {z, w} of g with w lowest at distance 2 from z, or
+    None.  Every path between a 2-pair has length 2, so a partner in z's
+    component is at distance 2; one outside it is left to
+    ``find_two_pair``."""
+    adj = g.adj
+    near = 0
+    for v in bits(adj[z]):
+        near |= adj[v]
+    for w in bits(near & ~adj[z] & ~(1 << z)):
+        if validate_two_pair(g, z, w):
+            return TwoPair(z, w)
+    return None
+
+
 def color_weakly_triangulated(g: Graph) -> list[int]:
     """A proper coloring with omega(g) colors by repeated 2-pair
-    contraction; validated on return."""
+    contraction; validated on return.
+
+    The next 2-pair is sought first at the vertex the last contraction
+    made (``_two_pair_at``); ``find_two_pair`` serves the first step and
+    every step where that vertex has no partner at distance 2, mostly
+    because it is universal.  Each contracted pair is a validated 2-pair,
+    and contracting one keeps the graph weakly triangulated and keeps
+    omega, so the final clique has omega vertices."""
     if g.n == 0:
         return []
     bad = is_weakly_triangulated(g)
     if bad is not None:
         raise GraphError(f"input has a long {bad[0]}: not weakly triangulated")
     maps: list[list[int]] = []
-    cur = g
+    cur, z = g, None
     while True:
-        pair = find_two_pair(cur)
+        pair = None if z is None else _two_pair_at(cur, z)
         if pair is None:
-            break
+            pair = find_two_pair(cur)
+            if pair is None:
+                break
         cur, omap = contract_pair(cur, pair.a, pair.b)
+        z = omap[pair.a]
         maps.append(omap)
     # cur is a clique: color it, then un-contract
     color = list(range(cur.n))

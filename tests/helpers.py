@@ -13,7 +13,7 @@ from inducta.berge import (
     path_side,
     validate_split,
 )
-from inducta.classify import TwoPair, classify_p3, validate_two_pair
+from inducta.classify import TwoPair, classify_p3, contract_pair, find_two_pair, validate_two_pair
 from inducta.graphs import Graph, GraphError, TooLargeError, WeightedGraph, bit_count, bits, mask_of
 from inducta.linegraph import line_graph, maximal_cliques
 from inducta.named import (
@@ -538,6 +538,22 @@ def oracle_find_two_pair(g: Graph) -> TwoPair | None:
     if not validate_two_pair(g, pair.a, pair.b):
         raise GraphError("2-pair failed validation: input not weakly triangulated")
     return pair
+
+
+# -- the contraction loop that sought every 2-pair from scratch ---------------
+
+def oracle_color_weakly_triangulated(g: Graph) -> list[int]:
+    """Contract the 2-pair ``find_two_pair`` gives until a clique is
+    left, color the clique, and un-contract."""
+    maps = []
+    cur = g
+    while (pair := find_two_pair(cur)) is not None:
+        cur, omap = contract_pair(cur, pair.a, pair.b)
+        maps.append(omap)
+    color = list(range(cur.n))
+    for omap in reversed(maps):
+        color = [color[v] for v in omap]
+    return color
 
 
 # -- the enumeration over all bipartitions that the pruned 2-join search replaced

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from helpers import (
+    oracle_color_weakly_triangulated,
     oracle_contract_pair,
     oracle_find_two_pair,
     oracle_is_weakly_triangulated,
@@ -20,7 +21,7 @@ from inducta.classify import (
     is_weakly_triangulated,
     validate_two_pair,
 )
-from inducta.graphs import Graph, GraphError, bits, mask_of
+from inducta.graphs import Graph, GraphError, WeightedGraph, bits, mask_of
 from inducta.linegraph import line_graph
 from inducta.named import (
     a6,
@@ -32,7 +33,7 @@ from inducta.named import (
     path,
     petersen,
 )
-from inducta.oracle import exact_invariants, isomorphic
+from inducta.oracle import exact_invariants, isomorphic, max_weight_clique
 
 
 # -- small classification ----------------------------------------------------
@@ -182,11 +183,13 @@ def unpruned_holes():
 
 def test_long_hole_matches_unpruned_reaches(unpruned_holes):
     """The P3 precheck skips only reaches that fail: the same hole, or
-    None, as one reach per induced P3, on g and on its complement."""
+    None, as one reach per induced P3, on g and on its complement; and
+    the antihole search from g's side finds the complement's hole."""
     found = 0
     for g, hole, antihole in unpruned_holes:
         assert classify._long_hole(g) == hole, g.edges()
         assert classify._long_hole(g.complement()) == antihole, g.edges()
+        assert classify._long_antihole(g) == antihole, g.edges()
         found += (hole is not None) + (antihole is not None)
     assert found >= 4000
 
@@ -209,6 +212,48 @@ def test_find_two_pair_matches_copying_finder(unpruned_holes):
             cur, _ = contract_pair(cur, pair.a, pair.b)
             checked += 1
     assert checked >= 30000
+
+
+def test_wt_coloring_matches_scratch_loop(unpruned_holes):
+    """Seeking the next 2-pair at the contracted vertex against seeking
+    every 2-pair from scratch: a proper coloring with as many colors on
+    every weakly triangulated graph above, and on seeded chordal graphs
+    with up to 40 vertices and their complements; omega colors, by the
+    oracle's maximum clique, where n <= 12."""
+    graphs = [g for g, hole, antihole in unpruned_holes if hole is None and antihole is None]
+    rng = random.Random(74)
+    for _ in range(60):
+        g = random_chordal(rng.randint(2, 40), rng)
+        graphs += [g, g.complement()]
+    for g in graphs:
+        col = color_weakly_triangulated(g)
+        want = oracle_color_weakly_triangulated(g)
+        assert len(col) == g.n and all(col[u] != col[v] for u, v in g.edges()), g.edges()
+        assert len(set(col)) == len(set(want)), g.edges()
+        if g.n <= 12:
+            assert len(set(col)) == max_weight_clique(WeightedGraph(g))[0], g.edges()
+
+
+def test_wt_coloring_seeks_pairs_at_the_contracted_vertex(monkeypatch):
+    """On seeded chordal graphs with 30 to 40 vertices, find_two_pair
+    runs on fewer than half of the contraction steps."""
+    calls = {find_two_pair: 0, contract_pair: 0}
+
+    def spy(fn):
+        def counted(*args):
+            calls[fn] += 1
+            return fn(*args)
+        return counted
+
+    for fn in calls:
+        monkeypatch.setattr(classify, fn.__name__, spy(fn))
+    rng = random.Random(75)
+    for _ in range(20):
+        g = random_chordal(rng.randint(30, 40), rng)
+        col = color_weakly_triangulated(g)
+        assert len(set(col)) == len(set(oracle_color_weakly_triangulated(g)))
+    assert calls[contract_pair] >= 20 * 20
+    assert 2 * calls[find_two_pair] < calls[contract_pair], calls
 
 
 def test_wt_paths_never_enumerate_holes(monkeypatch):

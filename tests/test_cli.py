@@ -229,6 +229,21 @@ def test_failed_berge_lift_exit_4(capsys, monkeypatch):
     assert err.startswith("error: internal: ") and err.count("\n") == 1
 
 
+def test_broken_hitting_set_exit_4(capsys, monkeypatch):
+    """The hitting-set loop runs only on graphs the decomposition
+    accepted, so a loop that never closes a color class is a broken
+    invariant: InternalError, exit 4, one error line."""
+    from inducta import berge
+    from inducta.graphs import InternalError
+
+    monkeypatch.setattr(berge, "_hitting_stable_set", lambda tree, cliques: [])
+    with pytest.raises(InternalError, match="hitting-set loop"):
+        berge.color_berge(cycle(6))
+    code, out, err = run_err(capsys, "color", "--class=berge", "--named=c:6")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: internal: ") and err.count("\n") == 1
+
+
 def _subprocess_env() -> dict:
     src = str(Path(inducta.__file__).parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
