@@ -111,28 +111,6 @@ def derive_split(g: Graph, x1: int, x2: int) -> TwoJoinSplit | None:
     return TwoJoinSplit(x1, x2, a1, b1, a2, b2)
 
 
-def validate_split(g: Graph, s: TwoJoinSplit) -> bool:
-    if s.x1 & s.x2 or (s.x1 | s.x2) != g.full_mask():
-        return False
-    if not (s.a1 and s.b1 and s.a2 and s.b2):
-        return False
-    if s.a1 & s.b1 or s.a2 & s.b2:
-        return False
-    if not (s.a1 & s.x1 == s.a1 and s.b1 & s.x1 == s.b1):
-        return False
-    if not (s.a2 & s.x2 == s.a2 and s.b2 & s.x2 == s.b2):
-        return False
-    if not g.is_complete_between(s.a1, s.a2):
-        return False
-    if not g.is_complete_between(s.b1, s.b2):
-        return False
-    for v in bits(s.x1):
-        allowed = s.a2 if s.a1 >> v & 1 else (s.b2 if s.b1 >> v & 1 else 0)
-        if g.adj[v] & s.x2 & ~allowed:
-            return False
-    return True
-
-
 def is_connected_join(g: Graph, s: TwoJoinSplit) -> bool:
     for x, a, b in ((s.x1, s.a1, s.b1), (s.x2, s.a2, s.b2)):
         for comp in g.components_of(x):
@@ -345,55 +323,6 @@ class ABCD:
         )
 
 
-def compute_abcd(wg: WeightedGraph, s: TwoJoinSplit) -> ABCD:
-    """The four stable-set numbers of the X1 side, with witnesses dropped."""
-    vals = []
-    for region in (s.a1 | s.c1, s.b1 | s.c1, s.c1, s.x1):
-        sub, old = wg.graph.induced_mask(region)
-        w = [wg.weights[o] for o in old]
-        vals.append(max_weight_stable_set(WeightedGraph(sub, w))[0])
-    abcd = ABCD(*vals)
-    if not abcd.check_basic():
-        raise GraphError(f"abcd inequalities violated: {abcd}")
-    return abcd
-
-
-def blocks_of_two_join(
-    wg: WeightedGraph,
-    s: TwoJoinSplit,
-    k1: int,
-    k2: int,
-    parity_preserving: bool = True,
-) -> tuple[WeightedGraph, WeightedGraph, dict]:
-    """The two marker-path blocks G1 (X1 plus a path standing for X2) and
-    G2 (X2 plus a path standing for X1); marker vertices carry weight 0.
-
-    When parity_preserving, k1 must match the parity of the X2 side and
-    k2 the parity of the X1 side; both are checked here.
-    """
-    g = wg.graph
-    if not validate_split(g, s):
-        raise GraphError("invalid 2-join split")
-    if not (3 <= k1 <= 4 and 3 <= k2 <= 4):
-        raise GraphError("marker lengths must be 3 or 4")
-    rec = {}
-    if parity_preserving:
-        p2 = side_parity(g, s, "x2")
-        p1 = side_parity(g, s, "x1")
-        if "mixed" in (p1, p2):
-            raise GraphError("parity-undefined: a side admits both parities")
-        if k1 % 2 != (1 if p2 == "odd" else 0):
-            raise GraphError("marker for X2 must match the X2 parity")
-        if k2 % 2 != (1 if p1 == "odd" else 0):
-            raise GraphError("marker for X1 must match the X1 parity")
-        rec["x1_parity"], rec["x2_parity"] = p1, p2
-    g1, m1 = _path_block(wg, s, k1)
-    g2, m2 = _path_block(wg, s.flip(), k2)
-    rec["marker1"] = m1  # the path inside g1 (represents X2)
-    rec["marker2"] = m2  # the path inside g2 (represents X1)
-    return g1, g2, rec
-
-
 def _path_block(wg: WeightedGraph, s: TwoJoinSplit, k: int):
     """Keep X1, append a marker path of length k from a vertex complete
     to A1 to a vertex complete to B1; returns (block, marker path)."""
@@ -412,21 +341,6 @@ def _path_block(wg: WeightedGraph, s: TwoJoinSplit, k: int):
     return WeightedGraph(blk, weights), marker
 
 
-def clique_block(wg: WeightedGraph, s: TwoJoinSplit, k: int) -> WeightedGraph:
-    """The block G2^k with the clique-tracking weights on its marker."""
-    block, marker = _path_block(wg, s.flip(), k)
-    omega_w = (_omega_of(wg, s.a1), _omega_of(wg, s.b1), _omega_of(wg, s.x1))
-    w = list(block.weights)
-    for v, mw in zip(marker, _marker_clique_weights(len(marker), omega_w)):
-        w[v] = mw
-    return WeightedGraph(block.graph, w)
-
-
-def _omega_of(wg: WeightedGraph, region: int) -> int:
-    sub, old = wg.graph.induced_mask(region)
-    return max_weight_clique(WeightedGraph(sub, [wg.weights[o] for o in old]))[0]
-
-
 def _marker_clique_weights(path_len: int, omega_w: tuple[int, int, int]) -> list[int]:
     """Weights on a marker path standing for a side whose A, B and X
     cliques weigh omega_w: omega(A) on the A-end, omega(X) - omega(A) next
@@ -437,49 +351,10 @@ def _marker_clique_weights(path_len: int, omega_w: tuple[int, int, int]) -> list
     return w
 
 
-def even_block(wg: WeightedGraph, s: TwoJoinSplit, abcd: ABCD) -> tuple[WeightedGraph, list[int]]:
-    """Replace X1 by a flat claw; requires a+b <= c+d."""
-    if abcd.a + abcd.b > abcd.c + abcd.d:
-        raise GraphError("even block needs a+b <= c+d")
-    return _gadget_block(wg, s, "claw", abcd)
-
-
-def odd_block(wg: WeightedGraph, s: TwoJoinSplit, abcd: ABCD) -> tuple[WeightedGraph, list[int]]:
-    """Replace X1 by a flat vault; requires c+d <= a+b."""
-    if abcd.c + abcd.d > abcd.a + abcd.b:
-        raise GraphError("odd block needs c+d <= a+b")
-    return _gadget_block(wg, s, "vault", abcd)
-
-
-def _gadget_block(
-    wg: WeightedGraph, s: TwoJoinSplit, kind: str, abcd: ABCD
-) -> tuple[WeightedGraph, list[int]]:
-    """X2 with X1 replaced the way the solver replaces it: a marker path
-    for X1 (of the solver's length for that parity), re-read as its gadget."""
-    block, marker = _path_block(wg, s.flip(), 3 if kind == "vault" else 4)
-    out, gadget, _ = _replace_path_by_gadget(block, marker, kind, gadget_weights(kind, abcd))
-    return out, gadget
-
-
-def _replace_path_by_gadget(
-    wg: WeightedGraph, path: list[int], kind: str, weights4: list[int]
-) -> tuple[WeightedGraph, list[int], list[int]]:
-    """Swap a flat path for its claw or vault carrying ``weights4``;
-    returns the new weighted graph, the gadget vertex list, and old->new
-    map (path vertices -> -1)."""
-    blk, gadget, omap = _swap_in_gadget(wg.graph, path, kind)
-    w = [0] * blk.n
-    for o, i in enumerate(omap):
-        if i >= 0:
-            w[i] = wg.weights[o]
-    for v, x in zip(gadget, weights4):
-        w[v] = x
-    return WeightedGraph(blk, w), gadget, omap
-
-
 def _swap_in_gadget(g: Graph, path: list[int], kind: str) -> tuple[Graph, list[int], list[int]]:
-    """The weight-free half of ``_replace_path_by_gadget``: the new graph,
-    the gadget vertex list, and old->new map (path vertices -> -1)."""
+    """Swap a flat path of g for its claw or vault, weight-free; returns
+    the new graph, the gadget vertex list, and old->new map (path
+    vertices -> -1)."""
     p1, pk = path[0], path[-1]
     a_att = [v for v in bits(g.adj[p1]) if v != path[1]]
     b_att = [v for v in bits(g.adj[pk]) if v != path[-2]]
@@ -537,12 +412,12 @@ def gadget_alpha_numbers(kind: str, weights4: list[int]) -> ABCD:
 # -- leaf classification --------------------------------------------------------
 
 # the solver of each leaf kind; every kind not listed is solved exactly
-_LEAF_SOLVERS = {"bipartite": "flow", "line-of-bipartite": "matching", "line-graph": "matching"}
+_LEAF_SOLVERS = {"bipartite": "flow", "line-of-bipartite": "matching"}
 
 
 @dataclass(slots=True)
 class LeafInfo:
-    kind: str   # bipartite | line-of-bipartite | line-graph | complement-bipartite |
+    kind: str   # bipartite | line-of-bipartite | complement-bipartite |
     #             complement-line-of-bipartite | double-split |
     #             path-cobipartite | complement-path-cobipartite |
     #             path-double-split | complement-path-double-split
@@ -734,17 +609,15 @@ def is_path_double_split(g: Graph) -> bool:
     return is_double_split(h)
 
 
-def classify_leaf(g: Graph, strict: bool = True) -> LeafInfo | None:
-    """The leaf kind of g, or None.  In strict mode only the basic kinds
-    of the decomposition class qualify; otherwise any line graph of a
-    triangle-free root is accepted for the matching solver."""
+def classify_leaf(g: Graph) -> LeafInfo | None:
+    """The basic kind of g in the decomposition class, or None: bipartite,
+    a line graph of a bipartite root, the complement of either, or one of
+    the double split and path kinds (which are solved exactly)."""
     if g.bipartition() is not None:
         return LeafInfo("bipartite")
     got = line_root_with_map(g)
     if got is not None and got[0].bipartition() is not None:
         return LeafInfo("line-of-bipartite", root=got[0], root_edges=got[1])
-    if got is not None and not strict:
-        return LeafInfo("line-graph", root=got[0], root_edges=got[1])
     comp = g.complement()
     if comp.bipartition() is not None:
         return LeafInfo("complement-bipartite")
@@ -1371,11 +1244,6 @@ def berge_alpha_omega(wg: WeightedGraph) -> BergeAnswer:
 
 # -- hitting stable sets and coloring ------------------------------------------
 
-def stable_hitting_cliques(g: Graph, cliques: list[list[int]]) -> list[int]:
-    """A stable set meeting every given maximum clique."""
-    return _hitting_stable_set(decompose(g), cliques)
-
-
 def _hitting_stable_set(tree: TreeNode, cliques: list[list[int]]) -> list[int]:
     """Solve with the cover-count weights and check the weight equals the
     clique count, so the stable set meets every clique."""
@@ -1386,12 +1254,10 @@ def _hitting_stable_set(tree: TreeNode, cliques: list[list[int]]) -> list[int]:
     alpha, alpha_set = _solve_halves(tree, y, alpha=True, omega=False)[0]
     smask = mask_of(alpha_set)
     if alpha != len(cliques):
-        raise GraphError(
-            f"hitting stable set has weight {alpha}, expected {len(cliques)}"
-        )
+        raise InternalError(f"hitting stable set has weight {alpha}, expected {len(cliques)}")
     for k in cliques:
         if not (smask & mask_of(k)):
-            raise GraphError("stable set missed a clique")
+            raise InternalError("stable set missed a clique")
     return alpha_set
 
 
@@ -1438,16 +1304,3 @@ def color_berge(g: Graph) -> list[int]:
         raise InternalError("berge coloring is not proper")
     return color
 
-
-def solve_leaf(wg: WeightedGraph) -> tuple[int, list[int], int, list[int]]:
-    """Maximum weighted stable set and clique of a basic leaf, solved by
-    the solver of its kind (any line graph of a triangle-free root counts
-    as a matching leaf); witnesses are vertex lists."""
-    g = wg.graph
-    leaf = classify_leaf(g, strict=False)
-    if leaf is None:
-        raise GraphError("leaf is not classifiable")
-    blk = _Block(g, leaf, list(range(g.n)), [])
-    a_val, a_wit = _leaf_alpha(blk, wg.weights, [], g.full_mask())
-    o_val, o_wit = _leaf_omega(blk, wg.weights, [], g.full_mask())
-    return a_val, a_wit, o_val, o_wit

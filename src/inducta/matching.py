@@ -11,7 +11,7 @@ of its own.
 
 from __future__ import annotations
 
-from .graphs import Graph, GraphError, InternalError, TooLargeError, WeightedGraph, bit_count, bits
+from .graphs import Graph, InternalError, TooLargeError, bit_count, bits
 
 MATCHING_BOUND = 28
 
@@ -229,16 +229,9 @@ class StableSetFlow:
             if v not in reach and weights[v] > 0:
                 stable |= 1 << v
         if not g.is_stable_mask(stable):
-            raise GraphError("flow witness is not a stable set")
+            raise InternalError("flow witness is not a stable set")
         weight = sum(weights[v] for v in bits(stable))
         if weight != sum(weights) - cut:
-            raise GraphError("flow witness weight differs from the cut bound")
+            raise InternalError("flow witness weight differs from the cut bound")
         return weight, stable
 
-
-def bipartite_max_weight_stable_set(wg: WeightedGraph) -> tuple[int, int]:
-    """(weight, witness bitset) for bipartite graphs; König through max flow.
-
-    The witness is canonical in that zero-weight vertices are dropped.
-    """
-    return StableSetFlow(wg.graph).solve(wg.weights)

@@ -6,12 +6,19 @@ import itertools
 import random
 
 from inducta.berge import (
+    ABCD,
     FULL_ENUM_BOUND,
+    TreeNode,
+    TwoJoinSplit,
+    _decompose,
+    _marker_clique_weights,
+    _path_block,
+    _swap_in_gadget,
     derive_split,
+    gadget_weights,
     is_connected_join,
     is_substantial_join,
     path_side,
-    validate_split,
 )
 from inducta.classify import TwoPair, classify_p3, contract_pair, find_two_pair, validate_two_pair
 from inducta.graphs import Graph, GraphError, TooLargeError, WeightedGraph, bit_count, bits, mask_of
@@ -29,7 +36,7 @@ from inducta.named import (
     r35,
     wagner,
 )
-from inducta.oracle import enumerate_antiholes, enumerate_holes
+from inducta.oracle import enumerate_antiholes, enumerate_holes, max_weight_clique, max_weight_stable_set
 
 
 def named_zoo() -> dict[str, Graph]:
@@ -304,6 +311,93 @@ def random_berge_instance(rng: random.Random, max_n: int = 20, mixed_bias: float
         if is_berge(g):
             return g, info
     raise AssertionError("could not build a Berge instance")
+
+
+# -- 2-join algebra: the oracle side of the solver's join blocks --------------
+
+def validate_split(g: Graph, s: TwoJoinSplit) -> bool:
+    """Whether s is a 2-join split of g, checked edge by edge."""
+    if s.x1 & s.x2 or (s.x1 | s.x2) != g.full_mask():
+        return False
+    if not (s.a1 and s.b1 and s.a2 and s.b2):
+        return False
+    if s.a1 & s.b1 or s.a2 & s.b2:
+        return False
+    if not (s.a1 & s.x1 == s.a1 and s.b1 & s.x1 == s.b1):
+        return False
+    if not (s.a2 & s.x2 == s.a2 and s.b2 & s.x2 == s.b2):
+        return False
+    if not g.is_complete_between(s.a1, s.a2):
+        return False
+    if not g.is_complete_between(s.b1, s.b2):
+        return False
+    for v in bits(s.x1):
+        allowed = s.a2 if s.a1 >> v & 1 else (s.b2 if s.b1 >> v & 1 else 0)
+        if g.adj[v] & s.x2 & ~allowed:
+            return False
+    return True
+
+
+def forced_join(g: Graph, s: TwoJoinSplit) -> TreeNode:
+    """The solver's tree of g with the split s taken at the root: the
+    join path ``decompose`` takes for the join it picks, here made to
+    take s (its parities, side block, regions and child)."""
+    return _decompose(g, list(range(g.n)), [], 0, (None, s))
+
+
+def _restricted(wg: WeightedGraph, region: int) -> WeightedGraph:
+    sub, old = wg.graph.induced_mask(region)
+    return WeightedGraph(sub, [wg.weights[o] for o in old])
+
+
+def compute_abcd(wg: WeightedGraph, s: TwoJoinSplit) -> ABCD:
+    """The four stable-set numbers of the X1 side, by the exact oracle."""
+    return ABCD(*(max_weight_stable_set(_restricted(wg, region))[0]
+                  for region in (s.a1 | s.c1, s.b1 | s.c1, s.c1, s.x1)))
+
+
+def omega_of(wg: WeightedGraph, region: int) -> int:
+    """The maximum clique weight inside ``region``, by the exact oracle."""
+    return max_weight_clique(_restricted(wg, region))[0]
+
+
+def replace_path_by_gadget(
+    wg: WeightedGraph, path: list[int], kind: str, weights4: list[int]
+) -> tuple[WeightedGraph, list[int], list[int]]:
+    """The solver's gadget swap with weights: the path becomes its claw or
+    vault carrying ``weights4``; returns the new weighted graph, the
+    gadget vertex list, and old->new map (path vertices -> -1)."""
+    blk, gadget, omap = _swap_in_gadget(wg.graph, path, kind)
+    w = [0] * blk.n
+    for o, i in enumerate(omap):
+        if i >= 0:
+            w[i] = wg.weights[o]
+    for v, x in zip(gadget, weights4):
+        w[v] = x
+    return WeightedGraph(blk, w), gadget, omap
+
+
+def gadget_block(tree: TreeNode, weights: list[int], abcd: ABCD) -> tuple[WeightedGraph, list[int]]:
+    """X2 of the root join with X1 read as its weighted gadget: the tree's
+    child graph (X2, then the marker path standing for X1) with the marker
+    swapped for the claw (even X1) or vault (odd X1) carrying ``abcd``."""
+    child = tree.children[0].graph
+    x2_weights = [weights[v] for v in bits(tree.split.x2)]
+    marker = list(range(len(x2_weights), child.n))
+    kind = "vault" if tree.parities[0] == "odd" else "claw"
+    wg = WeightedGraph(child, x2_weights + [0] * len(marker))
+    out, gadget, _ = replace_path_by_gadget(wg, marker, kind, gadget_weights(kind, abcd))
+    return out, gadget
+
+
+def clique_block(wg: WeightedGraph, s: TwoJoinSplit, k: int, omega_w: tuple[int, int, int]) -> WeightedGraph:
+    """X2 plus a marker path of length k for X1, the marker carrying the
+    clique weights ``omega_w`` of A1, B1 and X1 as the solver sets them."""
+    block, marker = _path_block(wg, s.flip(), k)
+    w = list(block.weights)
+    for v, mw in zip(marker, _marker_clique_weights(len(marker), omega_w)):
+        w[v] = mw
+    return WeightedGraph(block.graph, w)
 
 
 def berge_family_graphs() -> list[Graph]:

@@ -12,31 +12,28 @@ import time
 from itertools import combinations
 
 from helpers import (
+    clique_block,
+    compute_abcd,
     cycle_with_unique_chord_present,
+    forced_join,
+    gadget_block,
     glue_two_sides,
     hub_side_even,
     ladder_side_odd,
     line_side_even,
     named_zoo,
+    omega_of,
     prism_side,
     random_berge_instance,
     random_chordal,
     random_connected_girth,
     random_graph,
     random_graph_girth,
+    replace_path_by_gadget,
     theta_side,
-)
-from inducta.berge import (
-    berge_alpha_omega,
-    clique_block,
-    color_berge,
-    compute_abcd,
-    derive_split,
-    even_block,
-    odd_block,
-    side_parity,
     validate_split,
 )
+from inducta.berge import _side_numbers, _solve_halves, berge_alpha_omega, color_berge, derive_split
 from inducta.bienstock import Cnf3, gamma_gadget, prism_reduction
 from inducta.classify import (
     color_weakly_triangulated,
@@ -247,6 +244,10 @@ def test_criterion_7_weakly_triangulated():
 
 
 def test_criterion_8_two_join_algebra():
+    """The solver's own join on each glued split: its side numbers
+    against the oracle's, its answer against the oracle's, and alpha and
+    omega of X2 with X1 read as the solver reads it (weighted gadget,
+    clique-weighted marker of either length)."""
     t0 = time.time()
     rng = random.Random(808)
     done = 0
@@ -260,24 +261,26 @@ def test_criterion_8_two_join_algebra():
             continue
         w = [rng.randint(0, 4) for _ in range(g.n)]
         wg = WeightedGraph(g, w)
-        abcd = compute_abcd(wg, s)
+        tree = forced_join(g, s)
+        nums = _side_numbers(tree, w, [], True, True)
+        abcd = nums.abcd
+        assert abcd == compute_abcd(wg, s)
         assert abcd.check_basic()  # 0 <= c <= a,b <= d <= a+b
-        par = side_parity(g, s, "x1")
+        assert nums.omega_w == (omega_of(wg, s.a1), omega_of(wg, s.b1), omega_of(wg, s.x1))
         alpha_true = max_weight_stable_set(wg)[0]
         omega_true = max_weight_clique(wg)[0]
+        (alpha, _), (omega, _) = _solve_halves(tree, w, alpha=True, omega=True)
+        assert (alpha, omega) == (alpha_true, omega_true)
         for k in (3, 4):
-            assert max_weight_clique(clique_block(wg, s, k))[0] == omega_true
-        if par == "even":
+            assert max_weight_clique(clique_block(wg, s, k, nums.omega_w))[0] == omega_true
+        blk, gadget = gadget_block(tree, w, abcd)
+        assert all(blk.weights[v] >= 0 for v in gadget)
+        assert max_weight_stable_set(blk)[0] == alpha_true
+        if tree.parities[0] == "even":
             assert abcd.a + abcd.b <= abcd.c + abcd.d
-            blk, q = even_block(wg, s, abcd)
-            assert all(blk.weights[v] >= 0 for v in q)
-            assert max_weight_stable_set(blk)[0] == alpha_true
             evens += 1
-        elif par == "odd":
+        else:
             assert abcd.c + abcd.d <= abcd.a + abcd.b
-            blk, r = odd_block(wg, s, abcd)
-            assert all(blk.weights[v] >= 0 for v in r)
-            assert max_weight_stable_set(blk)[0] == alpha_true
             odds += 1
         done += 1
     assert evens >= 20 and odds >= 20
@@ -289,12 +292,7 @@ def test_criterion_8b_line_extension_alpha():
     """The line-graph transformation preserves alpha (its share of
     criterion 8's lemma list), checked against the brute-force oracle."""
     t0 = time.time()
-    from inducta.berge import (
-        ExtensionSpec,
-        _replace_path_by_gadget,
-        gadget_alpha_numbers,
-        line_extension_transform,
-    )
+    from inducta.berge import ExtensionSpec, gadget_alpha_numbers, line_extension_transform
     from inducta.linegraph import line_root_with_map
     from inducta.matching import max_weight_matching
 
@@ -312,7 +310,7 @@ def test_criterion_8b_line_extension_alpha():
         numbers = gadget_alpha_numbers(kind, w4)
         spec = ExtensionSpec(base, root, root_edges, [pth], [kind])
         gpp, medges, rec = line_extension_transform(base_w, spec, [numbers])
-        ext, _, _ = _replace_path_by_gadget(WeightedGraph(base, base_w), pth, kind, w4)
+        ext, _, _ = replace_path_by_gadget(WeightedGraph(base, base_w), pth, kind, w4)
         val_match, _ = max_weight_matching(root.n + 2, [(u, v, ww) for u, v, ww, _ in medges])
         assert val_match == max_weight_stable_set(ext)[0] == max_weight_stable_set(gpp)[0]
         assert numbers.c <= numbers.a and numbers.b <= numbers.d

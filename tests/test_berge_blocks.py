@@ -1,25 +1,29 @@
 import random
 
-import pytest
-
-from helpers import glue_two_sides, prism_side, random_berge_instance, theta_side
+from helpers import (
+    clique_block,
+    compute_abcd,
+    forced_join,
+    gadget_block,
+    glue_two_sides,
+    prism_side,
+    random_berge_instance,
+    replace_path_by_gadget,
+    theta_side,
+    validate_split,
+)
 from inducta.berge import (
     ABCD,
     ExtensionSpec,
-    blocks_of_two_join,
-    clique_block,
-    compute_abcd,
+    _side_numbers,
     derive_split,
-    even_block,
     find_two_join,
     gadget_alpha_numbers,
     gadget_weights,
     line_extension_transform,
-    odd_block,
-    side_parity,
-    validate_split,
+    replay_tree,
 )
-from inducta.graphs import Graph, GraphError, WeightedGraph, bit_count, bits, mask_of
+from inducta.graphs import Graph, WeightedGraph, bit_count, bits, mask_of
 from inducta.linegraph import line_graph, line_root_with_map
 from inducta.matching import max_weight_matching
 from inducta.named import cycle, complete
@@ -32,6 +36,12 @@ def _known_split(g, info):
     return s
 
 
+def _side_abcd(g, s, weights=None):
+    """The abcd numbers the solver hands on for X1 of s."""
+    tree = forced_join(g, s)
+    return tree, _side_numbers(tree, weights or [1] * g.n, [], True, False).abcd
+
+
 def test_c8_has_only_path_joins():
     assert find_two_join(cycle(8)) is None
 
@@ -41,19 +51,18 @@ def test_k4_has_no_join():
 
 
 def test_abcd_examples_from_paths():
-    # X1 = a1-c-b1 (even side): (a,b,c,d) = (1,1,1,2)
+    # X1 = a1-c-b1 (even side): (a,b,c,d) = (1,1,1,2); X2 is even too,
+    # since the solver's join needs a Berge graph (here C6)
     g, info = glue_two_sides(
         (Graph(3, [(0, 2), (2, 1)]), 1, 2),
-        (Graph(4, [(0, 2), (2, 3), (3, 1)]), 1, 2),
+        (Graph(3, [(0, 2), (2, 1)]), 1, 2),
     )
     s = _known_split(g, info)
-    if bit_count(s.x1) != 3:
-        s = s.flip()
-    abcd = compute_abcd(WeightedGraph(g), s)
+    tree, abcd = _side_abcd(g, s)
     assert (abcd.a, abcd.b, abcd.c, abcd.d) == (1, 1, 1, 2)
-    assert side_parity(g, s, "x1") == "even"
+    assert tree.parities[0] == "even"
     assert abcd.a + abcd.b <= abcd.c + abcd.d
-    eb, q = even_block(WeightedGraph(g), s, abcd)
+    eb, q = gadget_block(tree, [1] * g.n, abcd)
     assert [eb.weights[v] for v in q] == [1, 1, 1, 0]
 
     # X1 = a1-u-v-b1 (odd side): (a,b,c,d) = (2,2,1,2)
@@ -62,30 +71,31 @@ def test_abcd_examples_from_paths():
         (Graph(4, [(0, 2), (2, 3), (3, 1)]), 1, 2),
     )
     s = _known_split(g, info)
-    abcd = compute_abcd(WeightedGraph(g), s)
+    tree, abcd = _side_abcd(g, s)
     assert (abcd.a, abcd.b, abcd.c, abcd.d) == (2, 2, 1, 2)
-    assert side_parity(g, s, "x1") == "odd"
+    assert tree.parities[0] == "odd"
     assert abcd.c + abcd.d <= abcd.a + abcd.b
-    ob, r = odd_block(WeightedGraph(g), s, abcd)
+    ob, r = gadget_block(tree, [1] * g.n, abcd)
     assert [ob.weights[v] for v in r] == [0, 0, 1, 1, 1, 1]
 
 
 def test_c_zero_when_c1_empty():
     g, info = glue_two_sides(prism_side(), prism_side())
     s = _known_split(g, info)
-    abcd = compute_abcd(WeightedGraph(g), s)
-    assert abcd.c == 0
+    assert _side_abcd(g, s)[1].c == 0
 
 
 def test_block_shapes_and_sizes():
+    """The solver's join on two odd sides: the side block is X1 plus a
+    3-edge marker for odd X2, the child is X2 plus a 3-edge marker for
+    odd X1, and the child is exactly the parent's recorded block."""
     g, info = glue_two_sides(theta_side(random.Random(0), "odd"), theta_side(random.Random(1), "odd"))
     s = _known_split(g, info)
-    wg = WeightedGraph(g)
-    g1, g2, rec = blocks_of_two_join(wg, s, 3, 3)
-    assert g1.graph.n == bit_count(s.x1) + 3 + 1
-    assert g2.graph.n == bit_count(s.x2) + 3 + 1
-    with pytest.raises(GraphError):
-        blocks_of_two_join(wg, s, 4, 3)  # wrong parity for the X2 marker
+    tree = forced_join(g, s)
+    assert tree.parities == ("odd", "odd") and tree.marker_len == 3
+    assert tree.block.graph.n == bit_count(s.x1) + 3 + 1
+    assert tree.children[0].graph.n == bit_count(s.x2) + 3 + 1
+    assert replay_tree(tree)
 
 
 def _random_instances(count, seed, max_n=16):
@@ -103,48 +113,42 @@ def _random_instances(count, seed, max_n=16):
 
 def test_komega_on_random_instances():
     for g, s, wg in _random_instances(25, 50):
+        omega_w = _side_numbers(forced_join(g, s), wg.weights, [], False, True).omega_w
         for k in (3, 4):
-            blk = clique_block(wg, s, k)
+            blk = clique_block(wg, s, k, omega_w)
             assert max_weight_clique(blk)[0] == max_weight_clique(wg)[0]
 
 
 def test_even_odd_blocks_alpha_equality():
     checked_even = checked_odd = 0
     for g, s, wg in _random_instances(35, 51):
-        par = side_parity(g, s, "x1")
-        abcd = compute_abcd(wg, s)
+        tree, abcd = _side_abcd(g, s, wg.weights)
+        assert abcd == compute_abcd(wg, s)
         truth = max_weight_stable_set(wg)[0]
         assert abcd.check_basic()
-        if par == "even":
+        blk, gadget = gadget_block(tree, wg.weights, abcd)
+        assert all(blk.weights[v] >= 0 for v in gadget)
+        assert max_weight_stable_set(blk)[0] == truth
+        if tree.parities[0] == "even":
             assert abcd.a + abcd.b <= abcd.c + abcd.d
-            blk, q = even_block(wg, s, abcd)
-            assert all(blk.weights[v] >= 0 for v in q)
-            assert max_weight_stable_set(blk)[0] == truth
             checked_even += 1
-        elif par == "odd":
+        else:
             assert abcd.c + abcd.d <= abcd.a + abcd.b
-            blk, r = odd_block(wg, s, abcd)
-            assert all(blk.weights[v] >= 0 for v in r)
-            assert max_weight_stable_set(blk)[0] == truth
             checked_odd += 1
     assert checked_even >= 5 and checked_odd >= 5
 
 
 def test_flat_claw_and_vault_shapes():
     g, info = glue_two_sides(theta_side(random.Random(3), "even"), theta_side(random.Random(4), "even"))
-    s = _known_split(g, info)
-    wg = WeightedGraph(g)
-    abcd = compute_abcd(wg, s)
-    blk, q = even_block(wg, s, abcd)
+    tree, abcd = _side_abcd(g, _known_split(g, info))
+    blk, q = gadget_block(tree, [1] * g.n, abcd)
     h = blk.graph
     assert h.degree(q[3]) == 1 and h.degree(q[1]) == 3
     assert not (h.adj[q[0]] & h.adj[q[2]] & ~(1 << q[1]))
 
     g, info = glue_two_sides(theta_side(random.Random(5), "odd"), theta_side(random.Random(6), "odd"))
-    s = _known_split(g, info)
-    wg = WeightedGraph(g)
-    abcd = compute_abcd(wg, s)
-    blk, r = odd_block(wg, s, abcd)
+    tree, abcd = _side_abcd(g, _known_split(g, info))
+    blk, r = gadget_block(tree, [1] * g.n, abcd)
     h = blk.graph
     assert h.degree(r[2]) == 2 and h.degree(r[3]) == 2
     assert h.adj[r[0]] == h.adj[r[4]] & ~(1 << r[3]) & ~(1 << r[5])
@@ -215,7 +219,7 @@ def test_line_extension_transform_alpha_equality():
         spec = ExtensionSpec(base, root, root_edges, [pth], [kind])
         gpp, medges, rec = line_extension_transform(base_w, spec, [numbers])
         # build the actual extension for the oracle side
-        ext, gadget, _ = _manual_extension(base, pth, kind, w4, base_w)
+        ext, _, _ = replace_path_by_gadget(WeightedGraph(base, base_w), pth, kind, w4)
         val_matching, _ = max_weight_matching(
             root.n + 2, [(u, v, ww) for u, v, ww, _ in medges]
         )
@@ -224,14 +228,6 @@ def test_line_extension_transform_alpha_equality():
         assert val_matching == val_truth == val_gpp
         nums = rec[0]["numbers"]
         assert nums.c <= nums.a and nums.b <= nums.d
-
-
-def _manual_extension(base, pth, kind, w4, base_w):
-    from inducta.berge import _replace_path_by_gadget
-
-    wg = WeightedGraph(base, base_w)
-    out, gadget, omap = _replace_path_by_gadget(wg, pth, kind, w4)
-    return out, gadget, omap
 
 
 def _subdivided_root_spec(rng):
@@ -261,7 +257,6 @@ def test_line_extension_transform_multi_path():
     or more extended paths the matching still gives alpha of G'' and of
     the extension itself (the base with every path swapped for its
     gadget)."""
-    from inducta.berge import _replace_path_by_gadget
     from inducta.matching import MATCHING_BOUND
 
     rng = random.Random(1313)
@@ -295,7 +290,7 @@ def test_line_extension_transform_multi_path():
         ext = WeightedGraph(base, base_w)
         left = [list(p) for p in paths]
         for i, (kind, w4) in enumerate(zip(kinds, w4s)):
-            ext, _, omap = _replace_path_by_gadget(ext, left[i], kind, w4)
+            ext, _, omap = replace_path_by_gadget(ext, left[i], kind, w4)
             left[i + 1:] = [[omap[v] for v in p] for p in left[i + 1:]]
         val, _ = max_weight_matching(nodes, [(u, v, w) for u, v, w, _ in medges])
         assert val == max_weight_stable_set(gpp)[0] == max_weight_stable_set(ext)[0]
@@ -312,7 +307,6 @@ def test_line_extension_past_the_node_bound():
     more than MATCHING_BOUND, of which the interiors of the extended root
     paths carry no edge: the matching still answers, with alpha of G''
     and of the extension graph."""
-    from inducta.berge import _replace_path_by_gadget
     from inducta.matching import MATCHING_BOUND
 
     rng = random.Random(2)
@@ -337,7 +331,7 @@ def test_line_extension_past_the_node_bound():
     ext = WeightedGraph(base, base_w)
     left = [list(p) for p in paths]
     for i, (kind, w4) in enumerate(zip(kinds, w4s)):
-        ext, _, omap = _replace_path_by_gadget(ext, left[i], kind, w4)
+        ext, _, omap = replace_path_by_gadget(ext, left[i], kind, w4)
         left[i + 1:] = [[omap[v] for v in p] for p in left[i + 1:]]
     val, _ = max_weight_matching(nodes, [(u, v, w) for u, v, w, _ in medges])
     assert val == max_weight_stable_set(gpp)[0] == max_weight_stable_set(ext)[0]

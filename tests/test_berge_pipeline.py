@@ -15,8 +15,6 @@ from inducta.berge import (
     decompose,
     find_two_join,
     solve,
-    solve_leaf,
-    stable_hitting_cliques,
 )
 from inducta.graphs import Graph, WeightedGraph, bit_count, bits, mask_of
 from inducta.linegraph import line_graph
@@ -39,14 +37,19 @@ def test_line_of_bipartite_leaf():
 
 
 def test_solve_leaf_examples():
-    a, aw, o, ow = solve_leaf(WeightedGraph(complete_bipartite(3, 3)))
-    assert a == 3
-    a, aw, o, ow = solve_leaf(WeightedGraph(line_graph(petersen())))
-    assert a == 5  # the matching number of petersen
+    """Flow leaves through the solver's own leaf block; L(Petersen), which
+    is no leaf kind (Petersen is not bipartite), by a matching of its
+    root against the oracle."""
+    from inducta.matching import max_weight_matching
     from inducta.named import path
 
-    a, aw, o, ow = solve_leaf(WeightedGraph(path(3), [5, 1, 5]))
-    assert a == 10
+    for g, w, want in ((complete_bipartite(3, 3), [1] * 6, 3), (path(3), [5, 1, 5], 10)):
+        blk = berge._Block(g, berge.classify_leaf(g), list(range(g.n)), [])
+        assert berge._leaf_alpha(blk, w, [], g.full_mask())[0] == want
+    pet = petersen()
+    assert berge.classify_leaf(line_graph(pet)) is None
+    assert max_weight_matching(pet.n, [(u, v, 1) for u, v in pet.edges()])[0] == 5
+    assert max_weight_stable_set(WeightedGraph(line_graph(pet)))[0] == 5
 
 
 def test_outside_class_is_reported():
@@ -134,7 +137,7 @@ def test_complement_route():
 def test_figure_graph_has_no_extreme_join():
     """The 16-vertex figure: a proper non-path 2-join exists, but both
     blocks of any such join still have one, so no extreme join exists."""
-    from inducta.berge import all_proper_nonpath_two_joins, blocks_of_two_join
+    from inducta.berge import _path_block, all_proper_nonpath_two_joins
 
     names = ["b1p", "b2p", "w", "z", "w1", "b1", "b2", "z1", "x1",
              "a1p", "a2p", "y1", "x", "y", "a1", "a2"]
@@ -154,7 +157,7 @@ def test_figure_graph_has_no_extreme_join():
     extreme_found = False
     for s in joins:
         for side in (s, s.flip()):
-            g1, _, _ = blocks_of_two_join(wg, side, 4, 4, parity_preserving=False)
+            g1, _ = _path_block(wg, side, 4)
             if not all_proper_nonpath_two_joins(g1.graph):
                 extreme_found = True
     assert not extreme_found
@@ -162,14 +165,14 @@ def test_figure_graph_has_no_extreme_join():
 
 def test_stable_hitting_cliques_k2():
     g = complete(2)
-    got = stable_hitting_cliques(g, [[0, 1]])
+    got = berge._hitting_stable_set(decompose(g), [[0, 1]])
     assert got in ([0], [1])
 
 
 def test_stable_hitting_cliques_c6():
     g = cycle(6)
     cliques = [[0, 1], [2, 3], [4, 5]]
-    got = stable_hitting_cliques(g, cliques)
+    got = berge._hitting_stable_set(decompose(g), cliques)
     assert len(got) == 3
     s = mask_of(got)
     assert g.is_stable_mask(s)

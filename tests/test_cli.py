@@ -10,7 +10,7 @@ import pytest
 import inducta
 from inducta import decompose, oracle
 from inducta.cli import main
-from inducta.graphs import format_graph
+from inducta.graphs import WeightedGraph, format_graph
 from inducta.named import cycle, petersen
 
 
@@ -240,6 +240,48 @@ def test_broken_hitting_set_exit_4(capsys, monkeypatch):
     with pytest.raises(InternalError, match="hitting-set loop"):
         berge.color_berge(cycle(6))
     code, out, err = run_err(capsys, "color", "--class=berge", "--named=c:6")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: internal: ") and err.count("\n") == 1
+
+
+def _short_hitting_set(monkeypatch):
+    """Alpha-only solves (the hitting weightings) return one vertex short."""
+    from inducta import berge
+
+    real = berge._solve_halves
+
+    def short(tree, weights, alpha, omega):
+        a, o = real(tree, weights, alpha, omega)
+        return ((a[0], a[1][1:]) if alpha and not omega else a), o
+
+    monkeypatch.setattr(berge, "_solve_halves", short)
+
+
+def _wrong_cut(monkeypatch):
+    from inducta import matching
+
+    real = matching._Dinic.max_flow
+    monkeypatch.setattr(matching._Dinic, "max_flow", lambda self, s, t: real(self, s, t) + 1)
+
+
+@pytest.mark.parametrize("patch, solve, match, argv", [
+    (_short_hitting_set, lambda berge: berge.color_berge(cycle(6)), "missed a clique",
+     ["color", "--class=berge", "--named=c:6"]),
+    (_wrong_cut, lambda berge: berge.berge_alpha_omega(WeightedGraph(cycle(6))), "cut bound",
+     ["berge", "alpha", "--named=c:6"]),
+], ids=["hitting-set", "flow-cut"])
+def test_failed_berge_check_exit_4(capsys, monkeypatch, patch, solve, match, argv):
+    """The hitting set's checks run on cliques the coloring loop found,
+    and the flow's witness checks on a network built from a graph found
+    bipartite, so a failed check is a broken invariant: InternalError,
+    exit 4, one error line."""
+    from inducta import berge
+    from inducta.graphs import InternalError
+
+    patch(monkeypatch)
+    with pytest.raises(InternalError, match=match):
+        solve(berge)
+    code, out, err = run_err(capsys, *argv)
     assert (code, out) == (4, "")
     assert err.startswith("error: internal: ") and err.count("\n") == 1
 

@@ -4,10 +4,9 @@ import pytest
 
 from helpers import random_graph
 from inducta import matching
-from inducta.graphs import Graph, GraphError, TooLargeError, WeightedGraph, bits
+from inducta.graphs import Graph, InternalError, TooLargeError, WeightedGraph, bits
 from inducta.matching import (
     StableSetFlow,
-    bipartite_max_weight_stable_set,
     has_perfect_matching,
     is_factor_critical,
     max_cardinality_matching,
@@ -81,34 +80,34 @@ def test_bipartite_stable_set_matches_oracle():
         done += 1
         w = [rng.randint(0, 6) for _ in range(g.n)]
         wg = WeightedGraph(g, w)
-        val, wit = bipartite_max_weight_stable_set(wg)
+        val, wit = StableSetFlow(g).solve(w)
         assert val == max_weight_stable_set(wg)[0]
         assert g.is_stable_mask(wit)
         assert wg.weight_of(wit) == val
 
 
 def test_konig_weighted_path():
-    wg = WeightedGraph(path(3), [5, 1, 5])
-    assert bipartite_max_weight_stable_set(wg)[0] == 10
+    assert StableSetFlow(path(3)).solve([5, 1, 5])[0] == 10
 
 
 def test_k33_unit():
-    assert bipartite_max_weight_stable_set(WeightedGraph(complete_bipartite(3, 3)))[0] == 3
+    assert StableSetFlow(complete_bipartite(3, 3)).solve([1] * 6)[0] == 3
 
 
 def test_flow_witness_checks_raise(monkeypatch):
-    """A wrong cut or a witness that is not stable raises GraphError,
-    which, unlike an assert, survives python -O."""
-    wg = WeightedGraph(path(3), [5, 1, 5])
+    """A wrong cut or a witness that is not stable is a broken invariant
+    of a network built from a bipartite graph: InternalError, which,
+    unlike an assert, survives python -O."""
+    g, w = path(3), [5, 1, 5]
     real_flow = matching._Dinic.max_flow
     monkeypatch.setattr(matching._Dinic, "max_flow", lambda self, s, t: real_flow(self, s, t) + 1)
-    with pytest.raises(GraphError, match="cut"):
-        bipartite_max_weight_stable_set(wg)
+    with pytest.raises(InternalError, match="cut"):
+        StableSetFlow(g).solve(w)
     monkeypatch.undo()
-    left = set(bits(wg.graph.bipartition()[0]))
+    left = set(bits(g.bipartition()[0]))
     monkeypatch.setattr(matching._Dinic, "reachable", lambda self, s: {s} | left)
-    with pytest.raises(GraphError, match="stable"):
-        bipartite_max_weight_stable_set(wg)
+    with pytest.raises(InternalError, match="stable"):
+        StableSetFlow(g).solve(w)
 
 
 def test_flow_network_serves_every_weighting(monkeypatch):
@@ -127,18 +126,18 @@ def test_flow_network_serves_every_weighting(monkeypatch):
     for i in range(500):
         w = [rng.choice([0, 0, 1, 2, 3, 7]) for _ in range(g.n)]
         got = flow.solve(w)
-        assert got == bipartite_max_weight_stable_set(WeightedGraph(g, w))
+        assert got == StableSetFlow(g).solve(w)
         if i % 10 == 0:
             assert got[0] == max_weight_stable_set(WeightedGraph(g, w))[0]
     w = [1 + v % 4 for v in range(g.n)]
     want = flow.solve(w)
     real_flow = matching._Dinic.max_flow
     monkeypatch.setattr(matching._Dinic, "max_flow", lambda self, s, t: real_flow(self, s, t) + 1)
-    with pytest.raises(GraphError, match="cut"):
+    with pytest.raises(InternalError, match="cut"):
         flow.solve(w)
     monkeypatch.undo()
     monkeypatch.setattr(matching._Dinic, "reachable", lambda self, s: {s} | set(bits(flow.left)))
-    with pytest.raises(GraphError, match="stable"):
+    with pytest.raises(InternalError, match="stable"):
         flow.solve(w)
     monkeypatch.undo()
     assert flow.solve(w) == want
