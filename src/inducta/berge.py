@@ -194,10 +194,14 @@ def all_proper_nonpath_two_joins(g: Graph) -> list[TwoJoinSplit]:
     placed vertices that have none, or joins a piece and sees every
     placed vertex on the piece's other side.  A 2-join's cross edges are
     exactly the pieces A1-A2 and B1-B2, and any restriction of them keeps
-    that shape, so no 2-join is dropped.  Each complete placement with two
-    pieces then meets the same ``derive_split``, connectivity,
-    substantiality and path-side tests as an enumeration of all 2^(n-1)
-    bipartitions would, and the result is that enumeration's list."""
+    that shape, so no 2-join is dropped.  The two pieces travel as four
+    masks, each piece's X1 and X2 parts.  At a complete placement every
+    cross edge lies in a piece and each piece is complete, so its two
+    pieces are the split itself: A is the piece with the smaller X1 part,
+    as ``derive_split`` would pick it, and no ``derive_split`` runs here.
+    Each such split then meets the connectivity, substantiality and
+    path-side tests that an enumeration of all 2^(n-1) bipartitions
+    would apply, and the result is that enumeration's list."""
     if g.n > FULL_ENUM_BOUND:
         raise TooLargeError(f"2-join enumeration bound {FULL_ENUM_BOUND} exceeded")
     n, adj = g.n, g.adj
@@ -205,57 +209,66 @@ def all_proper_nonpath_two_joins(g: Graph) -> list[TwoJoinSplit]:
              for v in bits(layer)]
     out = []
 
-    def place(i: int, x1: int, x2: int, c1: int, c2: int, pieces: tuple) -> None:
+    def place(i: int, x1: int, x2: int, c1: int, c2: int,
+              p1: int, p2: int, q1: int, q2: int) -> None:
+        # (p1, p2) and (q1, q2): the X1 and X2 parts of the first and
+        # second piece, zero until the piece starts
         if c1 + n - i < 3 or c2 + n - i < 3:
             return
         if i == n:
-            if len(pieces) < 2:
-                return
-            s = _proper_nonpath_split(g, x1, x2)
-            if s is not None:
-                out.append(s)
+            if q1:
+                s = (TwoJoinSplit(x1, x2, p1, q1, p2, q2) if p1 < q1
+                     else TwoJoinSplit(x1, x2, q1, p1, q2, p2))
+                if _is_proper_nonpath(g, s):
+                    out.append(s)
             return
         v = order[i]
         bit = 1 << v
-        grown = _grow_pieces(pieces, 0, bit, adj[v] & x2)
-        if grown is not None:
-            place(i + 1, x1 | bit, x2, c1 + 1, c2, grown)
-        if i:
-            grown = _grow_pieces(pieces, 1, bit, adj[v] & x1)
-            if grown is not None:
-                place(i + 1, x1, x2 | bit, c1, c2 + 1, grown)
+        nb = adj[v] & x2
+        if not nb:
+            place(i + 1, x1 | bit, x2, c1 + 1, c2, p1, p2, q1, q2)
+        elif p2 & nb:
+            if p2 == nb:
+                place(i + 1, x1 | bit, x2, c1 + 1, c2, p1 | bit, p2, q1, q2)
+        elif q2 & nb:
+            if q2 == nb:
+                place(i + 1, x1 | bit, x2, c1 + 1, c2, p1, p2, q1 | bit, q2)
+        elif not p1:
+            place(i + 1, x1 | bit, x2, c1 + 1, c2, bit, nb, 0, 0)
+        elif not q1:
+            place(i + 1, x1 | bit, x2, c1 + 1, c2, p1, p2, bit, nb)
+        if not i:
+            return
+        nb = adj[v] & x1
+        if not nb:
+            place(i + 1, x1, x2 | bit, c1, c2 + 1, p1, p2, q1, q2)
+        elif p1 & nb:
+            if p1 == nb:
+                place(i + 1, x1, x2 | bit, c1, c2 + 1, p1, p2 | bit, q1, q2)
+        elif q1 & nb:
+            if q1 == nb:
+                place(i + 1, x1, x2 | bit, c1, c2 + 1, p1, p2, q1, q2 | bit)
+        elif not p1:
+            place(i + 1, x1, x2 | bit, c1, c2 + 1, nb, bit, 0, 0)
+        elif not q1:
+            place(i + 1, x1, x2 | bit, c1, c2 + 1, p1, p2, nb, bit)
 
-    place(0, 0, 0, 0, 0, ())
+    place(0, 0, 0, 0, 0, 0, 0, 0, 0)
     out.sort(key=lambda s: s.x1)
     return out
+
+
+def _is_proper_nonpath(g: Graph, s: TwoJoinSplit) -> bool:
+    """Is the 2-join split s proper (connected and substantial) with no
+    path side?"""
+    return is_substantial_join(g, s) and path_side(g, s) is None and is_connected_join(g, s)
 
 
 def _proper_nonpath_split(g: Graph, x1: int, x2: int) -> TwoJoinSplit | None:
     """The split of (x1, x2) if it is a proper (connected and
     substantial) 2-join with no path side, else None."""
     s = derive_split(g, x1, x2)
-    if (s is not None and is_connected_join(g, s) and is_substantial_join(g, s)
-            and path_side(g, s) is None):
-        return s
-    return None
-
-
-def _grow_pieces(pieces: tuple, side: int, bit: int, nb: int) -> tuple | None:
-    """The cross-edge pieces, each a (side X1, side X2) pair of masks,
-    after placing ``bit`` on ``side`` (0 for X1) with placed cross
-    neighbours ``nb``; None when they stop being at most two complete
-    bipartite graphs."""
-    if not nb:
-        return pieces
-    for k, piece in enumerate(pieces):
-        if piece[1 - side] & nb:
-            if piece[1 - side] != nb:
-                return None
-            grown = (piece[0] | bit, piece[1]) if side == 0 else (piece[0], piece[1] | bit)
-            return pieces[:k] + (grown,) + pieces[k + 1:]
-    if len(pieces) == 2:
-        return None
-    return pieces + (((bit, nb) if side == 0 else (nb, bit)),)
+    return s if s is not None and _is_proper_nonpath(g, s) else None
 
 
 def find_two_join(g: Graph, markers: list[list[int]] | None = None) -> TwoJoinSplit | None:
@@ -430,26 +443,35 @@ class LeafInfo:
         return _LEAF_SOLVERS.get(self.kind, "exact")
 
 
-def is_double_split(g: Graph) -> bool:
-    """The double split validator, by its degree signature and the
-    matching / antimatching / crossing conditions."""
+def _degree_masks(g: Graph) -> dict[int, int]:
+    """The vertices of each degree of g, as masks keyed by degree."""
+    out: dict[int, int] = {}
+    for v, nb in enumerate(g.adj):
+        d = bit_count(nb)
+        out[d] = out.get(d, 0) | 1 << v
+    return out
+
+
+def is_double_split(g: Graph, by_degree: dict[int, int]) -> bool:
+    """The double split validator, by its degree signature (g's degree
+    masks ``by_degree``: A u B and C u D are the only two degree classes)
+    and the matching / antimatching / crossing conditions."""
     n_all = g.n
+    if len(by_degree) != 2:
+        return False
     for m in range(2, n_all // 2 + 1):
         n = (n_all - 2 * m) // 2
         if 2 * m + 2 * n != n_all or n < 2:
             continue
         dab, dcd = n + 1, 2 * n + m - 2
-        ab = mask_of(v for v in range(n_all) if g.degree(v) == dab)
-        cd = mask_of(v for v in range(n_all) if g.degree(v) == dcd)
         if dab == dcd:
             continue
-        if bit_count(ab) != 2 * m or bit_count(cd) != 2 * n or ab & cd:
+        ab, cd = by_degree.get(dab, 0), by_degree.get(dcd, 0)
+        if bit_count(ab) != 2 * m or bit_count(cd) != 2 * n:
             continue
-        sub_ab, _ = g.induced_mask(ab)
-        if not all(sub_ab.degree(i) == 1 for i in range(sub_ab.n)):
+        if any(bit_count(g.adj[v] & ab) != 1 for v in bits(ab)):
             continue  # A u B must induce a perfect matching
-        sub_cd, _ = g.induced_mask(cd)
-        if not all(sub_cd.degree(i) == sub_cd.n - 2 for i in range(sub_cd.n)):
+        if any(bit_count(g.adj[v] & cd) != 2 * n - 2 for v in bits(cd)):
             continue  # C u D must induce the complement of one
         ok = True
         ab_pairs = []
@@ -485,11 +507,10 @@ def is_double_split(g: Graph) -> bool:
     return False
 
 
-def _flat_paths_of(g: Graph) -> list[list[int]]:
-    """Maximal flat paths: interiors of degree 2, ends without common
-    neighbors off the path."""
+def _flat_paths_of(g: Graph, deg2: int) -> list[list[int]]:
+    """Maximal flat paths: interiors of degree 2 (the mask ``deg2``),
+    ends without common neighbors off the path."""
     out = []
-    deg2 = mask_of(v for v in range(g.n) if g.degree(v) == 2)
     seen = 0
     for v in bits(deg2):
         if seen >> v & 1:
@@ -520,34 +541,37 @@ def _flat_paths_of(g: Graph) -> list[list[int]]:
     return out
 
 
-def is_path_cobipartite(g: Graph) -> bool:
-    """Cliques A, B joined by odd flat paths through degree-2 interiors;
-    Berge by construction of the class, checked exhaustively here."""
+def is_path_cobipartite(g: Graph, comp: Graph, paths: list[list[int]]) -> bool:
+    """Cliques A, B joined by odd flat paths through degree-2 interiors
+    (g's complement is ``comp`` and its maximal flat paths ``paths``);
+    Berge by construction of the class, checked exhaustively here.  The
+    rest must split into two cliques, which is tested on masks before
+    anything else."""
     from .oracle import is_berge
 
-    paths = _flat_paths_of(g)
     p = 0
     for path in paths:
         p |= mask_of(path[1:-1])
     rest = g.full_mask() & ~p
     if rest == 0:
         return False
+    # the covers of the rest by two cliques: one colour class of each
+    # component of the complement on the rest
+    classes = []
+    left = rest
+    while left:
+        layers = comp.layers(left & -left, rest)
+        if any(comp.adj[v] & layer for layer in layers for v in bits(layer)):
+            return False  # an odd cycle of the complement
+        even, odd = sum(layers[0::2]), sum(layers[1::2])  # the layers are disjoint
+        classes.append((even, odd))
+        left &= ~(even | odd)
     # try every 2-clique-cover of the rest consistent with the paths
-    sub, old = g.induced_mask(rest)
-    comp = sub.complement()
-    parts = comp.bipartition()
-    if parts is None:
-        return False
-    comps = comp.components()
-    for flip in range(1 << len(comps)):
+    for flip in range(1 << len(classes)):
         a = 0
-        for i, cm in enumerate(comps):
-            side = parts[0] & cm if not flip >> i & 1 else parts[1] & cm
-            a |= side
-        b = sub.full_mask() & ~a
-        amask = mask_of(old[i] for i in bits(a))
-        bmask = mask_of(old[i] for i in bits(b))
-        if _check_path_cobip(g, paths, amask, bmask, p):
+        for i, pair in enumerate(classes):
+            a |= pair[flip >> i & 1]
+        if _check_path_cobip(g, paths, a, rest & ~a, p):
             return is_berge(g)
     return False
 
@@ -579,25 +603,16 @@ def _check_path_cobip(g: Graph, paths: list[list[int]], a: int, b: int, p: int) 
     return used == p
 
 
-def is_path_double_split(g: Graph) -> bool:
+def is_path_double_split(g: Graph, paths: list[list[int]], by_degree: dict[int, int]) -> bool:
     """Double split graph with the matching edges subdivided into odd
-    flat paths; recognized by contracting the flat paths back."""
-    p = 0
-    paths = _flat_paths_of(g)
-    for path in paths:
-        inner = mask_of(path[1:-1])
-        p |= inner
-    if p == 0:
-        return is_double_split(g)
+    flat paths; recognized by contracting the flat paths back.  ``paths``
+    and ``by_degree`` are g's maximal flat paths and degree masks."""
+    if not paths:
+        return is_double_split(g, by_degree)
     # contract each flat path of odd length to a single edge
     h = g
-    idmap = list(range(g.n))
     while True:
-        cand = None
-        for path in _flat_paths_of(h):
-            if len(path) >= 3 and (len(path) - 1) % 2 == 1:
-                cand = path
-                break
+        cand = next((path for path in paths if len(path) >= 3 and (len(path) - 1) % 2 == 1), None)
         if cand is None:
             break
         keep = [v for v in range(h.n) if v not in cand[1:-1]]
@@ -606,13 +621,19 @@ def is_path_double_split(g: Graph) -> bool:
         if not sub.has_edge(pos[cand[0]], pos[cand[-1]]):
             sub.add_edge_unchecked(pos[cand[0]], pos[cand[-1]])
         h = sub
-    return is_double_split(h)
+        by_degree = _degree_masks(h)
+        paths = _flat_paths_of(h, by_degree.get(2, 0))
+    return is_double_split(h, by_degree)
 
 
 def classify_leaf(g: Graph) -> LeafInfo | None:
     """The basic kind of g in the decomposition class, or None: bipartite,
     a line graph of a bipartite root, the complement of either, or one of
-    the double split and path kinds (which are solved exactly)."""
+    the double split and path kinds (which are solved exactly).
+
+    What the double split and path tests share is computed once: g's
+    degree masks (the complement's follow from them), and the maximal
+    flat paths of g and of its complement."""
     if g.bipartition() is not None:
         return LeafInfo("bipartite")
     got = line_root_with_map(g)
@@ -624,15 +645,19 @@ def classify_leaf(g: Graph) -> LeafInfo | None:
     gotc = line_root_with_map(comp)
     if gotc is not None and gotc[0].bipartition() is not None:
         return LeafInfo("complement-line-of-bipartite", root=gotc[0], root_edges=gotc[1])
-    if is_double_split(g):
+    by_degree = _degree_masks(g)
+    if is_double_split(g, by_degree):
         return LeafInfo("double-split")
-    if is_path_cobipartite(g):
+    by_degree_c = {g.n - 1 - d: m for d, m in by_degree.items()}
+    paths = _flat_paths_of(g, by_degree.get(2, 0))
+    paths_c = _flat_paths_of(comp, by_degree_c.get(2, 0))
+    if is_path_cobipartite(g, comp, paths):
         return LeafInfo("path-cobipartite")
-    if is_path_cobipartite(comp):
+    if is_path_cobipartite(comp, g, paths_c):
         return LeafInfo("complement-path-cobipartite")
-    if is_path_double_split(g):
+    if is_path_double_split(g, paths, by_degree):
         return LeafInfo("path-double-split")
-    if is_path_double_split(comp):
+    if is_path_double_split(comp, paths_c, by_degree_c):
         return LeafInfo("complement-path-double-split")
     return None
 

@@ -8,9 +8,12 @@ import random
 from inducta.berge import (
     ABCD,
     FULL_ENUM_BOUND,
+    LeafInfo,
     TreeNode,
     TwoJoinSplit,
+    _check_path_cobip,
     _decompose,
+    _flat_paths_of,
     _marker_clique_weights,
     _path_block,
     _swap_in_gadget,
@@ -22,7 +25,7 @@ from inducta.berge import (
 )
 from inducta.classify import TwoPair, classify_p3, contract_pair, find_two_pair, validate_two_pair
 from inducta.graphs import Graph, GraphError, TooLargeError, WeightedGraph, bit_count, bits, mask_of
-from inducta.linegraph import line_graph, maximal_cliques
+from inducta.linegraph import line_graph, line_root_with_map, maximal_cliques
 from inducta.named import (
     a6,
     complete,
@@ -36,7 +39,8 @@ from inducta.named import (
     r35,
     wagner,
 )
-from inducta.oracle import enumerate_antiholes, enumerate_holes, max_weight_clique, max_weight_stable_set
+from inducta.oracle import (enumerate_antiholes, enumerate_holes, is_berge, max_weight_clique,
+                            max_weight_stable_set)
 
 
 def named_zoo() -> dict[str, Graph]:
@@ -713,3 +717,106 @@ def oracle_line_root_with_map(g: Graph) -> tuple[Graph, list[tuple[int, int]]] |
             if bool(set(ends[u]) & set(ends[v])) != g.has_edge(u, v):
                 return None
     return root, ends
+
+
+# -- the leaf chain that recomputed degrees and flat paths per test ------------
+
+def _oracle_flat_paths(g: Graph) -> list[list[int]]:
+    return _flat_paths_of(g, mask_of(v for v in range(g.n) if g.degree(v) == 2))
+
+
+def _oracle_is_double_split(g: Graph) -> bool:
+    """The degree signature read per m, A u B and C u D checked on their
+    induced subgraphs."""
+    n_all = g.n
+    for m in range(2, n_all // 2 + 1):
+        n = (n_all - 2 * m) // 2
+        if 2 * m + 2 * n != n_all or n < 2:
+            continue
+        dab, dcd = n + 1, 2 * n + m - 2
+        ab = mask_of(v for v in range(n_all) if g.degree(v) == dab)
+        cd = mask_of(v for v in range(n_all) if g.degree(v) == dcd)
+        if dab == dcd:
+            continue
+        if bit_count(ab) != 2 * m or bit_count(cd) != 2 * n or ab & cd:
+            continue
+        sub_ab, _ = g.induced_mask(ab)
+        if not all(sub_ab.degree(i) == 1 for i in range(sub_ab.n)):
+            continue
+        sub_cd, _ = g.induced_mask(cd)
+        if not all(sub_cd.degree(i) == sub_cd.n - 2 for i in range(sub_cd.n)):
+            continue
+        ab_pairs = [(v, u) for v in bits(ab) for u in bits(g.adj[v] & ab) if u > v]
+        cd_pairs = [(v, u) for v in bits(cd) for u in bits(cd & ~g.adj[v] & ~(1 << v)) if u > v]
+        crossing = ([True, False, False, True], [False, True, True, False])
+        if all([g.has_edge(aa, cc), g.has_edge(aa, dd), g.has_edge(bb, cc), g.has_edge(bb, dd)]
+               in crossing for aa, bb in ab_pairs for cc, dd in cd_pairs):
+            return True
+    return False
+
+
+def _oracle_is_path_cobipartite(g: Graph) -> bool:
+    """The rest's two-clique covers from its induced subgraph's
+    complement."""
+    paths = _oracle_flat_paths(g)
+    p = 0
+    for path in paths:
+        p |= mask_of(path[1:-1])
+    rest = g.full_mask() & ~p
+    if rest == 0:
+        return False
+    sub, old = g.induced_mask(rest)
+    comp = sub.complement()
+    parts = comp.bipartition()
+    if parts is None:
+        return False
+    comps = comp.components()
+    for flip in range(1 << len(comps)):
+        a = 0
+        for i, cm in enumerate(comps):
+            a |= (parts[flip >> i & 1]) & cm
+        amask = mask_of(old[i] for i in bits(a))
+        bmask = mask_of(old[i] for i in bits(sub.full_mask() & ~a))
+        if _check_path_cobip(g, paths, amask, bmask, p):
+            return is_berge(g)
+    return False
+
+
+def _oracle_is_path_double_split(g: Graph) -> bool:
+    if not _oracle_flat_paths(g):
+        return _oracle_is_double_split(g)
+    h = g
+    while True:
+        cand = next((path for path in _oracle_flat_paths(h)
+                     if len(path) >= 3 and (len(path) - 1) % 2 == 1), None)
+        if cand is None:
+            return _oracle_is_double_split(h)
+        sub, old = h.induced([v for v in range(h.n) if v not in cand[1:-1]])
+        pos = {o: i for i, o in enumerate(old)}
+        if not sub.has_edge(pos[cand[0]], pos[cand[-1]]):
+            sub.add_edge_unchecked(pos[cand[0]], pos[cand[-1]])
+        h = sub
+
+
+def oracle_classify_leaf(g: Graph) -> LeafInfo | None:
+    """The leaf kinds tried in the same order, each test computing what
+    it needs from scratch."""
+    if g.bipartition() is not None:
+        return LeafInfo("bipartite")
+    got = line_root_with_map(g)
+    if got is not None and got[0].bipartition() is not None:
+        return LeafInfo("line-of-bipartite", root=got[0], root_edges=got[1])
+    comp = g.complement()
+    if comp.bipartition() is not None:
+        return LeafInfo("complement-bipartite")
+    gotc = line_root_with_map(comp)
+    if gotc is not None and gotc[0].bipartition() is not None:
+        return LeafInfo("complement-line-of-bipartite", root=gotc[0], root_edges=gotc[1])
+    for kind, test, x in (("double-split", _oracle_is_double_split, g),
+                          ("path-cobipartite", _oracle_is_path_cobipartite, g),
+                          ("complement-path-cobipartite", _oracle_is_path_cobipartite, comp),
+                          ("path-double-split", _oracle_is_path_double_split, g),
+                          ("complement-path-double-split", _oracle_is_path_double_split, comp)):
+        if test(x):
+            return LeafInfo(kind)
+    return None

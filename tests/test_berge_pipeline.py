@@ -5,7 +5,8 @@ import threading
 
 import pytest
 
-from helpers import complement_leaf_graphs, glue_two_sides, prism_side, random_berge_instance, theta_side
+from helpers import (berge_family_graphs, complement_leaf_graphs, glue_two_sides, oracle_classify_leaf,
+                     prism_side, random_berge_instance, theta_side)
 from inducta import berge
 from inducta.berge import (
     OutsideClassError,
@@ -16,7 +17,7 @@ from inducta.berge import (
     find_two_join,
     solve,
 )
-from inducta.graphs import Graph, WeightedGraph, bit_count, bits, mask_of
+from inducta.graphs import Graph, GraphError, WeightedGraph, bit_count, bits, mask_of
 from inducta.linegraph import line_graph
 from inducta.named import complete, complete_bipartite, cycle, petersen
 from inducta.oracle import (ALPHA_BOUND, exact_invariants, is_berge, max_weight_clique,
@@ -452,8 +453,8 @@ def test_double_split_leaf_kinds():
                 g = _double_split(m, n, rng)
                 h = _double_split(m, n, rng, odd_lengths=(3, 5))
                 hc = h.complement()
-                assert berge.is_double_split(g)
-                assert berge.is_path_double_split(h)
+                assert berge.is_double_split(g, berge._degree_masks(g))
+                assert berge.is_path_double_split(h, *_paths_and_degrees(h))
                 for x, kind, line_kind, line_of in (
                     (g, "double-split", "line-of-bipartite", g),
                     (h, "path-double-split", "line-of-bipartite", h),
@@ -475,8 +476,83 @@ def test_path_cobipartite_recognizer():
     reports first, so the recognizer is called directly."""
     g = Graph(10, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
                    (0, 6), (6, 7), (7, 3), (1, 8), (8, 9), (9, 4)])
-    assert berge.is_path_cobipartite(g)
+    assert berge.is_path_cobipartite(g, g.complement(), _paths_and_degrees(g)[0])
     assert berge.classify_leaf(g).kind == "line-of-bipartite"
+
+
+def _paths_and_degrees(g):
+    """g's maximal flat paths and degree masks, as ``classify_leaf``
+    computes them once for its path tests."""
+    by_degree = berge._degree_masks(g)
+    return berge._flat_paths_of(g, by_degree.get(2, 0)), by_degree
+
+
+def _same_leaf(g):
+    """classify_leaf agrees with the chain that recomputed everything
+    per test: the same kind, and for line kinds the same root; returns
+    the kind, or None."""
+    got, want = berge.classify_leaf(g), oracle_classify_leaf(g)
+    assert (got is None) == (want is None), f"n={g.n} adj={g.adj}"
+    if got is None:
+        return None
+    assert (got.kind, got.root, got.root_edges) == (want.kind, want.root, want.root_edges), \
+        f"n={g.n} adj={g.adj}"
+    return got.kind
+
+
+def test_leaf_kinds_match_the_chain_on_every_small_graph():
+    """Every labelled graph with at most six vertices; the complement
+    of each is one of them too."""
+    kinds = set()
+    for n in range(1, 7):
+        pairs = list(itertools.combinations(range(n), 2))
+        for chosen in range(1 << len(pairs)):
+            kinds.add(_same_leaf(Graph(n, [e for i, e in enumerate(pairs) if chosen >> i & 1])))
+    assert {None, "bipartite", "line-of-bipartite", "complement-bipartite"} <= kinds
+
+
+def test_leaf_kinds_match_the_chain_on_the_families(monkeypatch):
+    """Every node and side graph that ``decompose`` classifies on the
+    Berge test families."""
+    real = berge.classify_leaf
+    seen = {}
+
+    def recorded(g):
+        seen.setdefault((g.n, tuple(g.adj)), g)
+        return real(g)
+
+    monkeypatch.setattr(berge, "classify_leaf", recorded)
+    for g in berge_family_graphs():
+        try:
+            decompose(g)
+        except GraphError:
+            pass
+    monkeypatch.undo()
+    kinds = [_same_leaf(g) for g in seen.values()]
+    assert len(kinds) >= 150 and kinds.count(None) >= 30
+
+
+def test_leaf_kinds_match_the_chain_on_the_exact_kinds():
+    """The double split builder with and without odd subdivisions, its
+    graphs after degree-preserving edge swaps (the same degree signature,
+    so the matching, antimatching and crossing checks decide), each graph
+    with its complement, and the path-cobipartite graph above."""
+    rng = random.Random(1515)
+    graphs = [Graph(10, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                         (0, 6), (6, 7), (7, 3), (1, 8), (8, 9), (9, 4)])]
+    for m in (2, 3, 4):
+        for n in (2, 3):
+            for odd_lengths in (None, (3,), (3, 5), (5, 7)):
+                graphs.append(_double_split(m, n, rng, odd_lengths))
+            for _ in range(6):
+                g = _double_split(m, n, rng)
+                for _ in range(rng.randint(1, 3)):
+                    (a, b), (c, d) = rng.sample(g.edges(), 2)
+                    if len({a, b, c, d}) == 4 and not g.has_edge(a, d) and not g.has_edge(c, b):
+                        g = Graph(g.n, [e for e in g.edges() if e not in ((a, b), (c, d))] + [(a, d), (c, b)])
+                graphs.append(g)
+    kinds = {_same_leaf(x) for g in graphs for x in (g, g.complement())}
+    assert {"double-split", "path-double-split", "complement-path-double-split"} <= kinds
 
 
 def _edge_graph(n, text):

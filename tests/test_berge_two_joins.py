@@ -42,12 +42,13 @@ def test_every_labelled_graph_on_six_vertices():
 
 
 def test_seeded_random_graphs_and_complements():
-    """Random graphs at several densities, plus graphs made of large
-    complete bipartite pieces, which keep the most placements alive."""
+    """Random graphs at several densities up to the enumeration bound,
+    plus graphs made of large complete bipartite pieces, which keep the
+    most placements alive."""
     rng = random.Random(1010)
     graphs = [complete_bipartite(3, 4), complete_bipartite(4, 4), complete(7),
               glue_two_sides(prism_side(), prism_side())[0]]
-    for n in range(7, 15):
+    for n in range(7, berge.FULL_ENUM_BOUND + 1):
         for p in (0.15, 0.3, 0.5, 0.7, 0.85) * 3:
             graphs.append(random_graph(n, p, rng))
     found = sum(_same_joins(g) + _same_joins(g.complement()) for g in graphs)
@@ -75,3 +76,22 @@ def test_every_graph_the_families_search(monkeypatch):
     monkeypatch.undo()
     found = sum(_same_joins(g) for g in searched.values())
     assert len(searched) >= 100 and found >= 50
+
+
+def test_the_search_reads_splits_from_its_pieces(monkeypatch):
+    """A complete placement already holds its split, so the search never
+    calls ``derive_split``, and still finds every join."""
+    calls = []
+    real = berge.derive_split
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(berge, "derive_split", counted)
+    glued = glue_two_sides(prism_side(), prism_side())[0]
+    graphs = [complete_bipartite(4, 4), glued, glued.complement()]
+    found = [all_proper_nonpath_two_joins(g) for g in graphs]
+    assert calls == [] and all(found)
+    monkeypatch.undo()
+    assert found == [oracle_all_proper_nonpath_two_joins(g) for g in graphs]
