@@ -21,7 +21,7 @@ from itertools import combinations
 
 from .graphs import Graph, GraphError, InternalError, bits, mask_of
 from .linegraph import line_root_with_map
-from .oracle import enumerate_holes, induced_embedding
+from .oracle import induced_embedding
 
 
 @dataclass
@@ -89,16 +89,10 @@ def classify_paw(g: Graph) -> SmallClassification:
     tri = g.triangle()
     if tri is not None:
         return _paw_witness_from_triangle(g, tri)
-    sq = _find_square(g)
-    if sq is not None:
-        return _paw_witness_from_square(g, sq)
-    return _paw_witness_from_cycle(g)
-
-
-def _find_square(g: Graph) -> list[int] | None:
-    for h in enumerate_holes(g, 4, 4):
-        return h
-    return None
+    cyc = g.shortest_cycle()
+    if len(cyc) == 4:
+        return _paw_witness_from_square(g, cyc)
+    return _paw_witness_from_hole(g, cyc)
 
 
 def _grow_multipartite(g: Graph, seed: int) -> list[int]:
@@ -206,28 +200,17 @@ def _paw_witness_from_square(g: Graph, sq) -> SmallClassification:
     raise InternalError("square case: maximal bipartite had no attachment")
 
 
-def _paw_witness_from_cycle(g: Graph) -> SmallClassification:
-    girth = g.girth()
-    cyc = next(enumerate_holes(g, max(girth, 4), girth))
+def _paw_witness_from_hole(g: Graph, cyc: list[int]) -> SmallClassification:
+    """``cyc`` is a shortest cycle of length L >= 5.  A vertex off it has
+    at most one neighbour on it, since two would close a cycle of length
+    at most L // 2 + 2 < L; so the first attached vertex completes it to
+    a paw subdivision."""
     cmask = mask_of(cyc)
     for v in range(g.n):
-        if cmask >> v & 1:
-            continue
-        nb = [i for i, c in enumerate(cyc) if g.has_edge(v, c)]
-        if not nb:
-            continue
-        if len(nb) == 1:
+        if not cmask >> v & 1 and g.adj[v] & cmask:
             return SmallClassification(
                 "not-in-class", witness=cyc + [v], witness_name="paw-subdivision"
             )
-        # rotate the hole so the two smallest attachments are c_1, c_i
-        first = nb[0]
-        rot = cyc[first:] + cyc[:first]
-        nb2 = sorted(i for i, c in enumerate(rot) if g.has_edge(v, c))
-        i = nb2[1]
-        return SmallClassification(
-            "not-in-class", witness=[v] + rot[: i + 2], witness_name="paw-subdivision"
-        )
     raise InternalError("cycle case: no attachment found")
 
 

@@ -613,29 +613,6 @@ class AdmissiblePair:
         return False
 
 
-def _shortest_odd_cycle(g: Graph) -> list[int] | None:
-    """A shortest odd cycle, or None for bipartite graphs.  From each
-    source, the first layer with an inner edge uw closes an odd cycle
-    through the two back-paths of u and w, cut where they meet; from a
-    source on a shortest odd cycle that cycle is a shortest one."""
-    full = g.full_mask()
-    best: list[int] | None = None
-    for s in range(g.n):
-        ls = g.layers(1 << s, full)
-        for i, layer in enumerate(ls):
-            if best is not None and 2 * i + 1 >= len(best):
-                break
-            u = next((u for u in bits(layer) if g.adj[u] & layer), None)
-            if u is None:
-                continue
-            w = next(bits(g.adj[u] & layer))
-            pu, pw = g.path_back(ls, u), g.path_back(ls, w)
-            k = next(k for k in range(i + 1) if pu[k] == pw[k])
-            best = pu[: k + 1] + pw[:k][::-1]
-            break
-    return best
-
-
 def _third_color(g: Graph, include: int, exclude: int) -> int | None:
     """A stable set S with include <= S, S n exclude = 0, meeting every
     odd cycle; branch on the vertices of a shortest odd cycle of g - S."""
@@ -645,12 +622,10 @@ def _third_color(g: Graph, include: int, exclude: int) -> int | None:
         return None
 
     def helper(s: int) -> int | None:
-        subg, oldg = g.induced_mask(g.full_mask() & ~s)
-        cyc = _shortest_odd_cycle(subg)
+        cyc = g.shortest_cycle(odd=True, allowed=g.full_mask() & ~s)
         if cyc is None:
             return s
-        for i in sorted(cyc):
-            v = oldg[i]
+        for v in sorted(cyc):
             if exclude >> v & 1 or g.adj[v] & s:
                 continue
             got = helper(s | (1 << v))

@@ -269,37 +269,63 @@ class Graph:
 
     def girth(self, below: int | None = None) -> int | None:
         """Length of a shortest cycle, or None for forests.  With
-        ``below``, the girth if it is less than ``below``, else None.
+        ``below``, the girth if it is less than ``below``, else None."""
+        cyc = self.shortest_cycle(below)
+        return None if cyc is None else len(cyc)
 
-        A BFS from each vertex of degree two or more, one layer at a
-        time: an edge inside layer i closes a (2i+1)-cycle, and a vertex
-        of layer i+1 with two parents a (2i+2)-cycle.  No BFS goes on
-        once those lengths reach the shortest cycle found (or ``below``),
-        since a shorter cycle shows within half its length from each of
-        its vertices."""
-        adj = self.adj
-        bound = self.n + 1 if below is None else below
-        best = bound
-        for s in range(self.n):
+    def shortest_cycle(self, below: int | None = None, odd: bool = False,
+                       allowed: int | None = None) -> list[int] | None:
+        """A shortest cycle in cyclic order, or None.  With ``odd``, a
+        shortest odd cycle; with ``allowed``, one of the subgraph that mask
+        induces; with ``below``, only one shorter than ``below``.  Such a
+        cycle is induced.
+
+        A BFS from each vertex of degree two or more: an edge inside layer
+        i, or a vertex of layer i+1 with two parents, closes a cycle of
+        length at most 2i+1 or 2i+2 through two back-paths cut where they
+        meet.  A BFS stops once 2i+1 reaches the best length so far, since
+        from each vertex of a shorter (odd) cycle the BFS distances along
+        that cycle are exact."""
+        if allowed is None:
+            adj, sources = self.adj, range(self.n)
+        else:
+            adj, sources = [nb & allowed for nb in self.adj], bits(allowed)
+        best = self.n + 1 if below is None else below
+        cyc = None
+        for s in sources:
             if bit_count(adj[s]) < 2:
                 continue
             layer = seen = 1 << s
+            layers = [layer]
             depth = 0
             while layer and 2 * depth + 1 < best:
                 nxt = twice = 0
                 for v in bits(layer):
                     if adj[v] & layer:
-                        best = 2 * depth + 1
+                        cyc = self._closure(layers, v, next(bits(adj[v] & layer)))
+                        best = len(cyc)
                         break
                     twice |= nxt & adj[v]
                     nxt |= adj[v]
                 else:
                     layer = nxt & ~seen
                     seen |= layer
-                    if twice & layer:
-                        best = 2 * depth + 2
+                    twice &= layer
+                    if twice and not odd and 2 * depth + 2 < best:
+                        w = next(bits(twice))
+                        u, x, *_ = bits(adj[w] & layers[-1])
+                        cyc = [w] + self._closure(layers, u, x)
+                        best = len(cyc)
+                    layers.append(layer)
                     depth += 1
-        return best if best < bound else None
+        return cyc
+
+    def _closure(self, layers: Sequence[int], u: int, w: int) -> list[int]:
+        """From ``u`` back to where the back-paths of ``u`` and ``w`` meet,
+        then out to ``w``: with the edge uw or a common neighbour, a cycle."""
+        pu, pw = self.path_back(layers, u), self.path_back(layers, w)
+        k = next(k for k in range(len(pu)) if pu[k] == pw[k])
+        return pu[: k + 1] + pw[:k][::-1]
 
     def shortest_path(self, src: int, dst: int, allowed: int | None = None) -> list[int] | None:
         """Shortest src->dst path inside the ``allowed`` bitset.

@@ -251,17 +251,23 @@ def validate_k4(g: Graph, w: K4Witness, check_decomposes: bool = True) -> bool:
 def induced_tree_exists(g: Graph, terms: list[int], bound: int = EXHAUSTIVE_TREE_BOUND) -> int | None:
     """Exhaustive: some vertex set inducing a tree that covers ``terms``,
     as a bitset, or None.  The independent oracle for all of this module;
-    the bound caps the number of free (non-terminal) vertices."""
+    the bound caps the number of free (non-terminal) vertices.  Each
+    candidate is tested by its own edge count and a reach from its lowest
+    vertex, not by ``Graph.is_tree_mask``, which the solver's checks use."""
     tmask = mask_of(terms)
     free = [v for v in range(g.n) if not (tmask >> v & 1)]
     if len(free) > bound:
         raise TooLargeError(f"exhaustive tree search bound {bound} exceeded")
+    adj = g.adj
     for sub in range(1 << len(free)):
         mask = tmask
         for i, v in enumerate(free):
             if sub >> i & 1:
                 mask |= 1 << v
-        if g.is_tree_mask(mask):
+        m = 0
+        for v in bits(mask):
+            m += bit_count(adj[v] & mask)
+        if m == 2 * (bit_count(mask) - 1) and g.reach(mask & -mask, mask) == mask:
             return mask
     return None
 

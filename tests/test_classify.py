@@ -10,6 +10,7 @@ from helpers import (
     oracle_is_weakly_triangulated,
     oracle_long_hole,
     random_chordal,
+    random_connected_girth,
     random_graph,
 )
 from inducta import classify, oracle
@@ -66,19 +67,46 @@ def _is_paw_subdivision(g: Graph, witness: list[int]) -> bool:
     return degs == [1] + [2] * (sub.n - 2) + [3] and sub.connected()
 
 
-def test_paw_witnesses_validate():
+def _paw_families():
+    """Every connected labelled graph on at most 6 vertices, the seeded
+    random graphs, and seeded connected graphs of girth at least 5, where
+    the witness comes from a shortest cycle of length 5 or more."""
+    for n in range(1, 7):
+        pairs = list(combinations(range(n), 2))
+        for chosen in range(1 << len(pairs)):
+            g = Graph(n, [e for i, e in enumerate(pairs) if chosen >> i & 1])
+            if g.connected():
+                yield g
     rng = random.Random(31)
-    found = 0
     for _ in range(120):
         g = random_graph(rng.randint(4, 9), rng.uniform(0.2, 0.6), rng)
-        if not g.connected():
-            continue
+        if g.connected():
+            yield g
+    for n in range(6, 17):
+        for _ in range(15):
+            yield random_connected_girth(n, 5, rng)
+
+
+def test_paw_witnesses_validate(monkeypatch):
+    """Every paw witness is an induced paw subdivision, each of the
+    triangle, square and hole routes is taken, and none enumerates holes."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return iter(())
+
+    assert not hasattr(classify, "enumerate_holes")
+    monkeypatch.setattr(oracle, "enumerate_holes", spy)
+    sizes = {"paw": set(), "paw-subdivision": set()}
+    for g in _paw_families():
         got = classify_small(g, "paw")
         if got.in_class:
             continue
-        found += 1
         assert _is_paw_subdivision(g, got.witness), (g.edges(), got.witness)
-    assert found >= 40
+        sizes[got.witness_name].add(len(got.witness))
+    assert calls == []
+    assert sizes["paw"] == {4} and {5, 6, 7} <= sizes["paw-subdivision"], sizes
 
 
 def test_hh_line_of_petersen():
@@ -262,7 +290,6 @@ def test_wt_paths_never_enumerate_holes(monkeypatch):
 
     for name in ("enumerate_holes", "enumerate_antiholes"):
         monkeypatch.setattr(oracle, name, refuse)
-    monkeypatch.setattr(classify, "enumerate_holes", refuse)
     assert is_weakly_triangulated(cycle(7).complement())[0] == "antihole"
     g = random_chordal(20, random.Random(5)).complement()
     assert is_weakly_triangulated(g) is None

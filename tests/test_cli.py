@@ -343,14 +343,20 @@ sys.exit(main(sys.argv[2:]))
 @pytest.mark.parametrize("validator,argv", [
     ("is_induced_cycle", ["detect", "hole-through", "--named=c:6", "--x=0", "--y=3"]),
     ("is_tree_mask", ["detect", "k-in-a-tree", "{sq}", "--terminals=4,5,6,7"]),
+    ("is_tree_mask", ["detect", "k-in-a-tree", "{spider}", "--terminals=1,2,3"]),
 ])
 def test_witness_checks_survive_python_O(tmp_path, validator, argv):
     """A validator that rejects every witness must stop the answer even
-    with asserts stripped: exit 4, one error line, nothing on stdout."""
+    with asserts stripped: exit 4, one error line, nothing on stdout.
+    For k = 3 the exhaustive search finds the tree by its own test, so
+    the rejecting tree check stops it as it stops k >= 4."""
     sq = tmp_path / "sq.g"
     sq.write_text("8 8\n0 1\n1 2\n2 3\n0 3\n0 4\n1 5\n2 6\n3 7\n")
+    spider = tmp_path / "spider.g"
+    spider.write_text("4 3\n0 1\n0 2\n0 3\n")
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", _PATCHED_MAIN, validator] + [a.format(sq=sq) for a in argv],
+        [sys.executable, "-O", "-c", _PATCHED_MAIN, validator]
+        + [a.format(sq=sq, spider=spider) for a in argv],
         capture_output=True, text=True, env=_subprocess_env(), timeout=60,
     )
     assert proc.returncode == 4, proc.stderr

@@ -10,7 +10,6 @@ from helpers import (
     oracle_shortest_path,
     random_graph,
 )
-from inducta.decompose import _shortest_odd_cycle
 from inducta.graphs import Graph, GraphError, WeightedGraph, format_graph, parse_graph
 from inducta.named import cycle, petersen
 
@@ -110,12 +109,10 @@ def _differential_graphs():
 
 
 def test_bfs_searches_match_dict_oracles():
-    """girth, bipartition and shortest_path agree exactly with the dict
-    BFS they replaced; the shortest odd cycle is simple, odd and as short
-    as the double-cover search finds."""
+    """bipartition and shortest_path agree exactly with the dict BFS
+    they replaced."""
     rng = random.Random(7)
     for g in _differential_graphs():
-        assert g.girth() == oracle_girth(g)
         assert g.bipartition() == oracle_bipartition(g)
         full = g.full_mask()
         if g.n <= 5:
@@ -127,14 +124,43 @@ def test_bfs_searches_match_dict_oracles():
             ]
         for u, v, allowed in queries:
             assert g.shortest_path(u, v, allowed) == oracle_shortest_path(g, u, v, allowed)
-        want = oracle_shortest_odd_cycle(g)
-        got = _shortest_odd_cycle(g)
+
+
+def _check_shortest_cycles(g: Graph, allowed: int) -> None:
+    """Inside ``allowed``: the girth with and without ``below``, and the
+    shortest cycle and shortest odd cycle, each induced and as long as
+    the dict oracles find in the subgraph the mask induces."""
+    sub, _ = g.induced_mask(allowed)
+    girth = oracle_girth(sub)
+    odd = oracle_shortest_odd_cycle(sub)
+    odd_len = None if odd is None else len(odd)
+    if allowed == g.full_mask():
+        assert g.girth() == girth
+        for k in range(3, 8):
+            assert g.girth(below=k) == (girth if girth is not None and girth < k else None), k
+    for odd_only, want in ((False, girth), (True, odd_len)):
+        got = g.shortest_cycle(odd=odd_only, allowed=allowed)
         if want is None:
             assert got is None
             continue
-        k = len(got)
-        assert k == len(want) and k % 2 == 1 and len(set(got)) == k
-        assert all(g.has_edge(got[i], got[(i + 1) % k]) for i in range(k))
+        assert len(got) == want and g.is_induced_cycle(got)
+        assert all(allowed >> v & 1 for v in got)
+        assert len(got) % 2 == 1 or not odd_only
+    for k in range(3, 8):
+        got = g.shortest_cycle(below=k, allowed=allowed)
+        assert (got is not None) == (girth is not None and girth < k), k
+        assert got is None or len(got) == girth
+
+
+def test_shortest_cycles_match_dict_oracles():
+    """girth, shortest_cycle and its odd-only form agree with the dict
+    BFS oracles on every graph with at most 5 vertices and the seeded
+    random graphs, on the whole graph and inside seeded random masks."""
+    rng = random.Random(8)
+    for g in _differential_graphs():
+        _check_shortest_cycles(g, g.full_mask())
+        for _ in range(2 if g.n <= 5 else 5):
+            _check_shortest_cycles(g, rng.getrandbits(g.n) | rng.getrandbits(g.n))
 
 
 def test_tree_mask():
