@@ -236,7 +236,7 @@ def test_broken_hitting_set_exit_4(capsys, monkeypatch):
     from inducta import berge
     from inducta.graphs import InternalError
 
-    monkeypatch.setattr(berge, "_hitting_stable_set", lambda tree, cliques: [])
+    monkeypatch.setattr(berge, "_hitting_stable_set", lambda tree, cliques, memo: [])
     with pytest.raises(InternalError, match="hitting-set loop"):
         berge.color_berge(cycle(6))
     code, out, err = run_err(capsys, "color", "--class=berge", "--named=c:6")
@@ -250,8 +250,8 @@ def _short_hitting_set(monkeypatch):
 
     real = berge._solve_halves
 
-    def short(tree, weights, alpha, omega):
-        a, o = real(tree, weights, alpha, omega)
+    def short(tree, weights, alpha, omega, memo):
+        a, o = real(tree, weights, alpha, omega, memo)
         return ((a[0], a[1][1:]) if alpha and not omega else a), o
 
     monkeypatch.setattr(berge, "_solve_halves", short)
