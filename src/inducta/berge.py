@@ -28,7 +28,10 @@ through those numbers, so one tree serves every weighting.  The alpha
 and omega halves never read each other's numbers, so either can run
 alone: the coloring loop solves all of its weightings on one tree, and
 each only for the half it reads (omega to find maximum cliques, alpha
-for a stable set hitting them).  Leaves are bipartite or
+for a stable set hitting them).  It runs only while omega is at least
+3: once the uncolored part is triangle-free it is bipartite, because
+its shortest odd cycle would be an odd hole, and one breadth-first
+search colors it.  Leaves are bipartite or
 line-graph extensions solved by flow and matching; a root leaf that is
 the complement of one is solved on its complement, with alpha and omega
 swapped.  The remaining basic kinds are handled exactly at desk scale.
@@ -1321,8 +1324,11 @@ def _hitting_stable_set(tree: TreeNode, cliques: list[list[int]], memo: _SideMem
 
 
 def color_berge(g: Graph) -> list[int]:
-    """An omega-coloring: per color class, grow a list of maximum cliques
-    of the uncolored part until some stable set hits them all.  Every
+    """An omega-coloring: while the uncolored part has omega at least 3,
+    grow per color class a list of maximum cliques of that part until
+    some stable set hits them all.  Once omega is at most 2 the part is
+    triangle-free, so it has no odd cycle (a shortest one would be an odd
+    hole) and its bipartition colors it with omega colors.  Every
     weighting is solved on one decomposition of g and its blocks, and only
     for the half the loop reads: omega of the probe weightings, alpha of
     the hitting weighting.  No weighting is solved twice: a class's first
@@ -1341,10 +1347,8 @@ def color_berge(g: Graph) -> list[int]:
     remaining = g.full_mask()
     colors_used = 0
     rest, rest_set = omega_of([1] * g.n)
-    while remaining:
+    while rest >= 3:
         omega_now = rest
-        if omega_now == 0:
-            break
         cliques: list[list[int]] = []
         s_mask = 0
         for _ in range(g.n + 1):
@@ -1363,6 +1367,15 @@ def color_berge(g: Graph) -> list[int]:
             color[v] = colors_used
         remaining &= ~s_mask
         colors_used += 1
+    # rest is now omega of the uncolored part: a triangle-free Berge graph
+    # is bipartite, since its shortest odd cycle would be an odd hole
+    sub, ids = g.induced_mask(remaining)
+    parts = sub.bipartition()
+    if parts is None:
+        raise InternalError(f"uncolored part with omega {rest} is not bipartite")
+    for offset, side in enumerate(parts):
+        for v in bits(side):
+            color[ids[v]] = colors_used + offset
     if any(color[u] == color[v] for u, v in g.edges() if color[u] >= 0):
         raise InternalError("berge coloring is not proper")
     return color

@@ -205,6 +205,69 @@ def test_color_berge_on_glued_instances():
         assert all(col[u] != col[v] for u, v in g.edges())
 
 
+def test_color_berge_on_every_small_graph():
+    """Every labelled graph with at most five vertices: ``color_berge``
+    refuses exactly the graphs ``decompose`` refuses, and colors every
+    other one properly with exactly omega colors."""
+    accepted = 0
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for chosen in range(1 << len(pairs)):
+            g = Graph(n, [e for i, e in enumerate(pairs) if chosen >> i & 1])
+            try:
+                decompose(g)
+            except OutsideClassError:
+                with pytest.raises(OutsideClassError):
+                    color_berge(g)
+                continue
+            accepted += 1
+            col = color_berge(g)
+            assert sorted(set(col)) == list(range(max_weight_clique(WeightedGraph(g))[0])), g.adj
+            assert all(col[u] != col[v] for u, v in g.edges()), g.adj
+    assert accepted == 1028
+
+
+def test_color_berge_solves_only_while_omega_is_at_least_three(monkeypatch):
+    """The hitting-set loop runs only while the uncolored part has omega
+    at least 3; a part with omega at most 2 is bipartite and is colored
+    with no further solve.  So graphs with omega at most 2 never ask for
+    a hitting set, and on graphs with omega 3 every hitting set and every
+    solve comes before the probe that closes the first color class."""
+    from inducta.named import octahedron
+
+    real_hit, real_halves = berge._hitting_stable_set, berge._solve_halves
+    events = []
+
+    def hit(tree, cliques, memo):
+        events.append(("hit", [len(k) for k in cliques]))
+        return real_hit(tree, cliques, memo)
+
+    def halves(tree, weights, alpha, omega, memo=None):
+        got = real_halves(tree, weights, alpha, omega, memo)
+        if omega and not alpha:
+            events.append(("omega", got[1][0]))
+        return got
+
+    monkeypatch.setattr(berge, "_hitting_stable_set", hit)
+    monkeypatch.setattr(berge, "_solve_halves", halves)
+    for g, omega in ((cycle(6), 2), (complete_bipartite(3, 3), 2), (Graph(4), 1),
+                     (octahedron(), 3), (line_graph(complete_bipartite(3, 3)), 3)):
+        events.clear()
+        col = color_berge(g)
+        assert sorted(set(col)) == list(range(omega))
+        assert all(col[u] != col[v] for u, v in g.edges())
+        if omega <= 2:
+            assert events == [("omega", omega)]
+            continue
+        # the first probe weighs every vertex; the last closes the first
+        # class, dropping omega to 2; all hitting sets come in between
+        assert events[0] == ("omega", 3) and events[-1] == ("omega", 2)
+        middle = events[1:-1]
+        assert ("hit", [3]) in middle
+        assert all(kind == "hit" and set(sizes) == {3} or (kind, sizes) == ("omega", 3)
+                   for kind, sizes in middle)
+
+
 def _reuse_members():
     """Criterion 9's members (seed 909, drawn exactly as there), the glued
     ladder/prism member, and both members of the complement route."""

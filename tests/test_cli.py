@@ -11,7 +11,7 @@ import inducta
 from inducta import decompose, oracle
 from inducta.cli import main
 from inducta.graphs import WeightedGraph, format_graph
-from inducta.named import cycle, petersen
+from inducta.named import cycle, octahedron, petersen
 
 
 def run(capsys, *argv):
@@ -238,8 +238,8 @@ def test_broken_hitting_set_exit_4(capsys, monkeypatch):
 
     monkeypatch.setattr(berge, "_hitting_stable_set", lambda tree, cliques, memo: [])
     with pytest.raises(InternalError, match="hitting-set loop"):
-        berge.color_berge(cycle(6))
-    code, out, err = run_err(capsys, "color", "--class=berge", "--named=c:6")
+        berge.color_berge(octahedron())
+    code, out, err = run_err(capsys, "color", "--class=berge", "--named=octahedron")
     assert (code, out) == (4, "")
     assert err.startswith("error: internal: ") and err.count("\n") == 1
 
@@ -257,6 +257,20 @@ def _short_hitting_set(monkeypatch):
     monkeypatch.setattr(berge, "_solve_halves", short)
 
 
+def _low_omega_probe(monkeypatch):
+    """Omega-only solves (the coloring probes) report a clique of two, so
+    the octahedron (omega 3) goes straight to the bipartite finish."""
+    from inducta import berge
+
+    real = berge._solve_halves
+
+    def low(tree, weights, alpha, omega, memo):
+        a, o = real(tree, weights, alpha, omega, memo)
+        return a, ((2, o[1][:2]) if omega and not alpha else o)
+
+    monkeypatch.setattr(berge, "_solve_halves", low)
+
+
 def _wrong_cut(monkeypatch):
     from inducta import matching
 
@@ -265,16 +279,19 @@ def _wrong_cut(monkeypatch):
 
 
 @pytest.mark.parametrize("patch, solve, match, argv", [
-    (_short_hitting_set, lambda berge: berge.color_berge(cycle(6)), "missed a clique",
-     ["color", "--class=berge", "--named=c:6"]),
+    (_short_hitting_set, lambda berge: berge.color_berge(octahedron()), "missed a clique",
+     ["color", "--class=berge", "--named=octahedron"]),
+    (_low_omega_probe, lambda berge: berge.color_berge(octahedron()), "not bipartite",
+     ["color", "--class=berge", "--named=octahedron"]),
     (_wrong_cut, lambda berge: berge.berge_alpha_omega(WeightedGraph(cycle(6))), "cut bound",
      ["berge", "alpha", "--named=c:6"]),
-], ids=["hitting-set", "flow-cut"])
+], ids=["hitting-set", "bipartite-rest", "flow-cut"])
 def test_failed_berge_check_exit_4(capsys, monkeypatch, patch, solve, match, argv):
     """The hitting set's checks run on cliques the coloring loop found,
-    and the flow's witness checks on a network built from a graph found
-    bipartite, so a failed check is a broken invariant: InternalError,
-    exit 4, one error line."""
+    the bipartite finish on a part of a decomposed (so Berge) graph whose
+    omega is at most 2, and the flow's witness checks on a network built
+    from a graph found bipartite, so a failed check is a broken
+    invariant: InternalError, exit 4, one error line."""
     from inducta import berge
     from inducta.graphs import InternalError
 
