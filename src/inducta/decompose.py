@@ -2,8 +2,8 @@
 whose cycles never have exactly one chord.
 
 The cutset searches are exhaustively correct at desk scale: the stated
-search space (vertices, vertex pairs, cliques, stars, partitions) is
-enumerated completely.
+search space (vertices, vertex pairs, partitions) is enumerated
+completely.
 
 Both decomposition theorems run on one driver.  Each class has a step
 table: its leaf tests, then its cut finders, in the order they are
@@ -40,13 +40,11 @@ PARTITION_SEARCH_BOUND = 18
 @dataclass
 class CutsetWitness:
     kind: str
-    vertices: tuple[int, ...] = ()          # cut vertices / (a, b) / clique
+    vertices: tuple[int, ...] = ()          # cut vertices / (a, b)
     x: int = 0                              # side bitsets
     y: int = 0
-    a_side: int = 0                         # special sets of a 1-join / 2-join
+    a_side: int = 0                         # special sets of a 1-join
     b_side: int = 0
-    a2: int = 0
-    b2: int = 0
 
 
 def _without_edge(g: Graph, u: int, v: int) -> Graph:
@@ -71,71 +69,6 @@ def _find_one_cutset(g: Graph) -> CutsetWitness | None:
     return None
 
 
-def _find_clique_cutset(g: Graph) -> CutsetWitness | None:
-    from .linegraph import all_cliques
-
-    if not g.connected():
-        return None
-    for k in all_cliques(g):
-        rest = g.full_mask() & ~k
-        comps = g.components_of(rest)
-        if len(comps) >= 2:
-            return CutsetWitness("clique_cutset", tuple(bits(k)), comps[0],
-                                 rest & ~comps[0])
-    return None
-
-
-def _survivor_cut(g: Graph, closed: int, center: int) -> tuple[int, int, int] | None:
-    """The separator trick shared by star and double star cutsets: the
-    first S = closed - {x, y}, over survivors x < y outside ``center``,
-    that leaves x and y in different components of g - S, as (S, the
-    component of x, the rest of g - S); trying every pair is complete."""
-    for x in range(g.n):
-        if center >> x & 1:
-            continue
-        for y in range(x + 1, g.n):
-            if center >> y & 1:
-                continue
-            s = closed & ~(1 << x) & ~(1 << y)
-            rest = g.full_mask() & ~s
-            comps = g.components_of(rest)
-            if len(comps) >= 2 and not any(
-                comp >> x & 1 and comp >> y & 1 for comp in comps
-            ):
-                cx = next(co for co in comps if co >> x & 1)
-                return s, cx, rest & ~cx
-    return None
-
-
-def _find_star_cutset(g: Graph) -> CutsetWitness | None:
-    """Star cutsets: S = N[c] minus two survivors is a star around c."""
-    if not g.connected():
-        return None
-    for c in range(g.n):
-        closed = g.closed_nb(c)
-        outside = g.full_mask() & ~closed
-        comps = g.components_of(outside) if outside else []
-        if len(comps) >= 2:
-            return CutsetWitness("star_cutset", (c,), comps[0], outside & ~comps[0],
-                                 a_side=closed)
-        got = _survivor_cut(g, closed, 1 << c)
-        if got is not None:
-            s, cx, other = got
-            return CutsetWitness("star_cutset", (c,), cx, other, a_side=s)
-    return None
-
-
-def _find_double_star_cutset(g: Graph) -> CutsetWitness | None:
-    if not g.connected():
-        return None
-    for a, b in g.edges():
-        got = _survivor_cut(g, g.closed_nb(a) | g.closed_nb(b), (1 << a) | (1 << b))
-        if got is not None:
-            s, cx, other = got
-            return CutsetWitness("double_star_cutset", (a, b), cx, other, a_side=s)
-    return None
-
-
 def _two_cutset_splits(g: Graph, a: int, b: int):
     """All (X, Y) groupings of the components of g - {a, b}."""
     rest = g.full_mask() & ~(1 << a) & ~(1 << b)
@@ -150,8 +83,7 @@ def _two_cutset_splits(g: Graph, a: int, b: int):
                 y |= comp
             else:
                 x |= comp
-        if y:
-            yield x, y
+        yield x, y
 
 
 def _find_proper_2_cutset(g: Graph) -> CutsetWitness | None:
@@ -201,8 +133,6 @@ def _derive_1_join(g: Graph, x: int, y: int) -> CutsetWitness | None:
     for v in bits(y):
         if g.adj[v] & x:
             b |= 1 << v
-    if a == 0 or b == 0:
-        return None
     if bit_count(a) < 2 or bit_count(b) < 2:
         return None
     if not (g.is_stable_mask(a) and g.is_stable_mask(b)):
@@ -230,89 +160,6 @@ def _find_proper_1_join(g: Graph) -> CutsetWitness | None:
         if got is not None:
             return got
     return None
-
-
-def _find_bipartite_2_join(g: Graph) -> CutsetWitness | None:
-    """The variant with one stable-set side: X2 = A2 u B2, both stable
-    and nonempty, |X2| >= 3, at least one edge inside g[X2]."""
-    if g.n > PARTITION_SEARCH_BOUND:
-        raise TooLargeError(f"partition search bound {PARTITION_SEARCH_BOUND} exceeded")
-    full = g.full_mask()
-    for sub in range(1, 1 << (g.n - 1)):
-        x2 = sub << 1 | 0  # keep vertex 0 in X1
-        x1 = full & ~x2
-        if bit_count(x2) < 3 or x1 == 0:
-            continue
-        sub2, old = g.induced_mask(x2)
-        if sub2.edge_count() == 0:
-            continue
-        parts = sub2.bipartition()
-        if parts is None:
-            continue
-        comps = sub2.components()
-        for flip in range(1 << len(comps)):
-            a2 = 0
-            for i, comp in enumerate(comps):
-                side = parts[0] & comp if not flip >> i & 1 else parts[1] & comp
-                a2 |= side
-            b2m = sub2.full_mask() & ~a2
-            a2g = mask_of(old[i] for i in bits(a2))
-            b2g = mask_of(old[i] for i in bits(b2m))
-            if not a2g or not b2g:
-                continue
-            got = _check_bip_2join(g, x1, a2g, b2g)
-            if got is not None:
-                return got
-    return None
-
-
-def _check_bip_2join(g: Graph, x1: int, a2: int, b2: int) -> CutsetWitness | None:
-    a1 = 0
-    b1 = 0
-    for v in bits(x1):
-        cross = g.adj[v] & (a2 | b2)
-        if cross == 0:
-            continue
-        if cross == a2 & g.adj[v] and b2 & g.adj[v] == 0:
-            a1 |= 1 << v
-        elif cross == b2 & g.adj[v] and a2 & g.adj[v] == 0:
-            b1 |= 1 << v
-        else:
-            return None
-    if a1 | b1 == 0:
-        return None
-    if a1 and not g.is_complete_between(a1, a2):
-        return None
-    if b1 and not g.is_complete_between(b1, b2):
-        return None
-    # vertices of A2 with no cross edge are fine only if A1 empty, etc.
-    for v in bits(a2):
-        if (g.adj[v] & x1) != a1:
-            return None
-    for v in bits(b2):
-        if (g.adj[v] & x1) != b1:
-            return None
-    return CutsetWitness(
-        "bipartite_2_join", (), x1, a2 | b2, a_side=a1, b_side=b1, a2=a2, b2=b2
-    )
-
-
-_FINDERS = {
-    "one_cutset": _find_one_cutset,
-    "clique_cutset": _find_clique_cutset,
-    "star_cutset": _find_star_cutset,
-    "double_star_cutset": _find_double_star_cutset,
-    "proper_2_cutset": _find_proper_2_cutset,
-    "special_2_cutset": _find_special_2_cutset,
-    "proper_1_join": _find_proper_1_join,
-    "bipartite_2_join": _find_bipartite_2_join,
-}
-
-
-def find_cutset(g: Graph, kind: str) -> CutsetWitness | None:
-    if kind not in _FINDERS:
-        raise GraphError(f"unknown cutset kind {kind!r}")
-    return _FINDERS[kind](g)
 
 
 # -- chordless graphs -----------------------------------------------------

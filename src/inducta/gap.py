@@ -19,7 +19,7 @@ from itertools import combinations
 from .graphs import Graph, WeightedGraph, bit_count, bits, mask_of
 from .matching import is_factor_critical
 from .named import cycle, disjoint_copies, r35, wagner
-from .oracle import clique_cover, exact_invariants, max_weight_stable_set
+from .oracle import exact_invariants, max_weight_stable_set
 
 
 @dataclass

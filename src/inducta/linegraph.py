@@ -9,8 +9,7 @@ maximal clique, {u, v} with the common neighbours of u and v, and the
 root finder builds the cliques edge by edge from that rule (the
 triangle-free case of Roussopoulos, IPL 1973, and Lehot, JACM 1974).
 ``maximal_cliques`` enumerates cliques in general graphs, and
-``all_cliques`` every clique from them; they serve only ``gap`` and the
-clique cutsets of ``decompose``.
+``all_cliques`` every clique from them; they serve only ``gap``.
 """
 
 from __future__ import annotations

@@ -820,3 +820,156 @@ def oracle_classify_leaf(g: Graph) -> LeafInfo | None:
         if test(x):
             return LeafInfo(kind)
     return None
+
+
+def all_labelled_graphs(max_n: int):
+    """Every labelled graph on 0 to ``max_n`` vertices."""
+    for n in range(max_n + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for chosen in range(1 << len(pairs)):
+            yield Graph(n, [e for i, e in enumerate(pairs) if chosen >> i & 1])
+
+
+# -- the cuts of the decomposition steps, by their definitions over every split
+
+def _splits(rest: int):
+    """Every split of the vertex set ``rest`` into two nonempty sets
+    (X, Y), each unordered pair once: X holds the lowest vertex."""
+    low = rest & -rest
+    others = rest & ~low
+    sub = others
+    while sub:
+        sub = (sub - 1) & others
+        yield low | sub, others & ~sub
+
+
+def _neighbourhoods(g: Graph) -> list[int]:
+    """N(S), as a bitset, for every vertex set S."""
+    nb = [0] * (1 << g.n)
+    for s in range(1, 1 << g.n):
+        low = s & -s
+        nb[s] = nb[s ^ low] | g.adj[low.bit_length() - 1]
+    return nb
+
+
+def _spread(nb: list[int], start: int, allowed: int) -> int:
+    """The vertices of ``allowed`` that ``start`` reaches inside it."""
+    seen = start
+    while (grown := seen | nb[seen] & allowed) != seen:
+        seen = grown
+    return seen
+
+
+def _connected(nb: list[int], s: int) -> bool:
+    return _spread(nb, s & -s, s) == s
+
+
+def _is_ab_path(g: Graph, nb: list[int], s: int, a: int, b: int) -> bool:
+    """Does ``s`` induce a path with ends a and b: connected, a and b of
+    degree 1 in it and every other vertex of degree 2?"""
+    return _connected(nb, s) and all(
+        bit_count(g.adj[v] & s) == (1 if v in (a, b) else 2) for v in bits(s)
+    )
+
+
+def _nonadjacent_pairs(g: Graph):
+    return [(a, b) for a, b in itertools.combinations(range(g.n), 2) if not g.adj[a] >> b & 1]
+
+
+def oracle_has_one_cutset(g: Graph) -> bool:
+    """A vertex v of a connected graph and a split of V - v into X, Y
+    with no edge between them."""
+    nb = _neighbourhoods(g)
+    full = g.full_mask()
+    return _connected(nb, full) and any(
+        not nb[x] & y for v in range(g.n) for x, y in _splits(full & ~(1 << v))
+    )
+
+
+def oracle_has_proper_2_cutset(g: Graph) -> bool:
+    """Nonadjacent a, b of a connected graph and a split of V - {a, b}
+    into X, Y with no edge between them, where neither X + {a, b} nor
+    Y + {a, b} induces an a-b path."""
+    nb = _neighbourhoods(g)
+    full = g.full_mask()
+    if not _connected(nb, full):
+        return False
+    for a, b in _nonadjacent_pairs(g):
+        ends = (1 << a) | (1 << b)
+        for x, y in _splits(full & ~ends):
+            if not nb[x] & y and not _is_ab_path(g, nb, x | ends, a, b) \
+                    and not _is_ab_path(g, nb, y | ends, a, b):
+                return True
+    return False
+
+
+def oracle_has_special_2_cutset(g: Graph) -> bool:
+    """Nonadjacent a, b of degree at least 3 in a connected graph and a
+    split of V - {a, b} into X, Y of at least two vertices each, with no
+    edge between them and an a-b path through each of them."""
+    nb = _neighbourhoods(g)
+    full = g.full_mask()
+    if not _connected(nb, full):
+        return False
+    for a, b in _nonadjacent_pairs(g):
+        if bit_count(g.adj[a]) < 3 or bit_count(g.adj[b]) < 3:
+            continue
+        ends = (1 << a) | (1 << b)
+        for x, y in _splits(full & ~ends):
+            if bit_count(x) >= 2 and bit_count(y) >= 2 and not nb[x] & y and all(
+                _spread(nb, 1 << a, side | ends) >> b & 1 for side in (x, y)
+            ):
+                return True
+    return False
+
+
+def oracle_has_proper_1_join(g: Graph) -> bool:
+    """A split of V into X, Y and stable sets A in X, B in Y of at least
+    two vertices each, with A complete to B and no other edge between X
+    and Y.  A and B can only be the ends of the X-Y edges, so each split
+    has one candidate: it is a 1-join iff the X-Y edges number |A||B|."""
+    for x, y in _splits(g.full_mask()):
+        a = b = cross = 0
+        for v in bits(x):
+            if g.adj[v] & y:
+                a |= 1 << v
+                b |= g.adj[v] & y
+                cross += bit_count(g.adj[v] & y)
+        if bit_count(a) >= 2 and bit_count(b) >= 2 and cross == bit_count(a) * bit_count(b) \
+                and not any(g.adj[v] & a for v in bits(a)) and not any(g.adj[v] & b for v in bits(b)):
+            return True
+    return False
+
+
+def cut_witness_holds(g: Graph, w) -> bool:
+    """A cut finder's witness checked pair by pair: X, Y and the cut
+    vertices partition V; no edge joins X and Y, or for a proper 1-join
+    exactly the edges between its stable sets A and B of two or more
+    vertices do; a cutset's graph is connected and meets its kind's
+    conditions."""
+    cut = mask_of(w.vertices)
+    if not (w.x and w.y) or len(set(w.vertices)) != len(w.vertices) \
+            or w.x & w.y or (w.x | w.y) & cut or w.x | w.y | cut != g.full_mask():
+        return False
+    cross = {(u, v) for u in bits(w.x) for v in bits(w.y) if g.has_edge(u, v)}
+    if w.kind == "proper_1_join":
+        a, b = w.a_side, w.b_side
+        return (w.vertices == () and a & ~w.x == 0 and b & ~w.y == 0
+                and bit_count(a) >= 2 and bit_count(b) >= 2
+                and not any(g.has_edge(u, v) for s in (a, b) for u in bits(s) for v in bits(s))
+                and cross == {(u, v) for u in bits(a) for v in bits(b)})
+    nb = _neighbourhoods(g)
+    if cross or w.a_side or w.b_side or not _connected(nb, g.full_mask()):
+        return False
+    if w.kind == "one_cutset":
+        return len(w.vertices) == 1
+    if len(w.vertices) != 2 or g.has_edge(*w.vertices):
+        return False
+    a, b = w.vertices
+    if w.kind == "proper_2_cutset":
+        return not any(_is_ab_path(g, nb, side | cut, a, b) for side in (w.x, w.y))
+    if w.kind == "special_2_cutset":
+        return (g.degree(a) >= 3 and g.degree(b) >= 3
+                and bit_count(w.x) >= 2 and bit_count(w.y) >= 2
+                and all(_spread(nb, 1 << a, side | cut) >> b & 1 for side in (w.x, w.y)))
+    return False

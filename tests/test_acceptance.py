@@ -17,20 +17,14 @@ from helpers import (
     cycle_with_unique_chord_present,
     forced_join,
     gadget_block,
-    glue_two_sides,
-    hub_side_even,
-    ladder_side_odd,
-    line_side_even,
     named_zoo,
     omega_of,
-    prism_side,
     random_berge_instance,
     random_chordal,
     random_connected_girth,
     random_graph,
     random_graph_girth,
     replace_path_by_gadget,
-    theta_side,
     validate_split,
 )
 from inducta.berge import _side_numbers, _solve_halves, berge_alpha_omega, color_berge, derive_split
@@ -44,7 +38,7 @@ from inducta.classify import (
 from inducta.decompose import chi_unique_chord_free, recognize_unique_chord_free, three_color_chordless
 from inducta.detect import detect_prism_pyramid_free, hole_through_two, validate_prism
 from inducta.gap import gap_value, verify_gap_chapter
-from inducta.graphs import Graph, WeightedGraph, bit_count, bits, mask_of
+from inducta.graphs import Graph, WeightedGraph, bit_count, mask_of
 from inducta.kintree import (
     induced_tree_exists,
     k_in_a_tree,
@@ -53,7 +47,6 @@ from inducta.kintree import (
     validate_kstruct,
     validate_square_split,
 )
-from inducta.linegraph import line_graph
 from inducta.named import cycle, disjoint_copies, heawood, line_k33, petersen, r35, two_subdivision, wagner
 from inducta.oracle import exact_invariants, isomorphic, max_weight_clique, max_weight_stable_set
 from inducta.sgraph import find_realization, prism_sgraph, pyramid_sgraph

@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from helpers import (berge_family_graphs, complement_leaf_graphs, glue_two_sides, oracle_classify_leaf,
-                     prism_side, random_berge_instance, theta_side)
+                     prism_side, random_berge_instance)
 from inducta import berge
 from inducta.berge import (
     OutsideClassError,
@@ -17,7 +17,7 @@ from inducta.berge import (
     find_two_join,
     solve,
 )
-from inducta.graphs import Graph, GraphError, WeightedGraph, bit_count, bits, mask_of
+from inducta.graphs import Graph, GraphError, WeightedGraph, mask_of
 from inducta.linegraph import line_graph
 from inducta.named import complete, complete_bipartite, cycle, petersen
 from inducta.oracle import (ALPHA_BOUND, exact_invariants, is_berge, max_weight_clique,

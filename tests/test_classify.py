@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from helpers import (
+    all_labelled_graphs,
     oracle_color_weakly_triangulated,
     oracle_contract_pair,
     oracle_find_two_pair,
@@ -160,13 +161,6 @@ def test_wt_detection():
     assert is_weakly_triangulated(random_chordal(12, random.Random(1))) is None
 
 
-def _all_labelled_graphs(max_n: int):
-    for n in range(max_n + 1):
-        pairs = list(combinations(range(n), 2))
-        for chosen in range(1 << len(pairs)):
-            yield Graph(n, [e for i, e in enumerate(pairs) if chosen >> i & 1])
-
-
 def test_wt_recognition_matches_enumeration():
     """The P3 reach test against hole/antihole enumeration: same verdict,
     same kind, and a witness that is a long hole of g or of its
@@ -174,7 +168,7 @@ def test_wt_recognition_matches_enumeration():
     bipartite graph has no long antihole and no C5, so any long hole it
     has is a long antihole, and nothing else, of its complement."""
     rng = random.Random(71)
-    graphs = list(_all_labelled_graphs(6))
+    graphs = list(all_labelled_graphs(6))
     graphs += [random_graph(rng.randint(5, 12), rng.uniform(0.2, 0.8), rng) for _ in range(300)]
     graphs += [random_chordal(rng.randint(4, 14), rng).complement() for _ in range(100)]
     for _ in range(300):
@@ -204,7 +198,7 @@ def unpruned_holes():
     graphs with 7 to 16 vertices, each with the unpruned reach test's
     hole (or None) in g and in its complement."""
     rng = random.Random(72)
-    graphs = list(_all_labelled_graphs(6))
+    graphs = list(all_labelled_graphs(6))
     graphs += [random_graph(rng.randint(7, 16), rng.uniform(0.1, 0.8), rng) for _ in range(400)]
     return [(g, oracle_long_hole(g), oracle_long_hole(g.complement())) for g in graphs]
 
@@ -377,7 +371,7 @@ def test_contract_pair_matches_edge_rebuild():
     graph and map for every nonadjacent ordered pair of every labelled
     graph on at most 6 vertices, and for 20 such pairs of each of 300
     seeded random graphs with up to 30 vertices."""
-    for g in _all_labelled_graphs(6):
+    for g in all_labelled_graphs(6):
         for a in range(g.n):
             for b in range(g.n):
                 if a != b and not g.has_edge(a, b):

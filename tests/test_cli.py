@@ -11,7 +11,7 @@ import inducta
 from inducta import decompose, oracle
 from inducta.cli import main
 from inducta.graphs import WeightedGraph, format_graph
-from inducta.named import cycle, octahedron, petersen
+from inducta.named import cycle, octahedron
 
 
 def run(capsys, *argv):

@@ -1,23 +1,31 @@
+import inspect
 import random
 
 import pytest
 
-from helpers import cycle_with_unique_chord_present, random_graph
+from helpers import (
+    all_labelled_graphs,
+    cut_witness_holds,
+    cycle_with_unique_chord_present,
+    oracle_has_one_cutset,
+    oracle_has_proper_1_join,
+    oracle_has_proper_2_cutset,
+    oracle_has_special_2_cutset,
+    random_graph,
+)
 from inducta.decompose import (
     AdmissiblePair,
     replay_tree,
     DecompositionNode,
     chi_unique_chord_free,
     decompose_chordless,
-    find_cutset,
-    find_unique_chord_cycle,
     is_chordless,
     is_sparse,
     recognize_unique_chord_free,
     three_color_chordless,
 )
 from inducta import decompose
-from inducta.graphs import Graph, GraphError, InternalError, bit_count, bits, mask_of
+from inducta.graphs import Graph, GraphError, InternalError, bit_count
 from inducta.named import (
     complete,
     complete_bipartite,
@@ -35,18 +43,13 @@ DIAMOND = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 
 def test_one_cutset():
     g = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
-    w = find_cutset(g, "one_cutset")
+    w = decompose._find_one_cutset(g)
     assert w is not None and w.vertices == (2,)
-    assert find_cutset(cycle(5), "one_cutset") is None
-
-
-def test_clique_cutset_diamond():
-    w = find_cutset(DIAMOND, "clique_cutset")
-    assert w is not None and set(w.vertices) == {0, 1}
+    assert decompose._find_one_cutset(cycle(5)) is None
 
 
 def test_proper_2_cutset_c6_none():
-    assert find_cutset(cycle(6), "proper_2_cutset") is None
+    assert decompose._find_proper_2_cutset(cycle(6)) is None
 
 
 def test_proper_2_cutset_four_branches():
@@ -54,36 +57,13 @@ def test_proper_2_cutset_four_branches():
     # no path side, so {0, 1} is a proper 2-cutset
     g = Graph(8, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 5), (5, 1),
                   (0, 6), (6, 7), (7, 1)])
-    w = find_cutset(g, "proper_2_cutset")
+    w = decompose._find_proper_2_cutset(g)
     assert w is not None and set(w.vertices) == {0, 1}
 
     # a three-branch theta has no proper 2-cutset: one side is always a path
     theta = Graph(8, [(0, 2), (2, 3), (3, 1), (0, 4), (4, 5), (5, 1),
                       (0, 6), (6, 7), (7, 1)])
-    assert find_cutset(theta, "proper_2_cutset") is None
-
-
-def test_star_cutset():
-    # a star cutset around the center of a spider with long legs
-    g = Graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
-    w = find_cutset(g, "star_cutset")
-    assert w is not None
-    s = w.a_side
-    c = w.vertices[0]
-    assert s >> c & 1
-    assert s & ~g.closed_nb(c) == 0
-    rest = g.full_mask() & ~s
-    comps = g.components_of(rest)
-    assert len(comps) >= 2
-    assert find_cutset(complete(4), "star_cutset") is None
-
-
-def test_double_star_cutset():
-    g = Graph(8, [(0, 1), (0, 2), (2, 3), (1, 4), (4, 5), (0, 6), (6, 7), (1, 7)])
-    w = find_cutset(g, "double_star_cutset")
-    assert w is not None
-    a, b = w.vertices
-    assert g.has_edge(a, b)
+    assert decompose._find_proper_2_cutset(theta) is None
 
 
 def test_special_2_cutset():
@@ -93,7 +73,7 @@ def test_special_2_cutset():
         g.add_edge_unchecked(0, chain[0])
         g.add_edge_unchecked(chain[0], chain[1])
         g.add_edge_unchecked(chain[1], 1)
-    w = find_cutset(g, "special_2_cutset")
+    w = decompose._find_special_2_cutset(g)
     assert w is not None and set(w.vertices) == {0, 1}
     assert bit_count(w.x) >= 2 and bit_count(w.y) >= 2
 
@@ -105,29 +85,47 @@ def test_proper_1_join():
             g.add_edge_unchecked(u, v)
     g.add_edge_unchecked(2, 0)
     g.add_edge_unchecked(5, 3)
-    w = find_cutset(g, "proper_1_join")
+    w = decompose._find_proper_1_join(g)
     assert w is not None
     assert bit_count(w.a_side) >= 2 and bit_count(w.b_side) >= 2
 
 
-def test_bipartite_2_join():
-    # X2 = square {3,4,5,6} with A2={3,5}, B2={4,6}; A1={0,1} complete to A2
-    g = Graph(7)
-    for u in (0, 1):
-        for v in (3, 5):
-            g.add_edge_unchecked(u, v)
-    g.add_edge_unchecked(3, 4)
-    g.add_edge_unchecked(4, 5)
-    g.add_edge_unchecked(5, 6)
-    g.add_edge_unchecked(6, 3)
-    g.add_edge_unchecked(2, 0)
-    w = find_cutset(g, "bipartite_2_join")
-    assert w is not None
+
+CUT_ORACLES = {
+    "one_cutset": oracle_has_one_cutset,
+    "proper_2_cutset": oracle_has_proper_2_cutset,
+    "special_2_cutset": oracle_has_special_2_cutset,
+    "proper_1_join": oracle_has_proper_1_join,
+}
 
 
-def test_unknown_kind():
-    with pytest.raises(GraphError):
-        find_cutset(cycle(4), "magic")
+def test_cut_finders_match_oracles():
+    """Every labelled graph on at most 5 vertices and 2,000 seeded random
+    graphs on 6 to 9: each finder of a decomposition step finds a cut
+    exactly where its definition, tried over every split, has one, and
+    every witness it returns is a cut of its kind."""
+    rng = random.Random(53)
+    graphs = list(all_labelled_graphs(5))
+    graphs += [random_graph(rng.randint(6, 9), rng.uniform(0.15, 0.6), rng) for _ in range(2000)]
+    found = dict.fromkeys(CUT_ORACLES, 0)
+    for g in graphs:
+        for kind, oracle in CUT_ORACLES.items():
+            w = getattr(decompose, f"_find_{kind}")(g)
+            assert (w is not None) == oracle(g), (kind, g.edges())
+            if w is not None:
+                assert w.kind == kind and cut_witness_holds(g, w), (kind, g.edges(), w)
+                found[kind] += 1
+    assert min(found.values()) >= 100, found
+
+
+def test_every_finder_is_a_decomposition_step():
+    """A cut finder that no step table names is code nothing reaches."""
+    finders = {
+        name for name, obj in vars(decompose).items()
+        if name.startswith("_find_") and inspect.isfunction(obj) and obj.__module__ == decompose.__name__
+    }
+    steps = {s for s in decompose._CHORDLESS_STEPS + decompose._UNIQUE_CHORD_STEPS if isinstance(s, str)}
+    assert finders == steps
 
 
 # -- chordless graphs ------------------------------------------------------------
@@ -174,7 +172,7 @@ def test_decompose_chordless_exact_tree():
     """A 1-cutset found before the proper 2-cutset the root also has, and
     a disconnected sparse graph kept whole: the chordless step order."""
     g = Graph(8, [(0, 2), (0, 3), (0, 5), (1, 2), (1, 5), (1, 6), (1, 7), (2, 4), (3, 6), (3, 7)])
-    assert find_cutset(g, "proper_2_cutset") is not None
+    assert decompose._find_proper_2_cutset(g) is not None
     assert decompose_chordless(g) == _split(
         "one_cutset", (2,),
         _split("proper_2_cutset", (0, 1), _leaf("sparse", 0, 1, 2, 5, -1),
@@ -203,9 +201,9 @@ def test_unique_chord_special_2_cutset_exact_tree():
     before it is a sparse one."""
     g = Graph(10, [(0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 5), (2, 7), (2, 8), (3, 6),
                    (4, 5), (4, 8), (5, 6), (6, 7), (6, 8), (1, 9)])
-    assert find_cutset(g, "special_2_cutset") is not None
+    assert decompose._find_special_2_cutset(g) is not None
     block, _ = g.induced(range(9))
-    assert find_cutset(block, "proper_1_join") is not None
+    assert decompose._find_proper_1_join(block) is not None
     assert recognize_unique_chord_free(g).tree == _split(
         "one_cutset", (1,),
         _split("special_2_cutset", (3, 4),

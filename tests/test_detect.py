@@ -2,14 +2,14 @@ import random
 
 import pytest
 
-from helpers import induced_prism_subsets, named_zoo, random_graph
+from helpers import induced_prism_subsets, random_graph
 from inducta.detect import (
     PrismWitness,
     detect_prism_pyramid_free,
     hole_through_two,
     validate_prism,
 )
-from inducta.graphs import Graph, GraphError, bits, mask_of
+from inducta.graphs import Graph, GraphError
 from inducta.named import complete, cycle, path, petersen
 from inducta.sgraph import find_realization, prism_sgraph, pyramid_sgraph
 

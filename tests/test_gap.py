@@ -1,4 +1,3 @@
-from helpers import named_zoo
 from inducta.gap import (
     factor_critical_components,
     gap_report,

@@ -1,0 +1,49 @@
+"""Every module-level import in the package and the tests is used."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted((ROOT / "src" / "inducta").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by the module's top-level imports that nothing reads;
+    names listed in ``__all__`` count as read."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound.append(alias.asname or alias.name.partition(".")[0])
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {elt.value for elt in node.value.elts}
+    return [name for name in bound if name not in used]
+
+
+def test_checker_flags_only_unused_names():
+    src = (
+        "from __future__ import annotations\n"
+        "import os, sys\n"
+        "from a.b import c, d as e\n"
+        "import x.y\n"
+        "__all__ = ['c']\n"
+        "sys.exit(x.y)\n"
+    )
+    assert unused_imports(src) == ["os", "e"]
+
+
+def test_no_unused_module_imports():
+    assert FILES
+    found = {
+        str(path.relative_to(ROOT)): names
+        for path in FILES
+        if (names := unused_imports(path.read_text()))
+    }
+    assert found == {}

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from helpers import random_connected_girth, random_graph_girth
-from inducta.graphs import Graph, GraphError, TooLargeError, bits, mask_of
+from inducta.graphs import Graph, GraphError, TooLargeError, mask_of
 from inducta import decompose, detect, kintree, sgraph
 from inducta.kintree import (
     induced_tree_exists,

@@ -5,7 +5,7 @@ tree), and the k = 6 transition to a K4-structure."""
 
 import random
 
-from inducta.graphs import Graph, bits, mask_of
+from inducta.graphs import Graph
 from inducta.kintree import (
     induced_tree_exists,
     k_in_a_tree,

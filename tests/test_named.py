@@ -1,7 +1,6 @@
 import pytest
 
 from inducta.graphs import GraphError
-from inducta.linegraph import line_graph
 from inducta.named import (
     complete_bipartite,
     cycle,

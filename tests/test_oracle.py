@@ -3,7 +3,7 @@ import random
 import pytest
 
 from helpers import random_graph
-from inducta.graphs import Graph, TooLargeError, WeightedGraph, bit_count, mask_of
+from inducta.graphs import Graph, TooLargeError, WeightedGraph
 from inducta.named import complete, cycle, petersen, two_subdivision
 from inducta.oracle import (
     chromatic_number,
