@@ -1182,28 +1182,6 @@ class _SideNumbers:
         self.abcd, self.alpha_wit, self.omega_w, self.omega_wit = abcd, alpha_wit, omega_w, omega_wit
 
 
-class _SideMemo:
-    """The side numbers one ``color_berge`` call has solved, keyed by the
-    join's depth, the halves asked for and the weights of the root
-    vertices its side stands for (``vertices``, per join, root first:
-    the block's ids and, through each marker, the marked side's).  A
-    side's numbers read nothing else, so a repeated key repeats them
-    exactly.  The memo belongs to the call; no tree or module keeps one."""
-
-    __slots__ = ("vertices", "numbers")
-
-    def __init__(self, tree: TreeNode):
-        self.vertices: list[list[int]] = []
-        self.numbers: dict[tuple, _SideNumbers] = {}
-        node = tree
-        while node.kind == "join":
-            vs = [i for i in node.block.ids if i is not None]
-            for m in node.block.markers:
-                vs += self.vertices[m.side]
-            self.vertices.append(vs)
-            node = node.children[0]
-
-
 def solve(tree: TreeNode, weights: list[int]) -> BergeAnswer:
     """Maximum weighted stable set and clique of the decomposed graph
     under ``weights``, with the lifted witnesses validated against it."""
@@ -1218,21 +1196,20 @@ def _answer(tree: TreeNode, graph: Graph, weights: list[int]) -> BergeAnswer:
 
 
 def _solve_halves(
-    tree: TreeNode, weights: list[int], alpha: bool, omega: bool, memo: _SideMemo | None = None,
+    tree: TreeNode, weights: list[int], alpha: bool, omega: bool,
 ) -> tuple[tuple[int, list[int]] | None, tuple[int, list[int]] | None]:
     """The (alpha, omega) halves asked for, each a validated (weight,
     witness) pair; a half not asked for is None and costs nothing.  The
     halves never read each other's marker numbers.  Each join's side is
-    solved on its block before the blocks below read its numbers, or
-    read from ``memo`` when that call has solved the join for the same
-    depth, halves and side weights.  On a complemented root, a stable set
-    of the decomposed graph is a clique of the tree's."""
+    solved on its block before the blocks below read its numbers.  On a
+    complemented root, a stable set of the decomposed graph is a clique
+    of the tree's."""
     stable, clique = (omega, alpha) if tree.complemented else (alpha, omega)
     root = WeightedGraph(tree.graph, weights)
     sides: list[_SideNumbers] = []
     node = tree
     while node.kind == "join":
-        sides.append(_side_numbers(node, weights, sides, stable, clique, memo))
+        sides.append(_side_numbers(node, weights, sides, stable, clique))
         node = node.children[0]
     full = node.graph.full_mask()
     st = _leaf_alpha(node.block, weights, sides, full) if stable else None
@@ -1254,18 +1231,10 @@ def _solve_halves(
 
 def _side_numbers(
     node: TreeNode, weights: list[int], sides: list[_SideNumbers], stable: bool, clique: bool,
-    memo: _SideMemo | None = None,
 ) -> _SideNumbers:
     """What a join's removed side X1 hands on, solved on its side block:
     for the stable half the abcd numbers, for the clique half the clique
-    numbers of A1, B1 and X1, each with its witness.  With a ``memo``,
-    the numbers are solved once per key, the join's depth
-    (``len(sides)``), ``stable``, ``clique`` and the weights of the root
-    vertices the side stands for, and read back on every repeat."""
-    if memo is not None:
-        key = (len(sides), stable, clique, *[weights[v] for v in memo.vertices[len(sides)]])
-        if key in memo.numbers:
-            return memo.numbers[key]
+    numbers of A1, B1 and X1, each with its witness."""
     blk, regions, parity = node.block, node.regions, node.parities[0]
     abcd = alpha_wit = omega_w = omega_wit = None
     if stable:
@@ -1286,10 +1255,7 @@ def _side_numbers(
             val, omega_wit[case] = _leaf_omega(blk, weights, sides, keep)
             vals.append(val)
         omega_w = tuple(vals)
-    nums = _SideNumbers(abcd, alpha_wit, omega_w, omega_wit)
-    if memo is not None:
-        memo.numbers[key] = nums
-    return nums
+    return _SideNumbers(abcd, alpha_wit, omega_w, omega_wit)
 
 
 def _block_weights(blk: _Block, weights: list[int], keep: int) -> list[int]:
@@ -1306,14 +1272,14 @@ def berge_alpha_omega(wg: WeightedGraph) -> BergeAnswer:
 
 # -- hitting stable sets and coloring ------------------------------------------
 
-def _hitting_stable_set(tree: TreeNode, cliques: list[list[int]], memo: _SideMemo) -> list[int]:
+def _hitting_stable_set(tree: TreeNode, cliques: list[list[int]]) -> list[int]:
     """Solve with the cover-count weights and check the weight equals the
     clique count, so the stable set meets every clique."""
     y = [0] * tree.graph.n
     for k in cliques:
         for v in k:
             y[v] += 1
-    alpha, alpha_set = _solve_halves(tree, y, alpha=True, omega=False, memo=memo)[0]
+    alpha, alpha_set = _solve_halves(tree, y, alpha=True, omega=False)[0]
     smask = mask_of(alpha_set)
     if alpha != len(cliques):
         raise InternalError(f"hitting stable set has weight {alpha}, expected {len(cliques)}")
@@ -1333,15 +1299,11 @@ def color_berge(g: Graph) -> list[int]:
     for the half the loop reads: omega of the probe weightings, alpha of
     the hitting weighting.  No weighting is solved twice: a class's first
     probe hits no clique yet, so it weighs the live vertices, which the
-    probe that ended the previous class weighed already.  No join side is
-    solved twice for the same side weights either: a memo held by this
-    call (never by the tree) hands the numbers back on a repeat, and is
-    dropped when the call returns."""
+    probe that ended the previous class weighed already."""
     tree = decompose(g)
-    memo = _SideMemo(tree)
 
     def omega_of(weights: list[int]) -> tuple[int, list[int]]:
-        return _solve_halves(tree, weights, alpha=False, omega=True, memo=memo)[1]
+        return _solve_halves(tree, weights, alpha=False, omega=True)[1]
 
     color = [-1] * g.n
     remaining = g.full_mask()
@@ -1353,7 +1315,7 @@ def color_berge(g: Graph) -> list[int]:
         s_mask = 0
         for _ in range(g.n + 1):
             if cliques:
-                s_mask = mask_of(_hitting_stable_set(tree, cliques, memo)) & remaining
+                s_mask = mask_of(_hitting_stable_set(tree, cliques)) & remaining
                 probe = remaining & ~s_mask
                 rest, rest_set = omega_of([probe >> v & 1 for v in range(g.n)])
             if rest < omega_now:

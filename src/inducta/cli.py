@@ -76,7 +76,7 @@ def cmd_invariants(args) -> int:
     bound = _oracle_bound(args)
     from . import oracle
 
-    rep = oracle.exact_invariants(wg, alpha_bound=max(bound, 30), chi_bound=bound)
+    rep = oracle.exact_invariants(wg, alpha_bound=max(bound, oracle.ALPHA_BOUND), chi_bound=bound)
     rec = {
         "alpha": rep.alpha,
         "omega": rep.omega,

@@ -425,41 +425,6 @@ def recognize_unique_chord_free(g: Graph) -> UniqueChordResult:
 
 # -- coloring the unique-chord-free class ------------------------------------
 
-@dataclass
-class AdmissiblePair:
-    """A coloring constraint (R, T) built from one vertex, matching one of
-    the five definitional shapes; T must lie inside the third color and R
-    outside it."""
-
-    r: int
-    t: int
-    vertex: int
-    shape: int
-
-    def validate(self, g: Graph) -> bool:
-        v = self.vertex
-        nb = g.adj[v]
-        closed = nb | (1 << v)
-        if self.r & self.t:
-            return False
-        if self.shape == 1:
-            return self.t == nb and self.r == 1 << v
-        if self.shape == 2:
-            return self.t == 0 and self.r == closed
-        if g.degree(v) != 2:
-            return False
-        u, w = g.neighbors(v)
-        options = []
-        for uu, ww in ((u, w), (w, u)):
-            options.append((3, 1 << uu, (1 << v) | (1 << ww)))
-            options.append((4, 1 << uu, g.adj[ww] | (1 << ww)))
-            options.append((5, 0, (1 << uu) | g.adj[ww] | (1 << ww)))
-        for shape, t, r in options:
-            if self.shape == shape and self.t == t and self.r == r:
-                return True
-        return False
-
-
 def _third_color(g: Graph, include: int, exclude: int) -> int | None:
     """A stable set S with include <= S, S n exclude = 0, meeting every
     odd cycle; branch on the vertices of a shortest odd cycle of g - S."""
@@ -516,14 +481,10 @@ def _chi_member(g: Graph) -> tuple[int, list[int]]:
         return (1 if g.edge_count() == 0 else 2), _two_color(g)
     tri = g.triangle()
     if tri is None:
-        # triangle-free, not bipartite: chi = 3 via a third color
+        # triangle-free, not bipartite: chi = 3 via a third color that
+        # holds N(v) and misses v (the shape-1 admissible pair)
         v = _min_degree_vertex(g)
-        pair = AdmissiblePair(r=1 << v, t=g.adj[v], vertex=v, shape=1)
-        if not pair.validate(g):
-            raise InternalError("shape-1 admissible pair fails its own definition")
-        s = _third_color(g, include=pair.t, exclude=pair.r)
-        if s is None:
-            s = _third_color(g, include=0, exclude=0)
+        s = _third_color(g, include=g.adj[v], exclude=1 << v)
         if s is None:
             raise InternalError("no third color for a member of the class")
         rest, old = g.induced_mask(g.full_mask() & ~s)

@@ -3,14 +3,11 @@ either matches the oracles with validated witnesses or refuses the
 graph as outside the class.  Any other error, a failed witness check
 included, fails the test and names its seed, which reproduces it alone.
 The same graphs and the Berge families then compare the pipeline's
-answers under the per-edge root finder and the Bron-Kerbosch one, and
-every weighting the coloring solves with its side memo against the same
-weighting solved with none."""
+answers under the per-edge root finder and the Bron-Kerbosch one."""
 
 import random
 
-from helpers import (berge_family_graphs, complement_leaf_graphs, glue_two_sides, hub_side_even,
-                     line_side_even, oracle_line_root_with_map, random_graph)
+from helpers import berge_family_graphs, complement_leaf_graphs, oracle_line_root_with_map, random_graph
 from inducta import berge
 from inducta.berge import OutsideClassError, TreeNode, berge_alpha_omega, color_berge
 from inducta.graphs import TooLargeError, WeightedGraph, mask_of
@@ -108,42 +105,3 @@ def test_answers_match_the_bron_kerbosch_root_finder(monkeypatch):
     for i, (got, want) in enumerate(zip(new, old)):
         assert got == want, f"input {i}: {got} != {want}"
     assert sum(isinstance(a[0], list) for a in new) >= 500
-
-
-def test_side_memo_matches_memo_free_solves(monkeypatch):
-    """``color_berge`` reads a join side's numbers back from its memo
-    whenever the side's weights repeat.  Every weighting it solved, on
-    glued hub/line members under seeded relabellings, their complements
-    (where the stable and clique halves swap), the fuzz graphs and the
-    Berge families, must give the same halves, witnesses included, when
-    solved again with no memo."""
-    real = berge._solve_halves
-    seen = []
-
-    def spy(tree, weights, alpha, omega, memo=None):
-        got = real(tree, weights, alpha, omega, memo)
-        seen.append((tree, list(weights), alpha, omega, memo, got))
-        return got
-
-    monkeypatch.setattr(berge, "_solve_halves", spy)
-    rng = random.Random(67)
-    graphs = []
-    for _ in range(6):
-        g, _ = glue_two_sides(hub_side_even(rng), line_side_even(rng))
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        graphs += [g.relabel(perm), g.relabel(perm).complement()]
-    graphs += [_fuzz_input(seed).graph for seed in range(300)] + berge_family_graphs()
-    routes = set()
-    for i, g in enumerate(graphs):
-        seen.clear()
-        try:
-            color_berge(g)
-        except OutsideClassError:
-            continue
-        for tree, weights, alpha, omega, memo, got in seen:
-            assert memo is not None, f"graph {i}: a coloring solve ran without the memo"
-            assert real(tree, weights, alpha, omega) == got, f"graph {i} (adj {g.adj}), {weights}"
-            if tree.kind == "join":
-                routes.add(tree.complemented)
-    assert routes == {False, True}

@@ -165,8 +165,7 @@ def test_figure_graph_has_no_extreme_join():
 
 
 def _hitting(g: Graph, cliques: list[list[int]]) -> list[int]:
-    tree = decompose(g)
-    return berge._hitting_stable_set(tree, cliques, berge._SideMemo(tree))
+    return berge._hitting_stable_set(decompose(g), cliques)
 
 
 def test_stable_hitting_cliques_k2():
@@ -238,12 +237,12 @@ def test_color_berge_solves_only_while_omega_is_at_least_three(monkeypatch):
     real_hit, real_halves = berge._hitting_stable_set, berge._solve_halves
     events = []
 
-    def hit(tree, cliques, memo):
+    def hit(tree, cliques):
         events.append(("hit", [len(k) for k in cliques]))
-        return real_hit(tree, cliques, memo)
+        return real_hit(tree, cliques)
 
-    def halves(tree, weights, alpha, omega, memo=None):
-        got = real_halves(tree, weights, alpha, omega, memo)
+    def halves(tree, weights, alpha, omega):
+        got = real_halves(tree, weights, alpha, omega)
         if omega and not alpha:
             events.append(("omega", got[1][0]))
         return got
@@ -368,68 +367,6 @@ def test_color_berge_searches_two_joins_once(monkeypatch):
         col = color_berge(g)
         assert max(col) + 1 == ans.omega
         assert 0 < len(calls) <= per_answer
-
-
-def _side_vertices(tree) -> list[list[int]]:
-    """Per join, root first, the root vertices its side stands for: its
-    block's real vertices and, through each marker, the marked side's."""
-    out, node = [], tree
-    while node.kind == "join":
-        vs = {i for i in node.block.ids if i is not None}
-        for m in node.block.markers:
-            vs |= set(out[m.side])
-        out.append(sorted(vs))
-        node = node.children[0]
-    return out
-
-
-def test_side_memo_solves_each_key_once(monkeypatch):
-    """Within one ``color_berge`` call a join side is solved exactly once
-    per (depth, halves, side weights), however often it is asked for; on
-    the glued hub3+line33 member it is asked for more often than solved."""
-    from helpers import hub_side_even, line_side_even
-
-    real_side, real_numbers = berge._side_numbers, berge._SideNumbers
-    built, calls = [], []
-
-    class Counted(real_numbers):
-        __slots__ = ()
-
-        def __init__(self, *args):
-            built.append(1)
-            super().__init__(*args)
-
-    def spy(node, weights, sides, stable, clique, memo=None):
-        before = len(built)
-        out = real_side(node, weights, sides, stable, clique, memo)
-        vs = side_vs[len(sides)]
-        calls.append(((len(sides), stable, clique, tuple(weights[v] for v in vs)), len(built) - before))
-        return out
-
-    real_decompose = berge.decompose
-
-    def decomposed(g):
-        tree = real_decompose(g)
-        side_vs[:] = _side_vertices(tree)
-        return tree
-
-    side_vs: list[list[int]] = []
-    monkeypatch.setattr(berge, "_SideNumbers", Counted)
-    monkeypatch.setattr(berge, "_side_numbers", spy)
-    monkeypatch.setattr(berge, "decompose", decomposed)
-    joined, _ = glue_two_sides(hub_side_even(), line_side_even())
-    rng = random.Random(68)
-    members = [joined, joined.complement()] + [random_berge_instance(rng, max_n=14)[0] for _ in range(6)]
-    for i, g in enumerate(members):
-        calls.clear()
-        col = color_berge(g)
-        assert all(col[u] != col[v] for u, v in g.edges())
-        solved: dict[tuple, int] = {}
-        for key, runs in calls:
-            solved[key] = solved.get(key, 0) + runs
-        assert all(runs == 1 for runs in solved.values()), f"member {i}"
-        if i == 0:
-            assert len(solved) < len(calls)
 
 
 def _blocks(tree):

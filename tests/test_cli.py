@@ -164,6 +164,16 @@ def test_bad_oracle_bound_env_exit_3(capsys, monkeypatch):
     assert captured.err.startswith("error:")
 
 
+def test_oracle_bound_floor_is_alpha_bound(capsys, monkeypatch):
+    """The stable-set and clique searches of ``invariants`` are capped at
+    the larger of --oracle-bound and ``oracle.ALPHA_BOUND``."""
+    monkeypatch.setattr(oracle, "ALPHA_BOUND", 5)
+    code = main(["invariants", "--named=petersen", "--oracle-bound=3"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "alpha oracle bound 5" in captured.err
+
+
 def run_err(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -215,6 +225,22 @@ def test_missing_third_color_exit_4(capsys, monkeypatch):
     assert err.startswith("error: internal: ") and err.count("\n") == 1
 
 
+def test_third_color_outside_the_vertex_pair_exit_4(capsys, monkeypatch):
+    """The third color must hold the min-degree vertex's neighbourhood
+    and miss the vertex.  A member for which that search finds none is a
+    broken invariant, even when an unconstrained third color exists."""
+    from inducta.graphs import InternalError
+
+    real = decompose._third_color
+    monkeypatch.setattr(decompose, "_third_color",
+                        lambda g, include, exclude: None if include else real(g, include, exclude))
+    with pytest.raises(InternalError, match="no third color"):
+        decompose.chi_unique_chord_free(cycle(7))
+    code, out, err = run_err(capsys, "color", "--class=unique-chord-free", "--named=c:7")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: internal: ") and err.count("\n") == 1
+
+
 def test_failed_berge_lift_exit_4(capsys, monkeypatch):
     """A lifted witness that fails its check is a broken invariant, not a
     graph outside the class: exit 4, one error line."""
@@ -236,7 +262,7 @@ def test_broken_hitting_set_exit_4(capsys, monkeypatch):
     from inducta import berge
     from inducta.graphs import InternalError
 
-    monkeypatch.setattr(berge, "_hitting_stable_set", lambda tree, cliques, memo: [])
+    monkeypatch.setattr(berge, "_hitting_stable_set", lambda tree, cliques: [])
     with pytest.raises(InternalError, match="hitting-set loop"):
         berge.color_berge(octahedron())
     code, out, err = run_err(capsys, "color", "--class=berge", "--named=octahedron")
@@ -250,8 +276,8 @@ def _short_hitting_set(monkeypatch):
 
     real = berge._solve_halves
 
-    def short(tree, weights, alpha, omega, memo):
-        a, o = real(tree, weights, alpha, omega, memo)
+    def short(tree, weights, alpha, omega):
+        a, o = real(tree, weights, alpha, omega)
         return ((a[0], a[1][1:]) if alpha and not omega else a), o
 
     monkeypatch.setattr(berge, "_solve_halves", short)
@@ -264,8 +290,8 @@ def _low_omega_probe(monkeypatch):
 
     real = berge._solve_halves
 
-    def low(tree, weights, alpha, omega, memo):
-        a, o = real(tree, weights, alpha, omega, memo)
+    def low(tree, weights, alpha, omega):
+        a, o = real(tree, weights, alpha, omega)
         return a, ((2, o[1][:2]) if omega and not alpha else o)
 
     monkeypatch.setattr(berge, "_solve_halves", low)

@@ -14,7 +14,6 @@ from helpers import (
     random_graph,
 )
 from inducta.decompose import (
-    AdmissiblePair,
     replay_tree,
     DecompositionNode,
     chi_unique_chord_free,
@@ -391,16 +390,3 @@ def test_escaped_decomposition_is_internal(monkeypatch):
         monkeypatch.setattr(decompose, finder, lambda g: None)
     with pytest.raises(InternalError, match="escaped every decomposition case"):
         recognize_unique_chord_free(g)
-
-
-def test_admissible_pair_shapes():
-    g = cycle(6)
-    assert AdmissiblePair(r=1, t=g.adj[0], vertex=0, shape=1).validate(g)
-    assert AdmissiblePair(r=g.closed_nb(0), t=0, vertex=0, shape=2).validate(g)
-    u, w = g.neighbors(0)
-    assert AdmissiblePair(r=(1 << 0) | (1 << w), t=1 << u, vertex=0, shape=3).validate(g)
-    assert AdmissiblePair(r=g.closed_nb(w), t=1 << u, vertex=0, shape=4).validate(g)
-    assert AdmissiblePair(
-        r=(1 << u) | g.closed_nb(w), t=0, vertex=0, shape=5
-    ).validate(g)
-    assert not AdmissiblePair(r=0, t=0, vertex=0, shape=1).validate(g)
