@@ -45,10 +45,8 @@ its graph and witnesses; its ``tree`` is decomposed again when read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .graphs import (Graph, GraphError, InternalError, TooLargeError, WeightedGraph, bit_count,
-                     bits, mask_of)
+from .graphs import (Graph, GraphError, InternalError, Record, TooLargeError, WeightedGraph,
+                     bit_count, bits, mask_of)
 from .linegraph import line_root_with_map
 from .matching import StableSetFlow, max_weight_matching
 from .oracle import max_weight_clique, max_weight_stable_set
@@ -65,14 +63,16 @@ class OutsideClassError(GraphError):
 
 # -- 2-join splits -----------------------------------------------------------
 
-@dataclass(slots=True)
-class TwoJoinSplit:
-    x1: int
-    x2: int
-    a1: int
-    b1: int
-    a2: int
-    b2: int
+class TwoJoinSplit(Record):
+    __slots__ = ("x1", "x2", "a1", "b1", "a2", "b2")
+
+    def __init__(self, x1: int, x2: int, a1: int, b1: int, a2: int, b2: int):
+        self.x1 = x1
+        self.x2 = x2
+        self.a1 = a1
+        self.b1 = b1
+        self.a2 = a2
+        self.b2 = b2
 
     @property
     def c1(self) -> int:
@@ -325,12 +325,14 @@ def _marker_independent(s: TwoJoinSplit, markers: list[list[int]]) -> bool:
 
 # -- blocks and gadgets -------------------------------------------------------
 
-@dataclass
-class ABCD:
-    a: int
-    b: int
-    c: int
-    d: int
+class ABCD(Record):
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: int, b: int, c: int, d: int):
+        self.a = a
+        self.b = b
+        self.c = c
+        self.d = d
 
     def check_basic(self) -> bool:
         return (
@@ -431,14 +433,17 @@ def gadget_alpha_numbers(kind: str, weights4: list[int]) -> ABCD:
 _LEAF_SOLVERS = {"bipartite": "flow", "line-of-bipartite": "matching"}
 
 
-@dataclass(slots=True)
-class LeafInfo:
-    kind: str   # bipartite | line-of-bipartite | complement-bipartite |
-    #             complement-line-of-bipartite | double-split |
-    #             path-cobipartite | complement-path-cobipartite |
-    #             path-double-split | complement-path-double-split
-    root: Graph | None = None  # line leaves: the root of g, or of g's complement
-    root_edges: list[tuple[int, int]] | None = None
+class LeafInfo(Record):
+    __slots__ = ("kind", "root", "root_edges")
+
+    def __init__(self, kind: str, root: Graph | None = None,
+                 root_edges: list[tuple[int, int]] | None = None):
+        self.kind = kind  # bipartite | line-of-bipartite | complement-bipartite |
+        #                   complement-line-of-bipartite | double-split |
+        #                   path-cobipartite | complement-path-cobipartite |
+        #                   path-double-split | complement-path-double-split
+        self.root = root  # line leaves: the root of g, or of g's complement
+        self.root_edges = root_edges
 
     @property
     def solver(self) -> str:
@@ -667,16 +672,19 @@ def classify_leaf(g: Graph) -> LeafInfo | None:
 
 # -- the line-graph extension transformation -------------------------------------
 
-@dataclass
-class ExtensionSpec:
+class ExtensionSpec(Record):
     """An extension of a line graph: the base line graph (as it was before
     extending), its root, and one gadget record per extended flat path."""
 
-    base: Graph                       # the line graph G
-    root: Graph                       # R with L(R) = G
-    root_edges: list[tuple[int, int]]  # vertex of G -> edge of R
-    paths: list[list[int]]            # the extended flat paths, in G
-    kinds: list[str]                  # 'claw' | 'vault' per path
+    __slots__ = ("base", "root", "root_edges", "paths", "kinds")
+
+    def __init__(self, base: Graph, root: Graph, root_edges: list[tuple[int, int]],
+                 paths: list[list[int]], kinds: list[str]):
+        self.base = base              # the line graph G
+        self.root = root              # R with L(R) = G
+        self.root_edges = root_edges  # vertex of G -> edge of R
+        self.paths = paths            # the extended flat paths, in G
+        self.kinds = kinds            # 'claw' | 'vault' per path
 
 
 class _LineSkeleton:
@@ -776,25 +784,34 @@ class MarkerInfo:
         self.path, self.kind, self.side = path, kind, side
 
 
-@dataclass(slots=True)
-class TreeNode:
+class TreeNode(Record):
     """One node of the weight-free decomposition: a leaf, or a join whose
     only child is the block of X2 plus a marker for X1.  Each node also
     carries the block its solves run on (the leaf's graph, or the join's
     X1 side block), which no solve changes; ``block`` takes no part in
-    equality, so two decompositions of one graph compare equal."""
+    equality or repr, so two decompositions of one graph compare equal."""
 
-    kind: str                              # 'leaf' or 'join'
-    leaf: LeafInfo | None = None
-    parities: tuple[str, str] = ("", "")
-    children: list["TreeNode"] = field(default_factory=list)
-    graph: Graph | None = None             # this node's graph
-    split: TwoJoinSplit | None = None      # the join taken at this node
-    marker_len: int = 0                    # length of the child's marker
-    side_leaf: LeafInfo | None = None      # join only: the kind of the X1 block
-    complemented: bool = False             # root only: the tree is of the complement
-    block: _Block | None = field(default=None, compare=False, repr=False)
-    regions: tuple[int, ...] = ()          # join only: the block masks of the seven cases
+    __slots__ = ("kind", "leaf", "parities", "children", "graph", "split", "marker_len",
+                 "side_leaf", "complemented", "block", "regions")
+    _unequal = ("block",)
+
+    def __init__(self, kind: str, leaf: LeafInfo | None = None,
+                 parities: tuple[str, str] = ("", ""), children: list[TreeNode] | None = None,
+                 graph: Graph | None = None, split: TwoJoinSplit | None = None,
+                 marker_len: int = 0, side_leaf: LeafInfo | None = None,
+                 complemented: bool = False, block: _Block | None = None,
+                 regions: tuple[int, ...] = ()):
+        self.kind = kind                  # 'leaf' or 'join'
+        self.leaf = leaf
+        self.parities = parities
+        self.children = [] if children is None else children
+        self.graph = graph                # this node's graph
+        self.split = split                # the join taken at this node
+        self.marker_len = marker_len      # length of the child's marker
+        self.side_leaf = side_leaf        # join only: the kind of the X1 block
+        self.complemented = complemented  # root only: the tree is of the complement
+        self.block = block
+        self.regions = regions            # join only: the block masks of the seven cases
 
 
 def replay_tree(node: TreeNode) -> bool:
@@ -811,20 +828,23 @@ def replay_tree(node: TreeNode) -> bool:
     return all(replay_tree(c) for c in node.children)
 
 
-@dataclass(slots=True)
-class BergeAnswer:
+class BergeAnswer(Record):
     """Validated weights and witnesses for ``graph`` (from
     ``berge_alpha_omega``, the caller's own object).  The decomposition
     is not kept: ``tree`` rebuilds it on each read, and since
     ``decompose`` is deterministic that is the tree the answer was
     solved on."""
 
-    alpha: int
-    alpha_set: list[int]
-    omega: int
-    omega_set: list[int]
-    graph: Graph
-    complemented: bool = False
+    __slots__ = ("alpha", "alpha_set", "omega", "omega_set", "graph", "complemented")
+
+    def __init__(self, alpha: int, alpha_set: list[int], omega: int, omega_set: list[int],
+                 graph: Graph, complemented: bool = False):
+        self.alpha = alpha
+        self.alpha_set = alpha_set
+        self.omega = omega
+        self.omega_set = omega_set
+        self.graph = graph
+        self.complemented = complemented
 
     @property
     def tree(self) -> TreeNode:

@@ -11,13 +11,10 @@ through the marked pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .graphs import Graph, GraphError, InternalError
+from .graphs import FrozenRecord, Graph, GraphError, InternalError, Record
 
 
-@dataclass(frozen=True)
-class Cnf3:
+class Cnf3(FrozenRecord):
     """A 3-CNF formula: clauses of exactly three literals.
 
     Literals are non-zero ints, DIMACS style: +v or -v with v in 1..n.
@@ -25,8 +22,11 @@ class Cnf3:
     cross-edges would collide.
     """
 
-    num_vars: int
-    clauses: tuple[tuple[int, int, int], ...]
+    __slots__ = ("num_vars", "clauses")
+
+    def __init__(self, num_vars: int, clauses: tuple[tuple[int, int, int], ...]):
+        object.__setattr__(self, "num_vars", num_vars)
+        object.__setattr__(self, "clauses", clauses)
 
     @staticmethod
     def make(num_vars: int, clauses) -> "Cnf3":
@@ -95,12 +95,14 @@ def format_dimacs_cnf(f: Cnf3) -> str:
     return "\n".join(out) + "\n"
 
 
-@dataclass
-class GadgetGraph:
-    graph: Graph
-    a: int
-    b: int
-    labels: dict[int, str]
+class GadgetGraph(Record):
+    __slots__ = ("graph", "a", "b", "labels")
+
+    def __init__(self, graph: Graph, a: int, b: int, labels: dict[int, str]):
+        self.graph = graph
+        self.a = a
+        self.b = b
+        self.labels = labels
 
 
 def gamma_gadget(f: Cnf3) -> GadgetGraph:

@@ -16,23 +16,27 @@ contraction made.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 
-from .graphs import Graph, GraphError, InternalError, bits, mask_of
+from .graphs import Graph, GraphError, InternalError, Record, bits, mask_of
 from .linegraph import line_root_with_map
 from .oracle import induced_embedding
 
 
-@dataclass
-class SmallClassification:
-    verdict: str  # the positive class name, or 'not-in-class'
-    parts: list[int] = field(default_factory=list)       # partitions, as bitsets
-    root: Graph | None = None                            # line-graph root
-    embedding: list[int] | None = None                   # into L(K33)
-    witness: list[int] = field(default_factory=list)     # forbidden structure
-    witness_name: str = ""
-    complement_of: "SmallClassification | None" = None
+class SmallClassification(Record):
+    __slots__ = ("verdict", "parts", "root", "embedding", "witness", "witness_name",
+                 "complement_of")
+
+    def __init__(self, verdict: str, parts: list[int] | None = None, root: Graph | None = None,
+                 embedding: list[int] | None = None, witness: list[int] | None = None,
+                 witness_name: str = "", complement_of: SmallClassification | None = None):
+        self.verdict = verdict                            # the positive class name, or 'not-in-class'
+        self.parts = [] if parts is None else parts        # partitions, as bitsets
+        self.root = root                                  # line-graph root
+        self.embedding = embedding                        # into L(K33)
+        self.witness = [] if witness is None else witness  # forbidden structure
+        self.witness_name = witness_name
+        self.complement_of = complement_of
 
     @property
     def in_class(self) -> bool:
@@ -381,10 +385,11 @@ def is_weakly_triangulated(g: Graph) -> tuple[str, list[int]] | None:
     return None
 
 
-@dataclass
-class TwoPair:
-    a: int
-    b: int
+class TwoPair(Record):
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int):
+        self.a, self.b = a, b
 
 
 def validate_two_pair(g: Graph, a: int, b: int) -> bool:

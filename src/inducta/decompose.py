@@ -26,9 +26,8 @@ that check, never the tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .graphs import Graph, GraphError, InternalError, TooLargeError, bit_count, bits, mask_of
+from .graphs import (Graph, GraphError, InternalError, Record, TooLargeError, bit_count, bits,
+                     mask_of)
 from .detect import hole_through_two
 from .matching import _Dinic
 from .named import heawood, petersen
@@ -37,14 +36,15 @@ from .oracle import induced_embedding
 PARTITION_SEARCH_BOUND = 18
 
 
-@dataclass
-class CutsetWitness:
-    kind: str
-    vertices: tuple[int, ...] = ()          # cut vertices / (a, b)
-    x: int = 0                              # side bitsets
-    y: int = 0
-    a_side: int = 0                         # special sets of a 1-join
-    b_side: int = 0
+class CutsetWitness(Record):
+    __slots__ = ("kind", "vertices", "x", "y", "a_side", "b_side")
+
+    def __init__(self, kind: str, vertices: tuple[int, ...] = (), x: int = 0, y: int = 0,
+                 a_side: int = 0, b_side: int = 0):
+        self.kind = kind
+        self.vertices = vertices                # cut vertices / (a, b)
+        self.x, self.y = x, y                   # side bitsets
+        self.a_side, self.b_side = a_side, b_side  # special sets of a 1-join
 
 
 def _without_edge(g: Graph, u: int, v: int) -> Graph:
@@ -207,16 +207,20 @@ def is_chordless(g: Graph) -> tuple[list[int], tuple[int, int]] | None:
     return None
 
 
-@dataclass(slots=True)
-class DecompositionNode:
-    kind: str  # 'sparse' | 'clique' | 'sub-petersen' | 'sub-heawood' |
-    #            'one_cutset' | 'proper_2_cutset' | 'special_2_cutset' |
-    #            'proper_1_join' | 'components'
-    vertices: list[int] = field(default_factory=list)  # leaf vertices (original ids)
-    cut: tuple = ()
-    children: list["DecompositionNode"] = field(default_factory=list)
-    join_a: list[int] = field(default_factory=list)  # special sets of a 1-join,
-    join_b: list[int] = field(default_factory=list)  # in original ids
+class DecompositionNode(Record):
+    __slots__ = ("kind", "vertices", "cut", "children", "join_a", "join_b")
+
+    def __init__(self, kind: str, vertices: list[int] | None = None, cut: tuple = (),
+                 children: list[DecompositionNode] | None = None,
+                 join_a: list[int] | None = None, join_b: list[int] | None = None):
+        self.kind = kind  # 'sparse' | 'clique' | 'sub-petersen' | 'sub-heawood' |
+        #                   'one_cutset' | 'proper_2_cutset' | 'special_2_cutset' |
+        #                   'proper_1_join' | 'components'
+        self.vertices = [] if vertices is None else vertices  # leaf vertices (original ids)
+        self.cut = cut
+        self.children = [] if children is None else children
+        self.join_a = [] if join_a is None else join_a  # special sets of a 1-join,
+        self.join_b = [] if join_b is None else join_b  # in original ids
 
     def leaves(self):
         if not self.children:
@@ -384,12 +388,14 @@ def three_color_chordless(g: Graph) -> list[int]:
 
 # -- cycles with a unique chord --------------------------------------------
 
-@dataclass(slots=True)
-class UniqueChordResult:
-    member: bool
-    witness_cycle: list[int] | None = None
-    witness_chord: tuple[int, int] | None = None
-    tree: DecompositionNode | None = None
+class UniqueChordResult(Record):
+    __slots__ = ("member", "witness_cycle", "witness_chord", "tree")
+
+    def __init__(self, member: bool, witness_cycle: list[int] | None = None,
+                 witness_chord: tuple[int, int] | None = None,
+                 tree: DecompositionNode | None = None):
+        self.member, self.witness_cycle, self.witness_chord = member, witness_cycle, witness_chord
+        self.tree = tree
 
 
 def find_unique_chord_cycle(g: Graph) -> tuple[list[int], tuple[int, int]] | None:

@@ -12,9 +12,7 @@ matching its conditional contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .graphs import Graph, GraphError, InternalError, bits, mask_of
+from .graphs import Graph, GraphError, InternalError, Record, bits, mask_of
 
 
 # -- hole through two prescribed vertices --------------------------------
@@ -69,11 +67,12 @@ def hole_through_two(g: Graph, x: int, y: int) -> list[int] | None:
 
 # -- prisms ---------------------------------------------------------------
 
-@dataclass(slots=True)
-class PrismWitness:
-    triangle_a: tuple[int, int, int]
-    triangle_b: tuple[int, int, int]
-    paths: tuple[list[int], list[int], list[int]]
+class PrismWitness(Record):
+    __slots__ = ("triangle_a", "triangle_b", "paths")
+
+    def __init__(self, triangle_a: tuple[int, int, int], triangle_b: tuple[int, int, int],
+                 paths: tuple[list[int], list[int], list[int]]):
+        self.triangle_a, self.triangle_b, self.paths = triangle_a, triangle_b, paths
 
     def vertices(self) -> list[int]:
         out = set()

@@ -13,23 +13,26 @@ s(4) is out of reach exhaustively and is reported as unchecked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 
-from .graphs import Graph, WeightedGraph, bit_count, bits, mask_of
+from .graphs import Graph, Record, WeightedGraph, bit_count, bits, mask_of
 from .matching import is_factor_critical
 from .named import cycle, disjoint_copies, r35, wagner
 from .oracle import exact_invariants, max_weight_stable_set
 
 
-@dataclass
-class GapReport:
-    theta: int
-    alpha: int
-    gap: int
-    is_gap_critical: bool
-    vertex_gap_drops: list[int]
-    component_factor_critical: list[bool]
+class GapReport(Record):
+    __slots__ = ("theta", "alpha", "gap", "is_gap_critical", "vertex_gap_drops",
+                 "component_factor_critical")
+
+    def __init__(self, theta: int, alpha: int, gap: int, is_gap_critical: bool,
+                 vertex_gap_drops: list[int], component_factor_critical: list[bool]):
+        self.theta = theta
+        self.alpha = alpha
+        self.gap = gap
+        self.is_gap_critical = is_gap_critical
+        self.vertex_gap_drops = vertex_gap_drops
+        self.component_factor_critical = component_factor_critical
 
 
 def gap_value(g: Graph) -> int:
@@ -87,17 +90,19 @@ def factor_critical_components(g: Graph) -> list[bool]:
 
 # -- the chapter harness -------------------------------------------------
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(Record):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self.name, self.passed, self.detail = name, passed, detail
 
 
-@dataclass
-class GapVerification:
-    checks: list[CheckResult] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+class GapVerification(Record):
+    __slots__ = ("checks", "notes")
+
+    def __init__(self, checks: list[CheckResult] | None = None, notes: list[str] | None = None):
+        self.checks = [] if checks is None else checks
+        self.notes = [] if notes is None else notes
 
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)

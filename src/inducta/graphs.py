@@ -44,6 +44,45 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+class Record:
+    """Base of the library's answer and witness records.  A subclass names
+    its fields in ``__slots__`` and sets them in its own ``__init__``.  Two
+    records of one class are equal when their fields are, and ``repr``
+    shows the fields by name; both skip the slots named in ``_unequal``.
+    Records are mutable and unhashable, like lists."""
+
+    __slots__ = ()
+    _unequal: tuple[str, ...] = ()
+
+    def _fields(self) -> list[str]:
+        return [f for f in self.__slots__ if f not in self._unequal]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields())
+        return f"{self.__class__.__qualname__}({shown})"
+
+
+class FrozenRecord(Record):
+    """A Record that cannot change once built, hashable by value.  Its
+    ``__init__`` sets the fields through ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{self.__class__.__qualname__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{self.__class__.__qualname__} is immutable")
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, f) for f in self._fields()))
+
+
 class Graph:
     """A simple undirected graph on vertices 0..n-1.
 

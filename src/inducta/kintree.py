@@ -15,10 +15,10 @@ path attaches to the tree more than once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import permutations
 
-from .graphs import Graph, GraphError, InternalError, TooLargeError, bit_count, bits, mask_of
+from .graphs import (Graph, GraphError, InternalError, Record, TooLargeError, bit_count, bits,
+                     mask_of)
 
 EXHAUSTIVE_TREE_BOUND = 22
 K3_FALLBACK_BOUND = 20
@@ -26,24 +26,29 @@ K3_FALLBACK_BOUND = 20
 
 # -- certificates ----------------------------------------------------------
 
-@dataclass(slots=True)
-class SquareSplit:
-    a: tuple[int, int, int, int]  # vertex bitsets A_1..A_4
-    s: tuple[int, int, int, int]
-    r: int
+class SquareSplit(Record):
+    __slots__ = ("a", "s", "r")
+
+    def __init__(self, a: tuple[int, int, int, int], s: tuple[int, int, int, int], r: int):
+        self.a, self.s, self.r = a, s, r  # vertex bitsets A_1..A_4, S_1..S_4, R
 
 
-@dataclass(slots=True)
-class CubicSplit:
-    a: tuple[int, int, int, int]
-    b: tuple[int, int, int, int]
-    s: tuple[int, int, int, int, int, int, int, int]
-    r: int
+class CubicSplit(Record):
+    __slots__ = ("a", "b", "s", "r")
+
+    def __init__(self, a: tuple[int, int, int, int], b: tuple[int, int, int, int],
+                 s: tuple[int, int, int, int, int, int, int, int], r: int):
+        self.a = a
+        self.b = b
+        self.s = s
+        self.r = r
 
 
-@dataclass(slots=True)
-class KStructWitness:
-    paths: list[list[int]]  # paths[i] runs from terminal x_i to cycle vertex s_i
+class KStructWitness(Record):
+    __slots__ = ("paths",)
+
+    def __init__(self, paths: list[list[int]]):
+        self.paths = paths  # paths[i] runs from terminal x_i to cycle vertex s_i
 
     def cycle(self) -> list[int]:
         return [p[-1] for p in self.paths]
@@ -52,26 +57,32 @@ class KStructWitness:
         return [p[0] for p in self.paths]
 
 
-@dataclass(slots=True)
-class K4Witness:
-    hubs: dict[str, int]                 # 'a','b','c','d'
-    paths: dict[str, list[int]]          # 'ab'.. : from x_ab to s_ab
-
+class K4Witness(Record):
+    __slots__ = ("hubs", "paths")
     PAIRS = ("ab", "ac", "ad", "bc", "bd", "cd")
 
+    def __init__(self, hubs: dict[str, int], paths: dict[str, list[int]]):
+        self.hubs = hubs    # 'a','b','c','d'
+        self.paths = paths  # 'ab'.. : from x_ab to s_ab
 
-@dataclass(slots=True)
-class TreeOrCertificate:
-    kind: str  # tree | square | cubic | k4 | kstructure |
-    #            disconnected-terminals | no-tree-exhaustive | tree-exists
-    graph: Graph
-    terminals: list[int]
-    tree: list[int] | None = None
-    square: SquareSplit | None = None
-    cubic: CubicSplit | None = None
-    k4: K4Witness | None = None
-    kstruct: KStructWitness | None = None
-    pendants: dict[int, int] = field(default_factory=dict)
+
+class TreeOrCertificate(Record):
+    __slots__ = ("kind", "graph", "terminals", "tree", "square", "cubic", "k4", "kstruct",
+                 "pendants")
+
+    def __init__(self, kind: str, graph: Graph, terminals: list[int],
+                 tree: list[int] | None = None, square: SquareSplit | None = None,
+                 cubic: CubicSplit | None = None, k4: K4Witness | None = None,
+                 kstruct: KStructWitness | None = None, pendants: dict[int, int] | None = None):
+        self.kind = kind  # tree | square | cubic | k4 | kstructure |
+        #                   disconnected-terminals | no-tree-exhaustive | tree-exists
+        self.graph, self.terminals = graph, terminals
+        self.tree = tree
+        self.square = square
+        self.cubic = cubic
+        self.k4 = k4
+        self.kstruct = kstruct
+        self.pendants = {} if pendants is None else pendants
 
     @property
     def has_tree(self) -> bool:
@@ -297,11 +308,12 @@ def _prune_tree(g: Graph, mask: int, terms) -> int:
 
 # -- the linking lemma --------------------------------------------------------
 
-@dataclass
-class _LinkOutcome:
-    kind: str  # 'tree' or 'kstructure'
-    tree: int = 0
-    paths: list[list[int]] | None = None
+class _LinkOutcome(Record):
+    __slots__ = ("kind", "tree", "paths")
+
+    def __init__(self, kind: str, tree: int = 0, paths: list[list[int]] | None = None):
+        self.kind = kind  # 'tree' or 'kstructure'
+        self.tree, self.paths = tree, paths
 
 
 def _link_tree(g: Graph, t_mask: int, q_path: list[int], k: int) -> _LinkOutcome:

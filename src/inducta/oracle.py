@@ -12,10 +12,10 @@ silently approximating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator
 
-from .graphs import Graph, InternalError, TooLargeError, WeightedGraph, bit_count, bits, mask_of
+from .graphs import (Graph, InternalError, Record, TooLargeError, WeightedGraph, bit_count, bits,
+                     mask_of)
 
 ALPHA_BOUND = 30
 CHI_BOUND = 24
@@ -156,16 +156,20 @@ def is_proper_coloring(g: Graph, color: list[int]) -> bool:
 
 # -- invariant report ---------------------------------------------------
 
-@dataclass
-class InvariantReport:
-    alpha: int
-    omega: int
-    theta: int
-    chi: int
-    alpha_witness: int
-    omega_witness: int
-    theta_cover: list[int] = field(default_factory=list)
-    chi_coloring: list[int] = field(default_factory=list)
+class InvariantReport(Record):
+    __slots__ = ("alpha", "omega", "theta", "chi", "alpha_witness", "omega_witness",
+                 "theta_cover", "chi_coloring")
+
+    def __init__(self, alpha: int, omega: int, theta: int, chi: int, alpha_witness: int,
+                 omega_witness: int, theta_cover: list[int] | None = None,
+                 chi_coloring: list[int] | None = None):
+        self.alpha = alpha
+        self.omega = omega
+        self.theta = theta
+        self.chi = chi
+        self.alpha_witness, self.omega_witness = alpha_witness, omega_witness
+        self.theta_cover = [] if theta_cover is None else theta_cover
+        self.chi_coloring = [] if chi_coloring is None else chi_coloring
 
     def gap(self) -> int:
         return self.theta - self.alpha

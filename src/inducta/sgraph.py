@@ -9,16 +9,17 @@ routes the F-edges one by one as mutually induced paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .graphs import Graph, GraphError, bits
+from .graphs import FrozenRecord, Graph, GraphError, Record, bits
 
 
-@dataclass(frozen=True)
-class SGraph:
-    n: int
-    real_edges: frozenset[tuple[int, int]]
-    sub_edges: frozenset[tuple[int, int]]
+class SGraph(FrozenRecord):
+    __slots__ = ("n", "real_edges", "sub_edges")
+
+    def __init__(self, n: int, real_edges: frozenset[tuple[int, int]],
+                 sub_edges: frozenset[tuple[int, int]]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "real_edges", real_edges)
+        object.__setattr__(self, "sub_edges", sub_edges)
 
     @staticmethod
     def make(n: int, real, sub) -> "SGraph":
@@ -57,12 +58,13 @@ def theta_sgraph() -> SGraph:
     )
 
 
-@dataclass(slots=True)
-class Embedding:
+class Embedding(Record):
     """A realization witness: branch images plus the routed paths."""
 
-    branch: dict[int, int]
-    paths: dict[tuple[int, int], list[int]]
+    __slots__ = ("branch", "paths")
+
+    def __init__(self, branch: dict[int, int], paths: dict[tuple[int, int], list[int]]):
+        self.branch, self.paths = branch, paths
 
     def used_vertices(self) -> list[int]:
         out = set(self.branch.values())

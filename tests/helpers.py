@@ -973,3 +973,35 @@ def cut_witness_holds(g: Graph, w) -> bool:
                 and bit_count(w.x) >= 2 and bit_count(w.y) >= 2
                 and all(_spread(nb, 1 << a, side | cut) >> b & 1 for side in (w.x, w.y)))
     return False
+
+
+# -- k-in-a-tree figures ------------------------------------------------------
+
+def cube_graph() -> Graph:
+    g = Graph(8)
+    for a in range(8):
+        for b in range(a + 1, 8):
+            if bin(a ^ b).count("1") == 1:
+                g.add_edge_unchecked(a, b)
+    return g
+
+
+def smallest_square_structure() -> Graph:
+    return Graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (5, 1), (6, 2), (7, 3)])
+
+
+def k4_structure_figure() -> Graph:
+    # hubs 0..3, cycle vertices s_ij 4..9, terminals 10..15, unit paths
+    edges = [(0, 4), (0, 5), (0, 6), (1, 4), (1, 7), (1, 8), (2, 5), (2, 7), (2, 9),
+             (3, 6), (3, 8), (3, 9)]
+    edges += [(10, 4), (11, 5), (12, 6), (13, 7), (14, 8), (15, 9)]
+    return Graph(16, edges)
+
+
+def seven_structure_figure() -> Graph:
+    g = Graph(21)
+    for i in range(7):
+        g.add_edge_unchecked(i, (i + 1) % 7)
+        g.add_edge_unchecked(7 + i, i)
+        g.add_edge_unchecked(14 + i, 7 + i)
+    return g

@@ -346,9 +346,13 @@ def test_cli_import_skips_sgraph():
 
 _LOADED_BY_MAIN = """
 import json, sys
+before = set(sys.modules)
 from inducta.cli import main
 code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("inducta"))), file=sys.stderr)
+print(json.dumps({
+    "inducta": sorted(m for m in sys.modules if m.startswith("inducta")),
+    "heavy": [m for m in ("dataclasses", "inspect") if m in sys.modules and m not in before],
+}), file=sys.stderr)
 sys.exit(code)
 """
 
@@ -363,7 +367,8 @@ _CLI_BASE = {"inducta", "inducta.cli", "inducta.graphs", "inducta.named"}
 ])
 def test_cli_loads_only_the_solver_it_runs(tmp_path, argv, code, extra):
     """Importing the CLI loads no solver module; a command loads its own
-    solver and nothing else, and only once the checks that exit 3 pass."""
+    solver and nothing else, and only once the checks that exit 3 pass.
+    No command newly loads ``dataclasses`` or ``inspect``."""
     sq = tmp_path / "sq.g"
     sq.write_text("8 8\n0 1\n1 2\n2 3\n0 3\n0 4\n1 5\n2 6\n3 7\n")
     proc = subprocess.run(
@@ -371,7 +376,9 @@ def test_cli_loads_only_the_solver_it_runs(tmp_path, argv, code, extra):
         capture_output=True, text=True, env=_subprocess_env(), timeout=60,
     )
     assert proc.returncode == code, proc.stderr
-    assert set(json.loads(proc.stderr.splitlines()[-1])) == _CLI_BASE | extra
+    loaded = json.loads(proc.stderr.splitlines()[-1])
+    assert set(loaded["inducta"]) == _CLI_BASE | extra
+    assert loaded["heavy"] == []
 
 
 _PATCHED_MAIN = """

@@ -47,3 +47,28 @@ def test_no_unused_module_imports():
         if (names := unused_imports(path.read_text()))
     }
     assert found == {}
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of every module the source imports, at any depth."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out |= {alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.partition(".")[0])
+    return out
+
+
+def test_import_finder_sees_nested_imports():
+    src = "import os.path\ndef f():\n    from dataclasses import field\n    from . import x\n"
+    assert imported_modules(src) == {"os", "dataclasses"}
+
+
+def test_no_package_module_imports_dataclasses():
+    """``dataclasses`` loads ``inspect``, ``ast``, ``dis`` and ``tokenize``,
+    which every CLI command would pay for; records are plain slotted
+    classes built on ``graphs.Record``."""
+    found = [path.name for path in FILES if path.parent.name == "inducta"
+             and "dataclasses" in imported_modules(path.read_text())]
+    assert found == []

@@ -1,12 +1,12 @@
-import dataclasses
 import random
 from itertools import combinations
 
 import pytest
 
-from helpers import random_connected_girth, random_graph_girth
+from helpers import (cube_graph, k4_structure_figure, random_connected_girth, random_graph_girth,
+                     seven_structure_figure, smallest_square_structure)
 from inducta.graphs import Graph, GraphError, TooLargeError, mask_of
-from inducta import decompose, detect, kintree, sgraph
+from inducta import berge, bienstock, classify, decompose, detect, gap, kintree, oracle, sgraph
 from inducta.kintree import (
     induced_tree_exists,
     k_in_a_tree,
@@ -16,36 +16,6 @@ from inducta.kintree import (
     validate_square_split,
 )
 from inducta.named import cycle, path
-
-
-def cube_graph() -> Graph:
-    g = Graph(8)
-    for a in range(8):
-        for b in range(a + 1, 8):
-            if bin(a ^ b).count("1") == 1:
-                g.add_edge_unchecked(a, b)
-    return g
-
-
-def smallest_square_structure() -> Graph:
-    return Graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (5, 1), (6, 2), (7, 3)])
-
-
-def k4_structure_figure() -> Graph:
-    # hubs 0..3, cycle vertices s_ij 4..9, terminals 10..15, unit paths
-    edges = [(0, 4), (0, 5), (0, 6), (1, 4), (1, 7), (1, 8), (2, 5), (2, 7), (2, 9),
-             (3, 6), (3, 8), (3, 9)]
-    edges += [(10, 4), (11, 5), (12, 6), (13, 7), (14, 8), (15, 9)]
-    return Graph(16, edges)
-
-
-def seven_structure_figure() -> Graph:
-    g = Graph(21)
-    for i in range(7):
-        g.add_edge_unchecked(i, (i + 1) % 7)
-        g.add_edge_unchecked(7 + i, i)
-        g.add_edge_unchecked(14 + i, 7 + i)
-    return g
 
 
 def test_preconditions():
@@ -113,9 +83,13 @@ def test_trees_have_no_obstructions():
     kintree.TreeOrCertificate, kintree.SquareSplit, kintree.CubicSplit,
     kintree.KStructWitness, kintree.K4Witness, decompose.DecompositionNode,
     decompose.UniqueChordResult, detect.PrismWitness, sgraph.Embedding,
+    berge.ABCD, berge.ExtensionSpec, decompose.CutsetWitness, oracle.InvariantReport,
+    gap.GapReport, gap.CheckResult, gap.GapVerification, berge.BergeAnswer,
+    berge.TreeNode, berge.TwoJoinSplit, berge.LeafInfo, classify.SmallClassification,
+    classify.TwoPair, bienstock.Cnf3, bienstock.GadgetGraph, sgraph.SGraph,
 ], ids=lambda cls: cls.__name__)
 def test_answer_classes_have_no_instance_dict(cls):
-    obj = cls(*[None] * len(dataclasses.fields(cls)))
+    obj = cls(*[None] * len(cls.__slots__))
     assert not hasattr(obj, "__dict__")
 
 
