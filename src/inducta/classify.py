@@ -10,8 +10,8 @@ g's side, where they are few.
 The 2-pair finder follows the constructive proof: grow a maximal
 anticonnected set T whose common neighborhood C(T) holds two
 nonadjacent vertices, recurse inside C(T), and lift.  Coloring
-contracts 2-pairs, seeking each next one first at the vertex the last
-contraction made.
+contracts 2-pairs in place, seeking each next one first at the vertex
+the last contraction made, which is set aside once universal.
 """
 
 from __future__ import annotations
@@ -298,11 +298,19 @@ def _long_hole(g: Graph) -> list[int] | None:
     full = g.full_mask()
     for b in range(g.n):
         outside = full & ~g.closed_nb(b)
-        for a in bits(adj[b]):
+        above = adj[b]
+        while above:  # a over N(b), then c over the rest of N(b) above a
+            low = above & -above
+            a = low.bit_length() - 1
+            above ^= low
             na = adj[a] & outside
             if not na:
                 continue
-            for c in bits(adj[b] & ~adj[a] & ~((2 << a) - 1)):
+            cs = above & ~adj[a]
+            while cs:
+                low = cs & -cs
+                c = low.bit_length() - 1
+                cs ^= low
                 nc = adj[c] & outside
                 if not (na & ~nc and nc & ~na):
                     continue
@@ -323,15 +331,22 @@ def _long_antihole(g: Graph) -> list[int] | None:
     comp = None
     for b in range(g.n):
         nb = adj[b]
-        two = 0
+        above = 0
         for v in bits(nb):
-            two |= adj[v]
-        two &= ~nb & ~(1 << b)
-        for a in bits(two):
+            above |= adj[v]
+        above &= ~nb & ~(1 << b)
+        while above:  # a over b's distance-2 set, then c over the rest of it above a
+            low = above & -above
+            a = low.bit_length() - 1
+            above ^= low
             na, ma = nb & ~adj[a], nb & adj[a]
             if not na:
                 continue
-            for c in bits(two & adj[a] & ~((2 << a) - 1)):
+            cs = above & adj[a]
+            while cs:
+                low = cs & -cs
+                c = low.bit_length() - 1
+                cs ^= low
                 if not (na & adj[c] and ma & ~adj[c]):
                     continue
                 comp = comp or g.complement()
@@ -392,28 +407,19 @@ class TwoPair(Record):
         self.a, self.b = a, b
 
 
-def validate_two_pair(g: Graph, a: int, b: int) -> bool:
-    """Component criterion: a, b nonadjacent and separated by their
-    common neighborhood (equivalent to every a-b path having length 2)."""
-    if a == b or g.has_edge(a, b):
-        return False
-    cut = g.adj[a] & g.adj[b]
-    return not (g.reach(1 << a, g.full_mask() & ~cut) >> b & 1)
-
-
-def find_two_pair(g: Graph) -> TwoPair | None:
-    """A validated 2-pair of a weakly triangulated graph; None on cliques.
+def find_two_pair(g: Graph, live: int | None = None) -> TwoPair | None:
+    """A validated 2-pair of weakly triangulated g, or of g[live]; None on cliques.
 
     Follows the constructive proof: seed T with the middle of a P3, grow
     it maximal keeping G[T] anticonnected with two nonadjacent
     T-complete vertices, and recurse into the common neighborhood C(T).
     T stays anticonnected as it grows, so v may join it exactly when v
     misses some vertex of T, and C(T) then shrinks to C(T) & N(v).  The
-    recursion runs on vertex masks of g (``_two_pair_in``).
+    recursion runs on vertex masks of g (``_two_pair_in``), never
+    reading ``g.adj`` outside them.
     """
-    if g.is_clique_mask(g.full_mask()):
-        return None
-    return TwoPair(*_two_pair_in(g, g.full_mask()))
+    u = g.full_mask() if live is None else live
+    return None if g.is_clique_mask(u) else TwoPair(*_two_pair_in(g, u))
 
 
 def _two_pair_in(g: Graph, u: int) -> tuple[int, int]:
@@ -441,72 +447,60 @@ def _two_pair_in(g: Graph, u: int) -> tuple[int, int]:
     return a, b
 
 
-def contract_pair(g: Graph, a: int, b: int) -> tuple[Graph, list[int]]:
-    """Contract nonadjacent a, b into one vertex adjacent to N(a) u N(b).
-
-    Returns the new graph and a map old-vertex -> new-vertex (a and b
-    share an image).  On bitsets: N(b) joins N(a) and every neighbor of b
-    gains a; then bit b is dropped and the vertices above it shift down."""
-    adj = list(g.adj)
-    adj[a] |= adj[b]
-    for v in bits(g.adj[b]):
-        adj[v] |= 1 << a
-    adj[a] &= ~(1 << a)  # no loop, should a and b be adjacent after all
-    low = (1 << b) - 1
-    h = Graph(g.n - 1)
-    for v, nb in enumerate(adj):
-        if v != b:
-            h.adj[v - (v > b)] = (nb & low) | (nb >> (b + 1) << b)
-    omap = [v - (v > b) for v in range(g.n)]
-    omap[b] = omap[a]
-    return h, omap
-
-
-def _two_pair_at(g: Graph, z: int) -> TwoPair | None:
-    """The 2-pair {z, w} of g with w lowest at distance 2 from z, or
-    None.  Every path between a 2-pair has length 2, so a partner in z's
-    component is at distance 2; one outside it is left to
-    ``find_two_pair``."""
-    adj = g.adj
-    near = 0
-    for v in bits(adj[z]):
-        near |= adj[v]
-    for w in bits(near & ~adj[z] & ~(1 << z)):
-        if validate_two_pair(g, z, w):
-            return TwoPair(z, w)
-    return None
-
-
 def color_weakly_triangulated(g: Graph) -> list[int]:
     """A proper coloring with omega(g) colors by repeated 2-pair
     contraction; validated on return.
 
-    The next 2-pair is sought first at the vertex the last contraction
-    made (``_two_pair_at``); ``find_two_pair`` serves the first step and
-    every step where that vertex has no partner at distance 2, mostly
-    because it is universal.  Each contracted pair is a validated 2-pair,
-    and contracting one keeps the graph weakly triangulated and keeps
-    omega, so the final clique has omega vertices."""
-    if g.n == 0:
-        return []
+    Contraction runs in place on one adjacency list and a mask of live
+    vertices: contracting b into a gives a the neighbors of b and drops b
+    from the mask (dead vertices' bits stay in the lists, masked off).
+    The next pair {a, w} is sought first at a, the vertex the last
+    contraction made, with w the lowest live non-neighbor that passes the
+    reach criterion; ``find_two_pair`` on the live mask serves the rest.
+    An a adjacent to every live vertex stays so under every later
+    contraction, so it is set aside instead.  Contracting a 2-pair keeps
+    the graph weakly triangulated and keeps omega, so the final clique
+    and the set-aside vertices number omega; each takes a color of its
+    own, and each contracted vertex, walking back, its absorber's."""
     bad = is_weakly_triangulated(g)
     if bad is not None:
         raise GraphError(f"input has a long {bad[0]}: not weakly triangulated")
-    maps: list[list[int]] = []
-    cur, z = g, None
+    work = Graph(g.n)
+    work.adj = adj = list(g.adj)
+    live, aside = g.full_mask(), 0
+    merged: list[tuple[int, int]] = []  # (a, b): b contracted into a
+    z = None
     while True:
-        pair = None if z is None else _two_pair_at(cur, z)
+        pair = None
+        if z is not None:
+            nz = adj[z] & live
+            if nz == live ^ 1 << z:
+                aside |= 1 << z
+                live ^= 1 << z
+            else:
+                for w in bits(live & ~nz & ~(1 << z)):
+                    if not work.reach(1 << z, live & ~(nz & adj[w])) >> w & 1:
+                        pair = z, w
+                        break
         if pair is None:
-            pair = find_two_pair(cur)
-            if pair is None:
+            try:
+                found = find_two_pair(work, live)
+            except GraphError as e:  # g passed recognition, so the fault is ours
+                raise InternalError(str(e)) from e
+            if found is None:
                 break
-        cur, omap = contract_pair(cur, pair.a, pair.b)
-        z = omap[pair.a]
-        maps.append(omap)
-    # cur is a clique: color it, then un-contract
-    color = list(range(cur.n))
-    for omap in reversed(maps):
-        color = [color[omap[v]] for v in range(len(omap))]
+            pair = found.a, found.b
+        z, b = pair
+        for v in bits(adj[b] & live):
+            adj[v] |= 1 << z
+        adj[z] |= adj[b]
+        live ^= 1 << b
+        merged.append(pair)
+    color = [0] * g.n
+    for k, v in enumerate(bits(live | aside)):
+        color[v] = k
+    for a, b in reversed(merged):
+        color[b] = color[a]
     if any(color[u] == color[v] for u, v in g.edges()):
         raise InternalError("2-pair contraction coloring is not proper")
     return color

@@ -4,6 +4,8 @@ Graphs are simple, finite and undirected.  Vertices are the integers
 0..n-1 and the adjacency of each vertex is stored as a Python int used
 as a bitset, which keeps neighborhood intersections and unions cheap
 for everything downstream (detectors, oracles, cutset searches).
+The hot sweeps (``reach``, ``layers``, ``is_clique_mask``) walk a mask
+with an inline lowest-bit loop rather than the ``bits`` generator.
 """
 
 from __future__ import annotations
@@ -132,9 +134,6 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
@@ -207,8 +206,10 @@ class Graph:
         comp = frontier = seeds
         while frontier:
             nxt = 0
-            for v in bits(frontier):
-                nxt |= self.adj[v]
+            while frontier:
+                low = frontier & -frontier
+                nxt |= self.adj[low.bit_length() - 1]
+                frontier ^= low
             frontier = nxt & allowed & ~comp
             comp |= frontier
         return comp
@@ -221,8 +222,10 @@ class Graph:
         seen = frontier = seeds
         while True:
             nxt = 0
-            for v in bits(frontier):
-                nxt |= self.adj[v]
+            while frontier:
+                low = frontier & -frontier
+                nxt |= self.adj[low.bit_length() - 1]
+                frontier ^= low
             frontier = nxt & allowed & ~seen
             if not frontier:
                 return out
@@ -258,9 +261,12 @@ class Graph:
         return self.n <= 1 or len(self.components()) == 1
 
     def is_clique_mask(self, mask: int) -> bool:
-        for v in bits(mask):
-            if mask & ~self.closed_nb(v):
+        rest = mask
+        while rest:
+            low = rest & -rest
+            if mask & ~self.adj[low.bit_length() - 1] != low:
                 return False
+            rest ^= low
         return True
 
     def is_stable_mask(self, mask: int) -> bool:

@@ -23,7 +23,7 @@ from inducta.berge import (
     is_substantial_join,
     path_side,
 )
-from inducta.classify import TwoPair, classify_p3, contract_pair, find_two_pair, validate_two_pair
+from inducta.classify import TwoPair, classify_p3, find_two_pair
 from inducta.graphs import Graph, GraphError, TooLargeError, WeightedGraph, bit_count, bits, mask_of
 from inducta.linegraph import line_graph, line_root_with_map, maximal_cliques
 from inducta.named import (
@@ -473,6 +473,31 @@ def oracle_bipartition(g: Graph) -> tuple[int, int] | None:
     return left, g.full_mask() & ~left
 
 
+def oracle_layers(g: Graph, seeds: int, allowed: int) -> list[set[int]]:
+    """Breadth-first layers as vertex sets: layer 0 holds the seeds, and
+    each next layer the allowed, unseen neighbors of the last."""
+    layer = {v for v in range(g.n) if seeds >> v & 1}
+    seen, out = set(layer), [layer]
+    while True:
+        layer = {w for v in layer for w in range(g.n)
+                 if g.adj[v] >> w & 1 and allowed >> w & 1 and w not in seen}
+        if not layer:
+            return out
+        seen |= layer
+        out.append(layer)
+
+
+def oracle_components_of(g: Graph, mask: int) -> list[set[int]]:
+    """Components of the subgraph ``mask`` induces, by lowest vertex."""
+    rest = {v for v in range(g.n) if mask >> v & 1}
+    out = []
+    while rest:
+        comp = set().union(*oracle_layers(g, 1 << min(rest), mask))
+        rest -= comp
+        out.append(comp)
+    return out
+
+
 def oracle_girth(g: Graph) -> int | None:
     best = None
     for s in range(g.n):
@@ -599,6 +624,15 @@ def oracle_long_hole(g: Graph) -> list[int] | None:
     return None
 
 
+def validate_two_pair(g: Graph, a: int, b: int) -> bool:
+    """Component criterion: a, b nonadjacent and separated by their
+    common neighborhood (equivalent to every a-b path having length 2)."""
+    if a == b or g.has_edge(a, b):
+        return False
+    cut = g.adj[a] & g.adj[b]
+    return not (g.reach(1 << a, g.full_mask() & ~cut) >> b & 1)
+
+
 def _complete_to(g: Graph, tmask: int) -> int:
     out = g.full_mask()
     for v in bits(tmask):
@@ -638,7 +672,28 @@ def oracle_find_two_pair(g: Graph) -> TwoPair | None:
     return pair
 
 
-# -- the contraction loop that sought every 2-pair from scratch ---------------
+# -- the contraction loop that sought every 2-pair from scratch, on copies -----
+
+def contract_pair(g: Graph, a: int, b: int) -> tuple[Graph, list[int]]:
+    """Contract nonadjacent a, b into one vertex adjacent to N(a) u N(b).
+
+    Returns the new graph and a map old-vertex -> new-vertex (a and b
+    share an image).  On bitsets: N(b) joins N(a) and every neighbor of b
+    gains a; then bit b is dropped and the vertices above it shift down."""
+    adj = list(g.adj)
+    adj[a] |= adj[b]
+    for v in bits(g.adj[b]):
+        adj[v] |= 1 << a
+    adj[a] &= ~(1 << a)  # no loop, should a and b be adjacent after all
+    low = (1 << b) - 1
+    h = Graph(g.n - 1)
+    for v, nb in enumerate(adj):
+        if v != b:
+            h.adj[v - (v > b)] = (nb & low) | (nb >> (b + 1) << b)
+    omap = [v - (v > b) for v in range(g.n)]
+    omap[b] = omap[a]
+    return h, omap
+
 
 def oracle_color_weakly_triangulated(g: Graph) -> list[int]:
     """Contract the 2-pair ``find_two_pair`` gives until a clique is

@@ -26,6 +26,7 @@ from helpers import (
     random_graph_girth,
     replace_path_by_gadget,
     validate_split,
+    validate_two_pair,
 )
 from inducta.berge import _side_numbers, _solve_halves, berge_alpha_omega, color_berge, derive_split
 from inducta.bienstock import Cnf3, gamma_gadget, prism_reduction
@@ -33,7 +34,6 @@ from inducta.classify import (
     color_weakly_triangulated,
     find_two_pair,
     is_weakly_triangulated,
-    validate_two_pair,
 )
 from inducta.decompose import chi_unique_chord_free, recognize_unique_chord_free, three_color_chordless
 from inducta.detect import detect_prism_pyramid_free, hole_through_two, validate_prism

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     all_labelled_graphs,
+    contract_pair,
     oracle_color_weakly_triangulated,
     oracle_contract_pair,
     oracle_find_two_pair,
@@ -13,17 +14,16 @@ from helpers import (
     random_chordal,
     random_connected_girth,
     random_graph,
+    validate_two_pair,
 )
 from inducta import classify, oracle
 from inducta.classify import (
     classify_small,
     color_weakly_triangulated,
-    contract_pair,
     find_two_pair,
     is_weakly_triangulated,
-    validate_two_pair,
 )
-from inducta.graphs import Graph, GraphError, WeightedGraph, bits, mask_of
+from inducta.graphs import Graph, GraphError, InternalError, WeightedGraph, bits, mask_of
 from inducta.linegraph import line_graph
 from inducta.named import (
     a6,
@@ -237,9 +237,11 @@ def test_find_two_pair_matches_copying_finder(unpruned_holes):
 
 
 def test_wt_coloring_matches_scratch_loop(unpruned_holes):
-    """Seeking the next 2-pair at the contracted vertex against seeking
-    every 2-pair from scratch: a proper coloring with as many colors on
-    every weakly triangulated graph above, and on seeded chordal graphs
+    """In-place contraction, seeking the next 2-pair at the contracted
+    vertex and setting it aside once universal, against contracting
+    copies and seeking every 2-pair from scratch: a proper coloring with
+    as many colors on every weakly triangulated graph above (all of those
+    with at most 6 vertices among them), and on seeded chordal graphs
     with up to 40 vertices and their complements; omega colors, by the
     oracle's maximum clique, where n <= 12."""
     graphs = [g for g, hole, antihole in unpruned_holes if hole is None and antihole is None]
@@ -258,24 +260,53 @@ def test_wt_coloring_matches_scratch_loop(unpruned_holes):
 
 def test_wt_coloring_seeks_pairs_at_the_contracted_vertex(monkeypatch):
     """On seeded chordal graphs with 30 to 40 vertices, find_two_pair
-    runs on fewer than half of the contraction steps."""
-    calls = {find_two_pair: 0, contract_pair: 0}
+    runs on fewer than half of the contraction steps.  Each step and each
+    set-aside vertex takes one vertex off the live mask, and the final
+    clique and the set-aside vertices each keep a color of their own, so
+    a coloring of n vertices with k colors took n - k steps."""
+    searches, steps = 0, 0
+    real = classify.find_two_pair
 
-    def spy(fn):
-        def counted(*args):
-            calls[fn] += 1
-            return fn(*args)
-        return counted
+    def counted(*args):
+        nonlocal searches
+        searches += 1
+        return real(*args)
 
-    for fn in calls:
-        monkeypatch.setattr(classify, fn.__name__, spy(fn))
+    monkeypatch.setattr(classify, "find_two_pair", counted)
     rng = random.Random(75)
     for _ in range(20):
         g = random_chordal(rng.randint(30, 40), rng)
-        col = color_weakly_triangulated(g)
-        assert len(set(col)) == len(set(oracle_color_weakly_triangulated(g)))
-    assert calls[contract_pair] >= 20 * 20
-    assert 2 * calls[find_two_pair] < calls[contract_pair], calls
+        k = len(set(color_weakly_triangulated(g)))
+        assert k == len(set(oracle_color_weakly_triangulated(g)))
+        steps += g.n - k
+    assert steps >= 20 * 20
+    assert 2 * searches < steps, (searches, steps)
+
+
+def test_wt_coloring_sets_universal_contracted_vertices_aside(monkeypatch):
+    """C4: the first search contracts 3 into 1, which is then adjacent
+    to both other live vertices, so the second search runs on {0, 2}
+    without it; contracting 2 into 0 leaves 0 alone, set aside too."""
+    masks = []
+    real = classify.find_two_pair
+
+    def spy(g, live=None):
+        masks.append(live)
+        return real(g, live)
+
+    monkeypatch.setattr(classify, "find_two_pair", spy)
+    assert color_weakly_triangulated(cycle(4)) == [0, 1, 0, 1]
+    assert masks == [0b1111, 0b0101, 0]
+
+
+def test_wt_coloring_blames_itself_for_a_failed_pair(monkeypatch):
+    """Past recognition, a 2-pair that fails validation is the program's
+    fault (InternalError); find_two_pair called directly blames the input."""
+    with pytest.raises(GraphError):
+        find_two_pair(cycle(5))
+    monkeypatch.setattr(classify, "is_weakly_triangulated", lambda g: None)
+    with pytest.raises(InternalError, match="2-pair failed validation"):
+        color_weakly_triangulated(cycle(5))
 
 
 def test_wt_paths_never_enumerate_holes(monkeypatch):

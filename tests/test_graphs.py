@@ -5,12 +5,14 @@ import pytest
 
 from helpers import (
     oracle_bipartition,
+    oracle_components_of,
     oracle_girth,
+    oracle_layers,
     oracle_shortest_odd_cycle,
     oracle_shortest_path,
     random_graph,
 )
-from inducta.graphs import Graph, GraphError, WeightedGraph, format_graph, parse_graph
+from inducta.graphs import Graph, GraphError, WeightedGraph, format_graph, mask_of, parse_graph
 from inducta.named import cycle, petersen
 
 
@@ -124,6 +126,35 @@ def test_bfs_searches_match_dict_oracles():
             ]
         for u, v, allowed in queries:
             assert g.shortest_path(u, v, allowed) == oracle_shortest_path(g, u, v, allowed)
+
+
+def test_sweeps_match_set_oracles():
+    """reach, layers, components_of and is_clique_mask against searches
+    on vertex sets.  Every seed and allowed mask on graphs with at most 4
+    vertices; on 5 vertices every allowed mask with each one-vertex seed
+    and a seeded random seed mask; above that ten seeded masks and the
+    full one, each with a seeded seed mask."""
+    rng = random.Random(9)
+    for g in _differential_graphs():
+        full = g.full_mask()
+        if g.n <= 4:
+            masks = range(full + 1)
+            queries = [(s, a) for s in masks for a in masks]
+        elif g.n == 5:
+            masks = range(full + 1)
+            queries = [(s, a) for a in masks for s in [1 << v for v in range(5)] + [rng.getrandbits(5)]]
+        else:
+            masks = [rng.getrandbits(g.n) | rng.getrandbits(g.n) for _ in range(10)] + [full]
+            queries = [(rng.getrandbits(g.n) & rng.getrandbits(g.n), a) for a in masks]
+        for seeds, allowed in queries:
+            want = oracle_layers(g, seeds, allowed)
+            assert g.layers(seeds, allowed) == [mask_of(layer) for layer in want], (g.edges(), seeds, allowed)
+            assert g.reach(seeds, allowed) == mask_of(set().union(*want)), (g.edges(), seeds, allowed)
+        for mask in masks:
+            assert g.components_of(mask) == [mask_of(c) for c in oracle_components_of(g, mask)]
+            members = [v for v in range(g.n) if mask >> v & 1]
+            clique = all(g.has_edge(u, v) for u, v in itertools.combinations(members, 2))
+            assert g.is_clique_mask(mask) == clique, (g.edges(), mask)
 
 
 def _check_shortest_cycles(g: Graph, allowed: int) -> None:
