@@ -78,10 +78,6 @@ class TwoJoinSplit(Record):
     def c1(self) -> int:
         return self.x1 & ~self.a1 & ~self.b1
 
-    @property
-    def c2(self) -> int:
-        return self.x2 & ~self.a2 & ~self.b2
-
     def flip(self) -> "TwoJoinSplit":
         return TwoJoinSplit(self.x2, self.x1, self.a2, self.b2, self.a1, self.b1)
 

@@ -32,12 +32,12 @@ class CliError(Exception):
 
 
 def _load_graph(args) -> WeightedGraph:
-    if getattr(args, "named", None):
+    if args.named:
         try:
             return WeightedGraph(parse_named_spec(args.named))
         except GraphError as e:
             raise CliError(3, f"bad named graph spec: {e}")
-    path = getattr(args, "input", None)
+    path = args.input
     if path is None:
         raise CliError(3, "no input graph: pass a file or --named=...")
     try:
@@ -93,69 +93,68 @@ def sorted_bits(mask: int) -> list[int]:
     return sorted(bits(mask))
 
 
-def cmd_detect(args) -> int:
-    wg = _load_graph(args)
-    g = wg.graph
-    if args.what == "prism":
-        from . import detect
+def cmd_prism(args) -> int:
+    g = _load_graph(args).graph
+    from . import detect
 
-        w = detect.detect_prism_pyramid_free(g)
-        if w is None:
-            _emit(args, {"prism": None}, "no prism (assuming pyramid-free input)")
-            return 1
-        rec = {
-            "prism": {
-                "triangles": [list(w.triangle_a), list(w.triangle_b)],
-                "paths": [list(p) for p in w.paths],
-            }
-        }
-        _emit(args, rec, f"prism on triangles {w.triangle_a} and {w.triangle_b}")
-        return 0
-    if args.what == "hole-through":
-        if args.x is None or args.y is None:
-            raise CliError(3, "hole-through needs --x and --y")
-        from . import detect
-
-        hole = detect.hole_through_two(g, args.x, args.y)
-        if hole is None:
-            _emit(args, {"hole": None}, "no hole through the two vertices")
-            return 1
-        _emit(args, {"hole": hole}, f"hole: {hole}")
-        return 0
-    if args.what == "k-in-a-tree":
-        if not args.terminals:
-            raise CliError(3, "k-in-a-tree needs --terminals=a,b,c,...")
-        try:
-            terms = [int(t) for t in args.terminals.split(",")]
-        except ValueError:
-            raise CliError(3, f"--terminals={args.terminals}: expected integers a,b,c,...") from None
-        from . import kintree
-
-        res = kintree.k_in_a_tree(g, terms)
-        if res.has_tree:
-            _emit(args, {"tree": res.tree}, f"tree: {res.tree}")
-            return 0
-        rec = {"certificate": res.kind}
-        if res.square:
-            rec["square"] = {
-                "A": [sorted_bits(m) for m in res.square.a],
-                "S": [sorted_bits(m) for m in res.square.s],
-                "R": sorted_bits(res.square.r),
-            }
-        if res.cubic:
-            rec["cubic"] = {
-                "A": [sorted_bits(m) for m in res.cubic.a],
-                "B": [sorted_bits(m) for m in res.cubic.b],
-                "S": [sorted_bits(m) for m in res.cubic.s],
-                "R": sorted_bits(res.cubic.r),
-            }
-        if res.kstruct:
-            rec["kstructure"] = {"paths": res.kstruct.paths}
-        if res.k4:
-            rec["k4"] = {"hubs": res.k4.hubs, "paths": res.k4.paths}
-        _emit(args, rec, f"no tree: {res.kind} certificate")
+    w = detect.detect_prism_pyramid_free(g)
+    if w is None:
+        _emit(args, {"prism": None}, "no prism (assuming pyramid-free input)")
         return 1
-    raise CliError(3, f"unknown detect target {args.what}")
+    rec = {
+        "prism": {
+            "triangles": [list(w.triangle_a), list(w.triangle_b)],
+            "paths": [list(p) for p in w.paths],
+        }
+    }
+    _emit(args, rec, f"prism on triangles {w.triangle_a} and {w.triangle_b}")
+    return 0
+
+
+def cmd_hole_through(args) -> int:
+    g = _load_graph(args).graph
+    from . import detect
+
+    hole = detect.hole_through_two(g, args.x, args.y)
+    if hole is None:
+        _emit(args, {"hole": None}, "no hole through the two vertices")
+        return 1
+    _emit(args, {"hole": hole}, f"hole: {hole}")
+    return 0
+
+
+def cmd_k_in_a_tree(args) -> int:
+    g = _load_graph(args).graph
+    try:
+        terms = [int(t) for t in args.terminals.split(",")]
+    except ValueError:
+        raise CliError(3, f"--terminals={args.terminals}: expected integers a,b,c,...") from None
+    from . import kintree
+
+    res = kintree.k_in_a_tree(g, terms)
+    if res.has_tree:
+        _emit(args, {"tree": res.tree}, f"tree: {res.tree}")
+        return 0
+    rec = {"certificate": res.kind}
+    if res.square:
+        rec["square"] = {
+            "A": [sorted_bits(m) for m in res.square.a],
+            "S": [sorted_bits(m) for m in res.square.s],
+            "R": sorted_bits(res.square.r),
+        }
+    if res.cubic:
+        rec["cubic"] = {
+            "A": [sorted_bits(m) for m in res.cubic.a],
+            "B": [sorted_bits(m) for m in res.cubic.b],
+            "S": [sorted_bits(m) for m in res.cubic.s],
+            "R": sorted_bits(res.cubic.r),
+        }
+    if res.kstruct:
+        rec["kstructure"] = {"paths": res.kstruct.paths}
+    if res.k4:
+        rec["k4"] = {"hubs": res.k4.hubs, "paths": res.k4.paths}
+    _emit(args, rec, f"no tree: {res.kind} certificate")
+    return 1
 
 
 def cmd_recognize(args) -> int:
@@ -193,21 +192,19 @@ def cmd_recognize(args) -> int:
             f"not a member: cycle {res.witness_cycle} with unique chord {res.witness_chord}",
         )
         return 1
-    if args.klass == "weakly-triangulated":
-        from . import classify
+    from . import classify
 
-        got = classify.is_weakly_triangulated(g)
-        if got is None:
-            _emit(args, {"weakly_triangulated": True}, "weakly triangulated")
-            return 0
-        kind, wit = got
-        _emit(
-            args,
-            {"weakly_triangulated": False, "witness_kind": kind, "witness": wit},
-            f"not weakly triangulated: long {kind} {wit}",
-        )
-        return 1
-    raise CliError(3, f"unknown class {args.klass}")
+    got = classify.is_weakly_triangulated(g)
+    if got is None:
+        _emit(args, {"weakly_triangulated": True}, "weakly triangulated")
+        return 0
+    kind, wit = got
+    _emit(
+        args,
+        {"weakly_triangulated": False, "witness_kind": kind, "witness": wit},
+        f"not weakly triangulated: long {kind} {wit}",
+    )
+    return 1
 
 
 def cmd_classify(args) -> int:
@@ -241,34 +238,16 @@ def cmd_color(args) -> int:
         from . import decompose
 
         chi, col = decompose.chi_unique_chord_free(g)
-    elif args.klass == "berge":
+    else:
         from . import berge
 
         col = berge.color_berge(g)
-    else:
-        raise CliError(3, f"unknown coloring class {args.klass}")
     k = max(col) + 1 if col else 0
     _emit(args, {"colors": k, "coloring": col}, f"{k} colors: {col}")
     return 0
 
 
 def cmd_gap(args) -> int:
-    if args.action == "verify":
-        from . import gap
-
-        rep = gap.verify_gap_chapter()
-        rows = [{"check": c.name, "passed": c.passed, "detail": c.detail} for c in rep.checks]
-        if args.format == "json-lines":
-            for r in rows:
-                print(json.dumps(r, sort_keys=True))
-            for note in rep.notes:
-                print(json.dumps({"note": note}, sort_keys=True))
-        else:
-            for c in rep.checks:
-                print(f"{'PASS' if c.passed else 'FAIL'}  {c.name}" + (f"  ({c.detail})" if c.detail else ""))
-            for note in rep.notes:
-                print(f"note: {note}")
-        return 0 if rep.ok() else 1
     wg = _load_graph(args)
     from . import gap
 
@@ -293,73 +272,74 @@ def cmd_berge(args) -> int:
     wg = _load_graph(args)
     from . import berge
 
-    if args.action in ("alpha", "omega"):
-        ans = berge.berge_alpha_omega(wg)
-        if args.action == "alpha":
-            rec = {"alpha": ans.alpha, "stable_set": ans.alpha_set}
-            _emit(args, rec, f"alpha={ans.alpha} witness={ans.alpha_set}")
-        else:
-            rec = {"omega": ans.omega, "clique": ans.omega_set}
-            _emit(args, rec, f"omega={ans.omega} witness={ans.omega_set}")
-        return 0
-    col = berge.color_berge(wg.graph)
-    k = max(col) + 1 if col else 0
-    _emit(args, {"colors": k, "coloring": col}, f"{k} colors: {col}")
+    ans = berge.berge_alpha_omega(wg)
+    if args.action == "alpha":
+        rec = {"alpha": ans.alpha, "stable_set": ans.alpha_set}
+        _emit(args, rec, f"alpha={ans.alpha} witness={ans.alpha_set}")
+    else:
+        rec = {"omega": ans.omega, "clique": ans.omega_set}
+        _emit(args, rec, f"omega={ans.omega} witness={ans.omega_set}")
     return 0
 
 
-def cmd_gadget(args) -> int:
-    if args.kind == "gamma":
-        if not args.cnf:
-            raise CliError(3, "gamma needs --cnf=<dimacs file>")
-        try:
-            text = sys.stdin.read() if args.cnf == "-" else Path(args.cnf).read_text()
-        except OSError as e:
-            raise CliError(3, f"cannot read {args.cnf}: {e}")
-        from . import bienstock
+def cmd_gamma(args) -> int:
+    try:
+        text = sys.stdin.read() if args.cnf == "-" else Path(args.cnf).read_text()
+    except OSError as e:
+        raise CliError(3, f"cannot read {args.cnf}: {e}")
+    from . import bienstock
 
-        try:
-            f = bienstock.parse_dimacs_cnf(text)
-            gg = bienstock.gamma_gadget(f)
-        except GraphError as e:
-            raise CliError(3, str(e))
-        if args.format == "json-lines":
-            rec = {
-                "n": gg.graph.n,
-                "a": gg.a,
-                "b": gg.b,
-                "edges": gg.graph.edges(),
-                "labels": {str(k): v for k, v in gg.labels.items()},
-            }
-            print(json.dumps(rec, sort_keys=True))
-        else:
-            sys.stdout.write(format_graph(gg.graph))
-            print(f"# a={gg.a} b={gg.b}")
-            for v in range(gg.graph.n):
-                print(f"# label {v} {gg.labels[v]}")
-        return 0
-    if args.kind == "prism":
-        wg = _load_graph(args)
-        if args.x is None or args.y is None:
-            raise CliError(3, "prism reduction needs --x and --y")
-        from . import bienstock
+    try:
+        f = bienstock.parse_dimacs_cnf(text)
+        gg = bienstock.gamma_gadget(f)
+    except GraphError as e:
+        raise CliError(3, str(e))
+    if args.format == "json-lines":
+        rec = {
+            "n": gg.graph.n,
+            "a": gg.a,
+            "b": gg.b,
+            "edges": gg.graph.edges(),
+            "labels": {str(k): v for k, v in gg.labels.items()},
+        }
+        print(json.dumps(rec, sort_keys=True))
+    else:
+        sys.stdout.write(format_graph(gg.graph))
+        print(f"# a={gg.a} b={gg.b}")
+        for v in range(gg.graph.n):
+            print(f"# label {v} {gg.labels[v]}")
+    return 0
 
-        out, labels = bienstock.prism_reduction(wg.graph, args.x, args.y)
-        if args.format == "json-lines":
-            print(json.dumps({"n": out.n, "edges": out.edges()}, sort_keys=True))
-        else:
-            sys.stdout.write(format_graph(out))
-            for v, lab in sorted(labels.items()):
-                print(f"# label {v} {lab}")
-        return 0
-    raise CliError(3, f"unknown gadget {args.kind}")
+
+def cmd_prism_reduction(args) -> int:
+    wg = _load_graph(args)
+    from . import bienstock
+
+    out, labels = bienstock.prism_reduction(wg.graph, args.x, args.y)
+    if args.format == "json-lines":
+        print(json.dumps({"n": out.n, "edges": out.edges()}, sort_keys=True))
+    else:
+        sys.stdout.write(format_graph(out))
+        for v, lab in sorted(labels.items()):
+            print(f"# label {v} {lab}")
+    return 0
 
 
 def cmd_verify(args) -> int:
-    if args.what == "gap":
-        args.action = "verify"
-        return cmd_gap(args)
-    raise CliError(3, f"unknown verification target {args.what}")
+    from . import gap
+
+    rep = gap.verify_gap_chapter()
+    if args.format == "json-lines":
+        for c in rep.checks:
+            print(json.dumps({"check": c.name, "passed": c.passed, "detail": c.detail}, sort_keys=True))
+        for note in rep.notes:
+            print(json.dumps({"note": note}, sort_keys=True))
+    else:
+        for c in rep.checks:
+            print(f"{'PASS' if c.passed else 'FAIL'}  {c.name}" + (f"  ({c.detail})" if c.detail else ""))
+        for note in rep.notes:
+            print(f"note: {note}")
+    return 0 if rep.ok() else 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -372,70 +352,64 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--format", choices=["human", "json-lines"], default="human")
-    common.add_argument("--oracle-bound", type=int, default=None)
-    common.add_argument("--each", metavar="DIR",
-                        help="run once per graph file in DIR, with independent reports")
-    p = _Parser(prog="inducta", description=__doc__, parents=[common])
+    """Each option is declared by the command, or the action, that reads
+    it: the top level takes none, ``--oracle-bound`` belongs to
+    ``invariants`` and ``--each`` to the commands that read a graph.
+    Shared options come from parent parsers, which argparse copies more
+    cheaply than it adds arguments."""
+    fmt = _Parser(add_help=False)
+    fmt.add_argument("--format", choices=["human", "json-lines"], default="human")
+    graph = _Parser(add_help=False, parents=[fmt])
+    graph.add_argument("input", nargs="?", help="graph file ('-' for stdin)")
+    graph.add_argument("--named", help="named graph spec, e.g. petersen or c:7")
+    graph.add_argument("--each", metavar="DIR",
+                       help="run once per graph file in DIR, with independent reports")
+
+    def command(parent, name, fn, base=graph, **kw):
+        sp = parent.add_parser(name, parents=[base], **kw)
+        sp.set_defaults(fn=fn)
+        return sp
+
+    def vertex_pair(sp):
+        sp.add_argument("--x", type=int, required=True)
+        sp.add_argument("--y", type=int, required=True)
+
+    p = _Parser(prog="inducta", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def add_graph_args(sp):
-        sp.add_argument("input", nargs="?", help="graph file ('-' for stdin)")
-        sp.add_argument("--named", help="named graph spec, e.g. petersen or c:7")
+    command(sub, "invariants", cmd_invariants, help="exact alpha/omega/theta/chi").add_argument(
+        "--oracle-bound", type=int)
 
-    sp = sub.add_parser("invariants", parents=[common], help="exact alpha/omega/theta/chi")
-    add_graph_args(sp)
-    sp.set_defaults(fn=cmd_invariants)
+    det = sub.add_parser("detect", help="induced-substructure detectors").add_subparsers(
+        dest="what", required=True)
+    command(det, "prism", cmd_prism)
+    command(det, "k-in-a-tree", cmd_k_in_a_tree).add_argument("--terminals", required=True)
+    vertex_pair(command(det, "hole-through", cmd_hole_through))
 
-    sp = sub.add_parser("detect", parents=[common], help="induced-substructure detectors")
-    sp.add_argument("what", choices=["prism", "k-in-a-tree", "hole-through"])
-    add_graph_args(sp)
-    sp.add_argument("--terminals")
-    sp.add_argument("--x", type=int)
-    sp.add_argument("--y", type=int)
-    sp.set_defaults(fn=cmd_detect)
+    command(sub, "recognize", cmd_recognize, help="class recognition with witnesses").add_argument(
+        "--class", dest="klass", required=True,
+        choices=["chordless", "unique-chord-free", "weakly-triangulated"])
+    command(sub, "classify", cmd_classify, help="small decomposition theorems").add_argument(
+        "--theorem", required=True, choices=["p3", "paw", "hh", "claw-coclaw"])
+    command(sub, "color", cmd_color, help="class-specific optimal colorings").add_argument(
+        "--class", dest="klass", required=True,
+        choices=["chordless", "wt", "unique-chord-free", "berge"])
 
-    sp = sub.add_parser("recognize", parents=[common], help="class recognition with witnesses")
-    sp.add_argument("--class", dest="klass", required=True,
-                    choices=["chordless", "unique-chord-free", "weakly-triangulated"])
-    add_graph_args(sp)
-    sp.set_defaults(fn=cmd_recognize)
+    # an action parser of its own lets a graph file follow the action's options
+    gap = sub.add_parser("gap", help="gap computations").add_subparsers(dest="action", required=True)
+    command(gap, "compute", cmd_gap)
+    brg = sub.add_parser("berge", help="2-join optimization pipeline").add_subparsers(
+        dest="action", required=True)
+    command(brg, "alpha", cmd_berge)
+    command(brg, "omega", cmd_berge)
 
-    sp = sub.add_parser("classify", parents=[common], help="small decomposition theorems")
-    sp.add_argument("--theorem", required=True,
-                    choices=["p3", "paw", "hh", "claw-coclaw"])
-    add_graph_args(sp)
-    sp.set_defaults(fn=cmd_classify)
+    gad = sub.add_parser("gadget", help="hardness gadget generators").add_subparsers(
+        dest="kind", required=True)
+    command(gad, "gamma", cmd_gamma, fmt).add_argument("--cnf", required=True)
+    vertex_pair(command(gad, "prism", cmd_prism_reduction))
 
-    sp = sub.add_parser("color", parents=[common], help="class-specific optimal colorings")
-    sp.add_argument("--class", dest="klass", required=True,
-                    choices=["chordless", "wt", "unique-chord-free", "berge"])
-    add_graph_args(sp)
-    sp.set_defaults(fn=cmd_color)
-
-    sp = sub.add_parser("gap", parents=[common], help="gap computations and chapter checks")
-    sp.add_argument("action", choices=["compute", "verify"])
-    add_graph_args(sp)
-    sp.set_defaults(fn=cmd_gap)
-
-    sp = sub.add_parser("berge", parents=[common], help="2-join optimization pipeline")
-    sp.add_argument("action", choices=["alpha", "omega", "color"])
-    add_graph_args(sp)
-    sp.set_defaults(fn=cmd_berge)
-
-    sp = sub.add_parser("gadget", parents=[common], help="hardness gadget generators")
-    sp.add_argument("kind", choices=["gamma", "prism"])
-    add_graph_args(sp)
-    sp.add_argument("--cnf")
-    sp.add_argument("--x", type=int)
-    sp.add_argument("--y", type=int)
-    sp.set_defaults(fn=cmd_gadget)
-
-    sp = sub.add_parser("verify", parents=[common], help="verification harnesses")
-    sp.add_argument("what", choices=["gap"])
-    sp.set_defaults(fn=cmd_verify)
-
+    command(sub, "verify", cmd_verify, fmt, help="verification harnesses").add_argument(
+        "what", choices=["gap"])
     return p
 
 

@@ -164,9 +164,9 @@ def _find_proper_1_join(g: Graph) -> CutsetWitness | None:
 
 # -- chordless graphs -----------------------------------------------------
 
-def _two_disjoint_paths(g: Graph, u: int, v: int) -> tuple[list[int], list[int]] | None:
-    """Two internally vertex-disjoint u-v paths of length >= 2, via a unit
-    flow with split vertices, or None."""
+def _two_path_cycle(g: Graph, u: int, v: int) -> list[int] | None:
+    """A cycle through u and v made of two internally vertex-disjoint u-v
+    paths of length >= 2, via a unit flow with split vertices, or None."""
     n = g.n
     # node v -> in = 2v, out = 2v+1
     net = _Dinic(2 * n)
@@ -191,20 +191,33 @@ def _two_disjoint_paths(g: Graph, u: int, v: int) -> tuple[list[int], list[int]]
             nxt = flow_adj[path[-1]].pop(0)
             path.append(nxt)
         paths.append(path)
-    return paths[0], paths[1]
+    return paths[0] + paths[1][::-1][1:-1]
+
+
+def _chord_cycle(g: Graph, search) -> tuple[list[int], tuple[int, int]] | None:
+    """(cycle, (u, v)) for the first edge uv of g for which
+    ``search(g - uv, u, v)`` returns a cycle through u and v, else None.
+    Edges with an end of degree <= 2 are skipped: a chord's ends each
+    have two cycle neighbours besides each other."""
+    for u, v in g.edges():
+        if bit_count(g.adj[u]) <= 2 or bit_count(g.adj[v]) <= 2:
+            continue
+        cycle = search(_without_edge(g, u, v), u, v)
+        if cycle is not None:
+            return cycle, (u, v)
+    return None
 
 
 def is_chordless(g: Graph) -> tuple[list[int], tuple[int, int]] | None:
     """None iff every cycle of g is induced; otherwise (cycle, chord):
     a cycle through the chord's ends avoiding the chord edge."""
-    for u, v in g.edges():
-        h = _without_edge(g, u, v)
-        got = _two_disjoint_paths(h, u, v)
-        if got is not None:
-            p1, p2 = got
-            cycle = p1 + p2[::-1][1:-1]
-            return cycle, (u, v)
-    return None
+    return _chord_cycle(g, _two_path_cycle)
+
+
+def _require_chordless(g: Graph) -> None:
+    bad = is_chordless(g)
+    if bad is not None:
+        raise GraphError(f"graph has a chorded cycle {bad[0]} with chord {bad[1]}")
 
 
 class DecompositionNode(Record):
@@ -352,19 +365,28 @@ def _decompose(g: Graph, ids: list[int], steps: tuple) -> DecompositionNode:
     raise InternalError("graph in the class escaped every decomposition case")
 
 
+def _checked_tree(g: Graph, steps: tuple) -> DecompositionNode:
+    """The tree of a member g by ``steps``, once it has passed its replay."""
+    tree = _decompose(g, list(range(g.n)), steps)
+    if not replay_tree(g, tree):
+        raise InternalError("decomposition tree fails its replay")
+    return tree
+
+
 def decompose_chordless(g: Graph) -> DecompositionNode:
     """Decomposition tree down to sparse leaves via 1-cutsets and proper
     2-cutsets; blocks of a 2-cutset carry a fresh marker vertex adjacent
     to both cut vertices."""
-    bad = is_chordless(g)
-    if bad is not None:
-        raise GraphError(f"graph has a chorded cycle {bad[0]} with chord {bad[1]}")
-    return _decompose(g, list(range(g.n)), _CHORDLESS_STEPS)
+    _require_chordless(g)
+    return _checked_tree(g, _CHORDLESS_STEPS)
 
 
 def three_color_chordless(g: Graph) -> list[int]:
-    """A proper coloring with at most 3 colors by peeling low-degree
-    vertices; raises if some peel step finds none (not chordless)."""
+    """A proper coloring with at most 3 colors by peeling vertices of
+    degree <= 2, which every chordless graph has; the class is
+    hereditary, so a peel step that finds none is a broken invariant.
+    A graph with a chorded cycle raises GraphError naming it."""
+    _require_chordless(g)
     order = []
     alive = g.full_mask()
     adj = list(g.adj)
@@ -373,7 +395,7 @@ def three_color_chordless(g: Graph) -> list[int]:
             (u for u in bits(alive) if bit_count(adj[u] & alive) <= 2), None
         )
         if v is None:
-            raise GraphError("no vertex of degree <= 2: graph is not chordless")
+            raise InternalError("chordless graph with no vertex of degree <= 2")
         order.append(v)
         alive &= ~(1 << v)
     color = [-1] * g.n
@@ -401,12 +423,7 @@ class UniqueChordResult(Record):
 def find_unique_chord_cycle(g: Graph) -> tuple[list[int], tuple[int, int]] | None:
     """A cycle with exactly one chord: a hole of g - uv through u and v,
     for some edge uv."""
-    for u, v in g.edges():
-        h = _without_edge(g, u, v)
-        hole = hole_through_two(h, u, v)
-        if hole is not None:
-            return hole, (u, v)
-    return None
+    return _chord_cycle(g, hole_through_two)
 
 
 def _is_sub_named(g: Graph, which: Graph) -> bool:
@@ -421,12 +438,12 @@ def _is_sub_named(g: Graph, which: Graph) -> bool:
 
 def recognize_unique_chord_free(g: Graph) -> UniqueChordResult:
     """A cycle with exactly one chord, or else membership with a
-    replayable decomposition tree.  The decomposition runs only when the
-    cycle search finds nothing."""
+    decomposition tree that has passed its replay.  The decomposition
+    runs only when the cycle search finds nothing."""
     wit = find_unique_chord_cycle(g)
     if wit is not None:
         return UniqueChordResult(False, witness_cycle=wit[0], witness_chord=wit[1])
-    return UniqueChordResult(True, tree=_decompose(g, list(range(g.n)), _UNIQUE_CHORD_STEPS))
+    return UniqueChordResult(True, tree=_checked_tree(g, _UNIQUE_CHORD_STEPS))
 
 
 # -- coloring the unique-chord-free class ------------------------------------

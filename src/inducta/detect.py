@@ -74,12 +74,6 @@ class PrismWitness(Record):
                  paths: tuple[list[int], list[int], list[int]]):
         self.triangle_a, self.triangle_b, self.paths = triangle_a, triangle_b, paths
 
-    def vertices(self) -> list[int]:
-        out = set()
-        for p in self.paths:
-            out.update(p)
-        return sorted(out)
-
 
 def validate_prism(g: Graph, w: PrismWitness) -> bool:
     """Check the prism conditions: two disjoint triangles linked by three

@@ -53,9 +53,6 @@ class KStructWitness(Record):
     def cycle(self) -> list[int]:
         return [p[-1] for p in self.paths]
 
-    def terminals(self) -> list[int]:
-        return [p[0] for p in self.paths]
-
 
 class K4Witness(Record):
     __slots__ = ("hubs", "paths")
@@ -175,7 +172,7 @@ def validate_cubic_split(g: Graph, universe: int, terms: list[int], sp: CubicSpl
     return True
 
 
-def validate_kstruct(g: Graph, w: KStructWitness, check_decomposes: bool = True) -> bool:
+def validate_kstruct(g: Graph, w: KStructWitness) -> bool:
     k = len(w.paths)
     if k < 4:
         return False
@@ -197,14 +194,7 @@ def validate_kstruct(g: Graph, w: KStructWitness, check_decomposes: bool = True)
                     )
                     if g.has_edge(u, v) != expect:
                         return False
-    if check_decomposes:
-        terms = w.terminals()
-        others = mask_of(terms)
-        for i, p in enumerate(w.paths):
-            comp = g.reach(1 << terms[i], g.full_mask() & ~(1 << cyc[i]))
-            if comp & others & ~(1 << terms[i]):
-                return False
-    return True
+    return _kstruct_fail_index(g, w.paths, g.full_mask()) is None
 
 
 def validate_k4(g: Graph, w: K4Witness, check_decomposes: bool = True) -> bool:
@@ -815,7 +805,7 @@ def _solve_pendant(g: Graph, terms: list[int], k: int) -> TreeOrCertificate:
             return TreeOrCertificate("k4", g, terms, k4=wit)
         return TreeOrCertificate("tree-exists", g, terms)
     wit = KStructWitness(paths)
-    if not validate_kstruct(g, wit, check_decomposes=True):
+    if not validate_kstruct(g, wit):
         raise InternalError("final k-structure fails validation")
     return TreeOrCertificate("kstructure", g, terms, kstruct=wit)
 

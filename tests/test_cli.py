@@ -1,6 +1,8 @@
+import argparse
 import ast
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ import pytest
 
 import inducta
 from inducta import decompose, oracle
-from inducta.cli import main
+from inducta.cli import build_parser, main
 from inducta.graphs import WeightedGraph, format_graph
 from inducta.named import cycle, octahedron
 
@@ -56,6 +58,18 @@ def test_color_chordless(capsys):
 def test_color_class_breach_exit_2(capsys):
     code, _ = run(capsys, "color", "--class=wt", "--named=c:5")
     assert code == 2
+
+
+@pytest.mark.parametrize("text", [
+    "4 5\n0 1\n0 2\n0 3\n1 2\n1 3\n",
+    "7 7\n0 1\n0 2\n0 5\n1 4\n1 6\n2 6\n4 5\n",
+], ids=["diamond", "bipartite"])
+def test_color_chordless_refuses_a_chorded_cycle_exit_2(capsys, tmp_path, text):
+    p = tmp_path / "g.g"
+    p.write_text(text)
+    code, out, err = run_err(capsys, "color", "--class=chordless", str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: graph has a chorded cycle") and err.count("\n") == 1
 
 
 def test_gap_verify(capsys):
@@ -132,6 +146,15 @@ def test_berge_alpha(capsys, tmp_path):
     assert code == 0 and "alpha=3" in out
 
 
+def test_graph_file_may_follow_the_options(capsys, tmp_path):
+    """The file comes after an action's options as well as before them."""
+    p = tmp_path / "c6.g"
+    p.write_text(format_graph(cycle(6)))
+    for argv in (["berge", "omega"], ["gap", "compute"], ["detect", "prism"]):
+        assert run(capsys, *argv, str(p), "--format=json-lines") == \
+            run(capsys, *argv, "--format=json-lines", str(p))
+
+
 def test_berge_outside_class_exit_2(capsys):
     code, _ = run(capsys, "berge", "alpha", "--named=c:5")
     assert code == 2
@@ -191,6 +214,105 @@ def test_library_graph_error_exit_2(capsys, argv):
     code, out, err = run_err(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error:")
+
+
+def _readme_cli_lines() -> list[list[str]]:
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("inducta ")]
+
+
+def test_readme_cli_lines_parse():
+    lines = _readme_cli_lines()
+    assert len(lines) >= 14
+    for argv in lines:
+        args = build_parser().parse_args(argv)
+        assert callable(args.fn), argv
+
+
+# Each spelling passes an option to a command or action that never reads it,
+# or names a removed alias (``berge color`` for ``color --class=berge``,
+# ``gap verify`` for ``verify gap``): a usage error, never a silent no-op.
+_UNREAD = [
+    ["--format=json-lines", "invariants", "--named=c:5"],
+    ["--oracle-bound=3", "invariants", "--named=c:5"],
+    ["--each=d", "invariants", "--named=c:5"],
+    ["detect", "prism", "--named=c:6", "--oracle-bound=1"],
+    ["recognize", "--class=chordless", "--named=c:6", "--oracle-bound=1"],
+    ["classify", "--theorem=paw", "--named=c:6", "--oracle-bound=1"],
+    ["color", "--class=wt", "--named=c:6", "--oracle-bound=1"],
+    ["gap", "compute", "--named=c:5", "--oracle-bound=1"],
+    ["berge", "alpha", "--named=c:6", "--oracle-bound=1"],
+    ["gadget", "gamma", "--cnf=f.cnf", "--oracle-bound=1"],
+    ["verify", "gap", "--oracle-bound=1"],
+    ["gap", "verify", "--each=d"],
+    ["gadget", "gamma", "--cnf=f.cnf", "--each=d"],
+    ["verify", "gap", "--each=d"],
+    ["gap", "verify", "--named=c:5"],
+    ["gap", "verify", "g.g"],
+    ["gadget", "gamma", "--cnf=f.cnf", "--named=c:5"],
+    ["gadget", "gamma", "g.g", "--cnf=f.cnf"],
+    ["detect", "prism", "--named=c:6", "--terminals=0,1,2"],
+    ["detect", "hole-through", "--named=c:6", "--x=0", "--y=3", "--terminals=0,1,2"],
+    ["detect", "prism", "--named=c:6", "--x=0"],
+    ["detect", "prism", "--named=c:6", "--y=3"],
+    ["detect", "k-in-a-tree", "--named=c:6", "--terminals=0,2,4", "--x=0"],
+    ["detect", "k-in-a-tree", "--named=c:6", "--terminals=0,2,4", "--y=3"],
+    ["gadget", "prism", "--named=c:6", "--x=0", "--y=3", "--cnf=f.cnf"],
+    ["gadget", "gamma", "--cnf=f.cnf", "--x=0"],
+    ["gadget", "gamma", "--cnf=f.cnf", "--y=3"],
+    ["berge", "color", "--named=c:6"],
+    ["gap", "verify"],
+]
+
+
+@pytest.mark.parametrize("argv", _UNREAD, ids=" ".join)
+def test_unread_option_or_alias_exit_3(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 3 and captured.out == ""
+
+
+def _options(parser: argparse.ArgumentParser, prefix: str = "") -> dict[str, list[str]]:
+    """Every parser of the tree by its command words: its option strings,
+    and its positionals (with their choices) other than subcommands."""
+    out = {prefix: []}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sp in action.choices.items():
+                out.update(_options(sp, f"{prefix} {name}".strip()))
+        elif action.option_strings:
+            out[prefix] += action.option_strings
+        else:
+            out[prefix].append(action.dest + ("=" + "|".join(action.choices) if action.choices else ""))
+    return out
+
+
+def test_option_sets_are_pinned():
+    """Each command and action declares exactly the options it reads; a new
+    option shows up here."""
+    graph = ["--format", "input", "--named", "--each"]
+    assert _options(build_parser()) == {
+        "": ["-h", "--help"],
+        "invariants": ["-h", "--help", *graph, "--oracle-bound"],
+        "detect": ["-h", "--help"],
+        "detect prism": ["-h", "--help", *graph],
+        "detect k-in-a-tree": ["-h", "--help", *graph, "--terminals"],
+        "detect hole-through": ["-h", "--help", *graph, "--x", "--y"],
+        "recognize": ["-h", "--help", *graph, "--class"],
+        "classify": ["-h", "--help", *graph, "--theorem"],
+        "color": ["-h", "--help", *graph, "--class"],
+        "gap": ["-h", "--help"],
+        "gap compute": ["-h", "--help", *graph],
+        "berge": ["-h", "--help"],
+        "berge alpha": ["-h", "--help", *graph],
+        "berge omega": ["-h", "--help", *graph],
+        "gadget": ["-h", "--help"],
+        "gadget gamma": ["-h", "--help", "--format", "--cnf"],
+        "gadget prism": ["-h", "--help", *graph, "--x", "--y"],
+        "verify": ["-h", "--help", "--format", "what=gap"],
+    }
 
 
 def test_usage_error_exit_3(capsys):

@@ -1,5 +1,6 @@
 import inspect
 import random
+import re
 
 import pytest
 
@@ -247,6 +248,42 @@ def test_three_color_chordless():
         three_color_chordless(complete(4))
 
 
+# outside the class, yet every peel step finds a vertex of degree <= 2, so
+# only the membership check refuses them: the diamond, and a bipartite graph
+# whose 6-cycle 0-2-6-1-4-5 has the chord 01
+BIPARTITE_CHORDED = Graph(7, [(0, 1), (0, 2), (0, 5), (1, 4), (1, 6), (2, 6), (4, 5)])
+
+
+@pytest.mark.parametrize("g", [DIAMOND, BIPARTITE_CHORDED], ids=["diamond", "bipartite"])
+def test_three_color_chordless_refuses_a_chorded_cycle(g):
+    cyc, chord = is_chordless(g)
+    assert g.has_edge(*chord) and set(chord) <= set(cyc) and len(set(cyc)) == len(cyc) >= 4
+    assert all(g.has_edge(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
+    with pytest.raises(GraphError, match=re.escape(f"chorded cycle {cyc} with chord {chord}")):
+        three_color_chordless(g)
+
+
+def test_three_color_chordless_failed_peel_is_internal(monkeypatch):
+    """A chordless graph always has a vertex of degree <= 2, and so does
+    each of its induced subgraphs: once the membership check has passed,
+    a peel that finds none is a broken invariant."""
+    monkeypatch.setattr(decompose, "is_chordless", lambda g: None)
+    with pytest.raises(InternalError, match="no vertex of degree <= 2"):
+        three_color_chordless(complete(4))
+
+
+def test_skipped_chord_edges_close_no_cycle():
+    """The chord-edge loop skips every edge with an end of degree <= 2: on
+    every labelled graph with at most 6 vertices, neither search finds a
+    cycle through such an edge's ends once the edge is gone."""
+    for g in all_labelled_graphs(6):
+        for u, v in g.edges():
+            if bit_count(g.adj[u]) <= 2 or bit_count(g.adj[v]) <= 2:
+                h = decompose._without_edge(g, u, v)
+                assert decompose._two_path_cycle(h, u, v) is None, (g.edges(), u, v)
+                assert decompose.hole_through_two(h, u, v) is None, (g.edges(), u, v)
+
+
 # -- unique chord recognition -----------------------------------------------------
 
 def test_members_and_witnesses():
@@ -256,6 +293,16 @@ def test_members_and_witnesses():
     assert not got.member
     assert len(got.witness_cycle) == 4
     assert recognize_unique_chord_free(complete(4)).member
+
+
+def test_trees_are_replayed(monkeypatch):
+    """A member's tree is handed out only after its replay: a tree that
+    fails it is a broken invariant."""
+    monkeypatch.setattr(decompose, "replay_tree", lambda g, tree: False)
+    with pytest.raises(InternalError, match="fails its replay"):
+        recognize_unique_chord_free(petersen())
+    with pytest.raises(InternalError, match="fails its replay"):
+        decompose_chordless(two_subdivision(complete(5)))
 
 
 def test_recognition_oracle_agreement():
