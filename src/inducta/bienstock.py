@@ -258,13 +258,3 @@ def prism_reduction(g: Graph, a: int, b: int) -> tuple[Graph, dict[int, str]]:
     out.add_edge_unchecked(bi[4], pos[b2])
     out.add_edge_unchecked(ai[0], bi[0])
     return out, labels
-
-
-def count_triangles(g: Graph) -> int:
-    cnt = 0
-    for u, v in g.edges():
-        common = g.adj[u] & g.adj[v]
-        for w in range(g.n):
-            if common >> w & 1 and w > v:
-                cnt += 1
-    return cnt

@@ -79,8 +79,8 @@ def _find_4set(g: Graph, shape: str) -> list[int] | None:
 def classify_paw(g: Graph) -> SmallClassification:
     """No induced subdivision of the paw iff cycle, complete multipartite
     (k >= 2), or tree; otherwise an explicit subdivision witness."""
-    if not g.connected():
-        raise GraphError("paw classification needs a connected graph")
+    if g.n == 0 or not g.connected():
+        raise GraphError("paw classification needs a connected graph on at least one vertex")
 
     comp_cl = classify_p3(g.complement())
     if comp_cl.in_class and len(comp_cl.parts) >= 2:

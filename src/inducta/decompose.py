@@ -5,23 +5,19 @@ The cutset searches are exhaustively correct at desk scale: the stated
 search space (vertices, vertex pairs, partitions) is enumerated
 completely.
 
-Both decomposition theorems run on one driver.  Each class has a step
-table: its leaf tests, then its cut finders, in the order they are
-tried.  At each node the first step that applies either ends the node
-as a leaf or splits it into blocks, one per side of the cut; where a
+A unique-chord-free graph is basic or has a 1-cutset, a special
+2-cutset or a proper 1-join (Trotignon and Vuskovic).  Its tree applies
+the theorem's steps in order: components; clique, sparse, sub-Petersen
+and sub-Heawood leaves; 1-cutsets, special 2-cutsets, proper 1-joins.
+A cut splits the node into blocks, one per side; where a special
 2-cutset or proper 1-join removed the other side, a marker vertex (-1 in
-the tree) stands for it:
+the tree) stands for it.  A member that fits no step is a broken
+invariant and raises InternalError.
 
-- chordless graphs: sparse leaves; components, 1-cutsets, proper
-  2-cutsets;
-- unique-chord-free graphs: components; clique, sparse, sub-Petersen and
-  sub-Heawood leaves; 1-cutsets, special 2-cutsets, proper 1-joins.
-
-A member that fits no step is a broken invariant and raises
-InternalError.  Membership itself is decided by the input checks alone:
-a chorded cycle for chordless graphs, a cycle with exactly one chord for
-the other class.  The coloring of unique-chord-free members needs only
-that check, never the tree.
+Membership itself is decided by the input checks alone: a chorded cycle
+for chordless graphs, a cycle with exactly one chord for the other
+class.  The coloring of unique-chord-free members needs only that
+check, never the tree.
 """
 
 from __future__ import annotations
@@ -69,44 +65,6 @@ def _find_one_cutset(g: Graph) -> CutsetWitness | None:
     return None
 
 
-def _two_cutset_splits(g: Graph, a: int, b: int):
-    """All (X, Y) groupings of the components of g - {a, b}."""
-    rest = g.full_mask() & ~(1 << a) & ~(1 << b)
-    comps = g.components_of(rest)
-    if len(comps) < 2:
-        return
-    for assign in range(1, 1 << (len(comps) - 1)):
-        x = comps[0]
-        y = 0
-        for i, comp in enumerate(comps[1:], start=1):
-            if assign >> (i - 1) & 1:
-                y |= comp
-            else:
-                x |= comp
-        yield x, y
-
-
-def _find_proper_2_cutset(g: Graph) -> CutsetWitness | None:
-    if not g.connected():
-        return None
-    for a in range(g.n):
-        for b in range(a + 1, g.n):
-            if g.has_edge(a, b):
-                continue
-            ends = (1 << a) | (1 << b)
-            for x, y in _two_cutset_splits(g, a, b):
-                if g.is_path_mask(x | ends, a, b) or g.is_path_mask(y | ends, a, b):
-                    continue
-                return CutsetWitness("proper_2_cutset", (a, b), x, y)
-    return None
-
-
-def _side_has_ab_path(g: Graph, side: int, a: int, b: int) -> bool:
-    return bool(g.adj[a] & side) and bool(
-        g.reach(g.adj[a] & side, side) & g.adj[b]
-    )
-
-
 def _find_special_2_cutset(g: Graph) -> CutsetWitness | None:
     if not g.connected():
         return None
@@ -116,10 +74,19 @@ def _find_special_2_cutset(g: Graph) -> CutsetWitness | None:
         for b in range(a + 1, g.n):
             if g.degree(b) < 3 or g.has_edge(a, b):
                 continue
-            for x, y in _two_cutset_splits(g, a, b):
-                if bit_count(x) < 2 or bit_count(y) < 2:
+            rest = g.full_mask() & ~(1 << a) & ~(1 << b)
+            comps = g.components_of(rest)
+            # a union of components holds an a-b path iff one of them
+            # meets both N(a) and N(b)
+            linked = mask_of(i for i, c in enumerate(comps) if g.adj[a] & c and g.adj[b] & c)
+            for in_y in range(2, 1 << len(comps), 2):  # comps[0] stays in X
+                if not (linked & in_y and linked & ~in_y):
                     continue
-                if _side_has_ab_path(g, x, a, b) and _side_has_ab_path(g, y, a, b):
+                y = 0
+                for i in bits(in_y):
+                    y |= comps[i]
+                x = rest & ~y
+                if bit_count(x) >= 2 and bit_count(y) >= 2:
                     return CutsetWitness("special_2_cutset", (a, b), x, y)
     return None
 
@@ -147,12 +114,8 @@ def _find_proper_1_join(g: Graph) -> CutsetWitness | None:
         raise TooLargeError(f"1-join partition search bound {PARTITION_SEARCH_BOUND} exceeded")
     if g.n < 4:
         return None
-    rest = list(range(1, g.n))
     for sub in range(1 << (g.n - 1)):
-        x = 1
-        for i, v in enumerate(rest):
-            if sub >> i & 1:
-                x |= 1 << v
+        x = sub << 1 | 1
         y = g.full_mask() & ~x
         if bit_count(x) < 2 or bit_count(y) < 2:
             continue
@@ -220,6 +183,35 @@ def _require_chordless(g: Graph) -> None:
         raise GraphError(f"graph has a chorded cycle {bad[0]} with chord {bad[1]}")
 
 
+def three_color_chordless(g: Graph) -> list[int]:
+    """A proper coloring with at most 3 colors by peeling vertices of
+    degree <= 2, which every chordless graph has; the class is
+    hereditary, so a peel step that finds none is a broken invariant.
+    A graph with a chorded cycle raises GraphError naming it."""
+    _require_chordless(g)
+    order = []
+    alive = g.full_mask()
+    adj = list(g.adj)
+    while alive:
+        v = next(
+            (u for u in bits(alive) if bit_count(adj[u] & alive) <= 2), None
+        )
+        if v is None:
+            raise InternalError("chordless graph with no vertex of degree <= 2")
+        order.append(v)
+        alive &= ~(1 << v)
+    color = [-1] * g.n
+    for v in reversed(order):
+        used = {color[w] for w in bits(g.adj[v]) if color[w] >= 0}
+        c = next(i for i in range(3) if i not in used)
+        color[v] = c
+    if any(color[u] == color[v] for u, v in g.edges()):
+        raise InternalError("chordless 3-coloring is not proper")
+    return color
+
+
+# -- the decomposition tree ------------------------------------------------------
+
 class DecompositionNode(Record):
     __slots__ = ("kind", "vertices", "cut", "children", "join_a", "join_b")
 
@@ -227,8 +219,8 @@ class DecompositionNode(Record):
                  children: list[DecompositionNode] | None = None,
                  join_a: list[int] | None = None, join_b: list[int] | None = None):
         self.kind = kind  # 'sparse' | 'clique' | 'sub-petersen' | 'sub-heawood' |
-        #                   'one_cutset' | 'proper_2_cutset' | 'special_2_cutset' |
-        #                   'proper_1_join' | 'components'
+        #                   'one_cutset' | 'special_2_cutset' | 'proper_1_join' |
+        #                   'components'
         self.vertices = [] if vertices is None else vertices  # leaf vertices (original ids)
         self.cut = cut
         self.children = [] if children is None else children
@@ -289,31 +281,6 @@ def is_sparse(g: Graph) -> bool:
     )
 
 
-# -- the decomposition driver -------------------------------------------------
-#
-# A step is a leaf test, (leaf kind, predicate), or a cut finder named by
-# its module-level name: the driver looks it up when it runs it, so a
-# replaced finder is the one that runs.
-
-_CHORDLESS_STEPS = (
-    ("sparse", is_sparse),
-    "_find_components",
-    "_find_one_cutset",
-    "_find_proper_2_cutset",
-)
-
-_UNIQUE_CHORD_STEPS = (
-    "_find_components",
-    ("clique", lambda g: g.is_clique_mask(g.full_mask())),
-    ("sparse", is_sparse),
-    ("sub-petersen", lambda g: _is_sub_named(g, petersen())),
-    ("sub-heawood", lambda g: _is_sub_named(g, heawood())),
-    "_find_one_cutset",
-    "_find_special_2_cutset",
-    "_find_proper_1_join",
-)
-
-
 def _find_components(g: Graph) -> CutsetWitness | None:
     """A disconnected graph as a cut by the empty set."""
     comps = g.components()
@@ -341,71 +308,33 @@ def _blocks(g: Graph, cut: CutsetWitness) -> list[tuple[Graph, list[int]]]:
     return blocks
 
 
-def _decompose(g: Graph, ids: list[int], steps: tuple) -> DecompositionNode:
-    """The tree of g by the first step of ``steps`` that applies; ``ids``
-    gives g's vertices in the input graph, -1 for markers."""
-    for step in steps:
-        if isinstance(step, tuple):
-            kind, is_leaf = step
-            if is_leaf(g):
-                return DecompositionNode(kind, vertices=list(ids))
-            continue
-        cut = globals()[step](g)
-        if cut is not None:
-            return DecompositionNode(
-                cut.kind,
-                cut=tuple(ids[v] for v in cut.vertices),
-                children=[
-                    _decompose(blk, [ids[v] for v in old] + [-1] * (blk.n - len(old)), steps)
-                    for blk, old in _blocks(g, cut)
-                ],
-                join_a=[ids[v] for v in bits(cut.a_side)],
-                join_b=[ids[v] for v in bits(cut.b_side)],
-            )
-    raise InternalError("graph in the class escaped every decomposition case")
-
-
-def _checked_tree(g: Graph, steps: tuple) -> DecompositionNode:
-    """The tree of a member g by ``steps``, once it has passed its replay."""
-    tree = _decompose(g, list(range(g.n)), steps)
-    if not replay_tree(g, tree):
-        raise InternalError("decomposition tree fails its replay")
-    return tree
-
-
-def decompose_chordless(g: Graph) -> DecompositionNode:
-    """Decomposition tree down to sparse leaves via 1-cutsets and proper
-    2-cutsets; blocks of a 2-cutset carry a fresh marker vertex adjacent
-    to both cut vertices."""
-    _require_chordless(g)
-    return _checked_tree(g, _CHORDLESS_STEPS)
-
-
-def three_color_chordless(g: Graph) -> list[int]:
-    """A proper coloring with at most 3 colors by peeling vertices of
-    degree <= 2, which every chordless graph has; the class is
-    hereditary, so a peel step that finds none is a broken invariant.
-    A graph with a chorded cycle raises GraphError naming it."""
-    _require_chordless(g)
-    order = []
-    alive = g.full_mask()
-    adj = list(g.adj)
-    while alive:
-        v = next(
-            (u for u in bits(alive) if bit_count(adj[u] & alive) <= 2), None
-        )
-        if v is None:
-            raise InternalError("chordless graph with no vertex of degree <= 2")
-        order.append(v)
-        alive &= ~(1 << v)
-    color = [-1] * g.n
-    for v in reversed(order):
-        used = {color[w] for w in bits(g.adj[v]) if color[w] >= 0}
-        c = next(i for i in range(3) if i not in used)
-        color[v] = c
-    if any(color[u] == color[v] for u, v in g.edges()):
-        raise InternalError("chordless 3-coloring is not proper")
-    return color
+def _decompose(g: Graph, ids: list[int]) -> DecompositionNode:
+    """The tree of g by the theorem's first step that applies: components;
+    clique, sparse, sub-Petersen and sub-Heawood leaves; 1-cutset, special
+    2-cutset, proper 1-join.  ``ids`` gives g's vertices in the input
+    graph, -1 for markers."""
+    cut = _find_components(g)
+    if cut is None:
+        leaf = ("clique" if g.is_clique_mask(g.full_mask())
+                else "sparse" if is_sparse(g)
+                else "sub-petersen" if _is_sub_named(g, petersen())
+                else "sub-heawood" if _is_sub_named(g, heawood())
+                else None)
+        if leaf is not None:
+            return DecompositionNode(leaf, vertices=list(ids))
+        cut = _find_one_cutset(g) or _find_special_2_cutset(g) or _find_proper_1_join(g)
+        if cut is None:
+            raise InternalError("graph in the class escaped every decomposition case")
+    return DecompositionNode(
+        cut.kind,
+        cut=tuple(ids[v] for v in cut.vertices),
+        children=[
+            _decompose(blk, [ids[v] for v in old] + [-1] * (blk.n - len(old)))
+            for blk, old in _blocks(g, cut)
+        ],
+        join_a=[ids[v] for v in bits(cut.a_side)],
+        join_b=[ids[v] for v in bits(cut.b_side)],
+    )
 
 
 # -- cycles with a unique chord --------------------------------------------
@@ -443,7 +372,10 @@ def recognize_unique_chord_free(g: Graph) -> UniqueChordResult:
     wit = find_unique_chord_cycle(g)
     if wit is not None:
         return UniqueChordResult(False, witness_cycle=wit[0], witness_chord=wit[1])
-    return UniqueChordResult(True, tree=_checked_tree(g, _UNIQUE_CHORD_STEPS))
+    tree = _decompose(g, list(range(g.n)))
+    if not replay_tree(g, tree):
+        raise InternalError("decomposition tree fails its replay")
+    return UniqueChordResult(True, tree=tree)
 
 
 # -- coloring the unique-chord-free class ------------------------------------
@@ -489,61 +421,41 @@ def chi_unique_chord_free(g: Graph) -> tuple[int, list[int]]:
 def _chi_member(g: Graph) -> tuple[int, list[int]]:
     if g.n == 0:
         return 0, []
-    comps = g.components()
-    if len(comps) > 1:
-        color = [0] * g.n
-        chi = 0
-        for comp in comps:
-            sub, old = g.induced_mask(comp)
-            c_chi, c_col = _chi_member(sub)
-            chi = max(chi, c_chi)
-            for i, o in enumerate(old):
-                color[o] = c_col[i]
-        return chi, color
-    if g.bipartition() is not None:
-        return (1 if g.edge_count() == 0 else 2), _two_color(g)
-    tri = g.triangle()
-    if tri is None:
-        # triangle-free, not bipartite: chi = 3 via a third color that
-        # holds N(v) and misses v (the shape-1 admissible pair)
-        v = _min_degree_vertex(g)
-        s = _third_color(g, include=g.adj[v], exclude=1 << v)
-        if s is None:
-            raise InternalError("no third color for a member of the class")
-        rest, old = g.induced_mask(g.full_mask() & ~s)
-        two = _two_color(rest)
-        color = [2] * g.n
-        for i, o in enumerate(old):
-            color[o] = two[i]
-        if any(color[x] == color[y] for x, y in g.edges()):
-            raise InternalError("third-color coloring is not proper")
-        return 3, color
-    if g.is_clique_mask(g.full_mask()):
-        return g.n, list(range(g.n))
-    cut = _find_one_cutset(g)
+    cut = _find_components(g)
     if cut is None:
-        raise InternalError("member with a triangle must be a clique or have a 1-cutset")
-    v = cut.vertices[0]
+        if g.bipartition() is not None:
+            return (1 if g.edge_count() == 0 else 2), _two_color(g)
+        if g.triangle() is None:
+            # triangle-free, not bipartite: chi = 3 via a third color that
+            # holds N(v) and misses v (the shape-1 admissible pair)
+            v = _min_degree_vertex(g)
+            s = _third_color(g, include=g.adj[v], exclude=1 << v)
+            if s is None:
+                raise InternalError("no third color for a member of the class")
+            rest, old = g.induced_mask(g.full_mask() & ~s)
+            two = _two_color(rest)
+            color = [2] * g.n
+            for i, o in enumerate(old):
+                color[o] = two[i]
+            if any(color[x] == color[y] for x, y in g.edges()):
+                raise InternalError("third-color coloring is not proper")
+            return 3, color
+        if g.is_clique_mask(g.full_mask()):
+            return g.n, list(range(g.n))
+        cut = _find_one_cutset(g)
+        if cut is None:
+            raise InternalError("member with a triangle must be a clique or have a 1-cutset")
+    # color the blocks apart and glue them, the cut vertex on color 0
     color = [0] * g.n
     chi = 0
-    for side in (cut.x, cut.y):
-        sub, old = g.induced_mask(side | (1 << v))
-        pos = {o: i for i, o in enumerate(old)}
-        c_chi, c_col = _chi_member(sub)
+    for blk, old in _blocks(g, cut):
+        c_chi, c_col = _chi_member(blk)
         chi = max(chi, c_chi)
-        # align the cut vertex on color 0
-        pivot = c_col[pos[v]]
-        for i, o in enumerate(old):
-            c = c_col[i]
-            if c == pivot:
-                c = 0
-            elif c == 0:
-                c = pivot
-            if o != v:
-                color[o] = c
-    color[v] = 0
+        pivot = c_col[old.index(cut.vertices[0])] if cut.vertices else 0
+        for o, c in zip(old, c_col):
+            color[o] = 0 if c == pivot else pivot if c == 0 else c
     if any(color[x] == color[y] for x, y in g.edges()):
-        raise InternalError("1-cutset glued coloring is not proper")
+        raise InternalError("glued block coloring is not proper")
     return chi, color
 
 

@@ -110,52 +110,53 @@ def two_subdivision(g: Graph) -> Graph:
 
 
 def named_graph(name: str, *params: int) -> Graph:
-    """Build a named graph; ``name`` may carry params as 'c:5' style specs."""
-    if ":" in name and not params:
-        head, _, tail = name.partition(":")
-        return named_graph(head, *[int(x) for x in tail.split(",") if x])
+    """Build the named graph ``name`` with its integer parameters."""
     key = name.lower().replace("-", "_")
     simple = {
         "petersen": petersen,
         "heawood": heawood,
         "wagner": wagner,
         "r35": r35,
-        "r": r35,
         "a6": a6,
         "octahedron": octahedron,
         "l_k33": line_k33,
-        "lk33": line_k33,
     }
     if key in simple:
         if params:
             raise GraphError(f"{name} takes no parameters")
         return simple[key]()
-    param1 = {"c": cycle, "cn": cycle, "p": path, "pn": path, "k": complete, "kn": complete}
+    param1 = {"c": cycle, "p": path, "k": complete}
     if key in param1:
         if len(params) != 1:
             raise GraphError(f"{name} takes one parameter")
         return param1[key](params[0])
-    if key in ("k_mn", "kmn", "kbip"):
+    if key == "k_mn":
         if len(params) != 2:
             raise GraphError(f"{name} takes two parameters")
         return complete_bipartite(*params)
-    if key in ("disjoint", "copies"):
-        raise GraphError("disjoint copies take a base graph; use disjoint_copies()")
     raise GraphError(f"unknown named graph {name!r}")
+
+
+def _int_param(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise GraphError(f"named graph parameter {text!r} is not an integer") from None
 
 
 def parse_named_spec(spec: str) -> Graph:
     """Parse CLI specs like 'petersen', 'c:7', 'k_mn:3,3',
-    'two-subdivision:k:5', 'copies:c:5,2'."""
-    head, _, tail = spec.partition(":")
+    'two-subdivision:k:5', 'copies:c:5,2'.  Every parameter after the
+    ':' is an integer; an empty or non-integer one raises GraphError."""
+    head, colon, tail = spec.partition(":")
     key = head.lower().replace("-", "_")
-    if key in ("two_subdivision", "twosub"):
+    if key == "two_subdivision":
         if not tail:
             raise GraphError("two-subdivision needs a base graph spec")
         return two_subdivision(parse_named_spec(tail))
-    if key in ("copies", "disjoint"):
+    if key == "copies":
         base, _, count = tail.rpartition(",")
         if not base:
             raise GraphError("copies spec is 'copies:<base>,<t>'")
-        return disjoint_copies(parse_named_spec(base), int(count))
-    return named_graph(spec)
+        return disjoint_copies(parse_named_spec(base), _int_param(count))
+    return named_graph(head, *(_int_param(x) for x in tail.split(",") if colon))

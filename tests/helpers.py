@@ -498,6 +498,10 @@ def oracle_components_of(g: Graph, mask: int) -> list[set[int]]:
     return out
 
 
+def count_triangles(g: Graph) -> int:
+    return sum(1 for u, v in g.edges() for w in bits(g.adj[u] & g.adj[v]) if w > v)
+
+
 def oracle_girth(g: Graph) -> int | None:
     best = None
     for s in range(g.n):
@@ -901,14 +905,6 @@ def _connected(nb: list[int], s: int) -> bool:
     return _spread(nb, s & -s, s) == s
 
 
-def _is_ab_path(g: Graph, nb: list[int], s: int, a: int, b: int) -> bool:
-    """Does ``s`` induce a path with ends a and b: connected, a and b of
-    degree 1 in it and every other vertex of degree 2?"""
-    return _connected(nb, s) and all(
-        bit_count(g.adj[v] & s) == (1 if v in (a, b) else 2) for v in bits(s)
-    )
-
-
 def _nonadjacent_pairs(g: Graph):
     return [(a, b) for a, b in itertools.combinations(range(g.n), 2) if not g.adj[a] >> b & 1]
 
@@ -921,23 +917,6 @@ def oracle_has_one_cutset(g: Graph) -> bool:
     return _connected(nb, full) and any(
         not nb[x] & y for v in range(g.n) for x, y in _splits(full & ~(1 << v))
     )
-
-
-def oracle_has_proper_2_cutset(g: Graph) -> bool:
-    """Nonadjacent a, b of a connected graph and a split of V - {a, b}
-    into X, Y with no edge between them, where neither X + {a, b} nor
-    Y + {a, b} induces an a-b path."""
-    nb = _neighbourhoods(g)
-    full = g.full_mask()
-    if not _connected(nb, full):
-        return False
-    for a, b in _nonadjacent_pairs(g):
-        ends = (1 << a) | (1 << b)
-        for x, y in _splits(full & ~ends):
-            if not nb[x] & y and not _is_ab_path(g, nb, x | ends, a, b) \
-                    and not _is_ab_path(g, nb, y | ends, a, b):
-                return True
-    return False
 
 
 def oracle_has_special_2_cutset(g: Graph) -> bool:
@@ -1003,8 +982,6 @@ def cut_witness_holds(g: Graph, w) -> bool:
     if len(w.vertices) != 2 or g.has_edge(*w.vertices):
         return False
     a, b = w.vertices
-    if w.kind == "proper_2_cutset":
-        return not any(_is_ab_path(g, nb, side | cut, a, b) for side in (w.x, w.y))
     if w.kind == "special_2_cutset":
         return (g.degree(a) >= 3 and g.degree(b) >= 3
                 and bit_count(w.x) >= 2 and bit_count(w.y) >= 2

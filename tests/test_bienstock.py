@@ -3,10 +3,10 @@ import random
 
 import pytest
 
+from helpers import count_triangles
 from inducta.bienstock import (
     Cnf3,
     assignment_hole,
-    count_triangles,
     format_dimacs_cnf,
     gamma_gadget,
     parse_dimacs_cnf,

@@ -57,6 +57,10 @@ def test_paw_positive_cases():
 def test_paw_requires_connected():
     with pytest.raises(GraphError):
         classify_small(cycle(3).union_disjoint(cycle(3)), "paw")
+    # the null graph counts as connected for Graph.connected(), but it has
+    # no cycle, tree or multipartite shape to report
+    with pytest.raises(GraphError):
+        classify_small(Graph(0), "paw")
 
 
 def _is_paw_subdivision(g: Graph, witness: list[int]) -> bool:

@@ -216,6 +216,23 @@ def test_library_graph_error_exit_2(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("spec", [
+    "k:x", "copies:petersen,x", "c:5,", "c:,5", "r", "kmn:2,3", "twosub:k:5", "disjoint:c:5,2",
+])
+def test_bad_named_spec_exit_3(capsys, spec):
+    code, out, err = run_err(capsys, "invariants", f"--named={spec}")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: bad named graph spec:")
+
+
+def test_paw_on_the_null_graph_exit_2(capsys, tmp_path):
+    p = tmp_path / "null.g"
+    p.write_text("0 0\n")
+    code, out, err = run_err(capsys, "classify", "--theorem=paw", str(p))
+    assert (code, out) == (2, "")
+    assert "connected" in err
+
+
 def _readme_cli_lines() -> list[list[str]]:
     text = (Path(__file__).parents[1] / "README.md").read_text()
     block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import random
 import re
 
@@ -10,7 +11,6 @@ from helpers import (
     cycle_with_unique_chord_present,
     oracle_has_one_cutset,
     oracle_has_proper_1_join,
-    oracle_has_proper_2_cutset,
     oracle_has_special_2_cutset,
     random_graph,
 )
@@ -18,9 +18,7 @@ from inducta.decompose import (
     replay_tree,
     DecompositionNode,
     chi_unique_chord_free,
-    decompose_chordless,
     is_chordless,
-    is_sparse,
     recognize_unique_chord_free,
     three_color_chordless,
 )
@@ -46,24 +44,6 @@ def test_one_cutset():
     w = decompose._find_one_cutset(g)
     assert w is not None and w.vertices == (2,)
     assert decompose._find_one_cutset(cycle(5)) is None
-
-
-def test_proper_2_cutset_c6_none():
-    assert decompose._find_proper_2_cutset(cycle(6)) is None
-
-
-def test_proper_2_cutset_four_branches():
-    # grouping the two short branches against the two long ones leaves
-    # no path side, so {0, 1} is a proper 2-cutset
-    g = Graph(8, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 5), (5, 1),
-                  (0, 6), (6, 7), (7, 1)])
-    w = decompose._find_proper_2_cutset(g)
-    assert w is not None and set(w.vertices) == {0, 1}
-
-    # a three-branch theta has no proper 2-cutset: one side is always a path
-    theta = Graph(8, [(0, 2), (2, 3), (3, 1), (0, 4), (4, 5), (5, 1),
-                      (0, 6), (6, 7), (7, 1)])
-    assert decompose._find_proper_2_cutset(theta) is None
 
 
 def test_special_2_cutset():
@@ -93,7 +73,6 @@ def test_proper_1_join():
 
 CUT_ORACLES = {
     "one_cutset": oracle_has_one_cutset,
-    "proper_2_cutset": oracle_has_proper_2_cutset,
     "special_2_cutset": oracle_has_special_2_cutset,
     "proper_1_join": oracle_has_proper_1_join,
 }
@@ -118,14 +97,49 @@ def test_cut_finders_match_oracles():
     assert min(found.values()) >= 100, found
 
 
+def _theta(lengths, cut=0):
+    """Branch vertices 0 and 1 joined by paths of the given lengths; the
+    first ``cut`` paths lose their edge at 1 and hang from 0 alone, each a
+    component of G - {0, 1} that holds no 0-1 path."""
+    edges, n = [], 2
+    for i, length in enumerate(lengths):
+        path = [0, *range(n, n + length - 1)] + ([] if i < cut else [1])
+        edges += zip(path, path[1:])
+        n += length - 1
+    return Graph(n, edges)
+
+
+def test_special_2_cutset_on_many_branches():
+    """Thetas with 4 to 6 branches of lengths 2 and 3 (n <= 12), and the
+    same with up to k - 3 branches cut from vertex 1: G - {0, 1} has up to
+    six components, where the 5-vertex graphs above leave at most three,
+    and the cut branches push the first grouping that works further
+    down the enumeration."""
+    seen = 0
+    for k in (4, 5, 6):
+        for lengths in itertools.combinations_with_replacement((2, 3), k):
+            if 2 + sum(length - 1 for length in lengths) > 12:
+                continue
+            for cut in range(k - 2):
+                g = _theta(lengths, cut)
+                assert len(g.components_of(g.full_mask() & ~3)) == k
+                w = decompose._find_special_2_cutset(g)
+                assert (w is not None) == oracle_has_special_2_cutset(g), (lengths, cut)
+                assert w is None or cut_witness_holds(g, w), (lengths, cut, w)
+                got = recognize_unique_chord_free(g)
+                assert got.member and replay_tree(g, got.tree), (lengths, cut)
+                seen += 1
+    assert seen == 48
+
+
 def test_every_finder_is_a_decomposition_step():
-    """A cut finder that no step table names is code nothing reaches."""
+    """A cut finder that the decomposition step does not call is code
+    nothing reaches."""
     finders = {
         name for name, obj in vars(decompose).items()
         if name.startswith("_find_") and inspect.isfunction(obj) and obj.__module__ == decompose.__name__
     }
-    steps = {s for s in decompose._CHORDLESS_STEPS + decompose._UNIQUE_CHORD_STEPS if isinstance(s, str)}
-    assert finders == steps
+    assert finders <= set(decompose._decompose.__code__.co_names)
 
 
 # -- chordless graphs ------------------------------------------------------------
@@ -139,26 +153,6 @@ def test_chordless_basics():
     assert is_chordless(two_subdivision(complete(5))) is None
 
 
-def test_decompose_chordless_sparse_leaves():
-    g = two_subdivision(complete(5))
-    tree = decompose_chordless(g)
-    for leaf in tree.leaves():
-        assert leaf.kind == "sparse"
-        sub, _ = g.induced([v for v in leaf.vertices if v >= 0])
-        assert is_sparse(sub)
-    assert replay_tree(g, tree)
-
-
-def test_decompose_chordless_blocks():
-    # two K23 thetas glued on a 2-cutset need proper-2-cutset blocks
-    g = Graph(8, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 5), (5, 1),
-                  (0, 6), (6, 7), (7, 1)])
-    assert is_chordless(g) is None
-    tree = decompose_chordless(g)
-    kinds = {leaf.kind for leaf in tree.leaves()}
-    assert kinds == {"sparse"}
-
-
 def _leaf(kind, *vertices):
     return DecompositionNode(kind, vertices=list(vertices))
 
@@ -166,21 +160,6 @@ def _leaf(kind, *vertices):
 def _split(kind, cut, *children, join_a=(), join_b=()):
     return DecompositionNode(kind, cut=cut, children=list(children),
                              join_a=list(join_a), join_b=list(join_b))
-
-
-def test_decompose_chordless_exact_tree():
-    """A 1-cutset found before the proper 2-cutset the root also has, and
-    a disconnected sparse graph kept whole: the chordless step order."""
-    g = Graph(8, [(0, 2), (0, 3), (0, 5), (1, 2), (1, 5), (1, 6), (1, 7), (2, 4), (3, 6), (3, 7)])
-    assert decompose._find_proper_2_cutset(g) is not None
-    assert decompose_chordless(g) == _split(
-        "one_cutset", (2,),
-        _split("proper_2_cutset", (0, 1), _leaf("sparse", 0, 1, 2, 5, -1),
-               _leaf("sparse", 0, 1, 3, 6, 7, -1)),
-        _leaf("sparse", 2, 4),
-    )
-    two_squares = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)])
-    assert decompose_chordless(two_squares) == _leaf("sparse", *range(8))
 
 
 def test_unique_chord_proper_1_join_exact_tree():
@@ -226,17 +205,6 @@ def test_unique_chord_leaf_order():
     # one leg longer, and Petersen no longer holds it
     longer = Graph(7, [(0, 1), (1, 2), (1, 5), (2, 3), (4, 5), (5, 6)])
     assert recognize_unique_chord_free(longer).tree == _leaf("sub-heawood", *range(7))
-
-
-def test_chordless_fall_through_is_internal(monkeypatch):
-    """A chordless graph that is not sparse is split by a 1-cutset or a
-    proper 2-cutset; without their finders nothing applies, which is a
-    broken invariant, not a bad input."""
-    g = Graph(8, [(0, 2), (0, 3), (0, 5), (1, 2), (1, 5), (1, 6), (1, 7), (2, 4), (3, 6), (3, 7)])
-    for finder in ("_find_one_cutset", "_find_proper_2_cutset"):
-        monkeypatch.setattr(decompose, finder, lambda g: None)
-    with pytest.raises(InternalError, match="escaped every decomposition case"):
-        decompose_chordless(g)
 
 
 def test_three_color_chordless():
@@ -301,8 +269,6 @@ def test_trees_are_replayed(monkeypatch):
     monkeypatch.setattr(decompose, "replay_tree", lambda g, tree: False)
     with pytest.raises(InternalError, match="fails its replay"):
         recognize_unique_chord_free(petersen())
-    with pytest.raises(InternalError, match="fails its replay"):
-        decompose_chordless(two_subdivision(complete(5)))
 
 
 def test_recognition_oracle_agreement():

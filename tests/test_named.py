@@ -81,3 +81,21 @@ def test_parse_named_spec():
     assert parse_named_spec("two-subdivision:k:5").n == 5 + 2 * 10
     assert parse_named_spec("copies:c:5,2").n == 10
     assert parse_named_spec("heawood").n == 14
+
+
+@pytest.mark.parametrize("spec", [
+    "k:x", "copies:petersen,x", "c:5,", "c:,5", "c:", "petersen:", "k_mn:2,,3", "copies:c:5,",
+])
+def test_bad_spec_parameter_is_a_graph_error(spec):
+    """Every parameter after the ':' is an integer: an empty or
+    non-integer one is refused, never dropped or left to int()."""
+    with pytest.raises(GraphError, match="not an integer"):
+        parse_named_spec(spec)
+
+
+@pytest.mark.parametrize("spec", [
+    "r", "lk33", "cn:5", "pn:3", "kn:3", "kmn:2,3", "kbip:2,3", "disjoint:c:5,2", "twosub:k:5",
+])
+def test_removed_aliases_are_refused(spec):
+    with pytest.raises(GraphError):
+        parse_named_spec(spec)
