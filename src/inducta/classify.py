@@ -447,6 +447,44 @@ def _two_pair_in(g: Graph, u: int) -> tuple[int, int]:
     return a, b
 
 
+def _partner(g: Graph, live: int, z: int) -> int | None:
+    """The lowest w with {z, w} a 2-pair of G[live], or None.
+
+    Lemma: for w outside N[z], {z, w} is a 2-pair exactly when every
+    vertex of N(z) with a neighbor in w's component K of G[live - N[z]]
+    is adjacent to w.  A shortest z-w path that avoids N(z) & N(w) leaves
+    z once, through a vertex of N(z) - N(w), and then stays inside K;
+    conversely such a vertex with a neighbor in K starts one.  So each
+    component takes one reach and the union of its neighborhoods, whose
+    part in N(z) every partner inside it must be adjacent to.  Components
+    come by lowest vertex: the sweep stops at the first one that starts
+    above the partner found so far."""
+    adj = g.adj
+    nz = adj[z] & live
+    outside = rest = live & ~nz & ~(1 << z)
+    found = 0
+    while rest:
+        low = rest & -rest
+        if found and low > found:
+            break
+        comp = g.reach(low, outside)
+        rest &= ~comp
+        nb, scan = 0, comp
+        while scan:
+            bit = scan & -scan
+            nb |= adj[bit.bit_length() - 1]
+            scan ^= bit
+        border = nb & nz
+        scan = comp & (found - 1)  # below the partner found so far (all of comp when none)
+        while scan:
+            bit = scan & -scan
+            if not border & ~adj[bit.bit_length() - 1]:
+                found = bit
+                break
+            scan ^= bit
+    return found.bit_length() - 1 if found else None
+
+
 def color_weakly_triangulated(g: Graph) -> list[int]:
     """A proper coloring with omega(g) colors by repeated 2-pair
     contraction; validated on return.
@@ -455,8 +493,9 @@ def color_weakly_triangulated(g: Graph) -> list[int]:
     vertices: contracting b into a gives a the neighbors of b and drops b
     from the mask (dead vertices' bits stay in the lists, masked off).
     The next pair {a, w} is sought first at a, the vertex the last
-    contraction made, with w the lowest live non-neighbor that passes the
-    reach criterion; ``find_two_pair`` on the live mask serves the rest.
+    contraction made, with w its lowest partner (``_partner``, one sweep
+    over the components outside N[a]); ``find_two_pair`` on the live mask
+    serves the rest.
     An a adjacent to every live vertex stays so under every later
     contraction, so it is set aside instead.  Contracting a 2-pair keeps
     the graph weakly triangulated and keeps omega, so the final clique
@@ -478,10 +517,9 @@ def color_weakly_triangulated(g: Graph) -> list[int]:
                 aside |= 1 << z
                 live ^= 1 << z
             else:
-                for w in bits(live & ~nz & ~(1 << z)):
-                    if not work.reach(1 << z, live & ~(nz & adj[w])) >> w & 1:
-                        pair = z, w
-                        break
+                w = _partner(work, live, z)
+                if w is not None:
+                    pair = z, w
         if pair is None:
             try:
                 found = find_two_pair(work, live)

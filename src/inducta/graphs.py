@@ -4,8 +4,10 @@ Graphs are simple, finite and undirected.  Vertices are the integers
 0..n-1 and the adjacency of each vertex is stored as a Python int used
 as a bitset, which keeps neighborhood intersections and unions cheap
 for everything downstream (detectors, oracles, cutset searches).
-The hot sweeps (``reach``, ``layers``, ``is_clique_mask``) walk a mask
-with an inline lowest-bit loop rather than the ``bits`` generator.
+The hot sweeps (``reach``, ``layers``, ``is_clique_mask``, ``girth``,
+``is_tree_mask``) walk a mask with an inline lowest-bit loop rather than
+the ``bits`` generator, and ``is_induced_path`` tests each vertex's
+neighborhood on the path as one mask.
 """
 
 from __future__ import annotations
@@ -314,16 +316,48 @@ class Graph:
 
     def girth(self, below: int | None = None) -> int | None:
         """Length of a shortest cycle, or None for forests.  With
-        ``below``, the girth if it is less than ``below``, else None."""
-        cyc = self.shortest_cycle(below)
-        return None if cyc is None else len(cyc)
+        ``below``, the girth if it is less than ``below``, else None.
 
-    def shortest_cycle(self, below: int | None = None, odd: bool = False,
-                       allowed: int | None = None) -> list[int] | None:
+        Lengths only, from one BFS per source: an edge inside layer i, or
+        a vertex of layer i+1 with two parents, closes a walk of length
+        2i+1 or 2i+2 that holds a cycle, and every cycle through the
+        source is at least as long as the first such walk.  So once a
+        source is done, every cycle through it is at least ``best`` long,
+        and it leaves ``alive``: a shorter cycle avoids it.  A vertex with
+        fewer than two alive neighbors lies on no alive cycle and leaves
+        at once.  (``shortest_cycle`` keeps every source, since dropping
+        them would change which cycle it returns.)"""
+        adj = self.adj
+        limit = best = self.n + 1 if below is None else below
+        alive = self.full_mask()
+        for s in range(self.n):
+            if bit_count(adj[s] & alive) >= 2:
+                layer = seen = 1 << s
+                depth = 0
+                while layer and 2 * depth + 1 < best:
+                    nxt = twice = 0
+                    rest = layer
+                    while rest:
+                        low = rest & -rest
+                        nb = adj[low.bit_length() - 1]
+                        if nb & layer:
+                            best = 2 * depth + 1
+                            break
+                        twice |= nxt & nb
+                        nxt |= nb
+                        rest ^= low
+                    layer = nxt & alive & ~seen
+                    if twice & layer:
+                        best = min(best, 2 * depth + 2)
+                    seen |= layer
+                    depth += 1
+            alive ^= 1 << s
+        return best if best < limit else None
+
+    def shortest_cycle(self, odd: bool = False, allowed: int | None = None) -> list[int] | None:
         """A shortest cycle in cyclic order, or None.  With ``odd``, a
         shortest odd cycle; with ``allowed``, one of the subgraph that mask
-        induces; with ``below``, only one shorter than ``below``.  Such a
-        cycle is induced.
+        induces.  Such a cycle is induced.
 
         A BFS from each vertex of degree two or more: an edge inside layer
         i, or a vertex of layer i+1 with two parents, closes a cycle of
@@ -335,7 +369,7 @@ class Graph:
             adj, sources = self.adj, range(self.n)
         else:
             adj, sources = [nb & allowed for nb in self.adj], bits(allowed)
-        best = self.n + 1 if below is None else below
+        best = self.n + 1
         cyc = None
         for s in sources:
             if bit_count(adj[s]) < 2:
@@ -390,13 +424,18 @@ class Graph:
         return self.path_back(ls, dst)[::-1]
 
     def is_induced_path(self, seq: Sequence[int]) -> bool:
-        """True if seq is an induced path visiting distinct vertices in order."""
-        if len(set(seq)) != len(seq):
+        """True if seq is an induced path visiting distinct vertices in
+        order: each vertex's neighbors on it are exactly those beside it
+        in seq."""
+        on_path = mask_of(seq)
+        if bit_count(on_path) != len(seq):
             return False
+        adj, before = self.adj, 0
         for i, u in enumerate(seq):
-            for j in range(i + 1, len(seq)):
-                if self.has_edge(u, seq[j]) != (j == i + 1):
-                    return False
+            beside = before | (1 << seq[i + 1] if i + 1 < len(seq) else 0)
+            if adj[u] & on_path != beside:
+                return False
+            before = 1 << u
         return True
 
     def is_induced_cycle(self, seq: Sequence[int]) -> bool:
@@ -411,16 +450,18 @@ class Graph:
         return True
 
     def is_tree_mask(self, mask: int) -> bool:
-        """Does ``mask`` induce a tree (connected and acyclic)?"""
-        k = bit_count(mask)
-        if k == 0:
+        """Does ``mask`` induce a tree: k - 1 edges on k vertices, all
+        reached from the lowest?"""
+        if not mask:
             return False
-        m = 0
-        for v in bits(mask):
-            m += bit_count(self.adj[v] & mask)
-        if m != 2 * (k - 1):
-            return False
-        return len(self.components_of(mask)) == 1
+        adj = self.adj
+        twice_m = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            twice_m += bit_count(adj[low.bit_length() - 1] & mask)
+            rest ^= low
+        return twice_m == 2 * (bit_count(mask) - 1) and self.reach(mask & -mask, mask) == mask
 
     def is_path_mask(self, mask: int, a: int, b: int) -> bool:
         """Does ``mask`` induce a path with ends ``a`` and ``b``?"""

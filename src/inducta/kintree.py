@@ -173,27 +173,31 @@ def validate_cubic_split(g: Graph, universe: int, terms: list[int], sp: CubicSpl
 
 
 def validate_kstruct(g: Graph, w: KStructWitness) -> bool:
+    """Disjoint induced paths P_i from x_i to s_i whose only edges between
+    them join s_i to s_(i-1) and s_(i+1), cyclically, and each s_i
+    separates x_i from the other terminals.  Each path vertex is tested
+    once against the union of the other paths."""
     k = len(w.paths)
     if k < 4:
         return False
-    used: set[int] = set()
+    masks = []
+    used = 0
     for p in w.paths:
         if len(p) < 2 or not g.is_induced_path(p):
             return False
-        if used & set(p):
+        pm = mask_of(p)
+        if used & pm:
             return False
-        used.update(p)
+        used |= pm
+        masks.append(pm)
     cyc = w.cycle()
+    adj = g.adj
     for i, p in enumerate(w.paths):
-        for j in range(i + 1, k):
-            q = w.paths[j]
-            for u in p:
-                for v in q:
-                    expect = {u, v} == {cyc[i], cyc[j]} and (
-                        j == i + 1 or (i == 0 and j == k - 1)
-                    )
-                    if g.has_edge(u, v) != expect:
-                        return False
+        others = used & ~masks[i]
+        ring = 1 << cyc[i - 1] | 1 << cyc[(i + 1) % k]
+        for u in p:
+            if adj[u] & others != (ring if u == cyc[i] else 0):
+                return False
     return _kstruct_fail_index(g, w.paths, g.full_mask()) is None
 
 
@@ -284,15 +288,20 @@ def _is_good_tree(g: Graph, mask: int, terms) -> bool:
 
 
 def _prune_tree(g: Graph, mask: int, terms) -> int:
-    """Shave non-terminal leaves so the tree's leaves are terminals."""
+    """Shave non-terminal leaves so the tree's leaves are terminals.  A
+    deletion only lowers degrees, so deleting non-terminals of degree at
+    most one reaches the same fixpoint in any order; a worklist holds the
+    vertices whose degree may have dropped."""
+    adj = g.adj
     tset = mask_of(terms)
-    changed = True
-    while changed:
-        changed = False
-        for v in bits(mask & ~tset):
-            if bit_count(g.adj[v] & mask) <= 1:
-                mask &= ~(1 << v)
-                changed = True
+    todo = mask & ~tset
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        nb = adj[low.bit_length() - 1] & mask
+        if not nb & (nb - 1):  # at most one neighbor left
+            mask ^= low
+            todo |= nb & ~tset
     return mask
 
 

@@ -109,32 +109,34 @@ def two_subdivision(g: Graph) -> Graph:
     return out
 
 
+def _builder(name: str):
+    """The constructor of the named graph ``name`` and the number of
+    integer parameters it takes."""
+    table = {
+        "petersen": (petersen, 0),
+        "heawood": (heawood, 0),
+        "wagner": (wagner, 0),
+        "r35": (r35, 0),
+        "a6": (a6, 0),
+        "octahedron": (octahedron, 0),
+        "l_k33": (line_k33, 0),
+        "c": (cycle, 1),
+        "p": (path, 1),
+        "k": (complete, 1),
+        "k_mn": (complete_bipartite, 2),
+    }
+    got = table.get(name.lower().replace("-", "_"))
+    if got is None:
+        raise GraphError(f"unknown named graph {name!r}")
+    return got
+
+
 def named_graph(name: str, *params: int) -> Graph:
     """Build the named graph ``name`` with its integer parameters."""
-    key = name.lower().replace("-", "_")
-    simple = {
-        "petersen": petersen,
-        "heawood": heawood,
-        "wagner": wagner,
-        "r35": r35,
-        "a6": a6,
-        "octahedron": octahedron,
-        "l_k33": line_k33,
-    }
-    if key in simple:
-        if params:
-            raise GraphError(f"{name} takes no parameters")
-        return simple[key]()
-    param1 = {"c": cycle, "p": path, "k": complete}
-    if key in param1:
-        if len(params) != 1:
-            raise GraphError(f"{name} takes one parameter")
-        return param1[key](params[0])
-    if key == "k_mn":
-        if len(params) != 2:
-            raise GraphError(f"{name} takes two parameters")
-        return complete_bipartite(*params)
-    raise GraphError(f"unknown named graph {name!r}")
+    build, arity = _builder(name)
+    if len(params) != arity:
+        raise GraphError(f"{name} takes {('no parameters', 'one parameter', 'two parameters')[arity]}")
+    return build(*params)
 
 
 def _int_param(text: str) -> int:
@@ -159,4 +161,5 @@ def parse_named_spec(spec: str) -> Graph:
         if not base:
             raise GraphError("copies spec is 'copies:<base>,<t>'")
         return disjoint_copies(parse_named_spec(base), _int_param(count))
+    _builder(head)  # the name before its parameters: a misspelt name is reported as unknown
     return named_graph(head, *(_int_param(x) for x in tail.split(",") if colon))

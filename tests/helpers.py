@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
+import sys
+from pathlib import Path
 
 from inducta.berge import (
     ABCD,
@@ -25,6 +28,7 @@ from inducta.berge import (
 )
 from inducta.classify import TwoPair, classify_p3, find_two_pair
 from inducta.graphs import Graph, GraphError, TooLargeError, WeightedGraph, bit_count, bits, mask_of
+from inducta.kintree import KStructWitness, _kstruct_fail_index
 from inducta.linegraph import line_graph, line_root_with_map, maximal_cliques
 from inducta.named import (
     a6,
@@ -502,7 +506,7 @@ def count_triangles(g: Graph) -> int:
     return sum(1 for u, v in g.edges() for w in bits(g.adj[u] & g.adj[v]) if w > v)
 
 
-def oracle_girth(g: Graph) -> int | None:
+def dict_girth(g: Graph) -> int | None:
     best = None
     for s in range(g.n):
         dist = {s: 0}
@@ -522,6 +526,99 @@ def oracle_girth(g: Graph) -> int | None:
                     if best is None or c < best:
                         best = c
     return best
+
+
+# -- the kernel forms that the mask loops replaced, kept as oracles ---------------
+
+def oracle_girth(g: Graph) -> int | None:
+    """The girth as ``Graph.girth`` had it: the length of the cycle that
+    ``shortest_cycle`` returns (``below`` cut that search short)."""
+    cyc = g.shortest_cycle()
+    return None if cyc is None else len(cyc)
+
+
+def oracle_is_induced_path(g: Graph, seq: list[int]) -> bool:
+    """Distinct vertices, and an edge between two of them exactly when
+    they are next to each other in ``seq``, pair by pair."""
+    if len(set(seq)) != len(seq):
+        return False
+    for i, u in enumerate(seq):
+        for j in range(i + 1, len(seq)):
+            if g.has_edge(u, seq[j]) != (j == i + 1):
+                return False
+    return True
+
+
+def oracle_validate_kstruct(g: Graph, w: KStructWitness) -> bool:
+    """``kintree.validate_kstruct`` with every pair of vertices of two
+    paths tested by ``has_edge``."""
+    k = len(w.paths)
+    if k < 4:
+        return False
+    used: set[int] = set()
+    for p in w.paths:
+        if len(p) < 2 or not oracle_is_induced_path(g, p):
+            return False
+        if used & set(p):
+            return False
+        used.update(p)
+    cyc = w.cycle()
+    for i, p in enumerate(w.paths):
+        for j in range(i + 1, k):
+            q = w.paths[j]
+            for u in p:
+                for v in q:
+                    expect = {u, v} == {cyc[i], cyc[j]} and (
+                        j == i + 1 or (i == 0 and j == k - 1)
+                    )
+                    if g.has_edge(u, v) != expect:
+                        return False
+    return _kstruct_fail_index(g, w.paths, g.full_mask()) is None
+
+
+def oracle_is_tree_mask(g: Graph, mask: int) -> bool:
+    """Edge count, then one component by ``components_of``."""
+    k = bit_count(mask)
+    if k == 0:
+        return False
+    m = sum(bit_count(g.adj[v] & mask) for v in bits(mask))
+    return m == 2 * (k - 1) and len(g.components_of(mask)) == 1
+
+
+def oracle_prune_tree(g: Graph, mask: int, terms) -> int:
+    """Sweep the non-terminals again and again, deleting each one of
+    degree at most one, until a sweep deletes nothing."""
+    tset = mask_of(terms)
+    changed = True
+    while changed:
+        changed = False
+        for v in bits(mask & ~tset):
+            if bit_count(g.adj[v] & mask) <= 1:
+                mask &= ~(1 << v)
+                changed = True
+    return mask
+
+
+def oracle_partner(g: Graph, live: int, z: int) -> int | None:
+    """The lowest live non-neighbor w of z that z does not reach once
+    N(z) & N(w) is removed: one reach per candidate."""
+    nz = g.adj[z] & live
+    for w in bits(live & ~nz & ~(1 << z)):
+        if not g.reach(1 << z, live & ~(nz & g.adj[w])) >> w & 1:
+            return w
+    return None
+
+
+def structure_workload(seed: int) -> list:
+    """The instances of the benchmark's ``structure`` workload for
+    ``seed``, from ``perfbench/workloads.py``, loaded by its path."""
+    name = "_structure_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[name].generate("structure", seed)
 
 
 def oracle_shortest_path(g: Graph, src: int, dst: int, allowed: int | None = None) -> list[int] | None:

@@ -10,6 +10,7 @@ from helpers import (
     oracle_find_two_pair,
     oracle_is_weakly_triangulated,
     oracle_long_hole,
+    oracle_partner,
     random_chordal,
     random_connected_girth,
     random_graph,
@@ -259,6 +260,51 @@ def test_wt_coloring_matches_scratch_loop(unpruned_holes):
         assert len(set(col)) == len(set(want)), g.edges()
         if g.n <= 12:
             assert len(set(col)) == max_weight_clique(WeightedGraph(g))[0], g.edges()
+
+
+def test_partner_matches_per_candidate_reaches_on_small_graphs():
+    """The component sweep against one reach per candidate, for every
+    live mask and every vertex z in it, on every labelled graph with at
+    most 5 vertices: the lemma holds in any graph."""
+    found = {True: 0, False: 0}
+    for g in all_labelled_graphs(5):
+        for live in range(1, 1 << g.n):
+            for z in bits(live):
+                got = classify._partner(g, live, z)
+                assert got == oracle_partner(g, live, z), (g.edges(), live, z)
+                found[got is not None] += 1
+    # 2^C(n,2) graphs on n vertices, each with n * 2^(n-1) pairs (live, z)
+    assert found[True] + found[False] == 84_073 and min(found.values()) >= 10_000, found
+
+
+def test_partner_matches_per_candidate_reaches_on_the_contractions(unpruned_holes, monkeypatch):
+    """Every partner search that colouring makes, against one reach per
+    candidate: on every weakly triangulated graph with at most 6 vertices,
+    and on seeded chordal graphs with up to 60 vertices and their
+    complements.  Every search agreeing, the contractions and colourings
+    are those of the per-candidate loop.  In these graphs every vertex
+    that is not universal has a partner."""
+    real = classify._partner
+    searches = 0
+
+    def checked(g, live, z):
+        nonlocal searches
+        got = real(g, live, z)
+        assert got is not None and got == oracle_partner(g, live, z), (g.adj, live, z)
+        searches += 1
+        return got
+
+    monkeypatch.setattr(classify, "_partner", checked)
+    graphs = [g for g, hole, antihole in unpruned_holes
+              if g.n <= 6 and hole is None and antihole is None]
+    rng = random.Random(76)
+    for _ in range(30):
+        g = random_chordal(rng.randint(20, 60), rng)
+        graphs += [g, g.complement()]
+    for g in graphs:
+        col = color_weakly_triangulated(g)
+        assert all(col[u] != col[v] for u, v in g.edges()), g.edges()
+    assert searches >= 20_000, searches
 
 
 def test_wt_coloring_seeks_pairs_at_the_contracted_vertex(monkeypatch):

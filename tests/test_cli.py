@@ -225,6 +225,12 @@ def test_bad_named_spec_exit_3(capsys, spec):
     assert err.startswith("error: bad named graph spec:")
 
 
+def test_misspelt_named_graph_is_reported_as_unknown(capsys):
+    code, out, err = run_err(capsys, "invariants", "--named=twosub:k:5")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: bad named graph spec: unknown named graph 'twosub'")
+
+
 def test_paw_on_the_null_graph_exit_2(capsys, tmp_path):
     p = tmp_path / "null.g"
     p.write_text("0 0\n")

@@ -4,13 +4,19 @@ import random
 import pytest
 
 from helpers import (
+    all_labelled_graphs,
+    dict_girth,
     oracle_bipartition,
     oracle_components_of,
     oracle_girth,
+    oracle_is_induced_path,
+    oracle_is_tree_mask,
     oracle_layers,
     oracle_shortest_odd_cycle,
     oracle_shortest_path,
+    random_connected_girth,
     random_graph,
+    random_graph_girth,
 )
 from inducta.graphs import Graph, GraphError, WeightedGraph, format_graph, mask_of, parse_graph
 from inducta.named import cycle, petersen
@@ -60,17 +66,36 @@ def test_girth():
 
 
 def test_girth_on_every_labelled_graph_on_six_vertices():
-    """The girth, and with ``below`` = 3..7 the girth exactly when it is
-    below that bound, as the dict BFS finds it."""
+    """The girth, and with ``below`` = 3..8 the girth exactly when it is
+    below that bound, as the dict BFS finds it and as the length of
+    ``shortest_cycle``'s cycle (the form ``girth`` had) gives it."""
     for n in range(7):
         pairs = list(itertools.combinations(range(n), 2))
         for chosen in range(1 << len(pairs)):
             g = Graph(n, [e for i, e in enumerate(pairs) if chosen >> i & 1])
-            girth = oracle_girth(g)
-            assert g.girth() == girth, g.adj
-            for k in range(3, 8):
+            girth = dict_girth(g)
+            assert g.girth() == girth == oracle_girth(g), g.adj
+            for k in range(3, 9):
                 want = girth if girth is not None and girth < k else None
                 assert g.girth(below=k) == want, (g.adj, k)
+
+
+def test_girth_matches_shortest_cycle_length():
+    """The length-only BFS that drops finished sources against the
+    length of ``shortest_cycle``'s cycle, with ``below`` = None and
+    3..8, on seeded random graphs and seeded graphs of girth at least k
+    for k = 3..8."""
+    rng = random.Random(81)
+    graphs = [random_graph(rng.randint(7, 40), rng.uniform(0.05, 0.5), rng) for _ in range(300)]
+    for k in range(3, 9):
+        graphs += [random_graph_girth(rng.randint(8, 40), k, rng, rng.uniform(0.05, 0.3))
+                   for _ in range(30)]
+        graphs += [random_connected_girth(rng.randint(8, 40), k, rng) for _ in range(30)]
+    for g in graphs:
+        want = oracle_girth(g)
+        assert g.girth() == want, g.edges()
+        for below in range(3, 9):
+            assert g.girth(below) == (want if want is not None and want < below else None), below
 
 
 def test_bipartition():
@@ -162,7 +187,7 @@ def _check_shortest_cycles(g: Graph, allowed: int) -> None:
     shortest cycle and shortest odd cycle, each induced and as long as
     the dict oracles find in the subgraph the mask induces."""
     sub, _ = g.induced_mask(allowed)
-    girth = oracle_girth(sub)
+    girth = dict_girth(sub)
     odd = oracle_shortest_odd_cycle(sub)
     odd_len = None if odd is None else len(odd)
     if allowed == g.full_mask():
@@ -177,10 +202,6 @@ def _check_shortest_cycles(g: Graph, allowed: int) -> None:
         assert len(got) == want and g.is_induced_cycle(got)
         assert all(allowed >> v & 1 for v in got)
         assert len(got) % 2 == 1 or not odd_only
-    for k in range(3, 8):
-        got = g.shortest_cycle(below=k, allowed=allowed)
-        assert (got is not None) == (girth is not None and girth < k), k
-        assert got is None or len(got) == girth
 
 
 def test_shortest_cycles_match_dict_oracles():
@@ -198,6 +219,35 @@ def test_tree_mask():
     g = Graph(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
     assert g.is_tree_mask(0b11111)
     assert not cycle(4).is_tree_mask(0b1111)
+
+
+def test_is_tree_mask_matches_component_count():
+    """The inline edge count and one reach against the edge count and
+    ``components_of``: every vertex set of every labelled graph with at
+    most 5 vertices, and seeded masks of seeded random graphs."""
+    rng = random.Random(82)
+    for g in all_labelled_graphs(5):
+        for mask in range(1 << g.n):
+            assert g.is_tree_mask(mask) == oracle_is_tree_mask(g, mask), (g.edges(), mask)
+    for _ in range(200):
+        g = random_connected_girth(rng.randint(6, 30), rng.randint(3, 6), rng)
+        for _ in range(20):
+            mask = rng.getrandbits(g.n) | rng.getrandbits(g.n)
+            assert g.is_tree_mask(mask) == oracle_is_tree_mask(g, mask), (g.edges(), mask)
+
+
+def test_is_induced_path_matches_pairwise_test():
+    """One neighborhood test per vertex against the pairwise test: every
+    sequence of at most 5 vertices, repeats allowed, on every labelled
+    graph with at most 4 vertices, and every ordering of every vertex
+    set on every labelled graph with 5 vertices."""
+    for g in all_labelled_graphs(5):
+        if g.n <= 4:
+            seqs = [s for r in range(6) for s in itertools.product(range(g.n), repeat=r)]
+        else:
+            seqs = [s for r in range(6) for s in itertools.permutations(range(g.n), r)]
+        for seq in seqs:
+            assert g.is_induced_path(seq) == oracle_is_induced_path(g, seq), (g.edges(), seq)
 
 
 def test_path_mask_matches_induced_definition():

@@ -3,11 +3,14 @@ from itertools import combinations
 
 import pytest
 
-from helpers import (cube_graph, k4_structure_figure, random_connected_girth, random_graph_girth,
-                     seven_structure_figure, smallest_square_structure)
-from inducta.graphs import Graph, GraphError, TooLargeError, mask_of
+from helpers import (cube_graph, k4_structure_figure, oracle_is_induced_path, oracle_is_tree_mask,
+                     oracle_prune_tree, oracle_validate_kstruct, random_connected_girth,
+                     random_graph_girth, seven_structure_figure, smallest_square_structure,
+                     structure_workload)
+from inducta.graphs import Graph, GraphError, TooLargeError, mask_of, parse_graph
 from inducta import berge, bienstock, classify, decompose, detect, gap, kintree, oracle, sgraph
 from inducta.kintree import (
+    KStructWitness,
     induced_tree_exists,
     k_in_a_tree,
     validate_cubic_split,
@@ -231,3 +234,98 @@ def test_deletion_extract_route(monkeypatch):
         assert len(calls) == 1 and res.kind == "tree"
         assert set(terms) <= set(res.tree) and h.is_tree_mask(mask_of(res.tree))
     assert induced_tree_exists(core, [19, 9, 18, 20, 15, 7]) is not None
+
+
+@pytest.fixture(scope="module")
+def workload_answers():
+    """Each answered k-in-a-tree instance of the benchmark's ``structure``
+    workload, seeds 1-5, with its answer; the pinned instances (a time
+    limit and three refusals) are left out.  Every ``_prune_tree`` and
+    ``is_tree_mask`` call on the way is checked against its old form."""
+    real_prune, real_tree = kintree._prune_tree, Graph.is_tree_mask
+    calls = {"prune": 0, "tree": 0}
+
+    def prune(g, mask, terms):
+        got = real_prune(g, mask, terms)
+        assert got == oracle_prune_tree(g, mask, terms), (g.edges(), mask, terms)
+        calls["prune"] += 1
+        return got
+
+    def is_tree(g, mask):
+        got = real_tree(g, mask)
+        assert got == oracle_is_tree_mask(g, mask), (g.edges(), mask)
+        calls["tree"] += 1
+        return got
+
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kintree, "_prune_tree", prune)
+        mp.setattr(Graph, "is_tree_mask", is_tree)
+        for seed in range(1, 6):
+            for inst in structure_workload(seed):
+                if inst.family.startswith("k_in_a_tree/") and "pinned" not in inst.family:
+                    g = parse_graph(inst.text).graph
+                    out.append((g, inst.params["terminals"], k_in_a_tree(g, inst.params["terminals"])))
+    assert calls["prune"] >= 1000 and calls["tree"] >= 1000, calls
+    return out
+
+
+def test_workload_trees_cover_their_terminals(workload_answers):
+    """With every prune and tree check matching its old form (the
+    fixture), each tree of the workload covers its terminals and induces
+    a tree, and the five passes hold hundreds of trees and k-structures."""
+    kinds = [res.kind for _, _, res in workload_answers]
+    assert kinds.count("kstructure") >= 200 and kinds.count("tree") >= 500, set(kinds)
+    for g, terms, res in workload_answers:
+        if res.has_tree:
+            assert all(t in res.tree for t in terms) and g.is_tree_mask(mask_of(res.tree))
+
+
+def _mutants(g: Graph, w: KStructWitness, rng: random.Random, count: int):
+    """Copies of ``w`` with one path changed: a vertex dropped, a vertex
+    of g inserted, or a vertex replaced by one of g."""
+    for _ in range(count):
+        paths = [list(p) for p in w.paths]
+        p = rng.choice(paths)
+        i = rng.randrange(len(p))
+        op = rng.choice(("drop", "insert", "replace"))
+        if op == "drop":
+            del p[i]
+        elif op == "insert":
+            p.insert(rng.randrange(len(p) + 1), rng.randrange(g.n))
+        else:
+            p[i] = rng.randrange(g.n)
+        yield KStructWitness(paths)
+
+
+def test_validate_kstruct_matches_pairwise_form(workload_answers):
+    """One neighborhood test per path vertex against the pairwise
+    ``has_edge`` loop, and each path's induced-path test against the
+    pairwise one: on every k-structure of the workload and on 20 seeded
+    mutants of each."""
+    rng = random.Random(91)
+    verdicts = {True: 0, False: 0}
+    for _, _, res in workload_answers:
+        if res.kind != "kstructure":
+            continue
+        h = res.graph
+        for w in [res.kstruct, *_mutants(h, res.kstruct, rng, 20)]:
+            got = validate_kstruct(h, w)
+            assert got == oracle_validate_kstruct(h, w), (h.edges(), w.paths)
+            for p in w.paths:
+                assert h.is_induced_path(p) == oracle_is_induced_path(h, p), (h.edges(), p)
+            verdicts[got] += 1
+    assert verdicts[True] >= 500 and verdicts[False] >= 4000, verdicts
+
+
+def test_prune_tree_matches_sweeping_form():
+    """The worklist against repeated sweeps on seeded masks of seeded
+    connected graphs of girth at least 3 to 6, with seeded terminal sets:
+    the same fixpoint, whatever the mask induces."""
+    rng = random.Random(92)
+    for _ in range(300):
+        g = random_connected_girth(rng.randint(5, 30), rng.randint(3, 6), rng)
+        for _ in range(10):
+            mask = rng.getrandbits(g.n) | rng.getrandbits(g.n)
+            terms = rng.sample(range(g.n), rng.randint(0, 4))
+            assert kintree._prune_tree(g, mask, terms) == oracle_prune_tree(g, mask, terms)

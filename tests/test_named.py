@@ -93,6 +93,17 @@ def test_bad_spec_parameter_is_a_graph_error(spec):
         parse_named_spec(spec)
 
 
+@pytest.mark.parametrize("spec,name", [
+    ("twosub:k:5", "twosub"), ("disjoint:c:5,2", "disjoint"), ("cn:x", "cn"),
+    ("two-subdivision:kn:5", "kn"), ("copies:pn:3,2", "pn"),
+])
+def test_unknown_name_is_reported_before_its_parameters(spec, name):
+    """The name is looked up first: a misspelt one with parameters that
+    are not integers is refused as unknown, not for its parameters."""
+    with pytest.raises(GraphError, match=f"unknown named graph '{name}'"):
+        parse_named_spec(spec)
+
+
 @pytest.mark.parametrize("spec", [
     "r", "lk33", "cn:5", "pn:3", "kn:3", "kmn:2,3", "kbip:2,3", "disjoint:c:5,2", "twosub:k:5",
 ])
