@@ -6,9 +6,11 @@ tree once per graph: it splits along extreme, marker-disjoint proper
 non-path 2-joins (one complementation allowed at the root), keeps one
 parity-matched marker path per removed side, and classifies the leaves.
 The 2-joins of a node are all found, then the minimally sided one is
-taken.  The search places vertices one by one and drops a placement as
-soon as its cross edges stop being at most two complete bipartite
-pieces, each vertex seeing all of its piece's other side.  That is
+taken; when marker paths cross it, its marker-shifted split is read from
+the same list, so every split comes from that one enumeration.  The
+search places vertices one by one and drops a placement as soon as its
+cross edges stop being at most two complete bipartite pieces, each
+vertex seeing all of its piece's other side.  That is
 exact: a 2-join's cross edges are two such pieces (A1-A2 and B1-B2),
 and every restriction of them to the placed vertices still is.
 ``solve`` then answers maximum weighted stable set and clique for one
@@ -16,10 +18,11 @@ weighting on that tree, with no search.  The tree also carries
 everything that does not depend on the weights, built once by
 ``decompose``: each join's X1 side block with its vertex ids, markers
 and the regions of its seven cases, the leaf's block, and for each
-block the graph with every marker path swapped for its gadget, the flow
-network of a flow leaf and the line-extension skeleton of a matching
-leaf.  A weighting then only fills in weights, and no solve changes the
-tree, so one tree can be solved many times and from many threads.
+block the graph with every marker path swapped for its gadget (built in
+one pass over the block), the flow network of a flow leaf and the
+line-extension skeleton of a matching leaf.  A weighting then only
+fills in weights, and no solve changes the tree, so one tree can be
+solved many times and from many threads.
 Walking down, each join's removed side is solved on its block and
 re-read in the child as a weighted gadget: a path with clique weights
 for omega, a flat claw (even side) or flat vault (odd side) carrying
@@ -35,10 +38,9 @@ search colors it.  Leaves are bipartite or
 line-graph extensions solved by flow and matching; a root leaf that is
 the complement of one is solved on its complement, with alpha and omega
 swapped.  The remaining basic kinds are handled exactly at desk scale.
-A leaf's solver follows from its kind alone (``LeafInfo.solver``).  A
-matching leaf is solved on its line-extension skeleton's root
-multigraph, and its transformed graph G'' is that multigraph's line
-graph, so a maximum weight matching is a maximum weight stable set.
+A matching leaf is solved on its line-extension skeleton's root
+multigraph, whose line graph is the transformed graph G'', so a maximum
+weight matching is a maximum weight stable set.
 Every lifted witness is re-validated before returning.  An answer keeps
 its graph and witnesses; its ``tree`` is decomposed again when read.
 """
@@ -80,34 +82,6 @@ class TwoJoinSplit(Record):
 
     def flip(self) -> "TwoJoinSplit":
         return TwoJoinSplit(self.x2, self.x1, self.a2, self.b2, self.a1, self.b1)
-
-
-def derive_split(g: Graph, x1: int, x2: int) -> TwoJoinSplit | None:
-    """The split of (x1, x2) if it is a 2-join with nonempty special
-    sets, else None.  Cross neighborhoods determine everything."""
-    groups: dict[int, int] = {}
-    for v in bits(x2):
-        c = g.adj[v] & x1
-        if c:
-            groups[c] = groups.get(c, 0) | (1 << v)
-    if len(groups) != 2:
-        return None
-    (n_a, a2), (n_b, b2) = sorted(groups.items())
-    if n_a & n_b:
-        return None
-    for v in bits(x1):
-        c = g.adj[v] & x2
-        if c == 0:
-            continue
-        if (n_a >> v & 1) and c == a2:
-            continue
-        if (n_b >> v & 1) and c == b2:
-            continue
-        return None
-    a1, b1 = n_a, n_b
-    if not (a1 and b1 and a2 and b2):
-        return None
-    return TwoJoinSplit(x1, x2, a1, b1, a2, b2)
 
 
 def is_connected_join(g: Graph, s: TwoJoinSplit) -> bool:
@@ -197,7 +171,7 @@ def all_proper_nonpath_two_joins(g: Graph) -> list[TwoJoinSplit]:
     masks, each piece's X1 and X2 parts.  At a complete placement every
     cross edge lies in a piece and each piece is complete, so its two
     pieces are the split itself: A is the piece with the smaller X1 part,
-    as ``derive_split`` would pick it, and no ``derive_split`` runs here.
+    and no split is re-derived from cross neighbourhoods.
     Each such split then meets the connectivity, substantiality and
     path-side tests that an enumeration of all 2^(n-1) bipartitions
     would apply, and the result is that enumeration's list."""
@@ -218,7 +192,8 @@ def all_proper_nonpath_two_joins(g: Graph) -> list[TwoJoinSplit]:
             if q1:
                 s = (TwoJoinSplit(x1, x2, p1, q1, p2, q2) if p1 < q1
                      else TwoJoinSplit(x1, x2, q1, p1, q2, p2))
-                if _is_proper_nonpath(g, s):
+                if (is_substantial_join(g, s) and path_side(g, s) is None
+                        and is_connected_join(g, s)):
                     out.append(s)
             return
         v = order[i]
@@ -257,66 +232,33 @@ def all_proper_nonpath_two_joins(g: Graph) -> list[TwoJoinSplit]:
     return out
 
 
-def _is_proper_nonpath(g: Graph, s: TwoJoinSplit) -> bool:
-    """Is the 2-join split s proper (connected and substantial) with no
-    path side?"""
-    return is_substantial_join(g, s) and path_side(g, s) is None and is_connected_join(g, s)
-
-
-def _proper_nonpath_split(g: Graph, x1: int, x2: int) -> TwoJoinSplit | None:
-    """The split of (x1, x2) if it is a proper (connected and
-    substantial) 2-join with no path side, else None."""
-    s = derive_split(g, x1, x2)
-    return s if s is not None and _is_proper_nonpath(g, s) else None
-
-
 def find_two_join(g: Graph, markers: list[list[int]] | None = None) -> TwoJoinSplit | None:
     """A proper non-path 2-join, minimally sided (X1 is the minimal side),
     shifted to be independent of the given marker paths.
 
     Among all sides of all such joins, the one with fewest vertices (ties
-    broken by its mask) is X1; no other side can lie strictly inside it."""
-    joins = all_proper_nonpath_two_joins(g)
-    if not joins:
+    broken by its mask) is X1; no other side can lie strictly inside it.
+    X1 takes A2 (resp. B2) when a marker path crosses A1-A2 (resp. B1-B2),
+    and the listed side with that X1 is taken if no marker path crosses
+    it, with A its X1 part of smaller mask; else the smallest such side."""
+    sides = [t for s in all_proper_nonpath_two_joins(g) for t in (s, s.flip())]
+    if not sides:
         return None
-    chosen = min((t for s in joins for t in (s, s.flip())),
-                 key=lambda t: (bit_count(t.x1), t.x1))
-    if markers:
-        chosen = _marker_shift(g, chosen, markers, joins)
-    return chosen
-
-
-def _marker_shift(
-    g: Graph, s: TwoJoinSplit, markers: list[list[int]], joins: list[TwoJoinSplit]
-) -> TwoJoinSplit:
-    """The A1'/B1' adjustment making the join marker-independent."""
-    def crosses(pmask: int, u: int, v: int) -> bool:
-        return bool(pmask & u) and bool(pmask & v)
-
-    a_shift = any(crosses(mask_of(p), s.a1, s.a2) for p in markers)
-    b_shift = any(crosses(mask_of(p), s.b1, s.b2) for p in markers)
-    x1 = s.x1 | (s.a2 if a_shift else 0) | (s.b2 if b_shift else 0)
-    shifted = _proper_nonpath_split(g, x1, g.full_mask() & ~x1)
-    if shifted is not None and _marker_independent(shifted, markers):
-        return shifted
-    # fall back: any marker-independent proper non-path join, smallest side
-    cands = []
-    for j in joins:
-        for cand in (j, j.flip()):
-            if _marker_independent(cand, markers):
-                cands.append((bit_count(cand.x1), cand.x1, cand))
-    if not cands:
+    chosen = min(sides, key=lambda t: (bit_count(t.x1), t.x1))
+    if not markers:
+        return chosen
+    path_masks = [mask_of(p) for p in markers]
+    x1 = chosen.x1
+    for end1, end2 in ((chosen.a1, chosen.a2), (chosen.b1, chosen.b2)):
+        if any(pm & end1 and pm & end2 for pm in path_masks):
+            x1 |= end2
+    free = [t for t in sides if not any(pm & t.x1 and pm & t.x2 for pm in path_masks)]
+    s = next((t for t in free if t.x1 == x1), None)
+    if s is not None:
+        return s if s.a1 < s.b1 else TwoJoinSplit(s.x1, s.x2, s.b1, s.a1, s.b2, s.a2)
+    if not free:
         raise OutsideClassError("no marker-independent proper non-path 2-join")
-    cands.sort(key=lambda t: (t[0], t[1]))
-    return cands[0][2]
-
-
-def _marker_independent(s: TwoJoinSplit, markers: list[list[int]]) -> bool:
-    for p in markers:
-        pm = mask_of(p)
-        if pm & s.x1 and pm & s.x2:
-            return False
-    return True
+    return min(free, key=lambda t: (bit_count(t.x1), t.x1))
 
 
 # -- blocks and gadgets -------------------------------------------------------
@@ -337,10 +279,9 @@ class ABCD(Record):
         )
 
 
-def _path_block(wg: WeightedGraph, s: TwoJoinSplit, k: int):
+def _path_block(g: Graph, s: TwoJoinSplit, k: int) -> tuple[Graph, list[int]]:
     """Keep X1, append a marker path of length k from a vertex complete
     to A1 to a vertex complete to B1; returns (block, marker path)."""
-    g = wg.graph
     sub, old = g.induced_mask(s.x1)
     pos = {o: i for i, o in enumerate(old)}
     attach: list[list[int]] = []
@@ -350,9 +291,7 @@ def _path_block(wg: WeightedGraph, s: TwoJoinSplit, k: int):
     for i in range(1, k):
         attach.append([marker[i - 1]])
     attach.append([marker[k - 1]] + [pos[v] for v in bits(s.b1)])
-    blk = sub.add_vertices(k + 1, attach)
-    weights = [wg.weights[o] for o in old] + [0] * (k + 1)
-    return WeightedGraph(blk, weights), marker
+    return sub.add_vertices(k + 1, attach), marker
 
 
 def _marker_clique_weights(path_len: int, omega_w: tuple[int, int, int]) -> list[int]:
@@ -363,37 +302,6 @@ def _marker_clique_weights(path_len: int, omega_w: tuple[int, int, int]) -> list
     w = [0] * path_len
     w[0], w[1], w[-1] = wa, wx - wa, wb
     return w
-
-
-def _swap_in_gadget(g: Graph, path: list[int], kind: str) -> tuple[Graph, list[int], list[int]]:
-    """Swap a flat path of g for its claw or vault, weight-free; returns
-    the new graph, the gadget vertex list, and old->new map (path
-    vertices -> -1)."""
-    p1, pk = path[0], path[-1]
-    a_att = [v for v in bits(g.adj[p1]) if v != path[1]]
-    b_att = [v for v in bits(g.adj[pk]) if v != path[-2]]
-    keep = [v for v in range(g.n) if v not in path]
-    sub, old = g.induced(keep)
-    pos = {o: i for i, o in enumerate(old)}
-    a2 = [pos[v] for v in a_att]
-    b2 = [pos[v] for v in b_att]
-    if kind == "claw":
-        q = [sub.n + i for i in range(4)]
-        blk = sub.add_vertices(4, [a2, [], b2, []])
-        blk.add_edge_unchecked(q[0], q[1])
-        blk.add_edge_unchecked(q[1], q[2])
-        blk.add_edge_unchecked(q[1], q[3])
-        gadget = q
-    else:
-        rr = [sub.n + i for i in range(6)]
-        blk = sub.add_vertices(6, [a2, b2, [], [], a2, b2])
-        for x, y in ((2, 3), (3, 4), (4, 5), (5, 2)):
-            blk.add_edge_unchecked(rr[x], rr[y])
-        gadget = rr
-    omap = [-1] * g.n
-    for o, i in pos.items():
-        omap[o] = i
-    return blk, gadget, omap
 
 
 def gadget_weights(kind: str, abcd: ABCD) -> list[int]:
@@ -425,10 +333,6 @@ def gadget_alpha_numbers(kind: str, weights4: list[int]) -> ABCD:
 
 # -- leaf classification --------------------------------------------------------
 
-# the solver of each leaf kind; every kind not listed is solved exactly
-_LEAF_SOLVERS = {"bipartite": "flow", "line-of-bipartite": "matching"}
-
-
 class LeafInfo(Record):
     __slots__ = ("kind", "root", "root_edges")
 
@@ -440,11 +344,6 @@ class LeafInfo(Record):
         #                   path-double-split | complement-path-double-split
         self.root = root  # line leaves: the root of g, or of g's complement
         self.root_edges = root_edges
-
-    @property
-    def solver(self) -> str:
-        """'flow', 'matching' or 'exact', as the kind dictates."""
-        return _LEAF_SOLVERS.get(self.kind, "exact")
 
 
 def _degree_masks(g: Graph) -> dict[int, int]:
@@ -668,49 +567,36 @@ def classify_leaf(g: Graph) -> LeafInfo | None:
 
 # -- the line-graph extension transformation -------------------------------------
 
-class ExtensionSpec(Record):
-    """An extension of a line graph: the base line graph (as it was before
-    extending), its root, and one gadget record per extended flat path."""
-
-    __slots__ = ("base", "root", "root_edges", "paths", "kinds")
-
-    def __init__(self, base: Graph, root: Graph, root_edges: list[tuple[int, int]],
-                 paths: list[list[int]], kinds: list[str]):
-        self.base = base              # the line graph G
-        self.root = root              # R with L(R) = G
-        self.root_edges = root_edges  # vertex of G -> edge of R
-        self.paths = paths            # the extended flat paths, in G
-        self.kinds = kinds            # 'claw' | 'vault' per path
-
-
 class _LineSkeleton:
-    """The weight-free part of ``line_extension_transform``: which base
-    vertices G'' keeps (G'' vertex i < len(keep) is base vertex keep[i]),
-    per path the G'' vertex of each gadget role ('p', 'pp', 'x', 'y'),
-    and the root multigraph on ``nodes`` vertices as edges (u, v, the G''
-    vertex whose weight the edge takes)."""
+    """The weight-free part of the transformation of a line graph ``g``
+    (vertex v is edge root_edges[v] of ``root``) whose flat ``paths`` are
+    extended to gadgets: which vertices of g the transformed graph G''
+    keeps (G'' vertex i < len(keep) is vertex keep[i]), per path the G''
+    vertex of each gadget role ('p', 'pp', 'x', 'y'), and the root
+    multigraph on ``nodes`` vertices as edges (u, v, the G'' vertex whose
+    weight the edge takes)."""
 
     __slots__ = ("keep", "roles", "medges", "nodes")
 
-    def __init__(self, spec: ExtensionSpec):
-        g, root_edges = spec.base, spec.root_edges
+    def __init__(self, g: Graph, root: Graph, root_edges: list[tuple[int, int]],
+                 paths: list[list[int]]):
         path_mask = 0
-        for p in spec.paths:
+        for p in paths:
             path_mask |= mask_of(p)
         keep = self.keep = [v for v in range(g.n) if not (path_mask >> v & 1)]
         self.roles = [{"p": len(keep) + 4 * i, "pp": len(keep) + 4 * i + 1,
                        "x": len(keep) + 4 * i + 2, "y": len(keep) + 4 * i + 3}
-                      for i in range(len(spec.paths))]
+                      for i in range(len(paths))]
         # the interiors of the root paths simply stop carrying edges; per
         # path we add u^i, v^i, the chord between the root path's ends,
         # and the three pendant-gadget edges
         self.medges = [(*root_edges[u], i) for i, u in enumerate(keep)]
-        for i, (p, r) in enumerate(zip(spec.paths, self.roles)):
-            uu = spec.root.n + 2 * i
+        for i, (p, r) in enumerate(zip(paths, self.roles)):
+            uu = root.n + 2 * i
             r1 = _root_path_end(root_edges, p, 0)
             rl = _root_path_end(root_edges, p, 1)
             self.medges += [(r1, rl, r["x"]), (uu, r1, r["p"]), (uu, rl, r["pp"]), (uu, uu + 1, r["y"])]
-        self.nodes = spec.root.n + 2 * len(spec.paths)
+        self.nodes = root.n + 2 * len(paths)
 
 
 def _line_weights(skel: _LineSkeleton, base_weights: list[int], numbers: list[ABCD]) -> list[int]:
@@ -720,38 +606,6 @@ def _line_weights(skel: _LineSkeleton, base_weights: list[int], numbers: list[AB
     for s, nums in zip(skel.roles, numbers):
         w2[s["p"]], w2[s["pp"]], w2[s["y"]], w2[s["x"]] = nums.a, nums.b, nums.c, nums.d - nums.c
     return w2
-
-
-def line_extension_transform(
-    base_weights: list[int],
-    spec: ExtensionSpec,
-    numbers: list[ABCD],
-) -> tuple[WeightedGraph, list[tuple[int, int, int, int]], list[dict]]:
-    """Build the marked multigraph whose line graph carries the same
-    maximum stable set weight as the extension.
-
-    ``base_weights`` weights the base line graph's vertices (entries under
-    the extended paths are ignored); ``numbers[i]`` holds the four
-    stable-set numbers of path i's gadget.  Returns the transformed
-    weighted graph G'' (for validation), the root multigraph as weighted
-    edges (u, v, weight, g2_vertex), and per-path role records.  G'' is
-    the line graph of that multigraph: its vertex x is the edge labelled
-    x, and two vertices are adjacent when their edges share an end."""
-    skel = _LineSkeleton(spec)
-    w2 = _line_weights(skel, base_weights, numbers)
-    at = [0] * skel.nodes  # per root vertex, the G'' vertices of its edges
-    for u, v, x in skel.medges:
-        at[u] |= 1 << x
-        at[v] |= 1 << x
-    g2 = Graph(len(w2))
-    for u, v, x in skel.medges:
-        g2.adj[x] = (at[u] | at[v]) & ~(1 << x)
-    medges = [(u, v, w2[x], x) for u, v, x in skel.medges]
-    records = [
-        {"path": p, "kind": kind, "roles": roles, "numbers": nums}
-        for p, kind, roles, nums in zip(spec.paths, spec.kinds, skel.roles, numbers)
-    ]
-    return WeightedGraph(g2, w2), medges, records
 
 
 def _root_path_end(root_edges, path, which: int) -> int:
@@ -808,20 +662,6 @@ class TreeNode(Record):
         self.complemented = complemented  # root only: the tree is of the complement
         self.block = block
         self.regions = regions            # join only: the block masks of the seven cases
-
-
-def replay_tree(node: TreeNode) -> bool:
-    """Check bottom-up that each join child is exactly the recorded block
-    of its parent, so chaining the reverse operations rebuilds the root."""
-    if node.kind == "leaf":
-        return node.graph is not None
-    if node.graph is None or node.split is None or not node.children:
-        return False
-    block, _ = _path_block(WeightedGraph(node.graph), node.split.flip(), node.marker_len)
-    child = node.children[0]
-    if child.graph != block.graph:
-        return False
-    return all(replay_tree(c) for c in node.children)
 
 
 class BergeAnswer(Record):
@@ -882,22 +722,33 @@ def _expand_alpha_witness(blk: _Block, wit_mask: int, gadget_map: list) -> list[
 
 
 def _gadgetize(g: Graph, markers: list[MarkerInfo]) -> tuple[Graph, list, list[list[int]]]:
-    """Swap every marker path for its claw or vault, in marker order;
-    returns the new graph, its map back to g (None on gadgets), and each
+    """Swap every marker path for its claw or vault in one pass: the
+    vertices off the paths keep their order, then come the gadgets in
+    marker order, and a path end's edges go to its gadget's anchors on
+    that end (two adjacent path ends join their anchor groups pairwise).
+    Returns the new graph, its map back to g (None on gadgets), and each
     marker's gadget."""
-    back: list = list(range(g.n))
-    paths = [m.path for m in markers]
-    gadgets: list[list[int]] = []
-    for i, m in enumerate(markers):
-        g, gad, omap = _swap_in_gadget(g, paths[i], m.kind)
-        new_back = [None] * g.n
-        for o, nn in enumerate(omap):
-            if nn >= 0:
-                new_back[nn] = back[o]
-        back = new_back
-        gadgets = [[omap[v] for v in vs] for vs in gadgets] + [gad]
-        paths[i + 1:] = [[omap[v] for v in p] for p in paths[i + 1:]]
-    return g, back, gadgets
+    on_paths = mask_of(v for m in markers for v in m.path)
+    back: list = [v for v in range(g.n) if not on_paths >> v & 1]
+    becomes = [0] * g.n  # per vertex of g, the new vertices standing for it
+    for i, v in enumerate(back):
+        becomes[v] = 1 << i
+    gadgets = []
+    for m in markers:
+        gadgets.append(list(range(len(back), len(back) + (4 if m.kind == "claw" else 6))))
+        back += [None] * len(gadgets[-1])
+        a_end, b_end = _anchor_groups(m.kind, gadgets[-1])
+        becomes[m.path[0]], becomes[m.path[-1]] = mask_of(a_end), mask_of(b_end)
+    h = Graph(len(back))
+    for v, new in enumerate(becomes):
+        nb = sum(becomes[w] for w in bits(g.adj[v]))  # the masks are disjoint
+        for x in bits(new):
+            h.adj[x] = nb
+    for m, gad in zip(markers, gadgets):
+        # the claw is the star 1-{0, 2, 3}, the vault the square 2-3-4-5
+        for x, y in ((0, 1), (1, 2), (1, 3)) if m.kind == "claw" else ((2, 3), (3, 4), (4, 5), (5, 2)):
+            h.add_edge_unchecked(gad[x], gad[y])
+    return h, back, gadgets
 
 
 def _leaf_alpha(
@@ -1092,17 +943,17 @@ def _decompose(
     p2 = side_parity(g, split, "x2")
     if "mixed" in (p1, p2):
         raise OutsideClassError("parity-undefined 2-join side")
-    side = _path_block(WeightedGraph(g), split, 3 if p2 == "odd" else 4)[0].graph
+    side = _path_block(g, split, 3 if p2 == "odd" else 4)[0]
     side_leaf = classify_leaf(side)
     if side_leaf is None:
         raise OutsideClassError("extreme-side block is not leaf-classifiable")
 
     k2 = 3 if p1 == "odd" else 4   # marker standing for X1
-    block2, m1_path = _path_block(WeightedGraph(g), split.flip(), k2)
+    block2, m1_path = _path_block(g, split.flip(), k2)
     x1, x2 = list(bits(split.x1)), list(bits(split.x2))
     markers2 = _markers_within(markers, split.x2)
     markers2.append(MarkerInfo(m1_path, _gadget_kind(p1), depth))
-    child = _decompose(block2.graph, [ids[o] for o in x2] + [None] * (k2 + 1), markers2, depth + 1)
+    child = _decompose(block2, [ids[o] for o in x2] + [None] * (k2 + 1), markers2, depth + 1)
     block = _Block(side, side_leaf, [ids[o] for o in x1] + [None] * (side.n - len(x1)),
                    _markers_within(markers, split.x1))
     # the side's abcd cases a, b, c, d, then the cliques of A1, B1 and X1
@@ -1172,16 +1023,14 @@ class _Block:
             co_leaf = LeafInfo(leaf.kind.removeprefix("complement-"), leaf.root, leaf.root_edges)
             self.co = _Block(graph.complement(), co_leaf, ids, [])
             return
-        if leaf.solver == "matching":
-            paths, kinds = [m.path for m in markers], [m.kind for m in markers]
-            self.line = _LineSkeleton(ExtensionSpec(graph, leaf.root, leaf.root_edges, paths, kinds))
+        if leaf.kind == "line-of-bipartite":
+            self.line = _LineSkeleton(graph, leaf.root, leaf.root_edges, [m.path for m in markers])
             self.stars = [[i for i, e in enumerate(leaf.root_edges) if rv in e]
                           for rv in range(leaf.root.n)]
             return
         self.gadgetized, self.back, self.gadgets = _gadgetize(graph, markers)
-        if leaf.solver == "flow":
-            self.flow = StableSetFlow(self.gadgetized)
         if leaf.kind == "bipartite":
+            self.flow = StableSetFlow(self.gadgetized)
             self.edges = graph.edges()
 
 

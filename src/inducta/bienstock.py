@@ -64,7 +64,7 @@ def parse_dimacs_cnf(text: str) -> Cnf3:
     clauses: list[list[int]] = []
     current: list[int] = []
     saw_header = False
-    for ln in text.splitlines():
+    for k, ln in enumerate(text.splitlines(), start=1):
         ln = ln.strip()
         if not ln or ln.startswith("c"):
             continue
@@ -72,11 +72,10 @@ def parse_dimacs_cnf(text: str) -> Cnf3:
             parts = ln.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise GraphError(f"bad DIMACS header: {ln!r}")
-            num_vars = int(parts[2])
+            num_vars, _ = _dimacs_ints(parts[2:], k)
             saw_header = True
             continue
-        for tok in ln.split():
-            lit = int(tok)
+        for lit in _dimacs_ints(ln.split(), k):
             if lit == 0:
                 clauses.append(current)
                 current = []
@@ -87,6 +86,13 @@ def parse_dimacs_cnf(text: str) -> Cnf3:
     if not saw_header:
         raise GraphError("missing 'p cnf' header")
     return Cnf3.make(num_vars, clauses)
+
+
+def _dimacs_ints(tokens: list[str], k: int) -> list[int]:
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        raise GraphError(f"line {k}: expected integers") from None
 
 
 def format_dimacs_cnf(f: Cnf3) -> str:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from .graphs import (Graph, GraphError, InternalError, Record, TooLargeError, bit_count, bits,
                      mask_of)
 from .detect import hole_through_two
-from .matching import _Dinic
+from .matching import Dinic
 from .named import heawood, petersen
 from .oracle import induced_embedding
 
@@ -132,7 +132,7 @@ def _two_path_cycle(g: Graph, u: int, v: int) -> list[int] | None:
     paths of length >= 2, via a unit flow with split vertices, or None."""
     n = g.n
     # node v -> in = 2v, out = 2v+1
-    net = _Dinic(2 * n)
+    net = Dinic(2 * n)
     for w in range(n):
         cap = 2 if w in (u, v) else 1
         net.add(2 * w, 2 * w + 1, cap)

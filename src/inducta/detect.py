@@ -20,7 +20,8 @@ from .graphs import Graph, GraphError, InternalError, Record, bits, mask_of
 def hole_through_two(g: Graph, x: int, y: int) -> list[int] | None:
     """An induced cycle of length >= 4 containing x and y, or None.
 
-    Exhaustive DFS over induced paths anchored at y.  The key prune:
+    Exhaustive DFS over induced paths anchored at y, on a stack of its
+    own, so a hole may be as long as the graph.  The key prune:
     once a path vertex becomes interior, every neighbor of it is banned
     from the rest of the search, so the free region shrinks fast; a
     branch dies as soon as x or all closing vertices leave it.
@@ -34,35 +35,38 @@ def hole_through_two(g: Graph, x: int, y: int) -> list[int] | None:
     adj = g.adj
     full = g.full_mask()
 
-    def dfs(path: list[int], used: int, banned: int) -> list[int] | None:
+    # the search's stack: per induced path from y, its used and banned
+    # masks and the neighbours of its end still to try, in increasing order
+    stack = [([y], 1 << y, 0, bits(adj[y] & ~(1 << y)))]
+    while stack:
+        path, used, banned, todo = stack[-1]
+        w = next(todo, None)
+        if w is None:
+            stack.pop()
+            continue
         v = path[-1]
-        for w in bits(adj[v] & ~used & ~banned):
-            closes = bool(adj[w] >> y & 1)
-            np_len = len(path) + 1
-            if closes and np_len >= 4 and (used >> x & 1 or w == x):
-                cyc = path + [w]
-                if not g.is_induced_cycle(cyc):
-                    raise InternalError(f"hole {cyc} through {x} and {y} has a chord")
-                return cyc
-            if closes and np_len > 2:
-                continue  # a y-neighbor can only end the cycle
-            nb = banned | (adj[v] if len(path) >= 2 else 0)
-            nu = used | (1 << w)
-            have_x = bool(nu >> x & 1)
-            if not have_x and nb >> x & 1:
-                continue
-            free = full & ~nu & ~nb
-            r = g.reach(1 << w, free) & ~(1 << w)
-            if not have_x and not (r >> x & 1):
-                continue
-            if not (r & adj[y]):
-                continue  # no way left to close the cycle
-            got = dfs(path + [w], nu, nb)
-            if got:
-                return got
-        return None
-
-    return dfs([y], 1 << y, 0)
+        closes = bool(adj[w] >> y & 1)
+        np_len = len(path) + 1
+        if closes and np_len >= 4 and (used >> x & 1 or w == x):
+            cyc = path + [w]
+            if not g.is_induced_cycle(cyc):
+                raise InternalError(f"hole {cyc} through {x} and {y} has a chord")
+            return cyc
+        if closes and np_len > 2:
+            continue  # a y-neighbor can only end the cycle
+        nb = banned | (adj[v] if len(path) >= 2 else 0)
+        nu = used | (1 << w)
+        have_x = bool(nu >> x & 1)
+        if not have_x and nb >> x & 1:
+            continue
+        free = full & ~nu & ~nb
+        r = g.reach(1 << w, free) & ~(1 << w)
+        if not have_x and not (r >> x & 1):
+            continue
+        if not (r & adj[y]):
+            continue  # no way left to close the cycle
+        stack.append((path + [w], nu, nb, bits(adj[w] & ~nu & ~nb)))
+    return None
 
 
 # -- prisms ---------------------------------------------------------------

@@ -101,7 +101,10 @@ def is_factor_critical(g: Graph) -> bool:
 
 # -- bipartite max weight stable set via max flow ------------------------
 
-class _Dinic:
+class Dinic:
+    """A flow network as paired arc lists: arc ``ei`` runs to ``to[ei]``
+    with residual capacity ``cap[ei]``, and ``ei ^ 1`` is its reverse."""
+
     __slots__ = ("n", "to", "cap", "head")
 
     def __init__(self, n: int):
@@ -118,17 +121,20 @@ class _Dinic:
         self.to.append(u)
         self.cap.append(0)
 
-    def with_capacities(self, cap: list[int]) -> "_Dinic":
+    def with_capacities(self, cap: list[int]) -> "Dinic":
         """These arcs under the capacities ``cap``, one per arc; the arc
         lists are shared, so a flow on the result leaves this one as it
         was."""
-        net = object.__new__(_Dinic)
+        net = object.__new__(Dinic)
         net.n, net.to, net.head, net.cap = self.n, self.to, self.head, cap
         return net
 
     def max_flow(self, s: int, t: int) -> int:
+        """The maximum s-t flow, by Dinic's blocking flows.  Each
+        augmenting path is walked iteratively along the current arcs of
+        the level graph, so no path length meets the recursion limit."""
+        to, cap, head = self.to, self.cap, self.head
         flow = 0
-        INF = 1 << 60
         while True:
             level = [-1] * self.n
             level[s] = 0
@@ -137,34 +143,36 @@ class _Dinic:
             while qi < len(queue):
                 v = queue[qi]
                 qi += 1
-                for ei in self.head[v]:
-                    if self.cap[ei] > 0 and level[self.to[ei]] < 0:
-                        level[self.to[ei]] = level[v] + 1
-                        queue.append(self.to[ei])
+                for ei in head[v]:
+                    if cap[ei] > 0 and level[to[ei]] < 0:
+                        level[to[ei]] = level[v] + 1
+                        queue.append(to[ei])
             if level[t] < 0:
                 return flow
-            it = [0] * self.n
-
-            def dfs(v: int, f: int) -> int:
-                if v == t:
-                    return f
-                while it[v] < len(self.head[v]):
-                    ei = self.head[v][it[v]]
-                    w = self.to[ei]
-                    if self.cap[ei] > 0 and level[w] == level[v] + 1:
-                        d = dfs(w, min(f, self.cap[ei]))
-                        if d > 0:
-                            self.cap[ei] -= d
-                            self.cap[ei ^ 1] += d
-                            return d
-                    it[v] += 1
-                return 0
-
+            it = [0] * self.n  # per vertex, its current arc
+            path: list[int] = []  # the arcs from s to v
+            v = s
             while True:
-                f = dfs(s, INF)
-                if f == 0:
+                if v == t:
+                    f = min(cap[ei] for ei in path)
+                    for ei in path:
+                        cap[ei] -= f
+                        cap[ei ^ 1] += f
+                    flow += f
+                    path, v = [], s
+                    continue
+                arcs, i = head[v], it[v]
+                while i < len(arcs) and not (cap[arcs[i]] > 0 and level[to[arcs[i]]] == level[v] + 1):
+                    i += 1
+                it[v] = i
+                if i < len(arcs):
+                    path.append(arcs[i])
+                    v = to[arcs[i]]
+                elif v == s:
                     break
-                flow += f
+                else:  # a dead end: retreat past the arc that led here
+                    v = to[path.pop() ^ 1]
+                    it[v] += 1
 
     def reachable(self, s: int) -> set[int]:
         seen = {s}
@@ -196,7 +204,7 @@ class StableSetFlow:
         self.graph = g
         self.left, self.right = parts
         s, t = g.n, g.n + 1
-        self.net = _Dinic(g.n + 2)
+        self.net = Dinic(g.n + 2)
         self.carries: list[int] = []  # per arc, the vertex whose weight it carries; -1 on edges
         for v in bits(self.left):
             self.net.add(s, v, 0)

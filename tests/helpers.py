@@ -12,22 +12,26 @@ from inducta.berge import (
     ABCD,
     FULL_ENUM_BOUND,
     LeafInfo,
+    MarkerInfo,
+    OutsideClassError,
     TreeNode,
     TwoJoinSplit,
     _check_path_cobip,
     _decompose,
     _flat_paths_of,
+    _gadgetize,
+    _LineSkeleton,
+    _line_weights,
     _marker_clique_weights,
     _path_block,
-    _swap_in_gadget,
-    derive_split,
+    all_proper_nonpath_two_joins,
     gadget_weights,
     is_connected_join,
     is_substantial_join,
     path_side,
 )
 from inducta.classify import TwoPair, classify_p3, find_two_pair
-from inducta.graphs import Graph, GraphError, TooLargeError, WeightedGraph, bit_count, bits, mask_of
+from inducta.graphs import Graph, GraphError, Record, TooLargeError, WeightedGraph, bit_count, bits, mask_of
 from inducta.kintree import KStructWitness, _kstruct_fail_index
 from inducta.linegraph import line_graph, line_root_with_map, maximal_cliques
 from inducta.named import (
@@ -323,6 +327,35 @@ def random_berge_instance(rng: random.Random, max_n: int = 20, mixed_bias: float
 
 # -- 2-join algebra: the oracle side of the solver's join blocks --------------
 
+def derive_split(g: Graph, x1: int, x2: int) -> TwoJoinSplit | None:
+    """The split of (x1, x2) if it is a 2-join with nonempty special
+    sets, else None.  Cross neighborhoods determine everything: A is the
+    X1 part with the smaller mask."""
+    groups: dict[int, int] = {}
+    for v in bits(x2):
+        c = g.adj[v] & x1
+        if c:
+            groups[c] = groups.get(c, 0) | (1 << v)
+    if len(groups) != 2:
+        return None
+    (n_a, a2), (n_b, b2) = sorted(groups.items())
+    if n_a & n_b:
+        return None
+    for v in bits(x1):
+        c = g.adj[v] & x2
+        if c == 0:
+            continue
+        if (n_a >> v & 1) and c == a2:
+            continue
+        if (n_b >> v & 1) and c == b2:
+            continue
+        return None
+    a1, b1 = n_a, n_b
+    if not (a1 and b1 and a2 and b2):
+        return None
+    return TwoJoinSplit(x1, x2, a1, b1, a2, b2)
+
+
 def validate_split(g: Graph, s: TwoJoinSplit) -> bool:
     """Whether s is a 2-join split of g, checked edge by edge."""
     if s.x1 & s.x2 or (s.x1 | s.x2) != g.full_mask():
@@ -375,10 +408,12 @@ def replace_path_by_gadget(
     """The solver's gadget swap with weights: the path becomes its claw or
     vault carrying ``weights4``; returns the new weighted graph, the
     gadget vertex list, and old->new map (path vertices -> -1)."""
-    blk, gadget, omap = _swap_in_gadget(wg.graph, path, kind)
+    blk, back, (gadget,) = _gadgetize(wg.graph, [MarkerInfo(path, kind, 0)])
+    omap = [-1] * wg.graph.n
     w = [0] * blk.n
-    for o, i in enumerate(omap):
-        if i >= 0:
+    for i, o in enumerate(back):
+        if o is not None:
+            omap[o] = i
             w[i] = wg.weights[o]
     for v, x in zip(gadget, weights4):
         w[v] = x
@@ -401,11 +436,70 @@ def gadget_block(tree: TreeNode, weights: list[int], abcd: ABCD) -> tuple[Weight
 def clique_block(wg: WeightedGraph, s: TwoJoinSplit, k: int, omega_w: tuple[int, int, int]) -> WeightedGraph:
     """X2 plus a marker path of length k for X1, the marker carrying the
     clique weights ``omega_w`` of A1, B1 and X1 as the solver sets them."""
-    block, marker = _path_block(wg, s.flip(), k)
-    w = list(block.weights)
-    for v, mw in zip(marker, _marker_clique_weights(len(marker), omega_w)):
-        w[v] = mw
-    return WeightedGraph(block.graph, w)
+    block, marker = _path_block(wg.graph, s.flip(), k)
+    w = [wg.weights[o] for o in bits(s.x2)] + _marker_clique_weights(len(marker), omega_w)
+    return WeightedGraph(block, w)
+
+
+def replay_tree(node: TreeNode) -> bool:
+    """Check bottom-up that each join child is exactly the recorded block
+    of its parent, so chaining the reverse operations rebuilds the root."""
+    if node.kind == "leaf":
+        return node.graph is not None
+    if node.graph is None or node.split is None or not node.children:
+        return False
+    block, _ = _path_block(node.graph, node.split.flip(), node.marker_len)
+    if node.children[0].graph != block:
+        return False
+    return all(replay_tree(c) for c in node.children)
+
+
+class ExtensionSpec(Record):
+    """An extension of a line graph: the base line graph (as it was before
+    extending), its root, and one gadget record per extended flat path."""
+
+    __slots__ = ("base", "root", "root_edges", "paths", "kinds")
+
+    def __init__(self, base: Graph, root: Graph, root_edges: list[tuple[int, int]],
+                 paths: list[list[int]], kinds: list[str]):
+        self.base = base              # the line graph G
+        self.root = root              # R with L(R) = G
+        self.root_edges = root_edges  # vertex of G -> edge of R
+        self.paths = paths            # the extended flat paths, in G
+        self.kinds = kinds            # 'claw' | 'vault' per path
+
+
+def line_extension_transform(
+    base_weights: list[int],
+    spec: ExtensionSpec,
+    numbers: list[ABCD],
+) -> tuple[WeightedGraph, list[tuple[int, int, int, int]], list[dict]]:
+    """Build the marked multigraph whose line graph carries the same
+    maximum stable set weight as the extension, and that line graph G''
+    explicitly; the solver keeps only the multigraph (``_LineSkeleton``).
+
+    ``base_weights`` weights the base line graph's vertices (entries under
+    the extended paths are ignored); ``numbers[i]`` holds the four
+    stable-set numbers of path i's gadget.  Returns the transformed
+    weighted graph G'', the root multigraph as weighted edges (u, v,
+    weight, g2_vertex), and per-path role records.  G'' is the line graph
+    of that multigraph: its vertex x is the edge labelled x, and two
+    vertices are adjacent when their edges share an end."""
+    skel = _LineSkeleton(spec.base, spec.root, spec.root_edges, spec.paths)
+    w2 = _line_weights(skel, base_weights, numbers)
+    at = [0] * skel.nodes  # per root vertex, the G'' vertices of its edges
+    for u, v, x in skel.medges:
+        at[u] |= 1 << x
+        at[v] |= 1 << x
+    g2 = Graph(len(w2))
+    for u, v, x in skel.medges:
+        g2.adj[x] = (at[u] | at[v]) & ~(1 << x)
+    medges = [(u, v, w2[x], x) for u, v, x in skel.medges]
+    records = [
+        {"path": p, "kind": kind, "roles": roles, "numbers": nums}
+        for p, kind, roles, nums in zip(spec.paths, spec.kinds, skel.roles, numbers)
+    ]
+    return WeightedGraph(g2, w2), medges, records
 
 
 def berge_family_graphs() -> list[Graph]:
@@ -609,16 +703,16 @@ def oracle_partner(g: Graph, live: int, z: int) -> int | None:
     return None
 
 
-def structure_workload(seed: int) -> list:
-    """The instances of the benchmark's ``structure`` workload for
-    ``seed``, from ``perfbench/workloads.py``, loaded by its path."""
-    name = "_structure_workloads"
+def bench_workload(workload: str, seed: int) -> list:
+    """The instances of the benchmark workload ``workload`` for ``seed``,
+    from ``perfbench/workloads.py``, loaded by its path."""
+    name = "_bench_workloads"
     if name not in sys.modules:
         path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
         spec = importlib.util.spec_from_file_location(name, path)
         sys.modules[name] = module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-    return sys.modules[name].generate("structure", seed)
+    return sys.modules[name].generate(workload, seed)
 
 
 def oracle_shortest_path(g: Graph, src: int, dst: int, allowed: int | None = None) -> list[int] | None:
@@ -815,6 +909,92 @@ def oracle_all_proper_nonpath_two_joins(g: Graph) -> list:
             continue
         out.append(s)
     return out
+
+
+# -- the per-marker gadget swap and the re-derived marker shift that one pass
+# -- and the enumeration's own list replaced
+
+def _oracle_swap_in_gadget(g: Graph, path: list[int], kind: str) -> tuple[Graph, list[int], list[int]]:
+    """Swap one flat path of g for its claw or vault; returns the new
+    graph, the gadget vertex list, and old->new map (path vertices -> -1)."""
+    p1, pk = path[0], path[-1]
+    a_att = [v for v in bits(g.adj[p1]) if v != path[1]]
+    b_att = [v for v in bits(g.adj[pk]) if v != path[-2]]
+    keep = [v for v in range(g.n) if v not in path]
+    sub, old = g.induced(keep)
+    pos = {o: i for i, o in enumerate(old)}
+    a2 = [pos[v] for v in a_att]
+    b2 = [pos[v] for v in b_att]
+    if kind == "claw":
+        q = [sub.n + i for i in range(4)]
+        blk = sub.add_vertices(4, [a2, [], b2, []])
+        blk.add_edge_unchecked(q[0], q[1])
+        blk.add_edge_unchecked(q[1], q[2])
+        blk.add_edge_unchecked(q[1], q[3])
+        gadget = q
+    else:
+        rr = [sub.n + i for i in range(6)]
+        blk = sub.add_vertices(6, [a2, b2, [], [], a2, b2])
+        for x, y in ((2, 3), (3, 4), (4, 5), (5, 2)):
+            blk.add_edge_unchecked(rr[x], rr[y])
+        gadget = rr
+    omap = [-1] * g.n
+    for o, i in pos.items():
+        omap[o] = i
+    return blk, gadget, omap
+
+
+def oracle_gadgetize(g: Graph, markers: list[MarkerInfo]) -> tuple[Graph, list, list[list[int]]]:
+    """Swap the marker paths for their gadgets one at a time, renumbering
+    the whole graph after each; the same triple as ``_gadgetize``."""
+    back: list = list(range(g.n))
+    paths = [m.path for m in markers]
+    gadgets: list[list[int]] = []
+    for i, m in enumerate(markers):
+        g, gad, omap = _oracle_swap_in_gadget(g, paths[i], m.kind)
+        new_back = [None] * g.n
+        for o, nn in enumerate(omap):
+            if nn >= 0:
+                new_back[nn] = back[o]
+        back = new_back
+        gadgets = [[omap[v] for v in vs] for vs in gadgets] + [gad]
+        paths[i + 1:] = [[omap[v] for v in p] for p in paths[i + 1:]]
+    return g, back, gadgets
+
+
+def _oracle_marker_independent(s: TwoJoinSplit, markers: list[list[int]]) -> bool:
+    for p in markers:
+        pm = mask_of(p)
+        if pm & s.x1 and pm & s.x2:
+            return False
+    return True
+
+
+def oracle_find_two_join(g: Graph, markers: list[list[int]] | None = None) -> TwoJoinSplit | None:
+    """``find_two_join`` with the marker-shifted split re-derived from its
+    cross neighbourhoods and re-tested for properness."""
+    joins = all_proper_nonpath_two_joins(g)
+    if not joins:
+        return None
+    s = min((t for j in joins for t in (j, j.flip())), key=lambda t: (bit_count(t.x1), t.x1))
+    if not markers:
+        return s
+    a_shift = any(mask_of(p) & s.a1 and mask_of(p) & s.a2 for p in markers)
+    b_shift = any(mask_of(p) & s.b1 and mask_of(p) & s.b2 for p in markers)
+    x1 = s.x1 | (s.a2 if a_shift else 0) | (s.b2 if b_shift else 0)
+    shifted = derive_split(g, x1, g.full_mask() & ~x1)
+    if (shifted is not None and is_substantial_join(g, shifted) and path_side(g, shifted) is None
+            and is_connected_join(g, shifted) and _oracle_marker_independent(shifted, markers)):
+        return shifted
+    cands = []
+    for j in joins:
+        for cand in (j, j.flip()):
+            if _oracle_marker_independent(cand, markers):
+                cands.append((bit_count(cand.x1), cand.x1, cand))
+    if not cands:
+        raise OutsideClassError("no marker-independent proper non-path 2-join")
+    cands.sort(key=lambda t: (t[0], t[1]))
+    return cands[0][2]
 
 
 # -- the Bron-Kerbosch root finder that the per-edge cliques replaced ----------

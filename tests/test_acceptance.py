@@ -12,11 +12,14 @@ import time
 from itertools import combinations
 
 from helpers import (
+    ExtensionSpec,
     clique_block,
     compute_abcd,
     cycle_with_unique_chord_present,
+    derive_split,
     forced_join,
     gadget_block,
+    line_extension_transform,
     named_zoo,
     omega_of,
     random_berge_instance,
@@ -28,7 +31,7 @@ from helpers import (
     validate_split,
     validate_two_pair,
 )
-from inducta.berge import _side_numbers, _solve_halves, berge_alpha_omega, color_berge, derive_split
+from inducta.berge import _side_numbers, _solve_halves, berge_alpha_omega, color_berge
 from inducta.bienstock import Cnf3, gamma_gadget, prism_reduction
 from inducta.classify import (
     color_weakly_triangulated,
@@ -285,7 +288,7 @@ def test_criterion_8b_line_extension_alpha():
     """The line-graph transformation preserves alpha (its share of
     criterion 8's lemma list), checked against the brute-force oracle."""
     t0 = time.time()
-    from inducta.berge import ExtensionSpec, gadget_alpha_numbers, line_extension_transform
+    from inducta.berge import gadget_alpha_numbers
     from inducta.linegraph import line_root_with_map
     from inducta.matching import max_weight_matching
 

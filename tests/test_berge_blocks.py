@@ -1,29 +1,38 @@
 import random
 
+import pytest
+
 from helpers import (
+    ExtensionSpec,
+    bench_workload,
+    berge_family_graphs,
     clique_block,
     compute_abcd,
+    derive_split,
     forced_join,
     gadget_block,
     glue_two_sides,
+    line_extension_transform,
+    oracle_find_two_join,
+    oracle_gadgetize,
     prism_side,
     random_berge_instance,
+    random_graph,
     replace_path_by_gadget,
+    replay_tree,
     theta_side,
     validate_split,
 )
+from inducta import berge
 from inducta.berge import (
     ABCD,
-    ExtensionSpec,
+    OutsideClassError,
     _side_numbers,
-    derive_split,
     find_two_join,
     gadget_alpha_numbers,
     gadget_weights,
-    line_extension_transform,
-    replay_tree,
 )
-from inducta.graphs import Graph, WeightedGraph, bit_count, bits, mask_of
+from inducta.graphs import Graph, GraphError, WeightedGraph, bit_count, bits, mask_of, parse_graph
 from inducta.linegraph import line_graph, line_root_with_map
 from inducta.matching import max_weight_matching
 from inducta.named import cycle, complete
@@ -335,3 +344,54 @@ def test_line_extension_past_the_node_bound():
         left[i + 1:] = [[omap[v] for v in p] for p in left[i + 1:]]
     val, _ = max_weight_matching(nodes, [(u, v, w) for u, v, w, _ in medges])
     assert val == max_weight_stable_set(gpp)[0] == max_weight_stable_set(ext)[0]
+
+
+def test_blocks_and_splits_match_the_replaced_routes(monkeypatch):
+    """Every 2-join search and every gadgetized block that ``decompose``
+    makes, over the family graphs, the seed-1 graphs of both Berge
+    benchmark workloads and seeded random graphs, equals what the
+    re-derived marker shift and the per-marker swap give: all six masks
+    of each split, each refusal's message, and each block's gadgetized
+    graph, map back and gadgets.  The random graphs reach the fallback
+    to the smallest marker-independent side and its refusal."""
+    real_find, real_gadgetize = berge.find_two_join, berge._gadgetize
+    seen = {"shifted": 0, "fallback": 0, "refused": 0, "adjacent": 0}
+
+    def find(g, markers=None):
+        try:
+            want = oracle_find_two_join(g, markers)
+        except OutsideClassError as err:
+            seen["refused"] += 1
+            with pytest.raises(OutsideClassError, match=f"^{err}$"):
+                real_find(g, markers)
+            raise
+        got = real_find(g, markers)
+        assert got == want
+        if markers and got is not None:
+            minimal = real_find(g)
+            seen["shifted"] += got.x1 != minimal.x1
+            seen["fallback"] += got.x1 & minimal.x1 != minimal.x1
+        return got
+
+    def gadgetize(g, markers):
+        got = real_gadgetize(g, markers)
+        assert got == oracle_gadgetize(g, markers)
+        ends = mask_of(v for m in markers for v in (m.path[0], m.path[-1]))
+        seen["adjacent"] += any(g.adj[m.path[0]] & ends or g.adj[m.path[-1]] & ends for m in markers)
+        return got
+
+    monkeypatch.setattr(berge, "find_two_join", find)
+    monkeypatch.setattr(berge, "_gadgetize", gadgetize)
+    graphs = berge_family_graphs()
+    for workload in ("berge-color", "berge-alpha"):
+        graphs += [parse_graph(inst.text).graph for inst in bench_workload(workload, 1)]
+    rng = random.Random(2929)
+    graphs += [random_graph(rng.randint(4, 11), rng.choice((0.2, 0.35, 0.5, 0.65, 0.8)), rng)
+               for _ in range(1000)]
+    for g in graphs:
+        try:
+            berge.decompose(g)
+        except GraphError:
+            pass
+    assert seen["shifted"] >= 50 and seen["fallback"] >= 1, seen
+    assert seen["refused"] >= 1 and seen["adjacent"] >= 20, seen

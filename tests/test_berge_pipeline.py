@@ -6,11 +6,10 @@ import threading
 import pytest
 
 from helpers import (berge_family_graphs, complement_leaf_graphs, glue_two_sides, oracle_classify_leaf,
-                     prism_side, random_berge_instance)
+                     prism_side, random_berge_instance, replay_tree)
 from inducta import berge
 from inducta.berge import (
     OutsideClassError,
-    replay_tree,
     berge_alpha_omega,
     color_berge,
     decompose,
@@ -154,12 +153,11 @@ def test_figure_graph_has_no_extreme_join():
     g = Graph(16, [(ix[a], ix[b]) for a, b in edges_named])
     joins = all_proper_nonpath_two_joins(g)
     assert joins, "the figure graph has a proper non-path 2-join"
-    wg = WeightedGraph(g)
     extreme_found = False
     for s in joins:
         for side in (s, s.flip()):
-            g1, _ = _path_block(wg, side, 4)
-            if not all_proper_nonpath_two_joins(g1.graph):
+            g1, _ = _path_block(g, side, 4)
+            if not all_proper_nonpath_two_joins(g1):
                 extreme_found = True
     assert not extreme_found
 

@@ -132,6 +132,40 @@ def test_parse_error_exit_3(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("text", ["p cnf x 1\n1 2 3 0\n", "p cnf 3 1\n1 two 3 0\n", "p cnf 3 x\n1 2 3 0\n"],
+                         ids=["vars", "literal", "clauses"])
+def test_malformed_dimacs_number_exit_3(capsys, tmp_path, text):
+    """A number in a DIMACS file that does not parse is a parse error
+    naming its line: exit 3, one error line."""
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(text)
+    code, out, err = run_err(capsys, "gadget", "gamma", f"--cnf={cnf}")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: line ") and err.count("\n") == 1
+
+
+def test_long_chorded_cycle(capsys, tmp_path):
+    """C_1400 plus the chord (0, 700): the flow that finds the chorded
+    cycle walks augmenting paths as long as the cycle without recursing,
+    so recognition answers with a cycle and chord that check, and
+    colouring refuses the graph with the same cycle."""
+    n = 1400
+    g = cycle(n)
+    g.add_edge_unchecked(0, n // 2)
+    p = tmp_path / "c.g"
+    p.write_text(format_graph(g))
+    code, out = run(capsys, "recognize", "--class=chordless", str(p), "--format=json-lines")
+    rec = json.loads(out)
+    cyc, (u, v) = rec["cycle"], rec["chord"]
+    assert code == 1 and rec["chordless"] is False
+    assert len(set(cyc)) == len(cyc) >= 4
+    assert all(g.has_edge(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
+    at = {x: i for i, x in enumerate(cyc)}
+    assert g.has_edge(u, v) and (at[u] - at[v]) % len(cyc) not in (1, len(cyc) - 1)
+    code, out, err = run_err(capsys, "color", "--class=chordless", str(p))
+    assert (code, out) == (2, "") and err.startswith("error: graph has a chorded cycle")
+
+
 def test_missing_file_exit_3(capsys):
     code, _ = run(capsys, "invariants", "/nonexistent/file.g")
     assert code == 3
@@ -445,8 +479,8 @@ def _low_omega_probe(monkeypatch):
 def _wrong_cut(monkeypatch):
     from inducta import matching
 
-    real = matching._Dinic.max_flow
-    monkeypatch.setattr(matching._Dinic, "max_flow", lambda self, s, t: real(self, s, t) + 1)
+    real = matching.Dinic.max_flow
+    monkeypatch.setattr(matching.Dinic, "max_flow", lambda self, s, t: real(self, s, t) + 1)
 
 
 @pytest.mark.parametrize("patch, solve, match, argv", [

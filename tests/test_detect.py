@@ -116,3 +116,10 @@ def test_hole_through_two_exhaustive_agreement():
                 if got:
                     assert x in got and y in got
                     assert g.is_induced_cycle(got)
+
+
+def test_hole_as_long_as_the_graph():
+    """The search keeps its own stack, so a hole of 2,200 vertices is found
+    as the whole cycle, the first half walked down from y."""
+    hole = hole_through_two(cycle(2200), 0, 1100)
+    assert hole == list(range(1100, -1, -1)) + list(range(2199, 1100, -1))

@@ -72,3 +72,29 @@ def test_no_package_module_imports_dataclasses():
     found = [path.name for path in FILES if path.parent.name == "inducta"
              and "dataclasses" in imported_modules(path.read_text())]
     assert found == []
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscore names the source imports from a module of the package,
+    at any depth: a relative import, or an absolute one from ``inducta``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").partition(".")[0] == "inducta"
+        ):
+            out += [alias.name for alias in node.names if alias.name.startswith("_")]
+    return out
+
+
+def test_private_import_finder():
+    src = ("from .a import b, _c\nfrom inducta.d import _e\nfrom os import _exit\n"
+           "def f():\n    from . import _g\n")
+    assert private_imports(src) == ["_c", "_e", "_g"]
+
+
+def test_no_package_module_imports_a_private_name():
+    """A name another module needs is part of its module's interface, so
+    it carries no leading underscore."""
+    found = {path.name: names for path in FILES if path.parent.name == "inducta"
+             and (names := private_imports(path.read_text()))}
+    assert found == {}

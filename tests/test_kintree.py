@@ -3,10 +3,10 @@ from itertools import combinations
 
 import pytest
 
-from helpers import (cube_graph, k4_structure_figure, oracle_is_induced_path, oracle_is_tree_mask,
-                     oracle_prune_tree, oracle_validate_kstruct, random_connected_girth,
+from helpers import (ExtensionSpec, cube_graph, k4_structure_figure, oracle_is_induced_path,
+                     oracle_is_tree_mask, oracle_prune_tree, oracle_validate_kstruct, random_connected_girth,
                      random_graph_girth, seven_structure_figure, smallest_square_structure,
-                     structure_workload)
+                     bench_workload)
 from inducta.graphs import Graph, GraphError, TooLargeError, mask_of, parse_graph
 from inducta import berge, bienstock, classify, decompose, detect, gap, kintree, oracle, sgraph
 from inducta.kintree import (
@@ -86,7 +86,7 @@ def test_trees_have_no_obstructions():
     kintree.TreeOrCertificate, kintree.SquareSplit, kintree.CubicSplit,
     kintree.KStructWitness, kintree.K4Witness, decompose.DecompositionNode,
     decompose.UniqueChordResult, detect.PrismWitness, sgraph.Embedding,
-    berge.ABCD, berge.ExtensionSpec, decompose.CutsetWitness, oracle.InvariantReport,
+    berge.ABCD, ExtensionSpec, decompose.CutsetWitness, oracle.InvariantReport,
     gap.GapReport, gap.CheckResult, gap.GapVerification, berge.BergeAnswer,
     berge.TreeNode, berge.TwoJoinSplit, berge.LeafInfo, classify.SmallClassification,
     classify.TwoPair, bienstock.Cnf3, bienstock.GadgetGraph, sgraph.SGraph,
@@ -262,7 +262,7 @@ def workload_answers():
         mp.setattr(kintree, "_prune_tree", prune)
         mp.setattr(Graph, "is_tree_mask", is_tree)
         for seed in range(1, 6):
-            for inst in structure_workload(seed):
+            for inst in bench_workload("structure", seed):
                 if inst.family.startswith("k_in_a_tree/") and "pinned" not in inst.family:
                     g = parse_graph(inst.text).graph
                     out.append((g, inst.params["terminals"], k_in_a_tree(g, inst.params["terminals"])))

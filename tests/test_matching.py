@@ -99,13 +99,13 @@ def test_flow_witness_checks_raise(monkeypatch):
     of a network built from a bipartite graph: InternalError, which,
     unlike an assert, survives python -O."""
     g, w = path(3), [5, 1, 5]
-    real_flow = matching._Dinic.max_flow
-    monkeypatch.setattr(matching._Dinic, "max_flow", lambda self, s, t: real_flow(self, s, t) + 1)
+    real_flow = matching.Dinic.max_flow
+    monkeypatch.setattr(matching.Dinic, "max_flow", lambda self, s, t: real_flow(self, s, t) + 1)
     with pytest.raises(InternalError, match="cut"):
         StableSetFlow(g).solve(w)
     monkeypatch.undo()
     left = set(bits(g.bipartition()[0]))
-    monkeypatch.setattr(matching._Dinic, "reachable", lambda self, s: {s} | left)
+    monkeypatch.setattr(matching.Dinic, "reachable", lambda self, s: {s} | left)
     with pytest.raises(InternalError, match="stable"):
         StableSetFlow(g).solve(w)
 
@@ -131,12 +131,12 @@ def test_flow_network_serves_every_weighting(monkeypatch):
             assert got[0] == max_weight_stable_set(WeightedGraph(g, w))[0]
     w = [1 + v % 4 for v in range(g.n)]
     want = flow.solve(w)
-    real_flow = matching._Dinic.max_flow
-    monkeypatch.setattr(matching._Dinic, "max_flow", lambda self, s, t: real_flow(self, s, t) + 1)
+    real_flow = matching.Dinic.max_flow
+    monkeypatch.setattr(matching.Dinic, "max_flow", lambda self, s, t: real_flow(self, s, t) + 1)
     with pytest.raises(InternalError, match="cut"):
         flow.solve(w)
     monkeypatch.undo()
-    monkeypatch.setattr(matching._Dinic, "reachable", lambda self, s: {s} | set(bits(flow.left)))
+    monkeypatch.setattr(matching.Dinic, "reachable", lambda self, s: {s} | set(bits(flow.left)))
     with pytest.raises(InternalError, match="stable"):
         flow.solve(w)
     monkeypatch.undo()
