@@ -228,11 +228,14 @@ class DecompositionNode(Record):
         self.join_b = [] if join_b is None else join_b  # in original ids
 
     def leaves(self):
-        if not self.children:
-            yield self
-        else:
-            for c in self.children:
-                yield from c.leaves()
+        """The leaves, left to right, from a worklist."""
+        todo = [self]
+        while todo:
+            node = todo.pop()
+            if node.children:
+                todo += reversed(node.children)
+            else:
+                yield node
 
 
 def replay_tree(g: Graph, node: DecompositionNode) -> bool:
@@ -250,28 +253,23 @@ def replay_tree(g: Graph, node: DecompositionNode) -> bool:
 
 
 def _replay(g: Graph, node: DecompositionNode) -> tuple[set[int], set[tuple[int, int]]]:
-    if not node.children:
-        vs = {v for v in node.vertices if v >= 0}
-        es = {
-            (min(u, v), max(u, v))
-            for u in vs
-            for v in vs
-            if u < v and g.has_edge(u, v)
-        }
-        return vs, es
+    """The vertices and edges the tree reassembles, from a worklist."""
     verts: set[int] = set()
     edges: set[tuple[int, int]] = set()
-    for c in node.children:
-        cv, ce = _replay(g, c)
-        verts |= cv
-        edges |= ce
-    if node.kind == "proper_1_join":
-        # special sets may hold an enclosing block's marker (-1): its cross
-        # edges are block artifacts, not edges of g
-        for u in node.join_a:
-            for v in node.join_b:
-                if u >= 0 and v >= 0:
-                    edges.add((min(u, v), max(u, v)))
+    todo = [node]
+    while todo:
+        node = todo.pop()
+        if not node.children:
+            vs = {v for v in node.vertices if v >= 0}
+            verts |= vs
+            edges |= {(u, v) for u in vs for v in vs if u < v and g.has_edge(u, v)}
+            continue
+        todo += node.children
+        if node.kind == "proper_1_join":
+            # special sets may hold an enclosing block's marker (-1): its cross
+            # edges are block artifacts, not edges of g
+            edges |= {(min(u, v), max(u, v)) for u in node.join_a for v in node.join_b
+                      if u >= 0 and v >= 0}
     return verts, edges
 
 
@@ -312,29 +310,33 @@ def _decompose(g: Graph, ids: list[int]) -> DecompositionNode:
     """The tree of g by the theorem's first step that applies: components;
     clique, sparse, sub-Petersen and sub-Heawood leaves; 1-cutset, special
     2-cutset, proper 1-join.  ``ids`` gives g's vertices in the input
-    graph, -1 for markers."""
-    cut = _find_components(g)
-    if cut is None:
-        leaf = ("clique" if g.is_clique_mask(g.full_mask())
-                else "sparse" if is_sparse(g)
-                else "sub-petersen" if _is_sub_named(g, petersen())
-                else "sub-heawood" if _is_sub_named(g, heawood())
-                else None)
-        if leaf is not None:
-            return DecompositionNode(leaf, vertices=list(ids))
-        cut = _find_one_cutset(g) or _find_special_2_cutset(g) or _find_proper_1_join(g)
+    graph, -1 for markers.  Blocks wait on a worklist, each with the
+    children list of its parent, and are split depth first in the order
+    of a recursive descent."""
+    root: list[DecompositionNode] = []
+    todo = [(g, ids, root)]
+    while todo:
+        g, ids, siblings = todo.pop()
+        cut = _find_components(g)
         if cut is None:
-            raise InternalError("graph in the class escaped every decomposition case")
-    return DecompositionNode(
-        cut.kind,
-        cut=tuple(ids[v] for v in cut.vertices),
-        children=[
-            _decompose(blk, [ids[v] for v in old] + [-1] * (blk.n - len(old)))
-            for blk, old in _blocks(g, cut)
-        ],
-        join_a=[ids[v] for v in bits(cut.a_side)],
-        join_b=[ids[v] for v in bits(cut.b_side)],
-    )
+            leaf = ("clique" if g.is_clique_mask(g.full_mask())
+                    else "sparse" if is_sparse(g)
+                    else "sub-petersen" if _is_sub_named(g, petersen())
+                    else "sub-heawood" if _is_sub_named(g, heawood())
+                    else None)
+            if leaf is not None:
+                siblings.append(DecompositionNode(leaf, vertices=list(ids)))
+                continue
+            cut = _find_one_cutset(g) or _find_special_2_cutset(g) or _find_proper_1_join(g)
+            if cut is None:
+                raise InternalError("graph in the class escaped every decomposition case")
+        node = DecompositionNode(cut.kind, cut=tuple(ids[v] for v in cut.vertices),
+                                 join_a=[ids[v] for v in bits(cut.a_side)],
+                                 join_b=[ids[v] for v in bits(cut.b_side)])
+        siblings.append(node)
+        todo += [(blk, [ids[v] for v in old] + [-1] * (blk.n - len(old)), node.children)
+                 for blk, old in reversed(_blocks(g, cut))]
+    return root[0]
 
 
 # -- cycles with a unique chord --------------------------------------------
@@ -418,45 +420,71 @@ def chi_unique_chord_free(g: Graph) -> tuple[int, list[int]]:
     return _chi_member(g)
 
 
-def _chi_member(g: Graph) -> tuple[int, list[int]]:
+def _chi_or_cut(g: Graph) -> tuple[int, list[int]] | CutsetWitness:
+    """(chi, coloring) of a member colored outright, else the cut it
+    splits at: its components, or a 1-cutset."""
     if g.n == 0:
         return 0, []
     cut = _find_components(g)
+    if cut is not None:
+        return cut
+    if g.bipartition() is not None:
+        return (1 if g.edge_count() == 0 else 2), _two_color(g)
+    if g.triangle() is None:
+        # triangle-free, not bipartite: chi = 3 via a third color that
+        # holds N(v) and misses v (the shape-1 admissible pair)
+        v = _min_degree_vertex(g)
+        s = _third_color(g, include=g.adj[v], exclude=1 << v)
+        if s is None:
+            raise InternalError("no third color for a member of the class")
+        rest, old = g.induced_mask(g.full_mask() & ~s)
+        two = _two_color(rest)
+        color = [2] * g.n
+        for i, o in enumerate(old):
+            color[o] = two[i]
+        if any(color[x] == color[y] for x, y in g.edges()):
+            raise InternalError("third-color coloring is not proper")
+        return 3, color
+    if g.is_clique_mask(g.full_mask()):
+        return g.n, list(range(g.n))
+    cut = _find_one_cutset(g)
     if cut is None:
-        if g.bipartition() is not None:
-            return (1 if g.edge_count() == 0 else 2), _two_color(g)
-        if g.triangle() is None:
-            # triangle-free, not bipartite: chi = 3 via a third color that
-            # holds N(v) and misses v (the shape-1 admissible pair)
-            v = _min_degree_vertex(g)
-            s = _third_color(g, include=g.adj[v], exclude=1 << v)
-            if s is None:
-                raise InternalError("no third color for a member of the class")
-            rest, old = g.induced_mask(g.full_mask() & ~s)
-            two = _two_color(rest)
-            color = [2] * g.n
-            for i, o in enumerate(old):
-                color[o] = two[i]
-            if any(color[x] == color[y] for x, y in g.edges()):
-                raise InternalError("third-color coloring is not proper")
-            return 3, color
-        if g.is_clique_mask(g.full_mask()):
-            return g.n, list(range(g.n))
-        cut = _find_one_cutset(g)
-        if cut is None:
-            raise InternalError("member with a triangle must be a clique or have a 1-cutset")
-    # color the blocks apart and glue them, the cut vertex on color 0
-    color = [0] * g.n
-    chi = 0
-    for blk, old in _blocks(g, cut):
-        c_chi, c_col = _chi_member(blk)
-        chi = max(chi, c_chi)
-        pivot = c_col[old.index(cut.vertices[0])] if cut.vertices else 0
-        for o, c in zip(old, c_col):
-            color[o] = 0 if c == pivot else pivot if c == 0 else c
-    if any(color[x] == color[y] for x, y in g.edges()):
-        raise InternalError("glued block coloring is not proper")
-    return chi, color
+        raise InternalError("member with a triangle must be a clique or have a 1-cutset")
+    return cut
+
+
+def _chi_member(g: Graph) -> tuple[int, list[int]]:
+    """(chi, coloring) of a member.  A graph split at a cut gets a frame;
+    its blocks are colored depth first, one after another, and each
+    block's coloring is glued into the frame as it comes, the cut vertex
+    on color 0."""
+    frames: list[list] = []  # [graph, cut, blocks, blocks glued, chi, color]
+    todo = g
+    while True:
+        got = _chi_or_cut(todo)
+        if isinstance(got, CutsetWitness):
+            blocks = _blocks(todo, got)
+            frames.append([todo, got, blocks, 0, 0, [0] * todo.n])
+            todo = blocks[0][0]
+            continue
+        while frames:
+            frame = frames[-1]
+            h, cut, blocks, i, chi, color = frame
+            old = blocks[i][1]
+            c_chi, c_col = got
+            pivot = c_col[old.index(cut.vertices[0])] if cut.vertices else 0
+            for o, c in zip(old, c_col):
+                color[o] = 0 if c == pivot else pivot if c == 0 else c
+            frame[3:5] = i + 1, max(chi, c_chi)
+            if i + 1 < len(blocks):
+                todo = blocks[i + 1][0]
+                break
+            frames.pop()
+            if any(color[x] == color[y] for x, y in h.edges()):
+                raise InternalError("glued block coloring is not proper")
+            got = frame[4], color
+        else:
+            return got
 
 
 def _min_degree_vertex(g: Graph) -> int:

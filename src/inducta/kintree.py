@@ -11,6 +11,25 @@ The engine works on terminals of degree one (callers get the pending
 neighbor reduction), grows a tree one terminal at a time, and analyses
 the linking lemma's two cases whenever the new terminal's connecting
 path attaches to the tree more than once.
+
+A square or cubic split is its list of parts, the classes in this order:
+
+- square: A1-A4, S1-S4, R;
+- cubic: A1-A4, B1-B4, S1-S8, R, where S1-S4 are low and S5-S8 high.
+
+Its rule table gives, per class, the classes it may touch and those it
+must be complete to; every other pair of classes is anticomplete,
+including a class with itself, so each S class is stable.  The pairs
+that may touch (i, j in 1-4):
+
+- square: A_i-A_i, A_i-S_i, S_i-R, R-R, and S_i-S_(i+-1), which must be
+  complete;
+- cubic: A_i-A_i, A_i-S_i, B_i-B_i, B_i-S_i, B_i-S_(4+j) for j != i,
+  S_(4+j)-R, R-R, and S_i-S_(4+j) for j != i, which must be complete.
+
+Besides, x_i lies in A_i, A_i is connected, every vertex of S_i has a
+neighbor in A_i, S1-S4 are nonempty and at most one of S5-S8 is empty.
+The validators and the split search both read the table.
 """
 
 from __future__ import annotations
@@ -88,8 +107,48 @@ class TreeOrCertificate(Record):
 
 # -- certificate validators ------------------------------------------------
 
-def validate_square_split(g: Graph, universe: int, terms: list[int], sp: SquareSplit) -> bool:
-    parts = list(sp.a) + list(sp.s) + [sp.r]
+def _rule_table(size: int, touching, complete) -> list[tuple[list[int], list[int]]]:
+    """Per class, the classes it may touch and the classes it must be
+    complete to, by index, from the pairs that may touch and the pairs
+    that must be complete (which may touch too)."""
+    touch, need = [0] * size, [0] * size
+    for pairs, tables in ((touching, (touch,)), (complete, (touch, need))):
+        for c, d in pairs:
+            for table in tables:
+                table[c] |= 1 << d
+                table[d] |= 1 << c
+    return [(list(bits(t)), list(bits(n))) for t, n in zip(touch, need)]
+
+
+_FOUR = range(4)
+# a class's index is its place in the class order, counted from 0
+_SQUARE_RULES = _rule_table(
+    9,
+    [(i, i) for i in _FOUR] + [(i, 4 + i) for i in _FOUR] + [(4 + i, 8) for i in _FOUR] + [(8, 8)],
+    [(4 + i, 4 + (i + 1) % 4) for i in _FOUR],
+)
+_CUBIC_RULES = _rule_table(
+    17,
+    [(i, i) for i in _FOUR] + [(i, 8 + i) for i in _FOUR]
+    + [(4 + i, 4 + i) for i in _FOUR] + [(4 + i, 8 + i) for i in _FOUR]
+    + [(4 + i, 12 + j) for i in _FOUR for j in _FOUR if j != i]
+    + [(12 + j, 16) for j in _FOUR] + [(16, 16)],
+    [(8 + i, 12 + j) for i in _FOUR for j in _FOUR if j != i],
+)
+
+
+def _split(kind: str, parts: list[int]) -> SquareSplit | CubicSplit:
+    """The split of ``kind`` whose classes, in class order, are ``parts``."""
+    if kind == "square":
+        return SquareSplit(tuple(parts[:4]), tuple(parts[4:8]), parts[8])
+    return CubicSplit(tuple(parts[:4]), tuple(parts[4:8]), tuple(parts[8:16]), parts[16])
+
+
+def _split_holds(g: Graph, universe: int, terms: list[int], parts: list[int], rules) -> bool:
+    """The parts partition the universe and every pair of classes keeps
+    its rule, tested through each class's neighborhood; x_i lies in A_i,
+    A_i is connected and every vertex of S_i has a neighbor in A_i; the
+    low S classes are nonempty, and all but at most one high one."""
     tot = 0
     for p in parts:
         if p & tot:
@@ -97,79 +156,41 @@ def validate_square_split(g: Graph, universe: int, terms: list[int], sp: SquareS
         tot |= p
     if tot != universe:
         return False
-    sall = sp.s[0] | sp.s[1] | sp.s[2] | sp.s[3]
-    for i in range(4):
-        if not (sp.a[i] >> terms[i] & 1):
+    s = parts[len(parts) // 2:-1]  # S1-S4, or S1-S8
+    if 0 in s[:4] or s[4:].count(0) > 1:
+        return False
+    if not all(parts[i] >> terms[i] & 1 for i in _FOUR):
+        return False
+    adj = g.adj
+    nbs = []
+    for c, (touch, need) in enumerate(rules):
+        p = parts[c]
+        nb = allowed = 0
+        for v in bits(p):
+            nb |= adj[v]
+        for d in touch:
+            allowed |= parts[d]
+        if nb & universe & ~allowed:
             return False
-        if sp.s[i] == 0 or not g.is_stable_mask(sp.s[i]):
-            return False
-        if not g.is_complete_between(sp.s[i], sp.s[(i + 1) % 4]):
-            return False
-    for i in range(2):
-        if not g.is_anticomplete_between(sp.s[i], sp.s[i + 2]):
-            return False
-    for i in range(4):
-        nb = 0
-        for v in bits(sp.a[i]):
-            nb |= g.adj[v]
-        if nb & universe & ~(sp.a[i] | sp.s[i]):
-            return False
-        if sp.s[i] & ~nb:
-            return False  # N(A_i) must be all of S_i
-        if len(g.components_of(sp.a[i])) != 1:
-            return False
-    for v in bits(sp.r):
-        if g.adj[v] & universe & ~(sp.r | sall):
-            return False
-    return True
+        for d in need:
+            if d > c and not g.is_complete_between(p, parts[d]):
+                return False
+        nbs.append(nb)
+    return all(not s[i] & ~nbs[i] and len(g.components_of(parts[i])) == 1 for i in _FOUR)
+
+
+def validate_square_split(g: Graph, universe: int, terms: list[int], sp: SquareSplit) -> bool:
+    return _split_holds(g, universe, terms, [*sp.a, *sp.s, sp.r], _SQUARE_RULES)
 
 
 def validate_cubic_split(g: Graph, universe: int, terms: list[int], sp: CubicSplit) -> bool:
-    parts = list(sp.a) + list(sp.b) + list(sp.s) + [sp.r]
-    tot = 0
-    for p in parts:
-        if p & tot:
-            return False
-        tot |= p
-    if tot != universe:
-        return False
-    s_hi = sp.s[4] | sp.s[5] | sp.s[6] | sp.s[7]
-    if sum(1 for i in range(4, 8) if sp.s[i] == 0) > 1:
-        return False
-    for i in range(8):
-        if not g.is_stable_mask(sp.s[i]):
-            return False
-    for i in range(4):
-        if sp.s[i] == 0 or not (sp.a[i] >> terms[i] & 1):
-            return False
-        if not g.is_complete_between(sp.s[i], s_hi & ~sp.s[i + 4]):
-            return False
-        if not g.is_anticomplete_between(sp.s[i], sp.s[i + 4]):
-            return False
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if not g.is_anticomplete_between(sp.s[i], sp.s[j]):
-                return False
-            if not g.is_anticomplete_between(sp.s[i + 4], sp.s[j + 4]):
-                return False
-    for i in range(4):
-        nb = 0
-        for v in bits(sp.a[i]):
-            nb |= g.adj[v]
-        if nb & universe & ~(sp.a[i] | sp.s[i]):
-            return False
-        if sp.s[i] & ~nb:
-            return False
-        if len(g.components_of(sp.a[i])) != 1:
-            return False
-        allowed_b = sp.b[i] | sp.s[i] | (s_hi & ~sp.s[i + 4])
-        for v in bits(sp.b[i]):
-            if g.adj[v] & universe & ~allowed_b:
-                return False
-    for v in bits(sp.r):
-        if g.adj[v] & universe & ~(sp.r | s_hi):
-            return False
-    return True
+    return _split_holds(g, universe, terms, [*sp.a, *sp.b, *sp.s, sp.r], _CUBIC_RULES)
+
+
+def _cut_off(g: Graph, x: int, cut: int, region: int, others: int) -> bool:
+    """Does removing ``cut`` from ``region`` leave x reaching no vertex of
+    ``others`` but itself?"""
+    return not g.reach(1 << x, region & ~cut) & others & ~(1 << x)
 
 
 def validate_kstruct(g: Graph, w: KStructWitness) -> bool:
@@ -202,51 +223,46 @@ def validate_kstruct(g: Graph, w: KStructWitness) -> bool:
 
 
 def validate_k4(g: Graph, w: K4Witness, check_decomposes: bool = True) -> bool:
-    hubs = w.hubs
-    parts: dict[str, list[int]] = dict(w.paths)
-    used: set[int] = set(hubs.values())
-    if len(used) != 4:
+    """Four hubs and six disjoint induced paths P_ij from x_ij to s_ij
+    whose only edges among them and the hubs join s_ij to hubs i and j;
+    with ``check_decomposes``, the hubs i, j and the vertex s_ij each
+    separate x_ij from the other terminals.  Each hub and each path
+    vertex is tested once against the mask of the used vertices."""
+    hubs, paths = w.hubs, w.paths
+    if len(set(hubs.values())) != 4:
         return False
+    used = mask_of(hubs.values())
+    masks = {}
     for ij in K4Witness.PAIRS:
-        p = parts[ij]
+        p = paths[ij]
         if len(p) < 2 or not g.is_induced_path(p):
             return False
-        if used & set(p):
+        pm = mask_of(p)
+        if used & pm:
             return False
-        used.update(p)
-    required = set()
+        used |= pm
+        masks[ij] = pm
+    adj = g.adj
+    want = dict.fromkeys(hubs.values(), 0)
     for ij in K4Witness.PAIRS:
-        s_ij = parts[ij][-1]
         for h in ij:
-            required.add(tuple(sorted((hubs[h], s_ij))))
-    pathof: dict[int, str] = {}
+            want[hubs[h]] |= 1 << paths[ij][-1]
+    if any(adj[h] & used != m for h, m in want.items()):
+        return False
     for ij in K4Witness.PAIRS:
-        for v in parts[ij]:
-            pathof[v] = ij
-    all_vs = sorted(used)
-    for a in all_vs:
-        for b in all_vs:
-            if b <= a:
-                continue
-            pa, pb = pathof.get(a), pathof.get(b)
-            if pa is not None and pa == pb:
-                p = parts[pa]
-                expect = abs(p.index(a) - p.index(b)) == 1
-            else:
-                expect = tuple(sorted((a, b))) in required
-            if g.has_edge(a, b) != expect:
+        p = paths[ij]
+        others = used & ~masks[ij]
+        ends = 1 << hubs[ij[0]] | 1 << hubs[ij[1]]
+        for u in p:
+            if adj[u] & others != (ends if u == p[-1] else 0):
                 return False
     if check_decomposes:
-        xs = {ij: parts[ij][0] for ij in K4Witness.PAIRS}
-        others = mask_of(xs.values())
+        xs = mask_of(paths[ij][0] for ij in K4Witness.PAIRS)
+        full = g.full_mask()
         for ij in K4Witness.PAIRS:
-            cut1 = (1 << hubs[ij[0]]) | (1 << hubs[ij[1]])
-            comp = g.reach(1 << xs[ij], g.full_mask() & ~cut1)
-            if comp & others & ~(1 << xs[ij]):
-                return False
-            cut2 = 1 << parts[ij][-1]
-            comp = g.reach(1 << xs[ij], g.full_mask() & ~cut2)
-            if comp & others & ~(1 << xs[ij]):
+            x = paths[ij][0]
+            if not (_cut_off(g, x, 1 << hubs[ij[0]] | 1 << hubs[ij[1]], full, xs)
+                    and _cut_off(g, x, 1 << paths[ij][-1], full, xs)):
                 return False
     return True
 
@@ -445,67 +461,32 @@ def _first_step(g: Graph, terms: list[int], k: int):
 
 # -- square / cubic growth (k = 4) --------------------------------------------
 
-_SQUARE_LABELS = ["A1", "A2", "A3", "A4", "S1", "S2", "S3", "S4", "R"]
-_CUBIC_LABELS = (
-    ["A1", "A2", "A3", "A4", "B1", "B2", "B3", "B4"]
-    + [f"S{i}" for i in range(1, 9)]
-    + ["R"]
-)
+def _accepted(kind: str, g: Graph, universe: int, terms, parts: list[int]) -> bool:
+    """The verdict of the public validator of ``kind`` on the split with
+    these parts; the validator is looked up by name at each call."""
+    sp = _split(kind, parts)
+    if kind == "square":
+        return validate_square_split(g, universe, terms, sp)
+    return validate_cubic_split(g, universe, terms, sp)
 
 
-def _square_from_parts(parts: dict[str, int]) -> SquareSplit:
-    return SquareSplit(
-        tuple(parts[f"A{i}"] for i in range(1, 5)),
-        tuple(parts[f"S{i}"] for i in range(1, 5)),
-        parts["R"],
-    )
-
-
-def _cubic_from_parts(parts: dict[str, int]) -> CubicSplit:
-    return CubicSplit(
-        tuple(parts[f"A{i}"] for i in range(1, 5)),
-        tuple(parts[f"B{i}"] for i in range(1, 5)),
-        tuple(parts[f"S{i}"] for i in range(1, 9)),
-        parts["R"],
-    )
-
-
-def _split_parts(sp) -> dict[str, int]:
-    if isinstance(sp, SquareSplit):
-        out = {f"A{i+1}": sp.a[i] for i in range(4)}
-        out.update({f"S{i+1}": sp.s[i] for i in range(4)})
-        out["R"] = sp.r
-        return out
-    out = {f"A{i+1}": sp.a[i] for i in range(4)}
-    out.update({f"B{i+1}": sp.b[i] for i in range(4)})
-    out.update({f"S{i+1}": sp.s[i] for i in range(8)})
-    out["R"] = sp.r
-    return out
-
-
-def _grow_quad(g: Graph, universe: int, terms: list[int], sq: SquareSplit):
+def _grow_quad(g: Graph, universe: int, terms: list[int], parts: list[int]):
     """Absorb the rest of the graph into a square split, switching to a
     cubic split when forced; a tree discovered along the way wins."""
-    mode = "square"
-    split: SquareSplit | CubicSplit = sq
+    kind = "square"
     covered = 0
-    for p in _split_parts(split).values():
+    for p in parts:
         covered |= p
 
     while covered != universe:
         pending = universe & ~covered
         placed = False
         for v in bits(pending):
-            parts = _split_parts(split)
-            labels = _SQUARE_LABELS if mode == "square" else _CUBIC_LABELS
-            okfun = validate_square_split if mode == "square" else validate_cubic_split
-            maker = _square_from_parts if mode == "square" else _cubic_from_parts
-            for lab in labels:
-                parts2 = dict(parts)
-                parts2[lab] = parts[lab] | (1 << v)
-                cand = maker(parts2)
-                if okfun(g, covered | (1 << v), terms, cand):
-                    split = cand
+            for c in range(len(parts)):
+                cand = list(parts)
+                cand[c] |= 1 << v
+                if _accepted(kind, g, covered | (1 << v), terms, cand):
+                    parts = cand
                     covered |= 1 << v
                     placed = True
                     break
@@ -521,114 +502,46 @@ def _grow_quad(g: Graph, universe: int, terms: list[int], sq: SquareSplit):
             if tmask is not None:
                 return "tree", mask_of(old[i] for i in bits(tmask))
         v = next(bits(pending))
-        got = _csp_split(g, covered | (1 << v), terms, "cubic")
-        if got is not None:
-            mode, split = "cubic", got
-            covered |= 1 << v
-            continue
-        if mode == "square":
-            got = _csp_split(g, covered | (1 << v), terms, "square")
+        for redo in ("cubic", "square") if kind == "square" else ("cubic",):
+            got = _csp_split(g, covered | (1 << v), terms, redo)
             if got is not None:
-                split = got
+                kind, parts = redo, got
                 covered |= 1 << v
-                continue
-        raise InternalError("square/cubic growth wedged: no placement, tree, or repartition")
-    return mode, split
+                break
+        else:
+            raise InternalError("square/cubic growth wedged: no placement, tree, or repartition")
+    return kind, _split(kind, parts)
 
 
-def _pair_rule(l1: str, l2: str, which: str) -> str:
-    if l1 > l2:
-        l1, l2 = l2, l1
-    c1, i1 = l1[0], int(l1[1:] or 0)
-    c2, i2 = l2[0], int(l2[1:] or 0)
-    if which == "square":
-        if c1 == "A" and c2 == "A":
-            return "free" if i1 == i2 else "forbid"
-        if c1 == "A" and c2 == "S":
-            return "free" if i1 == i2 else "forbid"
-        if c1 == "A" and c2 == "R":
-            return "forbid"
-        if c1 == "S" and c2 == "S":
-            if i1 == i2:
-                return "forbid"
-            return "require" if (i2 - i1) % 4 in (1, 3) else "forbid"
-        if c1 == "R" and c2 == "S":
-            return "free"
-        return "free"  # R,R
-    # cubic
-    if c1 == "A":
-        if c2 == "A":
-            return "free" if i1 == i2 else "forbid"
-        if c2 == "B":
-            return "forbid"
-        if c2 == "S":
-            return "free" if i1 == i2 else "forbid"
-        return "forbid"  # A,R
-    if c1 == "B":
-        if c2 == "B":
-            return "free" if i1 == i2 else "forbid"
-        if c2 == "S":
-            if i2 == i1:
-                return "free"
-            if i2 == i1 + 4:
-                return "forbid"
-            return "free" if i2 >= 5 else "forbid"
-        return "forbid"  # B,R
-    if c1 == "S" and c2 == "S":
-        if i1 == i2:
-            return "forbid"
-        if i2 <= 4:
-            return "forbid"
-        if i1 <= 4:
-            return "forbid" if i2 == i1 + 4 else "require"
-        return "forbid"  # both high
-    if c1 == "R" and c2 == "S":
-        return "free" if i2 >= 5 else "forbid"
-    return "free"  # R,R
-
-
-def _csp_split(g: Graph, universe: int, terms: list[int], which: str):
-    """Backtracking search for a square or cubic split of g[universe],
-    over every assignment of the four terminals to the A-classes."""
+def _csp_split(g: Graph, universe: int, terms: list[int], kind: str) -> list[int] | None:
+    """Backtracking search for a split of ``kind`` of g[universe], over
+    every assignment of the four terminals to the A-classes: each vertex
+    goes to the first class, in class order, that the rule table lets it
+    join beside the vertices placed so far.  The parts, or None."""
+    rules = _SQUARE_RULES if kind == "square" else _CUBIC_RULES
     verts = [v for v in bits(universe) if v not in terms]
-    labels = _SQUARE_LABELS if which == "square" else _CUBIC_LABELS
-    validator = validate_square_split if which == "square" else validate_cubic_split
-    maker = _square_from_parts if which == "square" else _cubic_from_parts
+    adj = g.adj
 
-    def search(order_terms):
-        assign: dict[int, str] = {t: f"A{i+1}" for i, t in enumerate(order_terms)}
+    def search(i: int, parts: list[int], placed: int, order: list[int]) -> list[int] | None:
+        if i == len(verts):
+            return parts if _accepted(kind, g, universe, order, parts) else None
+        v = verts[i]
+        nb = adj[v] & placed
+        for c, (touch, need) in enumerate(rules):
+            allowed = 0
+            for d in touch:
+                allowed |= parts[d]
+            if nb & ~allowed or any(parts[d] & ~adj[v] for d in need):
+                continue
+            parts[c] |= 1 << v
+            got = search(i + 1, parts, placed | 1 << v, order)
+            if got is not None:
+                return got
+            parts[c] &= ~(1 << v)
+        return None
 
-        def ok(lab: str, v: int) -> bool:
-            for u, l2 in assign.items():
-                rule = _pair_rule(lab, l2, which)
-                edge = g.has_edge(v, u)
-                if rule == "forbid" and edge:
-                    return False
-                if rule == "require" and not edge:
-                    return False
-            return True
-
-        def rec(i: int):
-            if i == len(verts):
-                parts = {lab: 0 for lab in labels}
-                for v, lab in assign.items():
-                    parts[lab] |= 1 << v
-                cand = maker(parts)
-                return cand if validator(g, universe, list(order_terms), cand) else None
-            v = verts[i]
-            for lab in labels:
-                if ok(lab, v):
-                    assign[v] = lab
-                    got = rec(i + 1)
-                    if got is not None:
-                        return got
-                    del assign[v]
-            return None
-
-        return rec(0)
-
-    for order_terms in permutations(terms):
-        got = search(order_terms)
+    for order in permutations(terms):
+        got = search(0, [1 << t for t in order] + [0] * (len(rules) - 4), mask_of(order), list(order))
         if got is not None:
             return got
     return None
@@ -639,13 +552,9 @@ def _csp_split(g: Graph, universe: int, terms: list[int], which: str):
 def _kstruct_fail_index(g: Graph, paths: list[list[int]], region: int) -> int | None:
     """Index of the first path whose cycle vertex fails to separate its
     terminal inside region, or None when the structure decomposes it."""
-    terms = [p[0] for p in paths]
-    others = mask_of(terms)
-    for i, p in enumerate(paths):
-        comp = g.reach(1 << terms[i], region & ~(1 << p[-1]))
-        if comp & others & ~(1 << terms[i]):
-            return i
-    return None
+    xs = mask_of(p[0] for p in paths)
+    return next((i for i, p in enumerate(paths) if not _cut_off(g, p[0], 1 << p[-1], region, xs)),
+                None)
 
 
 def _handle_k_failure(g: Graph, paths: list[list[int]], h_region: int, v: int, k: int):
@@ -782,16 +691,12 @@ def _solve_pendant(g: Graph, terms: list[int], k: int) -> TreeOrCertificate:
 
     paths: list[list[int]] = payload
     if k == 4:
-        sq = SquareSplit(
-            tuple(mask_of(p[:-1]) for p in paths),
-            tuple(1 << p[-1] for p in paths),
-            0,
-        )
+        parts = [mask_of(p[:-1]) for p in paths] + [1 << p[-1] for p in paths] + [0]
         order_terms = [p[0] for p in paths]
         struct_mask = mask_of(u for p in paths for u in p)
-        if not validate_square_split(g, struct_mask, order_terms, sq):
+        if not _accepted("square", g, struct_mask, order_terms, parts):
             raise InternalError("4-structure is not a square split")
-        got = _grow_quad(g, g.full_mask(), order_terms, sq)
+        got = _grow_quad(g, g.full_mask(), order_terms, parts)
         if got[0] == "tree":
             return TreeOrCertificate("tree", g, terms, tree=sorted(bits(got[1])))
         if got[0] == "square":

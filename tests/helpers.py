@@ -32,7 +32,7 @@ from inducta.berge import (
 )
 from inducta.classify import TwoPair, classify_p3, find_two_pair
 from inducta.graphs import Graph, GraphError, Record, TooLargeError, WeightedGraph, bit_count, bits, mask_of
-from inducta.kintree import KStructWitness, _kstruct_fail_index
+from inducta.kintree import CubicSplit, K4Witness, KStructWitness, SquareSplit, _kstruct_fail_index
 from inducta.linegraph import line_graph, line_root_with_map, maximal_cliques
 from inducta.named import (
     a6,
@@ -1296,3 +1296,257 @@ def seven_structure_figure() -> Graph:
         g.add_edge_unchecked(7 + i, i)
         g.add_edge_unchecked(14 + i, 7 + i)
     return g
+
+
+# -- the k = 4 certificates and split search as they were written before
+# -- the rule table: each adjacency rule spelt out per pair of classes
+
+def oracle_validate_square_split(g: Graph, universe: int, terms: list[int], sp: SquareSplit) -> bool:
+    parts = list(sp.a) + list(sp.s) + [sp.r]
+    tot = 0
+    for p in parts:
+        if p & tot:
+            return False
+        tot |= p
+    if tot != universe:
+        return False
+    sall = sp.s[0] | sp.s[1] | sp.s[2] | sp.s[3]
+    for i in range(4):
+        if not (sp.a[i] >> terms[i] & 1):
+            return False
+        if sp.s[i] == 0 or not g.is_stable_mask(sp.s[i]):
+            return False
+        if not g.is_complete_between(sp.s[i], sp.s[(i + 1) % 4]):
+            return False
+    for i in range(2):
+        if not g.is_anticomplete_between(sp.s[i], sp.s[i + 2]):
+            return False
+    for i in range(4):
+        nb = 0
+        for v in bits(sp.a[i]):
+            nb |= g.adj[v]
+        if nb & universe & ~(sp.a[i] | sp.s[i]):
+            return False
+        if sp.s[i] & ~nb:
+            return False  # N(A_i) must be all of S_i
+        if len(g.components_of(sp.a[i])) != 1:
+            return False
+    for v in bits(sp.r):
+        if g.adj[v] & universe & ~(sp.r | sall):
+            return False
+    return True
+
+
+def oracle_validate_cubic_split(g: Graph, universe: int, terms: list[int], sp: CubicSplit) -> bool:
+    parts = list(sp.a) + list(sp.b) + list(sp.s) + [sp.r]
+    tot = 0
+    for p in parts:
+        if p & tot:
+            return False
+        tot |= p
+    if tot != universe:
+        return False
+    s_hi = sp.s[4] | sp.s[5] | sp.s[6] | sp.s[7]
+    if sum(1 for i in range(4, 8) if sp.s[i] == 0) > 1:
+        return False
+    for i in range(8):
+        if not g.is_stable_mask(sp.s[i]):
+            return False
+    for i in range(4):
+        if sp.s[i] == 0 or not (sp.a[i] >> terms[i] & 1):
+            return False
+        if not g.is_complete_between(sp.s[i], s_hi & ~sp.s[i + 4]):
+            return False
+        if not g.is_anticomplete_between(sp.s[i], sp.s[i + 4]):
+            return False
+    for i in range(4):
+        for j in range(i + 1, 4):
+            if not g.is_anticomplete_between(sp.s[i], sp.s[j]):
+                return False
+            if not g.is_anticomplete_between(sp.s[i + 4], sp.s[j + 4]):
+                return False
+    for i in range(4):
+        nb = 0
+        for v in bits(sp.a[i]):
+            nb |= g.adj[v]
+        if nb & universe & ~(sp.a[i] | sp.s[i]):
+            return False
+        if sp.s[i] & ~nb:
+            return False
+        if len(g.components_of(sp.a[i])) != 1:
+            return False
+        allowed_b = sp.b[i] | sp.s[i] | (s_hi & ~sp.s[i + 4])
+        for v in bits(sp.b[i]):
+            if g.adj[v] & universe & ~allowed_b:
+                return False
+    for v in bits(sp.r):
+        if g.adj[v] & universe & ~(sp.r | s_hi):
+            return False
+    return True
+
+
+def oracle_validate_k4(g: Graph, w: K4Witness, check_decomposes: bool = True) -> bool:
+    """``kintree.validate_k4`` with every pair of used vertices tested by
+    ``has_edge``."""
+    hubs = w.hubs
+    parts: dict[str, list[int]] = dict(w.paths)
+    used: set[int] = set(hubs.values())
+    if len(used) != 4:
+        return False
+    for ij in K4Witness.PAIRS:
+        p = parts[ij]
+        if len(p) < 2 or not oracle_is_induced_path(g, p):
+            return False
+        if used & set(p):
+            return False
+        used.update(p)
+    required = set()
+    for ij in K4Witness.PAIRS:
+        s_ij = parts[ij][-1]
+        for h in ij:
+            required.add(tuple(sorted((hubs[h], s_ij))))
+    pathof: dict[int, str] = {}
+    for ij in K4Witness.PAIRS:
+        for v in parts[ij]:
+            pathof[v] = ij
+    all_vs = sorted(used)
+    for a in all_vs:
+        for b in all_vs:
+            if b <= a:
+                continue
+            pa, pb = pathof.get(a), pathof.get(b)
+            if pa is not None and pa == pb:
+                p = parts[pa]
+                expect = abs(p.index(a) - p.index(b)) == 1
+            else:
+                expect = tuple(sorted((a, b))) in required
+            if g.has_edge(a, b) != expect:
+                return False
+    if check_decomposes:
+        xs = {ij: parts[ij][0] for ij in K4Witness.PAIRS}
+        others = mask_of(xs.values())
+        for ij in K4Witness.PAIRS:
+            cut1 = (1 << hubs[ij[0]]) | (1 << hubs[ij[1]])
+            comp = g.reach(1 << xs[ij], g.full_mask() & ~cut1)
+            if comp & others & ~(1 << xs[ij]):
+                return False
+            cut2 = 1 << parts[ij][-1]
+            comp = g.reach(1 << xs[ij], g.full_mask() & ~cut2)
+            if comp & others & ~(1 << xs[ij]):
+                return False
+    return True
+
+
+ORACLE_SQUARE_LABELS = ["A1", "A2", "A3", "A4", "S1", "S2", "S3", "S4", "R"]
+ORACLE_CUBIC_LABELS = ["A1", "A2", "A3", "A4", "B1", "B2", "B3", "B4"] + [f"S{i}" for i in range(1, 9)] + ["R"]
+
+
+def oracle_pair_rule(l1: str, l2: str, which: str) -> str:
+    """'free', 'forbid' or 'require': may two classes, by label, touch,
+    and must they be complete?"""
+    if l1 > l2:
+        l1, l2 = l2, l1
+    c1, i1 = l1[0], int(l1[1:] or 0)
+    c2, i2 = l2[0], int(l2[1:] or 0)
+    if which == "square":
+        if c1 == "A" and c2 == "A":
+            return "free" if i1 == i2 else "forbid"
+        if c1 == "A" and c2 == "S":
+            return "free" if i1 == i2 else "forbid"
+        if c1 == "A" and c2 == "R":
+            return "forbid"
+        if c1 == "S" and c2 == "S":
+            if i1 == i2:
+                return "forbid"
+            return "require" if (i2 - i1) % 4 in (1, 3) else "forbid"
+        if c1 == "R" and c2 == "S":
+            return "free"
+        return "free"  # R,R
+    # cubic
+    if c1 == "A":
+        if c2 == "A":
+            return "free" if i1 == i2 else "forbid"
+        if c2 == "B":
+            return "forbid"
+        if c2 == "S":
+            return "free" if i1 == i2 else "forbid"
+        return "forbid"  # A,R
+    if c1 == "B":
+        if c2 == "B":
+            return "free" if i1 == i2 else "forbid"
+        if c2 == "S":
+            if i2 == i1:
+                return "free"
+            if i2 == i1 + 4:
+                return "forbid"
+            return "free" if i2 >= 5 else "forbid"
+        return "forbid"  # B,R
+    if c1 == "S" and c2 == "S":
+        if i1 == i2:
+            return "forbid"
+        if i2 <= 4:
+            return "forbid"
+        if i1 <= 4:
+            return "forbid" if i2 == i1 + 4 else "require"
+        return "forbid"  # both high
+    if c1 == "R" and c2 == "S":
+        return "free" if i2 >= 5 else "forbid"
+    return "free"  # R,R
+
+
+def oracle_split_of(parts: dict[str, int]) -> SquareSplit | CubicSplit:
+    """The split whose classes, by label, are ``parts``."""
+    if "B1" not in parts:
+        return SquareSplit(tuple(parts[f"A{i}"] for i in range(1, 5)),
+                           tuple(parts[f"S{i}"] for i in range(1, 5)), parts["R"])
+    return CubicSplit(tuple(parts[f"A{i}"] for i in range(1, 5)),
+                      tuple(parts[f"B{i}"] for i in range(1, 5)),
+                      tuple(parts[f"S{i}"] for i in range(1, 9)), parts["R"])
+
+
+def oracle_csp_split(g: Graph, universe: int, terms: list[int], which: str):
+    """``kintree._csp_split`` with each placement checked label by label
+    against every placed vertex through ``oracle_pair_rule``, and each
+    complete assignment through the oracle validators.  The split, or
+    None."""
+    verts = [v for v in bits(universe) if v not in terms]
+    labels = ORACLE_SQUARE_LABELS if which == "square" else ORACLE_CUBIC_LABELS
+    validator = oracle_validate_square_split if which == "square" else oracle_validate_cubic_split
+
+    def search(order_terms):
+        assign: dict[int, str] = {t: f"A{i+1}" for i, t in enumerate(order_terms)}
+
+        def ok(lab: str, v: int) -> bool:
+            for u, l2 in assign.items():
+                rule = oracle_pair_rule(lab, l2, which)
+                edge = g.has_edge(v, u)
+                if rule == "forbid" and edge:
+                    return False
+                if rule == "require" and not edge:
+                    return False
+            return True
+
+        def rec(i: int):
+            if i == len(verts):
+                parts = {lab: 0 for lab in labels}
+                for v, lab in assign.items():
+                    parts[lab] |= 1 << v
+                cand = oracle_split_of(parts)
+                return cand if validator(g, universe, list(order_terms), cand) else None
+            v = verts[i]
+            for lab in labels:
+                if ok(lab, v):
+                    assign[v] = lab
+                    got = rec(i + 1)
+                    if got is not None:
+                        return got
+                    del assign[v]
+            return None
+
+        return rec(0)
+
+    for order_terms in itertools.permutations(terms):
+        got = search(order_terms)
+        if got is not None:
+            return got
+    return None

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import cube_graph, k4_structure_figure, seven_structure_figure, smallest_square_structure
 import inducta
 from inducta import decompose, oracle
 from inducta.cli import build_parser, main
@@ -86,11 +87,30 @@ def test_invariants_json_deterministic(capsys):
     assert rec["alpha"] == 4 and rec["theta"] == 5
 
 
+K_IN_A_TREE_CERTIFICATES = {
+    "square": (smallest_square_structure(), "4,5,6,7",
+               '{"certificate": "square", "square": {"A": [[4], [5], [6], [7]], "R": [], '
+               '"S": [[0], [1], [2], [3]]}}'),
+    "cubic": (cube_graph().add_vertices(4, [[0], [3], [5], [6]]), "8,9,10,11",
+              '{"certificate": "cubic", "cubic": {"A": [[8], [10], [9], [11]], "B": [[], [], [], []], '
+              '"R": [], "S": [[0], [5], [3], [6], [7], [2], [4], [1]]}}'),
+    "k4": (k4_structure_figure(), "10,11,12,13,14,15",
+           '{"certificate": "k4", "k4": {"hubs": {"a": 3, "b": 0, "c": 1, "d": 2}, "paths": '
+           '{"ab": [12, 6], "ac": [14, 8], "ad": [15, 9], "bc": [10, 4], "bd": [11, 5], "cd": [13, 7]}}}'),
+    "kstructure": (seven_structure_figure(), "14,15,16,17,18,19,20",
+                   '{"certificate": "kstructure", "kstructure": {"paths": [[14, 7, 0], [15, 8, 1], '
+                   '[16, 9, 2], [17, 10, 3], [18, 11, 4], [19, 12, 5], [20, 13, 6]]}}'),
+}
+
+
 def test_detect_k_in_a_tree(capsys, tmp_path):
-    p = tmp_path / "sq.g"
-    p.write_text("8 8\n0 1\n1 2\n2 3\n0 3\n0 4\n1 5\n2 6\n3 7\n")
-    code, out = run(capsys, "detect", "k-in-a-tree", str(p), "--terminals=4,5,6,7")
-    assert code == 1 and "square" in out
+    """The certificate of each figure, byte for byte, with exit 1."""
+    p = tmp_path / "g.g"
+    for g, terms, want in K_IN_A_TREE_CERTIFICATES.values():
+        p.write_text(format_graph(g))
+        code, out = run(capsys, "detect", "k-in-a-tree", str(p), f"--terminals={terms}",
+                        "--format=json-lines")
+        assert (code, out) == (1, want + "\n")
 
 
 def test_gadget_round_trip(capsys, tmp_path):

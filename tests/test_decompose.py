@@ -2,6 +2,7 @@ import inspect
 import itertools
 import random
 import re
+import sys
 
 import pytest
 
@@ -345,6 +346,28 @@ def test_chi_matches_oracle_on_members():
         assert all(col[u] != col[v] for u, v in g.edges())
         assert max(col) + 1 == chi
     assert done >= 80
+
+
+def test_triangle_chains_need_no_recursion():
+    """A chain of triangles, triangle i on 2i, 2i+1 and 2i+2, splits at
+    one 1-cutset per triangle, so its tree is as deep as the chain is
+    long.  Recognition (tree, replay, leaves) and coloring run from
+    worklists: both answer under a recursion limit 80 frames above the
+    caller's, far below the chain's 150 triangles.  The last two
+    triangles form one sparse leaf."""
+    n = 150
+    g = Graph(2 * n + 1, [e for i in range(n)
+                          for e in ((2 * i, 2 * i + 1), (2 * i + 1, 2 * i + 2), (2 * i, 2 * i + 2))])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 80)
+    try:
+        got = recognize_unique_chord_free(g)
+        leaves = [leaf.kind for leaf in got.tree.leaves()]
+        chi, col = chi_unique_chord_free(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got.member and leaves == ["clique"] * (n - 2) + ["sparse"]
+    assert chi == 3 and all(col[u] != col[v] for u, v in g.edges())
 
 
 def test_chi_needs_no_decomposition(monkeypatch):

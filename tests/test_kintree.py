@@ -3,13 +3,16 @@ from itertools import combinations
 
 import pytest
 
-from helpers import (ExtensionSpec, cube_graph, k4_structure_figure, oracle_is_induced_path,
-                     oracle_is_tree_mask, oracle_prune_tree, oracle_validate_kstruct, random_connected_girth,
+from helpers import (ORACLE_CUBIC_LABELS, ORACLE_SQUARE_LABELS, ExtensionSpec, cube_graph,
+                     k4_structure_figure, oracle_csp_split, oracle_is_induced_path, oracle_is_tree_mask,
+                     oracle_pair_rule, oracle_prune_tree, oracle_validate_cubic_split, oracle_validate_k4,
+                     oracle_validate_kstruct, oracle_validate_square_split, random_connected_girth,
                      random_graph_girth, seven_structure_figure, smallest_square_structure,
                      bench_workload)
-from inducta.graphs import Graph, GraphError, TooLargeError, mask_of, parse_graph
+from inducta.graphs import Graph, GraphError, TooLargeError, bits, mask_of, parse_graph
 from inducta import berge, bienstock, classify, decompose, detect, gap, kintree, oracle, sgraph
 from inducta.kintree import (
+    K4Witness,
     KStructWitness,
     induced_tree_exists,
     k_in_a_tree,
@@ -329,3 +332,203 @@ def test_prune_tree_matches_sweeping_form():
             mask = rng.getrandbits(g.n) | rng.getrandbits(g.n)
             terms = rng.sample(range(g.n), rng.randint(0, 4))
             assert kintree._prune_tree(g, mask, terms) == oracle_prune_tree(g, mask, terms)
+
+
+# -- the k = 4 rule table, validators and split search against the pairwise
+# -- forms they replaced (``tests/helpers.py``)
+
+def test_rule_tables_match_the_pair_rules():
+    """Each entry of both rule tables against the label-based rule, on
+    all 9² square and 17² cubic pairs of classes."""
+    for kind, labels, rules in (("square", ORACLE_SQUARE_LABELS, kintree._SQUARE_RULES),
+                                ("cubic", ORACLE_CUBIC_LABELS, kintree._CUBIC_RULES)):
+        assert len(rules) == len(labels)
+        for c, l1 in enumerate(labels):
+            touch, need = rules[c]
+            for d, l2 in enumerate(labels):
+                rule = "require" if d in need else "free" if d in touch else "forbid"
+                assert rule == oracle_pair_rule(l1, l2, kind), (kind, l1, l2)
+
+
+_ORACLE_VALIDATORS = {"validate_square_split": oracle_validate_square_split,
+                      "validate_cubic_split": oracle_validate_cubic_split,
+                      "validate_k4": oracle_validate_k4}
+
+
+@pytest.fixture
+def checked_validators(monkeypatch):
+    """Every square, cubic and K4 validator call the solver makes, checked
+    against its pairwise form; yields the count of each (name, verdict)."""
+    verdicts: dict[tuple[str, bool], int] = {}
+
+    def checked(name, real):
+        def check(*args, **kwargs):
+            got = real(*args, **kwargs)
+            assert got == _ORACLE_VALIDATORS[name](*args, **kwargs), (name, args[0].edges(), args[1:])
+            verdicts[name, got] = verdicts.get((name, got), 0) + 1
+            return got
+        return check
+
+    for name in _ORACLE_VALIDATORS:
+        monkeypatch.setattr(kintree, name, checked(name, getattr(kintree, name)))
+    return verdicts
+
+
+def test_validators_match_pairwise_forms_on_the_workload(checked_validators):
+    """Every validator call that ``k_in_a_tree`` makes on the k = 4 and
+    k = 6 instances of the ``structure`` workload, seeds 1-5: the square
+    growth's placements, and each K4-structure."""
+    for seed in range(1, 6):
+        for inst in bench_workload("structure", seed):
+            terms = inst.params.get("terminals", ())
+            if inst.family.startswith("k_in_a_tree/") and "pinned" not in inst.family \
+                    and len(terms) in (4, 6):
+                k_in_a_tree(parse_graph(inst.text).graph, terms)
+    assert checked_validators.get(("validate_square_split", True), 0) >= 140, checked_validators
+    assert checked_validators.get(("validate_square_split", False), 0) >= 1000, checked_validators
+    assert checked_validators.get(("validate_k4", True), 0) >= 10, checked_validators
+
+
+def _decorated_figures(count: int):
+    """(graph, terminals) for the square and cubic figures with one or
+    two new vertices, each on one or two seeded spots, kept when the
+    girth stays at least 4."""
+    rng = random.Random(94)
+    cubic = cube_graph().add_vertices(4, [[0], [3], [5], [6]])
+    for _ in range(count):
+        g, terms = (cubic, [8, 9, 10, 11]) if rng.random() < 0.5 else (smallest_square_structure(), [4, 5, 6, 7])
+        for _ in range(rng.randint(1, 2)):
+            g = g.add_vertices(1, [rng.sample(range(g.n), rng.choice([1, 2]))])
+        if (g.girth() or 4) >= 4:
+            yield g, terms
+
+
+def _split_certificates():
+    """(answer, own graph) for each distinct square or cubic answer on the
+    two figures, their seeded decorations and the k = 4 instances of the
+    ``structure`` workload (seed 1 holds its whole fixed pool); the
+    second item is False for the workload's answers."""
+    cases = [(cube_graph().add_vertices(4, [[0], [3], [5], [6]]), [8, 9, 10, 11], True),
+             (smallest_square_structure(), [4, 5, 6, 7], True)]
+    cases += [(g, terms, True) for g, terms in _decorated_figures(80)]
+    cases += [(parse_graph(inst.text).graph, inst.params["terminals"], False)
+              for inst in bench_workload("structure", 1)
+              if inst.family.startswith("k_in_a_tree/") and "pinned" not in inst.family
+              and len(inst.params["terminals"]) == 4]
+    seen = {}
+    for g, terms, figure in cases:
+        res = k_in_a_tree(g, terms)
+        if res.kind in ("square", "cubic"):
+            seen.setdefault(repr(res), (res, figure))
+    return list(seen.values())
+
+
+def _flips(g: Graph):
+    """g with the adjacency of one pair of vertices flipped, each pair once."""
+    for u, v in combinations(range(g.n), 2):
+        h = Graph(g.n)
+        h.adj = list(g.adj)
+        h.adj[u] ^= 1 << v
+        h.adj[v] ^= 1 << u
+        yield h
+
+
+def test_split_validators_match_pairwise_forms_on_mutants():
+    """Each square and cubic certificate, every single-vertex move to
+    another class and every single-edge flip: the rule-table validators
+    and the pairwise ones agree."""
+    verdicts = {True: 0, False: 0}
+    certificates = _split_certificates()
+    kinds = [res.kind for res, _ in certificates]
+    assert kinds.count("square") >= 15 and kinds.count("cubic") >= 10, kinds
+    for res, _ in certificates:
+        g, terms = res.graph, res.terminals
+        if res.kind == "square":
+            sp, validate, oracle = res.square, validate_square_split, oracle_validate_square_split
+            parts = [*sp.a, *sp.s, sp.r]
+        else:
+            sp, validate, oracle = res.cubic, validate_cubic_split, oracle_validate_cubic_split
+            parts = [*sp.a, *sp.b, *sp.s, sp.r]
+        cases = [(h, sp) for h in _flips(g)]
+        for c, p in enumerate(parts):
+            for v in bits(p):
+                for d in range(len(parts)):
+                    if d != c:
+                        moved = list(parts)
+                        moved[c] ^= 1 << v
+                        moved[d] |= 1 << v
+                        cases.append((g, kintree._split(res.kind, moved)))
+        for h, cand in cases:
+            got = validate(h, h.full_mask(), terms, cand)
+            assert got == oracle(h, h.full_mask(), terms, cand), (h.edges(), terms, cand)
+            verdicts[got] += 1
+    assert verdicts[True] >= 200 and verdicts[False] >= 6500, verdicts
+
+
+def _k4_mutants(g: Graph, w: K4Witness):
+    """(graph, witness) pairs: every used vertex replaced by each other
+    vertex of g, every path vertex dropped, and w on every single-edge
+    flip of g."""
+    yield from ((h, w) for h in _flips(g))
+    for key in w.hubs:
+        for v in range(g.n):
+            if v != w.hubs[key]:
+                yield g, K4Witness({**w.hubs, key: v}, w.paths)
+    for ij, p in w.paths.items():
+        for i in range(len(p)):
+            yield g, K4Witness(w.hubs, {**w.paths, ij: p[:i] + p[i + 1:]})
+            for v in range(g.n):
+                if v != p[i]:
+                    yield g, K4Witness(w.hubs, {**w.paths, ij: p[:i] + [v] + p[i + 1:]})
+
+
+def test_validate_k4_matches_pairwise_form_on_mutants():
+    """The K4 figure, the figure with a pendant on each terminal (paths of
+    three vertices) and the figure with a pendant on a hub, with every
+    mutant of each certificate checked with and without the
+    decomposition test."""
+    fig = k4_structure_figure()
+    cases = [(fig, list(range(10, 16))),
+             (fig.add_vertices(6, [[t] for t in range(10, 16)]), list(range(16, 22))),
+             (fig.add_vertices(1, [[0]]), list(range(10, 16)))]
+    verdicts = {True: 0, False: 0}
+    for g, terms in cases:
+        res = k_in_a_tree(g, terms)
+        assert res.kind == "k4"
+        for h, w in _k4_mutants(res.graph, res.k4):
+            for decomposes in (True, False):
+                got = validate_k4(h, w, decomposes)
+                assert got == oracle_validate_k4(h, w, decomposes), (h.edges(), w, decomposes)
+                verdicts[got] += 1
+    assert verdicts[True] >= 30 and verdicts[False] >= 2500, verdicts
+
+
+def test_csp_split_matches_label_search():
+    """Both split searches, square and cubic, on the graph and terminals
+    of each certificate of the figures and their decorations, and the
+    search of the certificate's own kind on the workload's graphs (a
+    cubic search there takes the label search seconds); the cubic figure
+    is the input whose growth reaches the search."""
+    calls = []
+    real = kintree._csp_split
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kintree, "_csp_split", spy)
+        k_in_a_tree(cube_graph().add_vertices(4, [[0], [3], [5], [6]]), [8, 9, 10, 11])
+    assert calls
+    found = 0
+    cases = list(calls)
+    for res, figure in _split_certificates():
+        g = res.graph
+        cases += [(g, g.full_mask(), res.terminals, kind)
+                  for kind in (("square", "cubic") if figure else (res.kind,))]
+    for g, universe, terms, kind in cases:
+        got = real(g, universe, terms, kind)
+        want = oracle_csp_split(g, universe, terms, kind)
+        assert (None if got is None else kintree._split(kind, got)) == want, (g.edges(), terms, kind)
+        found += want is not None
+    assert len(cases) >= 55 and found >= 30, (len(cases), found)
