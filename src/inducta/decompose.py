@@ -453,36 +453,46 @@ def _chi_or_cut(g: Graph) -> tuple[int, list[int]] | CutsetWitness:
     return cut
 
 
+class _Glue:
+    """A graph split at a cut, with the colorings of its first ``done``
+    blocks glued into ``color`` and ``chi`` the largest of their chis."""
+
+    __slots__ = ("graph", "cut", "blocks", "done", "chi", "color")
+
+    def __init__(self, graph: Graph, cut: CutsetWitness):
+        self.graph, self.cut, self.blocks = graph, cut, _blocks(graph, cut)
+        self.done, self.chi, self.color = 0, 0, [0] * graph.n
+
+
 def _chi_member(g: Graph) -> tuple[int, list[int]]:
     """(chi, coloring) of a member.  A graph split at a cut gets a frame;
     its blocks are colored depth first, one after another, and each
     block's coloring is glued into the frame as it comes, the cut vertex
     on color 0."""
-    frames: list[list] = []  # [graph, cut, blocks, blocks glued, chi, color]
+    frames: list[_Glue] = []
     todo = g
     while True:
         got = _chi_or_cut(todo)
         if isinstance(got, CutsetWitness):
-            blocks = _blocks(todo, got)
-            frames.append([todo, got, blocks, 0, 0, [0] * todo.n])
-            todo = blocks[0][0]
+            frames.append(_Glue(todo, got))
+            todo = frames[-1].blocks[0][0]
             continue
         while frames:
-            frame = frames[-1]
-            h, cut, blocks, i, chi, color = frame
-            old = blocks[i][1]
+            f = frames[-1]
+            old = f.blocks[f.done][1]
             c_chi, c_col = got
-            pivot = c_col[old.index(cut.vertices[0])] if cut.vertices else 0
+            pivot = c_col[old.index(f.cut.vertices[0])] if f.cut.vertices else 0
             for o, c in zip(old, c_col):
-                color[o] = 0 if c == pivot else pivot if c == 0 else c
-            frame[3:5] = i + 1, max(chi, c_chi)
-            if i + 1 < len(blocks):
-                todo = blocks[i + 1][0]
+                f.color[o] = 0 if c == pivot else pivot if c == 0 else c
+            f.done += 1
+            f.chi = max(f.chi, c_chi)
+            if f.done < len(f.blocks):
+                todo = f.blocks[f.done][0]
                 break
             frames.pop()
-            if any(color[x] == color[y] for x, y in h.edges()):
+            if any(f.color[x] == f.color[y] for x, y in f.graph.edges()):
                 raise InternalError("glued block coloring is not proper")
-            got = frame[4], color
+            got = f.chi, f.color
         else:
             return got
 

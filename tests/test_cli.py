@@ -104,13 +104,16 @@ K_IN_A_TREE_CERTIFICATES = {
 
 
 def test_detect_k_in_a_tree(capsys, tmp_path):
-    """The certificate of each figure, byte for byte, with exit 1."""
+    """The certificate of each figure, byte for byte, with exit 1, in
+    both output formats."""
     p = tmp_path / "g.g"
-    for g, terms, want in K_IN_A_TREE_CERTIFICATES.values():
+    for kind, (g, terms, want) in K_IN_A_TREE_CERTIFICATES.items():
         p.write_text(format_graph(g))
         code, out = run(capsys, "detect", "k-in-a-tree", str(p), f"--terminals={terms}",
                         "--format=json-lines")
         assert (code, out) == (1, want + "\n")
+        code, out = run(capsys, "detect", "k-in-a-tree", str(p), f"--terminals={terms}")
+        assert (code, out) == (1, f"no tree: {kind} certificate\n")
 
 
 def test_gadget_round_trip(capsys, tmp_path):

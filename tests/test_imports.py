@@ -99,20 +99,3 @@ def test_no_package_module_imports_a_private_name():
              and (names := private_imports(path.read_text()))}
     assert found == {}
 
-
-def assert_lines(source: str) -> list[int]:
-    """The line of each ``assert`` statement in the source, at any depth."""
-    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert))
-
-
-def test_assert_finder():
-    src = "assert x\ndef f():\n    assert y, 'why'\n    return 'assert z'\nx = [y for y in z if y]\n"
-    assert assert_lines(src) == [1, 3]
-
-
-def test_no_package_module_asserts():
-    """``python -O`` drops assert statements, so a check the package
-    relies on (witness validation above all) raises an error instead."""
-    found = {path.name: lines for path in FILES if path.parent.name == "inducta"
-             and (lines := assert_lines(path.read_text()))}
-    assert found == {}
