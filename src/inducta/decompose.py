@@ -1,9 +1,13 @@
 """Cutset and join finders, chordless graphs, and the class of graphs
 whose cycles never have exactly one chord.
 
-The cutset searches are exhaustively correct at desk scale: the stated
-search space (vertices, vertex pairs, partitions) is enumerated
-completely.
+The cutset searches and the sub-Petersen and sub-Heawood leaf tests are
+exhaustively correct at desk scale: the stated search space (vertices,
+vertex pairs, partitions, placements in the host) is enumerated
+completely.  The leaf tests lose no embedding by pinning: Petersen is
+3-arc-transitive and Heawood 4-arc-transitive (Tutte, "A family of
+cubical graphs", 1947), so a path of up to 3 (4) edges of the candidate
+is sent to one fixed path of the host, and only the rest is searched.
 
 A unique-chord-free graph is basic or has a 1-cutset, a special
 2-cutset or a proper 1-join (Trotignon and Vuskovic).  Its tree applies
@@ -27,7 +31,6 @@ from .graphs import (Graph, GraphError, InternalError, Record, TooLargeError, bi
 from .detect import hole_through_two
 from .matching import Dinic
 from .named import heawood, petersen
-from .oracle import induced_embedding
 
 PARTITION_SEARCH_BOUND = 18
 
@@ -321,8 +324,8 @@ def _decompose(g: Graph, ids: list[int]) -> DecompositionNode:
         if cut is None:
             leaf = ("clique" if g.is_clique_mask(g.full_mask())
                     else "sparse" if is_sparse(g)
-                    else "sub-petersen" if _is_sub_named(g, petersen())
-                    else "sub-heawood" if _is_sub_named(g, heawood())
+                    else "sub-petersen" if _is_sub_named(g, petersen(), 3)
+                    else "sub-heawood" if _is_sub_named(g, heawood(), 4)
                     else None)
             if leaf is not None:
                 siblings.append(DecompositionNode(leaf, vertices=list(ids)))
@@ -357,14 +360,102 @@ def find_unique_chord_cycle(g: Graph) -> tuple[list[int], tuple[int, int]] | Non
     return _chord_cycle(g, hole_through_two)
 
 
-def _is_sub_named(g: Graph, which: Graph) -> bool:
-    """g is an induced subgraph of the cubic graph ``which`` (Petersen or
-    Heawood).  Such a subgraph has maximum degree at most 3 and no cycle
-    shorter than the girth of ``which``, so those two tests run first and
-    the backtracking search only on graphs that pass them."""
+def _is_sub_named(g: Graph, which: Graph, s: int = 1) -> bool:
+    """g is an induced subgraph of the cubic graph ``which``, whose
+    automorphisms act transitively on its s-arcs: Petersen is
+    3-arc-transitive and Heawood 4-arc-transitive (Tutte, "A family of
+    cubical graphs", 1947); s = 1 holds for both.  Such a subgraph has
+    maximum degree at most 3 and no cycle shorter than the girth of
+    ``which``, so those two tests run first and the search, with an
+    s-arc pinned, only on graphs that pass them."""
     if g.n > which.n or any(bit_count(nb) > 3 for nb in g.adj):
         return False
-    return g.girth(below=which.girth()) is None and induced_embedding(g, which) is not None
+    return g.girth(below=which.girth()) is None and _pinned_embedding(g, which, s) is not None
+
+
+def _arc(g: Graph, comp: int, s: int) -> list[int]:
+    """A longest path of at most s edges in the connected vertex set
+    ``comp``: the first one found, depth first, from its lowest vertex
+    on."""
+    best: list[int] = []
+    for v in bits(comp):
+        todo = [[v]]
+        while todo:
+            path = todo.pop()
+            if len(path) > len(best):
+                best = path
+                if len(best) > s:
+                    return best
+            if len(path) <= s:
+                todo += [path + [w] for w in bits(g.adj[path[-1]] & ~mask_of(path))]
+    return best
+
+
+def _pinned_embedding(g: Graph, host: Graph, s: int) -> list[int] | None:
+    """An injection mapping g onto an induced subgraph of ``host``, or
+    None; g has no cycle shorter than the host's girth, which exceeds s.
+
+    A path of at most s edges in g's first component is pinned to a fixed
+    path of the host with as many edges.  Both are arcs, as both graphs
+    have girth above s, and the host is t-arc-transitive for every t <= s
+    (a t-arc extends to an s-arc), so an automorphism of the host carries
+    any embedding to one that sends the pinned path to the fixed one.
+    The rest of the component is placed in BFS order from the path, each
+    vertex on a common neighbor of its placed neighbors' images that is
+    unused and not adjacent to the image of a placed non-neighbor; each
+    further component starts from its lowest vertex, anywhere unused and
+    not adjacent to an image.  The search backtracks over an explicit
+    stack, and a mapping it finds is checked before it is returned."""
+    if g.n == 0:
+        return []
+    arc = _arc(g, g.reach(1, g.full_mask()), s)
+    pins = [1 << u for u in _arc(host, host.full_mask(), len(arc) - 1)]
+    order, seen = list(arc), mask_of(arc)
+    i = 0
+    while len(order) < g.n:
+        if i == len(order):
+            v = next(bits(g.full_mask() & ~seen))
+            order.append(v)
+            seen |= 1 << v
+        for w in bits(g.adj[order[i]] & ~seen):
+            order.append(w)
+            seen |= 1 << w
+        i += 1
+    n, hadj = g.n, host.adj
+    pins += [host.full_mask()] * (n - len(pins))
+    nbrs = [[j for j in range(i) if g.adj[order[i]] >> order[j] & 1] for i in range(n)]
+    nons = [[j for j in range(i) if not g.adj[order[i]] >> order[j] & 1] for i in range(n)]
+    image = [0] * n    # host vertex of order[i]
+    left = [pins[0]] + [0] * (n - 1)   # candidates still to try at each position
+    i = used = 0
+    while i < n:
+        cand = left[i]
+        if not cand:
+            i -= 1
+            if i < 0:
+                return None
+            used ^= 1 << image[i]
+            continue
+        low = cand & -cand
+        left[i] = cand ^ low
+        image[i] = low.bit_length() - 1
+        used |= low
+        i += 1
+        if i < n:
+            cand = pins[i] & ~used
+            for j in nbrs[i]:
+                cand &= hadj[image[j]]
+            for j in nons[i]:
+                cand &= ~hadj[image[j]]
+            left[i] = cand
+    mapping = [-1] * n
+    for v, u in zip(order, image):
+        mapping[v] = u
+    if len(set(mapping)) < n or any(
+            g.adj[v] >> w & 1 != hadj[mapping[v]] >> mapping[w] & 1
+            for v in range(n) for w in range(v)):
+        raise InternalError("pinned search found no induced embedding")
+    return mapping
 
 
 def recognize_unique_chord_free(g: Graph) -> UniqueChordResult:
@@ -384,25 +475,21 @@ def recognize_unique_chord_free(g: Graph) -> UniqueChordResult:
 
 def _third_color(g: Graph, include: int, exclude: int) -> int | None:
     """A stable set S with include <= S, S n exclude = 0, meeting every
-    odd cycle; branch on the vertices of a shortest odd cycle of g - S."""
+    odd cycle; branch on the vertices of a shortest odd cycle of g - S,
+    depth first from a stack, in increasing vertex order."""
     if include & exclude:
         return None
     if not g.is_stable_mask(include):
         return None
-
-    def helper(s: int) -> int | None:
+    todo = [include]
+    while todo:
+        s = todo.pop()
         cyc = g.shortest_cycle(odd=True, allowed=g.full_mask() & ~s)
         if cyc is None:
             return s
-        for v in sorted(cyc):
-            if exclude >> v & 1 or g.adj[v] & s:
-                continue
-            got = helper(s | (1 << v))
-            if got is not None:
-                return got
-        return None
-
-    return helper(include)
+        todo += [s | 1 << v for v in sorted(cyc, reverse=True)
+                 if not (exclude >> v & 1 or g.adj[v] & s)]
+    return None
 
 
 def _two_color(g: Graph) -> list[int]:

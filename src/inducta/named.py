@@ -149,17 +149,26 @@ def _int_param(text: str) -> int:
 def parse_named_spec(spec: str) -> Graph:
     """Parse CLI specs like 'petersen', 'c:7', 'k_mn:3,3',
     'two-subdivision:k:5', 'copies:c:5,2'.  Every parameter after the
-    ':' is an integer; an empty or non-integer one raises GraphError."""
-    head, colon, tail = spec.partition(":")
-    key = head.lower().replace("-", "_")
-    if key == "two_subdivision":
-        if not tail:
-            raise GraphError("two-subdivision needs a base graph spec")
-        return two_subdivision(parse_named_spec(tail))
-    if key == "copies":
-        base, _, count = tail.rpartition(",")
-        if not base:
-            raise GraphError("copies spec is 'copies:<base>,<t>'")
-        return disjoint_copies(parse_named_spec(base), _int_param(count))
+    ':' is an integer; an empty or non-integer one raises GraphError.
+    The prefixes are unwrapped in a loop and applied inside out."""
+    wraps = []  # the copy count of each prefix, None for two-subdivision
+    while True:
+        head, colon, tail = spec.partition(":")
+        key = head.lower().replace("-", "_")
+        if key == "two_subdivision":
+            if not tail:
+                raise GraphError("two-subdivision needs a base graph spec")
+            wraps.append(None)
+            spec = tail
+        elif key == "copies":
+            spec, _, count = tail.rpartition(",")
+            if not spec:
+                raise GraphError("copies spec is 'copies:<base>,<t>'")
+            wraps.append(count)
+        else:
+            break
     _builder(head)  # the name before its parameters: a misspelt name is reported as unknown
-    return named_graph(head, *(_int_param(x) for x in tail.split(",") if colon))
+    g = named_graph(head, *(_int_param(x) for x in tail.split(",") if colon))
+    for count in reversed(wraps):
+        g = two_subdivision(g) if count is None else disjoint_copies(g, _int_param(count))
+    return g

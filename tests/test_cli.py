@@ -288,6 +288,13 @@ def test_misspelt_named_graph_is_reported_as_unknown(capsys):
     assert err.startswith("error: bad named graph spec: unknown named graph 'twosub'")
 
 
+def test_deeply_nested_named_spec(capsys):
+    """Nested prefixes are unwrapped in a loop: 1,200 of them, past the
+    default recursion limit, still parse."""
+    code, out, _ = run_err(capsys, "invariants", "--named=" + "two-subdivision:" * 1200 + "k:1")
+    assert (code, out) == (0, "alpha=1 omega=1 theta=1 chi=1\n")
+
+
 def test_paw_on_the_null_graph_exit_2(capsys, tmp_path):
     p = tmp_path / "null.g"
     p.write_text("0 0\n")
@@ -564,6 +571,8 @@ _CLI_BASE = {"inducta", "inducta.cli", "inducta.graphs", "inducta.named"}
 @pytest.mark.parametrize("argv,code,extra", [
     ([], 0, set()),
     (["invariants", "--named=petersen"], 0, {"inducta.oracle"}),
+    (["recognize", "--class=unique-chord-free", "--named=heawood"], 0,
+     {"inducta.decompose", "inducta.detect", "inducta.matching"}),
     (["invariants", "/nonexistent/file.g"], 3, set()),
     (["detect", "k-in-a-tree", "{sq}", "--terminals=a,b"], 3, set()),
 ])

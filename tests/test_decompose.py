@@ -321,6 +321,47 @@ def test_sub_named_prechecks_match_embedding():
             assert decompose._is_sub_named(g, host) == (induced_embedding(g, host) is not None), g.edges()
 
 
+def _is_induced_embedding(g: Graph, host: Graph, mapping: list[int]) -> bool:
+    return len(set(mapping)) == g.n and all(
+        g.has_edge(u, v) == host.has_edge(mapping[u], mapping[v]) for u in range(g.n) for v in range(u))
+
+
+@pytest.mark.parametrize("host, s", [(petersen(), 3), (heawood(), 4)], ids=["petersen", "heawood"])
+def test_pinned_search_embeds_every_induced_subgraph(host, s):
+    """Every induced subgraph of Petersen (3-arc-transitive) and Heawood
+    (4-arc-transitive), each under a seeded relabelling, is accepted, and
+    the pinned search's mapping is an induced embedding."""
+    rng = random.Random(31)
+    for m in range(1 << host.n):
+        sub, _ = host.induced([v for v in range(host.n) if m >> v & 1])
+        perm = list(range(sub.n))
+        rng.shuffle(perm)
+        sub = sub.relabel(perm)
+        assert decompose._is_sub_named(sub, host, s)
+        mapping = decompose._pinned_embedding(sub, host, s)
+        assert mapping is not None and _is_induced_embedding(sub, host, mapping), sub.edges()
+
+
+def test_pinned_search_matches_the_oracle_on_edge_flips():
+    """Seeded induced subgraphs of both hosts with one vertex pair
+    flipped, relabelled, and kept when they pass the degree and girth
+    prechecks: the pinned search accepts exactly what the oracle embeds."""
+    rng = random.Random(37)
+    for host, s in ((petersen(), 3), (heawood(), 4)):
+        verdicts = []
+        while len(verdicts) < 100:
+            sub, _ = host.induced(rng.sample(range(host.n), rng.randint(2, host.n)))
+            u, v = sorted(rng.sample(range(sub.n), 2))
+            perm = list(range(sub.n))
+            rng.shuffle(perm)
+            g = Graph(sub.n, list(set(sub.edges()) ^ {(u, v)})).relabel(perm)
+            if max(map(bit_count, g.adj)) > 3 or g.girth(below=host.girth()) is not None:
+                continue
+            verdicts.append(decompose._is_sub_named(g, host, s))
+            assert verdicts[-1] == (induced_embedding(g, host) is not None), g.edges()
+        assert 20 <= sum(verdicts) <= 80
+
+
 def test_chi_unique_chord_free_named():
     chi, col = chi_unique_chord_free(petersen())
     assert chi == 3
@@ -368,6 +409,25 @@ def test_triangle_chains_need_no_recursion():
         sys.setrecursionlimit(limit)
     assert got.member and leaves == ["clique"] * (n - 2) + ["sparse"]
     assert chi == 3 and all(col[u] != col[v] for u, v in g.edges())
+
+
+def test_five_cycle_chains_colour_without_recursion():
+    """A chain of 200 5-cycles, cycle i on 4i, ..., 4i + 4, glued at cut
+    vertices, is triangle-free and not bipartite, so its third color is
+    searched on the whole graph, one branch level per vertex it takes in;
+    the branches wait on a stack, and the coloring answers under a
+    recursion limit of 150."""
+    n = 200
+    g = Graph(4 * n + 1, [e for i in range(n) for e in (
+        (4 * i, 4 * i + 1), (4 * i + 1, 4 * i + 2), (4 * i + 2, 4 * i + 3),
+        (4 * i + 3, 4 * i + 4), (4 * i + 4, 4 * i))])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        chi, col = chi_unique_chord_free(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert chi == 3 and max(col) == 2 and all(col[u] != col[v] for u, v in g.edges())
 
 
 def test_chi_needs_no_decomposition(monkeypatch):

@@ -99,3 +99,36 @@ def test_no_package_module_imports_a_private_name():
              and (names := private_imports(path.read_text()))}
     assert found == {}
 
+
+def package_imports(source: str) -> set[str]:
+    """Modules of the package the source imports, at any depth: relative
+    imports, and absolute ones from ``inducta``."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.partition(".")[0] != "inducta":
+                    continue
+                module = module.partition(".")[2]
+            out |= {module.partition(".")[0]} if module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[1] for alias in node.names
+                    if alias.name.startswith("inducta.")}
+    return out
+
+
+def test_package_import_finder():
+    src = ("from .a import b\nfrom . import c, d\nfrom inducta.e import f\nfrom inducta import g\n"
+           "import inducta.h.i\nimport os\nfrom os import path\ndef f():\n    from .j.k import m\n")
+    assert package_imports(src) == {"a", "c", "d", "e", "g", "h", "j"}
+
+
+def test_only_these_modules_import_the_oracles():
+    """The answer paths of ``decompose``, ``detect``, ``kintree`` and the
+    rest run without the brute-force oracles; ``berge`` still solves some
+    leaves with them, ``classify`` matches two fixed graphs with
+    ``induced_embedding``, and ``cli`` and ``gap`` expose them."""
+    found = {path.stem for path in FILES if path.parent.name == "inducta"
+             and "oracle" in package_imports(path.read_text())}
+    assert found == {"berge", "classify", "cli", "gap"}
