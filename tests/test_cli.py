@@ -571,10 +571,10 @@ _CLI_BASE = {"inducta", "inducta.cli", "inducta.graphs", "inducta.named"}
 @pytest.mark.parametrize("argv,code,extra", [
     ([], 0, set()),
     (["invariants", "--named=petersen"], 0, {"inducta.oracle"}),
-    (["recognize", "--class=unique-chord-free", "--named=heawood"], 0,
-     {"inducta.decompose", "inducta.detect", "inducta.matching"}),
     (["invariants", "/nonexistent/file.g"], 3, set()),
     (["detect", "k-in-a-tree", "{sq}", "--terminals=a,b"], 3, set()),
+    (["recognize", "--class=unique-chord-free", "--named=heawood"], 0,
+     {"inducta.decompose", "inducta.detect", "inducta.matching"}),
 ])
 def test_cli_loads_only_the_solver_it_runs(tmp_path, argv, code, extra):
     """Importing the CLI loads no solver module; a command loads its own
