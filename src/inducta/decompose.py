@@ -13,15 +13,16 @@ A unique-chord-free graph is basic or has a 1-cutset, a special
 2-cutset or a proper 1-join (Trotignon and Vuskovic).  Its tree applies
 the theorem's steps in order: components; clique, sparse, sub-Petersen
 and sub-Heawood leaves; 1-cutsets, special 2-cutsets, proper 1-joins.
-A cut splits the node into blocks, one per side; where a special
-2-cutset or proper 1-join removed the other side, a marker vertex (-1 in
-the tree) stands for it.  A member that fits no step is a broken
-invariant and raises InternalError.
+The 1-cutset step is one node per graph, with one child per block
+(``Graph.blocks``) and every cut vertex in its cut.  A special 2-cutset
+or proper 1-join splits the node into one block per side, where a
+marker vertex (-1 in the tree) stands for the other side.  A member
+that fits no step is a broken invariant and raises InternalError.
 
 Membership itself is decided by the input checks alone: a chorded cycle
 for chordless graphs, a cycle with exactly one chord for the other
 class.  The coloring of unique-chord-free members needs only that
-check, never the tree.
+check and the blocks, never the tree.
 """
 
 from __future__ import annotations
@@ -56,17 +57,6 @@ def _without_edge(g: Graph, u: int, v: int) -> Graph:
 
 
 # -- cutset searches -----------------------------------------------------
-
-def _find_one_cutset(g: Graph) -> CutsetWitness | None:
-    if not g.connected():
-        return None
-    for v in range(g.n):
-        comps = g.components_of(g.full_mask() & ~(1 << v))
-        if len(comps) >= 2:
-            return CutsetWitness("one_cutset", (v,), comps[0],
-                                 g.full_mask() & ~(1 << v) & ~comps[0])
-    return None
-
 
 def _find_special_2_cutset(g: Graph) -> CutsetWitness | None:
     if not g.connected():
@@ -222,8 +212,8 @@ class DecompositionNode(Record):
                  children: list[DecompositionNode] | None = None,
                  join_a: list[int] | None = None, join_b: list[int] | None = None):
         self.kind = kind  # 'sparse' | 'clique' | 'sub-petersen' | 'sub-heawood' |
-        #                   'one_cutset' | 'special_2_cutset' | 'proper_1_join' |
-        #                   'components'
+        #                   'one_cutset' (a child per block, every cut vertex in cut) |
+        #                   'special_2_cutset' | 'proper_1_join' | 'components'
         self.vertices = [] if vertices is None else vertices  # leaf vertices (original ids)
         self.cut = cut
         self.children = [] if children is None else children
@@ -292,20 +282,19 @@ def _find_components(g: Graph) -> CutsetWitness | None:
 
 def _blocks(g: Graph, cut: CutsetWitness) -> list[tuple[Graph, list[int]]]:
     """The blocks a cut splits g into, as (block, old ids): one per
-    component, else each side with the cut vertices.  Beyond a 1-cutset a
-    block ends in a marker standing for the other side, adjacent to the
-    cut vertices and the side's own special set: {a, b} for a 2-cutset,
-    A or B for a proper 1-join."""
-    if cut.kind == "components":
-        return [g.induced_mask(comp) for comp in g.components()]
+    component, one per block of ``Graph.blocks`` at a 1-cutset, else each
+    side with the cut vertices and a marker standing for the other side,
+    adjacent to the cut vertices and the side's own special set: {a, b}
+    for a 2-cutset, A or B for a proper 1-join."""
+    if cut.kind in ("components", "one_cutset"):
+        parts = g.components() if cut.kind == "components" else g.blocks()[0]
+        return [g.induced_mask(part) for part in parts]
     cut_mask = mask_of(cut.vertices)
     blocks = []
     for side, special in ((cut.x, cut.a_side), (cut.y, cut.b_side)):
         sub, old = g.induced_mask(side | cut_mask)
-        if cut.kind != "one_cutset":
-            pos = {o: i for i, o in enumerate(old)}
-            sub = sub.add_vertices(1, [[pos[v] for v in bits(cut_mask | special)]])
-        blocks.append((sub, old))
+        pos = {o: i for i, o in enumerate(old)}
+        blocks.append((sub.add_vertices(1, [[pos[v] for v in bits(cut_mask | special)]]), old))
     return blocks
 
 
@@ -330,7 +319,9 @@ def _decompose(g: Graph, ids: list[int]) -> DecompositionNode:
             if leaf is not None:
                 siblings.append(DecompositionNode(leaf, vertices=list(ids)))
                 continue
-            cut = _find_one_cutset(g) or _find_special_2_cutset(g) or _find_proper_1_join(g)
+            cuts = g.blocks()[1]
+            cut = (CutsetWitness("one_cutset", tuple(bits(cuts))) if cuts
+                   else _find_special_2_cutset(g) or _find_proper_1_join(g))
             if cut is None:
                 raise InternalError("graph in the class escaped every decomposition case")
         node = DecompositionNode(cut.kind, cut=tuple(ids[v] for v in cut.vertices),
@@ -507,82 +498,45 @@ def chi_unique_chord_free(g: Graph) -> tuple[int, list[int]]:
     return _chi_member(g)
 
 
-def _chi_or_cut(g: Graph) -> tuple[int, list[int]] | CutsetWitness:
-    """(chi, coloring) of a member colored outright, else the cut it
-    splits at: its components, or a 1-cutset."""
-    if g.n == 0:
-        return 0, []
-    cut = _find_components(g)
-    if cut is not None:
-        return cut
+def _chi_block(g: Graph) -> tuple[int, list[int]]:
+    """(chi, coloring) of a member with no cut vertex, colored outright:
+    bipartite, triangle-free, or a clique."""
     if g.bipartition() is not None:
         return (1 if g.edge_count() == 0 else 2), _two_color(g)
     if g.triangle() is None:
         # triangle-free, not bipartite: chi = 3 via a third color that
         # holds N(v) and misses v (the shape-1 admissible pair)
-        v = _min_degree_vertex(g)
+        v = min(range(g.n), key=g.degree)
         s = _third_color(g, include=g.adj[v], exclude=1 << v)
         if s is None:
             raise InternalError("no third color for a member of the class")
         rest, old = g.induced_mask(g.full_mask() & ~s)
-        two = _two_color(rest)
         color = [2] * g.n
-        for i, o in enumerate(old):
-            color[o] = two[i]
+        for o, c in zip(old, _two_color(rest)):
+            color[o] = c
         if any(color[x] == color[y] for x, y in g.edges()):
             raise InternalError("third-color coloring is not proper")
         return 3, color
     if g.is_clique_mask(g.full_mask()):
         return g.n, list(range(g.n))
-    cut = _find_one_cutset(g)
-    if cut is None:
-        raise InternalError("member with a triangle must be a clique or have a 1-cutset")
-    return cut
-
-
-class _Glue:
-    """A graph split at a cut, with the colorings of its first ``done``
-    blocks glued into ``color`` and ``chi`` the largest of their chis."""
-
-    __slots__ = ("graph", "cut", "blocks", "done", "chi", "color")
-
-    def __init__(self, graph: Graph, cut: CutsetWitness):
-        self.graph, self.cut, self.blocks = graph, cut, _blocks(graph, cut)
-        self.done, self.chi, self.color = 0, 0, [0] * graph.n
+    raise InternalError("member block with a triangle is not a clique")
 
 
 def _chi_member(g: Graph) -> tuple[int, list[int]]:
-    """(chi, coloring) of a member.  A graph split at a cut gets a frame;
-    its blocks are colored depth first, one after another, and each
-    block's coloring is glued into the frame as it comes, the cut vertex
-    on color 0."""
-    frames: list[_Glue] = []
-    todo = g
-    while True:
-        got = _chi_or_cut(todo)
-        if isinstance(got, CutsetWitness):
-            frames.append(_Glue(todo, got))
-            todo = frames[-1].blocks[0][0]
-            continue
-        while frames:
-            f = frames[-1]
-            old = f.blocks[f.done][1]
-            c_chi, c_col = got
-            pivot = c_col[old.index(f.cut.vertices[0])] if f.cut.vertices else 0
-            for o, c in zip(old, c_col):
-                f.color[o] = 0 if c == pivot else pivot if c == 0 else c
-            f.done += 1
-            f.chi = max(f.chi, c_chi)
-            if f.done < len(f.blocks):
-                todo = f.blocks[f.done][0]
-                break
-            frames.pop()
-            if any(f.color[x] == f.color[y] for x, y in f.graph.edges()):
-                raise InternalError("glued block coloring is not proper")
-            got = f.chi, f.color
-        else:
-            return got
-
-
-def _min_degree_vertex(g: Graph) -> int:
-    return min(range(g.n), key=g.degree)
+    """(chi, coloring) of a member, one block at a time: every cycle lies
+    in one block, so chi is the largest chi of a block.  Each block meets
+    the blocks before it in at most one vertex, and two colors of its
+    coloring are swapped so that this vertex keeps the color it has."""
+    chi, color, done = 0, [0] * g.n, 0
+    for blk in g.blocks()[0]:
+        sub, old = g.induced_mask(blk)
+        b_chi, b_col = _chi_block(sub)
+        v = (blk & done).bit_length() - 1  # the vertex shared with earlier blocks, or -1
+        a, b = (b_col[old.index(v)], color[v]) if v >= 0 else (0, 0)
+        for o, c in zip(old, b_col):
+            color[o] = b if c == a else a if c == b else c
+        done |= blk
+        chi = max(chi, b_chi)
+    if any(color[x] == color[y] for x, y in g.edges()):
+        raise InternalError("glued block coloring is not proper")
+    return chi, color

@@ -262,6 +262,52 @@ class Graph:
     def connected(self) -> bool:
         return self.n <= 1 or len(self.components()) == 1
 
+    def blocks(self) -> tuple[list[int], int]:
+        """(blocks, cut vertices) as bitsets, from one depth-first search
+        (Hopcroft and Tarjan, "Algorithm 447", CACM 1973).  A block is a
+        maximal vertex set inducing a connected graph with no cut vertex of
+        its own; a cut vertex lies in two or more blocks.  Components start
+        at their lowest vertex, and each one's blocks come root first (the
+        reverse of the order they close in): each meets those before it in
+        at most one vertex."""
+        num, low, left = [0] * self.n, [0] * self.n, list(self.adj)
+        out, count = [], 0
+        for root in range(self.n):
+            if num[root]:
+                continue
+            count += 1
+            num[root] = low[root] = count
+            path, stack, closed = [root], [root], []
+            while path:
+                v = path[-1]
+                rest = left[v]
+                if rest:
+                    low_bit = rest & -rest
+                    left[v] = rest ^ low_bit
+                    w = low_bit.bit_length() - 1
+                    if not num[w]:
+                        count += 1
+                        num[w] = low[w] = count
+                        path.append(w)
+                        stack.append(w)
+                    low[v] = min(low[v], num[w])
+                    continue
+                path.pop()
+                if path:
+                    u = path[-1]
+                    low[u] = min(low[u], low[v])
+                    if low[v] >= num[u]:  # v's subtree reaches no higher than u
+                        blk = 1 << u
+                        while stack[-1] != v:
+                            blk |= 1 << stack.pop()
+                        closed.append(blk | 1 << stack.pop())
+            out += reversed(closed) if closed else [1 << root]
+        seen = cuts = 0
+        for blk in out:
+            cuts |= seen & blk
+            seen |= blk
+        return out, cuts
+
     def is_clique_mask(self, mask: int) -> bool:
         rest = mask
         while rest:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import itertools
 import random
@@ -1140,6 +1141,16 @@ def oracle_classify_leaf(g: Graph) -> LeafInfo | None:
     return None
 
 
+def triangle_chain(k: int) -> Graph:
+    """k triangles in a chain, triangle i on 2i, 2i + 1 and 2i + 2."""
+    return Graph(2 * k + 1, [(2 * i + a, 2 * i + b) for i in range(k) for a, b in ((0, 1), (1, 2), (0, 2))])
+
+
+def five_cycle_chain(k: int) -> Graph:
+    """k 5-cycles in a chain, cycle i on 4i, ..., 4i + 4 in order."""
+    return Graph(4 * k + 1, [(4 * i + a, 4 * i + (a + 1) % 5) for i in range(k) for a in range(5)])
+
+
 def all_labelled_graphs(max_n: int):
     """Every labelled graph on 0 to ``max_n`` vertices."""
     for n in range(max_n + 1):
@@ -1194,6 +1205,37 @@ def oracle_has_one_cutset(g: Graph) -> bool:
     return _connected(nb, full) and any(
         not nb[x] & y for v in range(g.n) for x, y in _splits(full & ~(1 << v))
     )
+
+
+def _component_count(nb: list[int], s: int) -> int:
+    count = 0
+    while s:
+        s &= ~_spread(nb, s & -s, s)
+        count += 1
+    return count
+
+
+@functools.lru_cache(maxsize=None)
+def _largest_first(n: int) -> list[int]:
+    return sorted(range(1, 1 << n), key=bit_count, reverse=True)
+
+
+def oracle_blocks(g: Graph) -> tuple[set[int], int]:
+    """(blocks, cut vertices) by their definitions, over every vertex set:
+    the blocks are the maximal sets that induce a connected graph with no
+    cut vertex of its own; the cut vertices are those whose deletion adds
+    a component."""
+    nb = _neighbourhoods(g)
+    conn = [_connected(nb, s) for s in range(1 << g.n)]
+    blocks: list[int] = []
+    for s in _largest_first(g.n):
+        if conn[s] and not any(s & ~b == 0 for b in blocks) \
+                and all(conn[s & ~(1 << v)] for v in bits(s)):
+            blocks.append(s)
+    full = g.full_mask()
+    base = _component_count(nb, full)
+    cuts = mask_of(v for v in range(g.n) if _component_count(nb, full & ~(1 << v)) > base)
+    return set(blocks), cuts
 
 
 def oracle_has_special_2_cutset(g: Graph) -> bool:
@@ -1254,8 +1296,6 @@ def cut_witness_holds(g: Graph, w) -> bool:
     nb = _neighbourhoods(g)
     if cross or w.a_side or w.b_side or not _connected(nb, g.full_mask()):
         return False
-    if w.kind == "one_cutset":
-        return len(w.vertices) == 1
     if len(w.vertices) != 2 or g.has_edge(*w.vertices):
         return False
     a, b = w.vertices

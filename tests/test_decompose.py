@@ -10,10 +10,13 @@ from helpers import (
     all_labelled_graphs,
     cut_witness_holds,
     cycle_with_unique_chord_present,
+    five_cycle_chain,
+    oracle_blocks,
     oracle_has_one_cutset,
     oracle_has_proper_1_join,
     oracle_has_special_2_cutset,
     random_graph,
+    triangle_chain,
 )
 from inducta.decompose import (
     replay_tree,
@@ -24,7 +27,7 @@ from inducta.decompose import (
     three_color_chordless,
 )
 from inducta import decompose
-from inducta.graphs import Graph, GraphError, InternalError, bit_count
+from inducta.graphs import Graph, GraphError, InternalError, bit_count, mask_of
 from inducta.named import (
     complete,
     complete_bipartite,
@@ -40,11 +43,26 @@ DIAMOND = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 
 # -- cutsets -------------------------------------------------------------------
 
-def test_one_cutset():
-    g = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
-    w = decompose._find_one_cutset(g)
-    assert w is not None and w.vertices == (2,)
-    assert decompose._find_one_cutset(cycle(5)) is None
+def test_blocks_match_their_definition():
+    """``Graph.blocks`` against the definitions, tried over every vertex
+    set, on every labelled graph with at most 6 vertices, 300 seeded
+    random graphs with 7 to 9 and short triangle and 5-cycle chains; each
+    block meets the blocks before it in at most one vertex.  Long chains
+    give their triangles and 5-cycles in chain order, the joints cut."""
+    rng = random.Random(59)
+    graphs = list(all_labelled_graphs(6))
+    graphs += [random_graph(rng.randint(7, 9), rng.uniform(0.1, 0.5), rng) for _ in range(300)]
+    graphs += [triangle_chain(k) for k in (1, 2, 3, 4)] + [five_cycle_chain(k) for k in (1, 2, 3)]
+    for g in graphs:
+        blocks, cuts = g.blocks()
+        assert len(set(blocks)) == len(blocks) and (set(blocks), cuts) == oracle_blocks(g), g.edges()
+        seen = 0
+        for blk in blocks:
+            assert bit_count(blk & seen) <= 1, g.edges()
+            seen |= blk
+    for chain, k, step in ((triangle_chain(150), 150, 2), (five_cycle_chain(200), 200, 4)):
+        assert chain.blocks() == ([mask_of(range(step * i, step * i + step + 1)) for i in range(k)],
+                                  mask_of(range(step, step * k, step)))
 
 
 def test_special_2_cutset():
@@ -73,7 +91,6 @@ def test_proper_1_join():
 
 
 CUT_ORACLES = {
-    "one_cutset": oracle_has_one_cutset,
     "special_2_cutset": oracle_has_special_2_cutset,
     "proper_1_join": oracle_has_proper_1_join,
 }
@@ -83,12 +100,16 @@ def test_cut_finders_match_oracles():
     """Every labelled graph on at most 5 vertices and 2,000 seeded random
     graphs on 6 to 9: each finder of a decomposition step finds a cut
     exactly where its definition, tried over every split, has one, and
-    every witness it returns is a cut of its kind."""
+    every witness it returns is a cut of its kind.  The 1-cutset step's
+    finder is a connected graph's cut vertices from ``Graph.blocks``."""
     rng = random.Random(53)
     graphs = list(all_labelled_graphs(5))
     graphs += [random_graph(rng.randint(6, 9), rng.uniform(0.15, 0.6), rng) for _ in range(2000)]
-    found = dict.fromkeys(CUT_ORACLES, 0)
+    found = dict.fromkeys(["one_cutset", *CUT_ORACLES], 0)
     for g in graphs:
+        has_cut = g.connected() and g.blocks()[1] != 0
+        assert has_cut == oracle_has_one_cutset(g), g.edges()
+        found["one_cutset"] += has_cut
         for kind, oracle in CUT_ORACLES.items():
             w = getattr(decompose, f"_find_{kind}")(g)
             assert (w is not None) == oracle(g), (kind, g.edges())
@@ -391,24 +412,46 @@ def test_chi_matches_oracle_on_members():
 
 def test_triangle_chains_need_no_recursion():
     """A chain of triangles, triangle i on 2i, 2i+1 and 2i+2, splits at
-    one 1-cutset per triangle, so its tree is as deep as the chain is
-    long.  Recognition (tree, replay, leaves) and coloring run from
-    worklists: both answer under a recursion limit 80 frames above the
-    caller's, far below the chain's 150 triangles.  The last two
-    triangles form one sparse leaf."""
+    its cut vertices in one 1-cutset node, with one clique leaf per
+    triangle.  Recognition (tree, replay, leaves), the tree's repr and
+    equality, and coloring answer under a recursion limit 80 frames above
+    the caller's, far below the chain's 150 triangles."""
     n = 150
-    g = Graph(2 * n + 1, [e for i in range(n)
-                          for e in ((2 * i, 2 * i + 1), (2 * i + 1, 2 * i + 2), (2 * i, 2 * i + 2))])
+    g = triangle_chain(n)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 80)
     try:
         got = recognize_unique_chord_free(g)
         leaves = [leaf.kind for leaf in got.tree.leaves()]
+        shown = repr(got.tree)
+        same = got.tree == recognize_unique_chord_free(g).tree
         chi, col = chi_unique_chord_free(g)
     finally:
         sys.setrecursionlimit(limit)
-    assert got.member and leaves == ["clique"] * (n - 2) + ["sparse"]
+    assert got.member and leaves == ["clique"] * n and same and shown.startswith("DecompositionNode(")
+    assert got.tree.kind == "one_cutset" and len(got.tree.children) == n
+    assert got.tree.cut == tuple(range(2, 2 * n, 2))
     assert chi == 3 and all(col[u] != col[v] for u, v in g.edges())
+
+
+def test_triangle_chain_copies_each_block_a_bounded_number_of_times(monkeypatch):
+    """Decomposing and coloring a chain of 150 triangles hands
+    ``Graph.induced`` at most 3 (n + blocks) vertices in all: each block
+    is copied a bounded number of times, where splitting one block off at
+    a time would copy the rest of the chain at every step."""
+    k = 150
+    g = triangle_chain(k)
+    copied = []
+    induced = Graph.induced
+
+    def counted(self, vertices):
+        copied.append(len(vertices))
+        return induced(self, vertices)
+
+    monkeypatch.setattr(Graph, "induced", counted)
+    decompose._decompose(g, list(range(g.n)))
+    decompose._chi_member(g)
+    assert sum(copied) <= 3 * (g.n + k), sum(copied)
 
 
 def test_five_cycle_chains_colour_without_recursion():
@@ -469,20 +512,22 @@ def test_missing_third_color_is_internal(monkeypatch):
 
 
 def test_missing_one_cutset_is_internal(monkeypatch):
-    """The bowtie is a sparse member with a triangle and a 1-cutset, so
-    only a broken finder can leave it without one."""
+    """The bowtie is a sparse member with a triangle and a cut vertex, so
+    only a broken block search can hand it to the coloring as one block."""
     assert recognize_unique_chord_free(BOWTIE).member
-    monkeypatch.setattr(decompose, "_find_one_cutset", lambda g: None)
-    with pytest.raises(InternalError, match="1-cutset"):
+    monkeypatch.setattr(Graph, "blocks", lambda self: ([self.full_mask()], 0))
+    with pytest.raises(InternalError, match="block with a triangle is not a clique"):
         chi_unique_chord_free(BOWTIE)
 
 
 def test_escaped_decomposition_is_internal(monkeypatch):
-    """Two K4s sharing a vertex: a member that is no leaf, so with every
-    finder silenced the decomposition falls through."""
+    """Two K4s sharing a vertex: a member that is no leaf, so with the
+    block search reporting no cut vertex and both other finders silenced
+    the decomposition falls through."""
     g = Graph(7, [(u, v) for blk in ((0, 1, 2, 3), (3, 4, 5, 6)) for u in blk for v in blk if u < v])
     assert recognize_unique_chord_free(g).member
-    for finder in ("_find_one_cutset", "_find_special_2_cutset", "_find_proper_1_join"):
+    monkeypatch.setattr(Graph, "blocks", lambda self: ([self.full_mask()], 0))
+    for finder in ("_find_special_2_cutset", "_find_proper_1_join"):
         monkeypatch.setattr(decompose, finder, lambda g: None)
     with pytest.raises(InternalError, match="escaped every decomposition case"):
         recognize_unique_chord_free(g)
