@@ -232,38 +232,30 @@ class DecompositionNode(Record):
 
 
 def replay_tree(g: Graph, node: DecompositionNode) -> bool:
-    """Reassemble the decomposition bottom-up and compare with g.
-
-    Leaves contribute the edges of their induced subgraphs (markers,
-    recorded as -1, drop out), cutset nodes glue children by union, and
-    1-join nodes restore the special cross edges.  The result must equal
-    g exactly.
-    """
-    verts, edges = _replay(g, node)
-    if verts != set(range(g.n)):
-        return False
-    return edges == {tuple(sorted(e)) for e in g.edges()}
-
-
-def _replay(g: Graph, node: DecompositionNode) -> tuple[set[int], set[tuple[int, int]]]:
-    """The vertices and edges the tree reassembles, from a worklist."""
-    verts: set[int] = set()
-    edges: set[tuple[int, int]] = set()
+    """Reassemble the decomposition as per-vertex neighborhood masks:
+    each leaf gives each of its vertices its neighbors inside the leaf
+    (markers, recorded as -1, drop out), each proper 1-join joins its
+    special sets A and B, and cutset nodes glue their children by union.
+    The masks must come out as g's adjacency, and every vertex must lie
+    in a leaf."""
+    nb, covered = [0] * g.n, 0
     todo = [node]
     while todo:
         node = todo.pop()
-        if not node.children:
-            vs = {v for v in node.vertices if v >= 0}
-            verts |= vs
-            edges |= {(u, v) for u in vs for v in vs if u < v and g.has_edge(u, v)}
-            continue
         todo += node.children
-        if node.kind == "proper_1_join":
+        if not node.children:
+            vs = [v for v in node.vertices if v >= 0]
+            leaf = mask_of(vs)
+            covered |= leaf
+            for v in vs:
+                nb[v] |= g.adj[v] & leaf
+        elif node.kind == "proper_1_join":
             # special sets may hold an enclosing block's marker (-1): its cross
             # edges are block artifacts, not edges of g
-            edges |= {(min(u, v), max(u, v)) for u in node.join_a for v in node.join_b
-                      if u >= 0 and v >= 0}
-    return verts, edges
+            a, b = (mask_of(v for v in side if v >= 0) for side in (node.join_a, node.join_b))
+            for v in bits(a | b):
+                nb[v] |= b if a >> v & 1 else a
+    return covered == g.full_mask() and nb == g.adj
 
 
 def is_sparse(g: Graph) -> bool:
@@ -442,9 +434,7 @@ def _pinned_embedding(g: Graph, host: Graph, s: int) -> list[int] | None:
     mapping = [-1] * n
     for v, u in zip(order, image):
         mapping[v] = u
-    if len(set(mapping)) < n or any(
-            g.adj[v] >> w & 1 != hadj[mapping[v]] >> mapping[w] & 1
-            for v in range(n) for w in range(v)):
+    if not host.induces(mapping, [(mapping[u], mapping[v]) for u, v in g.edges()]):
         raise InternalError("pinned search found no induced embedding")
     return mapping
 

@@ -12,7 +12,9 @@ matching its conditional contract.
 
 from __future__ import annotations
 
-from .graphs import Graph, GraphError, InternalError, Record, bits, mask_of
+from itertools import combinations, permutations
+
+from .graphs import Graph, GraphError, InternalError, Record, bits
 
 
 # -- hole through two prescribed vertices --------------------------------
@@ -80,28 +82,18 @@ class PrismWitness(Record):
 
 
 def validate_prism(g: Graph, w: PrismWitness) -> bool:
-    """Check the prism conditions: two disjoint triangles linked by three
-    vertex-disjoint paths whose only cross edges are the triangles."""
-    ta, tb = w.triangle_a, w.triangle_b
-    if not (g.is_clique_mask(mask_of(ta)) and g.is_clique_mask(mask_of(tb))):
+    """Three paths P_i from a_i to b_i, each with two vertices or more, on
+    distinct vertices that induce exactly the path edges and the triangles
+    a_1a_2a_3 and b_1b_2b_3."""
+    paths = w.paths
+    if (len(paths) != 3 or any(len(p) < 2 for p in paths)
+            or [p[0] for p in paths] != list(w.triangle_a)
+            or [p[-1] for p in paths] != list(w.triangle_b)):
         return False
-    seen: set[int] = set()
-    for i, p in enumerate(w.paths):
-        if p[0] != ta[i] or p[-1] != tb[i]:
-            return False
-        if not g.is_induced_path(p):
-            return False
-        if seen & set(p):
-            return False
-        seen.update(p)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            for u in w.paths[i]:
-                for v in w.paths[j]:
-                    expect = (u in ta and v in ta) or (u in tb and v in tb)
-                    if g.has_edge(u, v) != expect:
-                        return False
-    return True
+    edges = [*combinations(w.triangle_a, 2), *combinations(w.triangle_b, 2)]
+    for p in paths:
+        edges += zip(p, p[1:])
+    return g.induces([v for p in paths for v in p], edges)
 
 
 def _triangles(g: Graph) -> list[tuple[int, int, int]]:
@@ -123,8 +115,6 @@ def detect_prism_pyramid_free(g: Graph) -> PrismWitness | None:
     """
     tris = _triangles(g)
     full = g.full_mask()
-    from itertools import permutations
-
     for ta in tris:
         for tb in tris:
             if set(ta) & set(tb):

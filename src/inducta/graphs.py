@@ -6,8 +6,9 @@ as a bitset, which keeps neighborhood intersections and unions cheap
 for everything downstream (detectors, oracles, cutset searches).
 The hot sweeps (``reach``, ``layers``, ``is_clique_mask``, ``girth``,
 ``is_tree_mask``) walk a mask with an inline lowest-bit loop rather than
-the ``bits`` generator, and ``is_induced_path`` tests each vertex's
-neighborhood on the path as one mask.
+the ``bits`` generator.  ``induces`` is the one test behind every witness
+of an induced path, cycle or structure: it takes each listed pair out of
+a per-vertex neighborhood mask, so its cost is linear in the witness.
 """
 
 from __future__ import annotations
@@ -469,31 +470,34 @@ class Graph:
             return None
         return self.path_back(ls, dst)[::-1]
 
+    def induces(self, seq: Sequence[int], edges: Iterable[tuple[int, int]]) -> bool:
+        """True if the vertices of seq are distinct and the listed pairs,
+        each listed once, are exactly the edges of the subgraph they
+        induce.  Each pair takes its edge out of the induced neighborhoods
+        of its ends, and must find it there: a repeated pair, a non-edge or
+        a pair with an end outside seq does not.  No edge may be left."""
+        adj = self.adj
+        mask = mask_of(seq)
+        left = {v: adj[v] & mask for v in seq}
+        if len(left) != len(seq):
+            return False
+        for u, v in edges:
+            if not left.get(u, 0) >> v & 1:
+                return False
+            left[u] ^= 1 << v
+            left[v] ^= 1 << u
+        return not any(left.values())
+
     def is_induced_path(self, seq: Sequence[int]) -> bool:
         """True if seq is an induced path visiting distinct vertices in
-        order: each vertex's neighbors on it are exactly those beside it
-        in seq."""
-        on_path = mask_of(seq)
-        if bit_count(on_path) != len(seq):
-            return False
-        adj, before = self.adj, 0
-        for i, u in enumerate(seq):
-            beside = before | (1 << seq[i + 1] if i + 1 < len(seq) else 0)
-            if adj[u] & on_path != beside:
-                return False
-            before = 1 << u
-        return True
+        order: its edges are exactly the consecutive pairs."""
+        return self.induces(seq, zip(seq, seq[1:]))
 
     def is_induced_cycle(self, seq: Sequence[int]) -> bool:
-        k = len(seq)
-        if k < 3 or len(set(seq)) != k:
-            return False
-        for i in range(k):
-            for j in range(i + 1, k):
-                expect = (j == i + 1) or (i == 0 and j == k - 1)
-                if self.has_edge(seq[i], seq[j]) != expect:
-                    return False
-        return True
+        """True if seq is an induced cycle of length at least 3 in cyclic
+        order: its edges are exactly the consecutive pairs and the closing
+        pair."""
+        return len(seq) >= 3 and self.induces(seq, zip(seq, [*seq[1:], seq[0]]))
 
     def is_tree_mask(self, mask: int) -> bool:
         """Does ``mask`` induce a tree: k - 1 edges on k vertices, all

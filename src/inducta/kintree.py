@@ -194,65 +194,35 @@ def _cut_off(g: Graph, x: int, cut: int, region: int, others: int) -> bool:
 
 
 def validate_kstruct(g: Graph, w: KStructWitness) -> bool:
-    """Disjoint induced paths P_i from x_i to s_i whose only edges between
-    them join s_i to s_(i-1) and s_(i+1), cyclically, and each s_i
-    separates x_i from the other terminals.  Each path vertex is tested
-    once against the union of the other paths."""
-    k = len(w.paths)
-    if k < 4:
+    """Four or more paths P_i from x_i to s_i, each with two vertices or
+    more, on distinct vertices that induce exactly the path edges and the
+    cycle s_1 ... s_k; each s_i separates x_i from the other terminals."""
+    paths = w.paths
+    if len(paths) < 4 or any(len(p) < 2 for p in paths):
         return False
-    masks = []
-    used = 0
-    for p in w.paths:
-        if len(p) < 2 or not g.is_induced_path(p):
-            return False
-        pm = mask_of(p)
-        if used & pm:
-            return False
-        used |= pm
-        masks.append(pm)
     cyc = w.cycle()
-    adj = g.adj
-    for i, p in enumerate(w.paths):
-        others = used & ~masks[i]
-        ring = 1 << cyc[i - 1] | 1 << cyc[(i + 1) % k]
-        for u in p:
-            if adj[u] & others != (ring if u == cyc[i] else 0):
-                return False
-    return _kstruct_fail_index(g, w.paths, g.full_mask()) is None
+    edges = list(zip(cyc, [*cyc[1:], cyc[0]]))
+    for p in paths:
+        edges += zip(p, p[1:])
+    return (g.induces([v for p in paths for v in p], edges)
+            and _kstruct_fail_index(g, paths, g.full_mask()) is None)
 
 
 def validate_k4(g: Graph, w: K4Witness, check_decomposes: bool = True) -> bool:
-    """Four hubs and six disjoint induced paths P_ij from x_ij to s_ij
-    whose only edges among them and the hubs join s_ij to hubs i and j;
-    with ``check_decomposes``, the hubs i, j and the vertex s_ij each
-    separate x_ij from the other terminals.  Each path vertex is tested
-    once against the mask of the used vertices, which holds every
-    hub-path edge; the hubs need only be pairwise nonadjacent."""
+    """Four hubs and six paths P_ij from x_ij to s_ij, each with two
+    vertices or more, on distinct vertices that induce exactly the path
+    edges and the edges from s_ij to hubs i and j; with
+    ``check_decomposes``, the hubs i, j and the vertex s_ij each separate
+    x_ij from the other terminals."""
     hubs, paths = w.hubs, w.paths
-    if len(set(hubs.values())) != 4:
+    if any(len(paths[ij]) < 2 for ij in K4Witness.PAIRS):
         return False
-    used = hub_mask = mask_of(hubs.values())
-    masks = {}
+    edges = []
     for ij in K4Witness.PAIRS:
         p = paths[ij]
-        if len(p) < 2 or not g.is_induced_path(p):
-            return False
-        pm = mask_of(p)
-        if used & pm:
-            return False
-        used |= pm
-        masks[ij] = pm
-    adj = g.adj
-    if any(adj[h] & hub_mask for h in hubs.values()):
+        edges += [(p[-1], hubs[ij[0]]), (p[-1], hubs[ij[1]]), *zip(p, p[1:])]
+    if not g.induces([*hubs.values(), *(v for ij in K4Witness.PAIRS for v in paths[ij])], edges):
         return False
-    for ij in K4Witness.PAIRS:
-        p = paths[ij]
-        others = used & ~masks[ij]
-        ends = 1 << hubs[ij[0]] | 1 << hubs[ij[1]]
-        for u in p:
-            if adj[u] & others != (ends if u == p[-1] else 0):
-                return False
     if check_decomposes:
         xs = mask_of(paths[ij][0] for ij in K4Witness.PAIRS)
         full = g.full_mask()

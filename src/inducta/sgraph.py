@@ -71,30 +71,22 @@ class Embedding(Record):
 
 
 def _validate_embedding(b: SGraph, g: Graph, emb: Embedding) -> bool:
-    used = emb.used_vertices()
-    if len(set(emb.branch.values())) != b.n:
+    """One image per branch vertex, and per subdivisible edge a path of
+    one edge or more between its ends' images; the images and the path
+    interiors are distinct vertices that induce exactly the images of the
+    real edges and the path edges."""
+    br = emb.branch
+    if len(br) != b.n:
         return False
-    expected = set()
-    for u, v in b.real_edges:
-        expected.add(tuple(sorted((emb.branch[u], emb.branch[v]))))
-    for e in b.sub_edges:
-        p = emb.paths[e]
-        if len(p) < 2 or p[0] != emb.branch[e[0]] or p[-1] != emb.branch[e[1]]:
+    seq = list(br.values())
+    edges = [(br[u], br[v]) for u, v in b.real_edges]
+    for u, v in b.sub_edges:
+        p = emb.paths[(u, v)]
+        if len(p) < 2 or p[0] != br[u] or p[-1] != br[v]:
             return False
-        interior = p[1:-1]
-        if set(interior) & set(emb.branch.values()):
-            return False
-        for a, bb in zip(p, p[1:]):
-            expected.add(tuple(sorted((a, bb))))
-    # interiors pairwise disjoint
-    ints = [x for e in b.sub_edges for x in emb.paths[e][1:-1]]
-    if len(ints) != len(set(ints)):
-        return False
-    for i, u in enumerate(used):
-        for v in used[i + 1 :]:
-            if g.has_edge(u, v) != ((u, v) in expected):
-                return False
-    return True
+        seq += p[1:-1]
+        edges += zip(p, p[1:])
+    return g.induces(seq, edges)
 
 
 def find_realization(b: SGraph, g: Graph, max_len: int | None = None) -> Embedding | None:

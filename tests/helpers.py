@@ -671,6 +671,94 @@ def oracle_validate_kstruct(g: Graph, w: KStructWitness) -> bool:
     return _kstruct_fail_index(g, w.paths, g.full_mask()) is None
 
 
+def oracle_is_induced_cycle(g: Graph, seq: list[int]) -> bool:
+    """Three or more distinct vertices, and an edge between two of them
+    exactly when they are next to each other in ``seq``, cyclically, pair
+    by pair."""
+    k = len(seq)
+    if k < 3 or len(set(seq)) != k:
+        return False
+    for i in range(k):
+        for j in range(i + 1, k):
+            expect = (j == i + 1) or (i == 0 and j == k - 1)
+            if g.has_edge(seq[i], seq[j]) != expect:
+                return False
+    return True
+
+
+def oracle_validate_prism(g: Graph, w) -> bool:
+    """``detect.validate_prism`` with every pair of vertices of two paths
+    tested by ``has_edge``.  It accepts a path of one vertex, so two
+    triangles sharing a vertex pass as a prism."""
+    ta, tb = w.triangle_a, w.triangle_b
+    if not (g.is_clique_mask(mask_of(ta)) and g.is_clique_mask(mask_of(tb))):
+        return False
+    seen: set[int] = set()
+    for i, p in enumerate(w.paths):
+        if p[0] != ta[i] or p[-1] != tb[i]:
+            return False
+        if not oracle_is_induced_path(g, p):
+            return False
+        if seen & set(p):
+            return False
+        seen.update(p)
+    for i in range(3):
+        for j in range(i + 1, 3):
+            for u in w.paths[i]:
+                for v in w.paths[j]:
+                    expect = (u in ta and v in ta) or (u in tb and v in tb)
+                    if g.has_edge(u, v) != expect:
+                        return False
+    return True
+
+
+def oracle_validate_embedding(b, g: Graph, emb) -> bool:
+    """``sgraph._validate_embedding`` with every pair of used vertices
+    tested against the set of expected edges."""
+    used = emb.used_vertices()
+    if len(set(emb.branch.values())) != b.n:
+        return False
+    expected = set()
+    for u, v in b.real_edges:
+        expected.add(tuple(sorted((emb.branch[u], emb.branch[v]))))
+    for e in b.sub_edges:
+        p = emb.paths[e]
+        if len(p) < 2 or p[0] != emb.branch[e[0]] or p[-1] != emb.branch[e[1]]:
+            return False
+        if set(p[1:-1]) & set(emb.branch.values()):
+            return False
+        for a, bb in zip(p, p[1:]):
+            expected.add(tuple(sorted((a, bb))))
+    ints = [x for e in b.sub_edges for x in emb.paths[e][1:-1]]
+    if len(ints) != len(set(ints)):
+        return False
+    for i, u in enumerate(used):
+        for v in used[i + 1:]:
+            if g.has_edge(u, v) != ((u, v) in expected):
+                return False
+    return True
+
+
+def oracle_replay_tree(g: Graph, node) -> bool:
+    """``decompose.replay_tree`` on sets of vertices and edges: each leaf
+    adds every edge of g between two of its vertices, pair by pair."""
+    verts: set[int] = set()
+    edges: set[tuple[int, int]] = set()
+    todo = [node]
+    while todo:
+        node = todo.pop()
+        if not node.children:
+            vs = {v for v in node.vertices if v >= 0}
+            verts |= vs
+            edges |= {(u, v) for u in vs for v in vs if u < v and g.has_edge(u, v)}
+            continue
+        todo += node.children
+        if node.kind == "proper_1_join":
+            edges |= {(min(u, v), max(u, v)) for u in node.join_a for v in node.join_b
+                      if u >= 0 and v >= 0}
+    return verts == set(range(g.n)) and edges == {tuple(sorted(e)) for e in g.edges()}
+
+
 def oracle_is_tree_mask(g: Graph, mask: int) -> bool:
     """Edge count, then one component by ``components_of``."""
     k = bit_count(mask)
@@ -1149,6 +1237,16 @@ def triangle_chain(k: int) -> Graph:
 def five_cycle_chain(k: int) -> Graph:
     """k 5-cycles in a chain, cycle i on 4i, ..., 4i + 4 in order."""
     return Graph(4 * k + 1, [(4 * i + a, 4 * i + (a + 1) % 5) for i in range(k) for a in range(5)])
+
+
+def edge_flips(g: Graph):
+    """g with the adjacency of one pair of vertices flipped, each pair once."""
+    for u, v in itertools.combinations(range(g.n), 2):
+        h = Graph(g.n)
+        h.adj = list(g.adj)
+        h.adj[u] ^= 1 << v
+        h.adj[v] ^= 1 << u
+        yield h
 
 
 def all_labelled_graphs(max_n: int):

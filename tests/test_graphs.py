@@ -237,7 +237,7 @@ def test_is_tree_mask_matches_component_count():
 
 
 def test_is_induced_path_matches_pairwise_test():
-    """One neighborhood test per vertex against the pairwise test: every
+    """``induces`` on the consecutive pairs against the pairwise test: every
     sequence of at most 5 vertices, repeats allowed, on every labelled
     graph with at most 4 vertices, and every ordering of every vertex
     set on every labelled graph with 5 vertices."""

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from helpers import (ORACLE_CUBIC_LABELS, ORACLE_SQUARE_LABELS, ExtensionSpec, cube_graph,
+from helpers import (ORACLE_CUBIC_LABELS, ORACLE_SQUARE_LABELS, ExtensionSpec, cube_graph, edge_flips,
                      k4_structure_figure, oracle_csp_split, oracle_is_induced_path, oracle_is_tree_mask,
                      oracle_pair_rule, oracle_prune_tree, oracle_validate_cubic_split, oracle_validate_k4,
                      oracle_validate_kstruct, oracle_validate_square_split, random_connected_girth,
@@ -302,10 +302,10 @@ def _mutants(g: Graph, w: KStructWitness, rng: random.Random, count: int):
 
 
 def test_validate_kstruct_matches_pairwise_form(workload_answers):
-    """One neighborhood test per path vertex against the pairwise
-    ``has_edge`` loop, and each path's induced-path test against the
-    pairwise one: on every k-structure of the workload and on 20 seeded
-    mutants of each."""
+    """One ``induces`` call over all paths and the cycle against the
+    pairwise ``has_edge`` loop, and each path's induced-path test against
+    the pairwise one: on every k-structure of the workload and on 20
+    seeded mutants of each."""
     rng = random.Random(91)
     verdicts = {True: 0, False: 0}
     for _, _, res in workload_answers:
@@ -423,16 +423,6 @@ def _split_certificates():
     return list(seen.values())
 
 
-def _flips(g: Graph):
-    """g with the adjacency of one pair of vertices flipped, each pair once."""
-    for u, v in combinations(range(g.n), 2):
-        h = Graph(g.n)
-        h.adj = list(g.adj)
-        h.adj[u] ^= 1 << v
-        h.adj[v] ^= 1 << u
-        yield h
-
-
 def test_split_validators_match_pairwise_forms_on_mutants():
     """Each square and cubic certificate, every single-vertex move to
     another class and every single-edge flip: the rule-table validators
@@ -449,7 +439,7 @@ def test_split_validators_match_pairwise_forms_on_mutants():
         else:
             sp, validate, oracle = res.cubic, validate_cubic_split, oracle_validate_cubic_split
             parts = [*sp.a, *sp.b, *sp.s, sp.r]
-        cases = [(h, sp) for h in _flips(g)]
+        cases = [(h, sp) for h in edge_flips(g)]
         for c, p in enumerate(parts):
             for v in bits(p):
                 for d in range(len(parts)):
@@ -469,7 +459,7 @@ def _k4_mutants(g: Graph, w: K4Witness):
     """(graph, witness) pairs: every used vertex replaced by each other
     vertex of g, every path vertex dropped, and w on every single-edge
     flip of g."""
-    yield from ((h, w) for h in _flips(g))
+    yield from ((h, w) for h in edge_flips(g))
     for key in w.hubs:
         for v in range(g.n):
             if v != w.hubs[key]:
