@@ -1203,7 +1203,7 @@ def color_berge(g: Graph) -> list[int]:
     for offset, side in enumerate(parts):
         for v in bits(side):
             color[ids[v]] = colors_used + offset
-    if any(color[u] == color[v] for u, v in g.edges() if color[u] >= 0):
+    if not g.is_proper_coloring(color):
         raise InternalError("berge coloring is not proper")
     return color
 

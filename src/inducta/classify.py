@@ -4,7 +4,8 @@ weakly triangulated recognition, the 2-pair machinery and omega-coloring.
 Each recognizer is total: it returns a positive classification with a
 validating witness, or the induced forbidden structure the theorem
 names.  Weakly triangulated recognition runs at most one reach per
-induced P3 of g and of its complement (polynomial; see
+induced P3 of g and of its complement whose ends lie above its middle,
+which finds each long hole from its lowest vertex (polynomial; see
 ``is_weakly_triangulated``), and enumerates the complement's P3s from
 g's side, where they are few.
 The 2-pair finder follows the constructive proof: grow a maximal
@@ -292,14 +293,18 @@ def classify_small(g: Graph, theorem: str) -> SmallClassification:
 # -- weakly triangulated graphs ----------------------------------------------
 
 def _long_hole(g: Graph) -> list[int] | None:
-    """A hole of length >= 5 of g, validated, or None; see
-    ``is_weakly_triangulated`` for the lemma and the precheck."""
+    """A hole of length >= 5 of g, validated, or None: the first one
+    found from its lowest vertex b, by a P3 a-b-c above b and a reach
+    through vertices above b.  See ``is_weakly_triangulated`` for the
+    lemma, the precheck, and why the witness is that of the search over
+    every P3."""
     adj = g.adj
     full = g.full_mask()
     for b in range(g.n):
-        outside = full & ~g.closed_nb(b)
-        above = adj[b]
-        while above:  # a over N(b), then c over the rest of N(b) above a
+        high = full & ~((2 << b) - 1)  # the vertices above b
+        outside = high & ~adj[b]
+        above = adj[b] & high
+        while above:  # a over N(b) above b, then c over the rest of N(b) above a
             low = above & -above
             a = low.bit_length() - 1
             above ^= low
@@ -325,17 +330,21 @@ def _long_hole(g: Graph) -> list[int] | None:
 
 
 def _long_antihole(g: Graph) -> list[int] | None:
-    """``_long_hole(g.complement())``, enumerated from g's sparse side; see
-    ``is_weakly_triangulated`` for why only distance-2 pairs are tried."""
+    """``_long_hole(g.complement())``, enumerated from g's sparse side: the
+    first antihole found from its lowest vertex b.  See
+    ``is_weakly_triangulated`` for why only pairs above b at distance 2
+    from b through a neighbor above b are tried."""
     adj = g.adj
+    full = g.full_mask()
     comp = None
     for b in range(g.n):
-        nb = adj[b]
+        high = full & ~((2 << b) - 1)  # the vertices above b
+        nb = adj[b] & high
         above = 0
         for v in bits(nb):
             above |= adj[v]
-        above &= ~nb & ~(1 << b)
-        while above:  # a over b's distance-2 set, then c over the rest of it above a
+        above &= high & ~nb
+        while above:  # a over b's distance-2 set above b, then c over the rest of it above a
             low = above & -above
             a = low.bit_length() - 1
             above ^= low
@@ -374,22 +383,36 @@ def is_weakly_triangulated(g: Graph) -> tuple[str, list[int]] | None:
     reach per induced P3 of g and of its complement: fewer than n*m
     reaches each, with m counted in that graph.
 
+    Lowest-vertex rule: a long hole is found at its lowest vertex b, by
+    the P3 of its two neighbors there, with all its vertices above b.
+    So at each b, a and c run over N(b) above b and the reach runs
+    through vertices above b only.  The witness is that of the search
+    over every P3 with every reach uncut: a success at some b, in either
+    search, closes a long hole through b, so the first b where either
+    succeeds is the lowest vertex b0 of all long holes.  At b0 a P3 with
+    a or c below b0 fails in both.  For a P3 above b0, every shortest
+    a-c path of the lemma closes a long hole through b0, so it lies
+    above b0: the cut keeps the path's length, and at each step
+    ``path_back`` picks from the same vertices, those on such a path.
+
     Precheck: such a path leaves a through a vertex of
     (N(a) - N(c)) - N[b] and enters c from a vertex of
-    (N(c) - N(a)) - N[b].  When either set is empty the reach cannot
-    succeed and is skipped, and when N(a) - N[b] is empty no c is tried.
+    (N(c) - N(a)) - N[b], both above b.  When either set is empty the
+    reach cannot succeed and is skipped, and when N(a) - N[b] has no
+    vertex above b no c is tried.
 
     Complement side (``_long_antihole``): a P3 a-b-c of the complement
     has a and c outside N[b] and ac an edge of g.  In g's terms its
-    precheck sets are N(b) & N(c) - N(a) and N(b) & N(a) - N(c), so it
-    can pass only when a and c are both at distance exactly 2 from b in
-    g.  The search therefore runs b upward, a over b's distance-2 set
-    and c over that set & N(a) above a, which is the complement's own
-    order with only precheck-rejected triples left out: the same first
+    precheck sets are N(b) & N(c) - N(a) and N(b) & N(a) - N(c), above
+    b, so it can pass only when a and c are both at distance exactly 2
+    from b in g, through neighbors of b above b.  The search therefore
+    runs b upward, a over those vertices above b and c over them & N(a)
+    above a, which is the complement's own order under the lowest-vertex
+    rule with only precheck-rejected triples left out: the same first
     antihole, and still at most one reach per induced P3 of the
-    complement.  The reach's allowed set is N(b) & (N(a) | N(c)), plus
-    c, and runs in the complement, built once and only if a reach is
-    needed.
+    complement.  The reach's allowed set is N(b) & (N(a) | N(c)) above
+    b, plus c, and runs in the complement, built once and only if a
+    reach is needed.
     """
     hole = _long_hole(g)
     if hole is not None:
@@ -539,6 +562,6 @@ def color_weakly_triangulated(g: Graph) -> list[int]:
         color[v] = k
     for a, b in reversed(merged):
         color[b] = color[a]
-    if any(color[u] == color[v] for u, v in g.edges()):
+    if not g.is_proper_coloring(color):
         raise InternalError("2-pair contraction coloring is not proper")
     return color

@@ -198,7 +198,7 @@ def three_color_chordless(g: Graph) -> list[int]:
         used = {color[w] for w in bits(g.adj[v]) if color[w] >= 0}
         c = next(i for i in range(3) if i not in used)
         color[v] = c
-    if any(color[u] == color[v] for u, v in g.edges()):
+    if not g.is_proper_coloring(color):
         raise InternalError("chordless 3-coloring is not proper")
     return color
 
@@ -504,7 +504,7 @@ def _chi_block(g: Graph) -> tuple[int, list[int]]:
         color = [2] * g.n
         for o, c in zip(old, _two_color(rest)):
             color[o] = c
-        if any(color[x] == color[y] for x, y in g.edges()):
+        if not g.is_proper_coloring(color):
             raise InternalError("third-color coloring is not proper")
         return 3, color
     if g.is_clique_mask(g.full_mask()):
@@ -527,6 +527,6 @@ def _chi_member(g: Graph) -> tuple[int, list[int]]:
             color[o] = b if c == a else a if c == b else c
         done |= blk
         chi = max(chi, b_chi)
-    if any(color[x] == color[y] for x, y in g.edges()):
+    if not g.is_proper_coloring(color):
         raise InternalError("glued block coloring is not proper")
     return chi, color

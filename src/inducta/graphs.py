@@ -488,6 +488,18 @@ class Graph:
             left[v] ^= 1 << u
         return not any(left.values())
 
+    def is_proper_coloring(self, color: Sequence[int]) -> bool:
+        """True if color gives each of the n vertices a color of at least 0
+        and no edge two ends of one color: each vertex's neighborhood
+        misses the mask of its color class."""
+        if len(color) != self.n or any(c < 0 for c in color):
+            return False
+        classes: dict[int, int] = {}
+        for v, c in enumerate(color):
+            classes[c] = classes.get(c, 0) | 1 << v
+        adj = self.adj
+        return not any(adj[v] & classes[c] for v, c in enumerate(color))
+
     def is_induced_path(self, seq: Sequence[int]) -> bool:
         """True if seq is an induced path visiting distinct vertices in
         order: its edges are exactly the consecutive pairs."""

@@ -142,10 +142,6 @@ def clique_cover(g: Graph, bound: int = CHI_BOUND) -> tuple[int, list[int]]:
     return k, coloring
 
 
-def is_proper_coloring(g: Graph, color: list[int]) -> bool:
-    return all(color[u] != color[v] for u, v in g.edges())
-
-
 # -- invariant report ---------------------------------------------------
 
 class InvariantReport(Record):
@@ -182,7 +178,7 @@ def exact_invariants(
     if not (
         g.is_stable_mask(a_set)
         and g.is_clique_mask(o_set)
-        and is_proper_coloring(g, coloring)
+        and g.is_proper_coloring(coloring)
         and all(g.is_clique_mask(mask_of(v for v in range(g.n) if cover[v] == c)) for c in set(cover))
     ):
         raise InternalError("an exact invariant's witness fails its check")

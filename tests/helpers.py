@@ -632,6 +632,11 @@ def oracle_girth(g: Graph) -> int | None:
     return None if cyc is None else len(cyc)
 
 
+def oracle_is_proper_coloring(g: Graph, color) -> bool:
+    """No edge has two ends of one color, edge by edge."""
+    return all(color[u] != color[v] for u, v in g.edges())
+
+
 def oracle_is_induced_path(g: Graph, seq: list[int]) -> bool:
     """Distinct vertices, and an edge between two of them exactly when
     they are next to each other in ``seq``, pair by pair."""

@@ -207,17 +207,57 @@ def unpruned_holes():
     return [(g, oracle_long_hole(g), oracle_long_hole(g.complement())) for g in graphs]
 
 
+def _assert_long_holes_match(g: Graph, hole, antihole):
+    """``_long_hole`` on g and on its complement, and ``_long_antihole``
+    on g, against the unpruned reaches; each witness starts at its lowest
+    vertex."""
+    assert classify._long_hole(g) == hole, g.edges()
+    assert classify._long_hole(g.complement()) == antihole, g.edges()
+    assert classify._long_antihole(g) == antihole, g.edges()
+    for wit in (hole, antihole):
+        assert wit is None or wit[0] == min(wit), (g.edges(), wit)
+
+
 def test_long_hole_matches_unpruned_reaches(unpruned_holes):
-    """The P3 precheck skips only reaches that fail: the same hole, or
-    None, as one reach per induced P3, on g and on its complement; and
-    the antihole search from g's side finds the complement's hole."""
+    """The P3 precheck and the lowest-vertex rule (a, c and the reach
+    above b) skip only reaches that fail or find a hole found earlier:
+    the same hole, or None, as one reach per induced P3, on g and on its
+    complement; and the antihole search from g's side finds the
+    complement's hole.  The oracle's first hole starts at its lowest
+    vertex."""
     found = 0
     for g, hole, antihole in unpruned_holes:
-        assert classify._long_hole(g) == hole, g.edges()
-        assert classify._long_hole(g.complement()) == antihole, g.edges()
-        assert classify._long_antihole(g) == antihole, g.edges()
+        _assert_long_holes_match(g, hole, antihole)
         found += (hole is not None) + (antihole is not None)
     assert found >= 4000
+
+
+def test_long_hole_matches_unpruned_reaches_past_16_vertices():
+    """The same comparison on seeded graphs with 17 to 40 vertices:
+    random graphs at low and at high density, chordal graphs with 20 to
+    40 vertices (no long hole or antihole), and chordal graphs with one
+    to three edges flipped, each chordal graph with its complement."""
+    rng = random.Random(77)
+    graphs = []
+    for _ in range(250):
+        graphs.append(random_graph(rng.randint(17, 40), rng.uniform(0.03, 0.2), rng))
+        graphs.append(random_graph(rng.randint(17, 40), rng.uniform(0.8, 0.97), rng))
+    for flips in [0] * 100 + [1, 2, 3] * 40:
+        g = random_chordal(rng.randint(20, 40), rng)
+        for _ in range(flips):
+            u, v = rng.sample(range(g.n), 2)
+            g.adj[u] ^= 1 << v
+            g.adj[v] ^= 1 << u
+        graphs += [g, g.complement()]
+    found = {"hole": 0, "antihole": 0, "late": 0}
+    for g in graphs:
+        hole, antihole = oracle_long_hole(g), oracle_long_hole(g.complement())
+        _assert_long_holes_match(g, hole, antihole)
+        for kind, wit in (("hole", hole), ("antihole", antihole)):
+            if wit is not None:
+                found[kind] += 1
+                found["late"] += wit[0] >= 2
+    assert len(graphs) == 940 and min(found.values()) >= 150, found
 
 
 def test_find_two_pair_matches_copying_finder(unpruned_holes):

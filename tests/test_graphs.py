@@ -10,6 +10,7 @@ from helpers import (
     oracle_components_of,
     oracle_girth,
     oracle_is_induced_path,
+    oracle_is_proper_coloring,
     oracle_is_tree_mask,
     oracle_layers,
     oracle_shortest_odd_cycle,
@@ -248,6 +249,39 @@ def test_is_induced_path_matches_pairwise_test():
             seqs = [s for r in range(6) for s in itertools.permutations(range(g.n), r)]
         for seq in seqs:
             assert g.is_induced_path(seq) == oracle_is_induced_path(g, seq), (g.edges(), seq)
+
+
+def test_is_proper_coloring_matches_edge_list_test():
+    """The class-mask test against the edge-by-edge one: every coloring
+    with colors 0 to 2 of every labelled graph with at most 5 vertices,
+    and seeded random graphs with up to 30 vertices under greedy
+    colorings with arbitrary color labels, some with one vertex given a
+    neighbor's color.  A negative color or a list of the wrong length is
+    refused."""
+    seen = {True: 0, False: 0}
+    for g in all_labelled_graphs(5):
+        for color in itertools.product(range(3), repeat=g.n):
+            want = oracle_is_proper_coloring(g, color)
+            assert g.is_proper_coloring(color) == want, (g.edges(), color)
+            seen[want] += 1
+    rng = random.Random(31)
+    for _ in range(400):
+        g = random_graph(rng.randint(1, 30), rng.uniform(0.05, 0.6), rng)
+        labels = rng.sample(range(1000), g.n)
+        color = [-1] * g.n
+        for v in rng.sample(range(g.n), g.n):
+            used = {color[w] for w in g.neighbors(v)}
+            color[v] = next(c for c in labels if c not in used)
+        v = rng.randrange(g.n)
+        if g.adj[v] and rng.random() < 0.5:
+            color[v] = color[rng.choice(g.neighbors(v))]
+        want = oracle_is_proper_coloring(g, color)
+        assert g.is_proper_coloring(color) == want, (g.edges(), color)
+        seen[want] += 1
+        assert not g.is_proper_coloring(color[:-1]) and not g.is_proper_coloring(color + [0])
+        color[v] = -1 - color[v]
+        assert not g.is_proper_coloring(color), (g.edges(), color)
+    assert min(seen.values()) >= 20_000, seen
 
 
 def test_path_mask_matches_induced_definition():
