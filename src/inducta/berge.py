@@ -2,17 +2,23 @@
 balanced skew partitions and homogeneous pairs.
 
 The pipeline runs in two passes.  ``decompose`` builds the weight-free
-tree once per graph: it splits along extreme, marker-disjoint proper
-non-path 2-joins (one complementation allowed at the root), keeps one
+tree once per graph: it splits along marker-disjoint proper non-path
+2-joins (one complementation allowed at the root), keeps one
 parity-matched marker path per removed side, and classifies the leaves.
-The 2-joins of a node are all found, then the minimally sided one is
-taken; when marker paths cross it, its marker-shifted split is read from
-the same list, so every split comes from that one enumeration.  The
-search places vertices one by one and drops a placement as soon as its
-cross edges stop being at most two complete bipartite pieces, each
-vertex seeing all of its piece's other side.  That is
-exact: a 2-join's cross edges are two such pieces (A1-A2 and B1-B2),
-and every restriction of them to the placed vertices still is.
+The 2-joins of a node are all found once.  The most balanced side is
+tried first: when both of its parity-matched blocks are leaves, the node
+splits along it and its child is that leaf, searched no further, which
+is how a member of the class usually decomposes, in one enumeration.
+Otherwise the minimally sided join is taken, whose small side block is
+a leaf, and the child is decomposed in turn; when marker paths cross
+that join, its marker-shifted split is read from the same list, so every
+split comes from that node's one enumeration.  Either way each block
+that is solved is checked to be a leaf.  The search places vertices one
+by one and drops a placement as soon as its cross edges stop being at
+most two complete bipartite pieces, each vertex seeing all of its
+piece's other side.  That is exact: a 2-join's cross edges are two such
+pieces (A1-A2 and B1-B2), and every restriction of them to the placed
+vertices still is.
 ``solve`` then answers maximum weighted stable set and clique for one
 weighting on that tree, with no search.  The tree also carries
 everything that does not depend on the weights, built once by
@@ -42,7 +48,8 @@ A matching leaf is solved on its line-extension skeleton's root
 multigraph, whose line graph is the transformed graph G'', so a maximum
 weight matching is a maximum weight stable set.
 Every lifted witness is re-validated before returning.  An answer keeps
-its graph and witnesses; its ``tree`` is decomposed again when read.
+its graph and its witnesses as vertex masks; its ``tree`` is decomposed
+again when read.
 """
 
 from __future__ import annotations
@@ -232,16 +239,20 @@ def all_proper_nonpath_two_joins(g: Graph) -> list[TwoJoinSplit]:
     return out
 
 
-def find_two_join(g: Graph, markers: list[list[int]] | None = None) -> TwoJoinSplit | None:
+def find_two_join(g: Graph, markers: list[list[int]] | None = None,
+                  joins: list[TwoJoinSplit] | None = None) -> TwoJoinSplit | None:
     """A proper non-path 2-join, minimally sided (X1 is the minimal side),
-    shifted to be independent of the given marker paths.
+    shifted to be independent of the given marker paths; ``joins`` is
+    g's ``all_proper_nonpath_two_joins`` list when the caller has it.
 
     Among all sides of all such joins, the one with fewest vertices (ties
     broken by its mask) is X1; no other side can lie strictly inside it.
     X1 takes A2 (resp. B2) when a marker path crosses A1-A2 (resp. B1-B2),
     and the listed side with that X1 is taken if no marker path crosses
     it, with A its X1 part of smaller mask; else the smallest such side."""
-    sides = [t for s in all_proper_nonpath_two_joins(g) for t in (s, s.flip())]
+    if joins is None:
+        joins = all_proper_nonpath_two_joins(g)
+    sides = [t for s in joins for t in (s, s.flip())]
     if not sides:
         return None
     chosen = min(sides, key=lambda t: (bit_count(t.x1), t.x1))
@@ -666,21 +677,39 @@ class TreeNode(Record):
 
 class BergeAnswer(Record):
     """Validated weights and witnesses for ``graph`` (from
-    ``berge_alpha_omega``, the caller's own object).  The decomposition
+    ``berge_alpha_omega``, the caller's own object).  The witnesses are
+    kept as vertex masks; ``alpha_set`` and ``omega_set`` read them as
+    sorted vertex lists and take a list on assignment.  The decomposition
     is not kept: ``tree`` rebuilds it on each read, and since
     ``decompose`` is deterministic that is the tree the answer was
     solved on."""
 
-    __slots__ = ("alpha", "alpha_set", "omega", "omega_set", "graph", "complemented")
+    __slots__ = ("alpha", "alpha_mask", "omega", "omega_mask", "graph", "complemented")
 
-    def __init__(self, alpha: int, alpha_set: list[int], omega: int, omega_set: list[int],
+    def __init__(self, alpha: int, alpha_mask: int, omega: int, omega_mask: int,
                  graph: Graph, complemented: bool = False):
         self.alpha = alpha
-        self.alpha_set = alpha_set
+        self.alpha_mask = alpha_mask
         self.omega = omega
-        self.omega_set = omega_set
+        self.omega_mask = omega_mask
         self.graph = graph
         self.complemented = complemented
+
+    @property
+    def alpha_set(self) -> list[int]:
+        return list(bits(self.alpha_mask))
+
+    @alpha_set.setter
+    def alpha_set(self, vertices: list[int]) -> None:
+        self.alpha_mask = mask_of(vertices)
+
+    @property
+    def omega_set(self) -> list[int]:
+        return list(bits(self.omega_mask))
+
+    @omega_set.setter
+    def omega_set(self, vertices: list[int]) -> None:
+        self.omega_mask = mask_of(vertices)
 
     @property
     def tree(self) -> TreeNode:
@@ -891,12 +920,16 @@ def _expand_omega_witness(blk: _Block, mask: int, sides: list[_SideNumbers]) -> 
 def decompose(g: Graph) -> TreeNode:
     """The weight-free 2-join decomposition of g: every search the
     pipeline makes, done once so that ``solve`` can answer any weighting.
-    Each node carries the block its solves run on, built once its own
-    subtree has decomposed, so a graph refused deep in the chain builds
-    none.  When g neither classifies as a leaf nor decomposes, its
-    complement is tried once at the root; if the complement's root has
-    neither a leaf kind nor a 2-join either, g's own failure is
-    reported."""
+    A node that is no leaf enumerates its 2-joins once and splits along
+    the most balanced one whose two blocks are both leaves, so the tree
+    stops one join below it; failing that, along the minimally sided,
+    marker-shifted join of ``find_two_join``, whose side block must be a
+    leaf and whose child is decomposed in turn.  Each node carries the
+    block its solves run on, built once its own subtree has decomposed,
+    so a graph refused deep in the chain builds none.  When g neither
+    classifies as a leaf nor decomposes, its complement is tried once at
+    the root; if the complement's root has neither a leaf kind nor a
+    2-join either, g's own failure is reported."""
     try:
         return _decompose(g, list(range(g.n)), [], 0)
     except OutsideClassError as err:
@@ -910,20 +943,74 @@ def decompose(g: Graph) -> TreeNode:
     return tree
 
 
+class _Join:
+    """A 2-join a node splits along, with what splitting needs: the
+    parities of its two sides, the side block (X1 plus a marker for X2)
+    with its leaf kind, and the child block (X2 plus the marker path
+    ``marker`` for X1) with its leaf kind when that is already known."""
+
+    __slots__ = ("split", "parities", "side", "side_leaf", "child", "marker", "child_leaf")
+
+    def __init__(self, split: TwoJoinSplit, parities: tuple[str, str], side: Graph,
+                 side_leaf: LeafInfo, child: Graph, marker: list[int]):
+        self.split, self.parities, self.side, self.side_leaf = split, parities, side, side_leaf
+        self.child, self.marker, self.child_leaf = child, marker, None
+
+
+def _join_along(g: Graph, split: TwoJoinSplit) -> _Join:
+    """Both blocks of ``split``, each with a marker path matching the
+    parity of the side it stands for; the side block must be a leaf."""
+    p1 = side_parity(g, split, "x1")
+    p2 = side_parity(g, split, "x2")
+    if "mixed" in (p1, p2):
+        raise OutsideClassError("parity-undefined 2-join side")
+    side = _path_block(g, split, 3 if p2 == "odd" else 4)[0]
+    side_leaf = classify_leaf(side)
+    if side_leaf is None:
+        raise OutsideClassError("extreme-side block is not leaf-classifiable")
+    child, marker = _path_block(g, split.flip(), 3 if p1 == "odd" else 4)
+    return _Join(split, (p1, p2), side, side_leaf, child, marker)
+
+
+def _balanced_join(g: Graph, joins: list[TwoJoinSplit], paths: list[list[int]]) -> _Join | None:
+    """The join along the most balanced side no marker path crosses (the
+    largest smaller side, then the fewest vertices in X1, then the
+    smallest X1 mask) when both of its blocks are leaves, else None.
+    Extremality only serves to make one block a leaf; a join whose two
+    blocks are leaves ends the chain at once."""
+    path_masks = [mask_of(p) for p in paths]
+    free = [t for s in joins for t in (s, s.flip())
+            if not any(pm & t.x1 and pm & t.x2 for pm in path_masks)]
+    if not free:
+        return None
+    split = min(free, key=lambda t: (-min(bit_count(t.x1), bit_count(t.x2)), bit_count(t.x1), t.x1))
+    try:
+        join = _join_along(g, split)
+    except OutsideClassError:
+        return None
+    join.child_leaf = classify_leaf(join.child)
+    return join if join.child_leaf is not None else None
+
+
 def _leaf_or_join(
     g: Graph, markers: list[MarkerInfo]
-) -> tuple[LeafInfo | None, TwoJoinSplit | None] | None:
-    """The node's leaf kind, else its 2-join; None when it has neither."""
+) -> tuple[LeafInfo | None, _Join | None] | None:
+    """The node's leaf kind, else the join it splits along, from one
+    enumeration of its 2-joins; None when it has neither."""
     leaf = classify_leaf(g)
     if leaf is not None:
         return leaf, None
-    split = find_two_join(g, markers=[m.path for m in markers])
-    return None if split is None else (None, split)
+    joins = all_proper_nonpath_two_joins(g)
+    if not joins:
+        return None
+    paths = [m.path for m in markers]
+    join = _balanced_join(g, joins, paths)
+    return None, join or _join_along(g, find_two_join(g, paths, joins))
 
 
 def _decompose(
     g: Graph, ids: list, markers: list[MarkerInfo], depth: int,
-    found: tuple[LeafInfo | None, TwoJoinSplit | None] | None = None,
+    found: tuple[LeafInfo | None, _Join | None] | None = None,
 ) -> TreeNode:
     """The tree below a node whose vertices stand for the root vertices
     ``ids`` (None on marker paths); ``found`` is the node's own search
@@ -935,26 +1022,18 @@ def _decompose(
         found = _leaf_or_join(g, markers)
         if found is None:
             raise OutsideClassError("node neither classifies as a leaf nor has a 2-join")
-    leaf, split = found
+    leaf, join = found
     if leaf is not None:
         return TreeNode("leaf", leaf=leaf, graph=g, block=_Block(g, leaf, ids, markers))
 
-    p1 = side_parity(g, split, "x1")
-    p2 = side_parity(g, split, "x2")
-    if "mixed" in (p1, p2):
-        raise OutsideClassError("parity-undefined 2-join side")
-    side = _path_block(g, split, 3 if p2 == "odd" else 4)[0]
-    side_leaf = classify_leaf(side)
-    if side_leaf is None:
-        raise OutsideClassError("extreme-side block is not leaf-classifiable")
-
-    k2 = 3 if p1 == "odd" else 4   # marker standing for X1
-    block2, m1_path = _path_block(g, split.flip(), k2)
+    split, (p1, p2) = join.split, join.parities
     x1, x2 = list(bits(split.x1)), list(bits(split.x2))
     markers2 = _markers_within(markers, split.x2)
-    markers2.append(MarkerInfo(m1_path, _gadget_kind(p1), depth))
-    child = _decompose(block2, [ids[o] for o in x2] + [None] * (k2 + 1), markers2, depth + 1)
-    block = _Block(side, side_leaf, [ids[o] for o in x1] + [None] * (side.n - len(x1)),
+    markers2.append(MarkerInfo(join.marker, _gadget_kind(p1), depth))
+    child = _decompose(join.child, [ids[o] for o in x2] + [None] * len(join.marker), markers2,
+                       depth + 1, None if join.child_leaf is None else (join.child_leaf, None))
+    side = join.side
+    block = _Block(side, join.side_leaf, [ids[o] for o in x1] + [None] * (side.n - len(x1)),
                    _markers_within(markers, split.x1))
     # the side's abcd cases a, b, c, d, then the cliques of A1, B1 and X1
     regions = tuple(
@@ -968,8 +1047,8 @@ def _decompose(
         children=[child],
         graph=g,
         split=split,
-        marker_len=k2,
-        side_leaf=side_leaf,
+        marker_len=len(join.marker) - 1,
+        side_leaf=join.side_leaf,
         block=block,
         regions=regions,
     )
@@ -1057,7 +1136,7 @@ def solve(tree: TreeNode, weights: list[int]) -> BergeAnswer:
 def _answer(tree: TreeNode, graph: Graph, weights: list[int]) -> BergeAnswer:
     """Solve ``tree``, the decomposition of ``graph``, for one weighting."""
     (a, aw), (o, ow) = _solve_halves(tree, weights, alpha=True, omega=True)
-    return BergeAnswer(a, aw, o, ow, graph, tree.complemented)
+    return BergeAnswer(a, mask_of(aw), o, mask_of(ow), graph, tree.complemented)
 
 
 def _solve_halves(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import importlib.util
 import itertools
@@ -9,6 +10,7 @@ import random
 import sys
 from pathlib import Path
 
+from inducta import berge
 from inducta.berge import (
     ABCD,
     FULL_ENUM_BOUND,
@@ -21,6 +23,7 @@ from inducta.berge import (
     _decompose,
     _flat_paths_of,
     _gadgetize,
+    _join_along,
     _LineSkeleton,
     _line_weights,
     _marker_clique_weights,
@@ -239,11 +242,13 @@ def ladder_side_odd():
     return g, 1 << 0, 1 << 1
 
 
-def line_side_even(rng: random.Random | None = None):
-    """The line graph of two odd parallel root paths: stars of the two
-    root branch vertices are the special cliques, and the paths between
-    them inside the line graph are even."""
-    lengths = (3, 3) if rng is None else rng.choice([(3, 3), (3, 5)])
+def line_side_even(rng: random.Random | None = None, lengths: tuple[int, ...] = (3, 3)):
+    """The line graph of odd parallel root paths (``lengths``, or two
+    drawn by ``rng``): stars of the two root branch vertices are the
+    special cliques, and the paths between them inside the line graph
+    are even."""
+    if rng is not None:
+        lengths = rng.choice([(3, 3), (3, 5)])
     root = Graph(2 + sum(le - 1 for le in lengths))
     nxt = 2
     star_u, star_v = [], []
@@ -384,7 +389,27 @@ def forced_join(g: Graph, s: TwoJoinSplit) -> TreeNode:
     """The solver's tree of g with the split s taken at the root: the
     join path ``decompose`` takes for the join it picks, here made to
     take s (its parities, side block, regions and child)."""
-    return _decompose(g, list(range(g.n)), [], 0, (None, s))
+    return _decompose(g, list(range(g.n)), [], 0, (None, _join_along(g, s)))
+
+
+@contextlib.contextmanager
+def minimally_sided_joins():
+    """The Berge pipeline as it was before it tried the balanced join
+    first: every node that is no leaf splits along ``find_two_join``'s
+    minimally sided, marker-shifted join, and its child is decomposed in
+    turn, so a tree is a chain of joins."""
+    real = berge._balanced_join
+    berge._balanced_join = lambda g, joins, paths: None
+    try:
+        yield
+    finally:
+        berge._balanced_join = real
+
+
+def chain_decompose(g: Graph) -> TreeNode:
+    """``decompose`` along minimally sided joins only."""
+    with minimally_sided_joins():
+        return berge.decompose(g)
 
 
 def _restricted(wg: WeightedGraph, region: int) -> WeightedGraph:

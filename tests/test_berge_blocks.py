@@ -6,6 +6,7 @@ from helpers import (
     ExtensionSpec,
     bench_workload,
     berge_family_graphs,
+    chain_decompose,
     clique_block,
     compute_abcd,
     derive_split,
@@ -347,25 +348,28 @@ def test_line_extension_past_the_node_bound():
 
 
 def test_blocks_and_splits_match_the_replaced_routes(monkeypatch):
-    """Every 2-join search and every gadgetized block that ``decompose``
-    makes, over the family graphs, the seed-1 graphs of both Berge
-    benchmark workloads and seeded random graphs, equals what the
+    """Every minimally sided 2-join search and every gadgetized block that
+    ``decompose`` makes, along balanced joins first and along minimally
+    sided joins only, over the family graphs, the seed-1 graphs of both
+    Berge benchmark workloads and seeded random graphs, equals what the
     re-derived marker shift and the per-marker swap give: all six masks
     of each split, each refusal's message, and each block's gadgetized
-    graph, map back and gadgets.  The random graphs reach the fallback
-    to the smallest marker-independent side and its refusal."""
+    graph, map back and gadgets.  The chains of minimally sided joins
+    reach the marker shift and adjacent markers; the random graphs reach
+    the fallback to the smallest marker-independent side and its
+    refusal."""
     real_find, real_gadgetize = berge.find_two_join, berge._gadgetize
     seen = {"shifted": 0, "fallback": 0, "refused": 0, "adjacent": 0}
 
-    def find(g, markers=None):
+    def find(g, markers=None, joins=None):
         try:
             want = oracle_find_two_join(g, markers)
         except OutsideClassError as err:
             seen["refused"] += 1
             with pytest.raises(OutsideClassError, match=f"^{err}$"):
-                real_find(g, markers)
+                real_find(g, markers, joins)
             raise
-        got = real_find(g, markers)
+        got = real_find(g, markers, joins)
         assert got == want
         if markers and got is not None:
             minimal = real_find(g)
@@ -389,9 +393,10 @@ def test_blocks_and_splits_match_the_replaced_routes(monkeypatch):
     graphs += [random_graph(rng.randint(4, 11), rng.choice((0.2, 0.35, 0.5, 0.65, 0.8)), rng)
                for _ in range(1000)]
     for g in graphs:
-        try:
-            berge.decompose(g)
-        except GraphError:
-            pass
+        for build in (berge.decompose, chain_decompose):
+            try:
+                build(g)
+            except GraphError:
+                pass
     assert seen["shifted"] >= 50 and seen["fallback"] >= 1, seen
     assert seen["refused"] >= 1 and seen["adjacent"] >= 20, seen

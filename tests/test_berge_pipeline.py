@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import random
 import sys
@@ -5,8 +6,9 @@ import threading
 
 import pytest
 
-from helpers import (berge_family_graphs, complement_leaf_graphs, glue_two_sides, oracle_classify_leaf,
-                     prism_side, random_berge_instance, replay_tree)
+from helpers import (berge_family_graphs, chain_decompose, complement_leaf_graphs, glue_two_sides,
+                     minimally_sided_joins, oracle_classify_leaf, prism_side, random_berge_instance,
+                     replay_tree)
 from inducta import berge
 from inducta.berge import (
     OutsideClassError,
@@ -340,14 +342,14 @@ def test_each_half_runs_without_the_other(monkeypatch):
 def test_color_berge_searches_two_joins_once(monkeypatch):
     from helpers import hub_side_even, line_side_even
 
-    real = berge.find_two_join
+    real = berge.all_proper_nonpath_two_joins
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(berge, "find_two_join", counted)
+    monkeypatch.setattr(berge, "all_proper_nonpath_two_joins", counted)
     joined, _ = glue_two_sides(hub_side_even(), line_side_even())
     for g, complemented in ((joined, False), (joined.complement(), True)):
         calls.clear()
@@ -577,8 +579,9 @@ def test_leaf_kinds_match_the_chain_on_every_small_graph():
 
 
 def test_leaf_kinds_match_the_chain_on_the_families(monkeypatch):
-    """Every node and side graph that ``decompose`` classifies on the
-    Berge test families."""
+    """Every node and block graph that ``decompose`` classifies on the
+    Berge test families, along balanced joins first and along minimally
+    sided joins only."""
     real = berge.classify_leaf
     seen = {}
 
@@ -588,10 +591,11 @@ def test_leaf_kinds_match_the_chain_on_the_families(monkeypatch):
 
     monkeypatch.setattr(berge, "classify_leaf", recorded)
     for g in berge_family_graphs():
-        try:
-            decompose(g)
-        except GraphError:
-            pass
+        for build in (decompose, chain_decompose):
+            try:
+                build(g)
+            except GraphError:
+                pass
     monkeypatch.undo()
     kinds = [_same_leaf(g) for g in seen.values()]
     assert len(kinds) >= 150 and kinds.count(None) >= 30
@@ -625,29 +629,33 @@ def _edge_graph(n, text):
 
 
 def test_adjacent_vaults_expand_by_their_own_anchors():
-    """Two Berge graphs whose complements decompose by two odd/odd joins
-    into a bipartite leaf with two vault markers joined end to end, so
-    each vault's anchors see the other's.  Every 0/1 weighting of both,
-    and three positive weightings of the second, match the oracle with
-    valid witnesses, and both are coloured with omega colours."""
+    """Two Berge graphs whose complements decompose, along minimally
+    sided joins, by two odd/odd joins into a bipartite leaf with two
+    vault markers joined end to end, so each vault's anchors see the
+    other's.  Every 0/1 weighting of both, and three positive weightings
+    of the second, match the oracle with valid witnesses, and both are
+    coloured with omega colours, along that chain and along the balanced
+    join that ``decompose`` takes first."""
     g7 = _edge_graph(7, "0-1 0-2 0-3 0-5 1-3 1-5 2-3 2-4 2-5 3-5 4-6 5-6")
     g8 = _edge_graph(8, "0-3 0-6 0-7 1-2 1-3 1-5 1-7 2-3 2-5 2-7 3-5 3-7 4-5 4-6 4-7 5-6 5-7")
     positive = [[3, 1, 1, 1, 3, 1, 1, 1], [3, 1, 1, 1, 3, 1, 2, 2], [3, 1, 1, 1, 3, 1, 3, 3]]
     for g, extra in ((g7, []), (g8, positive)):
         assert is_berge(g)
-        leaf = decompose(g).children[0].children[0]
+        leaf = chain_decompose(g).children[0].children[0]
         assert leaf.leaf.kind == "bipartite"
         assert [m.kind for m in leaf.block.markers] == ["vault", "vault"]
-        for w in [list(w) for w in itertools.product((0, 1), repeat=g.n)] + extra:
-            wg = WeightedGraph(g, w)
-            ans = berge_alpha_omega(wg)
-            assert ans.complemented
-            assert ans.alpha == max_weight_stable_set(wg)[0]
-            assert ans.omega == max_weight_clique(wg)[0]
-            assert g.is_stable_mask(mask_of(ans.alpha_set))
-            assert g.is_clique_mask(mask_of(ans.omega_set))
-            assert wg.weight_of(mask_of(ans.alpha_set)) == ans.alpha
-            assert wg.weight_of(mask_of(ans.omega_set)) == ans.omega
-        col = color_berge(g)
-        assert max(col) + 1 == max_weight_clique(WeightedGraph(g))[0]
-        assert all(col[u] != col[v] for u, v in g.edges())
+        for route in (minimally_sided_joins, contextlib.nullcontext):
+            with route():
+                for w in [list(w) for w in itertools.product((0, 1), repeat=g.n)] + extra:
+                    wg = WeightedGraph(g, w)
+                    ans = berge_alpha_omega(wg)
+                    assert ans.complemented
+                    assert ans.alpha == max_weight_stable_set(wg)[0]
+                    assert ans.omega == max_weight_clique(wg)[0]
+                    assert g.is_stable_mask(mask_of(ans.alpha_set))
+                    assert g.is_clique_mask(mask_of(ans.omega_set))
+                    assert wg.weight_of(mask_of(ans.alpha_set)) == ans.alpha
+                    assert wg.weight_of(mask_of(ans.omega_set)) == ans.omega
+                col = color_berge(g)
+            assert max(col) + 1 == max_weight_clique(WeightedGraph(g))[0]
+            assert all(col[u] != col[v] for u, v in g.edges())

@@ -8,6 +8,7 @@ import pytest
 
 from helpers import (
     berge_family_graphs,
+    chain_decompose,
     glue_two_sides,
     oracle_all_proper_nonpath_two_joins,
     prism_side,
@@ -57,7 +58,8 @@ def test_seeded_random_graphs_and_complements():
 
 def test_every_graph_the_families_search(monkeypatch):
     """Each family graph, and every node graph its decomposition passes
-    to the 2-join search, has the same list of joins both ways."""
+    to the 2-join search (along balanced joins first, and along
+    minimally sided joins only), has the same list of joins both ways."""
     real = berge.all_proper_nonpath_two_joins
     searched = {}
 
@@ -69,10 +71,11 @@ def test_every_graph_the_families_search(monkeypatch):
     graphs = berge_family_graphs()
     for g in graphs:
         searched.setdefault(tuple(g.adj), g)
-        try:
-            berge.decompose(g)
-        except GraphError:
-            pass
+        for build in (berge.decompose, chain_decompose):
+            try:
+                build(g)
+            except GraphError:
+                pass
     monkeypatch.undo()
     found = sum(_same_joins(g) for g in searched.values())
     assert len(searched) >= 100 and found >= 50
