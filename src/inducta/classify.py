@@ -3,16 +3,22 @@ weakly triangulated recognition, the 2-pair machinery and omega-coloring.
 
 Each recognizer is total: it returns a positive classification with a
 validating witness, or the induced forbidden structure the theorem
-names.  Weakly triangulated recognition runs at most one reach per
-induced P3 of g and of its complement whose ends lie above its middle,
-which finds each long hole from its lowest vertex (polynomial; see
-``is_weakly_triangulated``), and enumerates the complement's P3s from
-g's side, where they are few.
+names.  Weakly triangulated recognition first peels simplicial
+vertices: one whose live neighborhood is a clique lies on no long hole
+or antihole, so the graph is a member exactly when the core left is,
+and every witness lies in the core (a chordal graph leaves none).  On
+the core it runs at most one reach per induced P3 of g and of its
+complement whose ends lie above its middle, which finds each long hole
+from its lowest vertex (polynomial; see ``is_weakly_triangulated``), and
+enumerates the complement's P3s from g's side, where they are few.
 The 2-pair finder follows the constructive proof: grow a maximal
 anticonnected set T whose common neighborhood C(T) holds two
 nonadjacent vertices, recurse inside C(T), and lift.  Coloring
-contracts 2-pairs in place, seeking each next one first at the vertex
-the last contraction made, which is set aside once universal.
+contracts 2-pairs of the core in place, seeking each next one first at
+the vertex the last contraction made, which is set aside once
+universal; the peeled vertices then take, in reverse peel order, the
+lowest color missing from their colored neighbors, a clique of at most
+omega - 1 vertices, so the count stays omega.
 """
 
 from __future__ import annotations
@@ -292,16 +298,43 @@ def classify_small(g: Graph, theorem: str) -> SmallClassification:
 
 # -- weakly triangulated graphs ----------------------------------------------
 
-def _long_hole(g: Graph) -> list[int] | None:
-    """A hole of length >= 5 of g, validated, or None: the first one
-    found from its lowest vertex b, by a P3 a-b-c above b and a reach
-    through vertices above b.  See ``is_weakly_triangulated`` for the
-    lemma, the precheck, and why the witness is that of the search over
-    every P3."""
+def _simplicial_peel(g: Graph) -> tuple[list[int], int]:
+    """(order, core): the vertices in the order they were peeled, and
+    the live mask left.  A live vertex whose live neighborhood is a clique
+    leaves, and its live neighbors are queued again, so the core has no
+    such vertex.  See ``is_weakly_triangulated`` for why no long hole or
+    antihole meets a peeled vertex."""
     adj = g.adj
-    full = g.full_mask()
-    for b in range(g.n):
-        high = full & ~((2 << b) - 1)  # the vertices above b
+    core = g.full_mask()
+    order: list[int] = []
+    todo = list(range(g.n - 1, -1, -1))  # a stack: the lowest vertex first
+    queued = [True] * g.n
+    while todo:
+        v = todo.pop()
+        queued[v] = False
+        nv = adj[v] & core
+        if g.is_clique_mask(nv):
+            core ^= 1 << v
+            order.append(v)
+            for u in bits(nv):
+                if not queued[u]:
+                    queued[u] = True
+                    todo.append(u)
+    return order, core
+
+
+def _long_hole(g: Graph, live: int | None = None) -> list[int] | None:
+    """A hole of length >= 5 of g[live] (all of g by default), validated,
+    or None: the first one found from its lowest vertex b, by a P3 a-b-c
+    above b and a reach through vertices above b.  See
+    ``is_weakly_triangulated`` for the lemma, the precheck, and why the
+    witness is that of the search over every P3."""
+    adj = g.adj
+    high = g.full_mask() if live is None else live
+    while high:
+        low = high & -high
+        b = low.bit_length() - 1
+        high ^= low  # the live vertices above b
         outside = high & ~adj[b]
         above = adj[b] & high
         while above:  # a over N(b) above b, then c over the rest of N(b) above a
@@ -329,20 +362,24 @@ def _long_hole(g: Graph) -> list[int] | None:
     return None
 
 
-def _long_antihole(g: Graph) -> list[int] | None:
-    """``_long_hole(g.complement())``, enumerated from g's sparse side: the
-    first antihole found from its lowest vertex b.  See
+def _long_antihole(g: Graph, live: int | None = None) -> list[int] | None:
+    """``_long_hole(g.complement(), live)``, enumerated from g's sparse
+    side: the first antihole found from its lowest vertex b.  See
     ``is_weakly_triangulated`` for why only pairs above b at distance 2
     from b through a neighbor above b are tried."""
     adj = g.adj
-    full = g.full_mask()
+    high = g.full_mask() if live is None else live
     comp = None
-    for b in range(g.n):
-        high = full & ~((2 << b) - 1)  # the vertices above b
+    while high:
+        low = high & -high
+        b = low.bit_length() - 1
+        high ^= low  # the live vertices above b
         nb = adj[b] & high
-        above = 0
-        for v in bits(nb):
-            above |= adj[v]
+        above, rest = 0, nb
+        while rest:  # the union of N(v) over v in nb, by the inline lowest-bit loop
+            low = rest & -rest
+            above |= adj[low.bit_length() - 1]
+            rest ^= low
         above &= high & ~nb
         while above:  # a over b's distance-2 set above b, then c over the rest of it above a
             low = above & -above
@@ -413,11 +450,31 @@ def is_weakly_triangulated(g: Graph) -> tuple[str, list[int]] | None:
     complement.  The reach's allowed set is N(b) & (N(a) | N(c)) above
     b, plus c, and runs in the complement, built once and only if a
     reach is needed.
+
+    Peel (Rose, Tarjan & Lueker, SIAM J. Comput. 1976): every vertex of a
+    long hole has two nonadjacent neighbors on it, and so does every
+    vertex v_i of a long antihole: v_i+2 and v_i+3, consecutive on the
+    complement's cycle v_0 ... v_k-1, k >= 5.  A vertex whose
+    neighborhood among the live vertices is a clique therefore lies on
+    no long hole or antihole whose vertices are all live, and by
+    induction over the peel order (``_simplicial_peel``) none meets a
+    peeled vertex.  So g is a member exactly when its core is, and both
+    searches run on the core's mask, with no induced copy: a graph with
+    no simplicial vertex pays only n clique tests, and a chordal graph
+    peels to an empty core.  The witness is the whole graph's: every
+    long hole lies in the core, so the lowest b is the same; a reach
+    succeeds for the same P3s, since a shortest path of the lemma closes
+    a long hole and so lies in the core; and ``path_back`` chooses among
+    vertices on such paths, at the same distances from a.
     """
-    hole = _long_hole(g)
+    return _hole_or_antihole(g, _simplicial_peel(g)[1])
+
+
+def _hole_or_antihole(g: Graph, live: int) -> tuple[str, list[int]] | None:
+    hole = _long_hole(g, live)
     if hole is not None:
         return ("hole", hole)
-    hole = _long_antihole(g)
+    hole = _long_antihole(g, live)
     if hole is not None:
         return ("antihole", hole)
     return None
@@ -509,10 +566,37 @@ def _partner(g: Graph, live: int, z: int) -> int | None:
 
 
 def color_weakly_triangulated(g: Graph) -> list[int]:
-    """A proper coloring with omega(g) colors by repeated 2-pair
-    contraction; validated on return.
+    """A proper coloring with omega(g) colors; validated on return.
 
-    Contraction runs in place on one adjacency list and a mask of live
+    The simplicial peel (``_simplicial_peel``) leaves a core with the
+    same verdict, which recognition searches and 2-pair contraction
+    (``_contraction_coloring``) colors with omega of the core.  The
+    peeled vertices then take colors in reverse peel order, each the
+    lowest one missing from its colored neighbors: those are its live
+    neighbors when it was peeled, a clique of at most omega - 1 vertices,
+    so the count stays omega(g)."""
+    order, core = _simplicial_peel(g)
+    bad = _hole_or_antihole(g, core)
+    if bad is not None:
+        raise GraphError(f"input has a long {bad[0]}: not weakly triangulated")
+    color = _contraction_coloring(g, core)
+    adj, done = g.adj, core
+    for v in reversed(order):
+        used = 0
+        for u in bits(adj[v] & done):
+            used |= 1 << color[u]
+        color[v] = (~used & (used + 1)).bit_length() - 1
+        done |= 1 << v
+    if not g.is_proper_coloring(color):
+        raise InternalError("weakly triangulated coloring is not proper")
+    return color
+
+
+def _contraction_coloring(g: Graph, live: int) -> list[int]:
+    """Colors of weakly triangulated g[live] by repeated 2-pair
+    contraction, omega(g[live]) of them; 0 outside ``live``.
+
+    Contraction runs in place on one adjacency list and the mask of live
     vertices: contracting b into a gives a the neighbors of b and drops b
     from the mask (dead vertices' bits stay in the lists, masked off).
     The next pair {a, w} is sought first at a, the vertex the last
@@ -524,12 +608,9 @@ def color_weakly_triangulated(g: Graph) -> list[int]:
     the graph weakly triangulated and keeps omega, so the final clique
     and the set-aside vertices number omega; each takes a color of its
     own, and each contracted vertex, walking back, its absorber's."""
-    bad = is_weakly_triangulated(g)
-    if bad is not None:
-        raise GraphError(f"input has a long {bad[0]}: not weakly triangulated")
     work = Graph(g.n)
     work.adj = adj = list(g.adj)
-    live, aside = g.full_mask(), 0
+    aside = 0
     merged: list[tuple[int, int]] = []  # (a, b): b contracted into a
     z = None
     while True:
@@ -546,7 +627,7 @@ def color_weakly_triangulated(g: Graph) -> list[int]:
         if pair is None:
             try:
                 found = find_two_pair(work, live)
-            except GraphError as e:  # g passed recognition, so the fault is ours
+            except GraphError as e:  # g[live] passed recognition, so the fault is ours
                 raise InternalError(str(e)) from e
             if found is None:
                 break
@@ -562,6 +643,4 @@ def color_weakly_triangulated(g: Graph) -> list[int]:
         color[v] = k
     for a, b in reversed(merged):
         color[b] = color[a]
-    if not g.is_proper_coloring(color):
-        raise InternalError("2-pair contraction coloring is not proper")
     return color

@@ -6,9 +6,10 @@ as a bitset, which keeps neighborhood intersections and unions cheap
 for everything downstream (detectors, oracles, cutset searches).
 The hot sweeps (``reach``, ``layers``, ``is_clique_mask``, ``girth``,
 ``is_tree_mask``) walk a mask with an inline lowest-bit loop rather than
-the ``bits`` generator.  ``induces`` is the one test behind every witness
-of an induced path, cycle or structure: it takes each listed pair out of
-a per-vertex neighborhood mask, so its cost is linear in the witness.
+the ``bits`` generator; ``is_tree_mask`` counts edges inside its reach.
+``induces`` is the one test behind every witness of an induced path,
+cycle or structure: it takes each listed pair out of a per-vertex
+neighborhood mask, so its cost is linear in the witness.
 """
 
 from __future__ import annotations
@@ -513,17 +514,25 @@ class Graph:
 
     def is_tree_mask(self, mask: int) -> bool:
         """Does ``mask`` induce a tree: k - 1 edges on k vertices, all
-        reached from the lowest?"""
+        reached from the lowest?  One sweep: the reach adds up the degrees
+        inside ``mask`` of the vertices it takes, which count every edge
+        twice once it has taken all of ``mask``."""
         if not mask:
             return False
         adj = self.adj
         twice_m = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            twice_m += bit_count(adj[low.bit_length() - 1] & mask)
-            rest ^= low
-        return twice_m == 2 * (bit_count(mask) - 1) and self.reach(mask & -mask, mask) == mask
+        comp = frontier = mask & -mask
+        while frontier:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nb = adj[low.bit_length() - 1] & mask
+                twice_m += nb.bit_count()
+                nxt |= nb
+                frontier ^= low
+            frontier = nxt & ~comp
+            comp |= frontier
+        return comp == mask and twice_m == 2 * (comp.bit_count() - 1)
 
     def is_path_mask(self, mask: int, a: int, b: int) -> bool:
         """Does ``mask`` induce a path with ends ``a`` and ``b``?"""
@@ -576,8 +585,8 @@ def parse_graph(text: str) -> WeightedGraph:
     if n < 0 or m < 0:
         raise GraphError("line 1: negative counts")
     g = Graph(n)
+    adj = g.adj
     weights = [1] * n
-    seen = set()
     edge_lines = lines[1 : 1 + m]
     if len(edge_lines) < m:
         raise GraphError(f"expected {m} edge lines, found {len(edge_lines)}")
@@ -589,16 +598,16 @@ def parse_graph(text: str) -> WeightedGraph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise GraphError(f"line {k}: expected integers") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"line {k}: vertex out of range")
-        if u == v:
-            raise GraphError(f"line {k}: loop {u}")
-        if u > v:
+        if not 0 <= u < v < n:  # one test per good edge; the first failing rule names a bad one
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphError(f"line {k}: vertex out of range")
+            if u == v:
+                raise GraphError(f"line {k}: loop {u}")
             raise GraphError(f"line {k}: expected u < v")
-        if (u, v) in seen:
+        if adj[u] >> v & 1:
             raise GraphError(f"line {k}: duplicate edge {u} {v}")
-        seen.add((u, v))
-        g.add_edge_unchecked(u, v)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
     for k, ln in enumerate(lines[1 + m :], start=2 + m):
         parts = ln.split()
         if len(parts) != 3 or parts[0] != "w":

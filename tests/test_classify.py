@@ -232,11 +232,13 @@ def test_long_hole_matches_unpruned_reaches(unpruned_holes):
     assert found >= 4000
 
 
-def test_long_hole_matches_unpruned_reaches_past_16_vertices():
-    """The same comparison on seeded graphs with 17 to 40 vertices:
-    random graphs at low and at high density, chordal graphs with 20 to
-    40 vertices (no long hole or antihole), and chordal graphs with one
-    to three edges flipped, each chordal graph with its complement."""
+@pytest.fixture(scope="module")
+def past_16_holes():
+    """940 seeded graphs with 17 to 40 vertices, each with the unpruned
+    reach test's hole (or None) in g and in its complement: random graphs
+    at low and at high density, chordal graphs with 20 to 40 vertices (no
+    long hole or antihole), and chordal graphs with one to three edges
+    flipped, each chordal graph with its complement."""
     rng = random.Random(77)
     graphs = []
     for _ in range(250):
@@ -249,15 +251,121 @@ def test_long_hole_matches_unpruned_reaches_past_16_vertices():
             g.adj[u] ^= 1 << v
             g.adj[v] ^= 1 << u
         graphs += [g, g.complement()]
+    return [(g, oracle_long_hole(g), oracle_long_hole(g.complement())) for g in graphs]
+
+
+def test_long_hole_matches_unpruned_reaches_past_16_vertices(past_16_holes):
+    """The same comparison on the 940 seeded graphs with 17 to 40
+    vertices."""
     found = {"hole": 0, "antihole": 0, "late": 0}
-    for g in graphs:
-        hole, antihole = oracle_long_hole(g), oracle_long_hole(g.complement())
+    for g, hole, antihole in past_16_holes:
         _assert_long_holes_match(g, hole, antihole)
         for kind, wit in (("hole", hole), ("antihole", antihole)):
             if wit is not None:
                 found[kind] += 1
                 found["late"] += wit[0] >= 2
-    assert len(graphs) == 940 and min(found.values()) >= 150, found
+    assert len(past_16_holes) == 940 and min(found.values()) >= 150, found
+
+
+def _attach_simplicial(g: Graph, count: int, rng: random.Random) -> Graph:
+    """g with ``count`` vertices added one at a time, each complete to a
+    clique of the graph so far: a single vertex half the time, which grows
+    trees, else one grown greedily from a random vertex."""
+    for _ in range(count):
+        seed = rng.randrange(g.n)
+        clique = 1 << seed
+        if rng.random() < 0.5:
+            for u in bits(g.adj[seed]):
+                if clique & ~g.adj[u] == 0 and rng.random() < 0.7:
+                    clique |= 1 << u
+        g = g.add_vertices(1, [list(bits(clique))])
+    return g
+
+
+def _decorated_holes():
+    """400 seeded holes and antiholes of length 5 to 9 with simplicial
+    trees and cliques attached, relabelled at random, half of them
+    complemented; each with the vertex mask of its hole or antihole and
+    whether it was complemented."""
+    rng = random.Random(78)
+    out = []
+    for i in range(400):
+        k = rng.randint(5, 9)
+        base = cycle(k).complement() if i % 2 else cycle(k)
+        g = _attach_simplicial(base, rng.randint(1, 10), rng)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        g = g.relabel(perm)
+        complemented = i // 2 % 2 == 1
+        out.append((g.complement() if complemented else g, mask_of(perm[:k]), complemented))
+    return out
+
+
+def test_peeled_recognition_matches_the_whole_graph_search(unpruned_holes, past_16_holes):
+    """Recognition on the peeled core against the unpruned reach tests on
+    all of g: the same verdict, kind and witness, and each search on the
+    core finds the whole graph's hole and antihole, on every labelled
+    graph with at most 6 vertices, the seeded graphs above, and decorated
+    holes and antiholes.  A decorated hole peels to exactly its cycle."""
+    cases = unpruned_holes + past_16_holes
+    for g, mask, complemented in _decorated_holes():
+        if not complemented:  # the hole or antihole, and only it, is left
+            assert classify._simplicial_peel(g)[1] == mask, g.edges()
+        cases.append((g, oracle_long_hole(g), oracle_long_hole(g.complement())))
+    peeled = {"hole": 0, "antihole": 0, None: 0}
+    for g, hole, antihole in cases:
+        order, core = classify._simplicial_peel(g)
+        assert classify._long_hole(g, core) == hole, g.edges()
+        assert classify._long_antihole(g, core) == antihole, g.edges()
+        want = ("hole", hole) if hole else ("antihole", antihole) if antihole else None
+        assert is_weakly_triangulated(g) == want, g.edges()
+        if order:
+            peeled[want and want[0]] += 1
+    assert len(cases) == len(unpruned_holes) + 940 + 400
+    assert min(peeled.values()) >= 50, peeled
+
+
+def test_peeled_coloring_uses_omega_colors(unpruned_holes):
+    """Members whose core is not empty, among the labelled graphs with at
+    most 6 vertices and seeded members with 5 to 8 vertices with up to 4
+    simplicial vertices attached: a proper colouring with the oracle's
+    omega colors, as many as the contraction loop gives the whole graph."""
+    graphs = [g for g, hole, antihole in unpruned_holes
+              if g.n <= 6 and hole is None and antihole is None]
+    rng = random.Random(79)
+    decorated = []
+    while len(decorated) < 300:
+        g = random_graph(rng.randint(5, 8), rng.uniform(0.3, 0.7), rng)
+        if is_weakly_triangulated(g) is None:
+            decorated.append(_attach_simplicial(g, rng.randint(1, 4), rng))
+    graphs += decorated
+    checked = 0
+    for g in graphs:
+        order, core = classify._simplicial_peel(g)
+        if not core:
+            continue
+        col = color_weakly_triangulated(g)
+        assert g.is_proper_coloring(col), g.edges()
+        k = len(set(classify._contraction_coloring(g, g.full_mask())))
+        assert len(set(col)) == k == max_weight_clique(WeightedGraph(g))[0], g.edges()
+        checked += 1
+    assert checked >= 5000, checked
+
+
+def test_peel_orders():
+    """A random chordal graph peels to an empty core, each vertex's
+    neighbors peeled after it forming a clique; C4 has no simplicial
+    vertex, so nothing peels."""
+    rng = random.Random(80)
+    for _ in range(50):
+        g = random_chordal(rng.randint(1, 40), rng)
+        order, core = classify._simplicial_peel(g)
+        assert core == 0 and sorted(order) == list(range(g.n))
+        later = g.full_mask()
+        for v in order:
+            later ^= 1 << v
+            assert g.is_clique_mask(g.adj[v] & later), g.edges()
+    assert classify._simplicial_peel(cycle(4)) == ([], 0b1111)
 
 
 def test_find_two_pair_matches_copying_finder(unpruned_holes):
@@ -284,10 +392,11 @@ def test_wt_coloring_matches_scratch_loop(unpruned_holes):
     """In-place contraction, seeking the next 2-pair at the contracted
     vertex and setting it aside once universal, against contracting
     copies and seeking every 2-pair from scratch: a proper coloring with
-    as many colors on every weakly triangulated graph above (all of those
-    with at most 6 vertices among them), and on seeded chordal graphs
-    with up to 40 vertices and their complements; omega colors, by the
-    oracle's maximum clique, where n <= 12."""
+    as many colors, from the peeled colouring and from the contraction
+    loop on the whole graph, on every weakly triangulated graph above
+    (all of those with at most 6 vertices among them), and on seeded
+    chordal graphs with up to 40 vertices and their complements; omega
+    colors, by the oracle's maximum clique, where n <= 12."""
     graphs = [g for g, hole, antihole in unpruned_holes if hole is None and antihole is None]
     rng = random.Random(74)
     for _ in range(60):
@@ -298,6 +407,8 @@ def test_wt_coloring_matches_scratch_loop(unpruned_holes):
         want = oracle_color_weakly_triangulated(g)
         assert len(col) == g.n and all(col[u] != col[v] for u, v in g.edges()), g.edges()
         assert len(set(col)) == len(set(want)), g.edges()
+        whole = classify._contraction_coloring(g, g.full_mask())
+        assert g.is_proper_coloring(whole) and len(set(whole)) == len(set(want)), g.edges()
         if g.n <= 12:
             assert len(set(col)) == max_weight_clique(WeightedGraph(g))[0], g.edges()
 
@@ -318,12 +429,13 @@ def test_partner_matches_per_candidate_reaches_on_small_graphs():
 
 
 def test_partner_matches_per_candidate_reaches_on_the_contractions(unpruned_holes, monkeypatch):
-    """Every partner search that colouring makes, against one reach per
-    candidate: on every weakly triangulated graph with at most 6 vertices,
-    and on seeded chordal graphs with up to 60 vertices and their
-    complements.  Every search agreeing, the contractions and colourings
-    are those of the per-candidate loop.  In these graphs every vertex
-    that is not universal has a partner."""
+    """Every partner search that the contraction loop makes on the whole
+    graph, with no peel, against one reach per candidate: on every weakly
+    triangulated graph with at most 6 vertices, and on seeded chordal
+    graphs with up to 60 vertices and their complements.  Every search
+    agreeing, the contractions and colourings are those of the
+    per-candidate loop.  In these graphs every vertex that is not
+    universal has a partner."""
     real = classify._partner
     searches = 0
 
@@ -342,14 +454,15 @@ def test_partner_matches_per_candidate_reaches_on_the_contractions(unpruned_hole
         g = random_chordal(rng.randint(20, 60), rng)
         graphs += [g, g.complement()]
     for g in graphs:
-        col = color_weakly_triangulated(g)
+        col = classify._contraction_coloring(g, g.full_mask())
         assert all(col[u] != col[v] for u, v in g.edges()), g.edges()
     assert searches >= 20_000, searches
 
 
 def test_wt_coloring_seeks_pairs_at_the_contracted_vertex(monkeypatch):
-    """On seeded chordal graphs with 30 to 40 vertices, find_two_pair
-    runs on fewer than half of the contraction steps.  Each step and each
+    """On seeded chordal graphs with 30 to 40 vertices, contracted whole
+    with no peel, find_two_pair runs on fewer than half of the
+    contraction steps.  Each step and each
     set-aside vertex takes one vertex off the live mask, and the final
     clique and the set-aside vertices each keep a color of their own, so
     a coloring of n vertices with k colors took n - k steps."""
@@ -365,7 +478,7 @@ def test_wt_coloring_seeks_pairs_at_the_contracted_vertex(monkeypatch):
     rng = random.Random(75)
     for _ in range(20):
         g = random_chordal(rng.randint(30, 40), rng)
-        k = len(set(color_weakly_triangulated(g)))
+        k = len(set(classify._contraction_coloring(g, g.full_mask())))
         assert k == len(set(oracle_color_weakly_triangulated(g)))
         steps += g.n - k
     assert steps >= 20 * 20
@@ -388,14 +501,25 @@ def test_wt_coloring_sets_universal_contracted_vertices_aside(monkeypatch):
     assert masks == [0b1111, 0b0101, 0]
 
 
-def test_wt_coloring_blames_itself_for_a_failed_pair(monkeypatch):
+def test_wt_coloring_blames_itself_for_a_failed_pair():
     """Past recognition, a 2-pair that fails validation is the program's
-    fault (InternalError); find_two_pair called directly blames the input."""
+    fault (InternalError): the contraction loop, which colouring calls
+    only on a recognized core, run on C5; find_two_pair called directly
+    blames the input."""
     with pytest.raises(GraphError):
         find_two_pair(cycle(5))
-    monkeypatch.setattr(classify, "is_weakly_triangulated", lambda g: None)
     with pytest.raises(InternalError, match="2-pair failed validation"):
-        color_weakly_triangulated(cycle(5))
+        classify._contraction_coloring(cycle(5), cycle(5).full_mask())
+
+
+def test_wt_long_random_tree():
+    """A seeded random tree with 20,000 vertices peels to an empty core:
+    recognized and 2-coloured with no 2-pair search."""
+    rng = random.Random(81)
+    g = Graph(20_000, [(rng.randrange(v), v) for v in range(1, 20_000)])
+    assert is_weakly_triangulated(g) is None
+    col = color_weakly_triangulated(g)
+    assert set(col) == {0, 1} and g.is_proper_coloring(col)
 
 
 def test_wt_paths_never_enumerate_holes(monkeypatch):

@@ -237,6 +237,27 @@ def test_is_tree_mask_matches_component_count():
             assert g.is_tree_mask(mask) == oracle_is_tree_mask(g, mask), (g.edges(), mask)
 
 
+def _two_pass_is_tree_mask(g: Graph, mask: int) -> bool:
+    """The edge count over ``mask``, then one reach from its lowest vertex."""
+    if not mask:
+        return False
+    twice_m = sum((g.adj[v] & mask).bit_count() for v in range(g.n) if mask >> v & 1)
+    return twice_m == 2 * (mask.bit_count() - 1) and g.reach(mask & -mask, mask) == mask
+
+
+def test_is_tree_mask_matches_the_two_pass_form():
+    """Degrees added up inside the reach against an edge count followed
+    by a reach: every vertex set of every labelled graph with at most 6
+    vertices."""
+    found = {True: 0, False: 0}
+    for g in all_labelled_graphs(6):
+        for mask in range(1 << g.n):
+            got = g.is_tree_mask(mask)
+            assert got == _two_pass_is_tree_mask(g, mask), (g.edges(), mask)
+            found[got] += 1
+    assert min(found.values()) >= 100_000, found
+
+
 def test_is_induced_path_matches_pairwise_test():
     """``induces`` on the consecutive pairs against the pairwise test: every
     sequence of at most 5 vertices, repeats allowed, on every labelled
@@ -323,6 +344,14 @@ def test_format_round_trip():
         ("2 1\n0 5", "out of range"),
         ("2 1\n0 1\nw 9 1", "out of range"),
         ("2 1\n0 1\nw 0 -2", "negative"),
+        # each rule in turn names an edge that breaks several: range, then loop, then order
+        ("2 1\n5 5", "line 2: vertex out of range"),
+        ("3 1\n2 -1", "line 2: vertex out of range"),
+        ("3 1\n9 0", "line 2: vertex out of range"),
+        ("3 2\n0 1\n1 1", "line 3: loop 1"),
+        ("3 2\n0 1\n1 0", "line 3: expected u < v"),
+        ("3 3\n0 1\n1 2\n0 1", "line 4: duplicate edge 0 1"),
+        ("3 2\n0 2\nx 1", "line 3: expected integers"),
     ],
 )
 def test_parser_rejections(text, msg):
