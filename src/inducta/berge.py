@@ -129,37 +129,31 @@ def side_parity(g: Graph, s: TwoJoinSplit, side: str) -> str:
     """'even', 'odd' or 'mixed': parities of induced A-to-B paths with
     interior inside C, enumerated exhaustively per endpoint pair.
 
-    A vertex adjacent to the target must close the path there (anything
-    longer would carry a chord), and each step bans the previous
-    vertex's neighborhood, which keeps the search induced and small.
+    For each a in A and b in B, the induced paths from a to a neighbour
+    of b with interior inside C (``Graph.induced_paths``): the first
+    neighbour of b ends the path, since anything longer would carry a
+    chord against b.  The search stops once both parities are seen, and
+    raises TooLargeError after ``PARITY_BUDGET`` steps.
     """
     x, a, b = (s.x1, s.a1, s.b1) if side == "x1" else (s.x2, s.a2, s.b2)
     c = x & ~a & ~b
     seen: set[int] = set()
-    budget = [PARITY_BUDGET]
+    steps = iter(range(PARITY_BUDGET))
 
-    def dfs(v: int, length: int, used: int, banned: int, bv: int):
-        if budget[0] <= 0 or len(seen) == 2:
-            return
-        budget[0] -= 1
-        if g.adj[v] >> bv & 1:
-            seen.add((length + 1) % 2)
-            return  # extending past v would chord against the end
-        for w in bits(g.adj[v] & c & ~used & ~banned):
-            dfs(w, length + 1, used | (1 << w), banned | g.adj[v], bv)
+    def keep(used: int) -> bool:
+        if next(steps, None) is None:
+            raise TooLargeError("parity enumeration budget exhausted")
+        return True
 
     for av in bits(a):
         for bv in bits(b):
-            dfs(av, 0, 1 << av, 0, bv)
-    if budget[0] <= 0 and len(seen) < 2:
-        raise TooLargeError("parity enumeration budget exhausted")
-    if seen == {0}:
-        return "even"
-    if seen == {1}:
-        return "odd"
-    if len(seen) == 2:
-        return "mixed"
-    raise GraphError("2-join side has no A-to-B path through C: not connected")
+            for path in g.induced_paths(av, g.adj[bv], c, keep=keep):
+                seen.add(len(path) % 2)
+                if len(seen) == 2:
+                    return "mixed"
+    if not seen:
+        raise GraphError("2-join side has no A-to-B path through C: not connected")
+    return "odd" if 1 in seen else "even"
 
 
 def all_proper_nonpath_two_joins(g: Graph) -> list[TwoJoinSplit]:

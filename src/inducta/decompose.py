@@ -152,15 +152,26 @@ def _two_path_cycle(g: Graph, u: int, v: int) -> list[int] | None:
 
 def _chord_cycle(g: Graph, search) -> tuple[list[int], tuple[int, int]] | None:
     """(cycle, (u, v)) for the first edge uv of g for which
-    ``search(g - uv, u, v)`` returns a cycle through u and v, else None.
-    Edges with an end of degree <= 2 are skipped: a chord's ends each
-    have two cycle neighbours besides each other."""
+    ``search(B - uv, u, v)`` returns a cycle through u and v, where B is
+    the block holding uv, else None.  Every cycle lies in one block, and
+    B is copied once (g itself when it is one block), with its vertices
+    in g's order.  Edges with an end of degree <= 2 are skipped: a
+    chord's ends each have two cycle neighbours besides each other."""
+    blks, _ = g.blocks()
+    home = {(u, v): i for i, blk in enumerate(blks)
+            for u in bits(blk) for v in bits(g.adj[u] & blk & -(2 << u))}
+    local: dict[int, tuple] = {}  # block index -> (its graph, its vertices)
     for u, v in g.edges():
         if bit_count(g.adj[u]) <= 2 or bit_count(g.adj[v]) <= 2:
             continue
-        cycle = search(_without_edge(g, u, v), u, v)
+        i = home[u, v]
+        if i not in local:
+            local[i] = (g, range(g.n)) if len(blks) == 1 else g.induced_mask(blks[i])
+        h, ids = local[i]
+        a, b = (bit_count(blks[i] & ((1 << w) - 1)) for w in (u, v))
+        cycle = search(_without_edge(h, a, b), a, b)
         if cycle is not None:
-            return cycle, (u, v)
+            return [ids[w] for w in cycle], (u, v)
     return None
 
 

@@ -1,6 +1,8 @@
 """Polynomial-flavored detectors: the shortest-path prism detector for
 pyramid-free graphs, and the exact hole-through-two-vertices search used
-as the verification oracle for the hardness gadgets.
+as the verification oracle for the hardness gadgets.  That search is
+NP-complete (Bienstock 1991), so it stays exhaustive: it runs on
+``Graph.induced_paths``, whose prunes cut only dead branches.
 
 The prism detector enumerates candidate 6-tuples in canonical order and
 recomputes, for each, three shortest paths in the graph with the closed
@@ -22,52 +24,26 @@ from .graphs import Graph, GraphError, InternalError, Record, bits
 def hole_through_two(g: Graph, x: int, y: int) -> list[int] | None:
     """An induced cycle of length >= 4 containing x and y, or None.
 
-    Exhaustive DFS over induced paths anchored at y, on a stack of its
-    own, so a hole may be as long as the graph.  The key prune:
-    once a path vertex becomes interior, every neighbor of it is banned
-    from the rest of the search, so the free region shrinks fast; a
-    branch dies as soon as x or all closing vertices leave it.
-    Deterministic: neighbors explored in increasing order.
+    Exhaustive: for each neighbour w of y in increasing order, the
+    induced paths from w through x to another neighbour of y, avoiding y
+    (``Graph.induced_paths``, first in lexicographic order).  The first
+    such path with three vertices or more closes the hole with y; a
+    shorter one closes a triangle.  The search keeps its own stack, so a
+    hole may be as long as the graph.
     """
     if x == y:
         raise GraphError("need two distinct vertices")
     if not (0 <= x < g.n and 0 <= y < g.n):
         raise GraphError(f"vertices {x}, {y} out of range for n={g.n}")
-
-    adj = g.adj
-    full = g.full_mask()
-
-    # the search's stack: per induced path from y, its used and banned
-    # masks and the neighbours of its end still to try, in increasing order
-    stack = [([y], 1 << y, 0, bits(adj[y] & ~(1 << y)))]
-    while stack:
-        path, used, banned, todo = stack[-1]
-        w = next(todo, None)
-        if w is None:
-            stack.pop()
-            continue
-        v = path[-1]
-        closes = bool(adj[w] >> y & 1)
-        np_len = len(path) + 1
-        if closes and np_len >= 4 and (used >> x & 1 or w == x):
-            cyc = path + [w]
-            if not g.is_induced_cycle(cyc):
-                raise InternalError(f"hole {cyc} through {x} and {y} has a chord")
-            return cyc
-        if closes and np_len > 2:
-            continue  # a y-neighbor can only end the cycle
-        nb = banned | (adj[v] if len(path) >= 2 else 0)
-        nu = used | (1 << w)
-        have_x = bool(nu >> x & 1)
-        if not have_x and nb >> x & 1:
-            continue
-        free = full & ~nu & ~nb
-        r = g.reach(1 << w, free) & ~(1 << w)
-        if not have_x and not (r >> x & 1):
-            continue
-        if not (r & adj[y]):
-            continue  # no way left to close the cycle
-        stack.append((path + [w], nu, nb, bits(adj[w] & ~nu & ~nb)))
+    around = g.adj[y]
+    inside = g.full_mask() & ~(1 << y)
+    for w in bits(around):
+        for path in g.induced_paths(w, around & ~(1 << w), inside, through=1 << x):
+            if len(path) >= 3:
+                cyc = [y] + path
+                if not g.is_induced_cycle(cyc):
+                    raise InternalError(f"hole {cyc} through {x} and {y} has a chord")
+                return cyc
     return None
 
 

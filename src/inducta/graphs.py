@@ -10,6 +10,8 @@ the ``bits`` generator; ``is_tree_mask`` counts edges inside its reach.
 ``induces`` is the one test behind every witness of an induced path,
 cycle or structure: it takes each listed pair out of a per-vertex
 neighborhood mask, so its cost is linear in the witness.
+``induced_paths`` is the one search for induced paths, behind the hole,
+2-join side parity and s-graph realization searches.
 """
 
 from __future__ import annotations
@@ -246,6 +248,60 @@ class Graph:
             back = self.adj[path[-1]] & layer
             path.append((back & -back).bit_length() - 1)
         return path
+
+    def induced_paths(self, src: int, ends: int, allowed: int, through: int = 0,
+                      keep=None) -> Iterator[list[int]]:
+        """Every induced path from ``src`` that stops at its first vertex
+        of ``ends``, has every later vertex in ``allowed`` and holds all of
+        ``through``, depth first with neighbours in increasing order (so
+        in lexicographic order).  The path lives on one list beside a
+        stack of (candidates, used, banned) frames; a vertex bans its
+        neighbourhood once it has a successor, so no path has a chord.
+        A branch dies when a vertex of ``through`` is banned or
+        ``keep(used)`` refuses its vertex mask; where it branches (at
+        ``src``, and where its end has two or more candidates) also when
+        the free region no longer reaches ``ends`` or all of ``through``.
+        Each prune cuts only branches that yield nothing."""
+        adj = self.adj
+        path = [src]
+        if ends >> src & 1:
+            if not through & ~(1 << src):
+                yield path
+            return
+        free = allowed & ~(1 << src)
+        seen = self.reach(1 << src, free)
+        if not seen & ends or through & ~seen:
+            return
+        stack = [[adj[src] & free, 1 << src, 0]]
+        while stack:
+            top = stack[-1]
+            cand, used, banned = top
+            if not cand:
+                stack.pop()
+                path.pop()
+                continue
+            low = cand & -cand
+            top[0] = cand ^ low
+            w = low.bit_length() - 1
+            used |= low
+            banned |= adj[path[-1]]
+            need = through & ~used
+            if need & banned or keep is not None and not keep(used):
+                continue
+            if ends & low:
+                if not need:
+                    yield path + [w]
+                continue
+            free = allowed & ~used & ~banned
+            nxt = adj[w] & free
+            if nxt & (nxt - 1):
+                seen = self.reach(low, free)
+                if not seen & ends or need & ~seen:
+                    continue
+            elif not nxt:
+                continue
+            path.append(w)
+            stack.append([nxt, used, banned])
 
     def components(self) -> list[int]:
         """Connected components as vertex bitsets."""

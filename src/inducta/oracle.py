@@ -3,7 +3,7 @@
 Everything here is deliberately brute force but exact: weighted maximum
 stable sets by branch and bound over bitsets, chromatic number by branch
 and bound over color classes with a clique lower bound, clique cover as
-coloring of the complement, hole enumeration by canonical DFS, and
+coloring of the complement, hole enumeration by canonical induced paths, and
 induced embedding (isomorphism too) by degree-filtered backtracking.
 The size bounds are module constants that the bounded searches take as
 default arguments; exceeding one raises TooLargeError rather than
@@ -195,9 +195,11 @@ def enumerate_holes(
 ) -> Iterator[list[int]]:
     """Yield every hole (induced cycle, length >= 4) within the bounds.
 
-    Canonical form: the smallest vertex comes first and its smaller
-    neighbor second, so each hole is emitted exactly once.  Every
-    emitted cycle is re-validated as chordless.
+    Canonical form: the smallest vertex s comes first and its smaller
+    neighbor second, so each hole is emitted exactly once.  Per s, the
+    rest of each hole is an induced path above s from one neighbour of s
+    to another (``Graph.induced_paths``).  Every emitted cycle is
+    re-validated as chordless.
     """
     if max_len is None:
         max_len = g.n
@@ -214,29 +216,20 @@ def enumerate_holes(
             return k % 2 == 0
         return True
 
-    n = g.n
-    for s in range(n):
-        # grow induced paths from s through vertices > s; emitting with
-        # second vertex < last vertex kills the reflected duplicate
-        stack = [(s, [s], 1 << s)]
-        while stack:
-            v, path, used = stack.pop()
-            for w in bits(g.adj[v]):
-                if w <= s or used >> w & 1:
-                    continue
-                if g.adj[w] & used & ~(1 << v) & ~(1 << s):
-                    continue  # chord against the path interior
-                closes = g.has_edge(w, s)
-                new_path = path + [w]
-                k = len(new_path)
-                if closes and k >= 4 and new_path[1] < new_path[-1] and want(k):
-                    if not g.is_induced_cycle(new_path):
-                        raise InternalError(f"enumerated hole {new_path} has a chord")
-                    yield new_path
-                # a vertex adjacent to s may only end a cycle, never sit
-                # in the interior of a longer one
-                if k < max_len and (k == 2 or not closes):
-                    stack.append((w, new_path, used | (1 << w)))
+    full = g.full_mask()
+    for s in range(g.n):
+        above = full & -(2 << s)
+        for w in bits(g.adj[s] & above):
+            # the hole's other neighbour of s lies above w, and no
+            # neighbour of s lies inside it
+            later = g.adj[s] & -(2 << w)
+            for path in g.induced_paths(w, later, above & ~(g.adj[s] & ~later),
+                                        keep=lambda used: bit_count(used) < max_len):
+                cyc = [s] + path
+                if want(len(cyc)):
+                    if not g.is_induced_cycle(cyc):
+                        raise InternalError(f"enumerated hole {cyc} has a chord")
+                    yield cyc
 
 
 def enumerate_antiholes(

@@ -4,12 +4,13 @@ An s-graph is a triple (V, D, F): real edges D must map to edges, each
 subdivisible edge in F becomes an induced path of length at least one,
 and the realization as a whole must be an induced subgraph of the host.
 The search maps branch vertices first (most-constrained order), then
-routes the F-edges one by one as mutually induced paths.
+routes the F-edges one by one as mutually induced paths, each drawn from
+``Graph.induced_paths`` inside the region the used vertices leave free.
 """
 
 from __future__ import annotations
 
-from .graphs import FrozenRecord, Graph, GraphError, Record, bits
+from .graphs import FrozenRecord, Graph, GraphError, Record, bit_count, bits, mask_of
 
 
 class SGraph(FrozenRecord):
@@ -106,118 +107,78 @@ def find_realization(b: SGraph, g: Graph, max_len: int | None = None) -> Embeddi
         real_adj[u].add(v)
         real_adj[v].add(u)
     order = sorted(range(b.n), key=lambda v: (-len(real_adj[v]), -inc[v]))
-    f_edges = sorted(b.sub_edges)
     branch: dict[int, int] = {}
     used = 0
     full = g.full_mask()
 
     def images_ok(v: int, x: int) -> bool:
-        # x as image of v against already-placed branch vertices
+        # x as image of v against the placed branch vertices: a real edge
+        # needs an edge, a non-edge a non-edge, and a subdivisible edge
+        # either (a path of length one is decided during routing)
         for u, xu in branch.items():
             pair = tuple(sorted((u, v)))
-            if pair in b.real_edges:
-                if not g.has_edge(x, xu):
-                    return False
-            elif pair in b.sub_edges:
-                pass  # length-1 path allowed; decided during routing
-            else:
-                if g.has_edge(x, xu):
-                    return False
+            if pair not in b.sub_edges and (pair in b.real_edges) != g.has_edge(x, xu):
+                return False
         return True
 
     paths: dict[tuple[int, int], list[int]] = {}
 
-    def _pair_linkable(src: int, dst: int) -> bool:
+    def region(src: int, dst: int, taken: int) -> int:
+        """The vertices off ``taken`` that see none of it but src and dst."""
+        free = full & ~taken
+        for w in bits(taken & ~(1 << src) & ~(1 << dst)):
+            free &= ~g.adj[w]
+        return free
+
+    def _pair_linkable(src: int, dst: int, taken: int) -> bool:
         """Necessary test: src and dst joinable by an edge or by an induced
-        path through currently free, unattached vertices."""
+        path through the region that ``taken`` leaves free."""
         if g.has_edge(src, dst):
             return True
-        blocked = used & ~(1 << dst) & ~(1 << src)
-        free = full & ~used
-        for w in bits(blocked):
-            free &= ~g.adj[w]
+        free = region(src, dst, taken)
         return bool(g.reach(g.adj[src] & free, free) & g.adj[dst])
+
+    def first_steps(e2) -> int:
+        s2, d2 = branch[e2[0]], branch[e2[1]]
+        return 0 if g.has_edge(s2, d2) else bit_count(g.adj[s2] & region(s2, d2, used))
 
     def route(pending: tuple) -> Embedding | None:
         nonlocal used
         if not pending:
             emb = Embedding(dict(branch), dict(paths))
             return emb if _validate_embedding(b, g, emb) else None
-        for e2 in pending:
-            if not _pair_linkable(branch[e2[0]], branch[e2[1]]):
-                return None
-        # most constrained first: fewest legal first steps
-        def first_steps(e2):
-            s2, d2 = branch[e2[0]], branch[e2[1]]
-            if g.has_edge(s2, d2):
-                return 0
-            blocked = used & ~(1 << d2) & ~(1 << s2)
-            return sum(
-                1
-                for w in bits(g.adj[s2] & ~used)
-                if not (g.adj[w] & blocked)
-            )
-        e = min(pending, key=first_steps)
+        if not all(_pair_linkable(branch[u], branch[v], used) for u, v in pending):
+            return None
+        e = min(pending, key=first_steps)  # most constrained first
         rest = tuple(e2 for e2 in pending if e2 != e)
         src, dst = branch[e[0]], branch[e[1]]
-        if g.has_edge(src, dst):
-            paths[e] = [src, dst]
+        # the path is the edge src-dst if there is one; else its interior
+        # lies in the region the used set leaves free, so it touches the
+        # used set only at src and, where it closes, at dst, and each step
+        # must leave every other pending edge linkable
+        base = used
+
+        def keep(mask: int) -> bool:
+            return bit_count(mask) <= max_len and all(
+                _pair_linkable(branch[u], branch[v], base | mask) for u, v in rest)
+
+        for trail in g.induced_paths(src, g.adj[dst], region(src, dst, base), keep=keep):
+            used = base | mask_of(trail)
+            paths[e] = trail + [dst]
             got = route(rest)
             if got:
                 return got
             del paths[e]
-            return None
-
-        # grow interiors from src toward dst; an interior may touch the
-        # used set only at its predecessor, except the closing vertex
-        # which also touches dst
-        def grow(prev: int, trail: list[int]) -> Embedding | None:
-            nonlocal used
-            if len(trail) - 1 > max_len:
-                return None
-            for w in bits(g.adj[prev] & ~used):
-                if w == dst:
-                    continue
-                touches = g.adj[w] & used & ~(1 << prev)
-                closes = g.has_edge(w, dst)
-                if touches & ~(1 << dst):
-                    continue
-                if touches and not closes:
-                    continue  # touches dst is the only allowed extra
-                used |= 1 << w
-                trail.append(w)
-                others_ok = all(
-                    _pair_linkable(branch[e2[0]], branch[e2[1]]) for e2 in rest
-                )
-                if others_ok:
-                    if closes and len(trail) <= max_len:
-                        paths[e] = trail + [dst]
-                        got = route(rest)
-                        if got:
-                            return got
-                        del paths[e]
-                    if not closes and _pair_linkable(w, dst):
-                        got = grow(w, trail)
-                        if got:
-                            return got
-                trail.pop()
-                used &= ~(1 << w)
-            return None
-
-        if not _pair_linkable(src, dst):
-            return None
-        return grow(src, [src])
+        used = base
+        return None
 
     def place(i: int) -> Embedding | None:
         nonlocal used
         if i == b.n:
-            return route(tuple(f_edges))
+            return route(tuple(sorted(b.sub_edges)))
         v = order[i]
-        need = inc[v]
         for x in range(g.n):
-            if used >> x & 1 or g.degree(x) < need:
-                continue
-            if not images_ok(v, x):
+            if used >> x & 1 or g.degree(x) < inc[v] or not images_ok(v, x):
                 continue
             branch[v] = x
             used |= 1 << x

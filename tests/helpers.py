@@ -1718,3 +1718,263 @@ def oracle_csp_split(g: Graph, universe: int, terms: list[int], which: str):
         if got is not None:
             return got
     return None
+
+
+# -- the induced-path searches each on a route of its own, as they stood before
+# ``Graph.induced_paths``: differential oracles for their answers
+
+@functools.lru_cache(maxsize=64)
+def _induced_sequences(g: Graph, src: int, allowed: int) -> list[list[int]]:
+    """Every induced path from src whose later vertices lie in
+    ``allowed``, sorted: each ordering of each subset, tested whole."""
+    others = [v for v in bits(allowed) if v != src]
+    return sorted([src, *rest] for k in range(len(others) + 1)
+                  for rest in itertools.permutations(others, k)
+                  if oracle_is_induced_path(g, [src, *rest]))
+
+
+def oracle_induced_paths(g: Graph, src: int, ends: int, allowed: int, through: int = 0,
+                         keep=None) -> list[list[int]]:
+    """``Graph.induced_paths`` by its definition, with no prune: the
+    induced paths from src inside ``allowed`` whose last vertex is their
+    only one in ``ends``, which hold ``through`` and whose every prefix of
+    two vertices or more ``keep`` accepts, in lexicographic order."""
+    return [p for p in _induced_sequences(g, src, allowed)
+            if ends >> p[-1] & 1 and not any(ends >> v & 1 for v in p[:-1])
+            and not through & ~mask_of(p)
+            and (keep is None or all(keep(mask_of(p[:i])) for i in range(2, len(p) + 1)))]
+
+
+def criterion_10_gadgets() -> list:
+    """The gamma gadgets of acceptance criterion 10, in its order: the 92
+    3-CNFs of one to three distinct clauses on variables 1-3, the 50
+    seeded random ones, then all eight clauses (unsatisfiable)."""
+    from inducta.bienstock import Cnf3, gamma_gadget
+
+    full = [(s1, 2 * s2, 3 * s3) for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)]
+    formulas = [Cnf3.make(3, list(c)) for r in (1, 2, 3) for c in itertools.combinations(full, r)]
+    rng = random.Random(1010)
+    for _ in range(50):
+        n = rng.choice([3, 4])
+        m = rng.randint(1, 4)
+        clauses = set()
+        while len(clauses) < m:
+            clauses.add(tuple(v * rng.choice([1, -1]) for v in rng.sample(range(1, n + 1), 3)))
+        formulas.append(Cnf3.make(n, sorted(clauses)))
+    return [gamma_gadget(f) for f in formulas + [Cnf3.make(3, full)]]
+
+
+def oracle_hole_through_two(g: Graph, x: int, y: int) -> list[int] | None:
+    """One DFS over induced paths from y that copies its path and runs a
+    reach through the free region at every step."""
+    adj = g.adj
+    full = g.full_mask()
+    stack = [([y], 1 << y, 0, bits(adj[y] & ~(1 << y)))]
+    while stack:
+        path, used, banned, todo = stack[-1]
+        w = next(todo, None)
+        if w is None:
+            stack.pop()
+            continue
+        v = path[-1]
+        closes = bool(adj[w] >> y & 1)
+        np_len = len(path) + 1
+        if closes and np_len >= 4 and (used >> x & 1 or w == x):
+            return path + [w]
+        if closes and np_len > 2:
+            continue
+        nb = banned | (adj[v] if len(path) >= 2 else 0)
+        nu = used | (1 << w)
+        have_x = bool(nu >> x & 1)
+        if not have_x and nb >> x & 1:
+            continue
+        free = full & ~nu & ~nb
+        r = g.reach(1 << w, free) & ~(1 << w)
+        if not have_x and not (r >> x & 1):
+            continue
+        if not (r & adj[y]):
+            continue
+        stack.append((path + [w], nu, nb, bits(adj[w] & ~nu & ~nb)))
+    return None
+
+
+def oracle_side_parity(g: Graph, s: TwoJoinSplit, side: str) -> str:
+    """A recursive DFS from each a in A toward each b in B, with no
+    reach prune, capped at ``PARITY_BUDGET`` calls."""
+    x, a, b = (s.x1, s.a1, s.b1) if side == "x1" else (s.x2, s.a2, s.b2)
+    c = x & ~a & ~b
+    seen: set[int] = set()
+    budget = [berge.PARITY_BUDGET]
+
+    def dfs(v: int, length: int, used: int, banned: int, bv: int):
+        if budget[0] <= 0 or len(seen) == 2:
+            return
+        budget[0] -= 1
+        if g.adj[v] >> bv & 1:
+            seen.add((length + 1) % 2)
+            return
+        for w in bits(g.adj[v] & c & ~used & ~banned):
+            dfs(w, length + 1, used | (1 << w), banned | g.adj[v], bv)
+
+    for av in bits(a):
+        for bv in bits(b):
+            dfs(av, 0, 1 << av, 0, bv)
+    if budget[0] <= 0 and len(seen) < 2:
+        raise TooLargeError("parity enumeration budget exhausted")
+    if seen == {0}:
+        return "even"
+    if seen == {1}:
+        return "odd"
+    if len(seen) == 2:
+        return "mixed"
+    raise GraphError("2-join side has no A-to-B path through C: not connected")
+
+
+def oracle_find_realization(b, g: Graph, max_len: int | None = None):
+    """The realization search with its paths grown by a recursion of its
+    own, which re-checks every pending edge after every step."""
+    from inducta.sgraph import Embedding, _validate_embedding
+
+    if max_len is None:
+        max_len = g.n
+    inc = [0] * b.n
+    for u, v in b.real_edges | b.sub_edges:
+        inc[u] += 1
+        inc[v] += 1
+    real_adj = [set() for _ in range(b.n)]
+    for u, v in b.real_edges:
+        real_adj[u].add(v)
+        real_adj[v].add(u)
+    order = sorted(range(b.n), key=lambda v: (-len(real_adj[v]), -inc[v]))
+    branch: dict[int, int] = {}
+    paths: dict[tuple[int, int], list[int]] = {}
+    used = 0
+    full = g.full_mask()
+
+    def images_ok(v: int, x: int) -> bool:
+        for u, xu in branch.items():
+            pair = tuple(sorted((u, v)))
+            if pair in b.real_edges:
+                if not g.has_edge(x, xu):
+                    return False
+            elif pair not in b.sub_edges and g.has_edge(x, xu):
+                return False
+        return True
+
+    def linkable(src: int, dst: int) -> bool:
+        if g.has_edge(src, dst):
+            return True
+        free = full & ~used
+        for w in bits(used & ~(1 << dst) & ~(1 << src)):
+            free &= ~g.adj[w]
+        return bool(g.reach(g.adj[src] & free, free) & g.adj[dst])
+
+    def first_steps(e2):
+        s2, d2 = branch[e2[0]], branch[e2[1]]
+        if g.has_edge(s2, d2):
+            return 0
+        blocked = used & ~(1 << d2) & ~(1 << s2)
+        return sum(1 for w in bits(g.adj[s2] & ~used) if not (g.adj[w] & blocked))
+
+    def route(pending: tuple):
+        nonlocal used
+        if not pending:
+            emb = Embedding(dict(branch), dict(paths))
+            return emb if _validate_embedding(b, g, emb) else None
+        if not all(linkable(branch[e2[0]], branch[e2[1]]) for e2 in pending):
+            return None
+        e = min(pending, key=first_steps)
+        rest = tuple(e2 for e2 in pending if e2 != e)
+        src, dst = branch[e[0]], branch[e[1]]
+        if g.has_edge(src, dst):
+            paths[e] = [src, dst]
+            got = route(rest)
+            if not got:
+                del paths[e]
+            return got
+
+        def grow(prev: int, trail: list[int]):
+            nonlocal used
+            if len(trail) - 1 > max_len:
+                return None
+            for w in bits(g.adj[prev] & ~used):
+                if g.adj[w] & used & ~(1 << prev) & ~(1 << dst):
+                    continue
+                closes = g.has_edge(w, dst)
+                used |= 1 << w
+                trail.append(w)
+                if all(linkable(branch[e2[0]], branch[e2[1]]) for e2 in rest):
+                    if closes and len(trail) <= max_len:
+                        paths[e] = trail + [dst]
+                        got = route(rest)
+                        if got:
+                            return got
+                        del paths[e]
+                    if not closes and linkable(w, dst):
+                        got = grow(w, trail)
+                        if got:
+                            return got
+                trail.pop()
+                used &= ~(1 << w)
+            return None
+
+        return grow(src, [src]) if linkable(src, dst) else None
+
+    def place(i: int):
+        nonlocal used
+        if i == b.n:
+            return route(tuple(sorted(b.sub_edges)))
+        v = order[i]
+        for x in range(g.n):
+            if used >> x & 1 or g.degree(x) < inc[v] or not images_ok(v, x):
+                continue
+            branch[v] = x
+            used |= 1 << x
+            got = place(i + 1)
+            if got:
+                return got
+            del branch[v]
+            used &= ~(1 << x)
+        return None
+
+    return place(0)
+
+
+def oracle_enumerate_holes(g: Graph, min_len: int = 4, max_len: int | None = None,
+                           parity: str = "any") -> list[list[int]]:
+    """``oracle.enumerate_holes`` as one LIFO stack of copied paths per
+    smallest vertex s, with no reach prune, in the order it emitted them."""
+    max_len = g.n if max_len is None else min(max_len, g.n)
+    out = []
+    for s in range(g.n):
+        stack = [(s, [s], 1 << s)]
+        while stack:
+            v, path, used = stack.pop()
+            for w in bits(g.adj[v]):
+                if w <= s or used >> w & 1 or g.adj[w] & used & ~(1 << v) & ~(1 << s):
+                    continue
+                closes = g.has_edge(w, s)
+                new_path = path + [w]
+                k = len(new_path)
+                if (closes and max(4, min_len) <= k <= max_len and new_path[1] < new_path[-1]
+                        and (parity == "any" or k % 2 == (parity == "odd"))):
+                    out.append(new_path)
+                if k < max_len and (k == 2 or not closes):
+                    stack.append((w, new_path, used | (1 << w)))
+    return out
+
+
+def oracle_chord_cycle(g: Graph, search) -> tuple[list[int], tuple[int, int]] | None:
+    """``decompose._chord_cycle`` over the whole graph: ``search`` runs on
+    g - uv itself for each edge uv, in ``g.edges()`` order."""
+    for u, v in g.edges():
+        if bit_count(g.adj[u]) <= 2 or bit_count(g.adj[v]) <= 2:
+            continue
+        h = Graph(g.n)
+        h.adj = list(g.adj)
+        h.adj[u] &= ~(1 << v)
+        h.adj[v] &= ~(1 << u)
+        cycle = search(h, u, v)
+        if cycle is not None:
+            return cycle, (u, v)
+    return None

@@ -7,16 +7,18 @@ import random
 import pytest
 
 from helpers import (
+    bench_workload,
     berge_family_graphs,
     chain_decompose,
     glue_two_sides,
     oracle_all_proper_nonpath_two_joins,
+    oracle_side_parity,
     prism_side,
     random_graph,
 )
 from inducta import berge
 from inducta.berge import all_proper_nonpath_two_joins
-from inducta.graphs import Graph, GraphError, TooLargeError
+from inducta.graphs import Graph, GraphError, TooLargeError, parse_graph
 from inducta.named import complete, complete_bipartite
 
 
@@ -89,3 +91,38 @@ def test_the_search_reads_splits_from_its_pieces():
     found = [all_proper_nonpath_two_joins(g) for g in graphs]
     assert all(found)
     assert found == [oracle_all_proper_nonpath_two_joins(g) for g in graphs]
+
+
+def test_side_parities_match_the_recursive_search(monkeypatch):
+    """The same parity as the recursive search with no reach prune: on
+    both sides of every join of the family graphs the enumeration takes,
+    and on every side the pipeline asks about while decomposing the
+    Berge bench instances of seeds 1-10.  A side that search refused
+    for its budget may be answered now."""
+    real = berge.side_parity
+    sides = 0
+
+    def checked(g, s, side):
+        nonlocal sides
+        got = real(g, s, side)
+        try:
+            assert got == oracle_side_parity(g, s, side)
+        except TooLargeError:
+            pass
+        sides += 1
+        return got
+
+    for g in berge_family_graphs():
+        if g.n <= berge.FULL_ENUM_BOUND:
+            for s in all_proper_nonpath_two_joins(g):
+                checked(g, s, "x1")
+                checked(g, s, "x2")
+    monkeypatch.setattr(berge, "side_parity", checked)
+    for workload in ("berge-color", "berge-alpha"):
+        for seed in range(1, 11):
+            for inst in bench_workload(workload, seed):
+                try:
+                    berge.decompose(parse_graph(inst.text).graph)
+                except GraphError:
+                    pass
+    assert sides >= 6000, sides

@@ -12,6 +12,7 @@ from helpers import (
     cycle_with_unique_chord_present,
     five_cycle_chain,
     oracle_blocks,
+    oracle_chord_cycle,
     oracle_has_one_cutset,
     oracle_has_proper_1_join,
     oracle_has_special_2_cutset,
@@ -272,6 +273,33 @@ def test_skipped_chord_edges_close_no_cycle():
                 h = decompose._without_edge(g, u, v)
                 assert decompose._two_path_cycle(h, u, v) is None, (g.edges(), u, v)
                 assert decompose.hole_through_two(h, u, v) is None, (g.edges(), u, v)
+
+
+def test_chord_search_in_each_block_finds_the_whole_graph_witness():
+    """Searching each chord edge inside its own block finds the same
+    cycle and chord, with either search, as the loop over the whole
+    graph: on every labelled graph with at most 6 vertices, criterion 5's
+    graphs, and triangle and 5-cycle chains, bare and with one block
+    given a chord (a diamond for a triangle)."""
+    graphs = list(all_labelled_graphs(6))
+    rng = random.Random(505)
+    for _ in range(1000):
+        n = rng.randint(4, 11)
+        graphs.append(random_graph(n, rng.uniform(0.15, 0.5), rng))
+    for k in (1, 2, 5, 40):
+        graphs += [triangle_chain(k), five_cycle_chain(k)]
+        for j in sorted({0, k // 2, k - 1}):
+            graphs.append(triangle_chain(k).add_vertices(1, [[2 * j, 2 * j + 1]]))
+            chorded = five_cycle_chain(k)
+            chorded.add_edge_unchecked(4 * j, 4 * j + 2)
+            graphs.append(chorded)
+    found = 0
+    for g in graphs:
+        for search in (decompose.hole_through_two, decompose._two_path_cycle):
+            got = decompose._chord_cycle(g, search)
+            assert got == oracle_chord_cycle(g, search), g.edges()
+            found += got is not None
+    assert found >= 20000, found
 
 
 # -- unique chord recognition -----------------------------------------------------

@@ -9,6 +9,7 @@ from helpers import (
     oracle_bipartition,
     oracle_components_of,
     oracle_girth,
+    oracle_induced_paths,
     oracle_is_induced_path,
     oracle_is_proper_coloring,
     oracle_is_tree_mask,
@@ -323,6 +324,60 @@ def test_path_mask_matches_induced_definition():
                 for b in range(n):
                     want = is_path and a != b and ends == {a, b}
                     assert g.is_path_mask(mask, a, b) == want, (code, mask, a, b)
+
+
+def _subsets(mask: int):
+    """Every subset of ``mask``, from ``mask`` itself down to 0."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+def test_induced_paths_match_the_brute_force_enumeration():
+    """On every labelled graph with at most 5 vertices, for every source,
+    allowed set and end set inside it, the search yields exactly the
+    paths of the unpruned enumeration, in the same order."""
+    for g in all_labelled_graphs(5):
+        for src in range(g.n):
+            for allowed in _subsets(g.full_mask() & ~(1 << src)):
+                for ends in _subsets(allowed):
+                    got = list(g.induced_paths(src, ends, allowed))
+                    assert got == oracle_induced_paths(g, src, ends, allowed), (g.edges(), src, ends, allowed)
+
+
+def test_induced_paths_with_through_and_keep_match_the_brute_force_enumeration():
+    """On every labelled graph with 6 vertices, one seeded draw of the
+    source, allowed, ends (which may hold the source), a through set and
+    a keep that refuses a random eighth of all vertex masks: the same
+    paths, in the same order, as the unpruned enumeration."""
+    rng = random.Random(27)
+    for g in all_labelled_graphs(6):
+        if g.n < 6:
+            continue
+        src, allowed, ends = rng.randrange(6), rng.getrandbits(6), rng.getrandbits(6)
+        through = allowed & rng.getrandbits(6) & rng.getrandbits(6)
+        refused = rng.getrandbits(64) & rng.getrandbits(64) & rng.getrandbits(64)
+        keep = lambda used: not refused >> used & 1
+        got = list(g.induced_paths(src, ends, allowed, through, keep))
+        assert got == oracle_induced_paths(g, src, ends, allowed, through, keep), (
+            g.edges(), src, ends, allowed, through, refused)
+
+
+def test_induced_paths_walk_a_long_cycle_on_one_list(monkeypatch):
+    """Along a 20,000-vertex cycle the search has one candidate per step,
+    so it runs its reach only at the source: the one path to the other
+    neighbour of vertex 0 is the whole cycle but 0."""
+    n = 20_000
+    g = cycle(n)
+    reaches = []
+    real = Graph.reach
+    monkeypatch.setattr(Graph, "reach", lambda self, *args: reaches.append(args) or real(self, *args))
+    paths = list(g.induced_paths(1, 1 << (n - 1), g.full_mask() & ~1))
+    assert paths == [list(range(1, n))]
+    assert len(reaches) == 1
 
 
 def test_format_round_trip():

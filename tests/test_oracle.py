@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import random_graph
+from helpers import all_labelled_graphs, oracle_enumerate_holes, random_graph
 from inducta.graphs import Graph, TooLargeError, WeightedGraph
 from inducta.named import complete, cycle, petersen, two_subdivision
 from inducta.oracle import (
@@ -163,3 +163,21 @@ def test_induced_embedding():
     assert induced_embedding(cycle(5), petersen()) is not None
     assert induced_embedding(cycle(4), petersen()) is None
     assert induced_embedding(complete(3), petersen()) is None
+
+
+def test_hole_enumeration_matches_the_stack_of_copied_paths():
+    """The same holes as the LIFO stack that copied its path at every
+    step, each once; only the order changed.  On every labelled graph
+    with at most 5 vertices and 300 seeded random graphs with 6 to 12,
+    for four length and parity filters."""
+    rng = random.Random(31)
+    graphs = list(all_labelled_graphs(5))
+    graphs += [random_graph(rng.randint(6, 12), rng.uniform(0.1, 0.9), rng) for _ in range(300)]
+    holes = 0
+    for g in graphs:
+        for args in ((4, None, "any"), (5, None, "odd"), (4, 6, "even"), (4, 5, "any")):
+            got = list(enumerate_holes(g, *args))
+            assert sorted(got) == sorted(oracle_enumerate_holes(g, *args)), (g.edges(), args)
+            assert len(set(map(tuple, got))) == len(got)
+            holes += len(got)
+    assert holes >= 7000, holes

@@ -12,7 +12,6 @@ SOURCES = sorted((ROOT / "src" / "inducta").glob("*.py"))
 
 # each recursion left in the package, with the bound that caps its depth
 BOUNDED = {
-    "berge.side_parity.dfs": "one level per vertex of the path, at most the side's size",
     "berge.all_proper_nonpath_two_joins.place": "one level per vertex, n <= FULL_ENUM_BOUND",
     "berge._decompose": "one level per 2-join, capped at n + 8 by its depth check",
     "classify._two_pair_in": "C(T) misses T, so at most |V| levels (2-4 measured)",
@@ -23,7 +22,6 @@ BOUNDED = {
     "oracle.chromatic_number.rec": "one vertex per level, n <= CHI_BOUND",
     "oracle.induced_embedding.rec": "one pattern vertex per level, at most the host's order",
     "sgraph.find_realization.route": "one level per s-graph edge",
-    "sgraph.find_realization.route.grow": "one level per interior vertex of a path, at most max_len",
     "sgraph.find_realization.place": "one level per s-graph vertex",
 }
 
