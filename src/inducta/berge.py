@@ -926,12 +926,11 @@ def decompose(g: Graph) -> TreeNode:
     2-join either, g's own failure is reported."""
     try:
         return _decompose(g, list(range(g.n)), [], 0)
-    except OutsideClassError as err:
-        outside = err
-    comp = g.complement()
-    found = _leaf_or_join(comp, [])
-    if found is None:
-        raise outside
+    except OutsideClassError:  # unnamed: a frame that held it would hold a cycle
+        comp = g.complement()
+        found = _leaf_or_join(comp, [])
+        if found is None:
+            raise
     tree = _decompose(comp, list(range(g.n)), [], 0, found)
     tree.complemented = True
     return tree

@@ -22,7 +22,8 @@ that fits no step is a broken invariant and raises InternalError.
 Membership itself is decided by the input checks alone: a chorded cycle
 for chordless graphs, a cycle with exactly one chord for the other
 class.  The coloring of unique-chord-free members needs only that
-check and the blocks, never the tree.
+check and the blocks, never the tree; a third color branches on odd
+cycles found by one BFS per component (``Graph.odd_cycle``).
 """
 
 from __future__ import annotations
@@ -467,28 +468,18 @@ def recognize_unique_chord_free(g: Graph) -> UniqueChordResult:
 
 def _third_color(g: Graph, include: int, exclude: int) -> int | None:
     """A stable set S with include <= S, S n exclude = 0, meeting every
-    odd cycle; branch on the vertices of a shortest odd cycle of g - S,
-    depth first from a stack, in increasing vertex order."""
-    if include & exclude:
-        return None
-    if not g.is_stable_mask(include):
-        return None
+    odd cycle (include stable and missing exclude); exhaustive, depth
+    first from a stack, branching in increasing vertex order on any odd
+    cycle of g - S, which S must meet too."""
     todo = [include]
     while todo:
         s = todo.pop()
-        cyc = g.shortest_cycle(odd=True, allowed=g.full_mask() & ~s)
+        cyc = g.odd_cycle(g.full_mask() & ~s)
         if cyc is None:
             return s
         todo += [s | 1 << v for v in sorted(cyc, reverse=True)
                  if not (exclude >> v & 1 or g.adj[v] & s)]
     return None
-
-
-def _two_color(g: Graph) -> list[int]:
-    parts = g.bipartition()
-    if parts is None:
-        raise InternalError("expected a bipartite remainder")
-    return [0 if parts[0] >> v & 1 else 1 for v in range(g.n)]
 
 
 def chi_unique_chord_free(g: Graph) -> tuple[int, list[int]]:
@@ -501,10 +492,15 @@ def chi_unique_chord_free(g: Graph) -> tuple[int, list[int]]:
 
 def _chi_block(g: Graph) -> tuple[int, list[int]]:
     """(chi, coloring) of a member with no cut vertex, colored outright:
-    bipartite, triangle-free, or a clique."""
-    if g.bipartition() is not None:
-        return (1 if g.edge_count() == 0 else 2), _two_color(g)
-    if g.triangle() is None:
+    bipartite, triangle-free, or a clique.  ``_chi_member`` checks the
+    coloring."""
+    parts, old = g.bipartition(), range(g.n)
+    chi = 1 if g.edge_count() == 0 else 2
+    if parts is None:
+        if g.triangle() is not None:
+            if g.is_clique_mask(g.full_mask()):
+                return g.n, list(range(g.n))
+            raise InternalError("member block with a triangle is not a clique")
         # triangle-free, not bipartite: chi = 3 via a third color that
         # holds N(v) and misses v (the shape-1 admissible pair)
         v = min(range(g.n), key=g.degree)
@@ -512,15 +508,14 @@ def _chi_block(g: Graph) -> tuple[int, list[int]]:
         if s is None:
             raise InternalError("no third color for a member of the class")
         rest, old = g.induced_mask(g.full_mask() & ~s)
-        color = [2] * g.n
-        for o, c in zip(old, _two_color(rest)):
-            color[o] = c
-        if not g.is_proper_coloring(color):
-            raise InternalError("third-color coloring is not proper")
-        return 3, color
-    if g.is_clique_mask(g.full_mask()):
-        return g.n, list(range(g.n))
-    raise InternalError("member block with a triangle is not a clique")
+        parts = rest.bipartition()
+        if parts is None:
+            raise InternalError("expected a bipartite remainder")
+        chi = 3
+    color = [2] * g.n
+    for i, o in enumerate(old):
+        color[o] = 0 if parts[0] >> i & 1 else 1
+    return chi, color
 
 
 def _chi_member(g: Graph) -> tuple[int, list[int]]:

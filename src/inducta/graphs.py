@@ -11,7 +11,8 @@ the ``bits`` generator; ``is_tree_mask`` counts edges inside its reach.
 cycle or structure: it takes each listed pair out of a per-vertex
 neighborhood mask, so its cost is linear in the witness.
 ``induced_paths`` is the one search for induced paths, behind the hole,
-2-join side parity and s-graph realization searches.
+2-join side parity and s-graph realization searches.  ``girth``'s
+per-source sweep is the one shortest-cycle search, read by ``shortest_cycle``.
 """
 
 from __future__ import annotations
@@ -420,7 +421,12 @@ class Graph:
 
     def girth(self, below: int | None = None) -> int | None:
         """Length of a shortest cycle, or None for forests.  With
-        ``below``, the girth if it is less than ``below``, else None.
+        ``below``, the girth if it is less than ``below``, else None."""
+        return self._cycle_sweep(below)[0]
+
+    def _cycle_sweep(self, below: int | None) -> tuple[int | None, int]:
+        """(girth as ``girth`` gives it, the source whose BFS closed the
+        shortest walk, or -1).
 
         Lengths only, from one BFS per source: an edge inside layer i, or
         a vertex of layer i+1 with two parents, closes a walk of length
@@ -429,11 +435,12 @@ class Graph:
         source is done, every cycle through it is at least ``best`` long,
         and it leaves ``alive``: a shorter cycle avoids it.  A vertex with
         fewer than two alive neighbors lies on no alive cycle and leaves
-        at once.  (``shortest_cycle`` keeps every source, since dropping
-        them would change which cycle it returns.)"""
+        at once.  Sources leave in increasing order, so the alive vertices
+        of source s are those from s up."""
         adj = self.adj
         limit = best = self.n + 1 if below is None else below
         alive = self.full_mask()
+        src = -1
         for s in range(self.n):
             if bit_count(adj[s] & alive) >= 2:
                 layer = seen = 1 << s
@@ -445,63 +452,59 @@ class Graph:
                         low = rest & -rest
                         nb = adj[low.bit_length() - 1]
                         if nb & layer:
-                            best = 2 * depth + 1
+                            best, src = 2 * depth + 1, s
                             break
                         twice |= nxt & nb
                         nxt |= nb
                         rest ^= low
                     layer = nxt & alive & ~seen
-                    if twice & layer:
-                        best = min(best, 2 * depth + 2)
+                    if twice & layer and 2 * depth + 2 < best:
+                        best, src = 2 * depth + 2, s
                     seen |= layer
                     depth += 1
             alive ^= 1 << s
-        return best if best < limit else None
+        return (best, src) if best < limit else (None, -1)
 
-    def shortest_cycle(self, odd: bool = False, allowed: int | None = None) -> list[int] | None:
-        """A shortest cycle in cyclic order, or None.  With ``odd``, a
-        shortest odd cycle; with ``allowed``, one of the subgraph that mask
-        induces.  Such a cycle is induced.
+    def shortest_cycle(self) -> list[int] | None:
+        """A shortest cycle in cyclic order, or None; it is induced.  It is
+        rebuilt once, after ``girth``'s sweep, from the BFS layers of the
+        source that closed the shortest walk, over the vertices alive when
+        that source ran: an edge inside a layer closes it if its length is
+        odd, else a vertex with two parents in the layer before."""
+        best, s = self._cycle_sweep(None)
+        if best is None:
+            return None
+        layers = self.layers(1 << s, self.full_mask() >> s << s)
+        if best % 2:
+            return self._odd_closure(layers)
+        up, layer = layers[best // 2 - 1], layers[best // 2]
+        w = next(w for w in bits(layer) if bit_count(self.adj[w] & up) >= 2)
+        u, x, *_ = bits(self.adj[w] & up)
+        return [w] + self._closure(layers, u, x)
 
-        A BFS from each vertex of degree two or more: an edge inside layer
-        i, or a vertex of layer i+1 with two parents, closes a cycle of
-        length at most 2i+1 or 2i+2 through two back-paths cut where they
-        meet.  A BFS stops once 2i+1 reaches the best length so far, since
-        from each vertex of a shorter (odd) cycle the BFS distances along
-        that cycle are exact."""
-        if allowed is None:
-            adj, sources = self.adj, range(self.n)
-        else:
-            adj, sources = [nb & allowed for nb in self.adj], bits(allowed)
-        best = self.n + 1
-        cyc = None
-        for s in sources:
-            if bit_count(adj[s]) < 2:
-                continue
-            layer = seen = 1 << s
-            layers = [layer]
-            depth = 0
-            while layer and 2 * depth + 1 < best:
-                nxt = twice = 0
-                for v in bits(layer):
-                    if adj[v] & layer:
-                        cyc = self._closure(layers, v, next(bits(adj[v] & layer)))
-                        best = len(cyc)
-                        break
-                    twice |= nxt & adj[v]
-                    nxt |= adj[v]
-                else:
-                    layer = nxt & ~seen
-                    seen |= layer
-                    twice &= layer
-                    if twice and not odd and 2 * depth + 2 < best:
-                        w = next(bits(twice))
-                        u, x, *_ = bits(adj[w] & layers[-1])
-                        cyc = [w] + self._closure(layers, u, x)
-                        best = len(cyc)
-                    layers.append(layer)
-                    depth += 1
-        return cyc
+    def odd_cycle(self, allowed: int) -> list[int] | None:
+        """An odd cycle in cyclic order of the subgraph ``allowed``
+        induces, or None when that subgraph is bipartite, from one BFS per
+        component.  The cycle need not be shortest or induced."""
+        rest = allowed
+        while rest:
+            layers = self.layers(rest & -rest, allowed)
+            cyc = self._odd_closure(layers)
+            if cyc:
+                return cyc
+            for layer in layers:
+                rest ^= layer
+        return None
+
+    def _odd_closure(self, layers: Sequence[int]) -> list[int] | None:
+        """The first edge inside a layer of the BFS ``layers``, closed
+        through the back-paths of its ends into an odd cycle, or None."""
+        for layer in layers:
+            for v in bits(layer):
+                inner = self.adj[v] & layer
+                if inner:
+                    return self._closure(layers, v, (inner & -inner).bit_length() - 1)
+        return None
 
     def _closure(self, layers: Sequence[int], u: int, w: int) -> list[int]:
         """From ``u`` back to where the back-paths of ``u`` and ``w`` meet,

@@ -650,11 +650,77 @@ def dict_girth(g: Graph) -> int | None:
 
 # -- the kernel forms that the mask loops replaced, kept as oracles ---------------
 
+def oracle_shortest_cycle(g: Graph, odd: bool = False, allowed: int | None = None) -> list[int] | None:
+    """``Graph.shortest_cycle`` before it shared ``girth``'s sweep: a
+    BFS from every vertex of degree two or more, each kept until 2i+1
+    reaches the best length so far.  An edge inside layer i, or a vertex
+    of layer i+1 with two parents, closes a cycle through two back-paths
+    cut where they meet.  With ``odd``, a shortest odd cycle; with
+    ``allowed``, one of the subgraph that mask induces."""
+
+    def closure(layers, u, w):
+        pu, pw = g.path_back(layers, u), g.path_back(layers, w)
+        k = next(k for k in range(len(pu)) if pu[k] == pw[k])
+        return pu[: k + 1] + pw[:k][::-1]
+
+    if allowed is None:
+        adj, sources = g.adj, range(g.n)
+    else:
+        adj, sources = [nb & allowed for nb in g.adj], bits(allowed)
+    best = g.n + 1
+    cyc = None
+    for s in sources:
+        if bit_count(adj[s]) < 2:
+            continue
+        layer = seen = 1 << s
+        layers = [layer]
+        depth = 0
+        while layer and 2 * depth + 1 < best:
+            nxt = twice = 0
+            for v in bits(layer):
+                if adj[v] & layer:
+                    cyc = closure(layers, v, next(bits(adj[v] & layer)))
+                    best = len(cyc)
+                    break
+                twice |= nxt & adj[v]
+                nxt |= adj[v]
+            else:
+                layer = nxt & ~seen
+                seen |= layer
+                twice &= layer
+                if twice and not odd and 2 * depth + 2 < best:
+                    w = next(bits(twice))
+                    u, x, *_ = bits(adj[w] & layers[-1])
+                    cyc = [w] + closure(layers, u, x)
+                    best = len(cyc)
+                layers.append(layer)
+                depth += 1
+    return cyc
+
+
 def oracle_girth(g: Graph) -> int | None:
     """The girth as ``Graph.girth`` had it: the length of the cycle that
-    ``shortest_cycle`` returns (``below`` cut that search short)."""
-    cyc = g.shortest_cycle()
+    ``oracle_shortest_cycle`` returns (``below`` cut that search short)."""
+    cyc = oracle_shortest_cycle(g)
     return None if cyc is None else len(cyc)
+
+
+def oracle_third_color(g: Graph, include: int, exclude: int) -> int | None:
+    """``decompose._third_color`` as it was: its precondition tests, then
+    the same depth-first search, branching on the vertices of a shortest
+    odd cycle of g - S that the dict oracle finds."""
+    if include & exclude or not g.is_stable_mask(include):
+        return None
+    todo = [include]
+    while todo:
+        s = todo.pop()
+        sub, old = g.induced_mask(g.full_mask() & ~s)
+        cyc = oracle_shortest_odd_cycle(sub)
+        if cyc is None:
+            return s
+        todo += [s | 1 << v for v in sorted((old[u] for u in cyc), reverse=True)
+                 if not (exclude >> v & 1 or g.adj[v] & s)]
+    return None
 
 
 def oracle_is_proper_coloring(g: Graph, color) -> bool:

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import itertools
 import random
 import sys
@@ -18,7 +19,7 @@ from inducta.berge import (
     find_two_join,
     solve,
 )
-from inducta.graphs import Graph, GraphError, WeightedGraph, mask_of
+from inducta.graphs import Graph, GraphError, WeightedGraph, mask_of, parse_graph
 from inducta.linegraph import line_graph
 from inducta.named import complete, complete_bipartite, cycle, petersen
 from inducta.oracle import (ALPHA_BOUND, exact_invariants, is_berge, max_weight_clique,
@@ -134,6 +135,29 @@ def test_complement_route():
     assert ans.complemented
     assert ans.alpha == max_weight_stable_set(wg)[0] == direct.omega
     assert ans.omega == max_weight_clique(wg)[0] == direct.alpha
+
+
+def test_complemented_root_leaves_no_exception_to_the_collector():
+    """The root's OutsideClassError is dropped once the complement
+    answers: no frame keeps it, so it never reaches the cyclic
+    collector.  Three calls on the first complement member of the
+    berge-alpha workload."""
+    from helpers import bench_workload
+
+    inst = next(i for i in bench_workload("berge-alpha", 1) if "/complement/" in i.family)
+    wg = parse_graph(inst.text)
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(3):
+            assert berge_alpha_omega(wg).complemented
+        gc.collect()
+        left = [o for o in gc.garbage if isinstance(o, OutsideClassError)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert left == []
 
 
 def test_figure_graph_has_no_extreme_join():

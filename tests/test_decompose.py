@@ -3,11 +3,13 @@ import itertools
 import random
 import re
 import sys
+import time
 
 import pytest
 
 from helpers import (
     all_labelled_graphs,
+    bench_workload,
     cut_witness_holds,
     cycle_with_unique_chord_present,
     five_cycle_chain,
@@ -16,6 +18,7 @@ from helpers import (
     oracle_has_one_cutset,
     oracle_has_proper_1_join,
     oracle_has_special_2_cutset,
+    oracle_third_color,
     random_graph,
     triangle_chain,
 )
@@ -28,7 +31,7 @@ from inducta.decompose import (
     three_color_chordless,
 )
 from inducta import decompose
-from inducta.graphs import Graph, GraphError, InternalError, bit_count, mask_of
+from inducta.graphs import Graph, GraphError, InternalError, bit_count, mask_of, parse_graph
 from inducta.named import (
     complete,
     complete_bipartite,
@@ -436,6 +439,51 @@ def test_chi_matches_oracle_on_members():
         assert all(col[u] != col[v] for u, v in g.edges())
         assert max(col) + 1 == chi
     assert done >= 80
+
+
+def test_third_color_matches_the_shortest_odd_cycle_route(monkeypatch):
+    """Branching on any odd cycle of g - S gives the chi of the route that
+    branched on a shortest one, and both colorings are proper: on every
+    labelled member with at most 6 vertices, criterion 5's graphs, the
+    benchmark's unique-chord pool and seeded random members with at most
+    12 vertices."""
+    rng = random.Random(505)
+    graphs = list(all_labelled_graphs(6))
+    graphs += [random_graph(rng.randint(4, 11), rng.uniform(0.15, 0.5), rng) for _ in range(1000)]
+    graphs += [parse_graph(inst.text).graph for inst in bench_workload("structure", 1)
+               if inst.family == "unique_chord_free"]
+    rng = random.Random(38)
+    graphs += [random_graph(rng.randint(7, 12), rng.uniform(0.1, 0.35), rng) for _ in range(1500)]
+    calls = []
+    real = decompose._third_color
+    monkeypatch.setattr(decompose, "_third_color",
+                        lambda g, include, exclude: calls.append(g) or real(g, include, exclude))
+    members = 0
+    for g in graphs:
+        try:
+            chi, col = chi_unique_chord_free(g)
+        except GraphError:
+            continue
+        members += 1
+        with monkeypatch.context() as m:
+            m.setattr(decompose, "_third_color", oracle_third_color)
+            want, want_col = chi_unique_chord_free(g)
+        assert chi == want, g.edges()
+        assert g.is_proper_coloring(col) and g.is_proper_coloring(want_col), g.edges()
+    assert members >= 3000 and len(calls) >= 500, (members, len(calls))
+
+
+def test_third_color_on_long_odd_cycles():
+    """A 2,001-vertex odd hole and a seeded 2-subdivision of 1,054
+    vertices take a third color in well under a second (0.04 s each on
+    2 CPUs), where branching on a shortest odd cycle, with a BFS from
+    every vertex per search, took 3.3 and 1.3 s."""
+    rng = random.Random(64)
+    for g in (cycle(2001), two_subdivision(random_graph(64, 0.25, rng))):
+        t0 = time.perf_counter()
+        chi, col = chi_unique_chord_free(g)
+        assert time.perf_counter() - t0 < 1.0, g.n
+        assert chi == 3 and g.is_proper_coloring(col), g.n
 
 
 def test_triangle_chains_need_no_recursion():

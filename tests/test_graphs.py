@@ -14,6 +14,7 @@ from helpers import (
     oracle_is_proper_coloring,
     oracle_is_tree_mask,
     oracle_layers,
+    oracle_shortest_cycle,
     oracle_shortest_odd_cycle,
     oracle_shortest_path,
     random_connected_girth,
@@ -70,7 +71,7 @@ def test_girth():
 def test_girth_on_every_labelled_graph_on_six_vertices():
     """The girth, and with ``below`` = 3..8 the girth exactly when it is
     below that bound, as the dict BFS finds it and as the length of
-    ``shortest_cycle``'s cycle (the form ``girth`` had) gives it."""
+    ``oracle_shortest_cycle``'s cycle (the form ``girth`` had) gives it."""
     for n in range(7):
         pairs = list(itertools.combinations(range(n), 2))
         for chosen in range(1 << len(pairs)):
@@ -84,7 +85,7 @@ def test_girth_on_every_labelled_graph_on_six_vertices():
 
 def test_girth_matches_shortest_cycle_length():
     """The length-only BFS that drops finished sources against the
-    length of ``shortest_cycle``'s cycle, with ``below`` = None and
+    length of ``oracle_shortest_cycle``'s cycle, with ``below`` = None and
     3..8, on seeded random graphs and seeded graphs of girth at least k
     for k = 3..8."""
     rng = random.Random(81)
@@ -185,31 +186,41 @@ def test_sweeps_match_set_oracles():
 
 
 def _check_shortest_cycles(g: Graph, allowed: int) -> None:
-    """Inside ``allowed``: the girth with and without ``below``, and the
-    shortest cycle and shortest odd cycle, each induced and as long as
-    the dict oracles find in the subgraph the mask induces."""
+    """In the subgraph ``allowed`` induces: the girth with and without
+    ``below``, and the shortest cycle, induced and as long as the dict
+    BFS finds; the all-sources oracle's shortest cycle and shortest odd
+    cycle, likewise; and ``odd_cycle`` by its contract, None exactly
+    when the subgraph is bipartite, else an odd cycle of distinct
+    vertices inside the mask whose consecutive vertices are adjacent."""
     sub, _ = g.induced_mask(allowed)
     girth = dict_girth(sub)
     odd = oracle_shortest_odd_cycle(sub)
-    odd_len = None if odd is None else len(odd)
-    if allowed == g.full_mask():
-        assert g.girth() == girth
-        for k in range(3, 8):
-            assert g.girth(below=k) == (girth if girth is not None and girth < k else None), k
-    for odd_only, want in ((False, girth), (True, odd_len)):
-        got = g.shortest_cycle(odd=odd_only, allowed=allowed)
+    assert sub.girth() == girth
+    for k in range(3, 8):
+        assert sub.girth(below=k) == (girth if girth is not None and girth < k else None), k
+    got = sub.shortest_cycle()
+    assert got is None if girth is None else len(got) == girth and sub.is_induced_cycle(got)
+    for odd_only, want in ((False, girth), (True, None if odd is None else len(odd))):
+        got = oracle_shortest_cycle(g, odd=odd_only, allowed=allowed)
         if want is None:
             assert got is None
             continue
         assert len(got) == want and g.is_induced_cycle(got)
         assert all(allowed >> v & 1 for v in got)
         assert len(got) % 2 == 1 or not odd_only
+    got = g.odd_cycle(allowed)
+    if odd is None:
+        assert got is None
+        return
+    assert len(got) % 2 == 1 and len(set(got)) == len(got) >= 3
+    assert all(allowed >> v & 1 and g.has_edge(got[i - 1], v) for i, v in enumerate(got))
 
 
 def test_shortest_cycles_match_dict_oracles():
-    """girth, shortest_cycle and its odd-only form agree with the dict
-    BFS oracles on every graph with at most 5 vertices and the seeded
-    random graphs, on the whole graph and inside seeded random masks."""
+    """girth, shortest_cycle, odd_cycle and the all-sources oracle agree
+    with the dict BFS oracles on every graph with at most 5 vertices and
+    the seeded random graphs, on the whole graph and inside seeded random
+    masks."""
     rng = random.Random(8)
     for g in _differential_graphs():
         _check_shortest_cycles(g, g.full_mask())
